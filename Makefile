@@ -47,11 +47,12 @@ deduce:
 saturate:
 	dune exec bench/main.exe -- saturate
 
-# SAT-core ablation: clause-DB management (LBD reduction + inprocessing)
-# on vs off over Person entities with linearly-growing histories; writes
-# BENCH_satcore.json and exits non-zero unless resolutions are identical
-# both ways and solve+deduce beats the grow-forever baseline at the
-# largest size.
+# SAT-core ablation: clause-DB management (LBD reduction + inprocessing:
+# equivalent-literal substitution and subsumption) on vs off over Person
+# entities with linearly-growing histories; writes BENCH_satcore.json and
+# exits non-zero unless resolutions are identical both ways and
+# solve+deduce beats the grow-forever baseline at the largest size. The
+# satcore_smoke CI run additionally requires offline subsumed > 0.
 satcore:
 	dune exec bench/main.exe -- satcore
 

@@ -517,9 +517,8 @@ let batch_sized ~n_entities ~json () =
      land on whichever side runs first and on whatever phase allocates
      most; warming both and compacting before each timed run measures the
      steady state the comparison is actually about. run_batch creates a
-     fresh spec-keyed cache per call, so no per-spec encoding survives
-     into the timed run; the shape-template layer is process-global by
-     design, so the timed run serves from compiled templates — exactly
+     fresh cache per call, but the domain-local template memo outlives it
+     by design, so the timed run serves from a compiled template — exactly
      the steady state a long-lived resolver sits in. *)
   List.iter
     (fun (it : Crcore.Engine.item) ->
@@ -536,7 +535,7 @@ let batch_sized ~n_entities ~json () =
           items)
   in
   (* lint off on both sides: this scenario isolates incremental sessions +
-     the encoding cache against the naive loop (which never lints); the
+     the template cache against the naive loop (which never lints); the
      lint pre-phase has its own off-vs-on scenario below *)
   Gc.compact ();
   let engine_ms, (results, stats) =
@@ -563,48 +562,18 @@ let batch_sized ~n_entities ~json () =
   Format.printf "  %a@." Crcore.Engine.pp_stats stats;
   (* Template ratchet: the batch is n distinct entities of one shape
      (same schema, same interned Σ/Γ), so every initial encoding after
-     the first must instantiate the shared compiled template — the
-     fingerprint layer scores (n-1)/n even though the spec-keyed layer
-     scores 0. Enforced on full-size runs; smoke batches are too small
-     for a meaningful ratio. *)
-  Printf.printf
-    "  templates: %d hit(s) / %d miss(es), hit_ratio %.3f, %d instantiation(s)\n"
+     the first must instantiate the shared compiled template, scoring
+     (n-1)/n. Enforced on full-size runs; smoke batches are too small for
+     a meaningful ratio. *)
+  Printf.printf "  templates: %d hit(s) / %d miss(es), hit_ratio %.3f\n"
     stats.Crcore.Engine.template_hits stats.Crcore.Engine.template_misses
-    stats.Crcore.Engine.template_hit_ratio stats.Crcore.Engine.instantiations;
+    stats.Crcore.Engine.template_hit_ratio;
   Printf.printf "  encode alloc: %.0f minor words (%.0f words/entity)\n"
     stats.Crcore.Engine.encode_alloc_words
     (stats.Crcore.Engine.encode_alloc_words /. float_of_int n_entities);
   if n_entities >= 100 then
     claim "batch: template_hit_ratio >= 0.9 on distinct same-shape entities"
       (stats.Crcore.Engine.template_hit_ratio >= 0.9);
-  (* Repeated-specs cache case: the second copy of every item resolves a
-     structurally identical spec, so its initial encoding must come from
-     the spec-keyed cache rather than a fresh Encode.encode. *)
-  let rep_items =
-    items
-    @ List.map
-        (fun (it : Crcore.Engine.item) ->
-          { it with Crcore.Engine.label = it.Crcore.Engine.label ^ "-rep" })
-        items
-  in
-  let rep_results, rep_stats =
-    Crcore.Engine.run_batch
-      ~config:{ Crcore.Engine.default_config with lint = false }
-      rep_items
-  in
-  let rep_equivalent =
-    let firsts = List.filteri (fun i _ -> i < n_entities) rep_results in
-    let seconds = List.filteri (fun i _ -> i >= n_entities) rep_results in
-    List.for_all2
-      (fun (a : Crcore.Engine.item_result) (b : Crcore.Engine.item_result) ->
-        ir_result a = ir_result b)
-      firsts seconds
-  in
-  Printf.printf
-    "  cache (specs repeated twice, %d items): %d hit(s), hit_ratio %.3f, repeats identical: %b\n"
-    (2 * n_entities) rep_stats.Crcore.Engine.cache_hits rep_stats.Crcore.Engine.hit_ratio
-    rep_equivalent;
-  claim "batch: repeated specs resolve identically through the cache" rep_equivalent;
   (match json with
   | None -> ()
   | Some path ->
@@ -627,25 +596,14 @@ let batch_sized ~n_entities ~json () =
     "phase_ms": { "lint": %.3f, "encode": %.3f, "validity": %.3f, "deduce": %.3f, "suggest": %.3f },
     "solver": { "conflicts": %d, "decisions": %d, "propagations": %d, "restarts": %d },
     "solvers_built": %d,
-    "cache_hits": %d,
-    "cache_misses": %d,
-    "hit_ratio": %.3f,
     "template_hits": %d,
     "template_misses": %d,
     "template_hit_ratio": %.3f,
-    "instantiations": %d,
     "encode_alloc_words": %.0f,
     "delta_extensions": %d,
     "rebuilds": %d,
     "rebuilds_renumbered": %d,
     "rebuilds_impure": %d
-  },
-  "cache_case": {
-    "items": %d,
-    "cache_hits": %d,
-    "cache_misses": %d,
-    "hit_ratio": %.3f,
-    "repeats_identical": %b
   },
   "speedup": %.3f,
   "identical_results": %b
@@ -661,15 +619,11 @@ let batch_sized ~n_entities ~json () =
         st.Crcore.Engine.times.Crcore.Engine.deduce_ms
         st.Crcore.Engine.times.Crcore.Engine.suggest_ms sv.Sat.Solver.conflicts
         sv.Sat.Solver.decisions sv.Sat.Solver.propagations sv.Sat.Solver.restarts
-        st.Crcore.Engine.solvers_built st.Crcore.Engine.cache_hits
-        st.Crcore.Engine.cache_misses st.Crcore.Engine.hit_ratio
-        st.Crcore.Engine.template_hits st.Crcore.Engine.template_misses
-        st.Crcore.Engine.template_hit_ratio st.Crcore.Engine.instantiations
+        st.Crcore.Engine.solvers_built st.Crcore.Engine.template_hits
+        st.Crcore.Engine.template_misses st.Crcore.Engine.template_hit_ratio
         st.Crcore.Engine.encode_alloc_words st.Crcore.Engine.delta_extensions
         st.Crcore.Engine.rebuilds
         st.Crcore.Engine.rebuilds_renumbered st.Crcore.Engine.rebuilds_impure
-        (2 * n_entities) rep_stats.Crcore.Engine.cache_hits
-        rep_stats.Crcore.Engine.cache_misses rep_stats.Crcore.Engine.hit_ratio rep_equivalent
         speedup equivalent;
       close_out oc;
       Printf.printf "  wrote %s\n%!" path)
@@ -836,7 +790,6 @@ let par_sized ~n_entities ~jobs ~json () =
     "wall_ms": %.3f,
     "phase_ms_sum": { "lint": %.3f, "encode": %.3f, "validity": %.3f, "deduce": %.3f, "suggest": %.3f },
     "encode_alloc_words": %.0f,
-    "hit_ratio": %.3f,
     "template_hit_ratio": %.3f,
     "rebuilds_renumbered": %d,
     "rebuilds_impure": %d
@@ -855,7 +808,7 @@ let par_sized ~n_entities ~jobs ~json () =
         (pt par_stats).Crcore.Engine.lint_ms (pt par_stats).Crcore.Engine.encode_ms
         (pt par_stats).Crcore.Engine.validity_ms (pt par_stats).Crcore.Engine.deduce_ms
         (pt par_stats).Crcore.Engine.suggest_ms par_stats.Crcore.Engine.encode_alloc_words
-        par_stats.Crcore.Engine.hit_ratio par_stats.Crcore.Engine.template_hit_ratio
+        par_stats.Crcore.Engine.template_hit_ratio
         par_stats.Crcore.Engine.rebuilds_renumbered par_stats.Crcore.Engine.rebuilds_impure
         scaling_json speedup identical;
       close_out oc;
@@ -1167,8 +1120,8 @@ let saturate_smoke () = saturate_sized ~n_entities:12 ~json:(Some "BENCH_saturat
 (* The solver-internals ablation: the same Person batches resolved with
    the clause-database machinery on (LBD-scored learnt reduction on the
    Luby-interleaved geometric schedule, plus level-0 pre/inprocessing —
-   satisfied removal, subsumption/self-subsumption, BVE on unfrozen
-   variables — at the engine's simplify points) and off (the pre-LBD
+   satisfied removal, equivalent-literal substitution,
+   subsumption/self-subsumption — at the engine's simplify points) and off (the pre-LBD
    solver: no reduction, so the learnt database grows without bound, and
    no inprocessing). The binary implication layer is structural and on in
    both runs. Resolutions must be bit-identical at every size. Person
@@ -1284,14 +1237,13 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
           Printf.printf
             "  size %5d (%-8s): %8.1f ms wall, solve+deduce %8.1f ms, %d conflict(s), \
              %d propagation(s), %d probe(s), lbd %.2f, kept %d / deleted %d, %d \
-             binarie(s), %d subsumed, %d var(s) eliminated, %d substituted, simplify \
+             binarie(s), %d subsumed, %d substituted, simplify \
              %.1f ms\n"
             size name ms sd sv.Sat.Solver.conflicts
             sv.Sat.Solver.propagations st.Crcore.Engine.deduce_probes
             (Sat.Solver.lbd_avg sv) sv.Sat.Solver.learnts_kept
             sv.Sat.Solver.learnts_deleted sv.Sat.Solver.binaries sv.Sat.Solver.subsumed
-            sv.Sat.Solver.vars_eliminated sv.Sat.Solver.vars_substituted
-            sv.Sat.Solver.simplify_ms
+            sv.Sat.Solver.vars_substituted sv.Sat.Solver.simplify_ms
         in
         line "satcore" on_ms on_sd on_stats;
         line "baseline" off_ms off_sd off_stats;
@@ -1301,14 +1253,11 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
       sizes
   in
   (* Offline simplification: engine-grade encodings through a standalone
-     solver with nothing frozen — the [satcli --simplify] /
-     [--dump-dimacs] path. In-engine [vars_eliminated] is legitimately
-     zero (the engine freezes every variable it may probe, and BVE
-     respects the freeze), so this measurement — over a small batch of
-     2000-tuple entities, where encoding is cheap — is where BVE is
-     allowed to bite. In-engine substitution and the subsumption it
-     exposes are real, though, and ratcheted below. *)
-  let osub, oelim, obefore, oafter, oms =
+     solver — the [satcli --simplify] / [--dump-dimacs] path — over a
+     small batch of 2000-tuple entities, where encoding is cheap. The
+     in-engine substitution and the subsumption it exposes are ratcheted
+     below. *)
+  let osub, obefore, oafter, oms =
     let ds =
       Datagen.Person.generate
         {
@@ -1320,7 +1269,7 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
         }
     in
     List.fold_left
-      (fun (sub, elim, before, after, ms) (case : Datagen.Types.case) ->
+      (fun (sub, before, after, ms) (case : Datagen.Types.case) ->
         let e =
           Crcore.Encode.encode ~mode:Crcore.Encode.Exact (Datagen.Types.spec_of ds case)
         in
@@ -1329,16 +1278,14 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
         Sat.Solver.simplify s;
         let sv = Sat.Solver.stats s in
         ( sub + sv.Sat.Solver.subsumed,
-          elim + sv.Sat.Solver.vars_eliminated,
           before + Sat.Cnf.nclauses e.Crcore.Encode.cnf,
           after + Sat.Cnf.nclauses (Sat.Solver.export_cnf s),
           ms +. sv.Sat.Solver.simplify_ms ))
-      (0, 0, 0, 0, 0.) ds.Datagen.Types.cases
+      (0, 0, 0, 0.) ds.Datagen.Types.cases
   in
   Printf.printf
-    "  offline (8 entities @2000): %d subsumed, %d var(s) eliminated, clauses %d -> %d, \
-     simplify %.1f ms\n%!"
-    osub oelim obefore oafter oms;
+    "  offline (8 entities @2000): %d subsumed, clauses %d -> %d, simplify %.1f ms\n%!"
+    osub obefore oafter oms;
   (* the headline: at the largest size the managed clause database must be
      strictly faster in solve+deduce than the grow-forever baseline *)
   (if strict_win then
@@ -1349,14 +1296,12 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
            (on_sd < off_sd)
      | [] -> ());
   (* CI ratchet (smoke): pre/inprocessing must do real work both offline
-     (subsumption + BVE with nothing frozen) and in-engine (substitution
-     collapses the Exact encoding's complement pairs even under the
-     freeze-everything contract, and the duplicate transitivity clauses
+     (subsumption) and in-engine (substitution collapses the Exact
+     encoding's complement pairs, and the duplicate transitivity clauses
      it creates must then fall to subsumption), and the managed run must
      not regress past the baseline by more than measurement noise *)
   if ratchet then begin
-    claim "satcore: offline simplification does work (subsumed + eliminated > 0)"
-      (osub + oelim > 0);
+    claim "satcore: offline simplification does work (subsumed > 0)" (osub > 0);
     List.iter
       (fun (size, _, _, _, _, on_st, _, _) ->
         let sv = on_st.Crcore.Engine.solver in
@@ -1378,11 +1323,11 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
       let side (st : Crcore.Engine.stats) ms sd =
         let sv = st.Crcore.Engine.solver in
         Printf.sprintf
-          {|{ "wall_ms": %.3f, "solve_deduce_ms": %.3f, "conflicts": %d, "propagations": %d, "lbd_avg": %.3f, "learnts_kept": %d, "learnts_deleted": %d, "binaries": %d, "subsumed": %d, "vars_eliminated": %d, "vars_substituted": %d, "simplify_ms": %.3f }|}
+          {|{ "wall_ms": %.3f, "solve_deduce_ms": %.3f, "conflicts": %d, "propagations": %d, "lbd_avg": %.3f, "learnts_kept": %d, "learnts_deleted": %d, "binaries": %d, "subsumed": %d, "vars_substituted": %d, "simplify_ms": %.3f }|}
           ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
           (Sat.Solver.lbd_avg sv) sv.Sat.Solver.learnts_kept sv.Sat.Solver.learnts_deleted
-          sv.Sat.Solver.binaries sv.Sat.Solver.subsumed sv.Sat.Solver.vars_eliminated
-          sv.Sat.Solver.vars_substituted sv.Sat.Solver.simplify_ms
+          sv.Sat.Solver.binaries sv.Sat.Solver.subsumed sv.Sat.Solver.vars_substituted
+          sv.Sat.Solver.simplify_ms
       in
       let size_rows =
         List.map
@@ -1402,7 +1347,7 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
   "entities_per_size": %d,
   "cores_available": %d,
   "baseline": "simplify off (no LBD reduction, no pre/inprocessing)",
-  "offline_simplify": { "subsumed": %d, "vars_eliminated": %d, "clauses_before": %d, "clauses_after": %d, "simplify_ms": %.3f },
+  "offline_simplify": { "subsumed": %d, "clauses_before": %d, "clauses_after": %d, "simplify_ms": %.3f },
   "sizes": [
 %s
   ]
@@ -1410,7 +1355,7 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
 |}
         1
         (Parallel.Pool.recommended_jobs ())
-        osub oelim obefore oafter oms
+        osub obefore oafter oms
         (String.concat ",\n" size_rows);
       close_out oc;
       Printf.printf "  wrote %s\n%!" path

@@ -525,7 +525,6 @@ let run_batch entity_file dir sigma_file gamma_file exact naive jobs key truth_f
               let enc = Crcore.Encode.encode ~mode:(mode_of_exact exact) spec in
               let s = Sat.Solver.create () in
               Sat.Solver.add_cnf s enc.Crcore.Encode.cnf;
-              Sat.Solver.freeze_all s;
               Sat.Solver.simplify s;
               Out_channel.with_open_text path (fun oc ->
                   output_string oc (Sat.Dimacs.of_solver s));

@@ -8,9 +8,6 @@ let run file stats simplify =
   let f = Sat.Dimacs.parse_file file in
   let s = Sat.Solver.create () in
   Sat.Solver.add_cnf s f;
-  (* nothing is referenced after solving, so no variable needs freezing:
-     this is the one entry point where bounded variable elimination runs
-     unrestricted (models are reconstructed transparently) *)
   if simplify then Sat.Solver.simplify s;
   let result = Sat.Solver.solve s in
   (match result with
@@ -30,11 +27,11 @@ let run file stats simplify =
     Printf.eprintf
       "c conflicts=%d decisions=%d propagations=%d restarts=%d learnts=%d \
        learnts_kept=%d learnts_deleted=%d lbd_avg=%.2f binaries=%d subsumed=%d \
-       vars_eliminated=%d vars_substituted=%d simplify_ms=%.1f\n"
+       vars_substituted=%d simplify_ms=%.1f\n"
       st.Sat.Solver.conflicts st.Sat.Solver.decisions st.Sat.Solver.propagations
       st.Sat.Solver.restarts st.Sat.Solver.learnts st.Sat.Solver.learnts_kept
       st.Sat.Solver.learnts_deleted (Sat.Solver.lbd_avg st) st.Sat.Solver.binaries
-      st.Sat.Solver.subsumed st.Sat.Solver.vars_eliminated st.Sat.Solver.vars_substituted
+      st.Sat.Solver.subsumed st.Sat.Solver.vars_substituted
       st.Sat.Solver.simplify_ms
   end;
   match result with Sat.Solver.Sat -> 10 | Sat.Solver.Unsat -> 20
@@ -47,8 +44,8 @@ let simplify_arg =
     value & flag
     & info [ "simplify" ]
         ~doc:
-          "Run SatELite-style preprocessing (subsumption, self-subsuming \
-           resolution, bounded variable elimination) before solving.")
+          "Run level-0 preprocessing (equivalent-literal substitution, \
+           subsumption and self-subsuming resolution) before solving.")
 
 let main =
   Cmd.v

@@ -75,7 +75,7 @@ module Rules = Crcore.Rules
 (** The interactive loop of Fig. 4, one entity per call. *)
 module Framework = Crcore.Framework
 
-(** Batch resolution: incremental solver sessions, a sharded encoding
+(** Batch resolution: incremental solver sessions, a sharded shape-template
     cache, and structured statistics over collections of specifications.
     Set [config.jobs > 1] to resolve entities on that many domains in
     parallel — results are identical to the sequential run and arrive in
@@ -233,9 +233,3 @@ module Session = struct
         ~max_sessions:(Config.max_sessions config) ?ttl_s:(Config.session_ttl config) ()
   end
 end
-
-(** {1 One-shot resolution} *)
-
-let resolve ?(config = Config.default) ?(user = Crcore.Framework.silent) ?label spec =
-  let h = Session.create ~config ?label spec in
-  Fun.protect ~finally:(fun () -> Session.close h) (fun () -> Session.resolve ~user h)

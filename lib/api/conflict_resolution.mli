@@ -86,7 +86,7 @@ module Rules = Crcore.Rules
 (** The interactive loop of Fig. 4, one entity per call. *)
 module Framework = Crcore.Framework
 
-(** Batch resolution: incremental solver sessions, a sharded encoding
+(** Batch resolution: incremental solver sessions, a sharded shape-template
     cache, and structured statistics over collections of specifications.
     Set [config.jobs > 1] to resolve entities on that many domains in
     parallel — results are identical to the sequential run and arrive in
@@ -270,7 +270,7 @@ module Session : sig
   (** A bounded, thread-safe table of live sessions keyed by label: at
       most {!Config.max_sessions} live handles (least-recently-used
       evicted first) and {!sweep} closes sessions idle past the TTL. The
-      store's sessions share one encoding cache. *)
+      store's sessions share one template cache. *)
   module Store : sig
     type t = Crcore.Session.Store.t
 
@@ -308,7 +308,6 @@ module Session : sig
       solvers_built : int;
       template_hits : int;
       template_misses : int;
-      instantiations : int;
       sat : Sat.Solver.stats;
     }
 
@@ -316,16 +315,3 @@ module Session : sig
     val pp_stats : Format.formatter -> stats -> unit
   end
 end
-
-(** {1 One-shot resolution}
-
-    @deprecated Prefer {!Session.create} / {!Session.resolve} /
-    {!Session.close} — this wrapper opens a session, resolves once and
-    closes it, paying the full encoding cost per call. It remains for
-    scripts and tests that genuinely resolve each specification once. *)
-val resolve :
-  ?config:Config.t ->
-  ?user:Engine.user ->
-  ?label:string ->
-  Spec.t ->
-  Engine.result * Engine.entity_stats

@@ -108,11 +108,8 @@ type entity_stats = {
   deduce_seeded : int;
   static_facts : int;
   probes_avoided : int;
-  cache_hits : int;
-  cache_misses : int;
   template_hits : int;
   template_misses : int;
-  instantiations : int;
   encode_alloc_words : float;
   delta_extensions : int;
   rebuilds : int;
@@ -145,11 +142,8 @@ let zero_entity_stats () =
     deduce_seeded = 0;
     static_facts = 0;
     probes_avoided = 0;
-    cache_hits = 0;
-    cache_misses = 0;
     template_hits = 0;
     template_misses = 0;
-    instantiations = 0;
     encode_alloc_words = 0.;
     delta_extensions = 0;
     rebuilds = 0;
@@ -158,34 +152,14 @@ let zero_entity_stats () =
     lint_rejected = false;
   }
 
-(* ---- encoding cache ---- *)
-
-module Key = struct
-  type t = Encode.mode * Spec.t
-
-  let equal = ( = )
-
-  (* Structurally identical specs must collide, but hashing the whole spec
-     would deep-walk Σ and Γ (routinely hundreds of constraints) on every
-     lookup. Specs in practice differ in the entity tuples and the order
-     edges, so hash those plus the constraint-list lengths — cheap, and
-     still a function of the key, as {!equal} requires. *)
-  let hash ((mode, spec) : t) =
-    Hashtbl.hash_param 100 200
-      ( mode,
-        Entity.tuples spec.Spec.entity,
-        spec.Spec.orders,
-        List.length spec.Spec.sigma,
-        List.length spec.Spec.gamma )
-end
-
-module Tbl = Hashtbl.Make (Key)
+(* ---- template cache ---- *)
 
 (* The template fingerprint: the spec with the entity, the constants and
    the tuple ids abstracted away — mode, interned Σ/Γ ids (see
    {!Spec.sigma_id}) and the schema. Distinct entities of one shape share
-   the fingerprint, so the template layer hits where the spec-keyed layer
-   above cannot; hashing is O(1) (two ints and the mode). *)
+   the fingerprint, so a batch of them compiles the shape once; hashing is
+   O(1) (two ints and the mode). The cache holds templates only, never a
+   per-entity encoding, so it grows with the number of shapes seen. *)
 module TKey = struct
   type t = Encode.mode * int * int * Schema.t
 
@@ -198,29 +172,20 @@ end
 module TTbl = Hashtbl.Make (TKey)
 
 (* Sharded for domain-parallel batches: a lookup locks only the shard its
-   key hashes to, and encoding on a miss runs outside any lock, so domains
-   resolving distinct specs never serialise on the cache. The template
-   shards share the lock array (a lock guards both tables of its index). *)
+   key hashes to, and compilation on a miss runs outside any lock, so
+   domains compiling distinct shapes never serialise on the cache. *)
 let n_shards = 16
 
 type cache = {
-  shards : Encode.t Tbl.t array;          (* spec-keyed: exact repeats *)
-  tshards : Encode.template TTbl.t array; (* fingerprint-keyed: shapes *)
+  tshards : Encode.template TTbl.t array;
   locks : Mutex.t array;
 }
 
 let create_cache () =
   {
-    shards = Array.init n_shards (fun _ -> Tbl.create 8);
     tshards = Array.init n_shards (fun _ -> TTbl.create 4);
     locks = Array.init n_shards (fun _ -> Mutex.create ());
   }
-
-let with_shard cache key f =
-  let i = Key.hash key land (n_shards - 1) in
-  let lock = cache.locks.(i) in
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () -> f cache.shards.(i))
 
 (* the last template this domain served, keyed by fingerprint: a batch of
    same-shape entities takes the lock once per domain, not per entity *)
@@ -246,7 +211,7 @@ let template_for ~(config : config) ~cache spec =
         | Some tpl -> (tpl, true)
         | None ->
             (* compile outside the lock; racing domains compile twice and
-               first-in wins, as with the encoding shards *)
+               first-in wins *)
             let tpl = Encode.template ~mode:config.mode spec in
             Mutex.lock lock;
             let tpl =
@@ -290,11 +255,8 @@ type session = {
   mutable deduce_probes : int;
   mutable deduce_model_prunes : int;
   mutable deduce_seeded : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
   mutable template_hits : int;
   mutable template_misses : int;
-  mutable instantiations : int;
   mutable encode_alloc_words : float;
   mutable delta_extensions : int;
   mutable rebuilds_renumbered : int;
@@ -339,52 +301,21 @@ let the_enc sess =
   | Some enc -> enc
   | None -> invalid_arg "Engine: session was rejected by the lint pre-phase"
 
-(* what a cache lookup did, for the counters *)
-type lookup_outcome =
-  | L_direct  (* [config.cache = false]: plain encode, uncounted *)
-  | L_hit  (* spec-keyed exact repeat *)
-  | L_inst of bool  (* instantiated from a template; [true] = template hit *)
-
+(* The shape compiles once and each entity is stamped into it by the thin
+   instantiation stage, outside any lock. The second component is
+   [Some hit] for a template lookup ([hit] = the shape was already
+   compiled) and [None] on the direct [config.cache = false] path — the
+   {!Framework.resolve} reference path, uncounted. *)
 let lookup ~(config : config) ~cache spec =
-  if not config.cache then (Encode.encode ~mode:config.mode spec, L_direct)
+  if not config.cache then (Encode.encode ~mode:config.mode spec, None)
   else
-    let key = (config.mode, spec) in
-    match with_shard cache key (fun tbl -> Tbl.find_opt tbl key) with
-    | Some enc -> (enc, L_hit)
-    | None ->
-        (* an exact-repeat miss falls through to the template layer: the
-           shape compiles once per batch, and the entity is stamped into
-           it by the thin instantiation stage. Instantiation runs outside
-           the shard lock: misses on distinct specs must not serialise. A
-           racing domain instantiating the same spec does the work twice;
-           both land on equal encodings (instantiation is a pure function
-           of the spec and the shape), and first-in wins the slot. *)
-        let tpl, thit = template_for ~config ~cache spec in
-        let enc = Encode.instantiate tpl spec in
-        let enc =
-          with_shard cache key (fun tbl ->
-              match Tbl.find_opt tbl key with
-              | Some existing -> existing
-              | None ->
-                  Tbl.replace tbl key enc;
-                  enc)
-        in
-        (enc, L_inst thit)
+    let tpl, hit = template_for ~config ~cache spec in
+    (Encode.instantiate tpl spec, Some hit)
 
-let cache_store ~(config : config) ~cache spec enc =
-  if config.cache then
-    let key = (config.mode, spec) in
-    with_shard cache key (fun tbl -> Tbl.replace tbl key enc)
-
-let count_lookup sess outcome =
-  match outcome with
-  | L_direct -> ()
-  | L_hit -> sess.cache_hits <- sess.cache_hits + 1
-  | L_inst thit ->
-      sess.cache_misses <- sess.cache_misses + 1;
-      sess.instantiations <- sess.instantiations + 1;
-      if thit then sess.template_hits <- sess.template_hits + 1
-      else sess.template_misses <- sess.template_misses + 1
+let count_lookup sess = function
+  | None -> ()
+  | Some true -> sess.template_hits <- sess.template_hits + 1
+  | Some false -> sess.template_misses <- sess.template_misses + 1
 
 let encode_spec sess spec =
   let enc, outcome = lookup ~config:sess.config ~cache:sess.cache spec in
@@ -402,12 +333,8 @@ let fresh_solver sess enc =
   (match sess.closure with
   | Some cl -> Sat.Solver.add_units s (Saturate.unit_lits cl)
   | None -> ());
-  (* frozen-variable contract: every Φ(Se) variable may be probed later
-     (backbone deduction reads the whole model; delta extensions add
-     clauses over existing numbering), so BVE must not eliminate any of
-     them. Freeze first, then simplify — the saturation units just landed,
-     so the static closure feeds satisfied-clause removal and stripping. *)
-  Sat.Solver.freeze_all s;
+  (* simplify after the saturation units landed, so the static closure
+     feeds satisfied-clause removal and stripping *)
   if sess.config.simplify then Sat.Solver.simplify s
   else Sat.Solver.set_reduce s false;
   sess.solvers_built <- sess.solvers_built + 1;
@@ -502,7 +429,7 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
   end;
   let enc_alloc = ref 0. in
   let enc, outcome =
-    if lint_rejected then (None, L_direct)
+    if lint_rejected then (None, None)
     else begin
       let w0 = Gc.minor_words () in
       let enc, o = timed_t times Encode_p (fun () -> lookup ~config ~cache spec) in
@@ -534,11 +461,8 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
       deduce_probes = 0;
       deduce_model_prunes = 0;
       deduce_seeded = 0;
-      cache_hits = 0;
-      cache_misses = 0;
       template_hits = 0;
       template_misses = 0;
-      instantiations = 0;
       encode_alloc_words = !enc_alloc;
       delta_extensions = 0;
       rebuilds_renumbered = 0;
@@ -627,7 +551,6 @@ let apply_extension sess spec' =
     | Some (Encode.Delta (enc', delta)) ->
         sess.enc <- Some enc';
         sess.delta_extensions <- sess.delta_extensions + 1;
-        cache_store ~config:sess.config ~cache:sess.cache spec' enc';
         (* re-close over the extended encoding before touching the solver,
            so the fresh closure rides in with the delta clauses *)
         saturate_session sess;
@@ -638,16 +561,13 @@ let apply_extension sess spec' =
             | Some cl -> Sat.Solver.add_units s (Saturate.unit_lits cl)
             | None -> ());
             (* inprocessing point: the delta clauses and refreshed closure
-               are in; re-freeze (covers any variables a later MaxSAT round
-               allocated on this solver) and simplify again *)
-            Sat.Solver.freeze_all s;
+               are in; simplify again *)
             if sess.config.simplify then Sat.Solver.simplify s)
     | Some (Encode.Renumbered enc') ->
         (* a value universe grew: the Σ instances were still reused, but
            variable numbers shifted, so the solver session restarts *)
         sess.rebuilds_renumbered <- sess.rebuilds_renumbered + 1;
         sess.enc <- Some enc';
-        cache_store ~config:sess.config ~cache:sess.cache spec' enc';
         saturate_session sess;
         (match sess.solver with Some s -> retire sess s | None -> ());
         sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
@@ -677,11 +597,8 @@ let snapshot_stats sess =
     deduce_seeded = sess.deduce_seeded;
     static_facts = sess.static_facts;
     probes_avoided = sess.probes_avoided;
-    cache_hits = sess.cache_hits;
-    cache_misses = sess.cache_misses;
     template_hits = sess.template_hits;
     template_misses = sess.template_misses;
-    instantiations = sess.instantiations;
     encode_alloc_words = sess.encode_alloc_words;
     delta_extensions = sess.delta_extensions;
     rebuilds = sess.rebuilds_renumbered + sess.rebuilds_impure;
@@ -966,13 +883,9 @@ type stats = {
   deduce_seeded : int;
   static_facts : int;
   probes_avoided : int;
-  cache_hits : int;
-  cache_misses : int;
-  hit_ratio : float;
   template_hits : int;
   template_misses : int;
   template_hit_ratio : float;
-  instantiations : int;
   encode_alloc_words : float;
   delta_extensions : int;
   rebuilds : int;
@@ -983,8 +896,6 @@ type stats = {
   jobs_requested : int;
   wall_ms : float;
 }
-
-let cache_hit_rate st = st.hit_ratio
 
 let throughput st =
   if st.wall_ms <= 0. then 0. else 1000. *. float_of_int st.entities /. st.wall_ms
@@ -999,8 +910,7 @@ let pp_stats ppf st =
      solver: %a; %d CNF load(s), %d phase(s) on live sessions@ \
      deduce: %d SAT call(s) (%d probe(s), %d model-prune(s), %d seeded)@ \
      saturate: %d static fact(s) derived, %d probe(s) avoided@ \
-     encode cache: %d hit(s) / %d miss(es) (%.0f%%); templates: %d hit(s) / \
-     %d miss(es) (%.0f%%), %d instantiation(s)@ \
+     encode templates: %d hit(s) / %d miss(es) (%.0f%%)@ \
      encode alloc: %.0f minor words; %d delta extension(s), \
      %d rebuild(s) (%d renumbered, %d impure)@ \
      wall: %.1f ms (%.1f entities/s)@]"
@@ -1014,11 +924,10 @@ let pp_stats ppf st =
     st.times.deduce_ms st.times.suggest_ms st.lint_rejected Sat.Solver.pp_stats
     st.solver st.solvers_built
     st.solvers_reused st.deduce_sat_calls st.deduce_probes st.deduce_model_prunes
-    st.deduce_seeded st.static_facts st.probes_avoided st.cache_hits st.cache_misses
-    (100. *. st.hit_ratio)
-    st.template_hits st.template_misses
+    st.deduce_seeded st.static_facts st.probes_avoided st.template_hits
+    st.template_misses
     (100. *. st.template_hit_ratio)
-    st.instantiations st.encode_alloc_words
+    st.encode_alloc_words
     st.delta_extensions st.rebuilds st.rebuilds_renumbered st.rebuilds_impure st.wall_ms
     (throughput st)
 
@@ -1058,11 +967,8 @@ let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
   and deduce_seeded = ref 0
   and static_facts = ref 0
   and probes_avoided = ref 0
-  and cache_hits = ref 0
-  and cache_misses = ref 0
   and template_hits = ref 0
   and template_misses = ref 0
-  and instantiations = ref 0
   and encode_alloc_words = ref 0.
   and delta_extensions = ref 0
   and rebuilds_renumbered = ref 0
@@ -1098,18 +1004,14 @@ let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
       deduce_seeded := !deduce_seeded + st.deduce_seeded;
       static_facts := !static_facts + st.static_facts;
       probes_avoided := !probes_avoided + st.probes_avoided;
-      cache_hits := !cache_hits + st.cache_hits;
-      cache_misses := !cache_misses + st.cache_misses;
       template_hits := !template_hits + st.template_hits;
       template_misses := !template_misses + st.template_misses;
-      instantiations := !instantiations + st.instantiations;
       encode_alloc_words := !encode_alloc_words +. st.encode_alloc_words;
       delta_extensions := !delta_extensions + st.delta_extensions;
       rebuilds_renumbered := !rebuilds_renumbered + st.rebuilds_renumbered;
       rebuilds_impure := !rebuilds_impure + st.rebuilds_impure;
       if st.lint_rejected then incr lint_rejected)
     results;
-  let lookups = !cache_hits + !cache_misses in
   let tlookups = !template_hits + !template_misses in
   {
     entities = !entities;
@@ -1131,16 +1033,11 @@ let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
     deduce_seeded = !deduce_seeded;
     static_facts = !static_facts;
     probes_avoided = !probes_avoided;
-    cache_hits = !cache_hits;
-    cache_misses = !cache_misses;
-    hit_ratio =
-      (if lookups = 0 then 0. else float_of_int !cache_hits /. float_of_int lookups);
     template_hits = !template_hits;
     template_misses = !template_misses;
     template_hit_ratio =
       (if tlookups = 0 then 0.
        else float_of_int !template_hits /. float_of_int tlookups);
-    instantiations = !instantiations;
     encode_alloc_words = !encode_alloc_words;
     delta_extensions = !delta_extensions;
     rebuilds = !rebuilds_renumbered + !rebuilds_impure;

@@ -15,12 +15,14 @@
       clauses (the cubic part of [ConvertToCNF]) and feeds only the delta
       clauses to the live solver whenever the value universes are
       unchanged;
-    - {b an encoding cache keyed on the specification}: resolving the same
-      specification again (replays, idempotent re-runs, A/B checks) skips
-      [Instantiation]/[ConvertToCNF] entirely;
+    - {b a shape-template cache}: entities sharing a shape (mode, Σ, Γ,
+      schema) compile it once and each entity is stamped into the compiled
+      template ({!Encode.template} / {!Encode.instantiate}); the cache
+      holds templates only, so it grows with the number of shapes, not
+      with the number of entities resolved;
     - {b structured observability}: per-entity and aggregate phase timings,
-      solver conflict/decision/propagation counters, cache hit rates and
-      incremental-path counters in {!entity_stats} / {!stats}.
+      solver conflict/decision/propagation counters, template hit rates
+      and incremental-path counters in {!entity_stats} / {!stats}.
 
     Results are identical to running {!Framework.resolve} per entity — the
     equivalence is property-tested — only the work is shared. *)
@@ -89,7 +91,10 @@ type config = {
   incremental : bool;
       (** reuse one solver session per entity across phases and rounds,
           with {!Encode.extend} deltas for user-input extensions *)
-  cache : bool;  (** cache encodings keyed on the specification *)
+  cache : bool;
+      (** instantiate encodings from the shared shape-template cache;
+          [false] encodes every specification directly with
+          {!Encode.encode}, the {!Framework.resolve} reference path *)
   lint : bool;
       (** run the {!Analyze} pre-phase: specifications with an E-level
           diagnostic (provably unsatisfiable) skip encoding and the
@@ -149,10 +154,9 @@ type config = {
           timeline — right after a solver loads its encoding and the
           saturation units, and again after each delta extension lands —
           and leaves periodic LBD-based learnt-database reduction on.
-          Every Φ(Se) variable is frozen first, so elimination can never
-          touch anything backbone probes, MaxSAT selectors or later
-          extensions reference, and resolutions are bit-identical either
-          way. [false] reproduces the pre-simplification solver behaviour
+          Simplification never removes a variable, so everything backbone
+          probes, MaxSAT selectors and later extensions reference stays
+          usable, and resolutions are bit-identical either way. [false] reproduces the pre-simplification solver behaviour
           (no inprocessing, unbounded learnt database) — the baseline the
           satcore bench compares against. *)
 }
@@ -207,15 +211,10 @@ type entity_stats = {
   probes_avoided : int;
       (** of [deduce_seeded], facts adopted from the static closure — the
           deduction work the saturate pre-phase saved *)
-  cache_hits : int;  (** spec-keyed exact-repeat hits *)
-  cache_misses : int;
   template_hits : int;
-      (** exact-repeat misses served by an already-compiled shape template
-          (the fingerprint layer: mode + interned Σ/Γ ids + schema) *)
+      (** encodings instantiated from an already-compiled shape template
+          (keyed on mode + interned Σ/Γ ids + schema) *)
   template_misses : int;  (** lookups that had to compile the shape *)
-  instantiations : int;
-      (** encodings produced by the thin per-entity stage
-          ({!Encode.instantiate}) — every exact-repeat miss is one *)
   encode_alloc_words : float;
       (** minor-heap words the encode phase allocated on this entity's
           domain — the per-domain contention signal of the par bench *)
@@ -259,9 +258,11 @@ type result = {
     re-raising. *)
 type error_info = { exn : string; backtrace : string; phase : phase }
 
-(** A shared encoding cache, safe to reuse across sessions and batches —
-    including parallel ones: the table is split into hash-addressed,
-    mutex-guarded shards, and encoding on a miss runs outside any lock. *)
+(** A shared shape-template cache, safe to reuse across sessions and
+    batches — including parallel ones: the table is split into
+    hash-addressed, mutex-guarded shards, and compilation on a miss runs
+    outside any lock. It holds one compiled template per shape and no
+    per-entity encoding. *)
 type cache
 
 val create_cache : unit -> cache
@@ -370,17 +371,11 @@ type stats = {
   deduce_seeded : int;
   static_facts : int;  (** statically derived facts, batch-wide *)
   probes_avoided : int;  (** probes the saturate pre-phase saved, batch-wide *)
-  cache_hits : int;
-  cache_misses : int;
-  hit_ratio : float;  (** hits / (hits + misses), 0 with no lookups *)
   template_hits : int;  (** shape-template hits, batch-wide *)
   template_misses : int;  (** shape compilations, batch-wide *)
   template_hit_ratio : float;
       (** template hits / template lookups, 0 with no lookups. A batch of
-          [n] distinct same-shape entities scores [(n-1)/n] where the
-          spec-keyed [hit_ratio] scores 0 — the headline of the template
-          layer *)
-  instantiations : int;  (** thin per-entity instantiations, batch-wide *)
+          [n] distinct same-shape entities scores [(n-1)/n] *)
   encode_alloc_words : float;  (** encode-phase minor words, summed *)
   delta_extensions : int;
   rebuilds : int;  (** [rebuilds_renumbered + rebuilds_impure] *)
@@ -392,16 +387,13 @@ type stats = {
   wall_ms : float;
 }
 
-(** [cache_hit_rate stats] is [stats.hit_ratio]. *)
-val cache_hit_rate : stats -> float
-
 (** [throughput stats] is resolved entities per second of wall time. *)
 val throughput : stats -> float
 
 val pp_stats : Format.formatter -> stats -> unit
 
 (** [run_batch ?config ?cache ?on_result items] resolves every item with a
-    shared encoding cache and returns all results plus the aggregate, on
+    shared template cache and returns all results plus the aggregate, on
     [config.jobs] domains. Results are in input order and identical to a
     sequential run whatever [jobs] is; [on_result] receives each finished
     {!item_result} in input order too (under parallelism, as the finished

@@ -27,7 +27,6 @@ type handle = {
   mutable carried_solvers : int;
   mutable carried_thits : int;
   mutable carried_tmisses : int;
-  mutable carried_insts : int;
   mutable carried_sat : Sat.Solver.stats;
   mutable closed : bool;
 }
@@ -40,7 +39,6 @@ type counters = {
   c_solvers : int;
   c_thits : int;
   c_tmisses : int;
-  c_insts : int;
   c_resolves : int;
   c_sat : Sat.Solver.stats;
 }
@@ -72,7 +70,6 @@ let create ?(config = Engine.default_config) ?cache ?(label = "session") spec =
     carried_solvers = 0;
     carried_thits = 0;
     carried_tmisses = 0;
-    carried_insts = 0;
     carried_sat = Sat.Solver.zero_stats;
     closed = false;
   }
@@ -108,7 +105,6 @@ let flush h =
       h.carried_solvers <- h.carried_solvers + st.Engine.solvers_built;
       h.carried_thits <- h.carried_thits + st.Engine.template_hits;
       h.carried_tmisses <- h.carried_tmisses + st.Engine.template_misses;
-      h.carried_insts <- h.carried_insts + st.Engine.instantiations;
       h.carried_sat <- Sat.Solver.add_stats h.carried_sat st.Engine.solver;
       h.eng <- Engine.create_session ~config:h.config ~cache:h.cache ~label:h.label spec'
     end
@@ -170,7 +166,6 @@ let counters_unlocked h =
     c_solvers = h.carried_solvers + st.Engine.solvers_built;
     c_thits = h.carried_thits + st.Engine.template_hits;
     c_tmisses = h.carried_tmisses + st.Engine.template_misses;
-    c_insts = h.carried_insts + st.Engine.instantiations;
     c_resolves = h.resolves;
     c_sat = Sat.Solver.add_stats h.carried_sat st.Engine.solver;
   }
@@ -206,7 +201,6 @@ module Store = struct
     mutable retired_solvers : int;
     mutable retired_thits : int;
     mutable retired_tmisses : int;
-    mutable retired_insts : int;
     mutable retired_sat : Sat.Solver.stats;
   }
 
@@ -224,7 +218,6 @@ module Store = struct
     solvers_built : int;
     template_hits : int;
     template_misses : int;
-    instantiations : int;
     sat : Sat.Solver.stats;
   }
 
@@ -251,7 +244,6 @@ module Store = struct
       retired_solvers = 0;
       retired_thits = 0;
       retired_tmisses = 0;
-      retired_insts = 0;
       retired_sat = Sat.Solver.zero_stats;
     }
 
@@ -277,7 +269,6 @@ module Store = struct
     t.retired_solvers <- t.retired_solvers + c.c_solvers;
     t.retired_thits <- t.retired_thits + c.c_thits;
     t.retired_tmisses <- t.retired_tmisses + c.c_tmisses;
-    t.retired_insts <- t.retired_insts + c.c_insts;
     t.retired_resolves <- t.retired_resolves + c.c_resolves;
     t.retired_sat <- Sat.Solver.add_stats t.retired_sat c.c_sat
 
@@ -378,7 +369,6 @@ module Store = struct
         and s = ref t.retired_solvers
         and th = ref t.retired_thits
         and tm = ref t.retired_tmisses
-        and ins = ref t.retired_insts
         and rv = ref t.retired_resolves
         and sa = ref t.retired_sat in
         Hashtbl.iter
@@ -390,7 +380,6 @@ module Store = struct
             s := !s + c.c_solvers;
             th := !th + c.c_thits;
             tm := !tm + c.c_tmisses;
-            ins := !ins + c.c_insts;
             rv := !rv + c.c_resolves;
             sa := Sat.Solver.add_stats !sa c.c_sat)
           t.tbl;
@@ -408,7 +397,6 @@ module Store = struct
           solvers_built = !s;
           template_hits = !th;
           template_misses = !tm;
-          instantiations = !ins;
           sat = !sa;
         })
 
@@ -416,11 +404,11 @@ module Store = struct
     Format.fprintf ppf
       "@[<v>live %d (created %d, reused %d)@,evicted: lru %d, ttl %d, removed %d@,\
        resolves %d@,delta extensions %d, rebuilds %d (renumbered %d, impure %d)@,\
-       solvers built %d@,templates: %d hit(s) / %d miss(es), %d instantiation(s)@,\
+       solvers built %d@,templates: %d hit(s) / %d miss(es)@,\
        sat: %a@]"
       s.live s.created s.reused s.evicted_lru s.evicted_ttl s.removed s.resolves
       s.delta_extensions
       (s.rebuilds_renumbered + s.rebuilds_impure)
       s.rebuilds_renumbered s.rebuilds_impure s.solvers_built s.template_hits
-      s.template_misses s.instantiations Sat.Solver.pp_stats s.sat
+      s.template_misses Sat.Solver.pp_stats s.sat
 end

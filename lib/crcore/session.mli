@@ -100,7 +100,7 @@ module Store : sig
   type t
 
   (** [create ?config ?cache ?max_sessions ?ttl_s ()]. Defaults:
-      {!Engine.default_config}, a fresh shared encoding cache, 1024
+      {!Engine.default_config}, a fresh shared template cache, 1024
       sessions, no TTL. [max_sessions] is clamped to at least 1. *)
   val create :
     ?config:Engine.config ->
@@ -152,13 +152,12 @@ module Store : sig
     template_hits : int;
         (** encodings instantiated from an already-compiled template
             (see {!Encode.template}) *)
-    template_misses : int;  (** instantiations that compiled the template first *)
-    instantiations : int;  (** template-stage encodings built (hits + misses) *)
+    template_misses : int;  (** lookups that compiled the template first *)
     sat : Sat.Solver.stats;
         (** solver counters summed the same way — conflicts and
             propagations, plus the clause-database management counters
             (learnt clauses kept/deleted, average LBD, binary-layer size,
-            clauses subsumed, variables eliminated, simplify time) *)
+            clauses subsumed, variables substituted, simplify time) *)
   }
 
   val stats : t -> stats

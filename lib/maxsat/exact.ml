@@ -76,7 +76,6 @@ let solve_groups_on ~solver:s ~(groups : Sat.Cnf.clause list list) =
     | Sat.Solver.Limited.Sat -> Some ([], true)
     | Sat.Solver.Limited.Unknown -> Some ([], false))
   else begin
-    let first_aux = Sat.Solver.nvars s in
     let sels =
       List.map
         (fun cls ->
@@ -96,13 +95,6 @@ let solve_groups_on ~solver:s ~(groups : Sat.Cnf.clause list list) =
         sels
     in
     let outs = Totalizer.encode s relax in
-    (* selector / relaxation / totalizer variables are assumed and read
-       back below, possibly after the host session simplifies the shared
-       solver again: freeze the whole auxiliary range so bounded variable
-       elimination can never touch it *)
-    for v = first_aux to Sat.Solver.nvars s - 1 do
-      Sat.Solver.freeze s v
-    done;
     match Sat.Solver.solve_limited s with
     | Sat.Solver.Limited.Unsat -> None
     | Sat.Solver.Limited.Unknown ->

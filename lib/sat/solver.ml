@@ -7,8 +7,9 @@
    vectors of the implied literal), and only clauses of three or more
    literals enter the general watch lists. Learnt clauses carry an LBD
    ("glue") score and are periodically halved by [reduce_db]; [simplify]
-   runs SatELite-style pre/inprocessing at decision level 0, restricted
-   by the frozen-variable contract. *)
+   runs pre/inprocessing at decision level 0 (equivalent-literal
+   substitution and subsumption, both of which keep every variable
+   expressible). *)
 
 type clause = {
   mutable lits : Lit.t array; (* lits.(0) and lits.(1) are the watched pair *)
@@ -35,8 +36,6 @@ type t = {
   mutable activity : float array;
   mutable polarity : bool array;        (* saved phase *)
   mutable seen : bool array;            (* scratch for analyze *)
-  mutable frozen : bool array;          (* BVE must not eliminate these *)
-  mutable elimd : bool array;           (* eliminated by BVE *)
   mutable repr : Lit.t array;           (* literal-indexed substitution map from
                                            equivalent-literal classes (binary
                                            implication SCCs); identity when the
@@ -55,7 +54,6 @@ type t = {
   (* clause database *)
   clauses : clause Vec.t;
   learnts : clause Vec.t;
-  mutable elim_stack : (Lit.t * Lit.t array list) list; (* head = most recent *)
   (* heuristics *)
   mutable order : Idx_heap.t;
   mutable var_inc : float;
@@ -82,7 +80,6 @@ type t = {
   mutable learnts_deleted : int;
   mutable n_binaries : int;             (* live pairs in the binary layer *)
   mutable subsumed : int;               (* clauses removed by (self-)subsumption *)
-  mutable vars_eliminated : int;
   mutable n_subst : int;                (* variables substituted away by
                                            equivalent-literal classes *)
   mutable simplify_ms : float;
@@ -97,12 +94,6 @@ let clause_decay = 1.0 /. 0.999
 let restart_base = 100
 let default_reduce_interval = 2000
 
-(* simplification bounds: BVE skips variables with more total occurrences
-   than [elim_occ_lim] or producing a resolvent longer than
-   [elim_clause_lim]; both keep simplify linear-ish on pathological inputs *)
-let elim_occ_lim = 16
-let elim_clause_lim = 24
-
 let create () =
   let s =
     {
@@ -113,8 +104,6 @@ let create () =
       activity = [||];
       polarity = [||];
       seen = [||];
-      frozen = [||];
-      elimd = [||];
       repr = [||];
       has_subst = false;
       lbd_seen = [||];
@@ -126,7 +115,6 @@ let create () =
       qhead = 0;
       clauses = Vec.create ~dummy:dummy_clause;
       learnts = Vec.create ~dummy:dummy_clause;
-      elim_stack = [];
       order = Idx_heap.create ~score:(fun _ -> 0.);
       var_inc = 1.0;
       cla_inc = 1.0;
@@ -148,7 +136,6 @@ let create () =
       learnts_deleted = 0;
       n_binaries = 0;
       subsumed = 0;
-      vars_eliminated = 0;
       n_subst = 0;
       simplify_ms = 0.;
       conflict_limit = -1;
@@ -176,8 +163,6 @@ let grow_arrays s n =
     s.activity <- grow s.activity 0.;
     s.polarity <- grow s.polarity false;
     s.seen <- grow s.seen false;
-    s.frozen <- grow s.frozen false;
-    s.elimd <- grow s.elimd false;
     (* literal-indexed; fresh entries are their own representatives *)
     let oldr = Array.length s.repr in
     s.repr <- Array.init (2 * cap) (fun i -> if i < oldr then s.repr.(i) else i);
@@ -228,31 +213,9 @@ let decision_level s = Vec.size s.trail_lim
    (no chains), so a single lookup suffices. *)
 let subst_lit s l = if s.has_subst then s.repr.(l) else l
 
-(* ---- frozen / eliminated variables ---- *)
-
-let check_var name s v =
-  if v < 0 || v >= s.nvars then invalid_arg ("Solver." ^ name ^ ": bad variable")
-
-let freeze s v =
-  check_var "freeze" s v;
-  s.frozen.(v) <- true;
-  (* a substituted variable stays expressible only through its class
-     representative, so the representative must outlive BVE too *)
-  let r = subst_lit s (Lit.pos v) in
-  s.frozen.(Lit.var r) <- true
-
-let freeze_all s =
-  for v = 0 to s.nvars - 1 do
-    s.frozen.(v) <- true
-  done
-
-let is_frozen s v =
-  check_var "is_frozen" s v;
-  s.frozen.(v)
-
-let is_eliminated s v =
-  check_var "is_eliminated" s v;
-  s.elimd.(v)
+(* A no-op: [simplify] never removes a variable, so none needs to be
+   frozen against it. Kept so existing callers still build. *)
+let freeze_all (_ : t) = ()
 
 (* ---- activity ---- *)
 
@@ -445,11 +408,6 @@ let add_clause_a s lits =
       lits;
     (* substituted literals enter as their class representatives *)
     let lits = Array.map (fun l -> subst_lit s l) lits in
-    Array.iter
-      (fun l ->
-        if s.elimd.(Lit.var l) then
-          invalid_arg "Solver.add_clause: eliminated variable (freeze it first)")
-      lits;
     (* sort, dedup, drop false literals, detect tautology / satisfied *)
     Array.sort compare lits;
     let out = ref [] and n = ref 0 and sat = ref false in
@@ -666,7 +624,7 @@ let pick_branch_var s =
     else
       let v = Idx_heap.pop_max s.order in
       if
-        value_var s v = 0 && (not s.elimd.(v))
+        value_var s v = 0
         && ((not s.has_subst) || s.repr.(Lit.pos v) = Lit.pos v)
       then v
       else go ()
@@ -782,26 +740,10 @@ module Limited = struct
   type t = Sat | Unsat | Unknown
 end
 
-(* Extend a model over the variables BVE eliminated: walk the elimination
-   stack most-recent-first; each entry stores the pivot literal and the
-   clauses of its phase that were removed. Default the pivot to false and
-   flip it exactly when one of its stored clauses is otherwise unsatisfied —
-   the resolvents kept in the database guarantee the opposite phase then
-   holds too (standard SatELite reconstruction). *)
+(* Extend a model over the substituted variables: each mirrors its class
+   representative, which the search assigned (representatives are never
+   substituted themselves). *)
 let extend_model s =
-  List.iter
-    (fun (p, cls) ->
-      let v = Lit.var p in
-      s.saved_model.(v) <- not (Lit.sign p);
-      let lit_true l =
-        let w = Lit.var l in
-        if s.saved_model.(w) then Lit.sign l else not (Lit.sign l)
-      in
-      if List.exists (fun c -> not (Array.exists lit_true c)) cls then
-        s.saved_model.(v) <- Lit.sign p)
-    s.elim_stack;
-  (* substituted variables mirror their class representative — read it
-     last, after BVE reconstruction may have decided it *)
   if s.has_subst then
     for v = 0 to s.nvars - 1 do
       let r = s.repr.(Lit.pos v) in
@@ -820,10 +762,7 @@ let solve_driver ~respect_budget ~assumptions s =
         (fun l ->
           if Lit.var l >= s.nvars then
             invalid_arg "Solver.solve: assumption over unallocated variable";
-          let l = subst_lit s l in
-          if s.elimd.(Lit.var l) then
-            invalid_arg "Solver.solve: assumption over eliminated variable (freeze it)";
-          l)
+          subst_lit s l)
         assumptions
     in
     let assumptions = Array.of_list assumptions in
@@ -968,10 +907,9 @@ let cleanup_fixpoint s =
    implication graph are equivalence classes — every literal in an SCC
    implies every other — so all members collapse onto one representative.
    A class containing both a literal and its negation makes the formula
-   unsatisfiable. Frozen variables MAY be substituted (unlike BVE they stay
-   expressible: every API entry point maps through [repr]); their
-   representative inherits the frozen flag so BVE never removes it.
-   Returns [true] when at least one new class was found. *)
+   unsatisfiable. Substituted variables stay expressible: every API entry
+   point maps through [repr]. Returns [true] when at least one new class
+   was found. *)
 let equiv_pass s =
   let n2 = 2 * s.nvars in
   let index = Array.make n2 (-1) in
@@ -1040,10 +978,7 @@ let equiv_pass s =
           List.iter
             (fun l ->
               if comp.(l) = comp.(Lit.negate l) then s.ok <- false
-              else begin
-                s.repr.(l) <- rep;
-                if s.frozen.(Lit.var l) then s.frozen.(Lit.var rep) <- true
-              end)
+              else s.repr.(l) <- rep)
             rest;
           (* each substituted variable sits in exactly one of the two
              complementary classes with the positive representative *)
@@ -1127,20 +1062,20 @@ let apply_subst s =
       vec
   in
   rewrite s.clauses;
-  rewrite s.learnts;
-  (* reconstruction clauses recorded by earlier BVE rounds must follow the
-     substitution too, or [extend_model] would evaluate a literal whose
-     variable no longer carries a value of its own. Pivots are eliminated
-     variables (never in an SCC), so only the stored occurrences move. *)
-  s.elim_stack <-
-    List.map
-      (fun (p, cls) -> (p, List.map (fun c -> Array.map (fun l -> s.repr.(l)) c) cls))
-      s.elim_stack
+  rewrite s.learnts
 
 (* Backward subsumption and self-subsuming resolution over the original
    long clauses, using per-variable occurrence lists and 61-bit signatures;
    the binary layer both subsumes and strengthens long clauses. *)
-let subsumption_pass s occ mark stamp =
+let subsumption_pass s =
+  (* transient occurrence lists over the original long clauses and a
+     literal-indexed mark array *)
+  let occ = Array.init s.nvars (fun _ -> Vec.create ~dummy:dummy_clause) in
+  Vec.iter
+    (fun (c : clause) ->
+      if not c.deleted then Array.iter (fun l -> Vec.push occ.(Lit.var l) c) c.lits)
+    s.clauses;
+  let mark = Array.make (2 * s.nvars) 0 and stamp = ref 0 in
   let next_stamp () =
     incr stamp;
     !stamp
@@ -1239,160 +1174,6 @@ let subsumption_pass s occ mark stamp =
     end
   done
 
-(* Bounded variable elimination over non-frozen, unassigned variables.
-   Commits only when the resolvents do not outnumber the clauses removed
-   and none exceeds [elim_clause_lim] literals; removed clauses of the
-   pivot's smaller phase go onto the elimination stack for model
-   reconstruction. *)
-let bve_pass s occ mark stamp =
-  let resolve (a : Lit.t array) (b : Lit.t array) pivot =
-    let st =
-      incr stamp;
-      !stamp
-    in
-    let out = ref [] and n = ref 0 and taut = ref false in
-    Array.iter
-      (fun l ->
-        if l <> pivot && mark.(l) <> st then begin
-          mark.(l) <- st;
-          out := l :: !out;
-          incr n
-        end)
-      a;
-    let npiv = Lit.negate pivot in
-    Array.iter
-      (fun l ->
-        if (not !taut) && l <> npiv then
-          if mark.(Lit.negate l) = st then taut := true
-          else if mark.(l) <> st then begin
-            mark.(l) <- st;
-            out := l :: !out;
-            incr n
-          end)
-      b;
-    if !taut then None else Some (Array.of_list !out)
-  in
-  let remove_pair_entry other lit =
-    (* drop one occurrence of [lit] from bin.(negate other) *)
-    let bs = s.bin.(Lit.negate other) in
-    let found = ref false and i = ref 0 in
-    while (not !found) && !i < Vec.size bs do
-      if Vec.get bs !i = lit then begin
-        Vec.swap_remove bs !i;
-        found := true
-      end
-      else incr i
-    done
-  in
-  for v = 0 to s.nvars - 1 do
-    if
-      s.ok && (not s.frozen.(v)) && (not s.elimd.(v)) && s.assigns.(v) = 0
-      (* substituted variables have no occurrences left but must stay
-         expressible through their representative — not BVE candidates *)
-      && ((not s.has_subst) || s.repr.(Lit.pos v) = Lit.pos v)
-    then begin
-      let lp = Lit.make v true in
-      let ln = Lit.negate lp in
-      let gather lit =
-        let longs = ref [] and n = ref 0 in
-        Vec.iter
-          (fun (c : clause) ->
-            if (not c.deleted) && Array.exists (fun l -> l = lit) c.lits then begin
-              longs := c :: !longs;
-              incr n
-            end)
-          occ.(v);
-        (* binaries (lit \/ o) live at bin.(negate lit) *)
-        (!longs, !n)
-      in
-      let pos_long, np_long = gather lp and neg_long, nn_long = gather ln in
-      let pos_bin = Vec.to_list s.bin.(Lit.negate lp)
-      and neg_bin = Vec.to_list s.bin.(Lit.negate ln) in
-      let n_pos = np_long + List.length pos_bin
-      and n_neg = nn_long + List.length neg_bin in
-      if n_pos + n_neg <= elim_occ_lim then begin
-        let pos_side =
-          List.map (fun (c : clause) -> c.lits) pos_long
-          @ List.map (fun o -> [| lp; o |]) pos_bin
-        and neg_side =
-          List.map (fun (c : clause) -> c.lits) neg_long
-          @ List.map (fun o -> [| ln; o |]) neg_bin
-        in
-        (* count/collect resolvents, bailing out on blow-up *)
-        let resolvents = ref [] and n_res = ref 0 and give_up = ref false in
-        List.iter
-          (fun a ->
-            if not !give_up then
-              List.iter
-                (fun b ->
-                  if not !give_up then
-                    match resolve a b lp with
-                    | None -> ()
-                    | Some r ->
-                        if Array.length r > elim_clause_lim then give_up := true
-                        else begin
-                          resolvents := r :: !resolvents;
-                          incr n_res;
-                          if !n_res > n_pos + n_neg then give_up := true
-                        end)
-                neg_side)
-          pos_side;
-        if not !give_up then begin
-          (* commit: store the smaller phase for model reconstruction *)
-          let pivot, stored =
-            if n_pos <= n_neg then (lp, pos_side) else (ln, neg_side)
-          in
-          s.elim_stack <-
-            (pivot, List.map Array.copy stored) :: s.elim_stack;
-          List.iter (fun (c : clause) -> c.deleted <- true) pos_long;
-          List.iter (fun (c : clause) -> c.deleted <- true) neg_long;
-          List.iter
-            (fun o ->
-              remove_pair_entry o lp;
-              s.n_binaries <- s.n_binaries - 1)
-            pos_bin;
-          List.iter
-            (fun o ->
-              remove_pair_entry o ln;
-              s.n_binaries <- s.n_binaries - 1)
-            neg_bin;
-          Vec.clear s.bin.(Lit.negate lp);
-          Vec.clear s.bin.(Lit.negate ln);
-          s.elimd.(v) <- true;
-          s.vars_eliminated <- s.vars_eliminated + 1;
-          (* add the resolvents, normalised against current assignments *)
-          List.iter
-            (fun r ->
-              if s.ok && not (Array.exists (fun l -> value_lit s l = 1) r) then begin
-                let r =
-                  Array.of_list
-                    (List.filter (fun l -> value_lit s l = 0) (Array.to_list r))
-                in
-                match Array.length r with
-                | 0 -> s.ok <- false
-                | 1 -> assign_unit s r.(0)
-                | 2 -> add_binary s r.(0) r.(1)
-                | _ ->
-                    let c =
-                      {
-                        lits = r;
-                        learnt = false;
-                        activity = 0.;
-                        lbd = 0;
-                        deleted = false;
-                        sig_ = 0;
-                      }
-                    in
-                    clause_sig c;
-                    Vec.push s.clauses c;
-                    Array.iter (fun l -> Vec.push occ.(Lit.var l) c) r
-              end)
-            !resolvents
-        end
-      end
-    end
-  done
-
 let clause_load s = Vec.size s.clauses + s.n_binaries
 
 (* Inprocessing scheduling: a full pass costs O(database) — occurrence
@@ -1427,27 +1208,8 @@ let simplify s =
         if s.ok then cleanup_fixpoint s
       end;
       if s.ok then begin
-        (* transient occurrence lists over the original long clauses and a
-           literal-indexed mark array shared by the passes *)
-        let occ = Array.init s.nvars (fun _ -> Vec.create ~dummy:dummy_clause) in
-        Vec.iter
-          (fun (c : clause) ->
-            if not c.deleted then
-              Array.iter (fun l -> Vec.push occ.(Lit.var l) c) c.lits)
-          s.clauses;
-        let mark = Array.make (2 * s.nvars) 0 and stamp = ref 0 in
-        subsumption_pass s occ mark stamp;
-        if s.ok then bve_pass s occ mark stamp;
-        (* learnt clauses mentioning an eliminated variable are no longer
-           implied by the reduced formula: drop them *)
-        Vec.iter
-          (fun (c : clause) ->
-            if
-              (not c.deleted)
-              && Array.exists (fun l -> s.elimd.(Lit.var l)) c.lits
-            then c.deleted <- true)
-          s.learnts;
-        (* consume units discovered by strengthening / elimination *)
+        subsumption_pass s;
+        (* consume units discovered by strengthening *)
         if s.ok then cleanup_fixpoint s
       end;
       (* compact the databases and rebuild every watch list: surviving long
@@ -1489,14 +1251,13 @@ let export_cnf s =
     Vec.iter
       (fun (c : clause) -> if not c.deleted then cls := Array.copy c.lits :: !cls)
       s.clauses;
-    (* frozen substituted variables stay expressible in the export: emit
-       their defining equivalences (non-frozen ones may vanish, exactly as
-       BVE-eliminated variables do) *)
+    (* substituted variables stay expressible in the export: emit their
+       defining equivalences, so the export keeps the input's models *)
     if s.has_subst then
       for v = 0 to s.nvars - 1 do
         let p = Lit.pos v in
         let r = s.repr.(p) in
-        if r <> p && s.frozen.(v) then begin
+        if r <> p then begin
           cls := [| Lit.negate p; r |] :: !cls;
           cls := [| p; Lit.negate r |] :: !cls
         end
@@ -1518,7 +1279,6 @@ type stats = {
   learnts_deleted : int;
   binaries : int;
   subsumed : int;
-  vars_eliminated : int;
   vars_substituted : int;
   simplify_ms : float;
 }
@@ -1536,7 +1296,6 @@ let stats (s : t) =
     learnts_deleted = s.learnts_deleted;
     binaries = s.n_binaries;
     subsumed = s.subsumed;
-    vars_eliminated = s.vars_eliminated;
     vars_substituted = s.n_subst;
     simplify_ms = s.simplify_ms;
   }
@@ -1554,7 +1313,6 @@ let zero_stats =
     learnts_deleted = 0;
     binaries = 0;
     subsumed = 0;
-    vars_eliminated = 0;
     vars_substituted = 0;
     simplify_ms = 0.;
   }
@@ -1574,7 +1332,6 @@ let add_stats a b =
     learnts_deleted = a.learnts_deleted + b.learnts_deleted;
     binaries = b.binaries;
     subsumed = a.subsumed + b.subsumed;
-    vars_eliminated = a.vars_eliminated + b.vars_eliminated;
     vars_substituted = a.vars_substituted + b.vars_substituted;
     simplify_ms = a.simplify_ms +. b.simplify_ms;
   }
@@ -1592,7 +1349,6 @@ let diff_stats a b =
     learnts_deleted = a.learnts_deleted - b.learnts_deleted;
     binaries = a.binaries;
     subsumed = a.subsumed - b.subsumed;
-    vars_eliminated = a.vars_eliminated - b.vars_eliminated;
     vars_substituted = a.vars_substituted - b.vars_substituted;
     simplify_ms = a.simplify_ms -. b.simplify_ms;
   }
@@ -1601,7 +1357,7 @@ let pp_stats ppf st =
   Format.fprintf ppf
     "conflicts=%d decisions=%d propagations=%d restarts=%d learnts=%d \
      learnts_kept=%d learnts_deleted=%d lbd_avg=%.2f binaries=%d subsumed=%d \
-     vars_eliminated=%d vars_substituted=%d simplify_ms=%.1f"
+     vars_substituted=%d simplify_ms=%.1f"
     st.conflicts st.decisions st.propagations st.restarts st.learnts st.learnts_kept
-    st.learnts_deleted (lbd_avg st) st.binaries st.subsumed st.vars_eliminated
+    st.learnts_deleted (lbd_avg st) st.binaries st.subsumed
     st.vars_substituted st.simplify_ms

@@ -4,8 +4,9 @@
     implication layer, first-UIP conflict analysis with clause learning,
     LBD ("glue") scoring with periodic learnt-database reduction, VSIDS
     variable activities with an indexed heap, phase saving, Luby-sequence
-    restarts, incremental solving under assumptions, and SatELite-style
-    pre/inprocessing ({!simplify}) guarded by a frozen-variable contract.
+    restarts, incremental solving under assumptions, and level-0
+    pre/inprocessing ({!simplify}: equivalent-literal substitution and
+    subsumption, neither of which removes a variable).
 
     This is the substrate standing in for MiniSat in the paper's [IsValid],
     [NaiveDeduce] and suggestion-repair steps. Clauses may be added between
@@ -27,8 +28,8 @@ val ensure_nvars : t -> int -> unit
 val nvars : t -> int
 
 (** [add_clause s lits] adds a clause. Literals over unallocated variables
-    raise [Invalid_argument]; so do literals over variables eliminated by a
-    previous {!simplify} (freeze anything you may refer to again). Adding
+    raise [Invalid_argument]; literals over variables a previous
+    {!simplify} substituted enter as their class representative. Adding
     the empty clause (or a clause falsified at level 0) makes the solver
     permanently unsatisfiable. Two-literal clauses go to the binary
     implication layer, not the general watch lists. *)
@@ -48,28 +49,10 @@ val add_cnf : t -> Cnf.t -> unit
     satisfied-clause removal and false-literal stripping. *)
 val add_units : t -> Lit.t list -> unit
 
-(** [freeze s v] exempts variable [v] from bounded variable elimination in
-    {!simplify}, forever. Anything referenced after a simplification —
-    assumption literals, variables probed through {!model_value} or
-    {!value_level0}, variables future clauses mention — must be frozen
-    before the first {!simplify} call that could see them. Frozen
-    variables MAY still be substituted by an equivalent literal (see
-    {!simplify}): every entry point maps them to their representative, so
-    they stay usable in clauses, assumptions and model queries, and
-    {!export_cnf} emits the defining equivalence. *)
-val freeze : t -> int -> unit
-
-(** [freeze_all s] freezes every currently-allocated variable. Variables
-    allocated later are NOT frozen; freeze them explicitly. *)
+(** [freeze_all s] does nothing: {!simplify} never removes a variable, so
+    none has to be frozen against it. Kept only so existing callers
+    still build. *)
 val freeze_all : t -> unit
-
-val is_frozen : t -> int -> bool
-
-(** [is_eliminated s v] is [true] once BVE has eliminated [v]. Eliminated
-    variables cannot appear in new clauses or assumptions; their model
-    values are reconstructed from the elimination stack, so {!model_value}
-    stays correct. *)
-val is_eliminated : t -> int -> bool
 
 (** [simplify s] runs pre/inprocessing at decision level 0 (a no-op at a
     higher level or on an unsat solver): top-level satisfied-clause
@@ -79,15 +62,12 @@ val is_eliminated : t -> int -> bool
     whole clause database — the "decompose" pass of Lingeling/CaDiCaL);
     backward subsumption and self-subsuming resolution through occurrence
     lists (the binary layer participates as both subsumer and
-    strengthener); and bounded variable elimination restricted to
-    non-frozen variables. Substitution applies to frozen variables too —
-    unlike elimination it keeps them expressible, because [add_clause],
-    assumptions, {!model_value}, {!value_level0} and {!export_cnf} all
-    map through the substitution. The clause set afterwards is
-    equisatisfiable — and, over frozen variables, equivalent
-    — to the one before. Safe to call between [solve] calls on an
-    incremental session; learnt clauses mentioning an eliminated variable
-    are dropped, all others survive.
+    strengthener). Substituted variables stay expressible, because
+    [add_clause], assumptions, {!model_value}, {!value_level0} and
+    {!export_cnf} all map through the substitution, so the clause set
+    afterwards is equivalent to the one before over every variable. Safe
+    to call between [solve] calls on an incremental session; learnt
+    clauses survive (rewritten through the substitution).
 
     Self-scheduling: a pass costs O(database), so calls are no-ops until
     the clause load has grown by at least 25% since the previous pass
@@ -150,10 +130,9 @@ val budget_exhausted : t -> bool
 val solve_limited : ?assumptions:Lit.t list -> t -> Limited.t
 
 (** [model_value s v] is the truth of variable [v] in the model found by the
-    last successful [solve]. Values of variables eliminated by {!simplify}
-    are reconstructed from the elimination stack, so the returned model
-    satisfies the original clause set. Unassigned variables default to
-    [false]. Raises [Invalid_argument] if the last call did not return
+    last successful [solve]. A variable {!simplify} substituted takes the
+    value of its class representative, so the returned model satisfies
+    the original clause set. Unassigned variables default to [false]. Raises [Invalid_argument] if the last call did not return
     [Sat]. *)
 val model_value : t -> int -> bool
 
@@ -177,10 +156,10 @@ val ok : t -> bool
 
 (** [export_cnf s] is the CURRENT clause database as a [Cnf.t]: the level-0
     facts as unit clauses, the binary implication layer, and the surviving
-    original long clauses (learnt clauses are implied and skipped). On an
-    unsat solver it is a formula holding just the empty clause. The result
-    is equisatisfiable with everything ever added; eliminated variables do
-    not occur in it. *)
+    original long clauses (learnt clauses are implied and skipped), plus
+    the defining equivalence of every substituted variable. On an unsat
+    solver it is a formula holding just the empty clause. The result has
+    exactly the models of everything ever added, over all variables. *)
 val export_cnf : t -> Cnf.t
 
 (** Cumulative statistics since [create], in one snapshot. Mixed gauges and
@@ -202,7 +181,6 @@ type stats = {
   learnts_deleted : int;
   binaries : int;
   subsumed : int;
-  vars_eliminated : int;
   vars_substituted : int;
   simplify_ms : float;
 }

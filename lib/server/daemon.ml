@@ -476,7 +476,6 @@ let stats_json t =
       ("solvers_built", Protocol.jint s.Session.Store.solvers_built);
       ("template_hits", Protocol.jint s.Session.Store.template_hits);
       ("template_misses", Protocol.jint s.Session.Store.template_misses);
-      ("instantiations", Protocol.jint s.Session.Store.instantiations);
       (* clause-database management counters, summed over live and
          already-evicted sessions like the rest *)
       ("sat_conflicts", Protocol.jint s.Session.Store.sat.Sat.Solver.conflicts);
@@ -487,8 +486,6 @@ let stats_json t =
         Printf.sprintf "%.3f" (Sat.Solver.lbd_avg s.Session.Store.sat) );
       ("sat_binaries", Protocol.jint s.Session.Store.sat.Sat.Solver.binaries);
       ("sat_subsumed", Protocol.jint s.Session.Store.sat.Sat.Solver.subsumed);
-      ( "sat_vars_eliminated",
-        Protocol.jint s.Session.Store.sat.Sat.Solver.vars_eliminated );
       ( "sat_vars_substituted",
         Protocol.jint s.Session.Store.sat.Sat.Solver.vars_substituted );
       ( "sat_simplify_ms",

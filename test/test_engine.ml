@@ -1,5 +1,6 @@
 (* The batch resolution engine: equivalence with the per-entity framework,
-   incremental-session vs naive-rebuild configs, and the encoding cache. *)
+   incremental-session vs naive-rebuild configs, and the shape-template
+   cache (including that it never holds on to the specs it served). *)
 
 module F = Crcore.Framework
 module E = Crcore.Engine
@@ -53,14 +54,70 @@ let test_invalid_spec_matches_framework () =
   check_same_outcome "invalid" o r
 
 let test_cache_hit_identical () =
+  (* three identical George specs in one batch: the first compiles the
+     shape, the other two instantiate the shared template. The batch runs
+     on a fresh domain so the domain-local template memo starts empty,
+     whatever earlier tests resolved. *)
+  let items =
+    List.init 3 (fun i ->
+        {
+          E.label = Printf.sprintf "g%d" i;
+          spec = Fixtures.george_spec ();
+          user = F.oracle Fixtures.george_truth;
+        })
+  in
+  let results, stats = Domain.join (Domain.spawn (fun () -> E.run_batch items)) in
+  (match List.map the_ok results with
+  | r1 :: rest ->
+      List.iter
+        (fun (r : E.result) ->
+          Alcotest.(check bool) "identical results" true
+            (r1.E.resolved = r.E.resolved && r1.E.valid = r.E.valid
+           && r1.E.rounds = r.E.rounds))
+        rest
+  | [] -> Alcotest.fail "no results");
+  Alcotest.(check int) "shape compiled once" 1 stats.E.template_misses;
+  Alcotest.(check int) "repeats instantiate the template" 2 stats.E.template_hits
+
+(* The cache holds compiled shapes, never a per-entity encoding, so a spec
+   it served is garbage once its caller drops it — even while the cache
+   itself lives on (a long-running daemon's case). The specs are built
+   and resolved in a separate, non-inlined function so that no stack slot
+   of the test keeps them alive. *)
+let[@inline never] resolve_and_forget cache =
+  let ds = Datagen.Person.quick ~seed:11 ~n_entities:3 ~size:5 () in
+  let weak = Weak.create 2 in
+  List.iteri
+    (fun i (c : Datagen.Types.case) ->
+      let spec = Datagen.Types.spec_of ds c in
+      ignore (E.resolve ~cache ~user:F.silent spec);
+      if i >= 1 then Weak.set weak (i - 1) (Some spec))
+    ds.Datagen.Types.cases;
+  weak
+
+let test_cache_releases_specs () =
   let cache = E.create_cache () in
-  let user = F.oracle Fixtures.george_truth in
-  let r1, st1 = E.resolve ~cache ~user (Fixtures.george_spec ()) in
-  let r2, st2 = E.resolve ~cache ~user (Fixtures.george_spec ()) in
-  Alcotest.(check bool) "cold run misses" true (st1.E.cache_misses >= 1);
-  Alcotest.(check bool) "warm run hits" true (st2.E.cache_hits >= 1);
-  Alcotest.(check bool) "identical results" true
-    (r1.E.resolved = r2.E.resolved && r1.E.rounds = r2.E.rounds)
+  let weak = resolve_and_forget cache in
+  Gc.full_major ();
+  Alcotest.(check bool) "2nd spec collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "3rd spec collected" false (Weak.check weak 1);
+  ignore (Sys.opaque_identity cache)
+
+let[@inline never] open_resolve_remove store =
+  let weak = Weak.create 1 in
+  let spec = Fixtures.george_spec () in
+  Weak.set weak 0 (Some spec);
+  let h, _ = Crcore.Session.Store.get_or_create store "g" ~spec:(fun () -> spec) in
+  ignore (Crcore.Session.resolve h);
+  ignore (Crcore.Session.Store.remove store "g");
+  weak
+
+let test_store_releases_removed_specs () =
+  let store = Crcore.Session.Store.create () in
+  let weak = open_resolve_remove store in
+  Gc.full_major ();
+  Alcotest.(check bool) "removed session's spec collected" false (Weak.check weak 0);
+  Alcotest.(check int) "no live sessions left" 0 (Crcore.Session.Store.live store)
 
 let test_run_batch_matches_per_entity () =
   let items =
@@ -103,10 +160,8 @@ let test_stats_aggregation () =
   in
   let _, stats = E.run_batch items in
   Alcotest.(check int) "entities" 3 stats.E.entities;
-  (* identical specs: the shared cache serves runs 2 and 3 *)
-  Alcotest.(check bool) "cache hits on repeats" true (stats.E.cache_hits >= 2);
-  let rate = E.cache_hit_rate stats in
-  Alcotest.(check bool) "hit rate in [0,1]" true (rate >= 0. && rate <= 1.);
+  let rate = stats.E.template_hit_ratio in
+  Alcotest.(check bool) "template hit rate in [0,1]" true (rate >= 0. && rate <= 1.);
   Alcotest.(check bool) "times non-negative" true
     (stats.E.times.E.encode_ms >= 0.
     && stats.E.times.E.validity_ms >= 0.
@@ -196,6 +251,9 @@ let () =
       ( "sessions_and_cache",
         [
           Alcotest.test_case "cache hit is identical" `Quick test_cache_hit_identical;
+          Alcotest.test_case "cache releases specs" `Quick test_cache_releases_specs;
+          Alcotest.test_case "store releases removed specs" `Quick
+            test_store_releases_removed_specs;
           Alcotest.test_case "batch == per-entity" `Quick test_run_batch_matches_per_entity;
           Alcotest.test_case "streaming order" `Quick test_batch_streaming_order;
           Alcotest.test_case "stats aggregation" `Quick test_stats_aggregation;

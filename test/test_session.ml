@@ -71,12 +71,7 @@ let replay_parity ?(simplified_vs_plain = false) ~seed ~n_entities ~size () =
           if
             not
               (values_equal r.E.resolved cold.E.resolved && r.E.valid = cold.E.valid)
-          then ok := false;
-          (* frozen-variable contract: the engine freezes every variable it
-             may reference (Coding variables, backbone-probe assumptions,
-             group-MaxSAT selectors, delta-extension clauses) before each
-             simplify point, so BVE must never eliminate anything here *)
-          if (S.stats h).E.solver.Sat.Solver.vars_eliminated <> 0 then ok := false)
+          then ok := false)
     log.Datagen.Update_log.events;
   S.Store.clear store;
   !ok
@@ -90,10 +85,9 @@ let prop_interleaved_parity =
    simplify-off config: backbone probes, group-MaxSAT selector assumptions
    and session delta extensions all land on a solver that has been through
    pre/inprocessing, and every resolve point must still agree with the
-   plain solver — with no frozen variable ever eliminated (checked above). *)
+   plain solver. *)
 let prop_simplified_session_parity =
-  QCheck.Test.make ~count:20
-    ~name:"simplified sessions == plain cold re-resolve; frozen vars survive"
+  QCheck.Test.make ~count:20 ~name:"simplified sessions == plain cold re-resolve"
     QCheck.(int_range 0 1000)
     (fun seed -> replay_parity ~simplified_vs_plain:true ~seed ~n_entities:3 ~size:5 ())
 
@@ -292,15 +286,6 @@ let test_config_builder () =
   Alcotest.(check int) "cap clamped to 1" 1 (Cr.Config.max_sessions c);
   Alcotest.(check bool) "ttl kept" true (Cr.Config.session_ttl c = Some 7.5)
 
-let test_one_shot_resolve_wrapper () =
-  (* the deprecated one-shot facade is Session.create/resolve/close *)
-  let r, _ = Cr.resolve (spec_of_tuples (george_tuples ())) in
-  let h = S.create (spec_of_tuples (george_tuples ())) in
-  let r', _ = S.resolve h in
-  S.close h;
-  Alcotest.(check bool) "one-shot == session" true
-    (values_equal r.E.resolved r'.E.resolved && r.E.valid = r'.E.valid)
-
 (* ------------------------------------------------------------------ *)
 (* Daemon round trip                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -394,7 +379,6 @@ let () =
           Alcotest.test_case "baseline policies" `Quick test_baseline_policies;
           Alcotest.test_case "strategy names" `Quick test_strategy_of_string;
           Alcotest.test_case "config builder" `Quick test_config_builder;
-          Alcotest.test_case "one-shot wrapper" `Quick test_one_shot_resolve_wrapper;
         ] );
       ( "daemon",
         [ Alcotest.test_case "socket round trip" `Quick test_daemon_socket_roundtrip ] );
