@@ -74,7 +74,7 @@ lint: build
 
 # Fault-injection suite plus the poisoned-batch bench smoke: per-entity
 # isolation, the degradation ladder under budgets, and jobs=1 == jobs=4
-# determinism; writes BENCH_robustness.json.
+# determinism; writes BENCH_robustness_smoke.json.
 robustness: build
 	dune exec test/test_robustness.exe
 	dune exec bench/main.exe -- robustness_smoke
@@ -82,7 +82,7 @@ robustness: build
 # Session layer + crsolved daemon: the test suite (interleaved-arrival
 # parity, store bounds, budgets, socket round trip) plus the streaming
 # bench smoke (incremental vs cold over an update log, a real daemon on a
-# Unix socket); writes BENCH_daemon.json.
+# Unix socket); writes BENCH_daemon_smoke.json.
 daemon: build
 	dune exec test/test_session.exe
 	dune exec bench/main.exe -- daemon_smoke
@@ -92,7 +92,8 @@ daemon: build
 # smoke, which kill -9s a real forked crsolved mid-stream, restarts it on
 # the same WAL dir, and fails unless the recovered answers are
 # bit-identical (recovered_parity) with zero lost events and fsync=interval
-# throughput within 0.8x of the no-WAL baseline; writes BENCH_recovery.json.
+# throughput within 0.8x of the no-WAL baseline; writes
+# BENCH_recovery_smoke.json.
 recovery: build
 	dune exec test/test_durable.exe
 	dune exec bench/main.exe -- recovery_smoke

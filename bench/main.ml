@@ -832,7 +832,8 @@ let par_smoke () =
    default) against deduce_order — complete deduction resolves more
    attributes per round, so fewer Se ⊕ Ot extensions, fewer
    Null-enters-universe renumberings, and fewer solvers built.
-   Emits BENCH_deduce.json. *)
+   Emits BENCH_deduce.json
+   (the smoke run BENCH_deduce_smoke.json). *)
 let deduce_sized ~n_entities ~json () =
   section
     (Printf.sprintf "Deduce: %d Person entities, backbone vs naive vs unit propagation"
@@ -974,7 +975,7 @@ let deduce_sized ~n_entities ~json () =
       Printf.printf "  wrote %s\n%!" path)
 
 let deduce () = deduce_sized ~n_entities:120 ~json:(Some "BENCH_deduce.json") ()
-let deduce_smoke () = deduce_sized ~n_entities:12 ~json:(Some "BENCH_deduce.json") ()
+let deduce_smoke () = deduce_sized ~n_entities:12 ~json:(Some "BENCH_deduce_smoke.json") ()
 
 (* ---------------------------------------------------------------- *)
 (* Saturate pre-phase: static closure replacing deduction probes     *)
@@ -983,9 +984,10 @@ let deduce_smoke () = deduce_sized ~n_entities:12 ~json:(Some "BENCH_deduce.json
 (* The engine with the static saturation pre-phase on vs off: identical
    resolutions (the closure facts are level-0 implied by Φ), but with the
    pre-phase on the complete Paper-mode closure is handed to the backbone
-   deducer as pre-confirmed facts, so deduction skips its unit-propagation
-   pass and those probes. Also times raw saturation per encoding against
-   the backbone it provably under-approximates. Emits BENCH_saturate.json. *)
+   deducer as pre-confirmed facts, so deduction skips its level-0 read
+   and those probes. Also times raw saturation per encoding against
+   the backbone it provably under-approximates. Emits BENCH_saturate.json
+   (the smoke run BENCH_saturate_smoke.json). *)
 let saturate_sized ~n_entities ~json () =
   section
     (Printf.sprintf "Saturate: %d Person entities, static pre-phase on vs off" n_entities);
@@ -1111,7 +1113,8 @@ let saturate_sized ~n_entities ~json () =
       Printf.printf "  wrote %s\n%!" path)
 
 let saturate () = saturate_sized ~n_entities:120 ~json:(Some "BENCH_saturate.json") ()
-let saturate_smoke () = saturate_sized ~n_entities:12 ~json:(Some "BENCH_saturate.json") ()
+let saturate_smoke () =
+  saturate_sized ~n_entities:12 ~json:(Some "BENCH_saturate_smoke.json") ()
 
 (* ---------------------------------------------------------------- *)
 (* SAT core: LBD clause-DB reduction + binary layer + inprocessing  *)
@@ -1133,7 +1136,8 @@ let saturate_smoke () = saturate_sized ~n_entities:12 ~json:(Some "BENCH_saturat
    x_ji = not x_ij classes the Exact encoding's totality+asymmetry pairs
    create, halving the order variables and folding the six transitivity
    clauses per triple into two (the duplicates fall to subsumption) —
-   not from learnt-clause pressure. Emits BENCH_satcore.json. *)
+   not from learnt-clause pressure. Emits BENCH_satcore.json
+   (the smoke run BENCH_satcore_smoke.json). *)
 (* Richer histories than [person_sized]: the event count (and with it the
    per-attribute active domain, hence the CNF) grows linearly with entity
    size instead of capping at a dozen events. That is the regime where the
@@ -1366,7 +1370,7 @@ let satcore () =
 
 let satcore_smoke () =
   satcore_sized ~sizes:[ 2000 ] ~strict_win:false ~ratchet:true
-    ~json:(Some "BENCH_satcore.json") ()
+    ~json:(Some "BENCH_satcore_smoke.json") ()
 
 (* ---------------------------------------------------------------- *)
 (* Lint pre-phase: statically-unsat specs skip the solver            *)
@@ -1497,7 +1501,8 @@ let lint_smoke () =
    healthy entity still resolves) against the fail_fast batch-abort
    semantics (the first crash kills the whole batch and delivers zero
    results), checks that jobs=1 and jobs=4 agree outcome-for-outcome, and
-   reports the degradation histogram. Emits BENCH_robustness.json. *)
+   reports the degradation histogram. Emits BENCH_robustness.json
+   (the smoke run BENCH_robustness_smoke.json). *)
 let robustness_sized ~n_entities ~poison_period ~json () =
   section
     (Printf.sprintf
@@ -1656,7 +1661,8 @@ let robustness () =
   robustness_sized ~n_entities:120 ~poison_period:40 ~json:(Some "BENCH_robustness.json") ()
 
 let robustness_smoke () =
-  robustness_sized ~n_entities:24 ~poison_period:8 ~json:(Some "BENCH_robustness.json") ()
+  robustness_sized ~n_entities:24 ~poison_period:8
+    ~json:(Some "BENCH_robustness_smoke.json") ()
 
 (* ---------------------------------------------------------------- *)
 (* Daemon: streaming delta re-resolution vs cold re-encode          *)
@@ -1680,7 +1686,8 @@ let robustness_smoke () =
    finished entities are closed and retired) so the hot set — and the
    store's memory — stays bounded while the total entity count scales to
    10k+. A socket round trip through a real crsolved instance smokes the
-   wire path. Emits BENCH_daemon.json. *)
+   wire path. Emits BENCH_daemon.json
+   (the smoke run BENCH_daemon_smoke.json). *)
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -1978,7 +1985,7 @@ let daemon () =
 
 let daemon_smoke () =
   daemon_sized ~n_entities:300 ~chunk:100 ~check_speedup:false
-    ~json:(Some "BENCH_daemon.json") ()
+    ~json:(Some "BENCH_daemon_smoke.json") ()
 
 (* ---------------------------------------------------------------- *)
 (* Durability: kill -9 recovery parity, WAL overhead, recovery time *)
@@ -1990,7 +1997,8 @@ let daemon_smoke () =
    keeps streaming through the crash (retry + reconnect + @seq dedup),
    a fresh daemon recovers from snapshot + WAL tail on the same
    directory, and every RESOLVE answer must match an uninterrupted
-   in-process reference. Emits BENCH_recovery.json with the
+   in-process reference. Emits BENCH_recovery.json (the smoke run
+   BENCH_recovery_smoke.json) with the
    recovered_parity / lost_events ratchets and the WAL-overhead and
    recovery-time curves. *)
 
@@ -2414,7 +2422,7 @@ let recovery () =
 let recovery_smoke () =
   recovery_sized ~n_entities:60 ~chunk:30 ~kills:2 ~overhead_entities:40
     ~replay_lengths:[ 300; 1_500 ]
-    ~json:(Some "BENCH_recovery.json") ()
+    ~json:(Some "BENCH_recovery_smoke.json") ()
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel micro-benchmarks                                        *)

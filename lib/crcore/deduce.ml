@@ -36,7 +36,7 @@ let add_literal_to_od enc od lit =
   let lo, hi = if Sat.Lit.sign lit then (lo, hi) else (hi, lo) in
   ignore (Porder.Strict_order.add od.(attr) lo hi)
 
-(* ---- unit propagation over Φ(Se), shared by DeduceOrder and backbone ---- *)
+(* ---- unit propagation over Φ(Se), shared by the solver-free deducers ---- *)
 
 (* Propagates to fixpoint and returns the assignment array ([1] true,
    [-1] false, [0] undecided) plus a conflict flag. Literals are deduped
@@ -176,11 +176,15 @@ let naive_deduce ?solver ?budget ?static:_ enc =
    - the model of the preceding validity check (still saved on a reused
      session solver) bounds the candidate set: a variable false in any
      model cannot be backbone;
-   - unit propagation seeds for free: positive units are backbone without
-     a probe, negative units leave the candidate set;
+   - the solver's level-0 trail seeds for free: positive facts on it are
+     backbone without a probe, negative ones leave the candidate set;
    - each remaining candidate v is probed by one assumption solve of
      Φ ∧ ¬v; [Unsat] confirms the fact, and a [Sat] answer's model prunes
-     every candidate it assigns false — typically many per call.
+     every candidate it assigns false. Before each probe every remaining
+     candidate's saved phase is set to false, so the search heads for the
+     model that refutes the most of them at once; left to phase saving it
+     re-finds the previous model with one variable flipped, pruning little
+     more than the probed variable itself.
 
    A reused solver may hold extra clause layers (learnt clauses, MaxSAT
    selectors/relaxation from {!Maxsat.Exact.solve_groups_on}); all are
@@ -207,12 +211,10 @@ let backbone ?solver ?budget ?static enc =
       (match static with
       | Some facts ->
           (* the caller's static saturation proved these level-0: adopt
-             without probes and skip the whole unit-propagation pass (the
-             O(|Φ|) occurrence-list build). Sound whenever every given
-             variable is backbone; results match the propagation path
-             exactly when the closure is complete (it then contains every
-             unit-propagation fact, and propagation-refuted variables are
-             false in the initial model, so they were never candidates) *)
+             them without probes and skip the level-0 read. Sound whenever
+             every given variable is backbone; a complete closure already
+             holds every positive level-0 fact, and the negative ones are
+             false in the initial model, so they were never candidates *)
           List.iter
             (fun v ->
               add_literal_to_od enc od (Sat.Lit.pos v);
@@ -221,23 +223,30 @@ let backbone ?solver ?budget ?static enc =
             facts;
           probes_avoided := !seeded
       | None ->
-          let assigns, conflict = unit_propagate cnf in
-          if not conflict then
-            Array.iteri
-              (fun v a ->
-                if a = 1 then begin
-                  (* unit-propagation facts are backbone: adopt without a probe *)
-                  add_literal_to_od enc od (Sat.Lit.pos v);
-                  incr seeded;
-                  cand.(v) <- false
-                end
-                else if a = -1 then cand.(v) <- false)
-              assigns);
+          (* the solver's level-0 trail: every fact on it is backbone (the
+             session's extension layers are satisfiable extensions of
+             Φ(Se)), and it already holds everything unit propagation over
+             Φ derives, so reading it replaces a propagation rebuild *)
+          for v = 0 to nvars - 1 do
+            match Sat.Solver.value_level0 s v with
+            | Some true ->
+                add_literal_to_od enc od (Sat.Lit.pos v);
+                incr seeded;
+                cand.(v) <- false
+            | Some false -> cand.(v) <- false
+            | None -> ()
+          done);
       let probes = ref 0 and model_prunes = ref 0 in
       let complete = ref true in
       let v = ref 0 in
       while !complete && !v < nvars do
         if cand.(!v) then begin
+          (* phase-guided probe: ask for a model refuting every remaining
+             candidate at once, instead of phase saving's near-copy of the
+             previous model with one variable flipped *)
+          for u = !v to nvars - 1 do
+            if cand.(u) then Sat.Solver.set_phase s (Sat.Lit.neg_of u)
+          done;
           incr probes;
           incr sat_calls;
           match Sat.Solver.solve_limited ~assumptions:[ Sat.Lit.neg_of !v ] s with
@@ -256,7 +265,7 @@ let backbone ?solver ?budget ?static enc =
               done
           | Sat.Solver.Limited.Unknown ->
               (* budget spent: stop probing. Everything adopted so far is a
-                 proven fact (UP seed or Unsat probe), so the truncated
+                 proven fact (level-0 seed or Unsat probe), so the truncated
                  result is a sound subset of the full backbone. *)
               complete := false
         end;

@@ -23,8 +23,8 @@ type stats = {
   model_prunes : int;
       (** candidates eliminated by intersecting a probe's model, beyond
           the probed variable itself *)
-  seeded : int;  (** facts adopted without a probe (unit propagation or a
-                     caller-supplied static closure) *)
+  seeded : int;  (** facts adopted without a probe (the solver's level-0
+                     facts or a caller-supplied static closure) *)
   probes_avoided : int;
       (** of [seeded], facts adopted from the [static] closure — work the
           static saturation pre-phase saved this call *)
@@ -78,10 +78,13 @@ val naive_deduce :
 
 (** [backbone enc] deduces exactly the facts of {!naive_deduce} — the
     positive backbone of Φ(Se) — by model intersection: variables false
-    in any discovered model are discarded as candidates, unit-propagation
-    facts are adopted without a probe, and each remaining candidate [v]
+    in any discovered model are discarded as candidates, the solver's
+    level-0 facts are read off its trail (positive ones adopted without a
+    probe, negative ones discarded), and each remaining candidate [v]
     costs one assumption solve of Φ ∧ ¬v whose [Sat] models prune further
-    candidates wholesale.
+    candidates wholesale. Each probe first sets every remaining
+    candidate's phase to false ({!Sat.Solver.set_phase}), steering the
+    search toward a model that refutes as many of them as it can.
 
     When [solver] is a session already holding Φ(Se), its saved validity
     model bootstraps the candidate set with no extra solve, and learnt
@@ -93,17 +96,15 @@ val naive_deduce :
     [budget] (or a budget already armed on [solver]) bounds the work in
     CDCL conflicts: probes run through {!Sat.Solver.solve_limited}, and on
     [Unknown] the loop stops with [stats.complete = false]. Facts are only
-    ever adopted from a unit-propagation seed or an [Unsat] probe, so a
-    truncated run returns a sound subset (a prefix of the probe order) of
-    the unbudgeted fact set.
+    ever adopted from the level-0 seed or an [Unsat] probe, so a truncated
+    run returns a sound subset of the unbudgeted fact set.
 
     [static] hands over a list of variables a static saturation
     ({!Saturate}) already proved backbone: they are adopted outright —
-    with [stats.probes_avoided] counting them — and the unit-propagation
-    pass (the costly occurrence-list build over all of Φ) is skipped
-    entirely. The caller must only pass a {e complete} closure
+    with [stats.probes_avoided] counting them — and the level-0 read is
+    skipped. The caller must only pass a {e complete} closure
     ({!Saturate.complete}); the deduced set is then identical to the
-    propagation path's. *)
+    level-0 path's. *)
 val backbone :
   ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> t
 

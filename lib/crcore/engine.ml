@@ -264,10 +264,12 @@ type session = {
   lint_rejected : bool;
 }
 
-(* wall clock, not [Sys.time]: process CPU time charges one domain's work
-   with every running domain's cycles, so per-phase times would be
-   nonsense under a parallel batch *)
-let now_ms () = Unix.gettimeofday () *. 1000.
+(* elapsed time, not [Sys.time]: process CPU time charges one domain's
+   work with every running domain's cycles, so per-phase times would be
+   nonsense under a parallel batch. The clock is monotonic, so a clock
+   step cannot skew a phase time or a budget deadline (only differences
+   of [now_ms] are ever used). *)
+let now_ms () = Int64.to_float (Monotonic_clock.now ()) *. 1e-6
 
 let timed_t times slot f =
   let t0 = now_ms () in
@@ -518,7 +520,7 @@ let deduce_on sess enc =
   (match sess.solver with Some s -> arm_budget sess s | None -> ());
   (* hand the static closure to the deducer only when it is provably the
      whole positive backbone ({!Saturate.complete}): the deducer then
-     adopts it outright and skips its unit-propagation pass *)
+     adopts it outright and skips its level-0 read *)
   let static =
     match sess.closure with
     | Some cl when Saturate.complete cl -> Some (Saturate.fact_vars cl)

@@ -42,7 +42,7 @@ type user = Rules.suggestion -> schema:Schema.t -> (string * Value.t) list
        budget interferes).}
     {- {!PartialDeduce}: validity was established, but completion was cut
        short — the answer contains only facts proven before the
-       interruption (unit-propagation seeds and confirmed probes, a sound
+       interruption (level-0 seeds and confirmed probes, a sound
        subset of the full deduction — property-tested).}
     {- {!PickFallback}: not even validity could be established in budget;
        the answer is the paper's [Pick] baseline (deterministic currency
@@ -204,7 +204,9 @@ type entity_stats = {
   deduce_probes : int;  (** single-literal refutation probes *)
   deduce_model_prunes : int;
       (** candidates {!Deduce.backbone} eliminated by model intersection *)
-  deduce_seeded : int;  (** facts adopted from unit propagation, no probe *)
+  deduce_seeded : int;
+      (** facts adopted without a probe: the solver's level-0 facts or the
+          static closure *)
   static_facts : int;
       (** facts the saturate pre-phase derived statically (summed over
           re-saturations after extensions) *)

@@ -818,6 +818,13 @@ let value_level0 s v =
     Some (if Lit.sign l then s.assigns.(w) = 1 else s.assigns.(w) = -1)
   else None
 
+(* the saved phase is per variable, so steer the representative: setting
+   [l] true is setting [subst_lit s l] true *)
+let set_phase s l =
+  if Lit.var l >= s.nvars then invalid_arg "Solver.set_phase: unallocated variable";
+  let r = subst_lit s l in
+  s.polarity.(Lit.var r) <- Lit.sign r
+
 let ok s = s.ok
 
 (* ---- pre/inprocessing at decision level 0 ---- *)
@@ -1188,7 +1195,7 @@ let simplify_due s =
 
 let simplify s =
   if s.ok && decision_level s = 0 && simplify_due s then begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = Monotonic_clock.now () in
     (match propagate s with Some _ -> s.ok <- false | None -> ());
     if s.ok then begin
       (* level-0 implications are facts; their reasons are never revisited *)
@@ -1227,7 +1234,8 @@ let simplify s =
       end
     end;
     s.simplify_marker <- clause_load s;
-    s.simplify_ms <- s.simplify_ms +. ((Unix.gettimeofday () -. t0) *. 1000.)
+    s.simplify_ms <-
+      s.simplify_ms +. (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6)
   end
 
 (* ---- export ---- *)

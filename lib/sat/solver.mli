@@ -150,6 +150,15 @@ val has_model : t -> bool
     propagation at decision level 0, [None] otherwise. *)
 val value_level0 : t -> int -> bool option
 
+(** [set_phase s l] sets the saved polarity of [l]'s variable so that the
+    next decision on it tries [l] true. A variable {!simplify} substituted
+    steers its class representative instead, with the sign mapped through
+    the substitution, so the literal itself is what the decision tries.
+    Only the search order changes: answers are the same under any phases,
+    and a later solve overwrites them through phase saving. Raises
+    [Invalid_argument] on an unallocated variable. *)
+val set_phase : t -> Lit.t -> unit
+
 (** [ok s] is [false] once the clause set is known unsatisfiable without
     assumptions. *)
 val ok : t -> bool

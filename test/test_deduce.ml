@@ -220,8 +220,21 @@ let test_backbone_on_paper_examples () =
         (b.D.stats.D.sat_calls < n.D.stats.D.sat_calls))
     [ Fixtures.edith_spec (); Fixtures.george_spec () ]
 
-(* the headline property (both encoding modes, and with a reused session
-   solver): backbone computes exactly NaiveDeduce's positive backbone *)
+(* a session solver set up the way the engine sets one up: Φ(Se), the
+   static closure as unit clauses, a simplify pass (so equivalent-literal
+   substitution is live under the probes' phases and assumptions), then
+   the validity solve whose model the deducer starts from *)
+let engine_session enc cl =
+  let s = Sat.Solver.create () in
+  Sat.Solver.add_cnf s enc.E.cnf;
+  Sat.Solver.add_units s (Crcore.Saturate.unit_lits cl);
+  Sat.Solver.simplify s;
+  let sat = Sat.Solver.solve s = Sat.Solver.Sat in
+  (s, sat)
+
+(* the headline property (both encoding modes, with a reused session
+   solver, and with an engine-shaped one): backbone computes exactly
+   NaiveDeduce's positive backbone *)
 let prop_backbone_equals_naive =
   QCheck.Test.make ~count:300 ~name:"backbone == naive_deduce (both modes, fresh + reused solver)"
     Fixtures.qcheck_spec (fun spec ->
@@ -237,12 +250,51 @@ let prop_backbone_equals_naive =
             Sat.Solver.add_cnf s enc.E.cnf;
             let sat = Sat.Solver.solve s = Sat.Solver.Sat in
             let br = D.backbone ~solver:s enc in
-            sat && same_orders b n && same_orders br n
+            let cl = Crcore.Saturate.of_encode enc in
+            let se, sat_e = engine_session enc cl in
+            let be = D.backbone ~solver:se enc in
+            (* the engine hands a complete closure over as [static] *)
+            let static_ok =
+              (not (Crcore.Saturate.complete cl))
+              ||
+              let ss, sat_s = engine_session enc cl in
+              let bs = D.backbone ~solver:ss ~static:(Crcore.Saturate.fact_vars cl) enc in
+              sat_s && same_orders bs n
+            in
+            sat && sat_e && same_orders b n && same_orders br n && same_orders be n
+            && static_ok
             && b.D.stats.D.sat_calls <= enc.E.cnf.Sat.Cnf.nvars + 1
             && br.D.stats.D.reused_solver
             && (not b.D.stats.D.reused_solver)
           end)
         [ E.Paper; E.Exact ])
+
+(* one long-history entity in its smoke shape (Exact mode, 300 tuples, 10
+   extra life events), deduced on an engine-shaped session. Probe counts
+   are deterministic: 16 before phase-guided probes, 2 with them. The
+   bound sits 4x below the old count, so losing the phase guidance fails
+   here even where the answers stay right. *)
+let test_backbone_probe_count () =
+  let ds =
+    Datagen.Person.generate
+      {
+        Datagen.Person.default_params with
+        n_entities = 1;
+        size_min = 300;
+        size_max = 300;
+        extra_events = 10;
+        seed = 2013;
+      }
+  in
+  let enc = E.encode ~mode:E.Exact (Datagen.Types.spec_of ds (List.hd ds.Datagen.Types.cases)) in
+  let cl = Crcore.Saturate.of_encode enc in
+  let s, sat = engine_session enc cl in
+  Alcotest.(check bool) "valid" true sat;
+  let static = if Crcore.Saturate.complete cl then Some (Crcore.Saturate.fact_vars cl) else None in
+  let b = D.backbone ~solver:s ?static enc in
+  Alcotest.(check bool) "backbone od == naive od" true (same_orders b (D.naive_deduce enc));
+  let probes = b.D.stats.D.probes in
+  if probes > 4 then Alcotest.failf "%d probes, bound 4" probes
 
 (* deduce_order reads negative units as reversed pairs, which is sound
    under the total-order completion semantics the Exact mode encodes — so
@@ -290,6 +342,7 @@ let () =
           Alcotest.test_case "naive vs deduce_order" `Quick test_naive_agrees_on_paper_examples;
           Alcotest.test_case "monotonicity" `Quick test_n_facts_monotone;
           Alcotest.test_case "backbone on paper examples" `Quick test_backbone_on_paper_examples;
+          Alcotest.test_case "backbone probe count, long history" `Quick test_backbone_probe_count;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

@@ -298,6 +298,58 @@ let prop_export_equivalent =
       Sat.Solver.simplify s;
       Sat.Brute.count_models (Sat.Solver.export_cnf s) = Sat.Brute.count_models f)
 
+(* ---- saved phases ---- *)
+
+(* [set_phase] steers the variable it names even after [simplify]
+   substituted it: whichever variable of an equivalence became the
+   representative, and whether the class is x = y or x = ~y, the model
+   of an otherwise unconstrained class makes the steered literal true *)
+let test_set_phase_subst () =
+  List.iter
+    (fun same ->
+      let s = Sat.Solver.create () in
+      Sat.Solver.ensure_nvars s 2;
+      (* same: x0 = x1; otherwise x0 = ~x1 *)
+      Sat.Solver.add_clause s [ lit 0 false; lit 1 same ];
+      Sat.Solver.add_clause s [ lit 0 true; lit 1 (not same) ];
+      Sat.Solver.simplify s;
+      Alcotest.(check int) "one variable substituted" 1
+        (Sat.Solver.stats s).Sat.Solver.vars_substituted;
+      List.iter
+        (fun (v, sign) ->
+          Sat.Solver.set_phase s (lit v sign);
+          Alcotest.(check bool) "sat" true (Sat.Solver.solve s = Sat.Solver.Sat);
+          Alcotest.(check bool)
+            (Printf.sprintf "x%d = %b (same = %b)" v sign same)
+            sign (Sat.Solver.model_value s v);
+          Alcotest.(check bool) "class kept" same
+            (Sat.Solver.model_value s 0 = Sat.Solver.model_value s 1))
+        [ (0, true); (0, false); (1, true); (1, false); (1, true); (0, false) ])
+    [ true; false ]
+
+(* phases only reorder the search: under arbitrary phases, before and
+   after a simplify pass and across incremental calls, answers match
+   brute force and every model satisfies the formula *)
+let prop_set_phase_sound =
+  QCheck.Test.make ~count:300 ~name:"set_phase never changes answers"
+    (QCheck.pair qcheck_binary_cnf QCheck.int) (fun (f, seed) ->
+      let st = Random.State.make [| seed |] in
+      let expect = Sat.Brute.solve f <> None in
+      let s = Sat.Solver.create () in
+      Sat.Solver.add_cnf s f;
+      let round () =
+        for v = 0 to f.Sat.Cnf.nvars - 1 do
+          if Random.State.bool st then Sat.Solver.set_phase s (lit v (Random.State.bool st))
+        done;
+        match Sat.Solver.solve s with
+        | Sat.Solver.Sat -> expect && Sat.Cnf.eval (Sat.Solver.model s) f
+        | Sat.Solver.Unsat -> not expect
+      in
+      let before = round () in
+      Sat.Solver.simplify s;
+      let after = round () in
+      before && after && round ())
+
 let () =
   Alcotest.run "sat"
     [
@@ -316,10 +368,16 @@ let () =
           Alcotest.test_case "simplify: equivalent literals" `Quick test_simplify_subst;
           Alcotest.test_case "simplify: contradictory equivalence" `Quick
             test_simplify_subst_contradiction;
+          Alcotest.test_case "set_phase through a substitution" `Quick test_set_phase_subst;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_agrees_with_brute; prop_assumptions_sound; prop_model_count_positive ] );
+          [
+            prop_agrees_with_brute;
+            prop_assumptions_sound;
+            prop_model_count_positive;
+            prop_set_phase_sound;
+          ] );
       ( "simplify",
         List.map QCheck_alcotest.to_alcotest
           [
