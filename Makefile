@@ -52,7 +52,8 @@ saturate:
 # entities with linearly-growing histories; writes BENCH_satcore.json and
 # exits non-zero unless resolutions are identical both ways and
 # solve+deduce beats the grow-forever baseline at the largest size. The
-# satcore_smoke CI run additionally requires offline subsumed > 0.
+# satcore_smoke CI run additionally requires that the Exact encoding
+# arrives reduced (vars_substituted = 0, offline and in-engine).
 satcore:
 	dune exec bench/main.exe -- satcore
 

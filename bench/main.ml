@@ -1130,14 +1130,12 @@ let saturate_smoke () =
    both runs. Resolutions must be bit-identical at every size. Person
    resolution is conflict-starved (unit propagation plus saturation derive
    every implied order, so backbone probes rarely conflict), which makes
-   the deduce phase propagation-bound: the managed side's win comes from
-   inprocessing shrinking what the ~5k model-building probes propagate
-   over — chiefly equivalent-literal substitution, which collapses the
-   x_ji = not x_ij classes the Exact encoding's totality+asymmetry pairs
-   create, halving the order variables and folding the six transitivity
-   clauses per triple into two (the duplicates fall to subsumption) —
-   not from learnt-clause pressure. Emits BENCH_satcore.json
-   (the smoke run BENCH_satcore_smoke.json). *)
+   the deduce phase propagation-bound. The Exact encoding already
+   arrives reduced — one variable per value pair, two 3-cycle exclusions
+   per value triple — so equivalent-literal substitution finds nothing
+   to collapse there and subsumption little to delete; the ratchet below
+   pins that. Emits BENCH_satcore.json (the smoke run
+   BENCH_satcore_smoke.json). *)
 (* Richer histories than [person_sized]: the event count (and with it the
    per-attribute active domain, hence the CNF) grows linearly with entity
    size instead of capping at a dozen events. That is the regime where the
@@ -1150,7 +1148,7 @@ let saturate_smoke () =
    seed both sides run the same probe sequence to the same answers at
    every size (the identical_results claim); the propagation counts
    differ because that is the effect measured — the managed side
-   propagates over the substituted, subsumed database. *)
+   propagates over the satisfied-clause-reduced database. *)
 let satcore_person size =
   Datagen.Person.generate
     {
@@ -1190,10 +1188,10 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
               Crcore.Engine.run_batch
                 ~config:
                   {
-                    (* Exact mode (totality clauses) keeps backbone probes
-                       non-trivial; saturation stays on (the default) so
-                       its units feed the satcore side's satisfied-clause
-                       removal, exactly as in production *)
+                    (* Exact mode (total-order completions) keeps backbone
+                       probes non-trivial; saturation stays on (the
+                       default) so its units feed the satcore side's
+                       satisfied-clause removal, exactly as in production *)
                     Crcore.Engine.default_config with
                     mode = Crcore.Encode.Exact;
                     lint = false;
@@ -1258,10 +1256,10 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
   in
   (* Offline simplification: engine-grade encodings through a standalone
      solver — the [satcli --simplify] / [--dump-dimacs] path — over a
-     small batch of 2000-tuple entities, where encoding is cheap. The
-     in-engine substitution and the subsumption it exposes are ratcheted
-     below. *)
-  let osub, obefore, oafter, oms =
+     small batch of 2000-tuple entities, where encoding is cheap. Both
+     offline and in-engine, substitution must find the Exact encoding
+     already reduced (ratcheted below). *)
+  let osub, osubst, obefore, oafter, oms =
     let ds =
       Datagen.Person.generate
         {
@@ -1273,7 +1271,7 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
         }
     in
     List.fold_left
-      (fun (sub, before, after, ms) (case : Datagen.Types.case) ->
+      (fun (sub, subst, before, after, ms) (case : Datagen.Types.case) ->
         let e =
           Crcore.Encode.encode ~mode:Crcore.Encode.Exact (Datagen.Types.spec_of ds case)
         in
@@ -1282,14 +1280,16 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
         Sat.Solver.simplify s;
         let sv = Sat.Solver.stats s in
         ( sub + sv.Sat.Solver.subsumed,
+          subst + sv.Sat.Solver.vars_substituted,
           before + Sat.Cnf.nclauses e.Crcore.Encode.cnf,
           after + Sat.Cnf.nclauses (Sat.Solver.export_cnf s),
           ms +. sv.Sat.Solver.simplify_ms ))
-      (0, 0, 0, 0.) ds.Datagen.Types.cases
+      (0, 0, 0, 0, 0.) ds.Datagen.Types.cases
   in
   Printf.printf
-    "  offline (8 entities @2000): %d subsumed, clauses %d -> %d, simplify %.1f ms\n%!"
-    osub obefore oafter oms;
+    "  offline (8 entities @2000): %d subsumed, %d substituted, clauses %d -> %d, \
+     simplify %.1f ms\n%!"
+    osub osubst obefore oafter oms;
   (* the headline: at the largest size the managed clause database must be
      strictly faster in solve+deduce than the grow-forever baseline *)
   (if strict_win then
@@ -1299,20 +1299,22 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
            (Printf.sprintf "satcore: solve+deduce strictly below baseline at size %d" size)
            (on_sd < off_sd)
      | [] -> ());
-  (* CI ratchet (smoke): pre/inprocessing must do real work both offline
-     (subsumption) and in-engine (substitution collapses the Exact
-     encoding's complement pairs, and the duplicate transitivity clauses
-     it creates must then fall to subsumption), and the managed run must
-     not regress past the baseline by more than measurement noise *)
+  (* CI ratchet (smoke): the Exact encoding must arrive reduced — no
+     equivalent literals left for substitution to collapse, offline or
+     in-engine (a regression to one variable per ordered pair would bring
+     the x_vu = not x_uv classes back) — and the managed run must not
+     regress past the baseline by more than measurement noise *)
   if ratchet then begin
-    claim "satcore: offline simplification does work (subsumed > 0)" (osub > 0);
+    claim "satcore: the Exact encoding arrives reduced offline (vars_substituted = 0)"
+      (osubst = 0);
     List.iter
       (fun (size, _, _, _, _, on_st, _, _) ->
         let sv = on_st.Crcore.Engine.solver in
         claim
           (Printf.sprintf
-             "satcore: in-engine substitution + subsumption do work at size %d" size)
-          (sv.Sat.Solver.vars_substituted > 0 && sv.Sat.Solver.subsumed > 0))
+             "satcore: the Exact encoding arrives reduced at size %d (vars_substituted = 0)"
+             size)
+          (sv.Sat.Solver.vars_substituted = 0))
       rows;
     List.iter
       (fun (size, _, _, on_sd, off_sd, _, _, _) ->
@@ -1351,7 +1353,7 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
   "entities_per_size": %d,
   "cores_available": %d,
   "baseline": "simplify off (no LBD reduction, no pre/inprocessing)",
-  "offline_simplify": { "subsumed": %d, "clauses_before": %d, "clauses_after": %d, "simplify_ms": %.3f },
+  "offline_simplify": { "subsumed": %d, "vars_substituted": %d, "clauses_before": %d, "clauses_after": %d, "simplify_ms": %.3f },
   "sizes": [
 %s
   ]
@@ -1359,7 +1361,7 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
 |}
         1
         (Parallel.Pool.recommended_jobs ())
-        osub obefore oafter oms
+        osub osubst obefore oafter oms
         (String.concat ",\n" size_rows);
       close_out oc;
       Printf.printf "  wrote %s\n%!" path

@@ -625,7 +625,7 @@ let gamma_arg =
   Arg.(value & opt (some file) None & info [ "gamma"; "g" ] ~docv:"FILE" ~doc:"Constant CFDs file.")
 
 let exact_arg =
-  Arg.(value & flag & info [ "exact" ] ~doc:"Use the exact (totality-augmented) encoding instead of the paper's.")
+  Arg.(value & flag & info [ "exact" ] ~doc:"Use the exact (total-order) encoding instead of the paper's.")
 
 let interactive_arg =
   Arg.(value & flag & info [ "interactive"; "i" ] ~doc:"Prompt for suggested attributes on stdin.")

@@ -111,7 +111,7 @@ let main =
   let exact_a =
     Arg.(
       value & flag
-      & info [ "exact" ] ~doc:"Use the exact (totality-augmented) encoding instead of the paper's.")
+      & info [ "exact" ] ~doc:"Use the exact (total-order) encoding instead of the paper's.")
   in
   let max_rounds_a =
     Arg.(value & opt int 5 & info [ "max-rounds" ] ~docv:"N" ~doc:"Interaction-round budget per resolve (default 5).")

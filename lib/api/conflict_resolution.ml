@@ -58,7 +58,7 @@ module Constant_cfd = Cfd.Constant_cfd
 (** {1 Reasoning} *)
 
 (** The CNF encoding Ω(Se)/Φ(Se); chiefly useful for {!Encode.mode}
-    ([Paper] vs the totality-augmented [Exact]) accepted across the API. *)
+    ([Paper] vs the total-order [Exact]) accepted across the API. *)
 module Encode = Crcore.Encode
 
 (** Validity of a specification (does a valid completion exist?). *)
@@ -99,7 +99,8 @@ module Pick = Crcore.Pick
 module Metrics = Crcore.Metrics
 
 (** The encoding mode, re-exported for convenience: [Paper] is the
-    heuristic reduction of Lemma 5, [Exact] adds totality clauses. *)
+    heuristic reduction of Lemma 5, [Exact] encodes total orders (one
+    variable per value pair, [v ≺ u] as the negation of [u ≺ v]). *)
 type mode = Crcore.Encode.mode = Paper | Exact
 
 (** {1 Configuration} *)

@@ -4,7 +4,10 @@ module VMap = Map.Make (struct
   let compare = Value.total_compare
 end)
 
+type mode = Paper | Exact
+
 type t = {
+  mode : mode;
   schema : Schema.t;
   universes : Value.t array array;
   adom_sizes : int array;
@@ -13,7 +16,11 @@ type t = {
   nvars : int;
 }
 
-let build entity gamma =
+(* variables per attribute of universe size [d]: one per ordered pair in
+   Paper mode, one per unordered pair in Exact mode *)
+let pairs mode d = match mode with Paper -> d * (d - 1) | Exact -> d * (d - 1) / 2
+
+let build ?(mode = Paper) entity gamma =
   let schema = Entity.schema entity in
   let arity = Schema.arity schema in
   let universes = Array.make arity [||] in
@@ -47,9 +54,11 @@ let build entity gamma =
   for a = 0 to arity - 1 do
     offsets.(a) <- !total;
     let d = Array.length universes.(a) in
-    total := !total + (d * (d - 1))
+    total := !total + pairs mode d
   done;
-  { schema; universes; adom_sizes; ids; offsets; nvars = !total }
+  { mode; schema; universes; adom_sizes; ids; offsets; nvars = !total }
+
+let mode c = c.mode
 
 let schema c = c.schema
 
@@ -68,26 +77,54 @@ let value c a id = c.universes.(a).(id)
 
 let nvars c = c.nvars
 
-let var_of c ~attr lo hi =
+(* Exact mode numbers the unordered pair [u < v] as its rank in the
+   row-major order of the upper triangle: row [u] starts at
+   [u·(2d - u - 1)/2] *)
+let row_start d u = u * ((2 * d) - u - 1) / 2
+
+let lit_of c ~attr lo hi =
   let d = Array.length c.universes.(attr) in
   if lo = hi || lo < 0 || hi < 0 || lo >= d || hi >= d then
-    invalid_arg "Coding.var_of: bad value pair";
-  c.offsets.(attr) + (lo * (d - 1)) + if hi < lo then hi else hi - 1
+    invalid_arg "Coding.lit_of: bad value pair";
+  match c.mode with
+  | Paper -> Sat.Lit.pos (c.offsets.(attr) + (lo * (d - 1)) + if hi < lo then hi else hi - 1)
+  | Exact ->
+      let u = min lo hi and v = max lo hi in
+      Sat.Lit.make (c.offsets.(attr) + row_start d u + (v - u - 1)) (lo < hi)
 
+(* the [(attr, lo, hi)] the positive literal of [var] stands for *)
 let decode c var =
   let arity = Array.length c.universes in
+  if var < 0 || var >= c.nvars then invalid_arg "Coding.fact_of_lit: variable out of range";
   let rec find a =
     if a + 1 < arity && var >= c.offsets.(a + 1) then find (a + 1) else a
   in
   let a = find 0 in
   let d = Array.length c.universes.(a) in
   let local = var - c.offsets.(a) in
-  let lo = local / (d - 1) in
-  let r = local mod (d - 1) in
-  let hi = if r >= lo then r + 1 else r in
-  (a, lo, hi)
+  match c.mode with
+  | Paper ->
+      let lo = local / (d - 1) in
+      let r = local mod (d - 1) in
+      (a, lo, if r >= lo then r + 1 else r)
+  | Exact ->
+      let rec row u = if local >= row_start d (u + 1) then row (u + 1) else u in
+      let u = row 0 in
+      (a, u, u + 1 + (local - row_start d u))
 
-let pp_var c ppf var =
-  let a, lo, hi = decode c var in
-  Format.fprintf ppf "%s: %a < %a" (Schema.name c.schema a) Value.pp
-    c.universes.(a).(lo) Value.pp c.universes.(a).(hi)
+let fact_of_lit c lit =
+  let ((a, lo, hi) as f) = decode c (Sat.Lit.var lit) in
+  match (c.mode, Sat.Lit.sign lit) with
+  | _, true -> Some f
+  | Paper, false -> None
+  | Exact, false -> Some (a, hi, lo)
+
+let pp_lit c ppf lit =
+  let a, lo, hi = decode c (Sat.Lit.var lit) in
+  let pp_pair ppf (lo, hi) =
+    Format.fprintf ppf "%s: %a < %a" (Schema.name c.schema a) Value.pp
+      c.universes.(a).(lo) Value.pp c.universes.(a).(hi)
+  in
+  match fact_of_lit c lit with
+  | Some (_, lo, hi) -> pp_pair ppf (lo, hi)
+  | None -> Format.fprintf ppf "not (%a)" pp_pair (lo, hi)

@@ -4,12 +4,27 @@
     For each attribute [Ai], the universe is [adom(Ie.Ai)] extended with
     the constants appearing in position [Ai] of CFDs in Γ; the Boolean
     variable [x^{Ai}_{a1,a2}] stands for the value-currency fact
-    [a1 ≺v_{Ai} a2] over that universe. *)
+    [a1 ≺v_{Ai} a2] over that universe.
+
+    Facts map to {e literals}, not variables ({!lit_of}/{!fact_of_lit}).
+    In [Paper] mode every ordered pair has its own variable and a fact is
+    its positive literal; a negative literal is not a fact. In [Exact]
+    mode completions are total orders, so [a2 ≺ a1] is exactly
+    [¬(a1 ≺ a2)]: one variable [x_uv] per unordered pair [u < v] stands
+    for [u ≺ v], and the fact [v ≺ u] is the literal [¬x_uv]. *)
+
+(** [Paper]: one variable per ordered value pair (the paper's encoding).
+    [Exact]: one variable per unordered value pair, totality and
+    asymmetry implicit in the literal polarity. *)
+type mode = Paper | Exact
 
 type t
 
-(** [build entity gamma] computes universes and variable numbering. *)
-val build : Entity.t -> Cfd.Constant_cfd.t list -> t
+(** [build ?mode entity gamma] computes universes and variable numbering
+    (default [Paper]). *)
+val build : ?mode:mode -> Entity.t -> Cfd.Constant_cfd.t list -> t
+
+val mode : t -> mode
 
 val schema : t -> Schema.t
 
@@ -32,8 +47,8 @@ val universe : t -> int -> Value.t array
 val adom_size : t -> int -> int
 
 (** [sizes c] is the per-attribute universe sizes, freshly allocated. The
-    variable numbering (offsets, {!nvars}, {!var_of}) is a pure function
-    of this vector, which is what lets structural clause blocks be shared
+    variable numbering (offsets, {!nvars}, {!lit_of}) is a pure function
+    of this vector and the mode, which is what lets structural clause blocks be shared
     across codings of equal sizes (see [Encode.template]). *)
 val sizes : t -> int array
 
@@ -47,15 +62,21 @@ val vid_opt : t -> int -> Value.t -> int option
 (** [value c a id] is the value with id [id] in attribute [a]. *)
 val value : t -> int -> int -> Value.t
 
-(** Total number of Boolean variables: [Σ_a d_a·(d_a - 1)]. *)
+(** Total number of Boolean variables: [Σ_a d_a·(d_a - 1)] in [Paper]
+    mode, [Σ_a d_a·(d_a - 1)/2] in [Exact] mode. *)
 val nvars : t -> int
 
-(** [var_of c ~attr lo hi] is the variable for [value lo ≺ value hi] in
-    [attr]; [lo], [hi] are value ids, [lo ≠ hi]. *)
-val var_of : t -> attr:int -> int -> int -> int
+(** [lit_of c ~attr lo hi] is the literal for [value lo ≺ value hi] in
+    [attr]; [lo], [hi] are value ids, [lo ≠ hi]. Always positive in
+    [Paper] mode; in [Exact] mode positive iff [lo < hi]. *)
+val lit_of : t -> attr:int -> int -> int -> Sat.Lit.t
 
-(** [decode c var] is the [(attr, lo, hi)] of a variable. *)
-val decode : t -> int -> int * int * int
+(** [fact_of_lit c lit] is the [(attr, lo, hi)] fact [lit] stands for —
+    the inverse of {!lit_of}. [None] for a negative [Paper]-mode literal,
+    which is not a fact. Raises [Invalid_argument] for a variable
+    outside the numbering. *)
+val fact_of_lit : t -> Sat.Lit.t -> (int * int * int) option
 
-(** [pp_var c ppf var] prints a variable as [attr: v1 < v2]. *)
-val pp_var : t -> Format.formatter -> int -> unit
+(** [pp_lit c ppf lit] prints a literal as [attr: v1 < v2] (a non-fact
+    negative literal as [not (attr: v1 < v2)]). *)
+val pp_lit : t -> Format.formatter -> Sat.Lit.t -> unit

@@ -28,13 +28,12 @@ let empty_od enc =
   Array.init (Schema.arity schema) (fun a ->
       Porder.Strict_order.create (Array.length (Coding.universe coding a)))
 
-let add_literal_to_od enc od lit =
-  let v = Sat.Lit.var lit in
-  let { Encode.attr; lo; hi } = Encode.fact_of_var enc v in
-  (* a positive unit is the fact itself; a negative unit is read as the
-     reversed pair, which is sound when completions are total orders *)
-  let lo, hi = if Sat.Lit.sign lit then (lo, hi) else (hi, lo) in
-  ignore (Porder.Strict_order.add od.(attr) lo hi)
+let add_fact od { Encode.attr; lo; hi } = ignore (Porder.Strict_order.add od.(attr) lo hi)
+
+(* the facts of an encoding's literals, indexed by literal: [None] for a
+   negative Paper-mode literal, which is not a fact *)
+let lit_facts enc =
+  Array.init (2 * enc.Encode.cnf.Sat.Cnf.nvars) (Encode.fact_of_lit enc)
 
 (* ---- unit propagation over Φ(Se), shared by the solver-free deducers ---- *)
 
@@ -103,22 +102,35 @@ let unit_conflict enc =
   let _assigns, conflict = unit_propagate enc.Encode.cnf in
   conflict
 
-let deduce_order ?solver:_ ?budget:_ ?static:_ enc =
+(* the literals unit propagation assigns true *)
+let unit_lits enc =
   let assigns, _conflict = unit_propagate enc.Encode.cnf in
-  let od = empty_od enc in
+  let lits = ref [] in
   Array.iteri
-    (fun v a ->
-      if a = 1 then add_literal_to_od enc od (Sat.Lit.pos v)
-      else if a = -1 then add_literal_to_od enc od (Sat.Lit.neg_of v))
+    (fun v a -> if a <> 0 then lits := Sat.Lit.make v (a = 1) :: !lits)
     assigns;
+  List.rev !lits
+
+let deduce_order ?solver:_ ?budget:_ ?static:_ enc =
+  let od = empty_od enc in
+  List.iter
+    (fun l ->
+      match Encode.fact_of_lit enc l with
+      | Some f -> add_fact od f
+      | None ->
+          (* a negative Paper-mode unit ¬x_uv is not a fact; it is read
+             as the reversed pair v ≺ u, which is sound when completions
+             are total orders (in Exact mode that reading is the
+             literal's own fact) *)
+          Option.iter
+            (fun f -> add_fact od { f with Encode.lo = f.Encode.hi; hi = f.Encode.lo })
+            (Encode.fact_of_lit enc (Sat.Lit.negate l)))
+    (unit_lits enc);
   { enc; od; stats = no_stats }
 
 let deduce_units enc =
-  let assigns, _conflict = unit_propagate enc.Encode.cnf in
   let od = empty_od enc in
-  Array.iteri
-    (fun v a -> if a = 1 then add_literal_to_od enc od (Sat.Lit.pos v))
-    assigns;
+  List.iter (fun l -> Option.iter (add_fact od) (Encode.fact_of_lit enc l)) (unit_lits enc);
   (* complete = false: the positive units are a strict subset of the
      backbone in general, so consumers must stick to certain-value
      claims (true_value_id routes there on incomplete deductions) *)
@@ -134,23 +146,26 @@ let deduction_solver solver enc =
       Sat.Solver.add_cnf s enc.Encode.cnf;
       (s, false)
 
-(* ---- NaiveDeduce: one SAT call per variable ---- *)
+(* ---- NaiveDeduce: one SAT call per fact literal ---- *)
 
 let naive_deduce ?solver ?budget ?static:_ enc =
   let s, reused = deduction_solver solver enc in
   (match budget with Some b -> Sat.Solver.set_budget ~conflicts:b s | None -> ());
   let od = empty_od enc in
-  let nvars = enc.Encode.cnf.Sat.Cnf.nvars in
+  let facts = lit_facts enc in
   let sat_calls = ref 0 in
   let complete = ref true in
-  let v = ref 0 in
-  while !complete && !v < nvars do
-    incr sat_calls;
-    (match Sat.Solver.solve_limited ~assumptions:[ Sat.Lit.neg_of !v ] s with
-    | Sat.Solver.Limited.Unsat -> add_literal_to_od enc od (Sat.Lit.pos !v)
-    | Sat.Solver.Limited.Sat -> ()
-    | Sat.Solver.Limited.Unknown -> complete := false);
-    incr v
+  let l = ref 0 in
+  while !complete && !l < Array.length facts do
+    (match facts.(!l) with
+    | None -> ()
+    | Some f -> (
+        incr sat_calls;
+        match Sat.Solver.solve_limited ~assumptions:[ Sat.Lit.negate !l ] s with
+        | Sat.Solver.Limited.Unsat -> add_fact od f
+        | Sat.Solver.Limited.Sat -> ()
+        | Sat.Solver.Limited.Unknown -> complete := false));
+    incr l
   done;
   {
     enc;
@@ -170,29 +185,30 @@ let naive_deduce ?solver ?budget ?static:_ enc =
 
 (* ---- backbone: model-intersection complete deduction ---- *)
 
-(* Computes exactly NaiveDeduce's fact set — the positive backbone of
-   Φ(Se), the variables true in every model — with far fewer solver calls:
+(* Computes exactly NaiveDeduce's fact set — the fact literals true in
+   every model of Φ(Se) (its backbone; in Paper mode only positive
+   literals are facts, in Exact mode both polarities are) — with far
+   fewer solver calls:
 
    - the model of the preceding validity check (still saved on a reused
-     session solver) bounds the candidate set: a variable false in any
+     session solver) bounds the candidate set: a literal false in any
      model cannot be backbone;
-   - the solver's level-0 trail seeds for free: positive facts on it are
-     backbone without a probe, negative ones leave the candidate set;
-   - each remaining candidate v is probed by one assumption solve of
-     Φ ∧ ¬v; [Unsat] confirms the fact, and a [Sat] answer's model prunes
-     every candidate it assigns false. Before each probe every remaining
-     candidate's saved phase is set to false, so the search heads for the
-     model that refutes the most of them at once; left to phase saving it
-     re-finds the previous model with one variable flipped, pruning little
-     more than the probed variable itself.
+   - the solver's level-0 trail seeds for free: fact literals on it are
+     backbone without a probe, and their variables leave the candidate
+     set;
+   - each remaining candidate l is probed by one assumption solve of
+     Φ ∧ ¬l; [Unsat] confirms the fact, and a [Sat] answer's model prunes
+     every candidate it falsifies. Before each probe every remaining
+     candidate's saved phase is set against it, so the search heads for
+     the model that refutes the most of them at once; left to phase
+     saving it re-finds the previous model with one variable flipped,
+     pruning little more than the probed literal itself.
 
    A reused solver may hold extra clause layers (learnt clauses, MaxSAT
    selectors/relaxation from {!Maxsat.Exact.solve_groups_on}); all are
    satisfiable extensions of Φ(Se), so probe answers and model
    restrictions agree with Φ(Se) alone. *)
 let backbone ?solver ?budget ?static enc =
-  let cnf = enc.Encode.cnf in
-  let nvars = cnf.Sat.Cnf.nvars in
   let s, reused = deduction_solver solver enc in
   (match budget with Some b -> Sat.Solver.set_budget ~conflicts:b s | None -> ());
   let sat_calls = ref 0 in
@@ -206,61 +222,67 @@ let backbone ?solver ?budget ?static enc =
   in
   match initial with
   | Sat.Solver.Limited.Sat ->
-      let cand = Array.init nvars (Sat.Solver.model_value s) in
+      let facts = lit_facts enc in
+      let nlits = Array.length facts in
+      let model_true l = Sat.Solver.model_value s (Sat.Lit.var l) = Sat.Lit.sign l in
+      (* candidates are the fact literals the current model satisfies: at
+         most one per variable *)
+      let cand = Array.init nlits (fun l -> facts.(l) <> None && model_true l) in
       let seeded = ref 0 and probes_avoided = ref 0 in
+      let adopt l =
+        Option.iter (add_fact od) facts.(l);
+        cand.(l) <- false
+      in
+      let seed l =
+        adopt l;
+        incr seeded
+      in
       (match static with
-      | Some facts ->
+      | Some lits ->
           (* the caller's static saturation proved these level-0: adopt
              them without probes and skip the level-0 read. Sound whenever
-             every given variable is backbone; a complete closure already
-             holds every positive level-0 fact, and the negative ones are
-             false in the initial model, so they were never candidates *)
-          List.iter
-            (fun v ->
-              add_literal_to_od enc od (Sat.Lit.pos v);
-              incr seeded;
-              cand.(v) <- false)
-            facts;
+             every given literal is backbone; a complete closure already
+             holds every fact literal of level 0, and the other level-0
+             literals are no facts or false in the initial model, so they
+             were never candidates *)
+          List.iter seed lits;
           probes_avoided := !seeded
       | None ->
-          (* the solver's level-0 trail: every fact on it is backbone (the
-             session's extension layers are satisfiable extensions of
+          (* the solver's level-0 trail: every literal on it is backbone
+             (the session's extension layers are satisfiable extensions of
              Φ(Se)), and it already holds everything unit propagation over
              Φ derives, so reading it replaces a propagation rebuild *)
-          for v = 0 to nvars - 1 do
+          for v = 0 to (nlits / 2) - 1 do
             match Sat.Solver.value_level0 s v with
-            | Some true ->
-                add_literal_to_od enc od (Sat.Lit.pos v);
-                incr seeded;
-                cand.(v) <- false
-            | Some false -> cand.(v) <- false
+            | Some b ->
+                let l = Sat.Lit.make v b in
+                if facts.(l) <> None then seed l;
+                cand.(Sat.Lit.negate l) <- false
             | None -> ()
           done);
       let probes = ref 0 and model_prunes = ref 0 in
       let complete = ref true in
-      let v = ref 0 in
-      while !complete && !v < nvars do
-        if cand.(!v) then begin
+      let l = ref 0 in
+      while !complete && !l < nlits do
+        if cand.(!l) then begin
           (* phase-guided probe: ask for a model refuting every remaining
              candidate at once, instead of phase saving's near-copy of the
              previous model with one variable flipped *)
-          for u = !v to nvars - 1 do
-            if cand.(u) then Sat.Solver.set_phase s (Sat.Lit.neg_of u)
+          for u = !l to nlits - 1 do
+            if cand.(u) then Sat.Solver.set_phase s (Sat.Lit.negate u)
           done;
           incr probes;
           incr sat_calls;
-          match Sat.Solver.solve_limited ~assumptions:[ Sat.Lit.neg_of !v ] s with
-          | Sat.Solver.Limited.Unsat ->
-              add_literal_to_od enc od (Sat.Lit.pos !v);
-              cand.(!v) <- false
+          match Sat.Solver.solve_limited ~assumptions:[ Sat.Lit.negate !l ] s with
+          | Sat.Solver.Limited.Unsat -> adopt !l
           | Sat.Solver.Limited.Sat ->
-              (* v is not backbone; neither is any candidate this model
+              (* l is not backbone; neither is any candidate this model
                  refutes — prune them all before the next probe *)
-              let v = !v in
-              for u = v to nvars - 1 do
-                if cand.(u) && not (Sat.Solver.model_value s u) then begin
+              let l = !l in
+              for u = l to nlits - 1 do
+                if cand.(u) && not (model_true u) then begin
                   cand.(u) <- false;
-                  if u > v then incr model_prunes
+                  if u > l then incr model_prunes
                 end
               done
           | Sat.Solver.Limited.Unknown ->
@@ -269,7 +291,7 @@ let backbone ?solver ?budget ?static enc =
                  result is a sound subset of the full backbone. *)
               complete := false
         end;
-        incr v
+        incr l
       done;
       {
         enc;

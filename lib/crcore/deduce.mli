@@ -1,14 +1,19 @@
 (** Deducing implied currency orders and true values (Section V-B).
 
+    Facts are literals ({!Encode.fact_of_lit}): in [Paper] mode the
+    positive literal of each ordered pair's variable, in [Exact] mode
+    either polarity of each unordered pair's variable.
+
     [DeduceOrder] runs unit propagation over Φ(Se): every one-literal
     clause it derives is added to the partial temporal order [Od]
-    (negative literals contribute the reversed pair, sound under the
-    total-order completion semantics). [NaiveDeduce] instead asks the SAT
-    solver, for every variable, whether Φ(Se) ∧ ¬x is unsatisfiable — the
-    exact but expensive variant the paper compares against. [backbone]
-    computes the same complete answer as [NaiveDeduce] from the backbone
-    of Φ(Se), pruning candidates with the models of failed refutations so
-    most variables never need their own solver call.
+    (a negative [Paper]-mode literal contributes the reversed pair, sound
+    under the total-order completion semantics). [NaiveDeduce] instead
+    asks the SAT solver, for every fact literal [l], whether Φ(Se) ∧ ¬l
+    is unsatisfiable — the exact but expensive variant the paper compares
+    against. [backbone] computes the same complete answer as
+    [NaiveDeduce] from the backbone of Φ(Se), pruning candidates with the
+    models of failed refutations so most literals never need their own
+    solver call.
 
     Each deducer takes an optional incremental [solver] already holding
     Φ(Se) (the engine passes its per-entity session): the SAT-based
@@ -56,34 +61,36 @@ val unit_conflict : Encode.t -> bool
 val deduce_order :
   ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> t
 
-(** [deduce_units enc] is {!deduce_order} restricted to {e positive}
-    units: every adopted fact is in the positive backbone of Φ(Se), so
+(** [deduce_units enc] is {!deduce_order} restricted to units that are
+    fact literals: every adopted fact is in the backbone of Φ(Se), so
     the result is a sound subset of what {!backbone}/{!naive_deduce}
     deduce — the right deducer when a budget forces a degraded answer
     that must stay inside the exact engine's fact set. (The reversed
-    reading of negative units, while sound under total-order completion
-    semantics, can claim facts the backbone never contains.) The result
+    reading of negative [Paper]-mode units, while sound under total-order
+    completion semantics, can claim facts the backbone never contains.)
+    The result
     carries [stats.complete = false], routing {!true_value_id} to the
     monotone {!certain_value_id}. *)
 val deduce_units : Encode.t -> t
 
-(** [naive_deduce enc] is [NaiveDeduce]: one SAT call per variable. With
+(** [naive_deduce enc] is [NaiveDeduce]: one SAT call per fact literal
+    (per variable in [Paper] mode, two per variable in [Exact]). With
     [solver] the calls run as assumption solves on the given session.
     [budget] arms a conflict budget on the solver ({!Sat.Solver.set_budget});
     when it runs out the probe loop stops and [stats.complete] is [false].
     A budget already armed on a passed-in [solver] is honoured the same
-    way. [static] is ignored (every variable is probed regardless). *)
+    way. [static] is ignored (every fact literal is probed regardless). *)
 val naive_deduce :
   ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> t
 
 (** [backbone enc] deduces exactly the facts of {!naive_deduce} — the
-    positive backbone of Φ(Se) — by model intersection: variables false
-    in any discovered model are discarded as candidates, the solver's
-    level-0 facts are read off its trail (positive ones adopted without a
-    probe, negative ones discarded), and each remaining candidate [v]
-    costs one assumption solve of Φ ∧ ¬v whose [Sat] models prune further
+    fact literals in the backbone of Φ(Se) — by model intersection: fact
+    literals false in any discovered model are discarded as candidates,
+    the solver's level-0 literals are read off its trail (fact ones
+    adopted without a probe), and each remaining candidate [l] costs one
+    assumption solve of Φ ∧ ¬l whose [Sat] models prune further
     candidates wholesale. Each probe first sets every remaining
-    candidate's phase to false ({!Sat.Solver.set_phase}), steering the
+    candidate's phase against it ({!Sat.Solver.set_phase}), steering the
     search toward a model that refutes as many of them as it can.
 
     When [solver] is a session already holding Φ(Se), its saved validity
@@ -99,8 +106,10 @@ val naive_deduce :
     ever adopted from the level-0 seed or an [Unsat] probe, so a truncated
     run returns a sound subset of the unbudgeted fact set.
 
-    [static] hands over a list of variables a static saturation
-    ({!Saturate}) already proved backbone: they are adopted outright —
+    [static] hands over the {e literals} ([Sat.Lit.t = int]; the name
+    of {!Saturate.fact_vars} predates the literal coding) of facts a
+    static saturation ({!Saturate}) already proved backbone: they are
+    adopted outright —
     with [stats.probes_avoided] counting them — and the level-0 read is
     skipped. The caller must only pass a {e complete} closure
     ({!Saturate.complete}); the deduced set is then identical to the

@@ -1,4 +1,4 @@
-type mode = Paper | Exact
+type mode = Coding.mode = Paper | Exact
 
 type fact = { attr : int; lo : int; hi : int }
 
@@ -45,7 +45,7 @@ type gamma_c = {
    entity: the compiled Σ/Γ (a function of the schema and the interned
    constraint lists) and the structural-axiom clause blocks, which are a
    pure function of (mode, per-attribute universe sizes) — the variable
-   numbering is offsets + d·(d-1) arithmetic over the size vector alone.
+   numbering is offset arithmetic over the size vector alone.
    One template serves every entity of a spec shape; the size-keyed store
    lets entities (and Renumbered re-encodes) of equal universe sizes share
    the cubic transitivity block outright. Sharing the clause arrays is
@@ -87,7 +87,7 @@ type t = {
   structural : Sat.Lit.t array list;
 }
 
-let var_of_fact_c coding f = Coding.var_of coding ~attr:f.attr f.lo f.hi
+let lit_of_fact_c coding f = Coding.lit_of coding ~attr:f.attr f.lo f.hi
 
 let compile_sigma schema sigma =
   let cs =
@@ -300,7 +300,7 @@ let sat_consts_v coding vids i preds =
 (* the [Constraint_ast.instantiate] semantics on a compiled constraint whose
    single-tuple constant predicates already held: evaluate the pair
    predicates, collect the residual prec conjuncts as coded facts.
-   Returns the packed dedup key ([concl var :: sorted premise vars]) and
+   Returns the packed dedup key ([concl lit :: sorted premise lits]) and
    the instance, or [None] when some conjunct is vacuous-making. *)
 let inst_compiled_v coding nulls cc v1 v2 =
   let vacuous = ref false in
@@ -336,8 +336,8 @@ let inst_compiled_v coding nulls cc v1 v2 =
       let concl = { attr = a; lo = i1; hi = i2 } in
       let premise = List.sort_uniq compare !residual in
       let key =
-        var_of_fact_c coding concl
-        :: List.map (fun f -> var_of_fact_c coding f) premise
+        lit_of_fact_c coding concl
+        :: List.map (fun f -> lit_of_fact_c coding f) premise
       in
       Some (key, { premise; concl; source = From_constraint cc.c_idx })
 
@@ -398,8 +398,8 @@ let instantiate_sigma_delta sigma_c spec coding ~base_insts ~n_base =
   List.iter
     (fun ic ->
       let key =
-        var_of_fact_c coding ic.concl
-        :: List.map (fun f -> var_of_fact_c coding f) ic.premise
+        lit_of_fact_c coding ic.concl
+        :: List.map (fun f -> lit_of_fact_c coding f) ic.premise
       in
       Hashtbl.replace seen key ())
     base_insts;
@@ -544,62 +544,72 @@ let assemble_parts spec coding ~sigma_insts ~gamma_imps ~vetoes =
   let units = units @ List.map (fun ic -> (ic.concl, ic.source)) extra_units in
   (units, implications, vetoes)
 
+(* an implication instance as a clause: ¬premise₁ ∨ … ∨ conclusion *)
+let implication_clause coding ic =
+  Array.of_list
+    (lit_of_fact_c coding ic.concl
+    :: List.map (fun f -> Sat.Lit.negate (lit_of_fact_c coding f)) ic.premise)
+
 (* The clause rendering of the instance part, in reverse push order (kept
    stable so [extend] diffs clause-for-clause against a base encoding). *)
 let instance_clauses coding (units, implications, vetoes) =
-  let var f = var_of_fact_c coding f in
+  let lit f = lit_of_fact_c coding f in
   let clauses = ref [] in
-  List.iter (fun (f, _) -> clauses := [| Sat.Lit.pos (var f) |] :: !clauses) units;
-  List.iter
-    (fun ic ->
-      let c =
-        Array.of_list
-          (Sat.Lit.pos (var ic.concl)
-          :: List.map (fun f -> Sat.Lit.neg_of (var f)) ic.premise)
-      in
-      clauses := c :: !clauses)
-    implications;
+  List.iter (fun (f, _) -> clauses := [| lit f |] :: !clauses) units;
+  List.iter (fun ic -> clauses := implication_clause coding ic :: !clauses) implications;
   List.iter
     (fun (premise, _) ->
-      clauses := Array.of_list (List.map (fun f -> Sat.Lit.neg_of (var f)) premise) :: !clauses)
+      clauses := Array.of_list (List.map (fun f -> Sat.Lit.negate (lit f)) premise) :: !clauses)
     vetoes;
   !clauses
 
-(* Φ's structural axioms: transitivity, asymmetry (+ totality in exact
-   mode) per attribute. Depends only on the coding and the mode — the part
-   [extend] reuses verbatim across [Se ⊕ Ot] steps. *)
-let structural_clauses coding mode =
+(* Φ's structural axioms per attribute. Depends only on the coding — the
+   part [extend] reuses verbatim across [Se ⊕ Ot] steps.
+
+   Paper mode: transitivity over every ordered triple plus asymmetry,
+   d(d-1)(d-2) + d(d-1)/2 clauses. Exact mode: the literal polarity
+   already makes every pair ordered one way or the other, and a
+   tournament is transitive iff it has no 3-cycle, so each unordered
+   triple i < j < k forbids its two cyclic orientations — d(d-1)(d-2)/3
+   clauses. *)
+let structural_clauses coding =
   let schema = Coding.schema coding in
   let clauses = ref [] in
   let n_structural = ref 0 in
+  let push c =
+    clauses := c :: !clauses;
+    incr n_structural
+  in
   for a = 0 to Schema.arity schema - 1 do
     let d = Array.length (Coding.universe coding a) in
-    let v lo hi = var_of_fact_c coding { attr = a; lo; hi } in
-    (* transitivity *)
-    for i = 0 to d - 1 do
-      for j = 0 to d - 1 do
-        if j <> i then
-          for k = 0 to d - 1 do
-            if k <> i && k <> j then begin
-              clauses :=
-                [| Sat.Lit.neg_of (v i j); Sat.Lit.neg_of (v j k); Sat.Lit.pos (v i k) |]
-                :: !clauses;
-              incr n_structural
-            end
+    let nl lo hi = Sat.Lit.negate (Coding.lit_of coding ~attr:a lo hi) in
+    match Coding.mode coding with
+    | Paper ->
+        (* transitivity *)
+        for i = 0 to d - 1 do
+          for j = 0 to d - 1 do
+            if j <> i then
+              for k = 0 to d - 1 do
+                if k <> i && k <> j then
+                  push [| nl i j; nl j k; Coding.lit_of coding ~attr:a i k |]
+              done
           done
-      done
-    done;
-    (* asymmetry, and totality in exact mode *)
-    for i = 0 to d - 1 do
-      for j = i + 1 to d - 1 do
-        clauses := [| Sat.Lit.neg_of (v i j); Sat.Lit.neg_of (v j i) |] :: !clauses;
-        incr n_structural;
-        if mode = Exact then begin
-          clauses := [| Sat.Lit.pos (v i j); Sat.Lit.pos (v j i) |] :: !clauses;
-          incr n_structural
-        end
-      done
-    done
+        done;
+        (* asymmetry *)
+        for i = 0 to d - 1 do
+          for j = i + 1 to d - 1 do
+            push [| nl i j; nl j i |]
+          done
+        done
+    | Exact ->
+        for i = 0 to d - 1 do
+          for j = i + 1 to d - 1 do
+            for k = j + 1 to d - 1 do
+              push [| nl i j; nl j k; nl k i |];
+              push [| nl i k; nl k j; nl j i |]
+            done
+          done
+        done
   done;
   (!clauses, !n_structural)
 
@@ -616,11 +626,11 @@ type parts = {
   p_sigma_fired : bool array;
 }
 
-let parts ?sigma_c ?gamma_c spec =
+let parts ?mode ?sigma_c ?gamma_c spec =
   let schema = Spec.schema spec in
   let sigma_c = sigma_c_for schema spec sigma_c in
   let gamma_c = gamma_c_for schema spec gamma_c in
-  let coding = Coding.build spec.Spec.entity [] in
+  let coding = Coding.build ?mode spec.Spec.entity [] in
   let fired = Array.make (List.length spec.Spec.sigma) false in
   let sigma_insts = instantiate_sigma ~fired sigma_c spec coding in
   let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
@@ -647,7 +657,7 @@ let parts_of_t enc =
 (* [structural_for tpl coding] is the structural-axiom block for [coding]'s
    universe sizes, from the template's size-keyed store. Built outside the
    lock on a miss; first-in wins (racing builders produce equal blocks: the
-   block is a pure function of (mode, sizes)). *)
+   block is a pure function of the coding's (mode, sizes)). *)
 let structural_for tpl coding =
   let key = Coding.sizes coding in
   let found =
@@ -659,7 +669,7 @@ let structural_for tpl coding =
   match found with
   | Some b -> (b.sb_clauses, b.sb_count)
   | None ->
-      let clauses, count = structural_clauses coding tpl.t_mode in
+      let clauses, count = structural_clauses coding in
       Mutex.lock tpl.t_lock;
       let b =
         match Size_tbl.find_opt tpl.t_structural key with
@@ -673,7 +683,7 @@ let structural_for tpl coding =
       (b.sb_clauses, b.sb_count)
 
 let build_t ~mode ~sigma_c ~gamma_c ~template spec =
-  let coding = Coding.build spec.Spec.entity [] in
+  let coding = Coding.build ~mode spec.Spec.entity [] in
   let sigma_insts = instantiate_sigma sigma_c spec coding in
   let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
   let ((units, implications, vetoes) as parts) =
@@ -683,7 +693,7 @@ let build_t ~mode ~sigma_c ~gamma_c ~template spec =
   let structural, n_structural =
     match template with
     | Some tpl -> structural_for tpl coding
-    | None -> structural_clauses coding mode
+    | None -> structural_clauses coding
   in
   (* all literals are in range by construction: facts are coded over the
      very universes the variable space is built from. Instance clauses
@@ -825,7 +835,7 @@ type extension = Delta of t * Sat.Lit.t array list | Renumbered of t
 let extend base spec =
   if not (pure_extension base.spec spec) then None
   else
-    let coding' = Coding.build spec.Spec.entity [] in
+    let coding' = Coding.build ~mode:base.mode spec.Spec.entity [] in
     if not (universes_prefix base.coding coding') then None
     else begin
       (* old values keep their per-attribute ids, so the Σ instances of
@@ -858,25 +868,18 @@ let extend base spec =
            of the unchanged universes and is identical on both sides, and
            pure extensions only add clauses, so the session stays sound. *)
         let cnf = Sat.Cnf.unsafe_make ~nvars:(Coding.nvars coding) (base.structural @ inst) in
-        let var f = var_of_fact_c coding f in
         let base_unit_facts = Hashtbl.create 64 in
         List.iter (fun (f, _) -> Hashtbl.replace base_unit_facts f ()) base.units;
         let delta_units =
           List.filter_map
             (fun (f, _) ->
               if Hashtbl.mem base_unit_facts f then None
-              else Some [| Sat.Lit.pos (var f) |])
+              else Some [| lit_of_fact_c coding f |])
             units
         in
         let delta_imps =
           List.filter_map
-            (fun ic ->
-              if ic.premise = [] then None
-              else
-                Some
-                  (Array.of_list
-                     (Sat.Lit.pos (var ic.concl)
-                     :: List.map (fun f -> Sat.Lit.neg_of (var f)) ic.premise)))
+            (fun ic -> if ic.premise = [] then None else Some (implication_clause coding ic))
             delta_insts
         in
         Some
@@ -909,7 +912,7 @@ let extend base spec =
         let structural, n_structural =
           match base.template with
           | Some tpl -> structural_for tpl coding
-          | None -> structural_clauses coding base.mode
+          | None -> structural_clauses coding
         in
         let cnf = Sat.Cnf.unsafe_make ~nvars:(Coding.nvars coding) (inst @ structural) in
         Some
@@ -933,11 +936,10 @@ let extend base spec =
       end
     end
 
-let var_of_fact e f = var_of_fact_c e.coding f
+let lit_of_fact e f = lit_of_fact_c e.coding f
 
-let fact_of_var e v =
-  let attr, lo, hi = Coding.decode e.coding v in
-  { attr; lo; hi }
+let fact_of_lit e l =
+  Option.map (fun (attr, lo, hi) -> { attr; lo; hi }) (Coding.fact_of_lit e.coding l)
 
 let pp_fact e ppf f =
   Format.fprintf ppf "%s: %a < %a"

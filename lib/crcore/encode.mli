@@ -16,12 +16,14 @@
     ({!relevant_gamma}), an RHS one forbids the CFD's premise (a veto
     clause).
 
-    [Exact] mode additionally emits totality clauses, making models
-    correspond exactly to families of total orders — the sound-and-complete
-    variant of the paper's heuristic Lemma 5 reduction (ablated in the
-    benches). *)
+    [Exact] mode makes models correspond exactly to families of total
+    orders — the sound-and-complete variant of the paper's heuristic
+    Lemma 5 reduction (ablated in the benches). It numbers one variable
+    per unordered value pair ({!Coding}): [v ≺ u] is the literal
+    [¬x_uv], so totality and asymmetry hold by construction and the
+    structural block is just two 3-cycle exclusions per value triple. *)
 
-type mode = Paper | Exact
+type mode = Coding.mode = Paper | Exact
 
 (** A value-currency fact: value [lo] is less current than value [hi] in
     attribute position [attr] (ids per {!Coding}). *)
@@ -103,7 +105,10 @@ type t = {
           pattern constant never occurs in the entity can never fire, so
           its "LHS pattern is most current" premise is forbidden *)
   cnf : Sat.Cnf.t;                   (** Φ(Se), structural axioms included *)
-  n_structural : int;  (** transitivity + asymmetry (+ totality) clauses *)
+  n_structural : int;
+      (** structural-axiom clauses: [Paper] transitivity + asymmetry,
+          d(d-1)(d-2) + d(d-1)/2 per attribute; [Exact] two 3-cycle
+          exclusions per value triple, d(d-1)(d-2)/3 per attribute *)
   structural : Sat.Lit.t array list;
       (** the structural-axiom clauses themselves (also inside [cnf]);
           kept separately so {!extend} can reuse them without regenerating
@@ -124,10 +129,11 @@ type parts = {
           depend on which one won the dedup) *)
 }
 
-(** [parts ?sigma_c ?gamma_c spec] instantiates Ω(Se) without building any
-    clauses: same units/implications/vetoes a full {!encode} would carry,
-    at a fraction of the cost (no cubic structural block, no CNF). *)
-val parts : ?sigma_c:sigma_c -> ?gamma_c:gamma_c -> Spec.t -> parts
+(** [parts ?mode ?sigma_c ?gamma_c spec] instantiates Ω(Se) without
+    building any clauses: same units/implications/vetoes a full {!encode}
+    would carry, at a fraction of the cost (no cubic structural block, no
+    CNF). [mode] (default [Paper]) only selects [p_coding]'s numbering. *)
+val parts : ?mode:mode -> ?sigma_c:sigma_c -> ?gamma_c:gamma_c -> Spec.t -> parts
 
 (** [parts_of_t enc] views an existing encoding as {!parts} for free.
     [p_sigma_fired] is {e not} recovered (all [false]) — the encoding
@@ -203,10 +209,11 @@ val relevant_gamma : Entity.t -> Cfd.Constant_cfd.t list -> (int * Cfd.Constant_
     same mapping so its ground instances match this encoding's. *)
 val reps_memo : Entity.t -> int list -> (int * Tuple.t) list
 
-(** [var_of_fact e f] is the Boolean variable of fact [f]. *)
-val var_of_fact : t -> fact -> int
+(** [lit_of_fact e f] is the literal of fact [f] ({!Coding.lit_of}). *)
+val lit_of_fact : t -> fact -> Sat.Lit.t
 
-(** [fact_of_var e v] decodes a variable back to its fact. *)
-val fact_of_var : t -> int -> fact
+(** [fact_of_lit e l] decodes a literal back to its fact; [None] for a
+    negative [Paper]-mode literal ({!Coding.fact_of_lit}). *)
+val fact_of_lit : t -> Sat.Lit.t -> fact option
 
 val pp_fact : t -> Format.formatter -> fact -> unit

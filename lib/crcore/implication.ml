@@ -18,8 +18,8 @@ let holds_enc enc solver f =
   | Some a -> (
       match (Coding.vid_opt coding a f.lo, Coding.vid_opt coding a f.hi) with
       | Some lo, Some hi when lo <> hi -> (
-          let x = Coding.var_of coding ~attr:a lo hi in
-          match Sat.Solver.solve ~assumptions:[ Sat.Lit.neg_of x ] solver with
+          let x = Coding.lit_of coding ~attr:a lo hi in
+          match Sat.Solver.solve ~assumptions:[ Sat.Lit.negate x ] solver with
           | Sat.Solver.Unsat ->
               (* ¬x contradicts Φ; distinguish "implied" from "Φ unsat" *)
               if Sat.Solver.ok solver then Implied else Invalid_spec

@@ -163,7 +163,7 @@ let node_group coding (r : rule) =
       List.filter_map
         (fun u ->
           if u <> v then
-            Some [| Sat.Lit.pos (Coding.var_of coding ~attr:a u v) |]
+            Some [| Coding.lit_of coding ~attr:a u v |]
           else None)
         (List.init (Coding.adom_size coding a) Fun.id))
     ((r.b, r.bval) :: r.x)

@@ -223,10 +223,11 @@ let saturate ~mode ?plan ~certain ~assume (parts : Encode.parts) =
   List.iter (fun (f, src) -> add_fact f (Axiom src) []) parts.Encode.p_units;
   drain ();
   (if mode = Encode.Exact then begin
-     (* Γ's veto ¬f meets the Exact totality clause f ∨ rev f: rev f is
-        certain. Only singleton vetoes admit this; skip premises already
-        derived (that veto is a refutation, reported below, and deriving
-        the reverse would bury it under a cycle). Totality facts can
+     (* Γ's veto ¬f meets Exact-mode totality f ∨ rev f (the coding's
+        rev f is the literal ¬f): rev f is certain. Only singleton
+        vetoes admit this; skip premises already derived (that veto is
+        a refutation, reported below, and deriving the reverse would
+        bury it under a cycle). Totality facts can
         enable further derivations, so loop to a joint fixpoint. *)
      let applied = Array.make (List.length parts.Encode.p_vetoes) false in
      let progress = ref true in
@@ -285,7 +286,7 @@ let of_encode (enc : Encode.t) =
 
 let of_spec ?(mode = Encode.Paper) spec =
   let plan = plan_for spec.Spec.sigma in
-  saturate ~mode ~plan ~certain:true ~assume:[] (Encode.parts spec)
+  saturate ~mode ~plan ~certain:true ~assume:[] (Encode.parts ~mode spec)
 
 let mode t = t.t_mode
 let coding t = t.t_coding
@@ -294,9 +295,9 @@ let facts t = Array.to_list (Array.map (fun s -> s.fact) t.steps)
 let n_facts t = Array.length t.steps
 
 let fact_vars t =
-  List.map (fun f -> Coding.var_of t.t_coding ~attr:f.attr f.lo f.hi) (facts t)
+  List.map (fun f -> Coding.lit_of t.t_coding ~attr:f.attr f.lo f.hi) (facts t)
 
-let unit_lits t = List.map Sat.Lit.pos (fact_vars t)
+let unit_lits = fact_vars
 let complete t = t.t_complete
 let refutation t = t.t_refutation
 let cyclic_attrs t = t.t_cyclic

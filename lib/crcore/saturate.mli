@@ -7,10 +7,11 @@
     clauses: units of Ω(Se) are axioms; an implication instance whose
     premises are all in the closure contributes its conclusion (modus
     ponens); two chained facts contribute their transitive composition;
-    and in [Exact] mode a vetoed singleton premise [¬f] meets the
-    totality clause [f ∨ rev f] to yield [rev f]. Every closure fact is
+    and in [Exact] mode a vetoed singleton premise [¬f] meets totality
+    ([f ∨ rev f], which the [Exact] coding holds by construction: [rev f]
+    is the literal [¬f]) to yield [rev f]. Every closure fact is
     therefore level-0 implied by Φ(Se): the closure is pointwise a subset
-    of the positive backbone whenever Φ(Se) is satisfiable.
+    of the backbone whenever Φ(Se) is satisfiable.
 
     In [Paper] mode the closure is also {e complete} when saturation
     finds no refutation: the closure-as-assignment (closure facts true,
@@ -18,8 +19,8 @@
     the closure is false in some completion and the closure equals the
     positive backbone exactly — {!complete} reports this, and
     [refutation = None] coincides with [Validity.is_valid]. [Exact] mode
-    is conservatively incomplete (totality clauses can force facts the
-    chase cannot see).
+    is conservatively incomplete (totality can force facts the chase
+    cannot see).
 
     Every derived fact carries a {e certificate}: the chain of ground
     derivation steps, checkable by {!verify} — an independent ~100-line
@@ -38,7 +39,7 @@ type rule =
   | Total of int
       (** [Exact] mode only: Γ's veto [¬f] (the CFD at this Γ index has a
           singleton ω_X premise and an RHS constant the entity never
-          takes) meets the totality clause [f ∨ rev f] *)
+          takes) meets totality [f ∨ rev f] *)
   | Assumed
       (** a hypothesis seeded by {!derives} [~assume]; never appears in
           an emitted certificate and is rejected by {!verify} *)
@@ -79,10 +80,15 @@ val facts : t -> Encode.fact list
 
 val n_facts : t -> int
 
-(** The closure as Boolean variables of the encoding's numbering. *)
+(** The closure as the {e literals} ([Sat.Lit.t = int]) of its facts in
+    the coding's numbering ({!Coding.lit_of}) — positive in [Paper] mode,
+    either polarity in [Exact] mode. The name predates the one-variable-
+    per-pair [Exact] layout and is kept because external harnesses call
+    it; it is the list {!Deduce.backbone} takes as [?static]. *)
 val fact_vars : t -> int list
 
-(** The closure as positive literals, ready to seed a SAT session. *)
+(** The closure as unit literals, ready to seed a SAT session (the same
+    list as {!fact_vars}). *)
 val unit_lits : t -> Sat.Lit.t list
 
 (** [complete t]: the closure provably equals the positive backbone of

@@ -194,6 +194,37 @@ let prop_naive_facts_implied =
         !ok
       end)
 
+(* completeness, not just soundness: in Exact mode the backbone is
+   exactly the implication relation the exhaustive reference decides —
+   every ordered pair of distinct universe values, both orientations *)
+let prop_backbone_equals_reference =
+  QCheck.Test.make ~count:100 ~name:"backbone facts == reference implied pairs (exact mode)"
+    Fixtures.qcheck_spec (fun spec ->
+      let limit = 20_000 in
+      match Crcore.Reference.analyze ~limit spec with
+      | None -> true
+      | Some r when not r.Crcore.Reference.valid -> true
+      | Some _ ->
+          let enc = E.encode ~mode:E.Exact spec in
+          let d = D.backbone enc in
+          let coding = enc.E.coding in
+          let schema = Crcore.Coding.schema coding in
+          let ok = ref true in
+          for a = 0 to Schema.arity schema - 1 do
+            let n = Array.length (Crcore.Coding.universe coding a) in
+            for lo = 0 to n - 1 do
+              for hi = 0 to n - 1 do
+                if lo <> hi then
+                  let expect =
+                    Crcore.Reference.implied ~limit spec ~attr:(Schema.name schema a)
+                      (Crcore.Coding.value coding a lo) (Crcore.Coding.value coding a hi)
+                  in
+                  if expect <> Some (D.lt d ~attr:a lo hi) then ok := false
+              done
+            done
+          done;
+          !ok)
+
 (* ---- backbone: complete deduction by model intersection ---- *)
 
 let sorted_pairs (d : D.t) =
@@ -350,6 +381,7 @@ let () =
             prop_deduced_facts_implied;
             prop_true_values_agree_with_reference;
             prop_naive_facts_implied;
+            prop_backbone_equals_reference;
             prop_backbone_equals_naive;
             prop_deduce_order_subset_of_complete;
             prop_duplicate_literals_harmless;

@@ -23,17 +23,51 @@ let test_coding_universes () =
   Alcotest.(check int) "single-value attr plus reserved null" 2
     (Array.length (Crcore.Coding.universe coding a_name))
 
+(* facts and literals round-trip through the numbering: every ordered
+   pair of distinct universe values has its own literal, in both modes;
+   Paper gives each its own positive variable, Exact gives the two
+   orientations of a pair the two polarities of one variable *)
 let test_coding_bijection () =
   let spec = Fixtures.edith_spec () in
-  let enc = E.encode spec in
-  let coding = enc.E.coding in
-  let n = Crcore.Coding.nvars coding in
-  Alcotest.(check bool) "positive vars" true (n > 0);
-  for v = 0 to n - 1 do
-    let a, lo, hi = Crcore.Coding.decode coding v in
-    Alcotest.(check int) (Printf.sprintf "decode/encode %d" v) v
-      (Crcore.Coding.var_of coding ~attr:a lo hi)
-  done
+  List.iter
+    (fun mode ->
+      let enc = E.encode ~mode spec in
+      let coding = enc.E.coding in
+      let n = Crcore.Coding.nvars coding in
+      Alcotest.(check bool) "positive vars" true (n > 0);
+      let seen = Hashtbl.create 64 in
+      let arity = Schema.arity (Crcore.Coding.schema coding) in
+      for attr = 0 to arity - 1 do
+        let d = Array.length (Crcore.Coding.universe coding attr) in
+        for lo = 0 to d - 1 do
+          for hi = 0 to d - 1 do
+            if lo <> hi then begin
+              let l = Crcore.Coding.lit_of coding ~attr lo hi in
+              Alcotest.(check bool) "in range" true (Sat.Lit.var l < n);
+              Alcotest.(check bool) "injective" false (Hashtbl.mem seen l);
+              Hashtbl.add seen l ();
+              Alcotest.(check (option (triple int int int)))
+                "fact_of_lit (lit_of f) = f" (Some (attr, lo, hi))
+                (Crcore.Coding.fact_of_lit coding l);
+              (match mode with
+              | E.Paper -> Alcotest.(check bool) "positive" true (Sat.Lit.sign l)
+              | E.Exact ->
+                  Alcotest.(check int) "reverse is the negation" (Sat.Lit.negate l)
+                    (Crcore.Coding.lit_of coding ~attr hi lo))
+            end
+          done
+        done
+      done;
+      (* every variable is used: Paper by its positive literal alone,
+         Exact by both polarities *)
+      let per_var = match mode with E.Paper -> 1 | E.Exact -> 2 in
+      Alcotest.(check int) "onto" (per_var * n) (Hashtbl.length seen);
+      if mode = E.Paper then
+        for v = 0 to n - 1 do
+          Alcotest.(check bool) "negative Paper literal is no fact" true
+            (Crcore.Coding.fact_of_lit coding (Sat.Lit.neg_of v) = None)
+        done)
+    [ E.Paper; E.Exact ]
 
 let test_coding_foreign_constant () =
   (* a CFD RHS constant the entity never takes cannot become a current
@@ -155,9 +189,10 @@ let test_relevant_gamma () =
   Alcotest.(check (list int)) "only firing cfd kept" [ 0 ] (List.map fst rel)
 
 let test_structural_axioms_counts () =
-  (* for universe sizes d: transitivity d(d-1)(d-2), asymmetry d(d-1)/2,
-     totality (exact only) d(d-1)/2 — here d = 4: three values plus the
-     reserved null *)
+  (* for universe sizes d, Paper: transitivity d(d-1)(d-2) plus asymmetry
+     d(d-1)/2 over d(d-1) variables; Exact: two 3-cycle exclusions per
+     triple, d(d-1)(d-2)/3, over d(d-1)/2 variables — here d = 4: three
+     values plus the reserved null *)
   let schema = Schema.make [ "x" ] in
   let mk v = Tuple.make schema [ Value.Str v ] in
   let e = Entity.make schema [ mk "a"; mk "b"; mk "c" ] in
@@ -165,8 +200,9 @@ let test_structural_axioms_counts () =
   let paper = E.encode ~mode:E.Paper spec in
   let exact = E.encode ~mode:E.Exact spec in
   Alcotest.(check int) "paper structural" ((4 * 3 * 2) + 6) paper.E.n_structural;
-  Alcotest.(check int) "exact structural" ((4 * 3 * 2) + 12) exact.E.n_structural;
-  Alcotest.(check int) "nvars d(d-1)" 12 paper.E.cnf.Sat.Cnf.nvars
+  Alcotest.(check int) "exact structural" (4 * 3 * 2 / 3) exact.E.n_structural;
+  Alcotest.(check int) "paper nvars d(d-1)" 12 paper.E.cnf.Sat.Cnf.nvars;
+  Alcotest.(check int) "exact nvars d(d-1)/2" 6 exact.E.cnf.Sat.Cnf.nvars
 
 (* The reserved-null slot at work: a fresh tuple carrying only known
    values and nulls keeps every universe — and hence the variable
@@ -210,13 +246,15 @@ let test_extend_null_is_delta () =
   | None -> Alcotest.fail "new-value extension rejected"
 
 let test_var_fact_roundtrip () =
-  let enc = E.encode (Fixtures.george_spec ()) in
   List.iter
-    (fun (f, _) ->
-      let v = E.var_of_fact enc f in
-      let f' = E.fact_of_var enc v in
-      Alcotest.(check bool) "fact round trip" true (f = f'))
-    enc.E.units
+    (fun mode ->
+      let enc = E.encode ~mode (Fixtures.george_spec ()) in
+      List.iter
+        (fun (f, _) ->
+          let l = E.lit_of_fact enc f in
+          Alcotest.(check bool) "fact round trip" true (E.fact_of_lit enc l = Some f))
+        enc.E.units)
+    [ E.Paper; E.Exact ]
 
 let prop_cnf_well_formed =
   QCheck.Test.make ~count:200 ~name:"encoded CNF is well-formed in both modes" Fixtures.qcheck_spec
@@ -265,11 +303,39 @@ let prop_template_instantiate_bit_identical =
           E.template_matches tpl spec && same_encoding direct staged)
         [ E.Paper; E.Exact ])
 
-let prop_exact_has_more_clauses =
-  QCheck.Test.make ~count:100 ~name:"exact mode adds clauses" Fixtures.qcheck_spec (fun spec ->
+(* The Exact layout against the one it replaced: the old double-allocated
+   Exact CNF was the Paper encoding plus a totality clause x_uv ∨ x_vu per
+   pair, over Paper's numbering. Rebuilt here, it must agree with the
+   one-variable-per-pair encoding on validity and on the complete fact
+   set [naive_deduce] reads off each. *)
+let prop_exact_equals_paper_plus_totality =
+  QCheck.Test.make ~count:150 ~name:"exact mode = paper + totality"
+    Fixtures.qcheck_spec (fun spec ->
       let p = E.encode ~mode:E.Paper spec in
+      let coding = p.E.coding in
+      let totality = ref [] in
+      for attr = 0 to Schema.arity (Crcore.Coding.schema coding) - 1 do
+        let d = Array.length (Crcore.Coding.universe coding attr) in
+        for u = 0 to d - 1 do
+          for v = u + 1 to d - 1 do
+            totality :=
+              [| Crcore.Coding.lit_of coding ~attr u v; Crcore.Coding.lit_of coding ~attr v u |]
+              :: !totality
+          done
+        done
+      done;
+      let old =
+        { p with E.cnf = Sat.Cnf.make ~nvars:p.E.cnf.Sat.Cnf.nvars (p.E.cnf.Sat.Cnf.clauses @ !totality) }
+      in
       let e = E.encode ~mode:E.Exact spec in
-      Sat.Cnf.nclauses e.E.cnf >= Sat.Cnf.nclauses p.E.cnf)
+      let valid = Crcore.Validity.check e in
+      valid = Crcore.Validity.check old
+      && ((not valid)
+         ||
+         let pairs d =
+           Array.map (fun o -> List.sort compare (Porder.Strict_order.pairs o)) d.Crcore.Deduce.od
+         in
+         pairs (Crcore.Deduce.naive_deduce e) = pairs (Crcore.Deduce.naive_deduce old)))
 
 let () =
   Alcotest.run "encode"
@@ -296,7 +362,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_cnf_well_formed;
-            prop_exact_has_more_clauses;
+            prop_exact_equals_paper_plus_totality;
             prop_template_instantiate_bit_identical;
           ] );
     ]

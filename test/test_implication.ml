@@ -76,13 +76,17 @@ let prop_exact_matches_reference =
       List.for_all
         (fun attr ->
           let a = Schema.index schema attr in
+          (* both orientations: in Exact mode one asks the positive
+             literal of the pair's variable, the other its negation *)
+          let agrees lo hi =
+            let sat_ans = I.holds ~mode:Crcore.Encode.Exact spec { I.attr; lo; hi } in
+            match Crcore.Reference.implied spec ~attr lo hi with
+            | None -> true
+            | Some true -> sat_ans = I.Implied
+            | Some false -> sat_ans = I.Not_implied || sat_ans = I.Invalid_spec
+          in
           match Entity.active_domain entity a with
-          | v1 :: v2 :: _ -> (
-              let sat_ans = I.holds ~mode:Crcore.Encode.Exact spec { I.attr; lo = v1; hi = v2 } in
-              match Crcore.Reference.implied spec ~attr v1 v2 with
-              | None -> true
-              | Some true -> sat_ans = I.Implied
-              | Some false -> sat_ans = I.Not_implied || sat_ans = I.Invalid_spec)
+          | v1 :: v2 :: _ -> agrees v1 v2 && agrees v2 v1
           | _ -> true)
         attrs)
 

@@ -97,9 +97,7 @@ let test_example13_repair () =
   let coding = enc.E.coding in
   let a_ac = Schema.index Fixtures.schema "AC" in
   let a_status = Schema.index Fixtures.schema "status" in
-  let unit attr lo hi =
-    Sat.Lit.pos (Crcore.Coding.var_of coding ~attr lo hi)
-  in
+  let unit attr lo hi = Crcore.Coding.lit_of coding ~attr lo hi in
   let vid attr s = Crcore.Coding.vid coding attr (Value.of_string s) in
   (* AC=212 on top and status=unemployed on top cannot hold together *)
   let assumptions =
