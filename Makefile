@@ -47,13 +47,10 @@ deduce:
 saturate:
 	dune exec bench/main.exe -- saturate
 
-# SAT-core ablation: clause-DB management (LBD reduction + inprocessing:
-# equivalent-literal substitution and subsumption) on vs off over Person
-# entities with linearly-growing histories; writes BENCH_satcore.json and
-# exits non-zero unless resolutions are identical both ways and
-# solve+deduce beats the grow-forever baseline at the largest size. The
-# satcore_smoke CI run additionally requires that the Exact encoding
-# arrives reduced (vars_substituted = 0, offline and in-engine).
+# SAT-core scaling curve: the default Exact-mode engine on one Person
+# entity per size (2000/5000/10000 tuples, linearly-growing histories);
+# writes BENCH_satcore.json and exits non-zero unless every size resolves
+# identically to the naive config.
 satcore:
 	dune exec bench/main.exe -- satcore
 

@@ -1117,38 +1117,23 @@ let saturate_smoke () =
   saturate_sized ~n_entities:12 ~json:(Some "BENCH_saturate_smoke.json") ()
 
 (* ---------------------------------------------------------------- *)
-(* SAT core: LBD clause-DB reduction + binary layer + inprocessing  *)
+(* SAT core: per-entity scaling curve of the Exact-mode engine       *)
 (* ---------------------------------------------------------------- *)
 
-(* The solver-internals ablation: the same Person batches resolved with
-   the clause-database machinery on (LBD-scored learnt reduction on the
-   Luby-interleaved geometric schedule, plus level-0 pre/inprocessing —
-   satisfied removal, equivalent-literal substitution,
-   subsumption/self-subsumption — at the engine's simplify points) and off (the pre-LBD
-   solver: no reduction, so the learnt database grows without bound, and
-   no inprocessing). The binary implication layer is structural and on in
-   both runs. Resolutions must be bit-identical at every size. Person
-   resolution is conflict-starved (unit propagation plus saturation derive
-   every implied order, so backbone probes rarely conflict), which makes
-   the deduce phase propagation-bound. The Exact encoding already
-   arrives reduced — one variable per value pair, two 3-cycle exclusions
-   per value triple — so equivalent-literal substitution finds nothing
-   to collapse there and subsumption little to delete; the ratchet below
-   pins that. Emits BENCH_satcore.json (the smoke run
+(* The solver-internals scaling curve: one Person entity per size,
+   resolved by the default engine in Exact mode (total-order completions
+   keep backbone probes non-trivial), like the paper's fig. 8. Person
+   resolution is conflict-starved (unit propagation plus saturation
+   derive every implied order, so backbone probes rarely conflict), which
+   makes the deduce phase propagation-bound; the eagerly emitted
+   transitivity block is what grows with size. At every size the
+   resolutions must be identical to the naive rebuild-everything config's
+   (also Exact). Emits BENCH_satcore.json (the smoke run
    BENCH_satcore_smoke.json). *)
 (* Richer histories than [person_sized]: the event count (and with it the
    per-attribute active domain, hence the CNF) grows linearly with entity
    size instead of capping at a dozen events. That is the regime where the
-   solver itself — not the encoder — carries the cost, which is what this
-   ablation measures. *)
-(* One entity per size — a per-entity scaling curve, like the paper's
-   fig. 8. Batch-level identity of simplify on/off is property-tested
-   separately (test_parallel, test_session); here one entity keeps the
-   10k point affordable and the probe sequence comparable: with this
-   seed both sides run the same probe sequence to the same answers at
-   every size (the identical_results claim); the propagation counts
-   differ because that is the effect measured — the managed side
-   propagates over the satisfied-clause-reduced database. *)
+   solver itself — not the encoder — carries the cost. *)
 let satcore_person size =
   Datagen.Person.generate
     {
@@ -1160,9 +1145,9 @@ let satcore_person size =
       seed = 101;
     }
 
-let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
+let satcore_sized ~sizes ~json () =
   section
-    (Printf.sprintf "SAT core: clause-DB management on vs off, Person size(s) %s"
+    (Printf.sprintf "SAT core: Exact-mode engine, Person size(s) %s"
        (String.concat "/" (List.map string_of_int sizes)));
   let solve_deduce (st : Crcore.Engine.stats) =
     st.Crcore.Engine.times.Crcore.Engine.validity_ms
@@ -1183,166 +1168,61 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
                  })
                ds.Datagen.Types.cases)
         in
-        let run simplify =
+        let run config =
           wall_ms (fun () ->
               Crcore.Engine.run_batch
-                ~config:
-                  {
-                    (* Exact mode (total-order completions) keeps backbone
-                       probes non-trivial; saturation stays on (the
-                       default) so its units feed the satcore side's
-                       satisfied-clause removal, exactly as in production *)
-                    Crcore.Engine.default_config with
-                    mode = Crcore.Encode.Exact;
-                    lint = false;
-                    simplify;
-                  }
+                ~config:{ config with Crcore.Engine.mode = Crcore.Encode.Exact; lint = false }
                 items)
         in
         (* Warm-up: one untimed pass first. It pays the one-time process
-           costs (heap expansion, page faults for the ~3/4-million-clause
-           arenas) that would otherwise land entirely on whichever side
-           runs first — at this scale that bias is larger than the effect
-           measured. *)
-        ignore (run true);
+           costs (heap expansion, page faults for the large clause arenas)
+           that would otherwise land on the first timed run. *)
+        ignore (run Crcore.Engine.default_config);
         Gc.compact ();
-        (* Timed runs in ABBA order — managed, baseline, baseline,
-           managed, compacting between runs — and each side reports the
-           MINIMUM of its two runs. Timing noise on a shared box is
-           additive (scheduler steal and neighbours only ever slow a run
-           down — by up to ~8% per run here, larger than the effect
-           measured), so the per-side minimum is the best estimator of
-           the uncontended time, and the ABBA order keeps the slots
-           symmetric so neither side systematically occupies a colder or
-           quieter part of the sequence. Counters are deterministic per
-           side — only the times differ between a side's two runs. *)
-        let a1_ms, (on_results, on_stats) = run true in
+        (* Two timed runs, compacting in between; the row reports the
+           MINIMUM. Timing noise on a shared box is additive (scheduler
+           steal and neighbours only ever slow a run down), so the minimum
+           is the best estimator of the uncontended time. Counters are
+           deterministic — only the times differ between the runs. *)
+        let ms1, (results, st1) = run Crcore.Engine.default_config in
         Gc.compact ();
-        let b1_ms, (off_results, off_stats) = run false in
+        let ms2, (_, st2) = run Crcore.Engine.default_config in
         Gc.compact ();
-        let b2_ms, (_, off_stats2) = run false in
-        Gc.compact ();
-        let a2_ms, (_, on_stats2) = run true in
-        let on_ms = Float.min a1_ms a2_ms in
-        let off_ms = Float.min b1_ms b2_ms in
-        let on_sd = Float.min (solve_deduce on_stats) (solve_deduce on_stats2) in
-        let off_sd = Float.min (solve_deduce off_stats) (solve_deduce off_stats2) in
+        let ms = Float.min ms1 ms2 in
+        let sd = Float.min (solve_deduce st1) (solve_deduce st2) in
+        let naive_results, _ = snd (run Crcore.Engine.naive_config) in
         let identical =
           List.for_all2
             (fun (a : Crcore.Engine.item_result) (b : Crcore.Engine.item_result) ->
               (ir_result a).Crcore.Engine.resolved = (ir_result b).Crcore.Engine.resolved
               && (ir_result a).Crcore.Engine.valid = (ir_result b).Crcore.Engine.valid)
-            on_results off_results
+            results naive_results
         in
-        let line name ms sd (st : Crcore.Engine.stats) =
-          let sv = st.Crcore.Engine.solver in
-          Printf.printf
-            "  size %5d (%-8s): %8.1f ms wall, solve+deduce %8.1f ms, %d conflict(s), \
-             %d propagation(s), %d probe(s), lbd %.2f, kept %d / deleted %d, %d \
-             binarie(s), %d subsumed, %d substituted, simplify \
-             %.1f ms\n"
-            size name ms sd sv.Sat.Solver.conflicts
-            sv.Sat.Solver.propagations st.Crcore.Engine.deduce_probes
-            (Sat.Solver.lbd_avg sv) sv.Sat.Solver.learnts_kept
-            sv.Sat.Solver.learnts_deleted sv.Sat.Solver.binaries sv.Sat.Solver.subsumed
-            sv.Sat.Solver.vars_substituted sv.Sat.Solver.simplify_ms
-        in
-        line "satcore" on_ms on_sd on_stats;
-        line "baseline" off_ms off_sd off_stats;
-        Printf.printf "  size %5d same final resolutions: %b\n%!" size identical;
+        let sv = st1.Crcore.Engine.solver in
+        Printf.printf
+          "  size %5d: %8.1f ms wall, solve+deduce %8.1f ms, %d conflict(s), %d \
+           propagation(s), %d probe(s), lbd %.2f, kept %d / deleted %d, %d binarie(s)\n"
+          size ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
+          st1.Crcore.Engine.deduce_probes (Sat.Solver.lbd_avg sv)
+          sv.Sat.Solver.learnts_kept sv.Sat.Solver.learnts_deleted sv.Sat.Solver.binaries;
+        Printf.printf "  size %5d same final resolutions as naive: %b\n%!" size identical;
         claim (Printf.sprintf "satcore: identical resolutions at size %d" size) identical;
-        (size, on_ms, off_ms, on_sd, off_sd, on_stats, off_stats, identical))
+        (size, ms, sd, st1, identical))
       sizes
   in
-  (* Offline simplification: engine-grade encodings through a standalone
-     solver — the [satcli --simplify] / [--dump-dimacs] path — over a
-     small batch of 2000-tuple entities, where encoding is cheap. Both
-     offline and in-engine, substitution must find the Exact encoding
-     already reduced (ratcheted below). *)
-  let osub, osubst, obefore, oafter, oms =
-    let ds =
-      Datagen.Person.generate
-        {
-          Datagen.Person.default_params with
-          n_entities = 8;
-          size_min = 2000;
-          size_max = 2000;
-          extra_events = 20;
-        }
-    in
-    List.fold_left
-      (fun (sub, subst, before, after, ms) (case : Datagen.Types.case) ->
-        let e =
-          Crcore.Encode.encode ~mode:Crcore.Encode.Exact (Datagen.Types.spec_of ds case)
-        in
-        let s = Sat.Solver.create () in
-        Sat.Solver.add_cnf s e.Crcore.Encode.cnf;
-        Sat.Solver.simplify s;
-        let sv = Sat.Solver.stats s in
-        ( sub + sv.Sat.Solver.subsumed,
-          subst + sv.Sat.Solver.vars_substituted,
-          before + Sat.Cnf.nclauses e.Crcore.Encode.cnf,
-          after + Sat.Cnf.nclauses (Sat.Solver.export_cnf s),
-          ms +. sv.Sat.Solver.simplify_ms ))
-      (0, 0, 0, 0, 0.) ds.Datagen.Types.cases
-  in
-  Printf.printf
-    "  offline (8 entities @2000): %d subsumed, %d substituted, clauses %d -> %d, \
-     simplify %.1f ms\n%!"
-    osub osubst obefore oafter oms;
-  (* the headline: at the largest size the managed clause database must be
-     strictly faster in solve+deduce than the grow-forever baseline *)
-  (if strict_win then
-     match List.rev rows with
-     | (size, _, _, on_sd, off_sd, _, _, _) :: _ ->
-         claim
-           (Printf.sprintf "satcore: solve+deduce strictly below baseline at size %d" size)
-           (on_sd < off_sd)
-     | [] -> ());
-  (* CI ratchet (smoke): the Exact encoding must arrive reduced — no
-     equivalent literals left for substitution to collapse, offline or
-     in-engine (a regression to one variable per ordered pair would bring
-     the x_vu = not x_uv classes back) — and the managed run must not
-     regress past the baseline by more than measurement noise *)
-  if ratchet then begin
-    claim "satcore: the Exact encoding arrives reduced offline (vars_substituted = 0)"
-      (osubst = 0);
-    List.iter
-      (fun (size, _, _, _, _, on_st, _, _) ->
-        let sv = on_st.Crcore.Engine.solver in
-        claim
-          (Printf.sprintf
-             "satcore: the Exact encoding arrives reduced at size %d (vars_substituted = 0)"
-             size)
-          (sv.Sat.Solver.vars_substituted = 0))
-      rows;
-    List.iter
-      (fun (size, _, _, on_sd, off_sd, _, _, _) ->
-        claim
-          (Printf.sprintf "satcore: no regression vs baseline at size %d" size)
-          (on_sd <= off_sd *. 1.25))
-      rows
-  end;
   match json with
   | None -> ()
   | Some path ->
-      let side (st : Crcore.Engine.stats) ms sd =
-        let sv = st.Crcore.Engine.solver in
-        Printf.sprintf
-          {|{ "wall_ms": %.3f, "solve_deduce_ms": %.3f, "conflicts": %d, "propagations": %d, "lbd_avg": %.3f, "learnts_kept": %d, "learnts_deleted": %d, "binaries": %d, "subsumed": %d, "vars_substituted": %d, "simplify_ms": %.3f }|}
-          ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
-          (Sat.Solver.lbd_avg sv) sv.Sat.Solver.learnts_kept sv.Sat.Solver.learnts_deleted
-          sv.Sat.Solver.binaries sv.Sat.Solver.subsumed sv.Sat.Solver.vars_substituted
-          sv.Sat.Solver.simplify_ms
-      in
       let size_rows =
         List.map
-          (fun (size, on_ms, off_ms, on_sd, off_sd, on_st, off_st, identical) ->
+          (fun (size, ms, sd, (st : Crcore.Engine.stats), identical) ->
+            let sv = st.Crcore.Engine.solver in
             Printf.sprintf
-              {|    { "size": %d, "identical_results": %b, "timed_runs_per_side": 2,
-      "satcore": %s,
-      "baseline": %s }|}
-              size identical (side on_st on_ms on_sd) (side off_st off_ms off_sd))
+              {|    { "size": %d, "identical_results": %b, "timed_runs": 2, "wall_ms": %.3f, "solve_deduce_ms": %.3f, "conflicts": %d, "propagations": %d, "probes": %d, "lbd_avg": %.3f, "learnts_kept": %d, "learnts_deleted": %d, "binaries": %d }|}
+              size identical ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
+              st.Crcore.Engine.deduce_probes (Sat.Solver.lbd_avg sv)
+              sv.Sat.Solver.learnts_kept sv.Sat.Solver.learnts_deleted
+              sv.Sat.Solver.binaries)
           rows
       in
       let oc = open_out path in
@@ -1352,8 +1232,8 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
   "dataset": "Person",
   "entities_per_size": %d,
   "cores_available": %d,
-  "baseline": "simplify off (no LBD reduction, no pre/inprocessing)",
-  "offline_simplify": { "subsumed": %d, "vars_substituted": %d, "clauses_before": %d, "clauses_after": %d, "simplify_ms": %.3f },
+  "engine": "default config, Exact mode, lint off; times are the minimum of 2 runs",
+  "reference": "naive config, Exact mode (identical_results)",
   "sizes": [
 %s
   ]
@@ -1361,18 +1241,15 @@ let satcore_sized ~sizes ~strict_win ~ratchet ~json () =
 |}
         1
         (Parallel.Pool.recommended_jobs ())
-        osub osubst obefore oafter oms
         (String.concat ",\n" size_rows);
       close_out oc;
       Printf.printf "  wrote %s\n%!" path
 
 let satcore () =
-  satcore_sized ~sizes:[ 2000; 5000; 10000 ] ~strict_win:true ~ratchet:false
-    ~json:(Some "BENCH_satcore.json") ()
+  satcore_sized ~sizes:[ 2000; 5000; 10000 ] ~json:(Some "BENCH_satcore.json") ()
 
 let satcore_smoke () =
-  satcore_sized ~sizes:[ 2000 ] ~strict_win:false ~ratchet:true
-    ~json:(Some "BENCH_satcore_smoke.json") ()
+  satcore_sized ~sizes:[ 2000 ] ~json:(Some "BENCH_satcore_smoke.json") ()
 
 (* ---------------------------------------------------------------- *)
 (* Lint pre-phase: statically-unsat specs skip the solver            *)

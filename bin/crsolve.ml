@@ -512,9 +512,9 @@ let run_batch entity_file dir sigma_file gamma_file exact naive jobs key truth_f
     match dump_dimacs with
     | None -> ()
     | Some path -> (
-        (* Rebuild the failing entity's post-simplification clause DB in a
-           throwaway solver: the engine's own solver may be gone (or in a
-           worker domain), and a standalone reconstruction is exactly what an
+        (* Rebuild the failing entity's loaded clause DB in a throwaway
+           solver: the engine's own solver may be gone (or in a worker
+           domain), and a standalone reconstruction is exactly what an
            external SAT tool needs to reproduce the formula. *)
         let path = if !dumped = 0 then path else Printf.sprintf "%s.%d" path !dumped in
         incr dumped;
@@ -525,10 +525,9 @@ let run_batch entity_file dir sigma_file gamma_file exact naive jobs key truth_f
               let enc = Crcore.Encode.encode ~mode:(mode_of_exact exact) spec in
               let s = Sat.Solver.create () in
               Sat.Solver.add_cnf s enc.Crcore.Encode.cnf;
-              Sat.Solver.simplify s;
               Out_channel.with_open_text path (fun oc ->
                   output_string oc (Sat.Dimacs.of_solver s));
-              Printf.eprintf "[%s] post-simplify DIMACS written to %s\n%!" label path
+              Printf.eprintf "[%s] DIMACS written to %s\n%!" label path
             with exn ->
               Printf.eprintf "[%s] dump-dimacs failed: %s\n%!" label
                 (Printexc.to_string exn)))
@@ -781,9 +780,9 @@ let batch_cmd =
       & opt (some string) None
       & info [ "dump-dimacs" ] ~docv:"PATH" ~docs:Manpage.s_none
           ~doc:
-            "Debug: on an entity failure, write that entity's post-simplification clause \
-             database (level-0 units, binary layer, surviving long clauses) as DIMACS CNF \
-             to $(docv); further failures go to $(docv).1, $(docv).2, ...")
+            "Debug: on an entity failure, write that entity's loaded clause database \
+             (level-0 units, binary layer, long clauses) as DIMACS CNF to $(docv); \
+             further failures go to $(docv).1, $(docv).2, ...")
   in
   Cmd.v
     (Cmd.info "batch"

@@ -169,9 +169,6 @@ module Config = struct
   let with_fail_fast fail_fast t =
     { t with engine = { t.engine with Crcore.Engine.fail_fast } }
 
-  let with_simplify simplify t =
-    { t with engine = { t.engine with Crcore.Engine.simplify } }
-
   let with_session_cap max_sessions t = { t with max_sessions = max 1 max_sessions }
   let with_session_ttl ttl_s t = { t with ttl_s }
   let with_wal_dir wal_dir t = { t with wal_dir }

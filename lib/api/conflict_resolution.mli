@@ -168,11 +168,6 @@ module Config : sig
 
   val with_fail_fast : bool -> t -> t
 
-  (** Solver-side clause-database management: level-0 pre/inprocessing at
-      load and extension points plus periodic LBD learnt-clause reduction.
-      On by default; [false] reproduces the pre-simplification solver. *)
-  val with_simplify : bool -> t -> t
-
   (** {!Session.Store} capacity cap (LRU beyond it); clamped to ≥ 1. *)
   val with_session_cap : int -> t -> t
 

@@ -45,7 +45,6 @@ type config = {
   max_degrade : degrade_level;
   pick_strategy : Pick.strategy;
   fail_fast : bool;
-  simplify : bool;
 }
 
 let default_config =
@@ -65,7 +64,6 @@ let default_config =
     max_degrade = PickFallback;
     pick_strategy = Pick.Favoured;
     fail_fast = false;
-    simplify = true;
   }
 
 let naive_config =
@@ -75,7 +73,6 @@ let naive_config =
     cache = false;
     lint = false;
     saturate = false;
-    simplify = false;
   }
 
 type phase_times = {
@@ -330,15 +327,12 @@ let fresh_solver sess enc =
   (* seed the static closure as unit clauses. Each fact is already level-0
      implied by Φ(Se) — every saturation rule is the unit-propagation
      reflection of a clause family of Φ — so seeding cannot change any
-     answer; it pins the facts as explicit units for robustness against
-     future clause-DB simplification. *)
+     answer. It makes the level-0 trail, which backbone deduction reads
+     before probing, hold every static fact by construction rather than
+     through that invariant. *)
   (match sess.closure with
   | Some cl -> Sat.Solver.add_units s (Saturate.unit_lits cl)
   | None -> ());
-  (* simplify after the saturation units landed, so the static closure
-     feeds satisfied-clause removal and stripping *)
-  if sess.config.simplify then Sat.Solver.simplify s
-  else Sat.Solver.set_reduce s false;
   sess.solvers_built <- sess.solvers_built + 1;
   s
 
@@ -559,12 +553,9 @@ let apply_extension sess spec' =
         let s = match sess.solver with Some s -> s | None -> assert false in
         timed sess Validity_p (fun () ->
             List.iter (Sat.Solver.add_clause_a s) delta;
-            (match sess.closure with
+            match sess.closure with
             | Some cl -> Sat.Solver.add_units s (Saturate.unit_lits cl)
-            | None -> ());
-            (* inprocessing point: the delta clauses and refreshed closure
-               are in; simplify again *)
-            if sess.config.simplify then Sat.Solver.simplify s)
+            | None -> ())
     | Some (Encode.Renumbered enc') ->
         (* a value universe grew: the Σ instances were still reused, but
            variable numbers shifted, so the solver session restarts *)

@@ -148,17 +148,6 @@ type config = {
       (** [run_batch] only: [true] restores the pre-isolation contract —
           the first entity exception propagates out of the batch instead
           of being captured as an [Error] outcome. Default [false]. *)
-  simplify : bool;
-      (** solver-side clause-database management. [true] (default) runs
-          {!Sat.Solver.simplify} at every simplify point of the session
-          timeline — right after a solver loads its encoding and the
-          saturation units, and again after each delta extension lands —
-          and leaves periodic LBD-based learnt-database reduction on.
-          Simplification never removes a variable, so everything backbone
-          probes, MaxSAT selectors and later extensions reference stays
-          usable, and resolutions are bit-identical either way. [false] reproduces the pre-simplification solver behaviour
-          (no inprocessing, unbounded learnt database) — the baseline the
-          satcore bench compares against. *)
 }
 
 (** Incremental session + cache + lint pre-phase on; [mode = Paper],

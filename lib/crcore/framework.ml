@@ -45,9 +45,6 @@ let resolve ?(mode = Encode.Paper) ?(deduce = Deduce.backbone)
       max_degrade = Engine.PickFallback;
       pick_strategy = Pick.Favoured;
       fail_fast = false;
-      (* simplify off as well: plain solvers, no inprocessing — the
-         reference the simplifying engine is property-tested against *)
-      simplify = false;
     }
   in
   let r, st = Engine.resolve ~config ~user spec in

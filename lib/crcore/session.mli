@@ -156,8 +156,7 @@ module Store : sig
     sat : Sat.Solver.stats;
         (** solver counters summed the same way — conflicts and
             propagations, plus the clause-database management counters
-            (learnt clauses kept/deleted, average LBD, binary-layer size,
-            clauses subsumed, variables substituted, simplify time) *)
+            (learnt clauses kept/deleted, average LBD, binary-layer size) *)
   }
 
   val stats : t -> stats

@@ -12,9 +12,8 @@ val parse_file : string -> Cnf.t
 (** [to_string f] renders [f] in DIMACS format. *)
 val to_string : Cnf.t -> string
 
-(** [of_solver s] renders the solver's CURRENT clause database — level-0
-    facts, the binary implication layer and the surviving original long
-    clauses, i.e. {!Solver.export_cnf} — in DIMACS format. This reflects
-    the post-[simplify] state, which is what a failing instance dumped for
-    external debugging should contain. *)
+(** [of_solver s] renders the solver's loaded clause database — level-0
+    facts, the binary implication layer and the original long clauses,
+    i.e. {!Solver.export_cnf} — in DIMACS format: what a failing instance
+    dumped for external debugging should contain. *)
 val of_solver : Solver.t -> string

@@ -6,22 +6,19 @@
    clauses live in a dedicated implication layer ([bin], flat per-literal
    vectors of the implied literal), and only clauses of three or more
    literals enter the general watch lists. Learnt clauses carry an LBD
-   ("glue") score and are periodically halved by [reduce_db]; [simplify]
-   runs pre/inprocessing at decision level 0 (equivalent-literal
-   substitution and subsumption, both of which keep every variable
-   expressible). *)
+   ("glue") score and are periodically halved by [reduce_db]. The search
+   runs on the clause database as loaded: there is no pre/inprocessing. *)
 
 type clause = {
-  mutable lits : Lit.t array; (* lits.(0) and lits.(1) are the watched pair *)
+  lits : Lit.t array; (* lits.(0) and lits.(1) are the watched pair *)
   learnt : bool;
   mutable activity : float;
   mutable lbd : int; (* distinct decision levels at learn time; <= 2 = glue *)
   mutable deleted : bool;
-  mutable sig_ : int; (* subsumption signature; scratch, valid inside simplify *)
 }
 
 let dummy_clause =
-  { lits = [||]; learnt = false; activity = 0.; lbd = 0; deleted = false; sig_ = 0 }
+  { lits = [||]; learnt = false; activity = 0.; lbd = 0; deleted = false }
 
 type result = Sat | Unsat
 
@@ -36,11 +33,6 @@ type t = {
   mutable activity : float array;
   mutable polarity : bool array;        (* saved phase *)
   mutable seen : bool array;            (* scratch for analyze *)
-  mutable repr : Lit.t array;           (* literal-indexed substitution map from
-                                           equivalent-literal classes (binary
-                                           implication SCCs); identity when the
-                                           literal is its own representative *)
-  mutable has_subst : bool;             (* fast path: repr is all-identity *)
   mutable lbd_seen : int array;         (* scratch, indexed by decision level *)
   mutable lbd_ctr : int;
   (* per-literal state *)
@@ -63,12 +55,8 @@ type t = {
   mutable model_valid : bool;
   mutable saved_model : bool array;
   (* learnt-DB reduction schedule *)
-  mutable reduce_enabled : bool;
   mutable reduce_interval : int;        (* conflicts between reductions *)
   mutable next_reduce : int;            (* absolute conflict-count target *)
-  (* inprocessing schedule: clause load (longs + binary pairs) right after
-     the last full simplify pass; -1 = never simplified *)
-  mutable simplify_marker : int;
   (* statistics *)
   mutable conflicts : int;
   mutable decisions : int;
@@ -79,10 +67,6 @@ type t = {
   mutable learnts_kept : int;           (* survivors of the last reduce_db *)
   mutable learnts_deleted : int;
   mutable n_binaries : int;             (* live pairs in the binary layer *)
-  mutable subsumed : int;               (* clauses removed by (self-)subsumption *)
-  mutable n_subst : int;                (* variables substituted away by
-                                           equivalent-literal classes *)
-  mutable simplify_ms : float;
   (* resource budgets: absolute counter targets, -1 = no limit. Only
      [solve_limited] consults them; [solve] always runs to completion. *)
   mutable conflict_limit : int;
@@ -104,8 +88,6 @@ let create () =
       activity = [||];
       polarity = [||];
       seen = [||];
-      repr = [||];
-      has_subst = false;
       lbd_seen = [||];
       lbd_ctr = 0;
       watches = [||];
@@ -122,10 +104,8 @@ let create () =
       ok = true;
       model_valid = false;
       saved_model = [||];
-      reduce_enabled = true;
       reduce_interval = default_reduce_interval;
       next_reduce = default_reduce_interval;
-      simplify_marker = -1;
       conflicts = 0;
       decisions = 0;
       propagations = 0;
@@ -135,9 +115,6 @@ let create () =
       learnts_kept = 0;
       learnts_deleted = 0;
       n_binaries = 0;
-      subsumed = 0;
-      n_subst = 0;
-      simplify_ms = 0.;
       conflict_limit = -1;
       propagation_limit = -1;
     }
@@ -163,9 +140,6 @@ let grow_arrays s n =
     s.activity <- grow s.activity 0.;
     s.polarity <- grow s.polarity false;
     s.seen <- grow s.seen false;
-    (* literal-indexed; fresh entries are their own representatives *)
-    let oldr = Array.length s.repr in
-    s.repr <- Array.init (2 * cap) (fun i -> if i < oldr then s.repr.(i) else i);
     (* indexed by decision level, which can reach nvars *)
     let lbd' = Array.make (cap + 1) 0 in
     Array.blit s.lbd_seen 0 lbd' 0 (Array.length s.lbd_seen);
@@ -208,14 +182,11 @@ let value_lit s l =
 
 let decision_level s = Vec.size s.trail_lim
 
-(* Map a caller-facing literal onto its equivalence-class representative.
-   Identity until the first substitution, and maps are kept fully collapsed
-   (no chains), so a single lookup suffices. *)
-let subst_lit s l = if s.has_subst then s.repr.(l) else l
-
-(* A no-op: [simplify] never removes a variable, so none needs to be
-   frozen against it. Kept so existing callers still build. *)
+(* No-ops: the solver has no pre/inprocessing, so there is nothing to run
+   and no variable to freeze against it. Kept so existing callers still
+   build. *)
 let freeze_all (_ : t) = ()
+let simplify (_ : t) = ()
 
 (* ---- activity ---- *)
 
@@ -343,7 +314,6 @@ let propagate s =
                 activity = 0.;
                 lbd = 2;
                 deleted = false;
-                sig_ = 0;
               };
           s.qhead <- Vec.size s.trail);
       incr j
@@ -406,9 +376,9 @@ let add_clause_a s lits =
         if Lit.var l >= s.nvars then
           invalid_arg "Solver.add_clause: unallocated variable")
       lits;
-    (* substituted literals enter as their class representatives *)
-    let lits = Array.map (fun l -> subst_lit s l) lits in
-    (* sort, dedup, drop false literals, detect tautology / satisfied *)
+    (* sort a copy: callers pass shared arrays (template clause blocks);
+       then dedup, drop false literals, detect tautology / satisfied *)
+    let lits = Array.copy lits in
     Array.sort compare lits;
     let out = ref [] and n = ref 0 and sat = ref false in
     let prev = ref (-1) in
@@ -448,7 +418,6 @@ let add_clause_a s lits =
               activity = 0.;
               lbd = 0;
               deleted = false;
-              sig_ = 0;
             }
           in
           Vec.push s.clauses c;
@@ -593,8 +562,6 @@ let reduce_db s =
   s.reduce_interval <- s.reduce_interval + (s.reduce_interval / 5);
   s.next_reduce <- s.conflicts + s.reduce_interval
 
-let set_reduce s b = s.reduce_enabled <- b
-
 let set_reduce_interval s n =
   if n < 1 then invalid_arg "Solver.set_reduce_interval";
   s.reduce_interval <- n;
@@ -623,11 +590,7 @@ let pick_branch_var s =
     if Idx_heap.is_empty s.order then -1
     else
       let v = Idx_heap.pop_max s.order in
-      if
-        value_var s v = 0
-        && ((not s.has_subst) || s.repr.(Lit.pos v) = Lit.pos v)
-      then v
-      else go ()
+      if value_var s v = 0 then v else go ()
   in
   go ()
 
@@ -666,7 +629,7 @@ let record_learnt s lits =
   end
   else begin
     let lbd = compute_lbd s lits in
-    let c = { lits; learnt = true; activity = 0.; lbd; deleted = false; sig_ = 0 } in
+    let c = { lits; learnt = true; activity = 0.; lbd; deleted = false } in
     s.learned <- s.learned + 1;
     s.lbd_sum <- s.lbd_sum +. float_of_int lbd;
     Vec.push s.learnts c;
@@ -706,7 +669,7 @@ let search s ~respect_budget ~nof_conflicts ~assumptions =
           outcome := Some S_restart
         end
         else begin
-          if s.reduce_enabled && s.conflicts >= s.next_reduce then reduce_db s;
+          if s.conflicts >= s.next_reduce then reduce_db s;
           (* place assumptions first, one decision level each *)
           let next = ref (-1) in
           let dl = decision_level s in
@@ -740,31 +703,16 @@ module Limited = struct
   type t = Sat | Unsat | Unknown
 end
 
-(* Extend a model over the substituted variables: each mirrors its class
-   representative, which the search assigned (representatives are never
-   substituted themselves). *)
-let extend_model s =
-  if s.has_subst then
-    for v = 0 to s.nvars - 1 do
-      let r = s.repr.(Lit.pos v) in
-      if r <> Lit.pos v then
-        s.saved_model.(v) <-
-          (if s.saved_model.(Lit.var r) then Lit.sign r else not (Lit.sign r))
-    done
-
 let solve_driver ~respect_budget ~assumptions s =
   s.model_valid <- false;
   if not s.ok then Limited.Unsat
   else begin
     cancel_until s 0;
-    let assumptions =
-      List.map
-        (fun l ->
-          if Lit.var l >= s.nvars then
-            invalid_arg "Solver.solve: assumption over unallocated variable";
-          subst_lit s l)
-        assumptions
-    in
+    List.iter
+      (fun l ->
+        if Lit.var l >= s.nvars then
+          invalid_arg "Solver.solve: assumption over unallocated variable")
+      assumptions;
     let assumptions = Array.of_list assumptions in
     let result = ref None in
     let curr_restarts = ref 0 in
@@ -775,7 +723,6 @@ let solve_driver ~respect_budget ~assumptions s =
       (match search s ~respect_budget ~nof_conflicts:budget ~assumptions with
       | S_sat ->
           s.saved_model <- Array.init s.nvars (fun v -> value_var s v = 1);
-          extend_model s;
           s.model_valid <- true;
           result := Some Limited.Sat
       | S_unsat_global ->
@@ -812,431 +759,13 @@ let has_model s = s.model_valid
 
 let value_level0 s v =
   if v < 0 || v >= s.nvars then invalid_arg "Solver.value_level0";
-  let l = subst_lit s (Lit.pos v) in
-  let w = Lit.var l in
-  if s.assigns.(w) <> 0 && s.level.(w) = 0 then
-    Some (if Lit.sign l then s.assigns.(w) = 1 else s.assigns.(w) = -1)
-  else None
+  if s.assigns.(v) <> 0 && s.level.(v) = 0 then Some (s.assigns.(v) = 1) else None
 
-(* the saved phase is per variable, so steer the representative: setting
-   [l] true is setting [subst_lit s l] true *)
 let set_phase s l =
   if Lit.var l >= s.nvars then invalid_arg "Solver.set_phase: unallocated variable";
-  let r = subst_lit s l in
-  s.polarity.(Lit.var r) <- Lit.sign r
+  s.polarity.(Lit.var l) <- Lit.sign l
 
 let ok s = s.ok
-
-(* ---- pre/inprocessing at decision level 0 ---- *)
-
-(* Assign a literal at level 0 outside of propagation (watches may be
-   stale while simplify runs, so implications are found by the cleanup
-   fixpoint, not by [propagate]). *)
-let assign_unit s l =
-  match value_lit s l with
-  | 1 -> ()
-  | -1 -> s.ok <- false
-  | _ -> enqueue s l dummy_clause
-
-let clause_sig c =
-  let g = ref 0 in
-  Array.iter (fun l -> g := !g lor (1 lsl (Lit.var l mod 61))) c.lits;
-  c.sig_ <- !g
-
-(* Remove satisfied clauses / binary pairs and strip false literals until
-   no new level-0 unit appears. Runs with stale watch lists (rebuilt by the
-   caller); long clauses shrunk to two literals migrate to the binary
-   layer, to one literal onto the trail. *)
-let cleanup_fixpoint s =
-  let changed = ref true in
-  while s.ok && !changed do
-    changed := false;
-    (* binary layer: the pair at bin.(p) entry o is (negate p \/ o) *)
-    let removed = ref 0 in
-    for p = 0 to (2 * s.nvars) - 1 do
-      let bs = s.bin.(p) in
-      if Vec.size bs > 0 then begin
-        let q = Lit.negate p in
-        Vec.filter_in_place
-          (fun o ->
-            if not s.ok then true
-            else begin
-              (match (value_lit s q, value_lit s o) with
-              | -1, -1 -> s.ok <- false
-              | -1, 0 ->
-                  assign_unit s o;
-                  changed := true
-              | 0, -1 ->
-                  assign_unit s q;
-                  changed := true
-              | _ -> ());
-              if s.ok && (value_lit s q = 1 || value_lit s o = 1) then begin
-                incr removed;
-                false
-              end
-              else true
-            end)
-          bs
-      end
-    done;
-    s.n_binaries <- s.n_binaries - (!removed / 2);
-    (* long clauses, original and learnt alike *)
-    let clean vec =
-      Vec.iter
-        (fun (c : clause) ->
-          if s.ok && not c.deleted then begin
-            if Array.exists (fun l -> value_lit s l = 1) c.lits then c.deleted <- true
-            else if Array.exists (fun l -> value_lit s l = -1) c.lits then begin
-              let lits' =
-                Array.of_list
-                  (List.filter (fun l -> value_lit s l = 0) (Array.to_list c.lits))
-              in
-              match Array.length lits' with
-              | 0 -> s.ok <- false
-              | 1 ->
-                  assign_unit s lits'.(0);
-                  c.deleted <- true;
-                  changed := true
-              | 2 ->
-                  add_binary s lits'.(0) lits'.(1);
-                  c.deleted <- true
-              | _ -> c.lits <- lits'
-            end
-          end)
-        vec
-    in
-    clean s.clauses;
-    clean s.learnts
-  done
-
-(* Equivalent-literal substitution (the decompose step of the Lingeling /
-   CaDiCaL lineage): strongly connected components of the binary
-   implication graph are equivalence classes — every literal in an SCC
-   implies every other — so all members collapse onto one representative.
-   A class containing both a literal and its negation makes the formula
-   unsatisfiable. Substituted variables stay expressible: every API entry
-   point maps through [repr]. Returns [true] when at least one new class
-   was found. *)
-let equiv_pass s =
-  let n2 = 2 * s.nvars in
-  let index = Array.make n2 (-1) in
-  let low = Array.make n2 0 in
-  let onstack = Array.make n2 false in
-  let comp = Array.make n2 (-1) in
-  let stack = Vec.create ~dummy:0 in
-  let ncomp = ref 0 in
-  let counter = ref 0 in
-  (* iterative Tarjan: the work stack holds (node, next successor index) *)
-  let work = Vec.create ~dummy:(0, 0) in
-  for root = 0 to n2 - 1 do
-    if index.(root) < 0 then begin
-      Vec.push work (root, 0);
-      while Vec.size work > 0 do
-        let v, ci = Vec.get work (Vec.size work - 1) in
-        if ci = 0 then begin
-          index.(v) <- !counter;
-          low.(v) <- !counter;
-          incr counter;
-          Vec.push stack v;
-          onstack.(v) <- true
-        end;
-        let succ = s.bin.(v) in
-        if ci < Vec.size succ then begin
-          Vec.set work (Vec.size work - 1) (v, ci + 1);
-          let w = Vec.get succ ci in
-          if index.(w) < 0 then Vec.push work (w, 0)
-          else if onstack.(w) then low.(v) <- min low.(v) index.(w)
-        end
-        else begin
-          ignore (Vec.pop work);
-          if Vec.size work > 0 then begin
-            let p, _ = Vec.get work (Vec.size work - 1) in
-            low.(p) <- min low.(p) low.(v)
-          end;
-          if low.(v) = index.(v) then begin
-            let continue = ref true in
-            while !continue do
-              let w = Vec.pop stack in
-              onstack.(w) <- false;
-              comp.(w) <- !ncomp;
-              if w = v then continue := false
-            done;
-            incr ncomp
-          end
-        end
-      done
-    end
-  done;
-  (* bucket literals by component and install representatives *)
-  let members = Array.make !ncomp [] in
-  for l = n2 - 1 downto 0 do
-    members.(comp.(l)) <- l :: members.(comp.(l))
-  done;
-  let found = ref false in
-  Array.iter
-    (fun ms ->
-      match ms with
-      | [] | [ _ ] -> ()
-      | rep :: rest ->
-          (* members are ascending, so the head is the minimum literal; the
-             complement class independently picks exactly the negated
-             representative (same variable set, opposite signs), keeping
-             [repr l] and [repr (negate l)] negations of each other *)
-          List.iter
-            (fun l ->
-              if comp.(l) = comp.(Lit.negate l) then s.ok <- false
-              else s.repr.(l) <- rep)
-            rest;
-          (* each substituted variable sits in exactly one of the two
-             complementary classes with the positive representative *)
-          if Lit.sign rep then s.n_subst <- s.n_subst + List.length rest;
-          found := true)
-    members;
-  if !found && s.ok then begin
-    (* collapse chains left by earlier substitution rounds: a literal that
-       already mapped to [r] must follow [r]'s new mapping (one hop — the
-       old map was chain-free and the new one maps only live literals) *)
-    if s.has_subst then
-      for l = 0 to Array.length s.repr - 1 do
-        let r = s.repr.(l) in
-        if r <> l && r < n2 && s.repr.(r) <> r then s.repr.(l) <- s.repr.(r)
-      done;
-    s.has_subst <- true
-  end;
-  !found && s.ok
-
-(* Rewrite the whole database through [repr]: binary pairs and long
-   clauses alike. Tautologies vanish (the class's own defining binaries),
-   duplicates in the binary layer are deduplicated outright, and clauses
-   shrunk to one literal become level-0 facts. Duplicate LONG clauses are
-   left for the subsumption pass, which deletes exact copies. Watch lists
-   are stale during this pass; the caller rebuilds them. *)
-let apply_subst s =
-  let pairs = ref [] in
-  Array.iteri
-    (fun p bs ->
-      let a = Lit.negate p in
-      Vec.iter (fun o -> if a < o then pairs := (a, o) :: !pairs) bs)
-    s.bin;
-  Array.iter Vec.clear s.bin;
-  s.n_binaries <- 0;
-  let seen = Hashtbl.create 4096 in
-  List.iter
-    (fun (a, b) ->
-      let a = s.repr.(a) and b = s.repr.(b) in
-      let a, b = if a <= b then (a, b) else (b, a) in
-      if a = b then assign_unit s a (* (l ∨ l) collapsed to a fact *)
-      else if b = Lit.negate a then () (* tautology *)
-      else if not (Hashtbl.mem seen (a, b)) then begin
-        Hashtbl.add seen (a, b) ();
-        add_binary s a b
-      end)
-    !pairs;
-  let rewrite vec =
-    Vec.iter
-      (fun (c : clause) ->
-        if (not c.deleted) && Array.exists (fun l -> s.repr.(l) <> l) c.lits then begin
-          let mapped = Array.map (fun l -> s.repr.(l)) c.lits in
-          Array.sort compare mapped;
-          let out = ref [] and n = ref 0 and taut = ref false in
-          let prev = ref (-2) in
-          Array.iter
-            (fun l ->
-              if not !taut then
-                if l = Lit.negate !prev && !prev >= 0 then taut := true
-                else if l <> !prev then begin
-                  out := l :: !out;
-                  incr n;
-                  prev := l
-                end)
-            mapped;
-          if !taut then c.deleted <- true
-          else
-            match !out with
-            | [] -> s.ok <- false
-            | [ l ] ->
-                assign_unit s l;
-                c.deleted <- true
-            | [ x; y ] ->
-                let x, y = if x <= y then (x, y) else (y, x) in
-                if not (Hashtbl.mem seen (x, y)) then begin
-                  Hashtbl.add seen (x, y) ();
-                  add_binary s x y
-                end;
-                c.deleted <- true
-            | ls -> c.lits <- Array.of_list (List.rev ls)
-        end)
-      vec
-  in
-  rewrite s.clauses;
-  rewrite s.learnts
-
-(* Backward subsumption and self-subsuming resolution over the original
-   long clauses, using per-variable occurrence lists and 61-bit signatures;
-   the binary layer both subsumes and strengthens long clauses. *)
-let subsumption_pass s =
-  (* transient occurrence lists over the original long clauses and a
-     literal-indexed mark array *)
-  let occ = Array.init s.nvars (fun _ -> Vec.create ~dummy:dummy_clause) in
-  Vec.iter
-    (fun (c : clause) ->
-      if not c.deleted then Array.iter (fun l -> Vec.push occ.(Lit.var l) c) c.lits)
-    s.clauses;
-  let mark = Array.make (2 * s.nvars) 0 and stamp = ref 0 in
-  let next_stamp () =
-    incr stamp;
-    !stamp
-  in
-  (* does c subsume d (return Some None), self-subsume it (Some (Some l):
-     negate l can be stripped from d), or neither (None)? *)
-  let subsumes (c : clause) (d : clause) =
-    let st = next_stamp () in
-    Array.iter (fun l -> mark.(l) <- st) d.lits;
-    let flip = ref None and failed = ref false in
-    Array.iter
-      (fun l ->
-        if not !failed then
-          if mark.(l) = st then ()
-          else if mark.(Lit.negate l) = st && !flip = None then flip := Some l
-          else failed := true)
-      c.lits;
-    if !failed then None else Some !flip
-  in
-  (* strengthen d by dropping literal l; returns false when d left the long
-     database (became binary) *)
-  let strengthen (d : clause) l =
-    d.lits <- Array.of_list (List.filter (fun x -> x <> l) (Array.to_list d.lits));
-    if Array.length d.lits = 2 then begin
-      add_binary s d.lits.(0) d.lits.(1);
-      d.deleted <- true;
-      false
-    end
-    else begin
-      clause_sig d;
-      true
-    end
-  in
-  let work = Vec.create ~dummy:dummy_clause in
-  Vec.iter
-    (fun (c : clause) ->
-      clause_sig c;
-      Vec.push work c)
-    s.clauses;
-  let wi = ref 0 in
-  while !wi < Vec.size work do
-    let c = Vec.get work !wi in
-    incr wi;
-    if not c.deleted then begin
-      (* the binary layer vs c: a pair (l \/ o) with both l and o in c
-         subsumes it; with l in c and negate o in c it strengthens it *)
-      let rescan = ref true in
-      while !rescan && not c.deleted do
-        rescan := false;
-        let st = next_stamp () in
-        Array.iter (fun l -> mark.(l) <- st) c.lits;
-        (try
-           Array.iter
-             (fun l ->
-               Vec.iter
-                 (fun o ->
-                   if o <> l && mark.(o) = st then begin
-                     c.deleted <- true;
-                     s.subsumed <- s.subsumed + 1;
-                     raise Exit
-                   end
-                   else if mark.(Lit.negate o) = st then begin
-                     if strengthen c (Lit.negate o) then rescan := true;
-                     raise Exit
-                   end)
-                 s.bin.(Lit.negate l))
-             c.lits
-         with Exit -> ())
-      done;
-      if not c.deleted then begin
-        (* scan candidates through the occurrence list of c's rarest var *)
-        let best = ref (Lit.var c.lits.(0)) in
-        Array.iter
-          (fun l ->
-            let v = Lit.var l in
-            if Vec.size occ.(v) < Vec.size occ.(!best) then best := v)
-          c.lits;
-        Vec.iter
-          (fun (d : clause) ->
-            if
-              d != c && (not d.deleted) && (not c.deleted)
-              && Array.length d.lits >= Array.length c.lits
-              && c.sig_ land lnot d.sig_ = 0
-            then
-              match subsumes c d with
-              | Some None ->
-                  d.deleted <- true;
-                  s.subsumed <- s.subsumed + 1
-              | Some (Some l) ->
-                  (* self-subsuming resolution: d loses (negate l) *)
-                  if strengthen d (Lit.negate l) then Vec.push work d
-                  else s.subsumed <- s.subsumed + 1
-              | None -> ())
-          occ.(!best)
-      end
-    end
-  done
-
-let clause_load s = Vec.size s.clauses + s.n_binaries
-
-(* Inprocessing scheduling: a full pass costs O(database) — occurrence
-   lists, subsumption scans, a complete watch rebuild — so running it at
-   every incremental extension point would dominate sessions that extend
-   often and grow little (the daemon's delta workload). A pass runs only
-   when the clause load has grown by >= 25% (plus slack) since the last
-   one; calls in between are no-ops. *)
-let simplify_due s =
-  s.simplify_marker < 0
-  || clause_load s > s.simplify_marker + (s.simplify_marker / 4) + 16
-
-let simplify s =
-  if s.ok && decision_level s = 0 && simplify_due s then begin
-    let t0 = Monotonic_clock.now () in
-    (match propagate s with Some _ -> s.ok <- false | None -> ());
-    if s.ok then begin
-      (* level-0 implications are facts; their reasons are never revisited *)
-      Vec.iter
-        (fun l ->
-          let v = Lit.var l in
-          s.reason.(v) <- dummy_clause;
-          s.binreason.(v) <- -1)
-        s.trail;
-      cleanup_fixpoint s;
-      (* equivalent-literal classes (binary SCCs) collapse onto their
-         representatives before the clause-level passes: the rewrite turns
-         the classes' defining binaries into tautologies and leaves exact
-         duplicate long clauses for the subsumption pass to delete *)
-      if s.ok && equiv_pass s then begin
-        apply_subst s;
-        if s.ok then cleanup_fixpoint s
-      end;
-      if s.ok then begin
-        subsumption_pass s;
-        (* consume units discovered by strengthening *)
-        if s.ok then cleanup_fixpoint s
-      end;
-      (* compact the databases and rebuild every watch list: surviving long
-         clauses contain only unassigned literals, so any two positions
-         are valid watches *)
-      Vec.filter_in_place (fun (c : clause) -> not c.deleted) s.clauses;
-      Vec.filter_in_place (fun (c : clause) -> not c.deleted) s.learnts;
-      Array.iter Vec.clear s.watches;
-      if s.ok then begin
-        Vec.iter (fun c -> attach_clause s c) s.clauses;
-        Vec.iter (fun c -> attach_clause s c) s.learnts;
-        (* re-run propagation from scratch against the rebuilt structures *)
-        s.qhead <- 0;
-        match propagate s with Some _ -> s.ok <- false | None -> ()
-      end
-    end;
-    s.simplify_marker <- clause_load s;
-    s.simplify_ms <-
-      s.simplify_ms +. (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6)
-  end
 
 (* ---- export ---- *)
 
@@ -1255,21 +784,8 @@ let export_cnf s =
         let a = Lit.negate p in
         Vec.iter (fun o -> if a < o then cls := [| a; o |] :: !cls) bs)
       s.bin;
-    (* surviving original long clauses (learnts are implied; skipped) *)
-    Vec.iter
-      (fun (c : clause) -> if not c.deleted then cls := Array.copy c.lits :: !cls)
-      s.clauses;
-    (* substituted variables stay expressible in the export: emit their
-       defining equivalences, so the export keeps the input's models *)
-    if s.has_subst then
-      for v = 0 to s.nvars - 1 do
-        let p = Lit.pos v in
-        let r = s.repr.(p) in
-        if r <> p then begin
-          cls := [| Lit.negate p; r |] :: !cls;
-          cls := [| p; Lit.negate r |] :: !cls
-        end
-      done;
+    (* original long clauses (learnts are implied; skipped) *)
+    Vec.iter (fun (c : clause) -> cls := Array.copy c.lits :: !cls) s.clauses;
     Cnf.unsafe_make ~nvars:s.nvars !cls
   end
 
@@ -1291,23 +807,8 @@ type stats = {
   simplify_ms : float;
 }
 
-let stats (s : t) =
-  {
-    conflicts = s.conflicts;
-    decisions = s.decisions;
-    propagations = s.propagations;
-    restarts = s.restarts;
-    learnts = Vec.size s.learnts;
-    learned = s.learned;
-    lbd_sum = s.lbd_sum;
-    learnts_kept = s.learnts_kept;
-    learnts_deleted = s.learnts_deleted;
-    binaries = s.n_binaries;
-    subsumed = s.subsumed;
-    vars_substituted = s.n_subst;
-    simplify_ms = s.simplify_ms;
-  }
-
+(* [subsumed], [vars_substituted] and [simplify_ms] stay at their zero
+   value: every snapshot below starts from [zero_stats] *)
 let zero_stats =
   {
     conflicts = 0;
@@ -1325,10 +826,26 @@ let zero_stats =
     simplify_ms = 0.;
   }
 
+let stats (s : t) =
+  {
+    zero_stats with
+    conflicts = s.conflicts;
+    decisions = s.decisions;
+    propagations = s.propagations;
+    restarts = s.restarts;
+    learnts = Vec.size s.learnts;
+    learned = s.learned;
+    lbd_sum = s.lbd_sum;
+    learnts_kept = s.learnts_kept;
+    learnts_deleted = s.learnts_deleted;
+    binaries = s.n_binaries;
+  }
+
 let lbd_avg st = if st.learned = 0 then 0. else st.lbd_sum /. float_of_int st.learned
 
 let add_stats a b =
   {
+    zero_stats with
     conflicts = a.conflicts + b.conflicts;
     decisions = a.decisions + b.decisions;
     propagations = a.propagations + b.propagations;
@@ -1339,13 +856,11 @@ let add_stats a b =
     learnts_kept = b.learnts_kept;
     learnts_deleted = a.learnts_deleted + b.learnts_deleted;
     binaries = b.binaries;
-    subsumed = a.subsumed + b.subsumed;
-    vars_substituted = a.vars_substituted + b.vars_substituted;
-    simplify_ms = a.simplify_ms +. b.simplify_ms;
   }
 
 let diff_stats a b =
   {
+    zero_stats with
     conflicts = a.conflicts - b.conflicts;
     decisions = a.decisions - b.decisions;
     propagations = a.propagations - b.propagations;
@@ -1356,16 +871,11 @@ let diff_stats a b =
     learnts_kept = a.learnts_kept;
     learnts_deleted = a.learnts_deleted - b.learnts_deleted;
     binaries = a.binaries;
-    subsumed = a.subsumed - b.subsumed;
-    vars_substituted = a.vars_substituted - b.vars_substituted;
-    simplify_ms = a.simplify_ms -. b.simplify_ms;
   }
 
 let pp_stats ppf st =
   Format.fprintf ppf
     "conflicts=%d decisions=%d propagations=%d restarts=%d learnts=%d \
-     learnts_kept=%d learnts_deleted=%d lbd_avg=%.2f binaries=%d subsumed=%d \
-     vars_substituted=%d simplify_ms=%.1f"
+     learnts_kept=%d learnts_deleted=%d lbd_avg=%.2f binaries=%d"
     st.conflicts st.decisions st.propagations st.restarts st.learnts st.learnts_kept
-    st.learnts_deleted (lbd_avg st) st.binaries st.subsumed
-    st.vars_substituted st.simplify_ms
+    st.learnts_deleted (lbd_avg st) st.binaries

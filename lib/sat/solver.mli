@@ -4,9 +4,9 @@
     implication layer, first-UIP conflict analysis with clause learning,
     LBD ("glue") scoring with periodic learnt-database reduction, VSIDS
     variable activities with an indexed heap, phase saving, Luby-sequence
-    restarts, incremental solving under assumptions, and level-0
-    pre/inprocessing ({!simplify}: equivalent-literal substitution and
-    subsumption, neither of which removes a variable).
+    restarts and incremental solving under assumptions. Like MiniSat used
+    as a black box, it searches the clause database as loaded: there is no
+    pre/inprocessing pass.
 
     This is the substrate standing in for MiniSat in the paper's [IsValid],
     [NaiveDeduce] and suggestion-repair steps. Clauses may be added between
@@ -28,11 +28,10 @@ val ensure_nvars : t -> int -> unit
 val nvars : t -> int
 
 (** [add_clause s lits] adds a clause. Literals over unallocated variables
-    raise [Invalid_argument]; literals over variables a previous
-    {!simplify} substituted enter as their class representative. Adding
-    the empty clause (or a clause falsified at level 0) makes the solver
-    permanently unsatisfiable. Two-literal clauses go to the binary
-    implication layer, not the general watch lists. *)
+    raise [Invalid_argument]. Adding the empty clause (or a clause
+    falsified at level 0) makes the solver permanently unsatisfiable.
+    Two-literal clauses go to the binary implication layer, not the
+    general watch lists. *)
 val add_clause : t -> Lit.t list -> unit
 
 (** [add_clause_a s c] is [add_clause] on an array (the array is copied). *)
@@ -45,42 +44,17 @@ val add_cnf : t -> Cnf.t -> unit
     point for seeding externally-proven facts (e.g. a static saturation's
     closure) into a session. Units are enqueued and propagated at level 0
     immediately, so a literal the clause set already implies is a no-op
-    on the solver state. Call before {!simplify} so the facts feed the
-    satisfied-clause removal and false-literal stripping. *)
+    on the solver state, and clauses added afterwards drop the literals
+    the units falsify. *)
 val add_units : t -> Lit.t list -> unit
 
-(** [freeze_all s] does nothing: {!simplify} never removes a variable, so
-    none has to be frozen against it. Kept only so existing callers
-    still build. *)
+(** [freeze_all s] does nothing: the solver removes no variable, so none
+    has to be frozen. Kept only so existing callers still build. *)
 val freeze_all : t -> unit
 
-(** [simplify s] runs pre/inprocessing at decision level 0 (a no-op at a
-    higher level or on an unsat solver): top-level satisfied-clause
-    removal and false-literal stripping; equivalent-literal substitution
-    (strongly connected components of the binary implication graph are
-    collapsed onto one representative literal per class, rewriting the
-    whole clause database — the "decompose" pass of Lingeling/CaDiCaL);
-    backward subsumption and self-subsuming resolution through occurrence
-    lists (the binary layer participates as both subsumer and
-    strengthener). Substituted variables stay expressible, because
-    [add_clause], assumptions, {!model_value}, {!value_level0} and
-    {!export_cnf} all map through the substitution, so the clause set
-    afterwards is equivalent to the one before over every variable. Safe
-    to call between [solve] calls on an incremental session; learnt
-    clauses survive (rewritten through the substitution).
-
-    Self-scheduling: a pass costs O(database), so calls are no-ops until
-    the clause load has grown by at least 25% since the previous pass
-    (the first call always runs). Sessions may therefore call [simplify]
-    at every extension point and pay only when the database changed
-    enough to matter. *)
+(** [simplify s] does nothing: the solver has no pre/inprocessing pass.
+    Kept only so existing callers still build. *)
 val simplify : t -> unit
-
-(** [set_reduce s b] enables/disables periodic learnt-clause database
-    reduction (enabled on a fresh solver). With reduction off the learnt
-    database grows without bound — the pre-LBD behaviour, kept as a
-    baseline for benchmarks. *)
-val set_reduce : t -> bool -> unit
 
 (** [set_reduce_interval s n] sets the number of conflicts before the next
     database reduction to [n] (default 2000); each reduction then grows the
@@ -107,7 +81,7 @@ end
     the next [solve_limited] return [Unknown] immediately unless the
     clause set is already known unsatisfiable. Budgets persist across
     calls until re-armed or cleared with {!clear_budget}, and they survive
-    {!reduce_db}-scheduled reductions and {!simplify} runs unchanged. *)
+    learnt-database reductions unchanged. *)
 val set_budget : ?conflicts:int -> ?propagations:int -> t -> unit
 
 (** [clear_budget s] removes all budgets. *)
@@ -130,10 +104,8 @@ val budget_exhausted : t -> bool
 val solve_limited : ?assumptions:Lit.t list -> t -> Limited.t
 
 (** [model_value s v] is the truth of variable [v] in the model found by the
-    last successful [solve]. A variable {!simplify} substituted takes the
-    value of its class representative, so the returned model satisfies
-    the original clause set. Unassigned variables default to [false]. Raises [Invalid_argument] if the last call did not return
-    [Sat]. *)
+    last successful [solve]. Raises [Invalid_argument] if the last call
+    did not return [Sat]. *)
 val model_value : t -> int -> bool
 
 (** [model s] is the full model as an array indexed by variable. *)
@@ -151,22 +123,19 @@ val has_model : t -> bool
 val value_level0 : t -> int -> bool option
 
 (** [set_phase s l] sets the saved polarity of [l]'s variable so that the
-    next decision on it tries [l] true. A variable {!simplify} substituted
-    steers its class representative instead, with the sign mapped through
-    the substitution, so the literal itself is what the decision tries.
-    Only the search order changes: answers are the same under any phases,
-    and a later solve overwrites them through phase saving. Raises
-    [Invalid_argument] on an unallocated variable. *)
+    next decision on it tries [l] true. Only the search order changes:
+    answers are the same under any phases, and a later solve overwrites
+    them through phase saving. Raises [Invalid_argument] on an
+    unallocated variable. *)
 val set_phase : t -> Lit.t -> unit
 
 (** [ok s] is [false] once the clause set is known unsatisfiable without
     assumptions. *)
 val ok : t -> bool
 
-(** [export_cnf s] is the CURRENT clause database as a [Cnf.t]: the level-0
-    facts as unit clauses, the binary implication layer, and the surviving
-    original long clauses (learnt clauses are implied and skipped), plus
-    the defining equivalence of every substituted variable. On an unsat
+(** [export_cnf s] is the loaded clause database as a [Cnf.t]: the level-0
+    facts as unit clauses, the binary implication layer, and the original
+    long clauses (learnt clauses are implied and skipped). On an unsat
     solver it is a formula holding just the empty clause. The result has
     exactly the models of everything ever added, over all variables. *)
 val export_cnf : t -> Cnf.t
@@ -176,8 +145,10 @@ val export_cnf : t -> Cnf.t
     (survivors of the most recent reduction) and [binaries] (live pairs in
     the binary layer) are gauges; everything else accumulates. [learned]
     counts clauses ever learnt and [lbd_sum] their learn-time LBDs, so
-    {!lbd_avg} is exact under [add_stats]/[diff_stats].
-    [Crcore.Engine] aggregates these per entity and per batch. *)
+    {!lbd_avg} is exact under [add_stats]/[diff_stats]. [subsumed],
+    [vars_substituted] and [simplify_ms] are always 0: they counted the
+    deleted pre/inprocessing pass and stay only so existing readers still
+    build. [Crcore.Engine] aggregates these per entity and per batch. *)
 type stats = {
   conflicts : int;
   decisions : int;

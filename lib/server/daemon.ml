@@ -485,11 +485,6 @@ let stats_json t =
       ( "sat_lbd_avg",
         Printf.sprintf "%.3f" (Sat.Solver.lbd_avg s.Session.Store.sat) );
       ("sat_binaries", Protocol.jint s.Session.Store.sat.Sat.Solver.binaries);
-      ("sat_subsumed", Protocol.jint s.Session.Store.sat.Sat.Solver.subsumed);
-      ( "sat_vars_substituted",
-        Protocol.jint s.Session.Store.sat.Sat.Solver.vars_substituted );
-      ( "sat_simplify_ms",
-        Printf.sprintf "%.3f" s.Session.Store.sat.Sat.Solver.simplify_ms );
       ("requests", Protocol.jint t.n_requests);
       ("resolve_requests", Protocol.jint t.n_resolves);
       ("ingest_requests", Protocol.jint t.n_ingests);

@@ -252,14 +252,13 @@ let test_backbone_on_paper_examples () =
     [ Fixtures.edith_spec (); Fixtures.george_spec () ]
 
 (* a session solver set up the way the engine sets one up: Φ(Se), the
-   static closure as unit clauses, a simplify pass (so equivalent-literal
-   substitution is live under the probes' phases and assumptions), then
-   the validity solve whose model the deducer starts from *)
+   static closure as unit clauses (so the level-0 trail already holds the
+   static facts), then the validity solve whose model the deducer starts
+   from *)
 let engine_session enc cl =
   let s = Sat.Solver.create () in
   Sat.Solver.add_cnf s enc.E.cnf;
   Sat.Solver.add_units s (Crcore.Saturate.unit_lits cl);
-  Sat.Solver.simplify s;
   let sat = Sat.Solver.solve s = Sat.Solver.Sat in
   (s, sat)
 

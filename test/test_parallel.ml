@@ -278,42 +278,6 @@ let prop_template_path_identical =
             [ true; false ])
         [ 1; 4 ])
 
-(* The simplifying solver — LBD clause-database reduction plus level-0
-   pre/inprocessing at the engine's simplify points — must be invisible in
-   resolutions: simplify on agrees with simplify off and with the naive
-   rebuild-everything config on every spec, whatever the domain count and
-   whether the saturation pre-phase runs. Backbone probes, MaxSAT
-   selectors and delta extensions all land on the simplified solver. *)
-let prop_simplify_identical =
-  QCheck.Test.make ~count:10
-    ~name:"simplify on == off == naive at jobs in {1,4}, saturate on/off"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let items = batch_of_seed seed in
-      let base_results, _ = E.run_batch ~config:E.naive_config items in
-      List.for_all
-        (fun jobs ->
-          List.for_all
-            (fun saturate ->
-              List.for_all
-                (fun simplify ->
-                  let r, _ =
-                    E.run_batch
-                      ~config:
-                        {
-                          E.default_config with
-                          jobs;
-                          clamp_jobs = false;
-                          saturate;
-                          simplify;
-                        }
-                      items
-                  in
-                  same_answers base_results r)
-                [ true; false ])
-            [ true; false ])
-        [ 1; 4 ])
-
 (* By default the engine caps the batch width at the machine's core
    count: over-subscribing domains is a pure slowdown, and BENCH_par
    showed a 3x one on a 1-core host. The request is still recorded. *)
@@ -372,6 +336,5 @@ let () =
           (prop_parallel_equals_sequential
            :: prop_solver_reuse_identical_under_jobs
            :: prop_template_path_identical
-           :: prop_simplify_identical
            :: env_jobs_tests) );
     ]

@@ -146,87 +146,33 @@ let prop_model_count_positive =
       let n = Sat.Brute.count_models f in
       is_sat f = (n > 0))
 
-(* ---- simplify / clause-database management ---- *)
+(* ---- clause-database management ---- *)
 
-let test_simplify_subsumption () =
-  let s = Sat.Solver.create () in
-  Sat.Solver.ensure_nvars s 4;
-  Sat.Solver.add_clause s [ lit 0 true; lit 1 true ];
-  Alcotest.(check int) "binary layer" 1 (Sat.Solver.stats s).Sat.Solver.binaries;
-  Sat.Solver.add_clause s [ lit 0 true; lit 1 true; lit 2 true ];
-  Sat.Solver.add_clause s [ lit 0 true; lit 2 false; lit 3 true ];
-  Sat.Solver.simplify s;
-  let st = Sat.Solver.stats s in
-  Alcotest.(check bool) "subsumed the long clause" true (st.Sat.Solver.subsumed >= 1);
-  Alcotest.(check bool) "still sat" true (Sat.Solver.solve s = Sat.Solver.Sat)
-
-let test_simplify_subst () =
-  (* (a -> b) and (b -> a): one binary SCC, so simplify collapses b onto a
-     — substituted variables remain expressible *)
-  let s = Sat.Solver.create () in
-  Sat.Solver.ensure_nvars s 3;
-  Sat.Solver.add_clause s [ lit 0 false; lit 1 true ];
-  Sat.Solver.add_clause s [ lit 1 false; lit 0 true ];
-  Sat.Solver.add_clause s [ lit 1 false; lit 2 true ];
-  Sat.Solver.simplify s;
-  let st = Sat.Solver.stats s in
-  Alcotest.(check int) "one variable substituted" 1 st.Sat.Solver.vars_substituted;
-  Alcotest.(check bool) "sat under a" true
-    (Sat.Solver.solve ~assumptions:[ lit 0 true ] s = Sat.Solver.Sat);
-  Alcotest.(check bool) "model keeps a = b" true
-    (Sat.Solver.model_value s 0 = Sat.Solver.model_value s 1);
-  Alcotest.(check bool) "b -> c survives the rewrite" true (Sat.Solver.model_value s 2);
-  (* contradictory through the substitution: b maps to a *)
-  Alcotest.(check bool) "unsat under a, ~b" true
-    (Sat.Solver.solve ~assumptions:[ lit 0 true; lit 1 false ] s = Sat.Solver.Unsat);
-  (* the export keeps substituted variables expressible *)
-  let f = Sat.Solver.export_cnf s in
-  let f' = Sat.Cnf.add_clause (Sat.Cnf.add_clause f [| lit 0 true |]) [| lit 1 false |] in
-  Alcotest.(check bool) "export keeps a = b" true (Sat.Brute.solve f' = None);
-  (* level-0 facts flow through the substitution in both directions *)
-  Sat.Solver.add_clause s [ lit 1 true ];
-  Alcotest.(check (option bool)) "unit b fixes a" (Some true) (Sat.Solver.value_level0 s 0);
-  Alcotest.(check (option bool)) "and b itself" (Some true) (Sat.Solver.value_level0 s 1)
-
-let test_simplify_subst_contradiction () =
-  (* a = b and a = ~b put a literal and its negation in one SCC: unsat *)
+let test_binary_contradiction () =
+  (* a = b and a = ~b: four binary clauses, all in the implication layer,
+     with no unit or long clause to start from — only search over the
+     binary layer refutes them *)
   let s = Sat.Solver.create () in
   Sat.Solver.ensure_nvars s 2;
   Sat.Solver.add_clause s [ lit 0 false; lit 1 true ];
   Sat.Solver.add_clause s [ lit 1 false; lit 0 true ];
   Sat.Solver.add_clause s [ lit 0 false; lit 1 false ];
   Sat.Solver.add_clause s [ lit 0 true; lit 1 true ];
-  Sat.Solver.simplify s;
+  Alcotest.(check int) "binary layer" 4 (Sat.Solver.stats s).Sat.Solver.binaries;
   Alcotest.(check bool) "unsat" true (Sat.Solver.solve s = Sat.Solver.Unsat)
 
-let prop_simplify_parity =
-  QCheck.Test.make ~count:300 ~name:"simplify on/off agree; model satisfies original"
-    qcheck_cnf (fun f ->
-      let _, r_plain = solve_cnf f in
-      let s = Sat.Solver.create () in
-      Sat.Solver.add_cnf s f;
-      Sat.Solver.simplify s;
-      match Sat.Solver.solve s with
-      | Sat.Solver.Unsat -> r_plain = Sat.Solver.Unsat
-      | Sat.Solver.Sat ->
-          (* the model, with substituted variables read through their
-             representatives, must satisfy the ORIGINAL formula *)
-          r_plain = Sat.Solver.Sat && Sat.Cnf.eval (Sat.Solver.model s) f)
-
-let prop_multiround_simplify =
-  (* Two inprocessing rounds with substitution in between: f2 arrives
-     after round one may have substituted any of its variables, and any
-     model returned must satisfy both original formulas. *)
-  QCheck.Test.make ~count:200 ~name:"multi-round simplify stays sound"
+let prop_incremental_sound =
+  (* f2 arrives after a solve of f1 left learnt clauses, saved phases and
+     level-0 facts behind; the answer must match brute force on f1 /\ f2,
+     and any model returned must satisfy both original formulas. *)
+  QCheck.Test.make ~count:200 ~name:"clauses added across solves stay sound"
     (QCheck.pair qcheck_cnf qcheck_cnf) (fun (f1, f2) ->
       let nv = max f1.Sat.Cnf.nvars f2.Sat.Cnf.nvars in
       let s = Sat.Solver.create () in
       Sat.Solver.ensure_nvars s nv;
       Sat.Solver.add_cnf s f1;
-      Sat.Solver.simplify s;
       ignore (Sat.Solver.solve s);
       Sat.Solver.add_cnf s f2;
-      Sat.Solver.simplify s;
       let both = Sat.Cnf.make ~nvars:nv (f1.Sat.Cnf.clauses @ f2.Sat.Cnf.clauses) in
       let expect =
         if Sat.Brute.solve both <> None then Sat.Solver.Sat else Sat.Solver.Unsat
@@ -266,17 +212,16 @@ let prop_export_roundtrip =
     qcheck_cnf (fun f ->
       let s = Sat.Solver.create () in
       Sat.Solver.add_cnf s f;
-      Sat.Solver.simplify s;
       let f2 = Sat.Dimacs.parse_string (Sat.Dimacs.of_solver s) in
       is_sat f = is_sat f2)
 
-(* Simplification removes no variable, so the export is not merely
-   equisatisfiable: it has exactly the input's models over every variable
-   — what [crsolve batch --dump-dimacs] hands to an external tool. *)
+(* The export is not merely equisatisfiable: it has exactly the input's
+   models over every variable — what [crsolve batch --dump-dimacs] hands
+   to an external tool. *)
 let qcheck_binary_cnf =
   (* two- and three-literal clauses, at most three per variable: binary
-     cycles, hence substituted variables, show up in about a fifth of the
-     cases, where [qcheck_cnf]'s unit-heavy formulas almost never get one *)
+     cycles (equivalent literals) show up in about a fifth of the cases,
+     where [qcheck_cnf]'s unit-heavy formulas almost never get one *)
   QCheck.make
     ~print:(fun f -> Format.asprintf "%a" Sat.Cnf.pp f)
     QCheck.Gen.(
@@ -291,45 +236,17 @@ let qcheck_binary_cnf =
                (fun _ -> lit (Random.State.int st nvars) (Random.State.bool st)))))
 
 let prop_export_equivalent =
-  QCheck.Test.make ~count:300 ~name:"export_cnf after simplify keeps every model"
+  QCheck.Test.make ~count:300 ~name:"export_cnf keeps every model"
     qcheck_binary_cnf (fun f ->
       let s = Sat.Solver.create () in
       Sat.Solver.add_cnf s f;
-      Sat.Solver.simplify s;
       Sat.Brute.count_models (Sat.Solver.export_cnf s) = Sat.Brute.count_models f)
 
 (* ---- saved phases ---- *)
 
-(* [set_phase] steers the variable it names even after [simplify]
-   substituted it: whichever variable of an equivalence became the
-   representative, and whether the class is x = y or x = ~y, the model
-   of an otherwise unconstrained class makes the steered literal true *)
-let test_set_phase_subst () =
-  List.iter
-    (fun same ->
-      let s = Sat.Solver.create () in
-      Sat.Solver.ensure_nvars s 2;
-      (* same: x0 = x1; otherwise x0 = ~x1 *)
-      Sat.Solver.add_clause s [ lit 0 false; lit 1 same ];
-      Sat.Solver.add_clause s [ lit 0 true; lit 1 (not same) ];
-      Sat.Solver.simplify s;
-      Alcotest.(check int) "one variable substituted" 1
-        (Sat.Solver.stats s).Sat.Solver.vars_substituted;
-      List.iter
-        (fun (v, sign) ->
-          Sat.Solver.set_phase s (lit v sign);
-          Alcotest.(check bool) "sat" true (Sat.Solver.solve s = Sat.Solver.Sat);
-          Alcotest.(check bool)
-            (Printf.sprintf "x%d = %b (same = %b)" v sign same)
-            sign (Sat.Solver.model_value s v);
-          Alcotest.(check bool) "class kept" same
-            (Sat.Solver.model_value s 0 = Sat.Solver.model_value s 1))
-        [ (0, true); (0, false); (1, true); (1, false); (1, true); (0, false) ])
-    [ true; false ]
-
-(* phases only reorder the search: under arbitrary phases, before and
-   after a simplify pass and across incremental calls, answers match
-   brute force and every model satisfies the formula *)
+(* phases only reorder the search: under arbitrary phases and across
+   incremental calls, answers match brute force and every model
+   satisfies the formula *)
 let prop_set_phase_sound =
   QCheck.Test.make ~count:300 ~name:"set_phase never changes answers"
     (QCheck.pair qcheck_binary_cnf QCheck.int) (fun (f, seed) ->
@@ -345,10 +262,9 @@ let prop_set_phase_sound =
         | Sat.Solver.Sat -> expect && Sat.Cnf.eval (Sat.Solver.model s) f
         | Sat.Solver.Unsat -> not expect
       in
-      let before = round () in
-      Sat.Solver.simplify s;
-      let after = round () in
-      before && after && round ())
+      let first = round () in
+      let second = round () in
+      first && second && round ())
 
 let () =
   Alcotest.run "sat"
@@ -364,11 +280,8 @@ let () =
           Alcotest.test_case "incremental" `Quick test_incremental;
           Alcotest.test_case "dimacs round trip" `Quick test_dimacs_roundtrip;
           Alcotest.test_case "dimacs errors" `Quick test_dimacs_errors;
-          Alcotest.test_case "simplify: subsumption" `Quick test_simplify_subsumption;
-          Alcotest.test_case "simplify: equivalent literals" `Quick test_simplify_subst;
-          Alcotest.test_case "simplify: contradictory equivalence" `Quick
-            test_simplify_subst_contradiction;
-          Alcotest.test_case "set_phase through a substitution" `Quick test_set_phase_subst;
+          Alcotest.test_case "binary layer: contradictory equivalence" `Quick
+            test_binary_contradiction;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
@@ -381,8 +294,7 @@ let () =
       ( "simplify",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_simplify_parity;
-            prop_multiround_simplify;
+            prop_incremental_sound;
             prop_budget_resume_across_reduce;
             prop_export_roundtrip;
             prop_export_equivalent;
