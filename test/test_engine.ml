@@ -79,6 +79,33 @@ let test_cache_hit_identical () =
   Alcotest.(check int) "shape compiled once" 1 stats.E.template_misses;
   Alcotest.(check int) "repeats instantiate the template" 2 stats.E.template_hits
 
+(* The template ratchet: n distinct entities of one shape (one schema, one
+   Σ/Γ) compile the shape once and instantiate it n-1 times, so a batch
+   of them scores a template hit ratio of (n-1)/n. run_batch builds a
+   fresh cache, and a fresh domain again keeps the domain-local memo out
+   of the count. *)
+let test_template_shared_across_entities () =
+  let n = 20 in
+  let ds = Datagen.Person.quick ~seed:3 ~n_entities:n ~size:6 () in
+  let items =
+    List.map
+      (fun (c : Datagen.Types.case) ->
+        {
+          E.label = string_of_int c.Datagen.Types.id;
+          spec = Datagen.Types.spec_of ds c;
+          user = F.oracle ~max_answers:1 c.Datagen.Types.truth;
+        })
+      ds.Datagen.Types.cases
+  in
+  let entities =
+    List.map (fun (it : E.item) -> Entity.tuples it.E.spec.Crcore.Spec.entity) items
+  in
+  Alcotest.(check int) "distinct entities" n (List.length (List.sort_uniq compare entities));
+  let _, stats = Domain.join (Domain.spawn (fun () -> E.run_batch items)) in
+  Alcotest.(check int) "entities" n stats.E.entities;
+  Alcotest.(check int) "shape compiled once" 1 stats.E.template_misses;
+  Alcotest.(check int) "every other entity instantiates it" (n - 1) stats.E.template_hits
+
 (* The cache holds compiled shapes, never a per-entity encoding, so a spec
    it served is garbage once its caller drops it — even while the cache
    itself lives on (a long-running daemon's case). The specs are built
@@ -239,6 +266,39 @@ let prop_exact_mode_configs_agree =
       in
       ri.E.resolved = rn.E.resolved && ri.E.valid = rn.E.valid)
 
+(* One Person entity with a 2000-tuple, linearly growing history: the
+   wide-domain Exact-mode regime, where each attribute's active domain
+   (and with it the CNF) is far larger than on the generator's small
+   entities. The default config (template instantiation, saturation,
+   incremental sessions) must resolve it exactly as the naive
+   rebuild-everything config does. *)
+let test_exact_large_domain_matches_naive () =
+  let size = 2000 in
+  let ds =
+    Datagen.Person.generate
+      {
+        Datagen.Person.default_params with
+        n_entities = 1;
+        size_min = size;
+        size_max = size;
+        extra_events = size / 100;
+        seed = 101;
+      }
+  in
+  let c = List.hd ds.Datagen.Types.cases in
+  let spec = Datagen.Types.spec_of ds c in
+  Alcotest.(check int) "tuples" size (List.length (Entity.tuples spec.Crcore.Spec.entity));
+  let run config =
+    fst
+      (E.resolve
+         ~config:{ config with E.mode = Crcore.Encode.Exact }
+         ~user:(F.oracle ~max_answers:1 c.Datagen.Types.truth)
+         spec)
+  in
+  let d = run E.default_config and n = run E.naive_config in
+  Alcotest.(check bool) "valid" n.E.valid d.E.valid;
+  Alcotest.(check bool) "resolved" true (d.E.resolved = n.E.resolved)
+
 let () =
   Alcotest.run "engine"
     [
@@ -247,10 +307,14 @@ let () =
           Alcotest.test_case "Edith silent" `Quick test_edith_matches_framework;
           Alcotest.test_case "George oracle" `Quick test_george_oracle_matches_framework;
           Alcotest.test_case "invalid spec" `Quick test_invalid_spec_matches_framework;
+          Alcotest.test_case "Exact wide domain == naive" `Quick
+            test_exact_large_domain_matches_naive;
         ] );
       ( "sessions_and_cache",
         [
           Alcotest.test_case "cache hit is identical" `Quick test_cache_hit_identical;
+          Alcotest.test_case "template shared by 20 entities" `Quick
+            test_template_shared_across_entities;
           Alcotest.test_case "cache releases specs" `Quick test_cache_releases_specs;
           Alcotest.test_case "store releases removed specs" `Quick
             test_store_releases_removed_specs;

@@ -279,8 +279,8 @@ let prop_template_path_identical =
         [ 1; 4 ])
 
 (* By default the engine caps the batch width at the machine's core
-   count: over-subscribing domains is a pure slowdown, and BENCH_par
-   showed a 3x one on a 1-core host. The request is still recorded. *)
+   count: over-subscribing domains is a pure slowdown (jobs=4 ran 3x
+   slower than jobs=1 on a 1-core host). The request is still recorded. *)
 let test_jobs_clamped_to_cores () =
   let items = batch_of_seed 11 in
   let cores = Parallel.Pool.recommended_jobs () in
