@@ -58,49 +58,56 @@ let pp_diagnostic spec ppf d =
    straight into {!Saturate.derives}. *)
 type fact = Encode.fact = { attr : int; lo : int; hi : int }
 
-let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
+let emit_to diags ?span code severity subject message =
+  diags := { code; severity; subject; message; span } :: !diags
+
+let group_by key n item =
+  let groups = Hashtbl.create 16 in
+  for k = 0 to n - 1 do
+    let key = key (item k) in
+    match Hashtbl.find_opt groups key with
+    | Some r -> r := k :: !r
+    | None -> Hashtbl.add groups key (ref [ k ])
+  done;
+  Hashtbl.iter (fun _ r -> r := List.rev !r) groups;
+  fun k -> !(Hashtbl.find groups (key (item k)))
+
+(* The checks that need no ground instance nor {!Coding.t} — E001, E003,
+   E004 and, unless [errors_only], the Γ warnings sharing their loops —
+   pushed onto [diags]. Returns the per-attribute E001 flags and the
+   per-CFD "already an error" flags the closure checks filter on. *)
+let cheap_checks ~errors_only ~diags spec =
+  let emit = emit_to diags in
   let schema = Spec.schema spec in
   let entity = spec.Spec.entity in
   let arity = Schema.arity schema in
-  let tuples = Array.of_list (Entity.tuples entity) in
-  (* universes = active domains, ids in first-occurrence order, exactly as
-     the encoding numbers them (Encode passes no Γ constants to Coding) *)
-  let coding = Coding.build entity [] in
-  let adom = Array.init arity (fun a -> Array.of_list (Entity.active_domain entity a)) in
-  let in_adom a v = Array.exists (Value.equal v) adom.(a) in
-  let diags = ref [] in
-  let emit ?span code severity subject message =
-    diags := { code; severity; subject; message; span } :: !diags
+  (* only the attributes Γ or an explicit edge mentions need their
+     active domain *)
+  let adom =
+    Array.init arity (fun a -> lazy (Array.of_list (Entity.active_domain entity a)))
   in
-  let span_of k = if k < Array.length sigma_spans then sigma_spans.(k) else None in
-
-  (* ---- explicit order edges, at the value level ---- *)
-  (* (edge, value-level fact option): [None] when the edge's tuples agree
-     on the attribute — the encoding drops such an edge (W005) *)
-  let edge_facts =
-    List.map
-      (fun ({ Spec.attr; lo; hi } as e) ->
-        let a = Schema.index schema attr in
-        let v1 = Tuple.get tuples.(lo) a and v2 = Tuple.get tuples.(hi) a in
-        if Value.equal v1 v2 then (e, None)
-        else (e, Some { attr = a; lo = Coding.vid coding a v1; hi = Coding.vid coding a v2 }))
-      spec.Spec.orders
-  in
-  (* digraphs are sized by the coding universe, not the raw active domain:
-     the universe also holds the reserved null (see {!Coding.build}), whose
-     id a Γ null constant can reach *)
-  let univ_len a = Array.length (Coding.universe coding a) in
-  let explicit = Array.init arity (fun a -> Porder.Digraph.create (univ_len a)) in
-  List.iter
-    (fun (_, f) ->
-      match f with
-      | Some f -> Porder.Digraph.add_edge explicit.(f.attr) f.lo f.hi
-      | None -> ())
-    edge_facts;
+  let in_adom a v = Array.exists (Value.equal v) (Lazy.force adom.(a)) in
 
   (* E001: a cyclic explicit order admits no completion — every completion
-     totally orders the attribute's values (Section II-A). *)
-  let e001 = Array.init arity (fun a -> Porder.Digraph.has_cycle explicit.(a)) in
+     totally orders the attribute's values (Section II-A). Nodes are the
+     [Value.total_compare] classes {!Coding.vid} numbers; an edge whose
+     tuples agree on the attribute is reflexive and dropped (W005). *)
+  let node a v =
+    Option.get (Array.find_index (fun w -> Value.total_compare v w = 0) (Lazy.force adom.(a)))
+  in
+  let graphs =
+    Array.map (fun d -> lazy (Porder.Digraph.create (Array.length (Lazy.force d)))) adom
+  in
+  List.iter
+    (fun { Spec.attr; lo; hi } ->
+      let a = Schema.index schema attr in
+      let v1 = Entity.value entity lo a and v2 = Entity.value entity hi a in
+      if not (Value.equal v1 v2) then
+        Porder.Digraph.add_edge (Lazy.force graphs.(a)) (node a v1) (node a v2))
+    spec.Spec.orders;
+  let e001 =
+    Array.map (fun g -> Lazy.is_val g && Porder.Digraph.has_cycle (Lazy.force g)) graphs
+  in
   Array.iteri
     (fun a cyclic ->
       if cyclic then
@@ -108,67 +115,6 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
           (Printf.sprintf "explicit currency order on %S is cyclic at the value level"
              (Schema.name schema a)))
     e001;
-
-  (* W004/W005/I003: duplicate, reflexive-after-closure and transitively
-     implied order edges *)
-  let seen_edges = Hashtbl.create 16 in
-  let dup_edges = Hashtbl.create 16 in
-  let i003_edges = Hashtbl.create 16 in
-  if not errors_only then begin
-    List.iteri
-      (fun i ((e, f) : Spec.order_edge * fact option) ->
-        if Hashtbl.mem seen_edges e then begin
-          Hashtbl.replace dup_edges i ();
-          emit "W004" Warning (Order_edge e)
-            (Printf.sprintf "order edge %s: %d -> %d is listed more than once" e.Spec.attr
-               e.Spec.lo e.Spec.hi)
-        end
-        else Hashtbl.add seen_edges e ();
-        match f with
-        | None ->
-            emit "W005" Warning (Order_edge e)
-              (Printf.sprintf
-                 "tuples %d and %d hold equal values on %S; the edge is reflexive at the value \
-                  level and the encoding drops it"
-                 e.Spec.lo e.Spec.hi e.Spec.attr)
-        | Some _ -> ())
-      edge_facts;
-    let edge_facts_a = Array.of_list edge_facts in
-    Array.iteri
-      (fun i (e, f) ->
-        match f with
-        | Some f when (not e001.(f.attr)) && not (Hashtbl.mem dup_edges i) ->
-            let g = Porder.Digraph.create (univ_len f.attr) in
-            Array.iteri
-              (fun j (_, f') ->
-                match f' with
-                | Some f' when f'.attr = f.attr && j <> i && (f' <> f || j < i) ->
-                    Porder.Digraph.add_edge g f'.lo f'.hi
-                | _ -> ())
-              edge_facts_a;
-            if Porder.Digraph.has_edge (Porder.Digraph.transitive_closure g) f.lo f.hi then begin
-              Hashtbl.replace i003_edges i ();
-              emit "I003" Info (Order_edge e)
-                (Printf.sprintf
-                   "order edge %s: %d -> %d is implied by the transitive closure of the other \
-                    explicit edges"
-                   e.Spec.attr e.Spec.lo e.Spec.hi)
-            end
-        | _ -> ())
-      edge_facts_a
-  end;
-
-  let group_by key n item =
-    let groups = Hashtbl.create 16 in
-    for k = 0 to n - 1 do
-      let key = key (item k) in
-      match Hashtbl.find_opt groups key with
-      | Some r -> r := k :: !r
-      | None -> Hashtbl.add groups key (ref [ k ])
-    done;
-    Hashtbl.iter (fun _ r -> r := List.rev !r) groups;
-    fun k -> !(Hashtbl.find groups (key (item k)))
-  in
 
   (* ---- Γ: relevance, forcing, conflicts, subsumption ---- *)
   let gamma_a = Array.of_list spec.Spec.gamma in
@@ -180,8 +126,8 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
   let lhs_forced (c : Cfd.Constant_cfd.t) =
     List.for_all
       (fun (name, v) ->
-        let a = Schema.index schema name in
-        Array.length adom.(a) = 1 && Value.equal adom.(a).(0) v)
+        let d = Lazy.force adom.(Schema.index schema name) in
+        Array.length d = 1 && Value.equal d.(0) v)
       c.Cfd.Constant_cfd.lhs
   in
   let rhs_in_adom (c : Cfd.Constant_cfd.t) =
@@ -266,6 +212,40 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
             group)
         group)
     rhs_groups;
+  (e001, gamma_error)
+
+(* errors first, then by code (stably); [errors_only] reports list each
+   (code, subject) once, e.g. one CFD conflicting with several forced peers *)
+let report ~errors_only ds =
+  let ds =
+    if errors_only then begin
+      let seen = Hashtbl.create 16 in
+      List.filter
+        (fun d ->
+          let key = (d.code, d.subject) in
+          if Hashtbl.mem seen key then false
+          else begin
+            Hashtbl.add seen key ();
+            true
+          end)
+        ds
+    end
+    else ds
+  in
+  List.stable_sort
+    (fun d1 d2 ->
+      match compare (severity_rank d1.severity) (severity_rank d2.severity) with
+      | 0 -> compare d1.code d2.code
+      | c -> c)
+    ds
+
+let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
+  let schema = Spec.schema spec in
+  let diags = ref [] in
+  let emit = emit_to diags in
+  let span_of k = if k < Array.length sigma_spans then sigma_spans.(k) else None in
+  let e001, gamma_error = cheap_checks ~errors_only ~diags spec in
+  let gamma_a = Array.of_list spec.Spec.gamma in
   (* I002: subsumed CFDs (duplicates included); only CFDs with the exact
      same RHS pattern qualify, so pair up within RHS-pattern groups. *)
   if not errors_only then begin
@@ -299,7 +279,7 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
       gamma_a
   end;
 
-  (* fast-fail for the engine pre-phase: once a cheap check (a cyclic
+  (* fast-fail for [errors_only]: once a cheap check (a cyclic
      explicit order, a forced CFD conflict) has proven the specification
      unsatisfiable, skip the expensive Σ instantiation and ground-closure
      work — [has_errors] is already decided *)
@@ -310,6 +290,71 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
        null handling), so every diagnostic below reasons about the very
        instances Φ(Se) is built from. *)
     let parts = Encode.parts spec in
+    let coding = parts.Encode.p_coding in
+
+    (* ---- explicit order edges, at the value level ---- *)
+    (* (edge, value-level fact option): [None] when the edge's tuples agree
+       on the attribute — the encoding drops such an edge (W005) *)
+    let edge_facts =
+      List.map
+        (fun ({ Spec.attr; lo; hi } as e) ->
+          let a = Schema.index schema attr in
+          let v1 = Entity.value spec.Spec.entity lo a
+          and v2 = Entity.value spec.Spec.entity hi a in
+          if Value.equal v1 v2 then (e, None)
+          else (e, Some { attr = a; lo = Coding.vid coding a v1; hi = Coding.vid coding a v2 }))
+        spec.Spec.orders
+    in
+    (* W004/W005/I003: duplicate, reflexive-after-closure and transitively
+       implied order edges *)
+    let dup_edges = Hashtbl.create 16 in
+    let i003_edges = Hashtbl.create 16 in
+    if not errors_only then begin
+      let seen_edges = Hashtbl.create 16 in
+      List.iteri
+        (fun i ((e, f) : Spec.order_edge * fact option) ->
+          if Hashtbl.mem seen_edges e then begin
+            Hashtbl.replace dup_edges i ();
+            emit "W004" Warning (Order_edge e)
+              (Printf.sprintf "order edge %s: %d -> %d is listed more than once" e.Spec.attr
+                 e.Spec.lo e.Spec.hi)
+          end
+          else Hashtbl.add seen_edges e ();
+          match f with
+          | None ->
+              emit "W005" Warning (Order_edge e)
+                (Printf.sprintf
+                   "tuples %d and %d hold equal values on %S; the edge is reflexive at the \
+                    value level and the encoding drops it"
+                   e.Spec.lo e.Spec.hi e.Spec.attr)
+          | Some _ -> ())
+        edge_facts;
+      let edge_facts_a = Array.of_list edge_facts in
+      Array.iteri
+        (fun i (e, f) ->
+          match f with
+          | Some f when (not e001.(f.attr)) && not (Hashtbl.mem dup_edges i) ->
+              (* sized by the coding universe, which also holds the
+                 reserved null (see {!Coding.build}) *)
+              let g = Porder.Digraph.create (Array.length (Coding.universe coding f.attr)) in
+              Array.iteri
+                (fun j (_, f') ->
+                  match f' with
+                  | Some f' when f'.attr = f.attr && j <> i && (f' <> f || j < i) ->
+                      Porder.Digraph.add_edge g f'.lo f'.hi
+                  | _ -> ())
+                edge_facts_a;
+              if Porder.Digraph.has_edge (Porder.Digraph.transitive_closure g) f.lo f.hi then begin
+                Hashtbl.replace i003_edges i ();
+                emit "I003" Info (Order_edge e)
+                  (Printf.sprintf
+                     "order edge %s: %d -> %d is implied by the transitive closure of the \
+                      other explicit edges"
+                     e.Spec.attr e.Spec.lo e.Spec.hi)
+              end
+          | _ -> ())
+        edge_facts_a
+    end;
 
     (* W003: a constraint no tuple pair can instantiate never influences
        this entity — its premise is unsatisfiable over the entity's values,
@@ -397,8 +442,8 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
        violates asymmetry+transitivity; a fired veto (a CFD whose RHS
        constant the entity never takes, with its "LHS is most current"
        premise derived) violates the veto clause — either way Φ(Se) is
-       unsatisfiable. This is the same fixpoint the engine's saturate
-       pre-phase computes, so lint and engine agree by construction. *)
+       unsatisfiable. The engine rejects on the same fixpoint, computed
+       over its own encoding, so lint and engine agree by construction. *)
     let cl =
       Saturate.of_parts ~mode:Encode.Paper ~plan:(Saturate.plan_for spec.Spec.sigma)
         parts
@@ -508,29 +553,9 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
     end
   end;
 
-  let ds = List.rev !diags in
-  (* the engine's lint pre-phase only asks "any error?", but callers of
-     [errors_only] still read the list — deduplicate repeated findings
-     (e.g. one CFD conflicting with several forced peers) so each
-     (code, subject) appears once *)
-  let ds =
-    if errors_only then begin
-      let seen = Hashtbl.create 16 in
-      List.filter
-        (fun d ->
-          let key = (d.code, d.subject) in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.add seen key ();
-            true
-          end)
-        ds
-    end
-    else ds
-  in
-  List.stable_sort
-    (fun d1 d2 ->
-      match compare (severity_rank d1.severity) (severity_rank d2.severity) with
-      | 0 -> compare d1.code d2.code
-      | c -> c)
-    ds
+  report ~errors_only (List.rev !diags)
+
+let cheap_errors spec =
+  let diags = ref [] in
+  ignore (cheap_checks ~errors_only:true ~diags spec);
+  report ~errors_only:true (List.rev !diags)

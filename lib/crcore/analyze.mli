@@ -6,10 +6,12 @@
     ground closure already contradicts asymmetry, constant CFDs forced
     into conflict by the entity's active domains. This pass finds those —
     plus likely-misuse warnings and redundancy notes — without touching
-    the SAT solver, so {!Engine} can skip the whole
-    [Instantiation]/[ConvertToCNF]/solve cycle on statically-unsat
-    specifications and [crsolve lint] can explain {e why} a specification
-    is broken instead of reporting a bare "INVALID".
+    the SAT solver, so [crsolve lint] can explain {e why} a specification
+    is broken instead of reporting a bare "INVALID". {!Engine} rejects
+    statically-unsat specifications in two halves: {!cheap_errors}
+    (E001/E003/E004) before [Instantiation]/[ConvertToCNF], and a
+    refuted {!Saturate} closure of its own encoding (E002/E005) before
+    any solver is built.
 
     Diagnostic codes are stable:
 
@@ -98,7 +100,7 @@ type diagnostic = {
     specification unsatisfiable the expensive Σ-instantiation and
     ground-closure work is skipped too, so the result is a subset of the
     full report's errors that is non-empty exactly when the full report
-    has any — all the {!Engine} pre-phase needs; the error list is also
+    has any — enough for a verdict; the error list is also
     deduplicated to one diagnostic per [(code, subject)] pair.
     Polynomial in the size of the specification. *)
 val analyze :
@@ -106,6 +108,14 @@ val analyze :
   ?sigma_spans:Currency.Parser.span option array ->
   Spec.t ->
   diagnostic list
+
+(** [cheap_errors spec] runs only the checks that need no ground
+    instance (E001, E003, E004), deduplicated and sorted as [analyze
+    ~errors_only:true] reports them. It builds no {!Coding.t} and scans
+    only the active domains Γ or an explicit edge needs, once each. When
+    non-empty it equals [analyze ~errors_only:true spec], which stops at
+    these checks. *)
+val cheap_errors : Spec.t -> diagnostic list
 
 val errors : diagnostic list -> diagnostic list
 val warnings : diagnostic list -> diagnostic list

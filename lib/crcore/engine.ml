@@ -237,7 +237,7 @@ type session = {
       (* conflicts accrued before the current request: [refresh_budget]
          moves it so long-lived sessions get a full budget per request *)
   mutable spec : Spec.t;
-  mutable enc : Encode.t option;  (* [None] iff the lint pre-phase rejected the spec *)
+  mutable enc : Encode.t option;  (* [None] iff a cheap lint check rejected the spec *)
   mutable closure : Saturate.t option;
       (* the static closure of the current encoding (saturate pre-phase) *)
   mutable static_facts : int;
@@ -258,7 +258,9 @@ type session = {
   mutable delta_extensions : int;
   mutable rebuilds_renumbered : int;
   mutable rebuilds_impure : int;
-  lint_rejected : bool;
+  mutable lint_rejected : bool;
+      (* statically unsat: a cheap check rejected it before encoding, or
+         its closure is refuted; either way no solver is built *)
 }
 
 (* elapsed time, not [Sys.time]: process CPU time charges one domain's
@@ -287,8 +289,8 @@ let timed sess slot f =
   | Encode_p ->
       (* [Gc.minor_words] counts the calling domain's allocation, and a
          session runs a phase on one domain, so the delta is this encode
-         work's own words — the per-domain contention signal the par
-         bench reports *)
+         work's own words — the per-domain allocation signal of a
+         parallel batch *)
       let w0 = Gc.minor_words () in
       let r = timed_t sess.times slot f in
       sess.encode_alloc_words <- sess.encode_alloc_words +. (Gc.minor_words () -. w0);
@@ -298,28 +300,21 @@ let timed sess slot f =
 let the_enc sess =
   match sess.enc with
   | Some enc -> enc
-  | None -> invalid_arg "Engine: session was rejected by the lint pre-phase"
+  | None -> invalid_arg "Engine: session was rejected before encoding"
 
 (* The shape compiles once and each entity is stamped into it by the thin
-   instantiation stage, outside any lock. The second component is
-   [Some hit] for a template lookup ([hit] = the shape was already
-   compiled) and [None] on the direct [config.cache = false] path — the
-   {!Framework.resolve} reference path, uncounted. *)
-let lookup ~(config : config) ~cache spec =
-  if not config.cache then (Encode.encode ~mode:config.mode spec, None)
-  else
-    let tpl, hit = template_for ~config ~cache spec in
-    (Encode.instantiate tpl spec, Some hit)
-
-let count_lookup sess = function
-  | None -> ()
-  | Some true -> sess.template_hits <- sess.template_hits + 1
-  | Some false -> sess.template_misses <- sess.template_misses + 1
-
+   instantiation stage, outside any lock; a lookup counts as a hit when
+   the shape was already compiled. [config.cache = false] encodes
+   directly — the {!Framework.resolve} reference path, uncounted. *)
 let encode_spec sess spec =
-  let enc, outcome = lookup ~config:sess.config ~cache:sess.cache spec in
-  count_lookup sess outcome;
-  enc
+  if not sess.config.cache then Encode.encode ~mode:sess.config.mode spec
+  else begin
+    let tpl, hit = template_for ~config:sess.config ~cache:sess.cache spec in
+    let enc = Encode.instantiate tpl spec in
+    if hit then sess.template_hits <- sess.template_hits + 1
+    else sess.template_misses <- sess.template_misses + 1;
+    enc
+  end
 
 let fresh_solver sess enc =
   let s = Sat.Solver.create () in
@@ -339,11 +334,12 @@ let fresh_solver sess enc =
 (* the saturate pre-phase: (re)compute the static closure of the session's
    current encoding — polynomial, no solver *)
 let saturate_session sess =
-  if sess.config.saturate && not sess.lint_rejected then begin
-    let cl = timed sess Saturate_p (fun () -> Saturate.of_encode (the_enc sess)) in
-    sess.closure <- Some cl;
-    sess.static_facts <- sess.static_facts + Saturate.n_facts cl
-  end
+  match sess.enc with
+  | Some enc when sess.config.saturate ->
+      let cl = timed sess Saturate_p (fun () -> Saturate.of_encode enc) in
+      sess.closure <- Some cl;
+      sess.static_facts <- sess.static_facts + Saturate.n_facts cl
+  | _ -> ()
 
 let retire sess s = sess.retired <- Sat.Solver.add_stats sess.retired (Sat.Solver.stats s)
 
@@ -400,38 +396,14 @@ let fire sess point ph =
 let make_session ?(config = default_config) ?cache ?label ~track spec =
   let cache = match cache with Some c -> c | None -> create_cache () in
   let times = zero_times () in
-  (* the lint pre-phase: a statically-unsat specification skips
-     Instantiation/ConvertToCNF and the solver session entirely — sound by
-     construction (every E-level diagnostic implies Φ(Se) unsatisfiable,
-     property-tested in test_analyze) *)
+  (* the rejection test, first half: the checks that need no ground
+     instance (E001/E003/E004) skip Instantiation/ConvertToCNF entirely.
+     Sound: every E-level diagnostic implies Φ(Se) unsatisfiable
+     (property-tested in test_analyze). *)
   track := Lint_p;
   let lint_rejected =
     config.lint
-    && timed_t times Lint_p (fun () ->
-           Analyze.has_errors (Analyze.analyze ~errors_only:true spec))
-  in
-  let faults = Faults.make ~label in
-  (* the encode-point fault fires before the session record exists, so
-     budget effects are staged and adopted at construction below *)
-  let pending_burn = ref 0 in
-  let pending_exhaust = ref false in
-  if not lint_rejected then begin
-    track := Encode_p;
-    match Faults.fire faults Faults.Encode with
-    | None -> ()
-    | Some (Faults.Raise msg) -> raise (Faults.Injected msg)
-    | Some (Faults.Burn n) -> pending_burn := max 0 n
-    | Some Faults.Exhaust -> pending_exhaust := true
-  end;
-  let enc_alloc = ref 0. in
-  let enc, outcome =
-    if lint_rejected then (None, None)
-    else begin
-      let w0 = Gc.minor_words () in
-      let enc, o = timed_t times Encode_p (fun () -> lookup ~config ~cache spec) in
-      enc_alloc := Gc.minor_words () -. w0;
-      (Some enc, o)
-    end
+    && timed_t times Lint_p (fun () -> Analyze.has_errors (Analyze.cheap_errors spec))
   in
   let sess =
     {
@@ -439,18 +411,18 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
       cache;
       times;
       track;
-      faults;
-      deadline = Option.map (fun ms -> now_ms () +. ms) config.budget_ms;
+      faults = Faults.make ~label;
+      deadline = None;
       spent_base = 0;
       spec;
-      enc;
+      enc = None;
       closure = None;
       static_facts = 0;
       probes_avoided = 0;
       solver = None;
       retired = Sat.Solver.zero_stats;
-      burnt = !pending_burn;
-      forced_exhaust = !pending_exhaust;
+      burnt = 0;
+      forced_exhaust = false;
       solvers_built = 0;
       solvers_reused = 0;
       deduce_sat_calls = 0;
@@ -459,51 +431,54 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
       deduce_seeded = 0;
       template_hits = 0;
       template_misses = 0;
-      encode_alloc_words = !enc_alloc;
+      encode_alloc_words = 0.;
       delta_extensions = 0;
       rebuilds_renumbered = 0;
       rebuilds_impure = 0;
       lint_rejected;
     }
   in
-  count_lookup sess outcome;
+  if not lint_rejected then begin
+    fire sess Faults.Encode Encode_p;
+    sess.enc <- Some (timed sess Encode_p (fun () -> encode_spec sess spec))
+  end;
+  (* the wall budget runs from the encoded session *)
+  sess.deadline <- Option.map (fun ms -> now_ms () +. ms) config.budget_ms;
   saturate_session sess;
-  if config.incremental && not lint_rejected then
+  (* second half: a refuted closure (lint's E002/E005, read from the
+     closure the solver would be seeded with) skips the solver *)
+  (match sess.closure with
+  | Some cl when config.lint && Saturate.refutation cl <> None -> sess.lint_rejected <- true
+  | _ -> ());
+  if config.incremental && not sess.lint_rejected then
     sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess (the_enc sess)));
   sess
 
 let create_session ?config ?cache ?label spec =
   make_session ?config ?cache ?label ~track:(ref Lint_p) spec
 
-(* IsValid on the session: the incremental path re-solves the live
-   session (learnt clauses intact); the naive path rebuilds a solver, as
-   Validity.check does, but keeps its statistics. Answers [Unknown] when
-   the entity's conflict budget runs out mid-solve. *)
-let check_validity sess =
+(* [f] on the session's solver, budget armed: the incremental path
+   reuses the live session (learnt clauses intact); the naive path
+   rebuilds a solver, as Validity.check does, but keeps its statistics *)
+let with_solver sess f =
   match sess.solver with
   | Some s ->
       sess.solvers_reused <- sess.solvers_reused + 1;
       arm_budget sess s;
-      Sat.Solver.solve_limited s
+      f s
   | None ->
       let s = fresh_solver sess (the_enc sess) in
       arm_budget sess s;
-      let r = Sat.Solver.solve_limited s in
+      let r = f s in
       retire sess s;
       r
 
+(* IsValid on the session; [Unknown] when the entity's conflict budget
+   runs out mid-solve *)
+let check_validity sess = with_solver sess (fun s -> Sat.Solver.solve_limited s)
+
 let suggest_on sess d ~known =
-  match sess.solver with
-  | Some s ->
-      sess.solvers_reused <- sess.solvers_reused + 1;
-      arm_budget sess s;
-      Rules.suggest ~repair:sess.config.repair ~solver:s d ~known
-  | None ->
-      let s = fresh_solver sess (the_enc sess) in
-      arm_budget sess s;
-      let r = Rules.suggest ~repair:sess.config.repair ~solver:s d ~known in
-      retire sess s;
-      r
+  with_solver sess (fun s -> Rules.suggest ~repair:sess.config.repair ~solver:s d ~known)
 
 (* deduction on the session solver when there is one: the SAT-based
    deducers probe it under assumptions ([backbone] additionally reuses
@@ -615,7 +590,7 @@ let refresh_budget sess =
 
 let ingest_session sess ?(orders = []) ?(tuples = []) () =
   if sess.lint_rejected then
-    invalid_arg "Engine.ingest_session: session was rejected by the lint pre-phase";
+    invalid_arg "Engine.ingest_session: session was rejected as statically unsat";
   if orders <> [] || tuples <> [] then begin
     let spec = sess.spec in
     let entity =
@@ -715,7 +690,7 @@ let resolve_session sess ~user =
       ~level:(land_at PartialDeduce) ~reason
   in
   let outcome =
-    (* a lint-rejected spec is provably unsatisfiable: report the same
+    (* a rejected spec is provably unsatisfiable: report the same
        outcome IsValid would, without ever building a solver *)
     if sess.lint_rejected then invalid_result ~rounds:0 ~per_round:[]
     else begin
@@ -899,7 +874,7 @@ let pp_stats ppf st =
      robustness: %d error(s); degraded: %d partial, %d pick; %d budget-exhausted@ \
      phases (ms, summed over %d job(s)%s): lint %.1f | encode %.1f | saturate %.1f | \
      validity %.1f | deduce %.1f | suggest %.1f@ \
-     lint: %d spec(s) rejected before encoding@ \
+     lint: %d spec(s) rejected as statically unsat (no solver built)@ \
      solver: %a; %d CNF load(s), %d phase(s) on live sessions@ \
      deduce: %d SAT call(s) (%d probe(s), %d model-prune(s), %d seeded)@ \
      saturate: %d static fact(s) derived, %d probe(s) avoided@ \
@@ -941,102 +916,61 @@ let intern_constraint_lists items =
     items
 
 let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
-  let agg_times = zero_times () in
-  let entities = ref 0
-  and valid_entities = ref 0
-  and errors = ref 0
-  and degraded_partial = ref 0
-  and degraded_pick = ref 0
-  and budget_exhausted = ref 0
-  and total_rounds = ref 0
-  and attrs_total = ref 0
-  and attrs_resolved = ref 0
-  and solver = ref Sat.Solver.zero_stats
-  and solvers_built = ref 0
-  and solvers_reused = ref 0
-  and deduce_sat_calls = ref 0
-  and deduce_probes = ref 0
-  and deduce_model_prunes = ref 0
-  and deduce_seeded = ref 0
-  and static_facts = ref 0
-  and probes_avoided = ref 0
-  and template_hits = ref 0
-  and template_misses = ref 0
-  and encode_alloc_words = ref 0.
-  and delta_extensions = ref 0
-  and rebuilds_renumbered = ref 0
-  and rebuilds_impure = ref 0
-  and lint_rejected = ref 0 in
+  let sum f = Array.fold_left (fun n r -> n + f r.stats) 0 results in
+  let sum_ok f =
+    Array.fold_left (fun n r -> match r.outcome with Ok o -> n + f o | Error _ -> n) 0 results
+  in
+  let count_ok p = sum_ok (fun o -> if p o then 1 else 0) in
+  let times = zero_times () in
   Array.iter
-    (fun { outcome; stats = st; _ } ->
-      incr entities;
-      (match outcome with
-      | Error _ -> incr errors
-      | Ok result ->
-          if result.valid then incr valid_entities;
-          (match result.level with
-          | Exact -> ()
-          | PartialDeduce -> incr degraded_partial
-          | PickFallback -> incr degraded_pick);
-          if result.degrade_reason <> None then incr budget_exhausted;
-          total_rounds := !total_rounds + result.rounds;
-          attrs_total := !attrs_total + Array.length result.resolved;
-          attrs_resolved := !attrs_resolved + count_known result.resolved);
-      agg_times.lint_ms <- agg_times.lint_ms +. st.times.lint_ms;
-      agg_times.encode_ms <- agg_times.encode_ms +. st.times.encode_ms;
-      agg_times.saturate_ms <- agg_times.saturate_ms +. st.times.saturate_ms;
-      agg_times.validity_ms <- agg_times.validity_ms +. st.times.validity_ms;
-      agg_times.deduce_ms <- agg_times.deduce_ms +. st.times.deduce_ms;
-      agg_times.suggest_ms <- agg_times.suggest_ms +. st.times.suggest_ms;
-      solver := Sat.Solver.add_stats !solver st.solver;
-      solvers_built := !solvers_built + st.solvers_built;
-      solvers_reused := !solvers_reused + st.solvers_reused;
-      deduce_sat_calls := !deduce_sat_calls + st.deduce_sat_calls;
-      deduce_probes := !deduce_probes + st.deduce_probes;
-      deduce_model_prunes := !deduce_model_prunes + st.deduce_model_prunes;
-      deduce_seeded := !deduce_seeded + st.deduce_seeded;
-      static_facts := !static_facts + st.static_facts;
-      probes_avoided := !probes_avoided + st.probes_avoided;
-      template_hits := !template_hits + st.template_hits;
-      template_misses := !template_misses + st.template_misses;
-      encode_alloc_words := !encode_alloc_words +. st.encode_alloc_words;
-      delta_extensions := !delta_extensions + st.delta_extensions;
-      rebuilds_renumbered := !rebuilds_renumbered + st.rebuilds_renumbered;
-      rebuilds_impure := !rebuilds_impure + st.rebuilds_impure;
-      if st.lint_rejected then incr lint_rejected)
+    (fun { stats = { times = t; _ }; _ } ->
+      times.lint_ms <- times.lint_ms +. t.lint_ms;
+      times.encode_ms <- times.encode_ms +. t.encode_ms;
+      times.saturate_ms <- times.saturate_ms +. t.saturate_ms;
+      times.validity_ms <- times.validity_ms +. t.validity_ms;
+      times.deduce_ms <- times.deduce_ms +. t.deduce_ms;
+      times.suggest_ms <- times.suggest_ms +. t.suggest_ms)
     results;
-  let tlookups = !template_hits + !template_misses in
+  let template_hits = sum (fun s -> s.template_hits)
+  and template_misses = sum (fun s -> s.template_misses)
+  and rebuilds_renumbered = sum (fun s -> s.rebuilds_renumbered)
+  and rebuilds_impure = sum (fun s -> s.rebuilds_impure) in
+  let tlookups = template_hits + template_misses in
   {
-    entities = !entities;
-    valid_entities = !valid_entities;
-    errors = !errors;
-    degraded_partial = !degraded_partial;
-    degraded_pick = !degraded_pick;
-    budget_exhausted = !budget_exhausted;
-    total_rounds = !total_rounds;
-    attrs_total = !attrs_total;
-    attrs_resolved = !attrs_resolved;
-    times = agg_times;
-    solver = !solver;
-    solvers_built = !solvers_built;
-    solvers_reused = !solvers_reused;
-    deduce_sat_calls = !deduce_sat_calls;
-    deduce_probes = !deduce_probes;
-    deduce_model_prunes = !deduce_model_prunes;
-    deduce_seeded = !deduce_seeded;
-    static_facts = !static_facts;
-    probes_avoided = !probes_avoided;
-    template_hits = !template_hits;
-    template_misses = !template_misses;
+    entities = Array.length results;
+    valid_entities = count_ok (fun o -> o.valid);
+    errors = Array.length results - count_ok (fun _ -> true);
+    degraded_partial = count_ok (fun o -> o.level = PartialDeduce);
+    degraded_pick = count_ok (fun o -> o.level = PickFallback);
+    budget_exhausted = count_ok (fun o -> o.degrade_reason <> None);
+    total_rounds = sum_ok (fun o -> o.rounds);
+    attrs_total = sum_ok (fun o -> Array.length o.resolved);
+    attrs_resolved = sum_ok (fun o -> count_known o.resolved);
+    times;
+    solver =
+      Array.fold_left
+        (fun acc r -> Sat.Solver.add_stats acc r.stats.solver)
+        Sat.Solver.zero_stats results;
+    solvers_built = sum (fun s -> s.solvers_built);
+    solvers_reused = sum (fun s -> s.solvers_reused);
+    deduce_sat_calls = sum (fun s -> s.deduce_sat_calls);
+    deduce_probes = sum (fun s -> s.deduce_probes);
+    deduce_model_prunes = sum (fun s -> s.deduce_model_prunes);
+    deduce_seeded = sum (fun s -> s.deduce_seeded);
+    static_facts = sum (fun s -> s.static_facts);
+    probes_avoided = sum (fun s -> s.probes_avoided);
+    template_hits;
+    template_misses;
     template_hit_ratio =
       (if tlookups = 0 then 0.
-       else float_of_int !template_hits /. float_of_int tlookups);
-    encode_alloc_words = !encode_alloc_words;
-    delta_extensions = !delta_extensions;
-    rebuilds = !rebuilds_renumbered + !rebuilds_impure;
-    rebuilds_renumbered = !rebuilds_renumbered;
-    rebuilds_impure = !rebuilds_impure;
-    lint_rejected = !lint_rejected;
+       else float_of_int template_hits /. float_of_int tlookups);
+    encode_alloc_words =
+      Array.fold_left (fun acc r -> acc +. r.stats.encode_alloc_words) 0. results;
+    delta_extensions = sum (fun s -> s.delta_extensions);
+    rebuilds = rebuilds_renumbered + rebuilds_impure;
+    rebuilds_renumbered;
+    rebuilds_impure;
+    lint_rejected = sum (fun s -> Bool.to_int s.lint_rejected);
     jobs;
     jobs_requested;
     wall_ms;
@@ -1045,8 +979,9 @@ let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
 let run_batch ?(config = default_config) ?cache ?on_result items =
   let cache = match cache with Some c -> c | None -> create_cache () in
   let jobs_requested = max 1 config.jobs in
-  (* more domains than cores is a pure loss (BENCH_par: jobs=4 on a 1-core
-     host ran 3x slower), so the effective width is capped by default;
+  (* more domains than cores is a pure loss (every domain past the core
+     count only adds scheduling and GC contention), so the effective
+     width is capped by default;
      [clamp_jobs = false] restores the literal request for scheduling
      tests and benchmarks that need over-subscription on purpose *)
   let jobs =

@@ -96,9 +96,10 @@ type config = {
           [false] encodes every specification directly with
           {!Encode.encode}, the {!Framework.resolve} reference path *)
   lint : bool;
-      (** run the {!Analyze} pre-phase: specifications with an E-level
-          diagnostic (provably unsatisfiable) skip encoding and the
-          solver entirely and report the invalid outcome directly *)
+      (** report provably unsatisfiable specs invalid without a solver:
+          {!Analyze.cheap_errors} before encoding, a refuted closure of the
+          session's own encoding (E002/E005) after the saturate pre-phase —
+          so with [saturate = false] the solver decides the rest *)
   saturate : bool;
       (** run the {!Saturate} pre-phase after each (re-)encoding: the
           polynomial static closure of certain currency facts is injected
@@ -150,7 +151,7 @@ type config = {
           of being captured as an [Error] outcome. Default [false]. *)
 }
 
-(** Incremental session + cache + lint pre-phase on; [mode = Paper],
+(** Incremental session + cache + lint + saturate on; [mode = Paper],
     [deduce = Deduce.backbone] (complete deduction — cheap on the reused
     session, and fewer interaction rounds than unit propagation),
     [repair = Exact_maxsat], [max_rounds = 5], [jobs = 1],
@@ -208,7 +209,7 @@ type entity_stats = {
   template_misses : int;  (** lookups that had to compile the shape *)
   encode_alloc_words : float;
       (** minor-heap words the encode phase allocated on this entity's
-          domain — the per-domain contention signal of the par bench *)
+          domain — the per-domain allocation signal of a parallel batch *)
   delta_extensions : int;  (** [Se ⊕ Ot] rounds served by {!Encode.extend} *)
   rebuilds : int;  (** rounds the solver session could not survive:
                        [rebuilds_renumbered + rebuilds_impure] *)
@@ -219,8 +220,9 @@ type entity_stats = {
       (** the extension was not pure (Σ/Γ changed, tuples not appended):
           full re-encode from scratch *)
   lint_rejected : bool;
-      (** the lint pre-phase proved the spec unsatisfiable: no encoding,
-          no solver was built *)
+      (** [config.lint] proved the spec unsatisfiable and no solver was
+          built: a cheap check before encoding, or a refuted closure
+          after it *)
 }
 
 (** Per-entity result; same content as {!Framework.outcome} minus timings
@@ -293,9 +295,9 @@ val resolve :
 (** The session's current (accumulated) specification. *)
 val session_spec : session -> Spec.t
 
-(** [true] when the lint pre-phase rejected the spec at creation: the
-    session holds no encoding and {!ingest_session} refuses it — rebuild
-    from the accumulated spec instead. *)
+(** [true] when [config.lint] rejected the spec at creation: the session
+    holds no solver and {!ingest_session} refuses it — rebuild from the
+    accumulated spec instead. *)
 val session_rejected : session -> bool
 
 (** A snapshot of the session's statistics so far; the same record
@@ -317,7 +319,7 @@ val refresh_budget : session -> unit
     {!Encode.extend}: unchanged value universes feed only delta clauses
     to the live solver ([delta_extensions]); a grown universe reloads the
     solver but reuses the Σ instance sweep ([rebuilds_renumbered]).
-    Raises [Invalid_argument] on a lint-rejected session (see
+    Raises [Invalid_argument] on a rejected session (see
     {!session_rejected}) and propagates [Spec.make] validation errors. *)
 val ingest_session :
   session -> ?orders:Spec.order_edge list -> ?tuples:Tuple.t list -> unit -> unit
@@ -372,7 +374,7 @@ type stats = {
   rebuilds : int;  (** [rebuilds_renumbered + rebuilds_impure] *)
   rebuilds_renumbered : int;
   rebuilds_impure : int;
-  lint_rejected : int;  (** entities rejected by the lint pre-phase *)
+  lint_rejected : int;  (** entities rejected as statically unsat *)
   jobs : int;  (** domains the batch ran on (after any clamping) *)
   jobs_requested : int;  (** [config.jobs] as given *)
   wall_ms : float;

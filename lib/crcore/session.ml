@@ -18,7 +18,7 @@ type handle = {
      solver. *)
   mutable memo : (Engine.result * Engine.entity_stats) option;
   mutable resolves : int;
-  (* counters carried over engine-session rebuilds (lint-rejected ingest):
+  (* counters carried over engine-session rebuilds (rejected ingest):
      the replacement session starts its stats at zero, so the totals of the
      sessions it replaced live here *)
   mutable carried_delta : int;
@@ -84,9 +84,10 @@ let flush h =
     h.pending_orders <- [];
     h.memo <- None;
     if Engine.session_rejected h.eng then begin
-      (* the rejected session holds no encoding to extend; a rebuild from
-         the accumulated spec re-lints it — the extension may well cure
-         the diagnostic (e.g. an asserted order breaking a forced cycle),
+      (* the rejected session holds no solver to extend (nor an
+         encoding, if a cheap check rejected it); a rebuild from the
+         accumulated spec re-runs the rejection test — the extension may
+         well cure it (e.g. a tuple bringing a vetoed CFD's RHS constant),
          and if not the fresh session is rejected again, harmlessly *)
       let old = h.eng in
       let spec = Engine.session_spec old in

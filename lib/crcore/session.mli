@@ -31,7 +31,7 @@
 type handle
 
 (** [create ?config ?cache ?label spec] opens a session on the entity's
-    initial specification — encoding, lint pre-phase and (in incremental
+    initial specification — lint, encoding, saturation and (in incremental
     mode) the solver load happen here. [cache] is the shared encoding
     cache ({!Engine.create_cache}); sessions of a {!Store} share the
     store's. *)
@@ -49,9 +49,9 @@ val spec : handle -> Spec.t
     edges (indices into the accumulated entity). The buffer is applied to
     the engine session lazily, at the next {!resolve}/{!baseline}/{!spec}
     — so bursts of arrivals between resolve points coalesce into a single
-    extension. A session whose accumulated spec the lint pre-phase had
+    extension. A session whose accumulated spec [config.lint] had
     rejected is rebuilt from scratch on the extended spec at that point
-    (re-linted — soundly, whatever the extension). Raises
+    (re-checked — soundly, whatever the extension). Raises
     [Invalid_argument] on a closed handle; a spec validation error in the
     buffered extension surfaces at the applying call. *)
 val ingest : handle -> ?orders:Spec.order_edge list -> ?tuples:Tuple.t list -> unit -> unit

@@ -21,14 +21,29 @@ let tuples e = Array.to_list e.tuples
 
 let value e i a = Tuple.get (tuple e i) a
 
+(* hashing that agrees with [Value.equal]: an [Int] hashes as the float
+   it equals ([Hashtbl.hash] already maps [-0.] and [0.] alike); NaN,
+   equal to nothing, is never found, so each occurrence stays distinct
+   exactly as under a list scan *)
+module VTbl = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+
+  let hash = function
+    | Value.Int i -> Hashtbl.hash (float_of_int i)
+    | Value.Float f -> Hashtbl.hash f
+    | v -> Hashtbl.hash v
+end)
+
 let active_domain e a =
-  let seen = ref [] in
-  Array.iter
-    (fun t ->
+  let seen = VTbl.create 16 in
+  Array.fold_left
+    (fun acc t ->
       let v = Tuple.get t a in
-      if not (List.exists (Value.equal v) !seen) then seen := v :: !seen)
-    e.tuples;
-  List.rev !seen
+      if VTbl.mem seen v then acc else (VTbl.add seen v (); v :: acc))
+    [] e.tuples
+  |> List.rev
 
 let has_conflict e a = List.length (active_domain e a) > 1
 

@@ -24,7 +24,8 @@ let edge attr lo hi = { Crcore.Spec.attr; lo; hi }
 let mk ?(orders = []) ?(sigma = []) ?(gamma = []) () =
   Crcore.Spec.make Fixtures.edith_entity ~orders ~sigma ~gamma
 
-let codes spec = List.map (fun (d : A.diagnostic) -> d.A.code) (A.analyze spec)
+let codes_of ds = List.map (fun (d : A.diagnostic) -> d.A.code) ds
+let codes spec = codes_of (A.analyze spec)
 let check_has msg code spec = Alcotest.(check bool) msg true (List.mem code (codes spec))
 let check_not msg code spec = Alcotest.(check bool) msg false (List.mem code (codes spec))
 
@@ -226,6 +227,53 @@ let test_engine_lint_clean_passthrough () =
   Alcotest.(check bool) "not rejected" false st.E.lint_rejected;
   Alcotest.(check bool) "solved normally" true (st.E.solvers_built >= 1 && r.E.valid)
 
+(* The closure half of the engine's rejection test: a spec with an E002
+   (a fired veto: Σ makes "deceased" the certain current status, whose
+   CFD demands a city the entity never takes) and no cheap error is
+   encoded and saturated, then rejected before any solver is built. *)
+let veto_spec ?(entity = Fixtures.edith_entity) () =
+  Crcore.Spec.make entity ~orders:[] ~sigma:Fixtures.sigma
+    ~gamma:[ mk_cfd [ ("status", "deceased") ] ("city", "Paris") ]
+
+let without_conflicts (r : E.result) = { r with E.conflicts_spent = 0 }
+
+let test_engine_closure_rejected () =
+  let spec = veto_spec () in
+  Alcotest.(check (list string)) "no cheap error" [] (codes_of (A.cheap_errors spec));
+  check_has "E002 from the closure" "E002" spec;
+  List.iter
+    (fun mode ->
+      let config = { E.default_config with mode } in
+      let r, st = E.resolve ~config ~user:F.silent spec in
+      Alcotest.(check bool) "rejected" true st.E.lint_rejected;
+      Alcotest.(check int) "no solver built" 0 st.E.solvers_built;
+      Alcotest.(check bool) "encoded and saturated" true (st.E.static_facts > 0);
+      let off, st_off = E.resolve ~config:{ config with lint = false } ~user:F.silent spec in
+      Alcotest.(check bool) "lint off solves" true (st_off.E.solvers_built >= 1);
+      Alcotest.(check bool) "invalid" false r.E.valid;
+      Alcotest.(check bool) "same record as the solver's Unsat" true (r = off))
+    [ Crcore.Encode.Paper; Crcore.Encode.Exact ];
+  (* without a closure only the cheap checks reject: the solver decides *)
+  let _, st = E.resolve ~config:{ E.default_config with saturate = false } ~user:F.silent spec in
+  Alcotest.(check bool) "saturate off: not rejected" false st.E.lint_rejected
+
+(* A closure-rejected stream session whose arrivals cure the veto (a
+   tuple bringing the RHS constant) is rebuilt at the next resolve and
+   answers exactly as a cold session on the accumulated spec. *)
+let test_session_cured_by_ingest () =
+  let h = Crcore.Session.create (veto_spec ()) in
+  Alcotest.(check bool) "rejected at open" true (Crcore.Session.stats h).E.lint_rejected;
+  let cure =
+    Fixtures.tup [ "Edith Shain"; "deceased"; "n/a"; "3"; "Paris"; "213"; "90058"; "Vermont" ]
+  in
+  Crcore.Session.ingest h ~tuples:[ cure ] ();
+  let hot, st = Crcore.Session.resolve h in
+  Alcotest.(check bool) "cured" false st.E.lint_rejected;
+  let entity = Entity.make Fixtures.schema (Entity.tuples Fixtures.edith_entity @ [ cure ]) in
+  let cold, _ = E.resolve ~user:F.silent (veto_spec ~entity ()) in
+  Alcotest.(check bool) "valid once cured" true cold.E.valid;
+  Alcotest.(check bool) "hot == cold" true (without_conflicts hot = without_conflicts cold)
+
 (* ---- properties ---- *)
 
 let prop_errors_sound =
@@ -262,6 +310,24 @@ let prop_lint_never_changes_results =
       && on.E.rounds = off.E.rounds
       && on.E.per_round_known = off.E.per_round_known
       && ((not st.E.lint_rejected) || not on.E.valid))
+
+(* Both halves of the engine's rejection test together reject exactly
+   what lint's errors_only pass reports, in Paper and in Exact mode: on
+   a real encoding a singleton veto premise is null ≺ v or v ≺ null,
+   and the null-lowest axioms already decide both, so the Exact closure's
+   totality step never adds a fact and refutes nothing Paper's misses.
+   The cheap half alone is lint's errors_only report whenever it fires. *)
+let prop_engine_rejects_exactly_lint_errors =
+  QCheck.Test.make ~count:500 ~name:"engine rejection == errors_only lint, both modes"
+    Fixtures.qcheck_spec (fun spec ->
+      let eo = A.analyze ~errors_only:true spec in
+      let cheap = A.cheap_errors spec in
+      (cheap = [] || cheap = eo)
+      && List.for_all
+           (fun mode ->
+             E.session_rejected (E.create_session ~config:{ E.default_config with mode } spec)
+             = A.has_errors eo)
+           [ Crcore.Encode.Paper; Crcore.Encode.Exact ])
 
 let () =
   Alcotest.run "analyze"
@@ -301,8 +367,16 @@ let () =
         [
           Alcotest.test_case "lint-rejected session" `Quick test_engine_lint_rejected;
           Alcotest.test_case "clean passthrough" `Quick test_engine_lint_clean_passthrough;
+          Alcotest.test_case "closure-rejected session" `Quick test_engine_closure_rejected;
+          Alcotest.test_case "rejected stream session cured by ingest" `Quick
+            test_session_cured_by_ingest;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_errors_sound; prop_errors_only_agrees; prop_lint_never_changes_results ] );
+          [
+            prop_errors_sound;
+            prop_errors_only_agrees;
+            prop_lint_never_changes_results;
+            prop_engine_rejects_exactly_lint_errors;
+          ] );
     ]

@@ -112,6 +112,45 @@ let prop_csv_roundtrip =
       let parsed = Csv.parse_string (Csv.to_string rows) in
       parsed = rows)
 
+(* the hashed active domain against the list scan it replaced: same
+   values, same first-occurrence order, under [Value.equal] — [Int 1]
+   and [Float 1.] are one value, [0.] and [-0.] are one value, every NaN
+   occurrence is its own *)
+let prop_active_domain_list_reference =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return Value.Null);
+          (3, map (fun i -> Value.Int i) (int_range (-3) 3));
+          (3, map (fun i -> Value.Float (float_of_int i)) (int_range (-3) 3));
+          (1, map (fun i -> Value.Float (float_of_int i +. 0.5)) (int_range (-2) 2));
+          (1, oneofl [ Value.Float 0.; Value.Float (-0.); Value.Float Float.nan ]);
+          (2, map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "1" ]));
+        ])
+  in
+  let schema1 = Schema.make [ "x" ] in
+  let reference vs =
+    List.rev
+      (List.fold_left
+         (fun seen v -> if List.exists (Value.equal v) seen then seen else v :: seen)
+         [] vs)
+  in
+  (* bit-level identity: the kept occurrence of [0.]/[-0.] must be the first *)
+  let same a b =
+    match (a, b) with
+    | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | _ -> a = b
+  in
+  QCheck.Test.make ~count:500 ~name:"hashed active_domain == list-scan reference"
+    (QCheck.make
+       ~print:(fun vs -> String.concat "," (List.map Value.to_string vs))
+       QCheck.Gen.(list_size (int_range 1 30) value))
+    (fun vs ->
+      let e = Entity.make schema1 (List.map (fun x -> Tuple.make schema1 [ x ]) vs) in
+      let got = Entity.active_domain e 0 and want = reference vs in
+      List.length got = List.length want && List.for_all2 same got want)
+
 let () =
   Alcotest.run "relational"
     [
@@ -135,5 +174,5 @@ let () =
           Alcotest.test_case "entity loading" `Quick test_csv_entity;
         ] );
       ( "property",
-        List.map QCheck_alcotest.to_alcotest [ prop_value_of_to_string; prop_csv_roundtrip ] );
+        List.map QCheck_alcotest.to_alcotest [ prop_value_of_to_string; prop_csv_roundtrip; prop_active_domain_list_reference ] );
     ]
