@@ -20,14 +20,18 @@ type t = {
    Paper mode, one per unordered pair in Exact mode *)
 let pairs mode d = match mode with Paper -> d * (d - 1) | Exact -> d * (d - 1) / 2
 
-let build ?(mode = Paper) entity gamma =
+let is_nan = function Value.Float f -> Float.is_nan f | _ -> false
+
+let lower ?(mode = Paper) entity gamma =
   let schema = Entity.schema entity in
   let arity = Schema.arity schema in
   let universes = Array.make arity [||] in
   let adom_sizes = Array.make arity 0 in
   let ids = Array.make arity VMap.empty in
+  let cells = Array.make arity [||] in
   for a = 0 to arity - 1 do
-    let adom = Entity.active_domain entity a in
+    let adom_a, col = Entity.active_domain_ids entity a in
+    let adom = Array.to_list adom_a in
     (* Null is pre-reserved in every universe: when no tuple takes it yet
        it sits right after the active-domain values — exactly where the
        first-occurrence order would place it if a later Se ⊕ Ot tuple
@@ -47,7 +51,18 @@ let build ?(mode = Paper) entity gamma =
     in
     let univ = Array.of_list (adom @ extra) in
     universes.(a) <- univ;
-    ids.(a) <- Array.to_list univ |> List.mapi (fun i v -> (v, i)) |> List.to_seq |> VMap.of_seq
+    ids.(a) <- Array.to_list univ |> List.mapi (fun i v -> (v, i)) |> List.to_seq |> VMap.of_seq;
+    (* a cell's id is the scan's index into the active domain, which is
+       its [vid] — with one exception: NaN equals nothing under
+       [Value.equal], so every NaN occurrence took an entry of its own,
+       but [Value.total_compare] equates NaNs and the map keeps the last
+       of equal keys, so [vid] answers the universe's last NaN *)
+    if Array.exists is_nan adom_a then begin
+      let last = ref 0 in
+      Array.iteri (fun i v -> if is_nan v then last := i) univ;
+      Array.iteri (fun i id -> if is_nan univ.(id) then col.(i) <- !last) col
+    end;
+    cells.(a) <- col
   done;
   let offsets = Array.make arity 0 in
   let total = ref 0 in
@@ -56,7 +71,9 @@ let build ?(mode = Paper) entity gamma =
     let d = Array.length universes.(a) in
     total := !total + pairs mode d
   done;
-  { mode; schema; universes; adom_sizes; ids; offsets; nvars = !total }
+  ({ mode; schema; universes; adom_sizes; ids; offsets; nvars = !total }, cells)
+
+let build ?mode entity gamma = fst (lower ?mode entity gamma)
 
 let mode c = c.mode
 

@@ -24,6 +24,13 @@ type t
     (default [Paper]). *)
 val build : ?mode:mode -> Entity.t -> Cfd.Constant_cfd.t list -> t
 
+(** [lower ?mode entity gamma] is [(build ?mode entity gamma, cells)]
+    from one scan of the entity: [cells.(a).(i)] is the id of tuple [i]'s
+    value at attribute [a], equal to [vid c a (Tuple.get t a)] cell for
+    cell (a NaN cell included). The columns are the caller's to drop:
+    they are not kept in [t], which can outlive the entity's encoding. *)
+val lower : ?mode:mode -> Entity.t -> Cfd.Constant_cfd.t list -> t * int array array
+
 val mode : t -> mode
 
 val schema : t -> Schema.t

@@ -19,6 +19,7 @@ type cpred = CPrec of int | CCmp2 of int * Value.op
 type cconstraint = {
   c_idx : int;  (* index into Σ *)
   c_positions : int list;  (* sorted positions of every mentioned attribute *)
+  c_pos : int;  (* number of [c_positions] among the distinct ones, below [s_npos] *)
   c_t1 : (int * Value.op * Value.t) list;  (* constant predicates on t1 *)
   c_t2 : (int * Value.op * Value.t) list;  (* constant predicates on t2 *)
   c_pair : cpred list;  (* pair predicates, original premise order *)
@@ -29,6 +30,7 @@ type sigma_c = {
   s_schema : Schema.t;
   s_src : Currency.Constraint_ast.t list;
   s_cs : cconstraint list;
+  s_npos : int;  (* how many distinct [c_positions] there are *)
 }
 
 type cgamma = { g_idx : int; g_lhs : (int * Value.t) list; g_rhs : int * Value.t }
@@ -90,6 +92,19 @@ type t = {
 let lit_of_fact_c coding f = Coding.lit_of coding ~attr:f.attr f.lo f.hi
 
 let compile_sigma schema sigma =
+  (* constraint sets routinely hold hundreds of constraints over the same
+     few attribute sets (chains instantiated with different constants), so
+     each distinct position list gets an id and representatives are
+     memoised per id *)
+  let pos_ids = Hashtbl.create 16 in
+  let pos_id positions =
+    match Hashtbl.find_opt pos_ids positions with
+    | Some k -> k
+    | None ->
+        let k = Hashtbl.length pos_ids in
+        Hashtbl.add pos_ids positions k;
+        k
+  in
   let cs =
     List.mapi
       (fun k (c : Currency.Constraint_ast.t) ->
@@ -114,13 +129,15 @@ let compile_sigma schema sigma =
                 | Currency.Constraint_ast.T1 -> t1 := e :: !t1
                 | Currency.Constraint_ast.T2 -> t2 := e :: !t2))
           c.Currency.Constraint_ast.premise;
+        (* sorted positions, not name-sorted [Constraint_ast.attrs]:
+           which tuples represent a distinct projection is insensitive to
+           the order of the projected positions, so any canonical order
+           yields the same representatives (and memo hits) *)
+        let positions = List.sort_uniq compare !positions in
         {
           c_idx = k;
-          (* sorted positions, not name-sorted [Constraint_ast.attrs]:
-             which tuples represent a distinct projection is insensitive
-             to the order of the projected positions, so any canonical
-             order yields the same representatives (and memo hits) *)
-          c_positions = List.sort_uniq compare !positions;
+          c_positions = positions;
+          c_pos = pos_id positions;
           c_t1 = List.rev !t1;
           c_t2 = List.rev !t2;
           c_pair = List.rev !pair;
@@ -128,7 +145,7 @@ let compile_sigma schema sigma =
         })
       sigma
   in
-  { s_schema = schema; s_src = sigma; s_cs = cs }
+  { s_schema = schema; s_src = sigma; s_cs = cs; s_npos = Hashtbl.length pos_ids }
 
 let compile_gamma schema gamma =
   let cs =
@@ -188,24 +205,6 @@ let gamma_c_for schema spec arg =
    distinct projections rather than pairs of tuples: same instances,
    usually far fewer pairs. *)
 
-(* representatives paired with the index of their first-occurrence tuple,
-   so an incremental pass can tell which ones the extension introduced *)
-let projection_reps_i entity attr_positions =
-  let seen = Hashtbl.create 16 in
-  let reps = ref [] in
-  List.iteri
-    (fun i tup ->
-      let key =
-        String.concat "\x00"
-          (List.map (fun a -> Value.to_string (Tuple.get tup a)) attr_positions)
-      in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        reps := (i, tup) :: !reps
-      end)
-    (Entity.tuples entity);
-  List.rev !reps
-
 (* Σ instances in a canonical order, independent of which tuple pairs
    produced them: [extend] merges incrementally-found instances into a
    base set and must land on the very list a fresh encode would build. *)
@@ -214,95 +213,133 @@ let compare_insts a b =
 
 let sort_insts l = List.sort compare_insts l
 
-(* constraint sets routinely hold hundreds of constraints over the same
-   few attribute sets (chains instantiated with different constants), so
-   representatives are memoised per position list *)
-let reps_memo entity =
-  let memo = Hashtbl.create 16 in
-  fun positions ->
-    match Hashtbl.find_opt memo positions with
-    | Some reps -> reps
-    | None ->
-        let reps = projection_reps_i entity positions in
-        Hashtbl.add memo positions reps;
-        reps
-
 (* ---- the per-entity instantiation stage ----
 
-   Tuples are lowered once into a value-id matrix ([vids.(i).(a)] is the
-   universe id of tuple [i]'s value at attribute [a]); everything after
-   that is integer compares and array reads. This rests on two facts:
-   value ids are assigned by [Value.total_compare], which identifies two
-   values exactly when [Value.equal] does (numerically equal Int/Float
+   [Coding.lower] gives every cell its universe id in the same scan that
+   builds the active domains: [cells.(a).(i)] is the id of tuple [i]'s
+   value at attribute [a], read column by column. Everything after that
+   is integer compares and array reads. This rests on two facts: value
+   ids are assigned by [Value.total_compare], which identifies two values
+   exactly when [Value.equal] does (numerically equal Int/Float
    included), so id equality IS value equality over universe members; and
    [Value.eval] is built on [equal]/[compare_opt], so evaluating an
    operator on the universe representative ([Coding.value]) is evaluating
-   it on the tuple's own value. Projection representatives keyed on id
-   lists coincide with the value-keyed ones up to [Value.equal]-classes,
-   which is the exact equivalence instance generation factors through —
-   the instance set (and the [fired] flags) is unchanged. *)
+   it on the tuple's own value. Projection representatives keyed on ids
+   coincide with the value-keyed ones up to [Value.equal]-classes, which
+   is the exact equivalence instance generation factors through — the
+   instance set (and the [fired] flags) is unchanged. *)
 
-(* Per-domain scratch tables, reused across encodes: [Hashtbl.clear] keeps
-   the grown bucket array, so steady-state instantiation allocates no
-   fresh tables. Never live across calls — membership only, no escape. *)
+(* Hashtbl picks a bucket from the hash's low bits, and a refinement key
+   [class·d + id] with d a power of two has [id] as its low bits, so an
+   identity hash would chain every tuple of a column with concentrated
+   ids. A multiplicative mix spreads them; [lsr] keeps it non-negative. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x9E3779B97F4A7C1) lsr 17
+end)
+
+(* Per-domain scratch, reused across encodes: [Hashtbl.clear] keeps the
+   grown bucket array, so steady-state instantiation allocates no fresh
+   tables. Never live across calls — membership only, no escape. The
+   class table is sized to the entity: one far larger than this entity
+   has tuples is replaced, so a small stream entity does not clear
+   buckets grown for a 4000-tuple one. *)
 type scratch = {
   sc_dedup : (int list, unit) Hashtbl.t;  (* packed instance keys *)
-  sc_proj : (int list, unit) Hashtbl.t;   (* projected id keys *)
+  mutable sc_cls : int array;  (* projection class of each tuple *)
+  mutable sc_keys : int Int_tbl.t;  (* (class, id) key -> refined class *)
+  mutable sc_keys_cap : int;  (* [sc_keys]'s size: created for, or most keys held *)
 }
 
 let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { sc_dedup = Hashtbl.create 1024; sc_proj = Hashtbl.create 64 })
-
-let vid_matrix coding entity =
-  let arity = Schema.arity (Coding.schema coding) in
-  Array.of_list
-    (List.map
-       (fun tup -> Array.init arity (fun a -> Coding.vid coding a (Tuple.get tup a)))
-       (Entity.tuples entity))
+      {
+        sc_dedup = Hashtbl.create 1024;
+        sc_cls = [||];
+        sc_keys = Int_tbl.create 16;
+        sc_keys_cap = 16;
+      })
 
 (* the reserved null's id per attribute ({!Coding.build} guarantees one) *)
 let null_ids coding =
   let arity = Schema.arity (Coding.schema coding) in
   Array.init arity (fun a -> Coding.vid coding a Value.Null)
 
-(* first-occurrence representative tuple indices of the distinct
-   projections onto [positions], over the id matrix *)
-let projection_reps_v vids positions =
-  let seen = (Domain.DLS.get scratch_key).sc_proj in
-  Hashtbl.clear seen;
-  let reps = ref [] in
-  Array.iteri
-    (fun i v ->
-      let key = List.map (fun a -> v.(a)) positions in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        reps := i :: !reps
-      end)
-    vids;
-  List.rev !reps
+(* Split the classes [sc_cls.(0..n-1)] by the id column [col] (ids below
+   [d]): two tuples stay together iff they shared a class and agree on
+   [col]. The key [class·d + id] is exact (ids are below [d]) and small
+   (classes are below [n] or a universe size). New classes are numbered
+   densely in first-occurrence order; returns their count. *)
+let refine sc n col d =
+  let cls = sc.sc_cls and keys = sc.sc_keys in
+  Int_tbl.clear keys;
+  let next = ref 0 in
+  for i = 0 to n - 1 do
+    let key = (cls.(i) * d) + col.(i) in
+    match Int_tbl.find keys key with
+    | c -> cls.(i) <- c
+    | exception Not_found ->
+        Int_tbl.add keys key !next;
+        cls.(i) <- !next;
+        incr next
+  done;
+  if !next > sc.sc_keys_cap then sc.sc_keys_cap <- !next;
+  !next
 
-let reps_memo_v vids =
-  let memo = Hashtbl.create 16 in
-  fun positions ->
-    match Hashtbl.find_opt memo positions with
+(* first-occurrence representative tuple indices of the distinct
+   projections onto [positions], in ascending order: the first position's
+   ids are the initial classes, each further position refines them, and
+   a class is represented by its first tuple *)
+let projection_reps coding cells positions =
+  match positions with
+  | [] -> [ 0 ] (* every tuple projects to (); entities are non-empty *)
+  | p :: rest ->
+      let n = Array.length cells.(p) in
+      let size a = Array.length (Coding.universe coding a) in
+      let sc = Domain.DLS.get scratch_key in
+      if Array.length sc.sc_cls < n then sc.sc_cls <- Array.make n 0;
+      if sc.sc_keys_cap > (4 * n) + 16 then begin
+        sc.sc_keys <- Int_tbl.create n;
+        sc.sc_keys_cap <- n
+      end;
+      Array.blit cells.(p) 0 sc.sc_cls 0 n;
+      let nclasses = List.fold_left (fun _ q -> refine sc n cells.(q) (size q)) (size p) rest in
+      let seen = Bytes.make nclasses '\000' in
+      let reps = ref [] in
+      for i = 0 to n - 1 do
+        let c = sc.sc_cls.(i) in
+        if Bytes.get seen c = '\000' then begin
+          Bytes.set seen c '\001';
+          reps := i :: !reps
+        end
+      done;
+      List.rev !reps
+
+(* representatives memoised per position-list id ({!compile_sigma}) *)
+let reps_by_positions sigma_c coding cells =
+  let memo = Array.make sigma_c.s_npos None in
+  fun cc ->
+    match memo.(cc.c_pos) with
     | Some reps -> reps
     | None ->
-        let reps = projection_reps_v vids positions in
-        Hashtbl.add memo positions reps;
+        let reps = projection_reps coding cells cc.c_positions in
+        memo.(cc.c_pos) <- Some reps;
         reps
 
-let sat_consts_v coding vids i preds =
+let sat_consts coding cells i preds =
   List.for_all
-    (fun (a, op, cst) -> Value.eval op (Coding.value coding a vids.(i).(a)) cst)
+    (fun (a, op, cst) -> Value.eval op (Coding.value coding a cells.(a).(i)) cst)
     preds
 
 (* the [Constraint_ast.instantiate] semantics on a compiled constraint whose
-   single-tuple constant predicates already held: evaluate the pair
-   predicates, collect the residual prec conjuncts as coded facts.
-   Returns the packed dedup key ([concl lit :: sorted premise lits]) and
-   the instance, or [None] when some conjunct is vacuous-making. *)
-let inst_compiled_v coding nulls cc v1 v2 =
+   single-tuple constant predicates already held for tuples [t1], [t2]:
+   evaluate the pair predicates, collect the residual prec conjuncts as
+   coded facts. Returns the packed dedup key ([concl lit :: sorted premise
+   lits]) and the instance, or [None] when some conjunct is
+   vacuous-making. *)
+let inst_compiled coding nulls cc cells t1 t2 =
   let vacuous = ref false in
   let residual = ref [] in
   List.iter
@@ -310,7 +347,7 @@ let inst_compiled_v coding nulls cc v1 v2 =
       if not !vacuous then
         match p with
         | CPrec a ->
-            let i1 = v1.(a) and i2 = v2.(a) in
+            let i1 = cells.(a).(t1) and i2 = cells.(a).(t2) in
             (* nulls rank lowest: null ≺ v always holds (drop the conjunct),
                v ≺ null never does (the whole constraint is vacuous) *)
             if i2 = nulls.(a) then vacuous := true
@@ -320,13 +357,15 @@ let inst_compiled_v coding nulls cc v1 v2 =
         | CCmp2 (a, op) ->
             if
               not
-                (Value.eval op (Coding.value coding a v1.(a)) (Coding.value coding a v2.(a)))
+                (Value.eval op
+                   (Coding.value coding a cells.(a).(t1))
+                   (Coding.value coding a cells.(a).(t2)))
             then vacuous := true)
     cc.c_pair;
   if !vacuous then None
   else
     let a = cc.c_concl in
-    let i1 = v1.(a) and i2 = v2.(a) in
+    let i1 = cells.(a).(t1) and i2 = cells.(a).(t2) in
     (* equal-valued conclusions hold trivially; a null on either side of
        the conclusion carries no value-level currency information (a null
        already ranks lowest; a more-current-but-unknown value constrains
@@ -341,31 +380,31 @@ let inst_compiled_v coding nulls cc v1 v2 =
       in
       Some (key, { premise; concl; source = From_constraint cc.c_idx })
 
-let instantiate_sigma ?fired sigma_c spec coding =
-  let vids = vid_matrix coding spec.Spec.entity in
+(* [cells] are [coding]'s id columns ({!Coding.lower}) *)
+let instantiate_sigma ?fired sigma_c coding cells =
   let nulls = null_ids coding in
-  let reps_of = reps_memo_v vids in
+  let reps_of = reps_by_positions sigma_c coding cells in
   let out = (Domain.DLS.get scratch_key).sc_dedup in
   Hashtbl.clear out;
   let insts = ref [] in
   List.iter
     (fun cc ->
-      let reps = reps_of cc.c_positions in
+      let reps = reps_of cc in
       let cand1 =
         if cc.c_t1 = [] then reps
-        else List.filter (fun i -> sat_consts_v coding vids i cc.c_t1) reps
+        else List.filter (fun i -> sat_consts coding cells i cc.c_t1) reps
       in
       if cand1 <> [] then begin
         let cand2 =
           if cc.c_t2 = [] then reps
-          else List.filter (fun i -> sat_consts_v coding vids i cc.c_t2) reps
+          else List.filter (fun i -> sat_consts coding cells i cc.c_t2) reps
         in
         List.iter
           (fun i1 ->
             List.iter
               (fun i2 ->
                 if i1 <> i2 then
-                  match inst_compiled_v coding nulls cc vids.(i1) vids.(i2) with
+                  match inst_compiled coding nulls cc cells i1 i2 with
                   | None -> ()
                   | Some (key, inst) ->
                       (* pre-dedup: a constraint "fires" even when another
@@ -389,10 +428,9 @@ let instantiate_sigma ?fired sigma_c spec coding =
    tuple at index ≥ [n_base] can contribute anything new. On the
    framework's one-fresh-tuple extensions this is O(reps) instantiation
    calls per constraint instead of O(reps²). *)
-let instantiate_sigma_delta sigma_c spec coding ~base_insts ~n_base =
-  let vids = vid_matrix coding spec.Spec.entity in
+let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
   let nulls = null_ids coding in
-  let reps_of = reps_memo_v vids in
+  let reps_of = reps_by_positions sigma_c coding cells in
   let seen = (Domain.DLS.get scratch_key).sc_dedup in
   Hashtbl.clear seen;
   List.iter
@@ -406,16 +444,16 @@ let instantiate_sigma_delta sigma_c spec coding ~base_insts ~n_base =
   let out = ref [] in
   List.iter
     (fun cc ->
-      let reps = reps_of cc.c_positions in
+      let reps = reps_of cc in
       let news = List.filter (fun i -> i >= n_base) reps in
       if news <> [] then begin
         let try_pair i1 i2 =
           if
             i1 <> i2
-            && sat_consts_v coding vids i1 cc.c_t1
-            && sat_consts_v coding vids i2 cc.c_t2
+            && sat_consts coding cells i1 cc.c_t1
+            && sat_consts coding cells i2 cc.c_t2
           then
-            match inst_compiled_v coding nulls cc vids.(i1) vids.(i2) with
+            match inst_compiled coding nulls cc cells i1 i2 with
             | None -> ()
             | Some (key, inst) ->
                 if not (Hashtbl.mem seen key) then begin
@@ -630,9 +668,9 @@ let parts ?mode ?sigma_c ?gamma_c spec =
   let schema = Spec.schema spec in
   let sigma_c = sigma_c_for schema spec sigma_c in
   let gamma_c = gamma_c_for schema spec gamma_c in
-  let coding = Coding.build ?mode spec.Spec.entity [] in
+  let coding, cells = Coding.lower ?mode spec.Spec.entity [] in
   let fired = Array.make (List.length spec.Spec.sigma) false in
-  let sigma_insts = instantiate_sigma ~fired sigma_c spec coding in
+  let sigma_insts = instantiate_sigma ~fired sigma_c coding cells in
   let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
   let units, implications, vetoes =
     assemble_parts spec coding ~sigma_insts ~gamma_imps ~vetoes:gvetoes
@@ -683,8 +721,8 @@ let structural_for tpl coding =
       (b.sb_clauses, b.sb_count)
 
 let build_t ~mode ~sigma_c ~gamma_c ~template spec =
-  let coding = Coding.build ~mode spec.Spec.entity [] in
-  let sigma_insts = instantiate_sigma sigma_c spec coding in
+  let coding, cells = Coding.lower ~mode spec.Spec.entity [] in
+  let sigma_insts = instantiate_sigma sigma_c coding cells in
   let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
   let ((units, implications, vetoes) as parts) =
     assemble_parts spec coding ~sigma_insts ~gamma_imps ~vetoes:gvetoes
@@ -835,7 +873,7 @@ type extension = Delta of t * Sat.Lit.t array list | Renumbered of t
 let extend base spec =
   if not (pure_extension base.spec spec) then None
   else
-    let coding' = Coding.build ~mode:base.mode spec.Spec.entity [] in
+    let coding', cells = Coding.lower ~mode:base.mode spec.Spec.entity [] in
     if not (universes_prefix base.coding coding') then None
     else begin
       (* old values keep their per-attribute ids, so the Σ instances of
@@ -848,7 +886,7 @@ let extend base spec =
       let sigma_c = base.sigma_c and gamma_c = base.gamma_c in
       let n_base = List.length (Entity.tuples base.spec.Spec.entity) in
       let delta_insts =
-        instantiate_sigma_delta sigma_c spec coding ~base_insts:base.sigma_insts ~n_base
+        instantiate_sigma_delta sigma_c coding cells ~base_insts:base.sigma_insts ~n_base
       in
       let sigma_insts = sort_insts (List.rev_append delta_insts base.sigma_insts) in
       (* the Γ instances are a function of the value universes alone:

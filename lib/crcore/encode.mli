@@ -200,14 +200,20 @@ val extend : t -> Spec.t -> extension option
     transitivity axioms) small when Γ is a large pattern table. *)
 val relevant_gamma : Entity.t -> Cfd.Constant_cfd.t list -> (int * Cfd.Constant_cfd.t) list
 
-(** [reps_memo entity] is a memoised mapping from attribute-position
-    lists to first-occurrence representatives of the distinct projections
-    of the entity's tuples onto those positions. Σ-instances depend only
-    on the two tuples' values at the attributes a constraint mentions, so
-    instantiating over representative pairs yields exactly the instances
-    of all tuple pairs, usually over far fewer pairs. {!Analyze} uses the
-    same mapping so its ground instances match this encoding's. *)
-val reps_memo : Entity.t -> int list -> (int * Tuple.t) list
+(** [projection_reps coding cells positions] is, in ascending order, the
+    index of the first tuple of each distinct projection of the entity's
+    tuples onto [positions], where [cells] are [coding]'s id columns
+    ({!Coding.lower}). Σ-instances depend only on the two tuples' values
+    at the attributes a constraint mentions, so instantiating over pairs
+    of these representatives yields exactly the instances of all tuple
+    pairs, usually over far fewer pairs. Two tuples project alike iff
+    their ids agree at every position, so this is keyed on integers, not
+    values. *)
+val projection_reps : Coding.t -> int array array -> int list -> int list
+
+(** The int-keyed table {!projection_reps} refines classes through (keys
+    [class·d + id], d a universe size); its hash mixes the key's bits. *)
+module Int_tbl : Hashtbl.S with type key = int
 
 (** [lit_of_fact e f] is the literal of fact [f] ({!Coding.lit_of}). *)
 val lit_of_fact : t -> fact -> Sat.Lit.t

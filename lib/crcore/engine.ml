@@ -232,7 +232,7 @@ type session = {
   times : phase_times;
   track : phase ref;  (* last phase entered; attributes exceptions and faults *)
   faults : Faults.ctx;
-  mutable deadline : float option;  (* absolute [now_ms] bound from [budget_ms] *)
+  mutable deadline : float option;  (* absolute [Clock.now_ms] bound from [budget_ms] *)
   mutable spent_base : int;
       (* conflicts accrued before the current request: [refresh_budget]
          moves it so long-lived sessions get a full budget per request *)
@@ -265,15 +265,12 @@ type session = {
 
 (* elapsed time, not [Sys.time]: process CPU time charges one domain's
    work with every running domain's cycles, so per-phase times would be
-   nonsense under a parallel batch. The clock is monotonic, so a clock
-   step cannot skew a phase time or a budget deadline (only differences
-   of [now_ms] are ever used). *)
-let now_ms () = Int64.to_float (Monotonic_clock.now ()) *. 1e-6
-
+   nonsense under a parallel batch. The clock is monotonic ({!Clock}), so
+   a clock step cannot skew a phase time or a budget deadline. *)
 let timed_t times slot f =
-  let t0 = now_ms () in
+  let t0 = Clock.now_ms () in
   let r = f () in
-  let dt = now_ms () -. t0 in
+  let dt = Clock.now_ms () -. t0 in
   (match slot with
   | Lint_p -> times.lint_ms <- times.lint_ms +. dt
   | Encode_p -> times.encode_ms <- times.encode_ms +. dt
@@ -373,7 +370,7 @@ let arm_budget sess s =
   | None -> ()
 
 let wall_tripped sess =
-  match sess.deadline with Some d -> now_ms () > d | None -> false
+  match sess.deadline with Some d -> Clock.now_ms () > d | None -> false
 
 (* [true] once per injected [Exhaust] (consumed), or while the conflict
    budget is fully spent *)
@@ -443,7 +440,7 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
     sess.enc <- Some (timed sess Encode_p (fun () -> encode_spec sess spec))
   end;
   (* the wall budget runs from the encoded session *)
-  sess.deadline <- Option.map (fun ms -> now_ms () +. ms) config.budget_ms;
+  sess.deadline <- Option.map (fun ms -> Clock.now_ms () +. ms) config.budget_ms;
   saturate_session sess;
   (* second half: a refuted closure (lint's E002/E005, read from the
      closure the solver would be seeded with) skips the solver *)
@@ -585,7 +582,7 @@ let session_rejected sess = sess.lint_rejected
 let session_stats = snapshot_stats
 
 let refresh_budget sess =
-  sess.deadline <- Option.map (fun ms -> now_ms () +. ms) sess.config.budget_ms;
+  sess.deadline <- Option.map (fun ms -> Clock.now_ms () +. ms) sess.config.budget_ms;
   sess.spent_base <- conflicts_accrued sess
 
 let ingest_session sess ?(orders = []) ?(tuples = []) () =
@@ -989,7 +986,7 @@ let run_batch ?(config = default_config) ?cache ?on_result items =
     else jobs_requested
   in
   let jobs = max 1 jobs in
-  let t0 = now_ms () in
+  let t0 = Clock.now_ms () in
   let items = Array.of_list (intern_constraint_lists items) in
   let n = Array.length items in
   let results : item_result option array = Array.make n None in
@@ -1062,5 +1059,5 @@ let run_batch ?(config = default_config) ?cache ?on_result items =
         Parallel.Pool.run pool ~n process_and_emit)
   end;
   let results = Array.map (fun r -> match r with Some r -> r | None -> assert false) results in
-  let stats = aggregate ~jobs ~jobs_requested ~wall_ms:(now_ms () -. t0) results in
+  let stats = aggregate ~jobs ~jobs_requested ~wall_ms:(Clock.now_ms () -. t0) results in
   (Array.to_list results, stats)

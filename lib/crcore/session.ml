@@ -43,8 +43,6 @@ type counters = {
   c_sat : Sat.Solver.stats;
 }
 
-let now () = Unix.gettimeofday ()
-
 let locked h f =
   Mutex.lock h.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock h.m) f
@@ -257,7 +255,7 @@ module Store = struct
   let touch t (e : entry) =
     t.gen <- t.gen + 1;
     e.gen <- t.gen;
-    e.last_used <- now ();
+    e.last_used <- Clock.now_s ();
     Queue.push (e.h.label, e.gen) t.lru
 
   (* store lock held; takes the handle lock (never the reverse order) *)
@@ -335,7 +333,7 @@ module Store = struct
     | None -> 0
     | Some ttl ->
         with_lock t (fun () ->
-            let cutoff = now () -. ttl in
+            let cutoff = Clock.now_s () -. ttl in
             let stale =
               Hashtbl.fold
                 (fun lbl e acc -> if e.last_used < cutoff then (lbl, e) :: acc else acc)

@@ -192,13 +192,13 @@ let open_writer ?(fsync = Interval 0.05) ?(segment_bytes = 8 * 1024 * 1024) ~dir
     seg_size = 0;
     appended = 0;
     unsynced = 0;
-    last_sync = Unix.gettimeofday ();
+    last_sync = Clock.now_s ();
   }
 
 let sync_locked w =
   if w.unsynced > 0 then Unix.fsync w.fd;
   w.unsynced <- 0;
-  w.last_sync <- Unix.gettimeofday ()
+  w.last_sync <- Clock.now_s ()
 
 let rotate_locked w =
   sync_locked w;
@@ -227,7 +227,7 @@ let maybe_flush w =
   | Always | Never -> ()
   | Interval s ->
       locked w (fun () ->
-          if w.unsynced > 0 && Unix.gettimeofday () -. w.last_sync >= s then
+          if w.unsynced > 0 && Clock.now_s () -. w.last_sync >= s then
             sync_locked w)
 
 let rotate w = locked w (fun () -> rotate_locked w)
@@ -237,7 +237,7 @@ let unsynced w = locked w (fun () -> w.unsynced)
 
 let last_sync_age w =
   locked w (fun () ->
-      if w.appended = 0 then 0. else Unix.gettimeofday () -. w.last_sync)
+      if w.appended = 0 then 0. else Clock.now_s () -. w.last_sync)
 
 let close_writer w =
   locked w (fun () ->

@@ -36,14 +36,24 @@ module VTbl = Hashtbl.Make (struct
     | v -> Hashtbl.hash v
 end)
 
-let active_domain e a =
+let active_domain_ids e a =
+  let n = Array.length e.tuples in
   let seen = VTbl.create 16 in
-  Array.fold_left
-    (fun acc t ->
-      let v = Tuple.get t a in
-      if VTbl.mem seen v then acc else (VTbl.add seen v (); v :: acc))
-    [] e.tuples
-  |> List.rev
+  let ids = Array.make n 0 in
+  let adom = ref [] and next = ref 0 in
+  for i = 0 to n - 1 do
+    let v = Tuple.get e.tuples.(i) a in
+    match VTbl.find seen v with
+    | id -> ids.(i) <- id
+    | exception Not_found ->
+        VTbl.add seen v !next;
+        ids.(i) <- !next;
+        adom := v :: !adom;
+        incr next
+  done;
+  (Array.of_list (List.rev !adom), ids)
+
+let active_domain e a = Array.to_list (fst (active_domain_ids e a))
 
 let has_conflict e a = List.length (active_domain e a) > 1
 

@@ -24,6 +24,13 @@ val value : t -> int -> int -> Value.t
     ([adom(Ie.Ai)] of the paper). *)
 val active_domain : t -> int -> Value.t list
 
+(** [active_domain_ids e a] is [(adom, ids)]: [adom] is {!active_domain}
+    as an array, and [ids.(i)] is the index in [adom] of tuple [i]'s
+    value at [a] — the same scan, so each cell is hashed once. A NaN
+    equals nothing, so each NaN occurrence has an [adom] entry of its
+    own. *)
+val active_domain_ids : t -> int -> Value.t array * int array
+
 (** [has_conflict e a] is [true] when attribute [a] holds more than one
     distinct value across the tuples. *)
 val has_conflict : t -> int -> bool

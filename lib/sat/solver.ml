@@ -35,6 +35,7 @@ type t = {
   mutable seen : bool array;            (* scratch for analyze *)
   mutable lbd_seen : int array;         (* scratch, indexed by decision level *)
   mutable lbd_ctr : int;
+  mutable add_buf : Lit.t array;        (* scratch: the clause being loaded *)
   (* per-literal state *)
   mutable watches : clause Vec.t array; (* indexed by literal; clauses len >= 3 *)
   mutable bin : Lit.t Vec.t array;      (* bin.(p) = implied literals o of the
@@ -90,6 +91,7 @@ let create () =
       seen = [||];
       lbd_seen = [||];
       lbd_ctr = 0;
+      add_buf = [||];
       watches = [||];
       bin = [||];
       trail = Vec.create ~dummy:0;
@@ -167,10 +169,16 @@ let new_var s =
   Idx_heap.insert s.order v;
   v
 
+(* one reallocation for the whole range, then the heap inserts [new_var]
+   would make, in the same order *)
 let ensure_nvars s n =
-  while s.nvars < n do
-    ignore (new_var s)
-  done
+  if n > s.nvars then begin
+    grow_arrays s n;
+    for v = s.nvars to n - 1 do
+      Idx_heap.insert s.order v
+    done;
+    s.nvars <- n
+  end
 
 (* ---- values ---- *)
 
@@ -366,66 +374,102 @@ let propagate s =
 
 (* ---- clause addition (decision level 0 only) ---- *)
 
-exception Early_unsat
+(* The loader's kernel (SNIPPETS §2, MiniSat's [newClause]: sort in
+   place, then attach). A clause is copied into the solver's scratch
+   buffer, never sorted where it lies: callers pass shared arrays
+   (template structural blocks). The buffer is sorted with top-level
+   int-specialised sorts and compacted by one int loop — no closure, ref
+   cell or list per clause. *)
+
+(* insert [x] into the sorted [buf.(0..j)], shifting larger entries up *)
+let rec insert_sorted (buf : int array) x j =
+  if j >= 0 && Array.unsafe_get buf j > x then begin
+    Array.unsafe_set buf (j + 1) (Array.unsafe_get buf j);
+    insert_sorted buf x (j - 1)
+  end
+  else Array.unsafe_set buf (j + 1) x
+
+let rec sift_down_int (buf : int array) root len =
+  let child = (2 * root) + 1 in
+  if child < len then begin
+    let child =
+      if child + 1 < len && Array.unsafe_get buf (child + 1) > Array.unsafe_get buf child
+      then child + 1
+      else child
+    in
+    let r = Array.unsafe_get buf root and c = Array.unsafe_get buf child in
+    if c > r then begin
+      Array.unsafe_set buf root c;
+      Array.unsafe_set buf child r;
+      sift_down_int buf child len
+    end
+  end
+
+(* ascending sort of [buf.(0..len-1)]: insertion sort for the short
+   clauses that dominate, heapsort above the cutoff (long CFD premises) *)
+let sort_prefix (buf : int array) len =
+  if len <= 16 then
+    for i = 1 to len - 1 do
+      insert_sorted buf (Array.unsafe_get buf i) (i - 1)
+    done
+  else begin
+    for i = (len / 2) - 1 downto 0 do
+      sift_down_int buf i len
+    done;
+    for e = len - 1 downto 1 do
+      let top = Array.unsafe_get buf 0 in
+      Array.unsafe_set buf 0 (Array.unsafe_get buf e);
+      Array.unsafe_set buf e top;
+      sift_down_int buf 0 e
+    done
+  end
+
+(* Compact the sorted [buf.(i..len-1)] onto [buf.(n..)]: drop duplicates
+   and literals false at level 0, keep the rest in ascending order. [prev]
+   is the last kept literal (-1 before the first). Returns the number of
+   kept literals, or -1 when the clause is a tautology (p ∨ ¬p sit side by
+   side once sorted) or already true at level 0. *)
+let rec compact s (buf : int array) len i n prev =
+  if i = len then n
+  else
+    let l = Array.unsafe_get buf i in
+    if prev >= 0 && l = Lit.negate prev then -1
+    else if l = prev then compact s buf len (i + 1) n prev
+    else
+      match value_lit s l with
+      | 1 -> -1
+      | -1 when s.level.(Lit.var l) = 0 -> compact s buf len (i + 1) n prev
+      | _ ->
+          Array.unsafe_set buf n l;
+          compact s buf len (i + 1) (n + 1) l
 
 let add_clause_a s lits =
   if s.ok then begin
     assert (decision_level s = 0);
-    Array.iter
-      (fun l ->
-        if Lit.var l >= s.nvars then
-          invalid_arg "Solver.add_clause: unallocated variable")
-      lits;
-    (* sort a copy: callers pass shared arrays (template clause blocks);
-       then dedup, drop false literals, detect tautology / satisfied *)
-    let lits = Array.copy lits in
-    Array.sort compare lits;
-    let out = ref [] and n = ref 0 and sat = ref false in
-    let prev = ref (-1) in
-    Array.iter
-      (fun l ->
-        if not !sat then begin
-          if l = Lit.negate !prev && !prev >= 0 then sat := true (* p ∨ ¬p *)
-          else if l <> !prev then begin
-            match value_lit s l with
-            | 1 -> sat := true
-            | -1 when s.level.(Lit.var l) = 0 -> () (* false at level 0: drop *)
-            | _ ->
-                out := l :: !out;
-                incr n;
-                prev := l
-          end
-        end)
-      lits;
-    if not !sat then begin
-      match !out with
-      | [] ->
-          s.ok <- false;
-          raise Early_unsat
-      | [ l ] -> (
-          enqueue s l dummy_clause;
-          match propagate s with
-          | Some _ ->
-              s.ok <- false;
-              raise Early_unsat
-          | None -> ())
-      | [ x; y ] -> add_binary s x y
-      | ls ->
-          let c =
-            {
-              lits = Array.of_list (List.rev ls);
-              learnt = false;
-              activity = 0.;
-              lbd = 0;
-              deleted = false;
-            }
-          in
-          Vec.push s.clauses c;
-          attach_clause s c
-    end
+    let len = Array.length lits in
+    if Array.length s.add_buf < len then
+      s.add_buf <- Array.make (max len (2 * Array.length s.add_buf)) 0;
+    let buf = s.add_buf in
+    for i = 0 to len - 1 do
+      let l = Array.unsafe_get lits i in
+      if Lit.var l >= s.nvars then invalid_arg "Solver.add_clause: unallocated variable";
+      Array.unsafe_set buf i l
+    done;
+    sort_prefix buf len;
+    match compact s buf len 0 0 (-1) with
+    | -1 -> () (* tautology or satisfied *)
+    | 0 -> s.ok <- false
+    | 1 ->
+        enqueue s buf.(0) dummy_clause;
+        (match propagate s with Some _ -> s.ok <- false | None -> ())
+    | 2 -> add_binary s buf.(1) buf.(0)
+    | n ->
+        let c =
+          { lits = Array.sub buf 0 n; learnt = false; activity = 0.; lbd = 0; deleted = false }
+        in
+        Vec.push s.clauses c;
+        attach_clause s c
   end
-
-let add_clause_a s lits = try add_clause_a s lits with Early_unsat -> ()
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
 

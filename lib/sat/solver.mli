@@ -34,7 +34,8 @@ val nvars : t -> int
     general watch lists. *)
 val add_clause : t -> Lit.t list -> unit
 
-(** [add_clause_a s c] is [add_clause] on an array (the array is copied). *)
+(** [add_clause_a s c] is [add_clause] on an array. [c] is only read,
+    never modified: callers share clause arrays (template blocks). *)
 val add_clause_a : t -> Lit.t array -> unit
 
 (** [add_cnf s f] allocates variables for [f] and adds all its clauses. *)

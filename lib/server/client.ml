@@ -83,7 +83,7 @@ let read_line c ~until =
           match until with
           | None -> -1. (* block *)
           | Some u ->
-              let left = u -. Unix.gettimeofday () in
+              let left = u -. Clock.now_s () in
               if left <= 0. then raise Deadline else left
         in
         (match Unix.select [ c.fd ] [] [] timeout with
@@ -109,7 +109,7 @@ let request t line =
         match
           let c = ensure_conn t in
           let until =
-            Option.map (fun d -> Unix.gettimeofday () +. d) t.deadline
+            Option.map (fun d -> Clock.now_s () +. d) t.deadline
           in
           write_all c.fd (line ^ "\n");
           read_line c ~until

@@ -327,7 +327,7 @@ let restore_snapshot t (s : Durable.Snapshot.t) =
    lazily on the first post-recovery resolve, through the very same
    [materialise] path a fresh stream would take. *)
 let recover t dir =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_s () in
   locked t (fun () ->
       let above =
         match Durable.Snapshot.load_latest ~dir with
@@ -349,7 +349,7 @@ let recover t dir =
       t.recovery.replayed <- rep.Durable.Wal.records;
       t.recovery.segments <- rep.Durable.Wal.segments;
       t.recovery.torn <- rep.Durable.Wal.torn;
-      t.recovery.ms <- (Unix.gettimeofday () -. t0) *. 1000.;
+      t.recovery.ms <- (Clock.now_s () -. t0) *. 1000.;
       t.events_since_snapshot <- rep.Durable.Wal.records)
 
 let create ?(config = Config.default) ~sigma ~gamma () =
@@ -838,8 +838,8 @@ let serve ?(backlog = 64) ?(drain_wait = 10.) t ~socket_path =
   (* drain: let in-flight requests finish (connection threads close
      themselves once idle), then persist a final snapshot *)
   if t.lifecycle = Draining then begin
-    let deadline = Unix.gettimeofday () +. drain_wait in
-    while t.conns_open > 0 && Unix.gettimeofday () < deadline do
+    let deadline = Clock.now_s () +. drain_wait in
+    while t.conns_open > 0 && Clock.now_s () < deadline do
       Thread.delay 0.05
     done;
     locked t (fun () -> take_snapshot_locked t)

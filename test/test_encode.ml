@@ -337,6 +337,137 @@ let prop_exact_equals_paper_plus_totality =
          in
          pairs (Crcore.Deduce.naive_deduce e) = pairs (Crcore.Deduce.naive_deduce old)))
 
+(* ---- one-pass lowering ---- *)
+
+(* Cells that hash or compare awkwardly: Int/Float pairs that are equal,
+   both zeros, several NaNs per column, nulls. *)
+let awkward_values =
+  [|
+    Value.Str "x"; Value.Str "y"; Value.Int 0; Value.Int 1; Value.Float 1.0;
+    Value.Float 0.0; Value.Float (-0.0); Value.Float Float.nan; Value.Float 2.5;
+    Value.Null;
+  |]
+
+(* an entity over [a0..a(k-1)], CFDs whose constants (NaN included) come
+   from the same pool, a mode, and a list of position sets to project on *)
+let qcheck_awkward_entity =
+  let open QCheck.Gen in
+  let value = map (fun i -> awkward_values.(i)) (int_bound (Array.length awkward_values - 1)) in
+  let const = map (fun i -> awkward_values.(i)) (int_bound (Array.length awkward_values - 2)) in
+  let gen =
+    int_range 1 4 >>= fun arity ->
+    let name a = "a" ^ string_of_int a in
+    let schema = Schema.make (List.init arity name) in
+    list_size (int_range 1 30) (list_repeat arity value) >>= fun rows ->
+    (if arity < 2 then return []
+     else
+       list_size (int_bound 3)
+         (int_bound (arity - 1) >>= fun l ->
+          int_bound (arity - 2) >>= fun r ->
+          let r = if r >= l then r + 1 else r in
+          map2 (fun cl cr -> Cfd.Constant_cfd.make [ (name l, cl) ] (name r, cr)) const const))
+    >>= fun gamma ->
+    let subset =
+      map
+        (fun bits -> List.filter (fun a -> bits land (1 lsl a) <> 0) (List.init arity Fun.id))
+        (int_range 1 ((1 lsl arity) - 1))
+    in
+    list_size (int_range 1 4) subset >>= fun subsets ->
+    map
+      (fun exact ->
+        ( Entity.make schema (List.map (Tuple.make schema) rows),
+          gamma,
+          (if exact then E.Exact else E.Paper),
+          List.init arity Fun.id :: subsets ))
+      bool
+  in
+  QCheck.make
+    ~print:(fun (e, gamma, _, _) ->
+      Format.asprintf "%a@.%d CFDs" Entity.pp e (List.length gamma))
+    gen
+
+let is_nan = function Value.Float f -> Float.is_nan f | _ -> false
+
+(* Every cell id of [Coding.lower] is the map lookup [Coding.vid] makes —
+   NaN cells included, which the map sends to the universe's last NaN —
+   and the numbering is unchanged: one universe entry per NaN occurrence.
+   The integer-keyed representatives equal those keyed on id lists. *)
+let prop_lowering_matches_vid =
+  QCheck.Test.make ~count:1000 ~name:"lowered cell ids == Coding.vid; int-keyed reps == list-keyed"
+    qcheck_awkward_entity (fun (entity, gamma, mode, position_sets) ->
+      let coding, cells = Crcore.Coding.lower ~mode entity gamma in
+      let tuples = Entity.tuples entity in
+      let arity = Schema.arity (Entity.schema entity) in
+      let attrs = List.init arity Fun.id in
+      let vid t a = Crcore.Coding.vid coding a (Tuple.get t a) in
+      let ids_ok =
+        List.for_all
+          (fun a -> List.for_all Fun.id (List.mapi (fun i t -> cells.(a).(i) = vid t a) tuples))
+          attrs
+      in
+      let nans_kept =
+        List.for_all
+          (fun a ->
+            let univ = Crcore.Coding.universe coding a in
+            let adom = Array.sub univ 0 (Crcore.Coding.adom_size coding a) in
+            List.length (List.filter (fun t -> is_nan (Tuple.get t a)) tuples)
+            = Array.fold_left (fun n v -> if is_nan v then n + 1 else n) 0 adom)
+          attrs
+      in
+      let pairs d = match mode with E.Paper -> d * (d - 1) | E.Exact -> d * (d - 1) / 2 in
+      let nvars_ok =
+        Crcore.Coding.nvars coding
+        = List.fold_left (fun acc a -> acc + pairs (Array.length (Crcore.Coding.universe coding a))) 0 attrs
+        && Crcore.Coding.nvars coding = Crcore.Coding.nvars (Crcore.Coding.build ~mode entity gamma)
+      in
+      let reference positions =
+        let seen = Hashtbl.create 16 in
+        List.concat
+          (List.mapi
+             (fun i t ->
+               let key = List.map (vid t) positions in
+               if Hashtbl.mem seen key then []
+               else begin
+                 Hashtbl.add seen key ();
+                 [ i ]
+               end)
+             tuples)
+      in
+      let reps_ok =
+        List.for_all (fun ps -> E.projection_reps coding cells ps = reference ps) position_sets
+      in
+      ids_ok && nans_kept && nvars_ok && reps_ok)
+
+(* Refinement keys [class·d + id] on a 4096-tuple entity where d is a
+   power of two: a constant column (universe {c, null}, d = 2) and a
+   column of 1023 values plus null (d = 1024) whose ids are concentrated
+   on one value, each refining the classes of a distinct column. With
+   buckets chosen from the keys' unmixed low bits, the constant column
+   uses half the buckets and the skewed column's keys share a handful
+   (one chain holds 1537 of the 4096); the table's chains stay short. *)
+let test_refine_keys_spread () =
+  let n = 4096 in
+  let schema = Schema.make [ "key"; "const"; "skewed" ] in
+  let row i =
+    Tuple.make schema
+      [ Value.Str ("k" ^ string_of_int i); Value.Str "c"; Value.Int (if i < 1023 then i else 0) ]
+  in
+  let entity = Entity.make schema (List.init n row) in
+  let coding, cells = Crcore.Coding.lower ~mode:E.Exact entity [] in
+  let size a = Array.length (Crcore.Coding.universe coding a) in
+  Alcotest.(check (list int)) "universe sizes" [ n + 1; 2; 1024 ] [ size 0; size 1; size 2 ];
+  List.iter
+    (fun q ->
+      let keys = E.Int_tbl.create 16 in
+      Array.iteri (fun i c -> E.Int_tbl.replace keys ((c * size q) + cells.(q).(i)) i) cells.(0);
+      let st = E.Int_tbl.stats keys in
+      Alcotest.(check int) "one key per tuple" n st.Hashtbl.num_bindings;
+      if st.Hashtbl.max_bucket_length > 16 then
+        Alcotest.failf "column %d: a bucket holds %d of %d keys" q st.Hashtbl.max_bucket_length n;
+      Alcotest.(check (list int)) "reps" (List.init n Fun.id) (E.projection_reps coding cells [ 0; q ]))
+    [ 1; 2 ];
+  Alcotest.(check (list int)) "skewed reps" (List.init 1023 Fun.id) (E.projection_reps coding cells [ 1; 2 ])
+
 let () =
   Alcotest.run "encode"
     [
@@ -345,6 +476,7 @@ let () =
           Alcotest.test_case "universes" `Quick test_coding_universes;
           Alcotest.test_case "var bijection" `Quick test_coding_bijection;
           Alcotest.test_case "foreign CFD constant" `Quick test_coding_foreign_constant;
+          Alcotest.test_case "refine keys spread" `Quick test_refine_keys_spread;
         ] );
       ( "omega",
         [
@@ -364,5 +496,6 @@ let () =
             prop_cnf_well_formed;
             prop_exact_equals_paper_plus_totality;
             prop_template_instantiate_bit_identical;
+            prop_lowering_matches_vid;
           ] );
     ]

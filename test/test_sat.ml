@@ -242,6 +242,76 @@ let prop_export_equivalent =
       Sat.Solver.add_cnf s f;
       Sat.Brute.count_models (Sat.Solver.export_cnf s) = Sat.Brute.count_models f)
 
+(* ---- the clause loader ---- *)
+
+(* The loader's contract, restated with lists: a clause true at level 0
+   or holding p and ¬p is dropped ([None]); otherwise its distinct
+   literals not false at level 0, in ascending order. *)
+let reference_normalise s lits =
+  let l0 l =
+    Option.map (fun b -> b = Sat.Lit.sign l) (Sat.Solver.value_level0 s (Sat.Lit.var l))
+  in
+  let lits = List.sort_uniq compare (Array.to_list lits) in
+  if
+    List.exists (fun l -> List.mem (Sat.Lit.negate l) lits) lits
+    || List.exists (fun l -> l0 l = Some true) lits
+  then None
+  else Some (List.filter (fun l -> l0 l = None) lits)
+
+(* clauses of length 0-40 over few variables, so duplicate literals,
+   tautologies and literals already fixed at level 0 (by the interleaved
+   units) are all common *)
+let qcheck_loader_clauses =
+  QCheck.make
+    ~print:(fun (nvars, cls) ->
+      Format.asprintf "%a" Sat.Cnf.pp (Sat.Cnf.make ~nvars cls))
+    QCheck.Gen.(
+      int_range 1 12 >>= fun nvars ->
+      let lit = map2 (fun v b -> lit v b) (int_bound (nvars - 1)) bool in
+      let clause =
+        frequency
+          [
+            (3, map (fun l -> [| l |]) lit);
+            (6, array_size (int_range 0 6) lit);
+            (2, array_size (int_range 7 40) lit);
+          ]
+      in
+      map (fun cls -> (nvars, cls)) (list_size (int_range 0 40) clause))
+
+(* Each clause goes raw into [a] and, normalised by the reference, into
+   [b]. Every long clause [a] keeps must be the reference's, literal for
+   literal (the export lists the newest long clause first; propagation
+   may later swap its watched pair). The loaded databases must be
+   identical — same units, binary pairs and long clauses in the same
+   order — and so must a solve on them, down to the statistics. No
+   argument may be modified. *)
+let prop_loader_matches_reference =
+  QCheck.Test.make ~count:1000 ~name:"loader == list-based reference normaliser"
+    qcheck_loader_clauses (fun (nvars, cls) ->
+      let a = Sat.Solver.create () and b = Sat.Solver.create () in
+      Sat.Solver.ensure_nvars a nvars;
+      Sat.Solver.ensure_nvars b nvars;
+      let loaded_ok =
+        List.for_all
+          (fun c ->
+            let before = Array.copy c in
+            let expect = if Sat.Solver.ok b then reference_normalise b c else None in
+            Sat.Solver.add_clause_a a c;
+            Option.iter (fun ls -> Sat.Solver.add_clause_a b (Array.of_list ls)) expect;
+            c = before
+            &&
+            match expect with
+            | Some (_ :: _ :: _ :: _ as ls) -> (
+                match (Sat.Solver.export_cnf a).Sat.Cnf.clauses with
+                | newest :: _ -> newest = Array.of_list ls
+                | [] -> false)
+            | _ -> true)
+          cls
+      in
+      let same_db = Sat.Solver.export_cnf a = Sat.Solver.export_cnf b in
+      let ra = Sat.Solver.solve a and rb = Sat.Solver.solve b in
+      loaded_ok && same_db && ra = rb && Sat.Solver.stats a = Sat.Solver.stats b)
+
 (* ---- saved phases ---- *)
 
 (* phases only reorder the search: under arbitrary phases and across
@@ -290,6 +360,7 @@ let () =
             prop_assumptions_sound;
             prop_model_count_positive;
             prop_set_phase_sound;
+            prop_loader_matches_reference;
           ] );
       ( "simplify",
         List.map QCheck_alcotest.to_alcotest
