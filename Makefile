@@ -43,33 +43,39 @@ lint: build
 
 # A/B benchmark of the working tree against the revision BASE, as
 # benchmark/README.md ("Comparing") prescribes: BASE is exported with
-# git archive into .crbench/base, then PAIRS pairs of
-#   benchmark/run.sh --workload WORKLOAD --seed i --seconds 15 --trace 0
+# git archive into .crbench/base, then for each workload w of WORKLOAD (a
+# space-separated list) PAIRS pairs of
+#   benchmark/run.sh --workload w --seed i --seconds 15 --trace 0
 # run on both sides (pair i uses seed i; the base runs first in odd
-# pairs, the change in even ones), and crbench compare judges the --out
-# files of .crbench/compare/WORKLOAD/ against BENCHMARK.json.
-#   make compare BASE=<rev> WORKLOAD=long-history PAIRS=10
+# pairs, the change in even ones), and one crbench compare per workload
+# judges the --out files of .crbench/compare/w/ against BENCHMARK.json.
+#   make compare BASE=<rev> WORKLOAD="long-history batch-person" PAIRS=10
 BASE =
 WORKLOAD = long-history
 PAIRS = 10
-CMPDIR = .crbench/compare/$(WORKLOAD)
 
 compare:
-	@test -n "$(BASE)" || { echo "usage: make compare BASE=<rev> [WORKLOAD=w] [PAIRS=n]" >&2; exit 2; }
-	rm -rf .crbench/base $(CMPDIR)
-	mkdir -p .crbench/base $(CMPDIR)
+	@test -n "$(BASE)" || { echo "usage: make compare BASE=<rev> [WORKLOAD='w ...'] [PAIRS=n]" >&2; exit 2; }
+	rm -rf .crbench/base
+	mkdir -p .crbench/base
 	git archive --format=tar $(BASE) | tar -x -C .crbench/base
-	set -e; for i in $$(seq 1 $(PAIRS)); do \
-	  n=$$(printf %02d $$i); \
-	  if [ $$(( i % 2 )) -eq 1 ]; then order="base change"; else order="change base"; fi; \
-	  for side in $$order; do \
-	    if [ $$side = base ]; then tree=.crbench/base; out=p$$n.json; else tree=.; out=c$$n.json; fi; \
-	    echo "pair $$i/$(PAIRS): $$side, seed $$i" >&2; \
-	    bash $$tree/benchmark/run.sh --workload $(WORKLOAD) --seed $$i \
-	      --seconds 15 --trace 0 --out $(CURDIR)/$(CMPDIR)/$$out > /dev/null; \
+	set -e; for w in $(WORKLOAD); do \
+	  dir=.crbench/compare/$$w; rm -rf $$dir; mkdir -p $$dir; \
+	  for i in $$(seq 1 $(PAIRS)); do \
+	    n=$$(printf %02d $$i); \
+	    if [ $$(( i % 2 )) -eq 1 ]; then order="base change"; else order="change base"; fi; \
+	    for side in $$order; do \
+	      if [ $$side = base ]; then tree=.crbench/base; out=p$$n.json; else tree=.; out=c$$n.json; fi; \
+	      echo "$$w pair $$i/$(PAIRS): $$side, seed $$i" >&2; \
+	      bash $$tree/benchmark/run.sh --workload $$w --seed $$i \
+	        --seconds 15 --trace 0 --out $(CURDIR)/$$dir/$$out > /dev/null; \
+	    done; \
 	  done; \
 	done
-	./_build/default/benchmark/crbench.exe compare $(CMPDIR)/p*.json -- $(CMPDIR)/c*.json
+	set -e; for w in $(WORKLOAD); do \
+	  echo "== $$w"; \
+	  ./_build/default/benchmark/crbench.exe compare .crbench/compare/$$w/p*.json -- .crbench/compare/$$w/c*.json; \
+	done
 
 # Requires ocamlformat (see .ocamlformat for the pinned profile); not part
 # of `check` so the gate works on toolchains without it.

@@ -74,18 +74,17 @@ let group_by key n item =
 
 (* The checks that need no ground instance nor {!Coding.t} — E001, E003,
    E004 and, unless [errors_only], the Γ warnings sharing their loops —
-   pushed onto [diags]. Returns the per-attribute E001 flags and the
-   per-CFD "already an error" flags the closure checks filter on. *)
+   pushed onto [diags]. Returns the per-attribute E001 flags and the set
+   of CFDs already reported as errors, which the closure checks filter
+   on. *)
 let cheap_checks ~errors_only ~diags spec =
   let emit = emit_to diags in
   let schema = Spec.schema spec in
   let entity = spec.Spec.entity in
   let arity = Schema.arity schema in
-  (* only the attributes Γ or an explicit edge mentions need their
-     active domain *)
-  let adom =
-    Array.init arity (fun a -> lazy (Array.of_list (Entity.active_domain entity a)))
-  in
+  (* only the attributes the Γ index probes, a candidate CFD or an
+     explicit edge mentions need their active domain *)
+  let adom = Array.init arity (fun a -> lazy (fst (Entity.active_domain_ids entity a))) in
   let in_adom a v = Array.exists (Value.equal v) (Lazy.force adom.(a)) in
 
   (* E001: a cyclic explicit order admits no completion — every completion
@@ -116,40 +115,57 @@ let cheap_checks ~errors_only ~diags spec =
              (Schema.name schema a)))
     e001;
 
-  (* ---- Γ: relevance, forcing, conflicts, subsumption ---- *)
-  let gamma_a = Array.of_list spec.Spec.gamma in
-  let lhs_relevant (c : Cfd.Constant_cfd.t) =
-    List.for_all (fun (name, v) -> in_adom (Schema.index schema name) v) c.Cfd.Constant_cfd.lhs
+  (* ---- Γ: relevance, forcing, conflicts, subsumption ----
+
+     The constant index of the compiled Γ yields the CFDs whose first LHS
+     constant the entity takes; relevance (every LHS constant occurs) is
+     tested on those alone, so an entity pays for the CFDs it can fire,
+     not for |Γ|. *)
+  let gc = Encode.compiled_gamma spec in
+  let relevant =
+    List.filter
+      (fun (c : Encode.cgamma) -> List.for_all (fun (a, v) -> in_adom a v) c.Encode.g_lhs)
+      (Encode.gamma_candidates gc (fun a -> Lazy.force adom.(a)))
   in
   (* forced: every completion's current tuple matches the LHS pattern,
      because each pattern attribute takes a single value in the entity *)
-  let lhs_forced (c : Cfd.Constant_cfd.t) =
+  let lhs_forced (c : Encode.cgamma) =
     List.for_all
-      (fun (name, v) ->
-        let d = Lazy.force adom.(Schema.index schema name) in
+      (fun (a, v) ->
+        let d = Lazy.force adom.(a) in
         Array.length d = 1 && Value.equal d.(0) v)
-      c.Cfd.Constant_cfd.lhs
+      c.Encode.g_lhs
   in
-  let rhs_in_adom (c : Cfd.Constant_cfd.t) =
-    let bname, bval = c.Cfd.Constant_cfd.rhs in
-    in_adom (Schema.index schema bname) bval
+  let rhs_in_adom (c : Encode.cgamma) =
+    let b, bval = c.Encode.g_rhs in
+    in_adom b bval
   in
-  (* the flags are reused by every pairwise check below: compute them once
-     per CFD, not once per CFD pair *)
-  let g_relevant = Array.map lhs_relevant gamma_a in
-  let g_forced = Array.map lhs_forced gamma_a in
-  let gamma_error = Array.make (Array.length gamma_a) false in
-  Array.iteri
-    (fun k (c : Cfd.Constant_cfd.t) ->
-      if not g_relevant.(k) then begin
-        if not errors_only then
-          emit "W001" Warning (Gamma k)
-            "dead CFD: an LHS pattern constant never occurs in the entity, so the CFD can \
-             never fire"
-      end
-      else if not (rhs_in_adom c) then
-        if g_forced.(k) then begin
-          gamma_error.(k) <- true;
+  (* the forced flag is reused by every pairwise check below: compute it
+     once per relevant CFD, not once per CFD pair *)
+  let relevant = List.map (fun c -> (c, lhs_forced c)) relevant in
+  let gamma_error = Hashtbl.create 16 in
+  (* W001: the dead CFDs, the complement of the relevant ones — listed
+     one by one, so only a full report walks Γ *)
+  if not errors_only then begin
+    let n = List.length spec.Spec.gamma in
+    let rec dead k rel =
+      if k < n then
+        match rel with
+        | ((c : Encode.cgamma), _) :: rel' when c.Encode.g_idx = k -> dead (k + 1) rel'
+        | _ ->
+            emit "W001" Warning (Gamma k)
+              "dead CFD: an LHS pattern constant never occurs in the entity, so the CFD can \
+               never fire";
+            dead (k + 1) rel
+    in
+    dead 0 relevant
+  end;
+  List.iter
+    (fun ((c : Encode.cgamma), forced) ->
+      let k = c.Encode.g_idx in
+      if not (rhs_in_adom c) then
+        if forced then begin
+          Hashtbl.replace gamma_error k ();
           emit "E004" Error (Gamma k)
             "the LHS pattern is forced (singleton active domains) but the RHS constant never \
              occurs in the entity: no completion's current tuple can satisfy this CFD"
@@ -158,44 +174,42 @@ let cheap_checks ~errors_only ~diags spec =
           emit "W002" Warning (Gamma k)
             "veto CFD: the RHS constant never occurs in the entity, so the CFD is violated \
              whenever its LHS pattern is most current")
-    gamma_a;
+    relevant;
   (* E003 / W006: contradictory RHS over unifiable LHS patterns. Only CFDs
      writing the same RHS attribute can conflict: pair up per attribute. *)
-  let lhs_unifiable (c1 : Cfd.Constant_cfd.t) (c2 : Cfd.Constant_cfd.t) =
+  let lhs_unifiable (c1 : Encode.cgamma) (c2 : Encode.cgamma) =
     List.for_all
       (fun (a1, v1) ->
-        match List.assoc_opt a1 c2.Cfd.Constant_cfd.lhs with
+        match List.assoc_opt a1 c2.Encode.g_lhs with
         | Some v2 -> Value.equal v1 v2
         | None -> true)
-      c1.Cfd.Constant_cfd.lhs
+      c1.Encode.g_lhs
   in
   (* only relevant CFDs can conflict (forced implies relevant), so pair up
      per RHS attribute over the relevant ones alone — on a single entity
      most of a large Γ is dead and never enters the quadratic part *)
   let rhs_groups = Hashtbl.create 16 in
-  Array.iteri
-    (fun k (c : Cfd.Constant_cfd.t) ->
-      if g_relevant.(k) then begin
-        let b = fst c.Cfd.Constant_cfd.rhs in
-        match Hashtbl.find_opt rhs_groups b with
-        | Some r -> r := k :: !r
-        | None -> Hashtbl.add rhs_groups b (ref [ k ])
-      end)
-    gamma_a;
+  List.iter
+    (fun (((c : Encode.cgamma), _) as cf) ->
+      let b = Schema.name schema (fst c.Encode.g_rhs) in
+      match Hashtbl.find_opt rhs_groups b with
+      | Some r -> r := cf :: !r
+      | None -> Hashtbl.add rhs_groups b (ref [ cf ]))
+    relevant;
   Hashtbl.iter
-    (fun _ group ->
+    (fun b1 group ->
       let group = List.rev !group in
       List.iter
-        (fun k2 ->
-          let c2 = gamma_a.(k2) in
+        (fun ((c2 : Encode.cgamma), forced2) ->
+          let k2 = c2.Encode.g_idx in
           List.iter
-            (fun k1 ->
+            (fun ((c1 : Encode.cgamma), forced1) ->
+              let k1 = c1.Encode.g_idx in
               if k1 < k2 then begin
-                let c1 = gamma_a.(k1) in
-                let b1, v1 = c1.Cfd.Constant_cfd.rhs and _, v2 = c2.Cfd.Constant_cfd.rhs in
+                let _, v1 = c1.Encode.g_rhs and _, v2 = c2.Encode.g_rhs in
                 if not (Value.equal v1 v2) then
-                  if g_forced.(k1) && g_forced.(k2) then begin
-                    gamma_error.(k2) <- true;
+                  if forced1 && forced2 then begin
+                    Hashtbl.replace gamma_error k2 ();
                     emit "E003" Error (Gamma k2)
                       (Printf.sprintf
                          "conflicts with Γ#%d: both LHS patterns are forced (singleton active \
@@ -460,8 +474,8 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
     List.iter
       (fun (src, _steps) ->
         match src with
-        | Encode.From_cfd k when not gamma_error.(k) ->
-            gamma_error.(k) <- true;
+        | Encode.From_cfd k when not (Hashtbl.mem gamma_error k) ->
+            Hashtbl.replace gamma_error k ();
             emit "E002" Error (Gamma k)
               "the ground closure forces this CFD's LHS pattern to be most current, but its RHS \
                constant never occurs in the entity"

@@ -20,8 +20,6 @@ type t = {
    Paper mode, one per unordered pair in Exact mode *)
 let pairs mode d = match mode with Paper -> d * (d - 1) | Exact -> d * (d - 1) / 2
 
-let is_nan = function Value.Float f -> Float.is_nan f | _ -> false
-
 let lower ?(mode = Paper) entity gamma =
   let schema = Entity.schema entity in
   let arity = Schema.arity schema in
@@ -57,10 +55,10 @@ let lower ?(mode = Paper) entity gamma =
        [Value.equal], so every NaN occurrence took an entry of its own,
        but [Value.total_compare] equates NaNs and the map keeps the last
        of equal keys, so [vid] answers the universe's last NaN *)
-    if Array.exists is_nan adom_a then begin
+    if Array.exists Value.is_nan adom_a then begin
       let last = ref 0 in
-      Array.iteri (fun i v -> if is_nan v then last := i) univ;
-      Array.iteri (fun i id -> if is_nan univ.(id) then col.(i) <- !last) col
+      Array.iteri (fun i v -> if Value.is_nan v then last := i) univ;
+      Array.iteri (fun i id -> if Value.is_nan univ.(id) then col.(i) <- !last) col
     end;
     cells.(a) <- col
   done;
@@ -83,12 +81,16 @@ let universe c a = c.universes.(a)
 
 let adom_size c a = c.adom_sizes.(a)
 
-let sizes c = Array.map Array.length c.universes
-
 let vid c a v =
   match VMap.find_opt v c.ids.(a) with Some i -> i | None -> raise Not_found
 
 let vid_opt c a v = VMap.find_opt v c.ids.(a)
+
+(* [vid_opt] under [total_compare] equates NaNs; a pattern constant is
+   matched with [Value.equal], under which NaN equals nothing *)
+let const_id c a v = if Value.is_nan v then None else vid_opt c a v
+
+let offset c a = c.offsets.(a)
 
 let value c a id = c.universes.(a).(id)
 

@@ -53,12 +53,6 @@ val universe : t -> int -> Value.t array
     the entity (a prefix of {!universe}), counting the reserved null. *)
 val adom_size : t -> int -> int
 
-(** [sizes c] is the per-attribute universe sizes, freshly allocated. The
-    variable numbering (offsets, {!nvars}, {!lit_of}) is a pure function
-    of this vector and the mode, which is what lets structural clause blocks be shared
-    across codings of equal sizes (see [Encode.template]). *)
-val sizes : t -> int array
-
 (** [vid c a v] is the id of value [v] within attribute [a]'s universe.
     Raises [Not_found] for foreign values. *)
 val vid : t -> int -> Value.t -> int
@@ -66,8 +60,22 @@ val vid : t -> int -> Value.t -> int
 (** [vid_opt c a v] is [vid], returning [None] for foreign values. *)
 val vid_opt : t -> int -> Value.t -> int option
 
+(** [const_id c a v] is the id of the universe value a CFD pattern
+    constant [v] matches at [a], under [Value.equal] as
+    [Cfd.Constant_cfd] reads patterns: [vid_opt], except that a NaN
+    constant matches nothing ([vid_opt] finds a NaN cell, since
+    [Value.total_compare] equates NaNs). *)
+val const_id : t -> int -> Value.t -> int option
+
 (** [value c a id] is the value with id [id] in attribute [a]. *)
 val value : t -> int -> int -> Value.t
+
+(** [offset c a] is the first variable of attribute [a]: the sum of the
+    earlier attributes' variable counts. The numbering of [a]'s variables
+    ({!lit_of}) is a pure function of the mode, [a]'s universe size and
+    this offset, which is what lets structural clause blocks be shared
+    per attribute across codings (see [Encode.template]). *)
+val offset : t -> int -> int
 
 (** Total number of Boolean variables: [Σ_a d_a·(d_a - 1)] in [Paper]
     mode, [Σ_a d_a·(d_a - 1)/2] in [Exact] mode. *)

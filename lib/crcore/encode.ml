@@ -8,13 +8,52 @@ type iconstraint = { premise : fact list; concl : fact; source : source }
 
 (* ---- compiled constraint forms ----
 
-   [Instantiation] evaluates every constraint on every representative tuple
-   pair; resolving attribute names to positions once per Σ/Γ (instead of a
-   hashtable lookup per predicate per pair) and splitting the single-tuple
-   constant predicates out of the pair predicates turns the inner loop into
-   array reads and lets whole constraints skip pairs wholesale. *)
+   [Instantiation] evaluates every candidate constraint (see the constant
+   index below) on every representative tuple pair; resolving attribute
+   names to positions once per Σ/Γ (instead of a hashtable lookup per
+   predicate per pair) and splitting the single-tuple constant predicates
+   out of the pair predicates turns the inner loop into array reads and
+   lets whole constraints skip pairs wholesale. *)
 
 type cpred = CPrec of int | CCmp2 of int * Value.op
+
+(* ---- the constant index ----
+
+   A constraint carrying an equality with a constant can only matter to
+   an entity that takes that constant, and a Person-style Σ/Γ is hundreds
+   of such constraints, each about values few entities take. The index
+   files each constraint under one (attribute, constant) pair; an entity
+   probes it with its active-domain values and visits only the hits (plus
+   the short list of constraints without an equality constant), in
+   ascending constraint index, so deduplication keeps the very [source]
+   a full scan would. The index only skips constraints that cannot fire:
+   every exact test still runs on the candidates.
+
+   Keys follow [Value.equal] ({!Value.Tbl}): [Int 3] meets [Float 3.],
+   [0.] meets [-0.], NaN meets nothing. [Value.equal] is not transitive
+   across [Int]/[Float] beyond 2^53, so equal keys are never merged: each
+   constraint is its own binding ([add]) and a probe collects every
+   binding equal to it ([find_all]). *)
+type cindex = int Value.Tbl.t array  (* per attribute: constant -> constraint index *)
+
+let cindex_create arity = Array.init arity (fun _ -> Value.Tbl.create 16)
+
+let cindex_add (idx : cindex) a v k = Value.Tbl.add idx.(a) v k
+
+(* ascending, duplicate-free indices of the constraints filed under
+   [value a i] for some attribute [a] and [i < nvals a] *)
+let cindex_probe (idx : cindex) ~nvals ~value =
+  let hits = ref [] in
+  Array.iteri
+    (fun a tbl ->
+      if Value.Tbl.length tbl > 0 then
+        for i = 0 to nvals a - 1 do
+          match Value.Tbl.find_all tbl (value a i) with
+          | [] -> ()
+          | ks -> hits := List.rev_append ks !hits
+        done)
+    idx;
+  List.sort_uniq Int.compare !hits
 
 type cconstraint = {
   c_idx : int;  (* index into Σ *)
@@ -29,7 +68,9 @@ type cconstraint = {
 type sigma_c = {
   s_schema : Schema.t;
   s_src : Currency.Constraint_ast.t list;
-  s_cs : cconstraint list;
+  s_cs : cconstraint array;  (* by Σ index *)
+  s_index : cindex;  (* the constraints with an [Eq] constant predicate *)
+  s_always : int list;  (* the others, ascending: visited on every entity *)
   s_npos : int;  (* how many distinct [c_positions] there are *)
 }
 
@@ -38,29 +79,31 @@ type cgamma = { g_idx : int; g_lhs : (int * Value.t) list; g_rhs : int * Value.t
 type gamma_c = {
   g_schema : Schema.t;
   g_src : Cfd.Constant_cfd.t list;
-  g_cs : cgamma list;
+  g_cs : cgamma array;  (* by Γ index *)
+  g_index : cindex;  (* every CFD that can be relevant, under its first LHS atom *)
 }
 
 (* ---- per-shape templates ----
 
    Everything about an encoding that does not depend on the concrete
-   entity: the compiled Σ/Γ (a function of the schema and the interned
-   constraint lists) and the structural-axiom clause blocks, which are a
-   pure function of (mode, per-attribute universe sizes) — the variable
-   numbering is offset arithmetic over the size vector alone.
-   One template serves every entity of a spec shape; the size-keyed store
-   lets entities (and Renumbered re-encodes) of equal universe sizes share
-   the cubic transitivity block outright. Sharing the clause arrays is
-   safe: [Sat.Solver.add_clause_a] copies before sorting, and [Sat.Cnf.t]
-   is immutable. *)
+   entity: the compiled Σ/Γ with their constant indexes (a function of
+   the schema and the interned constraint lists) and the structural-axiom
+   clause blocks. An attribute's block is a pure function of (mode, its
+   universe size d, its variable offset) — the numbering is offset
+   arithmetic — so the store is keyed per attribute by (d, offset):
+   entities (and Renumbered re-encodes) agreeing on an attribute's size
+   and offset share its cubic transitivity block outright, even when
+   their size vectors differ elsewhere. Sharing the clause arrays is
+   safe: [Sat.Solver.add_clause_a] copies before sorting, and
+   [Sat.Cnf.t] is immutable. *)
 
 type structural_block = { sb_clauses : Sat.Lit.t array list; sb_count : int }
 
-module Size_tbl = Hashtbl.Make (struct
-  type t = int array
+module Block_tbl = Hashtbl.Make (struct
+  type t = int * int  (* (d, offset) *)
 
-  let equal = (( = ) : int array -> int array -> bool)
-  let hash (a : int array) = Hashtbl.hash a
+  let equal ((d1, o1) : t) (d2, o2) = d1 = d2 && o1 = o2
+  let hash ((d, o) : t) = Hashtbl.hash (d, o)
 end)
 
 type template = {
@@ -69,7 +112,7 @@ type template = {
   t_sigma_c : sigma_c;
   t_gamma_c : gamma_c;
   t_lock : Mutex.t;  (* guards [t_structural]; build happens outside it *)
-  t_structural : structural_block Size_tbl.t;
+  t_structural : structural_block Block_tbl.t;
 }
 
 type t = {
@@ -90,6 +133,10 @@ type t = {
 }
 
 let lit_of_fact_c coding f = Coding.lit_of coding ~attr:f.attr f.lo f.hi
+
+(* the (attribute, constant) of each [Eq] constant predicate *)
+let eq_consts preds =
+  List.filter_map (fun (a, op, v) -> if op = Value.Eq then Some (a, v) else None) preds
 
 let compile_sigma schema sigma =
   (* constraint sets routinely hold hundreds of constraints over the same
@@ -145,7 +192,27 @@ let compile_sigma schema sigma =
         })
       sigma
   in
-  { s_schema = schema; s_src = sigma; s_cs = cs; s_npos = Hashtbl.length pos_ids }
+  (* a constraint fires only on a tuple pair whose t1 (t2) satisfies every
+     t1 (t2) constant predicate, so one with [ti.A = c] needs c in A's
+     active domain: it is filed under (A, c). One with a NaN [Eq]
+     constant never fires and is filed nowhere. *)
+  let index = cindex_create (Schema.arity schema) in
+  let always = ref [] in
+  List.iter
+    (fun cc ->
+      match eq_consts (cc.c_t1 @ cc.c_t2) with
+      | [] -> always := cc.c_idx :: !always
+      | eqs when List.exists (fun (_, v) -> Value.is_nan v) eqs -> ()
+      | (a, v) :: _ -> cindex_add index a v cc.c_idx)
+    cs;
+  {
+    s_schema = schema;
+    s_src = sigma;
+    s_cs = Array.of_list cs;
+    s_index = index;
+    s_always = List.rev !always;
+    s_npos = Hashtbl.length pos_ids;
+  }
 
 let compile_gamma schema gamma =
   let cs =
@@ -160,7 +227,17 @@ let compile_gamma schema gamma =
         })
       gamma
   in
-  { g_schema = schema; g_src = gamma; g_cs = cs }
+  (* a CFD is relevant only when its first LHS constant occurs; one with a
+     NaN LHS constant never is (a pattern matches under [Value.equal]) *)
+  let index = cindex_create (Schema.arity schema) in
+  List.iter
+    (fun g ->
+      match g.g_lhs with
+      | (a, v) :: _ when not (List.exists (fun (_, v) -> Value.is_nan v) g.g_lhs) ->
+          cindex_add index a v g.g_idx
+      | _ -> ())
+    cs;
+  { g_schema = schema; g_src = gamma; g_cs = Array.of_list cs; g_index = index }
 
 (* Reuse a compiled form when the constraint list is the very same value:
    specs share Σ/Γ physically across [Se ⊕ Ot] steps (and callers can
@@ -174,29 +251,43 @@ let sigma_memo : sigma_c option ref Domain.DLS.key =
 let gamma_memo : gamma_c option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let sigma_c_for schema spec arg =
+let sigma_c_for schema sigma arg =
   match arg with
-  | Some sc when sc.s_src == spec.Spec.sigma && Schema.equal sc.s_schema schema -> sc
+  | Some sc when sc.s_src == sigma && Schema.equal sc.s_schema schema -> sc
   | _ -> (
       let slot = Domain.DLS.get sigma_memo in
       match !slot with
-      | Some sc when sc.s_src == spec.Spec.sigma && Schema.equal sc.s_schema schema -> sc
+      | Some sc when sc.s_src == sigma && Schema.equal sc.s_schema schema -> sc
       | _ ->
-          let sc = compile_sigma schema spec.Spec.sigma in
+          let sc = compile_sigma schema sigma in
           slot := Some sc;
           sc)
 
-let gamma_c_for schema spec arg =
+let gamma_c_for schema gamma arg =
   match arg with
-  | Some gc when gc.g_src == spec.Spec.gamma && Schema.equal gc.g_schema schema -> gc
+  | Some gc when gc.g_src == gamma && Schema.equal gc.g_schema schema -> gc
   | _ -> (
       let slot = Domain.DLS.get gamma_memo in
       match !slot with
-      | Some gc when gc.g_src == spec.Spec.gamma && Schema.equal gc.g_schema schema -> gc
+      | Some gc when gc.g_src == gamma && Schema.equal gc.g_schema schema -> gc
       | _ ->
-          let gc = compile_gamma schema spec.Spec.gamma in
+          let gc = compile_gamma schema gamma in
           slot := Some gc;
           gc)
+
+let compiled_gamma spec = gamma_c_for (Spec.schema spec) spec.Spec.gamma None
+
+(* the Σ constraints that can fire on [coding]'s entity, ascending *)
+let iter_sigma_candidates sigma_c coding f =
+  let rec merge a b =
+    match (a, b) with
+    | [], l | l, [] -> l
+    | x :: a', y :: b' -> if x < y then x :: merge a' b else y :: merge a b'
+  in
+  let hits =
+    cindex_probe sigma_c.s_index ~nvals:(Coding.adom_size coding) ~value:(Coding.value coding)
+  in
+  List.iter (fun k -> f sigma_c.s_cs.(k)) (merge hits sigma_c.s_always)
 
 (* ---- instantiating currency constraints over distinct projections ----
 
@@ -387,8 +478,7 @@ let instantiate_sigma ?fired sigma_c coding cells =
   let out = (Domain.DLS.get scratch_key).sc_dedup in
   Hashtbl.clear out;
   let insts = ref [] in
-  List.iter
-    (fun cc ->
+  iter_sigma_candidates sigma_c coding (fun cc ->
       let reps = reps_of cc in
       let cand1 =
         if cc.c_t1 = [] then reps
@@ -418,8 +508,7 @@ let instantiate_sigma ?fired sigma_c coding cells =
                       end)
               cand2)
           cand1
-      end)
-    sigma_c.s_cs;
+      end);
   sort_insts !insts
 
 (* The Σ instances an extension adds: with the value universes unchanged,
@@ -442,8 +531,7 @@ let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
       Hashtbl.replace seen key ())
     base_insts;
   let out = ref [] in
-  List.iter
-    (fun cc ->
+  iter_sigma_candidates sigma_c coding (fun cc ->
       let reps = reps_of cc in
       let news = List.filter (fun i -> i >= n_base) reps in
       if news <> [] then begin
@@ -464,8 +552,7 @@ let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
         let olds = List.filter (fun i -> i < n_base) reps in
         List.iter (fun o -> List.iter (fun n -> try_pair o n) news) olds;
         List.iter (fun n -> List.iter (fun r -> try_pair n r) reps) news
-      end)
-    sigma_c.s_cs;
+      end);
   (* canonical order: the delta clauses a live session receives must not
      depend on hashing or pair-enumeration order *)
   sort_insts !out
@@ -485,54 +572,71 @@ let relevant_gamma entity gamma =
              List.exists (Value.equal v) adoms.(a))
            c.Cfd.Constant_cfd.lhs)
 
+(* The CFDs relevant to [coding]'s entity, ascending, each with its LHS
+   as (attribute, value id) pairs: every LHS pattern constant occurs in
+   the active domain. The index yields the CFDs whose first LHS constant
+   occurs; the exact test runs on those alone. *)
+let relevant_cfds gamma_c coding =
+  let adom = Coding.adom_size coding in
+  let rec lhs_ids acc = function
+    | [] -> Some (List.rev acc)
+    | (a, v) :: rest -> (
+        match Coding.const_id coding a v with
+        | Some id when id < adom a -> lhs_ids ((a, id) :: acc) rest
+        | _ -> None)
+  in
+  List.filter_map
+    (fun k ->
+      let gc = gamma_c.g_cs.(k) in
+      Option.map (fun ids -> (gc, ids)) (lhs_ids [] gc.g_lhs))
+    (cindex_probe gamma_c.g_index ~nvals:adom ~value:(Coding.value coding))
+
+let gamma_candidates gamma_c adom =
+  List.map
+    (fun k -> gamma_c.g_cs.(k))
+    (cindex_probe gamma_c.g_index
+       ~nvals:(fun a -> Array.length (adom a))
+       ~value:(fun a i -> (adom a).(i)))
+
 (* Returns the implication instances and, for CFDs whose RHS constant the
    entity never takes, the vetoed premises (ω_X → ⊥). A CFD whose LHS
    mentions a value outside the active domain is vacuous on this entity
    (its pattern can never be the current tuple) and contributes nothing —
-   the compiled-form equivalent of {!relevant_gamma}. *)
+   the compiled-form equivalent of {!relevant_gamma}. Pattern constants
+   match under [Value.equal], as in [Cfd.Constant_cfd]: a NaN LHS
+   constant makes the CFD dead, a NaN RHS constant a veto. *)
 let instantiate_gamma gamma_c coding =
   let out = ref [] in
   let vetoes = ref [] in
   List.iter
-    (fun gc ->
-      let relevant =
-        List.for_all
-          (fun (a, v) ->
-            match Coding.vid_opt coding a v with
-            | Some id -> id < Coding.adom_size coding a
-            | None -> false)
-          gc.g_lhs
+    (fun (gc, lhs) ->
+      let premise =
+        (* ω_X: every other active-domain value sits below the pattern *)
+        List.concat_map
+          (fun (attr, target) ->
+            List.filter_map
+              (fun lo -> if lo <> target then Some { attr; lo; hi = target } else None)
+              (List.init (Coding.adom_size coding attr) Fun.id))
+          lhs
       in
-      if relevant then begin
-        let premise =
-          (* ω_X: every other active-domain value sits below the pattern *)
-          List.concat_map
-            (fun (attr, v) ->
-              let target = Coding.vid coding attr v in
-              List.filter_map
-                (fun lo -> if lo <> target then Some { attr; lo; hi = target } else None)
-                (List.init (Coding.adom_size coding attr) Fun.id))
-            gc.g_lhs
-        in
-        let battr, bval = gc.g_rhs in
-        match Coding.vid_opt coding battr bval with
-        | Some btarget ->
-            for b = 0 to Coding.adom_size coding battr - 1 do
-              if b <> btarget then
-                out :=
-                  {
-                    premise;
-                    concl = { attr = battr; lo = b; hi = btarget };
-                    source = From_cfd gc.g_idx;
-                  }
-                  :: !out
-            done
-        | None ->
-            (* the repair value never occurs: the pattern can never be the
-               current tuple, unless the premise is already vacuous *)
-            vetoes := (premise, From_cfd gc.g_idx) :: !vetoes
-      end)
-    gamma_c.g_cs;
+      let battr, bval = gc.g_rhs in
+      match Coding.const_id coding battr bval with
+      | Some btarget ->
+          for b = 0 to Coding.adom_size coding battr - 1 do
+            if b <> btarget then
+              out :=
+                {
+                  premise;
+                  concl = { attr = battr; lo = b; hi = btarget };
+                  source = From_cfd gc.g_idx;
+                }
+                :: !out
+          done
+      | None ->
+          (* the repair value never occurs: the pattern can never be the
+             current tuple, unless the premise is already vacuous *)
+          vetoes := (premise, From_cfd gc.g_idx) :: !vetoes)
+    (relevant_cfds gamma_c coding);
   (List.rev !out, List.rev !vetoes)
 
 (* ---- units from the currency orders of It and the null-lowest rule ---- *)
@@ -601,8 +705,9 @@ let instance_clauses coding (units, implications, vetoes) =
     vetoes;
   !clauses
 
-(* Φ's structural axioms per attribute. Depends only on the coding — the
-   part [extend] reuses verbatim across [Se ⊕ Ot] steps.
+(* Φ's structural axioms for attribute [a], in reverse push order. A pure
+   function of (mode, d, variable offset) — the part [extend] reuses
+   verbatim across [Se ⊕ Ot] steps.
 
    Paper mode: transitivity over every ordered triple plus asymmetry,
    d(d-1)(d-2) + d(d-1)/2 clauses. Exact mode: the literal polarity
@@ -610,46 +715,54 @@ let instance_clauses coding (units, implications, vetoes) =
    tournament is transitive iff it has no 3-cycle, so each unordered
    triple i < j < k forbids its two cyclic orientations — d(d-1)(d-2)/3
    clauses. *)
-let structural_clauses coding =
-  let schema = Coding.schema coding in
+let attr_block coding a =
   let clauses = ref [] in
-  let n_structural = ref 0 in
+  let count = ref 0 in
   let push c =
     clauses := c :: !clauses;
-    incr n_structural
+    incr count
   in
-  for a = 0 to Schema.arity schema - 1 do
-    let d = Array.length (Coding.universe coding a) in
-    let nl lo hi = Sat.Lit.negate (Coding.lit_of coding ~attr:a lo hi) in
-    match Coding.mode coding with
-    | Paper ->
-        (* transitivity *)
-        for i = 0 to d - 1 do
-          for j = 0 to d - 1 do
-            if j <> i then
-              for k = 0 to d - 1 do
-                if k <> i && k <> j then
-                  push [| nl i j; nl j k; Coding.lit_of coding ~attr:a i k |]
-              done
-          done
-        done;
-        (* asymmetry *)
-        for i = 0 to d - 1 do
-          for j = i + 1 to d - 1 do
-            push [| nl i j; nl j i |]
-          done
-        done
-    | Exact ->
-        for i = 0 to d - 1 do
-          for j = i + 1 to d - 1 do
-            for k = j + 1 to d - 1 do
-              push [| nl i j; nl j k; nl k i |];
-              push [| nl i k; nl k j; nl j i |]
+  let d = Array.length (Coding.universe coding a) in
+  let nl lo hi = Sat.Lit.negate (Coding.lit_of coding ~attr:a lo hi) in
+  (match Coding.mode coding with
+  | Paper ->
+      (* transitivity *)
+      for i = 0 to d - 1 do
+        for j = 0 to d - 1 do
+          if j <> i then
+            for k = 0 to d - 1 do
+              if k <> i && k <> j then
+                push [| nl i j; nl j k; Coding.lit_of coding ~attr:a i k |]
             done
+        done
+      done;
+      (* asymmetry *)
+      for i = 0 to d - 1 do
+        for j = i + 1 to d - 1 do
+          push [| nl i j; nl j i |]
+        done
+      done
+  | Exact ->
+      for i = 0 to d - 1 do
+        for j = i + 1 to d - 1 do
+          for k = j + 1 to d - 1 do
+            push [| nl i j; nl j k; nl k i |];
+            push [| nl i k; nl k j; nl j i |]
           done
         done
-  done;
-  (!clauses, !n_structural)
+      done);
+  { sb_clauses = !clauses; sb_count = !count }
+
+(* block(arity-1) @ … @ block(0), the order of one push pass over the
+   attributes in turn: attribute 0's block is the shared physical tail *)
+let concat_blocks blocks =
+  Array.fold_left
+    (fun (clauses, count) b -> (b.sb_clauses @ clauses, count + b.sb_count))
+    ([], 0) blocks
+
+let structural_clauses coding =
+  concat_blocks
+    (Array.init (Schema.arity (Coding.schema coding)) (fun a -> attr_block coding a))
 
 (* The ground-instance part of Φ(Se) without any clause rendering: what a
    purely static analysis (Saturate, Analyze) needs. [p_sigma_fired.(k)]
@@ -666,8 +779,8 @@ type parts = {
 
 let parts ?mode ?sigma_c ?gamma_c spec =
   let schema = Spec.schema spec in
-  let sigma_c = sigma_c_for schema spec sigma_c in
-  let gamma_c = gamma_c_for schema spec gamma_c in
+  let sigma_c = sigma_c_for schema spec.Spec.sigma sigma_c in
+  let gamma_c = gamma_c_for schema spec.Spec.gamma gamma_c in
   let coding, cells = Coding.lower ?mode spec.Spec.entity [] in
   let fired = Array.make (List.length spec.Spec.sigma) false in
   let sigma_insts = instantiate_sigma ~fired sigma_c coding cells in
@@ -689,36 +802,40 @@ let parts_of_t enc =
     p_units = enc.units;
     p_implications = enc.implications;
     p_vetoes = enc.vetoes;
-    p_sigma_fired = Array.make (List.length enc.spec.Spec.sigma) false;
+    p_sigma_fired = [||];
   }
 
-(* [structural_for tpl coding] is the structural-axiom block for [coding]'s
-   universe sizes, from the template's size-keyed store. Built outside the
-   lock on a miss; first-in wins (racing builders produce equal blocks: the
-   block is a pure function of the coding's (mode, sizes)). *)
+(* [structural_for tpl coding] is the structural axioms for [coding],
+   each attribute's block from the template's (d, offset)-keyed store.
+   Misses are built outside the lock; first-in wins (racing builders
+   produce equal blocks: a block is a pure function of its key and the
+   template's mode). *)
 let structural_for tpl coding =
-  let key = Coding.sizes coding in
+  let arity = Schema.arity (Coding.schema coding) in
+  let key a = (Array.length (Coding.universe coding a), Coding.offset coding a) in
   let found =
     Mutex.lock tpl.t_lock;
-    let r = Size_tbl.find_opt tpl.t_structural key in
+    let r = Array.init arity (fun a -> Block_tbl.find_opt tpl.t_structural (key a)) in
     Mutex.unlock tpl.t_lock;
     r
   in
-  match found with
-  | Some b -> (b.sb_clauses, b.sb_count)
-  | None ->
-      let clauses, count = structural_clauses coding in
-      Mutex.lock tpl.t_lock;
-      let b =
-        match Size_tbl.find_opt tpl.t_structural key with
-        | Some b -> b
-        | None ->
-            let b = { sb_clauses = clauses; sb_count = count } in
-            Size_tbl.add tpl.t_structural key b;
-            b
-      in
-      Mutex.unlock tpl.t_lock;
-      (b.sb_clauses, b.sb_count)
+  let blocks =
+    Array.mapi
+      (fun a b -> match b with Some b -> b | None -> attr_block coding a)
+      found
+  in
+  if Array.exists Option.is_none found then begin
+    Mutex.lock tpl.t_lock;
+    Array.iteri
+      (fun a b ->
+        if Option.is_none found.(a) then
+          match Block_tbl.find_opt tpl.t_structural (key a) with
+          | Some existing -> blocks.(a) <- existing
+          | None -> Block_tbl.add tpl.t_structural (key a) b)
+      blocks;
+    Mutex.unlock tpl.t_lock
+  end;
+  concat_blocks blocks
 
 let build_t ~mode ~sigma_c ~gamma_c ~template spec =
   let coding, cells = Coding.lower ~mode spec.Spec.entity [] in
@@ -757,8 +874,8 @@ let build_t ~mode ~sigma_c ~gamma_c ~template spec =
 
 let encode ?(mode = Paper) ?sigma_c ?gamma_c spec =
   let schema = Spec.schema spec in
-  let sigma_c = sigma_c_for schema spec sigma_c in
-  let gamma_c = gamma_c_for schema spec gamma_c in
+  let sigma_c = sigma_c_for schema spec.Spec.sigma sigma_c in
+  let gamma_c = gamma_c_for schema spec.Spec.gamma gamma_c in
   build_t ~mode ~sigma_c ~gamma_c ~template:None spec
 
 let template ?(mode = Paper) spec =
@@ -771,10 +888,12 @@ let template ?(mode = Paper) spec =
   {
     t_mode = mode;
     t_schema = schema;
-    t_sigma_c = compile_sigma schema sigma;
-    t_gamma_c = compile_gamma schema gamma;
+    (* through the memos: {!compiled_gamma} on a spec of this shape (the
+       engine's lint) then reuses the template's very index *)
+    t_sigma_c = sigma_c_for schema sigma None;
+    t_gamma_c = gamma_c_for schema gamma None;
     t_lock = Mutex.create ();
-    t_structural = Size_tbl.create 8;
+    t_structural = Block_tbl.create 16;
   }
 
 let template_mode tpl = tpl.t_mode
@@ -944,9 +1063,9 @@ let extend base spec =
         (* a universe grew (e.g. the fresh tuple carries a value, or a
            null, the entity never took): variable numbers shift globally,
            so solvers must reload — but the Σ instances still carried
-           over; the structural axioms come from the template's size-keyed
-           store when there is one (batches of same-schema entities land
-           on the same few size vectors), else are regenerated *)
+           over; the structural axioms come from the template's
+           per-attribute store when there is one (only the attributes
+           whose size or offset changed can miss), else are regenerated *)
         let structural, n_structural =
           match base.template with
           | Some tpl -> structural_for tpl coding

@@ -50,23 +50,51 @@ type sigma_c
 (** Γ compiled against a schema (attribute names resolved to positions). *)
 type gamma_c
 
-(** [compile_sigma schema sigma] resolves [sigma] against [schema]. The
-    result is only valid for specs carrying this very [sigma] list (it is
-    checked by physical equality and recompiled on mismatch). *)
+(** One compiled CFD: Γ index, LHS and RHS with attribute positions. *)
+type cgamma = { g_idx : int; g_lhs : (int * Value.t) list; g_rhs : int * Value.t }
+
+(** [compile_sigma schema sigma] resolves [sigma] against [schema] and
+    builds its constant index: each constraint with an [Eq] constant
+    predicate is filed under one (attribute, constant) pair, so an entity
+    visits only the constraints filed under values it takes, plus those
+    without an [Eq] constant. The result is only valid for specs carrying
+    this very [sigma] list (it is checked by physical equality and
+    recompiled on mismatch). *)
 val compile_sigma : Schema.t -> Currency.Constraint_ast.t list -> sigma_c
 
-(** [compile_gamma schema gamma] — as {!compile_sigma}, for Γ. *)
+(** [compile_gamma schema gamma] — as {!compile_sigma}, for Γ: each CFD is
+    filed under its first LHS atom. *)
 val compile_gamma : Schema.t -> Cfd.Constant_cfd.t list -> gamma_c
 
+(** [compiled_gamma spec] is [spec]'s Γ compiled against its schema, from
+    a domain-local one-slot memo (shared with {!template}). *)
+val compiled_gamma : Spec.t -> gamma_c
+
+(** [gamma_candidates gc adom] is, in ascending Γ index, every CFD whose
+    first LHS constant equals ([Value.equal]) a value of [adom a] for its
+    attribute [a]. A superset of the CFDs relevant to an entity whose
+    active domains are [adom] (see {!relevant_gamma}), found without
+    walking Γ: callers test the remaining LHS atoms. *)
+val gamma_candidates : gamma_c -> (int -> Value.t array) -> cgamma list
+
+(** [relevant_cfds gc coding] is, in ascending Γ index, every CFD whose
+    LHS constants all occur in [coding]'s active domains, each with its
+    LHS as (attribute, value id) pairs — {!relevant_gamma} on compiled
+    forms, through the constant index. A NaN LHS constant never occurs:
+    patterns match under [Value.equal]. *)
+val relevant_cfds : gamma_c -> Coding.t -> (cgamma * (int * int) list) list
+
 (** A compiled spec {e shape}: everything about an encoding that does not
-    depend on the concrete entity. Holds the compiled Σ/Γ (a function of
-    the schema and the interned constraint lists) and a size-keyed store
-    of structural-axiom clause blocks — the variable numbering is pure
-    arithmetic over the per-attribute universe sizes, so the cubic
-    transitivity block is shared across every entity (and {!extend}
-    renumbering) whose universes have equal sizes. One template serves a
-    whole batch of same-shape specs, from any domain (the store is
-    mutex-guarded; blocks are built outside the lock, first-in wins). *)
+    depend on the concrete entity. Holds the compiled Σ/Γ with their
+    constant indexes (a function of the schema and the interned
+    constraint lists) and a store of per-attribute structural-axiom
+    clause blocks keyed by (universe size, variable offset) — an
+    attribute's block is a pure function of those and the mode, so the
+    cubic transitivity block of an attribute is shared across every
+    entity (and {!extend} renumbering) that agrees on it, whatever the
+    other attributes' sizes. One template serves a whole batch of
+    same-shape specs, from any domain (the store is mutex-guarded; blocks
+    are built outside the lock, first-in wins). *)
 type template
 
 (** [template ?mode spec] compiles [spec]'s shape: its schema and its
@@ -89,7 +117,8 @@ type t = {
   template : template option;
       (** the template this encoding was instantiated from, when it came
           from {!instantiate}; lets {!extend}'s [Renumbered] path fetch
-          the new size vector's structural block from the shared store *)
+          the new coding's per-attribute structural blocks from the
+          shared store *)
   sigma_insts : iconstraint list;
       (** the instances of Σ alone, in a canonical order independent of
           which tuple pairs produced them — the part {!extend} updates
@@ -112,7 +141,8 @@ type t = {
   structural : Sat.Lit.t array list;
       (** the structural-axiom clauses themselves (also inside [cnf]);
           kept separately so {!extend} can reuse them without regenerating
-          the cubic transitivity block *)
+          the cubic transitivity block. Per-attribute blocks, last
+          attribute first: attribute 0's block is the physical tail *)
 }
 
 (** The ground-instance part of Ω(Se) without any clause rendering — what
@@ -136,7 +166,7 @@ type parts = {
 val parts : ?mode:mode -> ?sigma_c:sigma_c -> ?gamma_c:gamma_c -> Spec.t -> parts
 
 (** [parts_of_t enc] views an existing encoding as {!parts} for free.
-    [p_sigma_fired] is {e not} recovered (all [false]) — the encoding
+    [p_sigma_fired] is {e not} recovered (it is empty) — the encoding
     deduplicated globally; use {!parts} when firing flags matter. *)
 val parts_of_t : t -> parts
 
@@ -197,7 +227,9 @@ val extend : t -> Spec.t -> extension option
     encoding and the reference semantics consider only these; a CFD whose
     LHS mentions a value the entity never takes is vacuous on it, and
     skipping it keeps the value universes (and hence the cubic
-    transitivity axioms) small when Γ is a large pattern table. *)
+    transitivity axioms) small when Γ is a large pattern table. This is
+    the plain scan over Γ, kept as the reference the tests hold
+    {!relevant_cfds} (the indexed form the encoder uses) to. *)
 val relevant_gamma : Entity.t -> Cfd.Constant_cfd.t list -> (int * Cfd.Constant_cfd.t) list
 
 (** [projection_reps coding cells positions] is, in ascending order, the

@@ -588,20 +588,10 @@ let refresh_budget sess =
 let ingest_session sess ?(orders = []) ?(tuples = []) () =
   if sess.lint_rejected then
     invalid_arg "Engine.ingest_session: session was rejected as statically unsat";
-  if orders <> [] || tuples <> [] then begin
-    let spec = sess.spec in
-    let entity =
-      if tuples = [] then spec.Spec.entity
-      else Entity.make (Spec.schema spec) (Entity.tuples spec.Spec.entity @ tuples)
-    in
+  if orders <> [] || tuples <> [] then
     (* tuples appended, order edges prepended: exactly the pure-extension
        shape {!Encode.extend} serves with a Delta or Renumbered encoding *)
-    let spec' =
-      Spec.make entity ~orders:(orders @ spec.Spec.orders) ~sigma:spec.Spec.sigma
-        ~gamma:spec.Spec.gamma
-    in
-    apply_extension sess spec'
-  end
+    apply_extension sess (Spec.extend sess.spec ~tuples ~orders)
 
 let count_known known = Array.fold_left (fun n v -> if v = None then n else n + 1) 0 known
 

@@ -320,7 +320,7 @@ val refresh_budget : session -> unit
     to the live solver ([delta_extensions]); a grown universe reloads the
     solver but reuses the Σ instance sweep ([rebuilds_renumbered]).
     Raises [Invalid_argument] on a rejected session (see
-    {!session_rejected}) and propagates [Spec.make] validation errors. *)
+    {!session_rejected}) and propagates {!Spec.extend} validation errors. *)
 val ingest_session :
   session -> ?orders:Spec.order_edge list -> ?tuples:Tuple.t list -> unit -> unit
 

@@ -28,35 +28,31 @@ let fact_usable coding candidates known (f : Encode.fact) =
   | Some v -> v = f.Encode.hi
   | None -> List.mem f.Encode.hi candidates.(f.Encode.attr)
 
+(* only CFDs relevant to the entity can yield a rule: the constant index
+   finds them, and their LHS ids come with them *)
 let rules_from_cfds d ~known candidates =
   let enc = d.Deduce.enc in
   let coding = enc.Encode.coding in
-  let schema = Coding.schema coding in
   List.filter_map
-    (fun (c : Cfd.Constant_cfd.t) ->
-      let bname, bval = c.Cfd.Constant_cfd.rhs in
-      let b = Schema.index schema bname in
+    (fun ((c : Encode.cgamma), lhs) ->
+      let b, bval = c.Encode.g_rhs in
       if known.(b) <> None then None
       else
-        match Coding.vid_opt coding b bval with
+        match Coding.const_id coding b bval with
         | None -> None
         | Some bid when not (List.mem bid candidates.(b)) -> None
         | Some bid ->
             let rec build acc = function
               | [] -> Some { x = List.sort compare acc; b; bval = bid }
-              | (aname, v) :: rest -> (
-                  let a = Schema.index schema aname in
-                  match Coding.vid_opt coding a v with
-                  | None -> None (* pattern constant foreign to this entity *)
-                  | Some vid -> (
-                      match known_vid coding known a with
-                      | Some w -> if w = vid then build acc rest else None
-                      | None ->
-                          if List.mem vid candidates.(a) then build ((a, vid) :: acc) rest
-                          else None))
+              | (a, vid) :: rest -> (
+                  match known_vid coding known a with
+                  | Some w -> if w = vid then build acc rest else None
+                  | None ->
+                      if List.mem vid candidates.(a) then build ((a, vid) :: acc) rest
+                      else None)
             in
-            build [] c.Cfd.Constant_cfd.lhs)
-    enc.Encode.spec.Spec.gamma
+            build [] lhs)
+    (Encode.relevant_cfds enc.Encode.gamma_c coding)
 
 let rules_from_constraints d ~known candidates =
   let enc = d.Deduce.enc in

@@ -437,7 +437,7 @@ let verify spec (cert : cert) =
       List.map
         (fun (aname, v) ->
           let a = Schema.index schema aname in
-          match Coding.vid_opt coding a v with
+          match Coding.const_id coding a v with
           | Some id when id < Coding.adom_size coding a -> (a, id)
           | _ -> bad "step %d: γ%d is vacuous on this entity" i k)
         c.Cfd.Constant_cfd.lhs
@@ -452,7 +452,7 @@ let verify spec (cert : cert) =
     in
     let bname, bval = c.Cfd.Constant_cfd.rhs in
     let battr = Schema.index schema bname in
-    (omega, battr, Coding.vid_opt coding battr bval)
+    (omega, battr, Coding.const_id coding battr bval)
   in
   let fact_of i p =
     if p < 0 || p >= i then bad "step %d: invalid or forward premise %d" i p

@@ -88,15 +88,7 @@ let flush h =
          well cure it (e.g. a tuple bringing a vetoed CFD's RHS constant),
          and if not the fresh session is rejected again, harmlessly *)
       let old = h.eng in
-      let spec = Engine.session_spec old in
-      let entity =
-        if tuples = [] then spec.Spec.entity
-        else Entity.make (Spec.schema spec) (Entity.tuples spec.Spec.entity @ tuples)
-      in
-      let spec' =
-        Spec.make entity ~orders:(orders @ spec.Spec.orders) ~sigma:spec.Spec.sigma
-          ~gamma:spec.Spec.gamma
-      in
+      let spec' = Spec.extend (Engine.session_spec old) ~tuples ~orders in
       let st = Engine.session_stats old in
       h.carried_delta <- h.carried_delta + st.Engine.delta_extensions;
       h.carried_renumbered <- h.carried_renumbered + st.Engine.rebuilds_renumbered;

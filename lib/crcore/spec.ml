@@ -90,43 +90,70 @@ end)
 let intern_sigma = Sigma_pool.intern
 let intern_gamma = Gamma_pool.intern
 
-let make_res entity ~orders ~sigma ~gamma =
+let check_orders entity orders =
   let schema = Entity.schema entity in
   let n = Entity.size entity in
+  List.iter
+    (fun { attr; lo; hi } ->
+      if not (Schema.mem schema attr) then raise (Spec_error (Unknown_order_attribute attr));
+      let check_idx index =
+        if index < 0 || index >= n then
+          raise (Spec_error (Order_index_out_of_range { attr; index; size = n }))
+      in
+      check_idx lo;
+      check_idx hi;
+      if lo = hi then raise (Spec_error (Reflexive_order_edge { attr; index = lo })))
+    orders
+
+(* Σ and Γ checked against a schema and interned, once per shape: a
+   one-slot domain-local memo keyed on the very lists and the schema
+   serves every further spec of the shape (a batch of entities, each
+   interaction round, each session flush) without walking |Σ| + |Γ|
+   again. Only a success is remembered, so a bad list is re-checked, and
+   reports its first failing index, every time. *)
+type checked = {
+  k_sigma : Currency.Constraint_ast.t list;  (* the lists as given *)
+  k_gamma : Cfd.Constant_cfd.t list;
+  k_schema : Schema.t;
+  k_canon : Currency.Constraint_ast.t list * Cfd.Constant_cfd.t list;
+}
+
+let checked_memo : checked option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+
+let check_constraints schema sigma gamma =
+  let slot = Domain.DLS.get checked_memo in
+  match !slot with
+  | Some k when k.k_sigma == sigma && k.k_gamma == gamma && Schema.equal k.k_schema schema ->
+      k.k_canon
+  | _ ->
+      List.iteri
+        (fun k c ->
+          match Currency.Constraint_ast.check_schema c schema with
+          | Ok () -> ()
+          | Error a ->
+              raise (Spec_error (Unknown_constraint_attribute { constraint_index = k; attr = a })))
+        sigma;
+      List.iteri
+        (fun k c ->
+          match Cfd.Constant_cfd.check_schema c schema with
+          | Ok () -> ()
+          | Error a -> raise (Spec_error (Unknown_cfd_attribute { cfd_index = k; attr = a })))
+        gamma;
+      let canon = (fst (intern_sigma sigma), fst (intern_gamma gamma)) in
+      slot := Some { k_sigma = sigma; k_gamma = gamma; k_schema = schema; k_canon = canon };
+      canon
+
+let make_res entity ~orders ~sigma ~gamma =
   try
-    List.iter
-      (fun { attr; lo; hi } ->
-        if not (Schema.mem schema attr) then raise (Spec_error (Unknown_order_attribute attr));
-        let check_idx index =
-          if index < 0 || index >= n then
-            raise (Spec_error (Order_index_out_of_range { attr; index; size = n }))
-        in
-        check_idx lo;
-        check_idx hi;
-        if lo = hi then raise (Spec_error (Reflexive_order_edge { attr; index = lo })))
-      orders;
-    List.iteri
-      (fun k c ->
-        match Currency.Constraint_ast.check_schema c schema with
-        | Ok () -> ()
-        | Error a ->
-            raise (Spec_error (Unknown_constraint_attribute { constraint_index = k; attr = a })))
-      sigma;
-    List.iteri
-      (fun k c ->
-        match Cfd.Constant_cfd.check_schema c schema with
-        | Ok () -> ()
-        | Error a -> raise (Spec_error (Unknown_cfd_attribute { cfd_index = k; attr = a })))
-      gamma;
-    let sigma, _ = intern_sigma sigma in
-    let gamma, _ = intern_gamma gamma in
+    check_orders entity orders;
+    let sigma, gamma = check_constraints (Entity.schema entity) sigma gamma in
     Ok { entity; orders; sigma; gamma }
   with Spec_error e -> Error e
 
+let invalid e = invalid_arg (Format.asprintf "Spec.make: %a" pp_error e)
+
 let make entity ~orders ~sigma ~gamma =
-  match make_res entity ~orders ~sigma ~gamma with
-  | Ok s -> s
-  | Error e -> invalid_arg (Format.asprintf "Spec.make: %a" pp_error e)
+  match make_res entity ~orders ~sigma ~gamma with Ok s -> s | Error e -> invalid e
 
 let sigma_id s = snd (intern_sigma s.sigma)
 let gamma_id s = snd (intern_gamma s.gamma)
@@ -135,20 +162,25 @@ let schema s = Entity.schema s.entity
 
 let size s = Entity.size s.entity
 
-let add_order_edges s edges = make s.entity ~orders:(edges @ s.orders) ~sigma:s.sigma ~gamma:s.gamma
+(* Σ, Γ and the schema are [s]'s, already checked: only the new edges
+   need validating, against the grown entity *)
+let extend s ~tuples ~orders =
+  let entity =
+    if tuples = [] then s.entity else Entity.make (schema s) (Entity.tuples s.entity @ tuples)
+  in
+  (try check_orders entity orders with Spec_error e -> invalid e);
+  { s with entity; orders = orders @ s.orders }
+
+let add_order_edges s edges = extend s ~tuples:[] ~orders:edges
 
 let extend_with_tuple s tup ~current_attrs =
-  let entity = Entity.make (schema s) (Entity.tuples s.entity @ [ tup ]) in
-  let new_idx = Entity.size entity - 1 in
+  let new_idx = size s in
   let fresh_edges =
     List.concat_map
-      (fun attr ->
-        List.filter_map
-          (fun i -> if i <> new_idx then Some { attr; lo = i; hi = new_idx } else None)
-          (List.init new_idx Fun.id))
+      (fun attr -> List.init new_idx (fun i -> { attr; lo = i; hi = new_idx }))
       current_attrs
   in
-  make entity ~orders:(fresh_edges @ s.orders) ~sigma:s.sigma ~gamma:s.gamma
+  extend s ~tuples:[ tup ] ~orders:fresh_edges
 
 let pp ppf s =
   Format.fprintf ppf "@[<v>entity:@ %a@ |Σ| = %d, |Γ| = %d, |orders| = %d@]" Entity.pp

@@ -29,7 +29,11 @@ val pp_error : Format.formatter -> error -> unit
 (** [make_res entity ~orders ~sigma ~gamma] validates attribute names and
     tuple indices and builds the specification; the non-raising entry
     point for callers assembling specifications from untrusted input
-    (parsers, network, CSV headers). *)
+    (parsers, network, CSV headers). Σ and Γ are checked against the
+    schema once per shape: a domain-local memo remembers the last
+    (Σ, Γ, schema) that passed, by physical identity of the lists, so a
+    batch of same-shape specs walks them once. A failure is never
+    remembered. *)
 val make_res :
   Entity.t ->
   orders:order_edge list ->
@@ -76,8 +80,19 @@ val sigma_id : t -> int
 (** [gamma_id s] — as {!sigma_id}, for Γ. *)
 val gamma_id : t -> int
 
+(** [extend s ~tuples ~orders] is [s] with [tuples] appended to its entity
+    and [orders] prepended to its order edges — the pure-extension shape
+    [Encode.extend] serves incrementally. It equals
+    [make entity' ~orders:(orders @ s.orders) ~sigma:s.sigma
+    ~gamma:s.gamma] on the grown entity, but validates only the new edges:
+    [s] is a validated specification, so its Σ, Γ and schema are reused
+    as they are. Raises [Invalid_argument] exactly as {!make} would on
+    those inputs (an unknown attribute, an out-of-range or reflexive new
+    edge). *)
+val extend : t -> tuples:Tuple.t list -> orders:order_edge list -> t
+
 (** [add_order_edges s edges] extends the partial orders ([Se ⊕ Ot] with a
-    pure order extension). *)
+    pure order extension): [extend s ~tuples:[] ~orders:edges]. *)
 val add_order_edges : t -> order_edge list -> t
 
 (** [extend_with_tuple s tup ~current_attrs] implements the paper's user

@@ -168,7 +168,8 @@ type writer = {
   mutable seg : int;
   mutable seg_size : int;
   mutable appended : int;
-  mutable unsynced : int;
+  mutable synced : int;  (* [appended] as of the last completed fsync *)
+  mutable syncing : bool;  (* an interval fsync is running outside [m] *)
   mutable last_sync : float;
 }
 
@@ -191,13 +192,14 @@ let open_writer ?(fsync = Interval 0.05) ?(segment_bytes = 8 * 1024 * 1024) ~dir
     seg;
     seg_size = 0;
     appended = 0;
-    unsynced = 0;
+    synced = 0;
+    syncing = false;
     last_sync = Clock.now_s ();
   }
 
 let sync_locked w =
-  if w.unsynced > 0 then Unix.fsync w.fd;
-  w.unsynced <- 0;
+  if w.appended > w.synced then Unix.fsync w.fd;
+  w.synced <- w.appended;
   w.last_sync <- Clock.now_s ()
 
 let rotate_locked w =
@@ -215,25 +217,49 @@ let append w record =
       if w.seg_size >= w.segment_bytes then ignore (rotate_locked w);
       w.seg_size <- w.seg_size + Frame.write w.fd line;
       w.appended <- w.appended + 1;
-      w.unsynced <- w.unsynced + 1;
       match w.fsync with
       | Always -> sync_locked w
       | Interval _ | Never -> ())
 
 let flush w = locked w (fun () -> sync_locked w)
 
+(* The interval fsync runs on a duplicate of the segment's descriptor
+   with [m] released: appends go on while the disk syncs instead of
+   queueing behind it for the whole fsync. It covers every record
+   appended before the [dup]; a rotation meanwhile has synced the old
+   segment itself, and the duplicate keeps the closed file valid. *)
 let maybe_flush w =
   match w.fsync with
   | Always | Never -> ()
-  | Interval s ->
-      locked w (fun () ->
-          if w.unsynced > 0 && Clock.now_s () -. w.last_sync >= s then
-            sync_locked w)
+  | Interval s -> (
+      let due =
+        locked w (fun () ->
+            if
+              (not w.syncing) && w.appended > w.synced && Clock.now_s () -. w.last_sync >= s
+            then begin
+              let fd = Unix.dup ~cloexec:true w.fd in
+              w.syncing <- true;
+              Some (fd, w.appended)
+            end
+            else None)
+      in
+      match due with
+      | None -> ()
+      | Some (fd, upto) ->
+          Fun.protect
+            ~finally:(fun () ->
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              locked w (fun () -> w.syncing <- false))
+            (fun () ->
+              Unix.fsync fd;
+              locked w (fun () ->
+                  w.synced <- max w.synced upto;
+                  w.last_sync <- Clock.now_s ())))
 
 let rotate w = locked w (fun () -> rotate_locked w)
 let current_segment w = locked w (fun () -> w.seg)
 let appended w = locked w (fun () -> w.appended)
-let unsynced w = locked w (fun () -> w.unsynced)
+let unsynced w = locked w (fun () -> w.appended - w.synced)
 
 let last_sync_age w =
   locked w (fun () ->

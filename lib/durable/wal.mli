@@ -67,7 +67,9 @@ val append : writer -> record -> unit
 val flush : writer -> unit
 
 (** Under [Interval s]: fsync iff there are unsynced records and the last
-    sync is at least [s] old. No-op otherwise. *)
+    sync is at least [s] old. No-op otherwise. The fsync runs without
+    the writer's lock, so concurrent {!append}s never wait on the disk;
+    it covers every record appended before the call. *)
 val maybe_flush : writer -> unit
 
 (** [rotate w] fsyncs and closes the current segment and opens the next;

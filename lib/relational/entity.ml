@@ -21,32 +21,19 @@ let tuples e = Array.to_list e.tuples
 
 let value e i a = Tuple.get (tuple e i) a
 
-(* hashing that agrees with [Value.equal]: an [Int] hashes as the float
-   it equals ([Hashtbl.hash] already maps [-0.] and [0.] alike); NaN,
-   equal to nothing, is never found, so each occurrence stays distinct
-   exactly as under a list scan *)
-module VTbl = Hashtbl.Make (struct
-  type t = Value.t
-
-  let equal = Value.equal
-
-  let hash = function
-    | Value.Int i -> Hashtbl.hash (float_of_int i)
-    | Value.Float f -> Hashtbl.hash f
-    | v -> Hashtbl.hash v
-end)
-
 let active_domain_ids e a =
   let n = Array.length e.tuples in
-  let seen = VTbl.create 16 in
+  (* NaN, equal to nothing, is never found, so each occurrence stays
+     distinct exactly as under a list scan *)
+  let seen = Value.Tbl.create 16 in
   let ids = Array.make n 0 in
   let adom = ref [] and next = ref 0 in
   for i = 0 to n - 1 do
     let v = Tuple.get e.tuples.(i) a in
-    match VTbl.find seen v with
+    match Value.Tbl.find seen v with
     | id -> ids.(i) <- id
     | exception Not_found ->
-        VTbl.add seen v !next;
+        Value.Tbl.add seen v !next;
         ids.(i) <- !next;
         adom := v :: !adom;
         incr next

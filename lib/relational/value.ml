@@ -11,6 +11,20 @@ let equal a b =
   | Str x, Str y -> String.equal x y
   | _ -> false
 
+(* an [Int] hashes as the float it equals; [Hashtbl.hash] maps [-0.] and
+   [0.] alike *)
+let hash = function
+  | Int i -> Hashtbl.hash (float_of_int i)
+  | Float f -> Hashtbl.hash f
+  | v -> Hashtbl.hash v
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)
+
 let compare_opt a b =
   match (a, b) with
   | Null, Null -> Some 0
@@ -40,6 +54,8 @@ let total_compare a b =
   | None -> compare (kind_rank a) (kind_rank b)
 
 let is_null = function Null -> true | _ -> false
+
+let is_nan = function Float f -> Float.is_nan f | _ -> false
 
 let of_string s =
   let s' = String.trim s in

@@ -13,6 +13,14 @@ type op = Eq | Neq | Lt | Leq | Gt | Geq
 
 val equal : t -> t -> bool
 
+(** [hash v] agrees with {!equal}: equal values hash alike ([Int 3] and
+    [Float 3.], [0.] and [-0.]). *)
+val hash : t -> int
+
+(** Hash tables keyed with {!equal} and {!hash}: a NaN key is never
+    found, since NaN equals nothing. *)
+module Tbl : Hashtbl.S with type key = t
+
 (** [compare_opt a b] is [Some] of the usual [-1/0/1] ordering when [a] and
     [b] are comparable, [None] otherwise. [Null] compares below
     everything and equal to itself. *)
@@ -27,6 +35,10 @@ val eval : op -> t -> t -> bool
 val total_compare : t -> t -> int
 
 val is_null : t -> bool
+
+(** [is_nan v]: [v] is a NaN float, which {!equal}s nothing, itself
+    included. *)
+val is_nan : t -> bool
 
 (** [of_string s] parses ["null"]/[""] as [Null], then tries [Int], then
     [Float], falling back to [Str]. *)

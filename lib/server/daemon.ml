@@ -87,11 +87,7 @@ let effective_spec t label entry =
   let tuples = List.rev entry.pending_tuples in
   match base with
   | Some spec when tuples = [] && entry.pending_orders = [] -> spec
-  | Some spec ->
-      let entity = Entity.make entry.schema (Entity.tuples spec.Spec.entity @ tuples) in
-      Spec.make entity
-        ~orders:(entry.pending_orders @ spec.Spec.orders)
-        ~sigma:spec.Spec.sigma ~gamma:spec.Spec.gamma
+  | Some spec -> Spec.extend spec ~tuples ~orders:entry.pending_orders
   | None ->
       if tuples = [] then fail "entity %s has no tuples yet" label
       else

@@ -177,6 +177,49 @@ let test_wal_rotation_and_compaction () =
         (W.current_segment w2 > List.length sample_records);
       W.close_writer w2)
 
+(* The interval flusher fsyncs outside the writer's lock, so appends
+   and rotations (8-byte segments: one record per file) run beside it;
+   the lag it reports must stay consistent and the log intact. *)
+let test_wal_interval_flush_beside_appends () =
+  with_dir (fun dir ->
+      let w = W.open_writer ~fsync:(W.Interval 1e-6) ~segment_bytes:8 ~dir () in
+      List.iter (W.append w) sample_records;
+      Unix.sleepf 1e-3;
+      W.maybe_flush w;
+      Alcotest.(check int) "an interval flush covers every append" 0 (W.unsynced w);
+      let stop = Atomic.make false and bad_lag = Atomic.make false in
+      let flusher =
+        Thread.create
+          (fun () ->
+            try
+              while not (Atomic.get stop) do
+                W.maybe_flush w;
+                let lag = W.unsynced w in
+                if lag < 0 || lag > W.appended w then Atomic.set bad_lag true;
+                Thread.yield ()
+              done
+            with Unix.Unix_error _ -> Atomic.set bad_lag true)
+          ()
+      in
+      let rounds = 50 in
+      for _ = 1 to rounds do
+        List.iter (W.append w) sample_records
+      done;
+      Atomic.set stop true;
+      Thread.join flusher;
+      Alcotest.(check bool) "flusher never failed, lag within [0, appended]" false
+        (Atomic.get bad_lag);
+      W.flush w;
+      Alcotest.(check int) "flush leaves no lag" 0 (W.unsynced w);
+      W.close_writer w;
+      let got = ref [] in
+      let rep = W.replay ~dir (fun r -> got := r :: !got) in
+      Alcotest.(check int) "every record back"
+        ((rounds + 1) * List.length sample_records)
+        rep.W.records;
+      Alcotest.(check bool) "in append order" true
+        (List.rev !got = List.concat (List.init (rounds + 1) (fun _ -> sample_records))))
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -636,6 +679,8 @@ let () =
           Alcotest.test_case "corrupt record stops replay" `Quick
             test_wal_corrupt_record_stops_replay;
           Alcotest.test_case "rotation + compaction" `Quick test_wal_rotation_and_compaction;
+          Alcotest.test_case "interval flush beside appends" `Quick
+            test_wal_interval_flush_beside_appends;
         ] );
       ( "snapshot",
         [

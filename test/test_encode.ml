@@ -386,8 +386,6 @@ let qcheck_awkward_entity =
       Format.asprintf "%a@.%d CFDs" Entity.pp e (List.length gamma))
     gen
 
-let is_nan = function Value.Float f -> Float.is_nan f | _ -> false
-
 (* Every cell id of [Coding.lower] is the map lookup [Coding.vid] makes —
    NaN cells included, which the map sends to the universe's last NaN —
    and the numbering is unchanged: one universe entry per NaN occurrence.
@@ -410,8 +408,8 @@ let prop_lowering_matches_vid =
           (fun a ->
             let univ = Crcore.Coding.universe coding a in
             let adom = Array.sub univ 0 (Crcore.Coding.adom_size coding a) in
-            List.length (List.filter (fun t -> is_nan (Tuple.get t a)) tuples)
-            = Array.fold_left (fun n v -> if is_nan v then n + 1 else n) 0 adom)
+            List.length (List.filter (fun t -> Value.is_nan (Tuple.get t a)) tuples)
+            = Array.fold_left (fun n v -> if Value.is_nan v then n + 1 else n) 0 adom)
           attrs
       in
       let pairs d = match mode with E.Paper -> d * (d - 1) | E.Exact -> d * (d - 1) / 2 in
@@ -468,6 +466,227 @@ let test_refine_keys_spread () =
     [ 1; 2 ];
   Alcotest.(check (list int)) "skewed reps" (List.init 1023 Fun.id) (E.projection_reps coding cells [ 1; 2 ])
 
+(* ---- the constant index ---- *)
+
+(* Constraints that cannot fire on a [Fixtures.random_spec] entity: each
+   carries an equality with a constant its attribute never takes — an
+   absent string, NaN, an [Int]/[Float] twin pair — next to constants the
+   entity may take, so the index files some of them under a value the
+   entity has and the exact tests must still reject them. *)
+let absent = [ Value.Str "zz"; Value.Float Float.nan; Value.Int 7; Value.Float 7.0; Value.Str "a9" ]
+
+let padding st (spec : Crcore.Spec.t) =
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let attrs = Schema.attr_names Fixtures.small_schema in
+  let other a = pick (List.filter (( <> ) a) attrs) in
+  let tref () = if Random.State.bool st then Currency.Constraint_ast.T1 else Currency.Constraint_ast.T2 in
+  let dead_pred a = Currency.Constraint_ast.Cmp_const (tref (), a, Value.Eq, pick absent) in
+  let live_pred a = Currency.Constraint_ast.Cmp_const (tref (), a, Value.Eq, pick (Fixtures.pool a)) in
+  let sigma =
+    List.init (1 + Random.State.int st 4) (fun _ ->
+        let a = pick attrs and b = pick attrs in
+        let premise =
+          match Random.State.int st 3 with
+          | 0 -> [ dead_pred a ]
+          | 1 -> [ live_pred b; dead_pred a ]
+          | _ -> [ Currency.Constraint_ast.Prec b; dead_pred a; live_pred a ]
+        in
+        Currency.Constraint_ast.make premise (pick attrs))
+  in
+  let gamma =
+    List.init (1 + Random.State.int st 4) (fun _ ->
+        let a = pick attrs in
+        let b = other a in
+        let c = pick (List.filter (fun x -> x <> a && x <> b) attrs) in
+        let lhs =
+          if Random.State.bool st then [ (a, pick absent) ]
+          else [ (a, pick absent); (b, pick (Fixtures.pool b)) ]
+        in
+        Cfd.Constant_cfd.make lhs (c, pick (Fixtures.pool c @ absent)))
+  in
+  Crcore.Spec.make spec.Crcore.Spec.entity ~orders:spec.Crcore.Spec.orders
+    ~sigma:(spec.Crcore.Spec.sigma @ sigma) ~gamma:(spec.Crcore.Spec.gamma @ gamma)
+
+let prop_index_padding_invisible =
+  QCheck.Test.make ~count:300 ~name:"constraints that cannot fire change nothing (index)"
+    Fixtures.qcheck_spec (fun spec ->
+      let st = Random.State.make [| Crcore.Spec.size spec; List.length spec.Crcore.Spec.sigma |] in
+      let padded = padding st spec in
+      let n_sigma = List.length spec.Crcore.Spec.sigma
+      and n_gamma = List.length spec.Crcore.Spec.gamma in
+      let user =
+        match Crcore.Reference.analyze spec with
+        | Some { Crcore.Reference.valid = true; true_tuple = Some t; _ } ->
+            Crcore.Framework.oracle (Tuple.of_array (Crcore.Spec.schema spec) t)
+        | _ -> Crcore.Framework.silent
+      in
+      let same_mode mode =
+        let e0 = E.encode ~mode spec and e1 = E.encode ~mode padded in
+        let config = { Crcore.Engine.default_config with mode } in
+        let r0, _ = Crcore.Engine.resolve ~config ~user spec
+        and r1, _ = Crcore.Engine.resolve ~config ~user padded in
+        let suggestions e =
+          if not (Crcore.Validity.check e) then None
+          else
+            let d = Crcore.Deduce.deduce_order e in
+            Some (Crcore.Rules.suggest d ~known:(Crcore.Deduce.true_values d))
+        in
+        same_encoding e0 e1 && r0 = r1 && suggestions e0 = suggestions e1
+      in
+      let padded_subject (d : Crcore.Analyze.diagnostic) =
+        match d.Crcore.Analyze.subject with
+        | Crcore.Analyze.Sigma k -> k >= n_sigma
+        | Crcore.Analyze.Gamma k -> k >= n_gamma
+        | _ -> false
+      in
+      let full0 = Crcore.Analyze.analyze spec and full1 = Crcore.Analyze.analyze padded in
+      let w001 =
+        List.filter_map
+          (fun (d : Crcore.Analyze.diagnostic) ->
+            match d.Crcore.Analyze.subject with
+            | Crcore.Analyze.Gamma k when d.Crcore.Analyze.code = "W001" && k >= n_gamma -> Some k
+            | _ -> None)
+          full1
+      in
+      same_mode E.Paper && same_mode E.Exact
+      && Crcore.Analyze.analyze ~errors_only:true spec
+         = Crcore.Analyze.analyze ~errors_only:true padded
+      && List.filter (fun d -> not (padded_subject d)) full1 = full0
+      && w001 = List.init (List.length padded.Crcore.Spec.gamma - n_gamma) (fun i -> n_gamma + i))
+
+(* Σ over mixed-kind cells: constant predicates (=, ≠, <, ≥) and pair
+   predicates with constants from the cells' own pool, NaN and null
+   included; CFDs of one or two LHS atoms from the same pool. *)
+let qcheck_mixed_spec =
+  let open QCheck.Gen in
+  let value = map (fun i -> awkward_values.(i)) (int_bound (Array.length awkward_values - 1)) in
+  let const = map (fun i -> awkward_values.(i)) (int_bound (Array.length awkward_values - 2)) in
+  let gen =
+    int_range 2 4 >>= fun arity ->
+    let name a = "a" ^ string_of_int a in
+    let schema = Schema.make (List.init arity name) in
+    let attr = map name (int_bound (arity - 1)) in
+    let pred =
+      attr >>= fun a ->
+      int_bound 3 >>= fun kind ->
+      match kind with
+      | 0 -> return (Currency.Constraint_ast.Prec a)
+      | 1 -> map (fun op -> Currency.Constraint_ast.Cmp2 (a, op)) (oneofl [ Value.Lt; Value.Neq ])
+      | _ ->
+          map3
+            (fun t op c ->
+              Currency.Constraint_ast.Cmp_const
+                ((if t then Currency.Constraint_ast.T1 else Currency.Constraint_ast.T2), a, op, c))
+            bool
+            (oneofl [ Value.Eq; Value.Eq; Value.Neq; Value.Lt; Value.Geq ])
+            value
+    in
+    let constr = map2 Currency.Constraint_ast.make (list_size (int_bound 3) pred) attr in
+    let cfd =
+      int_bound (arity - 1) >>= fun l ->
+      int_bound (arity - 2) >>= fun r ->
+      let r = if r >= l then r + 1 else r in
+      let others = List.filter (fun a -> a <> l && a <> r) (List.init arity Fun.id) in
+      map3
+        (fun cl cr extra ->
+          let lhs =
+            match (others, extra) with
+            | o :: _, Some c -> [ (name l, cl); (name o, c) ]
+            | _ -> [ (name l, cl) ]
+          in
+          Cfd.Constant_cfd.make lhs (name r, cr))
+        const const (opt const)
+    in
+    list_size (int_range 1 10) (list_repeat arity value) >>= fun rows ->
+    list_size (int_bound 6) constr >>= fun sigma ->
+    list_size (int_bound 4) cfd >>= fun gamma ->
+    map
+      (fun exact ->
+        ( Crcore.Spec.make (Entity.make schema (List.map (Tuple.make schema) rows)) ~orders:[] ~sigma
+            ~gamma,
+          if exact then E.Exact else E.Paper ))
+      bool
+  in
+  QCheck.make ~print:(fun (spec, _) -> Format.asprintf "%a" Crcore.Spec.pp spec) gen
+
+(* The index against a full scan: the Σ instances are those of
+   [Constraint_ast.instantiate] over every ordered tuple pair and every
+   constraint, the lowest index keeping an instance several produce; the
+   relevant CFDs are {!E.relevant_gamma}'s. Facts are read as cell ids,
+   and all NaN cells share one id ({!Coding.lower}), so a pair of NaN
+   cells relates equal ids, which the encoding reads as equal values. *)
+let prop_index_equals_scan =
+  QCheck.Test.make ~count:1000 ~name:"indexed instantiation == full scan (mixed kinds, NaN)"
+    qcheck_mixed_spec (fun (spec, mode) ->
+      let enc = E.encode ~mode spec in
+      let coding = enc.E.coding in
+      let schema = Crcore.Spec.schema spec in
+      let fact (name, v1, v2) =
+        let attr = Schema.index schema name in
+        { E.attr; lo = Crcore.Coding.vid coding attr v1; hi = Crcore.Coding.vid coding attr v2 }
+      in
+      let tuples = Entity.tuples spec.Crcore.Spec.entity in
+      let seen = Hashtbl.create 16 in
+      let scan = ref [] in
+      List.iteri
+        (fun k c ->
+          List.iter
+            (fun s1 ->
+              List.iter
+                (fun s2 ->
+                  if s1 != s2 then
+                    match Currency.Constraint_ast.instantiate c s1 s2 with
+                    | None -> ()
+                    | Some i ->
+                        let premise = List.sort_uniq compare (List.map fact i.Currency.Constraint_ast.prec_premises) in
+                        let concl = fact i.Currency.Constraint_ast.conclusion in
+                        let degenerate f = f.E.lo = f.E.hi in
+                        if not (degenerate concl || List.exists degenerate premise || Hashtbl.mem seen (concl, premise))
+                        then begin
+                          Hashtbl.add seen (concl, premise) ();
+                          scan := { E.premise; concl; source = E.From_constraint k } :: !scan
+                        end)
+                tuples)
+            tuples)
+        spec.Crcore.Spec.sigma;
+      let by_key a b =
+        match compare a.E.premise b.E.premise with 0 -> compare a.E.concl b.E.concl | c -> c
+      in
+      let relevant = List.map (fun ((g : E.cgamma), _) -> g.E.g_idx) (E.relevant_cfds (E.compiled_gamma spec) coding) in
+      List.sort by_key !scan = enc.E.sigma_insts
+      && relevant = List.map fst (E.relevant_gamma spec.Crcore.Spec.entity spec.Crcore.Spec.gamma))
+
+(* The per-attribute structural store: two entities whose size vectors
+   differ only in the last attribute share every other attribute's
+   clause arrays, physically. *)
+let test_blocks_shared_per_attribute () =
+  let schema = Schema.make [ "x"; "y"; "z" ] in
+  let entity zs =
+    Entity.make schema
+      (List.mapi
+         (fun i z ->
+           Tuple.make schema [ Value.Str (if i = 0 then "a" else "b"); Value.Str "p"; Value.Str z ])
+         zs)
+  in
+  let spec zs = Crcore.Spec.make (entity zs) ~orders:[] ~sigma:[] ~gamma:[] in
+  List.iter
+    (fun mode ->
+      let s1 = spec [ "u"; "v" ] and s2 = spec [ "u"; "v"; "w" ] in
+      let tpl = E.template ~mode s1 in
+      let e1 = E.instantiate tpl s1 and e2 = E.instantiate tpl s2 in
+      let block d =
+        match mode with E.Paper -> (d * (d - 1) * (d - 2)) + (d * (d - 1) / 2) | E.Exact -> d * (d - 1) * (d - 2) / 3
+      in
+      (* z's universe: its values plus the reserved null *)
+      let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+      let rest1 = drop (block 3) e1.E.structural and rest2 = drop (block 4) e2.E.structural in
+      Alcotest.(check bool) "x and y blocks non-empty" true (rest1 <> []);
+      Alcotest.(check int) "same length" (List.length rest1) (List.length rest2);
+      Alcotest.(check bool) "x and y clause arrays shared" true (List.for_all2 ( == ) rest1 rest2);
+      Alcotest.(check bool) "same as a direct encode" true
+        (same_encoding e2 (E.encode ~mode s2)))
+    [ E.Paper; E.Exact ]
+
 let () =
   Alcotest.run "encode"
     [
@@ -489,6 +708,8 @@ let () =
           Alcotest.test_case "structural axiom counts" `Quick test_structural_axioms_counts;
           Alcotest.test_case "null extension stays delta" `Quick test_extend_null_is_delta;
           Alcotest.test_case "fact/var round trip" `Quick test_var_fact_roundtrip;
+          Alcotest.test_case "structural blocks shared per attribute" `Quick
+            test_blocks_shared_per_attribute;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
@@ -497,5 +718,7 @@ let () =
             prop_exact_equals_paper_plus_totality;
             prop_template_instantiate_bit_identical;
             prop_lowering_matches_vid;
+            prop_index_padding_invisible;
+            prop_index_equals_scan;
           ] );
     ]

@@ -210,6 +210,47 @@ let test_facade_surface () =
   in
   Alcotest.(check bool) "facade engine agrees" true (o.F.resolved = r.E.resolved)
 
+(* NaN pattern constants read as [Cfd.Constant_cfd] reads them: a NaN
+   LHS constant matches nothing (the CFD is dead), a NaN RHS constant is
+   never satisfied (the CFD is a veto). Two tuples, the second less
+   current than the first on [a]. *)
+let nan_spec ~rows ~cfd =
+  let schema = Schema.make [ "a"; "b" ] in
+  let entity =
+    Entity.make schema (List.map (fun r -> Tuple.make schema (List.map Value.of_string r)) rows)
+  in
+  Crcore.Spec.make entity
+    ~orders:[ { Crcore.Spec.attr = "a"; lo = 1; hi = 0 } ]
+    ~sigma:[] ~gamma:[ Cfd.Constant_cfd.parse_exn cfd ]
+
+let check_nan_spec msg spec =
+  let r =
+    match Crcore.Reference.analyze spec with Some r -> r | None -> Alcotest.fail "too large"
+  in
+  let expect_b = if r.Crcore.Reference.valid then r.Crcore.Reference.agreed.(1) else None in
+  List.iter
+    (fun (name, config) ->
+      let e, _ = E.resolve ~config ~user:F.silent spec in
+      Alcotest.(check bool) (msg ^ ": " ^ name ^ " valid") r.Crcore.Reference.valid e.E.valid;
+      Alcotest.(check bool) (msg ^ ": " ^ name ^ " b") true (e.E.resolved.(1) = expect_b))
+    [ ("default", E.default_config); ("naive", E.naive_config) ];
+  let o = F.resolve ~user:F.silent spec in
+  Alcotest.(check bool) (msg ^ ": framework b") true (o.F.resolved.(1) = expect_b)
+
+let test_nan_lhs_constant () =
+  let spec = nan_spec ~rows:[ [ "nan"; "x" ]; [ "1"; "y" ] ] ~cfd:{|a = nan -> b = "x"|} in
+  (* the CFD never applies: nothing decides b *)
+  check_nan_spec "LHS NaN" spec;
+  let r, _ = E.resolve ~user:F.silent spec in
+  Alcotest.(check bool) "LHS NaN: b unresolved" true (r.E.resolved.(1) = None)
+
+let test_nan_rhs_constant () =
+  let spec = nan_spec ~rows:[ [ "p"; "nan" ]; [ "q"; "y" ] ] ~cfd:{|a = "p" -> b = nan|} in
+  (* a = p is current, and no value of b equals NaN: no valid completion *)
+  check_nan_spec "RHS NaN" spec;
+  let r, _ = E.resolve ~user:F.silent spec in
+  Alcotest.(check bool) "RHS NaN: invalid" false r.E.valid
+
 let prop_incremental_equals_naive =
   (* the whole point: config {incremental; cache} must never change what is
      resolved, only how much work it takes *)
@@ -322,6 +363,8 @@ let () =
           Alcotest.test_case "streaming order" `Quick test_batch_streaming_order;
           Alcotest.test_case "stats aggregation" `Quick test_stats_aggregation;
           Alcotest.test_case "facade surface" `Quick test_facade_surface;
+          Alcotest.test_case "NaN LHS pattern constant" `Quick test_nan_lhs_constant;
+          Alcotest.test_case "NaN RHS pattern constant" `Quick test_nan_rhs_constant;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
