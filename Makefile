@@ -21,7 +21,7 @@ bench:
 # SAT-core scaling curve: the default Exact-mode engine on one Person
 # entity per size (2000/5000/10000 tuples, linearly-growing histories);
 # writes BENCH_satcore.json and exits non-zero unless every size resolves
-# identically to the naive config.
+# identically to Framework.resolve, the standalone Fig. 4 loop.
 satcore:
 	dune exec bench/main.exe -- satcore
 

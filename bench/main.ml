@@ -473,8 +473,8 @@ let ir_result (r : Crcore.Engine.item_result) =
    derive every implied order, so backbone probes rarely conflict), which
    makes the deduce phase propagation-bound; the eagerly emitted
    transitivity block is what grows with size. At every size the
-   resolutions must be identical to the naive rebuild-everything config's
-   (also Exact). Emits BENCH_satcore.json (the smoke run
+   resolutions must be identical to those of Framework.resolve, the
+   standalone Fig. 4 loop (also Exact). Emits BENCH_satcore.json (the smoke run
    BENCH_satcore_smoke.json). *)
 (* Richer histories than [person_sized]: the event count (and with it the
    per-attribute active domain, hence the CNF) grows linearly with entity
@@ -513,35 +513,34 @@ let satcore_sized ~sizes ~out =
               })
             ds.Datagen.Types.cases
         in
-        let run config =
-          wall_ms (fun () ->
-              Crcore.Engine.run_batch
-                ~config:{ config with Crcore.Engine.mode = Crcore.Encode.Exact; lint = false }
-                items)
-        in
+        let config = { Crcore.Engine.default_config with mode = Crcore.Encode.Exact } in
+        let run () = wall_ms (fun () -> Crcore.Engine.run_batch ~config items) in
         (* Warm-up: one untimed pass first. It pays the one-time process
            costs (heap expansion, page faults for the large clause arenas)
            that would otherwise land on the first timed run. *)
-        ignore (run Crcore.Engine.default_config);
+        ignore (run ());
         Gc.compact ();
         (* Two timed runs, compacting in between; the row reports the
            MINIMUM. Timing noise on a shared box is additive (scheduler
            steal and neighbours only ever slow a run down), so the minimum
            is the best estimator of the uncontended time. Counters are
            deterministic — only the times differ between the runs. *)
-        let ms1, (results, st1) = run Crcore.Engine.default_config in
+        let ms1, (results, st1) = run () in
         Gc.compact ();
-        let ms2, (_, st2) = run Crcore.Engine.default_config in
+        let ms2, (_, st2) = run () in
         Gc.compact ();
         let ms = Float.min ms1 ms2 in
         let sd = Float.min (solve_deduce st1) (solve_deduce st2) in
-        let naive_results, _ = snd (run Crcore.Engine.naive_config) in
         let identical =
           List.for_all2
-            (fun (a : Crcore.Engine.item_result) (b : Crcore.Engine.item_result) ->
-              (ir_result a).Crcore.Engine.resolved = (ir_result b).Crcore.Engine.resolved
-              && (ir_result a).Crcore.Engine.valid = (ir_result b).Crcore.Engine.valid)
-            results naive_results
+            (fun (a : Crcore.Engine.item_result) (it : Crcore.Engine.item) ->
+              let o =
+                Crcore.Framework.resolve ~mode:Crcore.Encode.Exact ~user:it.Crcore.Engine.user
+                  it.Crcore.Engine.spec
+              in
+              (ir_result a).Crcore.Engine.resolved = o.Crcore.Framework.resolved
+              && (ir_result a).Crcore.Engine.valid = o.Crcore.Framework.valid)
+            results items
         in
         let sv = st1.Crcore.Engine.solver in
         Printf.printf
@@ -550,7 +549,7 @@ let satcore_sized ~sizes ~out =
           size ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
           st1.Crcore.Engine.deduce_probes (Sat.Solver.lbd_avg sv)
           sv.Sat.Solver.learnts_kept sv.Sat.Solver.learnts_deleted sv.Sat.Solver.binaries;
-        Printf.printf "  size %5d same final resolutions as naive: %b\n%!" size identical;
+        Printf.printf "  size %5d same final resolutions as Framework.resolve: %b\n%!" size identical;
         claim (Printf.sprintf "satcore: identical resolutions at size %d" size) identical;
         (size, ms, sd, st1, identical))
       sizes
@@ -574,8 +573,8 @@ let satcore_sized ~sizes ~out =
   "dataset": "Person",
   "entities_per_size": %d,
   "cores_available": %d,
-  "engine": "default config, Exact mode, lint off; times are the minimum of 2 runs",
-  "reference": "naive config, Exact mode (identical_results)",
+  "engine": "default config, Exact mode; times are the minimum of 2 runs",
+  "reference": "Framework.resolve, Exact mode (identical_results)",
   "sizes": [
 %s
   ]

@@ -409,7 +409,7 @@ let default_jobs () =
   | Some s -> ( match int_of_string_opt s with Some j when j > 0 -> j | _ -> 1)
   | None -> 1
 
-let run_batch entity_file dir sigma_file gamma_file exact naive jobs key truth_file max_rounds
+let run_batch entity_file dir sigma_file gamma_file exact jobs key truth_file max_rounds
     budget_conflicts budget_ms max_degrade fail_fast dump_dimacs output =
   let sigma, gamma = parse_sigma_gamma sigma_file gamma_file in
   let mk_label_spec label entity =
@@ -492,12 +492,9 @@ let run_batch entity_file dir sigma_file gamma_file exact naive jobs key truth_f
       "crsolve: warning: -j %d exceeds the %d available core(s); running %d job(s) \
        (over-subscribing domains only slows batches down)\n%!"
       jobs cores (min jobs cores);
-  let base =
-    if naive then Conflict_resolution.Config.naive else Conflict_resolution.Config.default
-  in
   let config =
     Conflict_resolution.Config.(
-      base
+      default
       |> with_mode (mode_of_exact exact)
       |> with_max_rounds max_rounds
       |> with_jobs jobs
@@ -714,9 +711,6 @@ let batch_cmd =
   let key_a =
     Arg.(value & opt string "" & info [ "key"; "k" ] ~docv:"ATTRS" ~doc:"Comma-separated key attributes partitioning the relation into entities.")
   in
-  let naive_a =
-    Arg.(value & flag & info [ "naive" ] ~doc:"Disable the incremental solver sessions and the encoding cache (per-entity framework behaviour); for comparisons.")
-  in
   let out_a =
     Arg.(value & opt (some string) None & info [ "output"; "o" ] ~docv:"CSV" ~doc:"Write one resolved tuple per entity here.")
   in
@@ -788,7 +782,7 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:"Resolve a whole collection of entities with the incremental batch engine")
     Term.(
-      const run_batch $ entity_a $ dir_a $ sigma_arg $ gamma_arg $ exact_arg $ naive_a
+      const run_batch $ entity_a $ dir_a $ sigma_arg $ gamma_arg $ exact_arg
       $ jobs_a $ key_a $ truth_arg $ max_rounds_arg $ budget_conflicts_a $ budget_ms_a
       $ max_degrade_a $ fail_fast_a $ dump_dimacs_a $ out_a)
 

@@ -132,22 +132,11 @@ module Config = struct
       idle_timeout = None;
     }
 
-  let naive = { default with engine = Crcore.Engine.naive_config }
-
   let with_mode mode t = { t with engine = { t.engine with Crcore.Engine.mode } }
   let with_repair repair t = { t with engine = { t.engine with Crcore.Engine.repair } }
 
   let with_max_rounds max_rounds t =
     { t with engine = { t.engine with Crcore.Engine.max_rounds } }
-
-  let with_incremental incremental t =
-    { t with engine = { t.engine with Crcore.Engine.incremental } }
-
-  let with_cache cache t = { t with engine = { t.engine with Crcore.Engine.cache } }
-  let with_lint lint t = { t with engine = { t.engine with Crcore.Engine.lint } }
-
-  let with_saturate saturate t =
-    { t with engine = { t.engine with Crcore.Engine.saturate } }
 
   let with_jobs jobs t = { t with engine = { t.engine with Crcore.Engine.jobs } }
 

@@ -83,7 +83,9 @@ module Rules = Crcore.Rules
 
 (** {1 Resolution} *)
 
-(** The interactive loop of Fig. 4, one entity per call. *)
+(** The interactive loop of Fig. 4, one entity per call: fresh encoding
+    and solvers every phase, no code shared with {!Engine}. The reference
+    the engine's answers are tested against. *)
 module Framework = Crcore.Framework
 
 (** Batch resolution: incremental solver sessions, a sharded shape-template
@@ -139,23 +141,9 @@ module Config : sig
   (** {!Engine.default_config} + a 1024-session store cap, no TTL. *)
   val default : t
 
-  (** {!Engine.naive_config}-based: fresh encoding and solvers per phase,
-      no cache — the baseline configuration benchmarks compare against. *)
-  val naive : t
-
   val with_mode : Encode.mode -> t -> t
   val with_repair : Rules.repair -> t -> t
   val with_max_rounds : int -> t -> t
-  val with_incremental : bool -> t -> t
-  val with_cache : bool -> t -> t
-  val with_lint : bool -> t -> t
-
-  (** Toggle the {!Crcore.Saturate} static pre-phase (on by default):
-      polynomial closure of certain currency facts, injected into the
-      solver session and used to skip deduction probes. Results are
-      identical either way; only the work split changes. *)
-  val with_saturate : bool -> t -> t
-
   val with_jobs : int -> t -> t
   val with_clamp_jobs : bool -> t -> t
   val with_budget_conflicts : int option -> t -> t
@@ -225,8 +213,8 @@ module Session : sig
   type handle = Crcore.Session.handle
 
   (** [create ?config ?cache ?label spec] opens a session on the entity's
-      initial specification — encoding, the lint pre-phase and (in
-      incremental mode) the solver load happen here. *)
+      initial specification — lint, encoding, saturation and (unless
+      lint rejected the spec) the solver load happen here. *)
   val create : ?config:Config.t -> ?cache:Engine.cache -> ?label:string -> Spec.t -> handle
 
   val label : handle -> string

@@ -1,4 +1,4 @@
-type user = Rules.suggestion -> schema:Schema.t -> (string * Value.t) list
+type user = Framework.user
 
 type degrade_level = Exact | PartialDeduce | PickFallback
 
@@ -30,14 +30,8 @@ let reason_to_string r =
 
 type config = {
   mode : Encode.mode;
-  deduce :
-    ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> Deduce.t;
   repair : Rules.repair;
   max_rounds : int;
-  incremental : bool;
-  cache : bool;
-  lint : bool;
-  saturate : bool;
   jobs : int;
   clamp_jobs : bool;
   budget_conflicts : int option;
@@ -50,13 +44,8 @@ type config = {
 let default_config =
   {
     mode = Encode.Paper;
-    deduce = Deduce.backbone;
     repair = Rules.Exact_maxsat;
     max_rounds = 5;
-    incremental = true;
-    cache = true;
-    lint = true;
-    saturate = true;
     jobs = 1;
     clamp_jobs = true;
     budget_conflicts = None;
@@ -64,15 +53,6 @@ let default_config =
     max_degrade = PickFallback;
     pick_strategy = Pick.Favoured;
     fail_fast = false;
-  }
-
-let naive_config =
-  {
-    default_config with
-    incremental = false;
-    cache = false;
-    lint = false;
-    saturate = false;
   }
 
 type phase_times = {
@@ -242,8 +222,9 @@ type session = {
       (* the static closure of the current encoding (saturate pre-phase) *)
   mutable static_facts : int;
   mutable probes_avoided : int;
-  mutable solver : Sat.Solver.t option;  (* the incremental session *)
-  mutable retired : Sat.Solver.stats;    (* stats of replaced/one-shot solvers *)
+  mutable solver : Sat.Solver.t option;
+      (* the incremental session; [None] iff lint rejected the spec *)
+  mutable retired : Sat.Solver.stats;    (* stats of replaced solvers *)
   mutable burnt : int;           (* injected conflict-budget consumption *)
   mutable forced_exhaust : bool; (* a pending injected budget-[Unknown] *)
   mutable solvers_built : int;
@@ -299,19 +280,20 @@ let the_enc sess =
   | Some enc -> enc
   | None -> invalid_arg "Engine: session was rejected before encoding"
 
+let the_solver sess =
+  match sess.solver with
+  | Some s -> s
+  | None -> invalid_arg "Engine: session was rejected before solving"
+
 (* The shape compiles once and each entity is stamped into it by the thin
    instantiation stage, outside any lock; a lookup counts as a hit when
-   the shape was already compiled. [config.cache = false] encodes
-   directly — the {!Framework.resolve} reference path, uncounted. *)
+   the shape was already compiled. *)
 let encode_spec sess spec =
-  if not sess.config.cache then Encode.encode ~mode:sess.config.mode spec
-  else begin
-    let tpl, hit = template_for ~config:sess.config ~cache:sess.cache spec in
-    let enc = Encode.instantiate tpl spec in
-    if hit then sess.template_hits <- sess.template_hits + 1
-    else sess.template_misses <- sess.template_misses + 1;
-    enc
-  end
+  let tpl, hit = template_for ~config:sess.config ~cache:sess.cache spec in
+  let enc = Encode.instantiate tpl spec in
+  if hit then sess.template_hits <- sess.template_hits + 1
+  else sess.template_misses <- sess.template_misses + 1;
+  enc
 
 let fresh_solver sess enc =
   let s = Sat.Solver.create () in
@@ -332,11 +314,11 @@ let fresh_solver sess enc =
    current encoding — polynomial, no solver *)
 let saturate_session sess =
   match sess.enc with
-  | Some enc when sess.config.saturate ->
+  | Some enc ->
       let cl = timed sess Saturate_p (fun () -> Saturate.of_encode enc) in
       sess.closure <- Some cl;
       sess.static_facts <- sess.static_facts + Saturate.n_facts cl
-  | _ -> ()
+  | None -> ()
 
 let retire sess s = sess.retired <- Sat.Solver.add_stats sess.retired (Sat.Solver.stats s)
 
@@ -399,8 +381,7 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
      (property-tested in test_analyze). *)
   track := Lint_p;
   let lint_rejected =
-    config.lint
-    && timed_t times Lint_p (fun () -> Analyze.has_errors (Analyze.cheap_errors spec))
+    timed_t times Lint_p (fun () -> Analyze.has_errors (Analyze.cheap_errors spec))
   in
   let sess =
     {
@@ -445,30 +426,21 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
   (* second half: a refuted closure (lint's E002/E005, read from the
      closure the solver would be seeded with) skips the solver *)
   (match sess.closure with
-  | Some cl when config.lint && Saturate.refutation cl <> None -> sess.lint_rejected <- true
+  | Some cl when Saturate.refutation cl <> None -> sess.lint_rejected <- true
   | _ -> ());
-  if config.incremental && not sess.lint_rejected then
+  if not sess.lint_rejected then
     sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess (the_enc sess)));
   sess
 
 let create_session ?config ?cache ?label spec =
   make_session ?config ?cache ?label ~track:(ref Lint_p) spec
 
-(* [f] on the session's solver, budget armed: the incremental path
-   reuses the live session (learnt clauses intact); the naive path
-   rebuilds a solver, as Validity.check does, but keeps its statistics *)
+(* [f] on the live session solver (learnt clauses intact), budget armed *)
 let with_solver sess f =
-  match sess.solver with
-  | Some s ->
-      sess.solvers_reused <- sess.solvers_reused + 1;
-      arm_budget sess s;
-      f s
-  | None ->
-      let s = fresh_solver sess (the_enc sess) in
-      arm_budget sess s;
-      let r = f s in
-      retire sess s;
-      r
+  let s = the_solver sess in
+  sess.solvers_reused <- sess.solvers_reused + 1;
+  arm_budget sess s;
+  f s
 
 (* IsValid on the session; [Unknown] when the entity's conflict budget
    runs out mid-solve *)
@@ -477,13 +449,12 @@ let check_validity sess = with_solver sess (fun s -> Sat.Solver.solve_limited s)
 let suggest_on sess d ~known =
   with_solver sess (fun s -> Rules.suggest ~repair:sess.config.repair ~solver:s d ~known)
 
-(* deduction on the session solver when there is one: the SAT-based
-   deducers probe it under assumptions ([backbone] additionally reuses
-   the validity check's model), a private solver otherwise. The remaining
-   conflict budget is armed on the live solver and also passed down so a
-   deducer-private solver (naive mode) is bounded too. *)
+(* backbone deduction on the session solver: probes run under
+   assumptions and start from the validity check's saved model. The
+   remaining conflict budget is armed on the solver and passed down. *)
 let deduce_on sess enc =
-  (match sess.solver with Some s -> arm_budget sess s | None -> ());
+  let solver = the_solver sess in
+  arm_budget sess solver;
   (* hand the static closure to the deducer only when it is provably the
      whole positive backbone ({!Saturate.complete}): the deducer then
      adopts it outright and skips its level-0 read *)
@@ -492,58 +463,49 @@ let deduce_on sess enc =
     | Some cl when Saturate.complete cl -> Some (Saturate.fact_vars cl)
     | _ -> None
   in
-  let d =
-    sess.config.deduce ?solver:sess.solver ?budget:(conflicts_remaining sess)
-      ?static enc
-  in
+  let d = Deduce.backbone ~solver ?budget:(conflicts_remaining sess) ?static enc in
   let st = d.Deduce.stats in
   sess.deduce_sat_calls <- sess.deduce_sat_calls + st.Deduce.sat_calls;
   sess.deduce_probes <- sess.deduce_probes + st.Deduce.probes;
   sess.deduce_model_prunes <- sess.deduce_model_prunes + st.Deduce.model_prunes;
   sess.deduce_seeded <- sess.deduce_seeded + st.Deduce.seeded;
   sess.probes_avoided <- sess.probes_avoided + st.Deduce.probes_avoided;
-  if st.Deduce.built_solver then sess.solvers_built <- sess.solvers_built + 1;
-  if st.Deduce.reused_solver then sess.solvers_reused <- sess.solvers_reused + 1;
+  sess.solvers_reused <- sess.solvers_reused + 1;
   d
 
 (* Se ⊕ Ot: move the session to the extended specification. *)
 let apply_extension sess spec' =
   fire sess Faults.Encode Encode_p;
   sess.spec <- spec';
-  if not sess.config.incremental then begin
-    sess.enc <- Some (timed sess Encode_p (fun () -> encode_spec sess spec'));
-    saturate_session sess
-  end
-  else
-    match timed sess Encode_p (fun () -> Encode.extend (the_enc sess) spec') with
-    | Some (Encode.Delta (enc', delta)) ->
-        sess.enc <- Some enc';
-        sess.delta_extensions <- sess.delta_extensions + 1;
-        (* re-close over the extended encoding before touching the solver,
-           so the fresh closure rides in with the delta clauses *)
-        saturate_session sess;
-        let s = match sess.solver with Some s -> s | None -> assert false in
-        timed sess Validity_p (fun () ->
-            List.iter (Sat.Solver.add_clause_a s) delta;
-            match sess.closure with
-            | Some cl -> Sat.Solver.add_units s (Saturate.unit_lits cl)
-            | None -> ())
-    | Some (Encode.Renumbered enc') ->
-        (* a value universe grew: the Σ instances were still reused, but
-           variable numbers shifted, so the solver session restarts *)
-        sess.rebuilds_renumbered <- sess.rebuilds_renumbered + 1;
-        sess.enc <- Some enc';
-        saturate_session sess;
-        (match sess.solver with Some s -> retire sess s | None -> ());
-        sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
-    | None ->
-        (* not a pure extension: full re-encode and a fresh session *)
-        sess.rebuilds_impure <- sess.rebuilds_impure + 1;
-        (match sess.solver with Some s -> retire sess s | None -> ());
-        let enc' = timed sess Encode_p (fun () -> encode_spec sess spec') in
-        sess.enc <- Some enc';
-        saturate_session sess;
-        sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
+  match timed sess Encode_p (fun () -> Encode.extend (the_enc sess) spec') with
+  | Some (Encode.Delta (enc', delta)) ->
+      sess.enc <- Some enc';
+      sess.delta_extensions <- sess.delta_extensions + 1;
+      (* re-close over the extended encoding before touching the solver,
+         so the fresh closure rides in with the delta clauses *)
+      saturate_session sess;
+      let s = the_solver sess in
+      timed sess Validity_p (fun () ->
+          List.iter (Sat.Solver.add_clause_a s) delta;
+          match sess.closure with
+          | Some cl -> Sat.Solver.add_units s (Saturate.unit_lits cl)
+          | None -> ())
+  | Some (Encode.Renumbered enc') ->
+      (* a value universe grew: the Σ instances were still reused, but
+         variable numbers shifted, so the solver session restarts *)
+      sess.rebuilds_renumbered <- sess.rebuilds_renumbered + 1;
+      sess.enc <- Some enc';
+      saturate_session sess;
+      retire sess (the_solver sess);
+      sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
+  | None ->
+      (* not a pure extension: full re-encode and a fresh session *)
+      sess.rebuilds_impure <- sess.rebuilds_impure + 1;
+      retire sess (the_solver sess);
+      let enc' = timed sess Encode_p (fun () -> encode_spec sess spec') in
+      sess.enc <- Some enc';
+      saturate_session sess;
+      sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
 
 let snapshot_stats sess =
   let solver =

@@ -1,13 +1,14 @@
 (** Batch conflict resolution: the Fig. 4 loop of the paper run at scale.
 
-    {!Framework} resolves one entity instance per call and rebuilds its SAT
-    encoding and a fresh solver for every phase; this module amortises that
-    work when resolving whole relations (millions of entities) or the same
-    entity across interaction rounds:
+    {!Framework.resolve} is the paper's loop in its plainest form: one
+    entity per call, a fresh encoding and fresh solvers for every phase
+    and round. This module gives the same answers — property-tested
+    against it — while sharing the work when resolving whole relations or
+    the same entity across interaction rounds. It has one path:
 
     - {b one incremental solver session per entity}: the validity check
-      ([IsValid]), the clique-consistency check inside [Suggest], and any
-      SAT-based deduction all run on a single {!Sat.Solver} session holding
+      ([IsValid]), backbone deduction and the clique-consistency check
+      inside [Suggest] all run on a single {!Sat.Solver} session holding
       Φ(Se), solving under assumption literals instead of re-instantiating
       the CNF per phase — learnt clauses carry across phases and rounds;
     - {b encoding reuse across [Se ⊕ Ot] steps}: user-input extensions are
@@ -20,16 +21,18 @@
       template ({!Encode.template} / {!Encode.instantiate}); the cache
       holds templates only, so it grows with the number of shapes, not
       with the number of entities resolved;
+    - {b lint and saturation}: provably unsatisfiable specs are reported
+      invalid without a solver ({!Analyze.cheap_errors} before encoding,
+      a refuted {!Saturate} closure after it), and the static closure is
+      seeded into the solver and, when complete, adopted by deduction
+      without probes;
     - {b structured observability}: per-entity and aggregate phase timings,
       solver conflict/decision/propagation counters, template hit rates
-      and incremental-path counters in {!entity_stats} / {!stats}.
+      and incremental-path counters in {!entity_stats} / {!stats}. *)
 
-    Results are identical to running {!Framework.resolve} per entity — the
-    equivalence is property-tested — only the work is shared. *)
-
-(** What the user (or an oracle) answers to a suggestion; identical shape
-    to {!Framework.user}. An empty answer stops the entity's loop. *)
-type user = Rules.suggestion -> schema:Schema.t -> (string * Value.t) list
+(** What the user (or an oracle) answers to a suggestion. An empty answer
+    stops the entity's loop. *)
+type user = Framework.user
 
 (** {1 Budgets and graceful degradation}
 
@@ -75,41 +78,8 @@ val reason_to_string : degrade_reason -> string
 
 type config = {
   mode : Encode.mode;
-  deduce :
-    ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> Deduce.t;
-      (** deduction engine; the session solver (already holding Φ(Se),
-          with the validity check's model still saved) is passed in
-          incremental mode so SAT-based deducers probe it under
-          assumptions instead of reloading the CNF. [budget] is the
-          entity's remaining conflict allowance, honoured even by a
-          deducer-private solver. [static] is the saturate pre-phase's
-          closure, passed only when {!Saturate.complete} certifies it as
-          the whole positive backbone — the deducer may then adopt the
-          facts without probing. *)
-  repair : Rules.repair;
-  max_rounds : int;
-  incremental : bool;
-      (** reuse one solver session per entity across phases and rounds,
-          with {!Encode.extend} deltas for user-input extensions *)
-  cache : bool;
-      (** instantiate encodings from the shared shape-template cache;
-          [false] encodes every specification directly with
-          {!Encode.encode}, the {!Framework.resolve} reference path *)
-  lint : bool;
-      (** report provably unsatisfiable specs invalid without a solver:
-          {!Analyze.cheap_errors} before encoding, a refuted closure of the
-          session's own encoding (E002/E005) after the saturate pre-phase —
-          so with [saturate = false] the solver decides the rest *)
-  saturate : bool;
-      (** run the {!Saturate} pre-phase after each (re-)encoding: the
-          polynomial static closure of certain currency facts is injected
-          into the solver session as unit clauses (a semantic no-op —
-          every derived fact is level-0 implied by Φ(Se) — but it pins
-          them explicitly), and when the closure is provably complete
-          ({!Saturate.complete}) it is handed to the [deduce] hook so
-          {!Deduce.backbone} adopts the facts without probes
-          ([probes_avoided]). Results are bit-identical with the phase on
-          or off — property-tested. *)
+  repair : Rules.repair;  (** how [Suggest] repairs a conflicting clique *)
+  max_rounds : int;  (** interaction rounds per entity before stopping *)
   jobs : int;
       (** domains {!run_batch} resolves entities on (clamped to at least
           1). Results and aggregate counters are identical to [jobs = 1] —
@@ -151,19 +121,11 @@ type config = {
           of being captured as an [Error] outcome. Default [false]. *)
 }
 
-(** Incremental session + cache + lint + saturate on; [mode = Paper],
-    [deduce = Deduce.backbone] (complete deduction — cheap on the reused
-    session, and fewer interaction rounds than unit propagation),
-    [repair = Exact_maxsat], [max_rounds = 5], [jobs = 1],
+(** [mode = Paper], [repair = Exact_maxsat], [max_rounds = 5], [jobs = 1],
     [clamp_jobs = true]. Budgets off ([budget_conflicts = None],
     [budget_ms = None]), full ladder allowed
     ([max_degrade = PickFallback]), [fail_fast = false]. *)
 val default_config : config
-
-(** The literal per-entity behaviour of {!Framework.resolve} before this
-    module existed: fresh encoding and fresh solvers per phase, no cache.
-    The baseline the batch benchmarks compare against. *)
-val naive_config : config
 
 (** Cumulative wall-clock time per phase, milliseconds (wall, not process
     CPU: under a parallel batch, process CPU time charges one domain's
@@ -185,8 +147,8 @@ type entity_stats = {
   times : phase_times;
   solver : Sat.Solver.stats;  (** summed over every solver the entity used *)
   solvers_built : int;
-      (** CNF loads, including any private solver a SAT-based deducer had
-          to build: 1 = a single session survived and served every phase *)
+      (** CNF loads: 1 = a single session survived and served every
+          phase, 0 = lint rejected the spec *)
   solvers_reused : int;
       (** solver phases (validity checks, deductions, suggestions) served
           by the live session instead of a fresh CNF load *)
@@ -220,7 +182,7 @@ type entity_stats = {
       (** the extension was not pure (Σ/Γ changed, tuples not appended):
           full re-encode from scratch *)
   lint_rejected : bool;
-      (** [config.lint] proved the spec unsatisfiable and no solver was
+      (** lint proved the spec unsatisfiable and no solver was
           built: a cheap check before encoding, or a refuted closure
           after it *)
 }
@@ -264,8 +226,8 @@ val create_cache : unit -> cache
 
 type session
 
-(** [create_session ?config ?cache ?label spec] encodes [spec] and (in
-    incremental mode) loads the solver session. [cache] defaults to a
+(** [create_session ?config ?cache ?label spec] lints and encodes [spec]
+    and, unless lint rejected it, loads the solver session. [cache] defaults to a
     private one. [label] identifies the entity to the {!Faults} injection
     plan (and is set automatically by {!run_batch}); it has no effect
     otherwise. The wall budget, when configured, starts here. *)
@@ -295,7 +257,7 @@ val resolve :
 (** The session's current (accumulated) specification. *)
 val session_spec : session -> Spec.t
 
-(** [true] when [config.lint] rejected the spec at creation: the session
+(** [true] when lint rejected the spec at creation: the session
     holds no solver and {!ingest_session} refuses it — rebuild from the
     accumulated spec instead. *)
 val session_rejected : session -> bool

@@ -18,46 +18,69 @@ type outcome = {
   timings : timings;
 }
 
-(* The loop itself lives in Engine; this entry point is the one-entity,
-   non-incremental configuration it grew out of, with the historical
-   phase accounting (encoding counted inside IsValid, seconds). *)
+let count_known known = Array.fold_left (fun n v -> if v = None then n else n + 1) 0 known
+
+(* The Fig. 4 loop with nothing shared between phases or rounds: every
+   round encodes the (extended) specification afresh, checks it on a new
+   solver and deduces and suggests from scratch. It stays independent of
+   the engine, whose sessions, caches, lint and saturation are tested
+   against it. Encoding counts inside IsValid, as in the paper. *)
 let resolve ?(mode = Encode.Paper) ?(deduce = Deduce.backbone)
     ?(repair = Rules.Exact_maxsat) ?(max_rounds = 5) ~user spec =
-  (* lint off: this is the pure SAT reference path the engine's lint
-     short-circuit is property-tested against. The default deducer tracks
-     Engine.default_config so the two entry points stay equivalent. *)
-  let config =
-    {
-      Engine.mode;
-      deduce;
-      repair;
-      max_rounds;
-      incremental = false;
-      cache = false;
-      lint = false;
-      (* saturate off too: this path must stay the static-free reference
-         the saturation pre-phase is property-tested against *)
-      saturate = false;
-      jobs = 1;
-      clamp_jobs = true;
-      budget_conflicts = None;
-      budget_ms = None;
-      max_degrade = Engine.PickFallback;
-      pick_strategy = Pick.Favoured;
-      fail_fast = false;
-    }
+  let timings = { validity = 0.; deduce = 0.; suggest = 0. } in
+  let timed slot f =
+    let t0 = Clock.now_ms () in
+    let r = f () in
+    let dt = (Clock.now_ms () -. t0) /. 1000. in
+    (match slot with
+    | `Validity -> timings.validity <- timings.validity +. dt
+    | `Deduce -> timings.deduce <- timings.deduce +. dt
+    | `Suggest -> timings.suggest <- timings.suggest +. dt);
+    r
   in
-  let r, st = Engine.resolve ~config ~user spec in
-  let t = st.Engine.times in
-  {
-    resolved = r.Engine.resolved;
-    valid = r.Engine.valid;
-    rounds = r.Engine.rounds;
-    per_round_known = r.Engine.per_round_known;
-    timings =
-      {
-        validity = (t.Engine.encode_ms +. t.Engine.validity_ms) /. 1000.;
-        deduce = t.Engine.deduce_ms /. 1000.;
-        suggest = t.Engine.suggest_ms /. 1000.;
-      };
-  }
+  let schema = Spec.schema spec in
+  let arity = Schema.arity schema in
+  let analyse spec =
+    let enc = timed `Validity (fun () -> Encode.encode ~mode spec) in
+    if not (timed `Validity (fun () -> Validity.check enc)) then None
+    else
+      let d = timed `Deduce (fun () -> deduce enc) in
+      Some (d, Deduce.true_values d)
+  in
+  let finish ~resolved ~valid ~rounds ~per_round =
+    { resolved; valid; rounds; per_round_known = List.rev per_round; timings }
+  in
+  let rec loop spec d known ~rounds ~per_round =
+    if count_known known = arity || rounds >= max_rounds then
+      finish ~resolved:known ~valid:true ~rounds ~per_round
+    else
+      let suggestion = timed `Suggest (fun () -> Rules.suggest ~repair d ~known) in
+      match user suggestion ~schema with
+      | [] -> finish ~resolved:known ~valid:true ~rounds ~per_round
+      | answer -> (
+          let rounds = rounds + 1 in
+          (* the fresh tuple t_o of the paper's Remark (1): provided
+             values, plus the already-established ones, null elsewhere *)
+          let values =
+            Array.init arity (fun a ->
+                let name = Schema.name schema a in
+                match List.assoc_opt name answer with
+                | Some v -> v
+                | None -> ( match known.(a) with Some v -> v | None -> Value.Null))
+          in
+          let current_attrs =
+            List.filter_map
+              (fun a -> if Value.is_null values.(a) then None else Some (Schema.name schema a))
+              (List.init arity Fun.id)
+          in
+          let spec =
+            Spec.extend_with_tuple spec (Tuple.of_array schema values) ~current_attrs
+          in
+          match analyse spec with
+          | None -> finish ~resolved:known ~valid:false ~rounds ~per_round
+          | Some (d, known) ->
+              loop spec d known ~rounds ~per_round:(count_known known :: per_round))
+  in
+  match analyse spec with
+  | None -> finish ~resolved:(Array.make arity None) ~valid:false ~rounds:0 ~per_round:[ 0 ]
+  | Some (d, known) -> loop spec d known ~rounds:0 ~per_round:[ count_known known ]

@@ -34,11 +34,16 @@ type outcome = {
   timings : timings;
 }
 
-(** [resolve ?mode ?deduce ?repair ?max_rounds ~user spec] runs the loop.
-    [deduce] selects the deduction engine (default {!Deduce.backbone},
-    matching {!Engine.default_config}; this entry point is
-    non-incremental, so no solver is ever passed to it); [max_rounds]
-    defaults to 5. *)
+(** [resolve ?mode ?deduce ?repair ?max_rounds ~user spec] runs the loop
+    on one entity with nothing shared between phases or rounds: each round
+    encodes the (extended) specification with {!Encode.encode}, checks it
+    with {!Validity.check}, runs [deduce] and {!Rules.suggest} on solvers
+    of their own. It shares no session, cache, lint or saturation code
+    with {!Engine} (which depends on this module, not the reverse), and is
+    the reference the engine's answers are tested against. [deduce]
+    defaults to {!Deduce.backbone}, the engine's deducer, and is called
+    with no solver; [max_rounds] defaults to 5. Timings are wall-clock
+    seconds, encoding counted inside [validity]. *)
 val resolve :
   ?mode:Encode.mode ->
   ?deduce:

@@ -49,7 +49,7 @@ val spec : handle -> Spec.t
     edges (indices into the accumulated entity). The buffer is applied to
     the engine session lazily, at the next {!resolve}/{!baseline}/{!spec}
     — so bursts of arrivals between resolve points coalesce into a single
-    extension. A session whose accumulated spec [config.lint] had
+    extension. A session whose accumulated spec the engine's lint had
     rejected is rebuilt from scratch on the extended spec at that point
     (re-checked — soundly, whatever the extension). Raises
     [Invalid_argument] on a closed handle; a spec validation error in the

@@ -1,17 +1,6 @@
-let solver_of enc =
+let check enc =
   let s = Sat.Solver.create () in
   Sat.Solver.add_cnf s enc.Encode.cnf;
-  s
-
-let check enc =
-  match Sat.Solver.solve (solver_of enc) with
-  | Sat.Solver.Sat -> true
-  | Sat.Solver.Unsat -> false
+  match Sat.Solver.solve s with Sat.Solver.Sat -> true | Sat.Solver.Unsat -> false
 
 let is_valid ?mode spec = check (Encode.encode ?mode spec)
-
-let check_model enc =
-  let s = solver_of enc in
-  match Sat.Solver.solve s with
-  | Sat.Solver.Sat -> Some (Sat.Solver.model s)
-  | Sat.Solver.Unsat -> None

@@ -7,7 +7,3 @@ val check : Encode.t -> bool
 
 (** [is_valid ?mode spec] encodes and checks in one step. *)
 val is_valid : ?mode:Encode.mode -> Spec.t -> bool
-
-(** [check_model enc] is [Some model] (over Φ's variables) when
-    satisfiable; useful for debugging and the ablation benches. *)
-val check_model : Encode.t -> bool array option

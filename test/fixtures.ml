@@ -110,3 +110,36 @@ let qcheck_spec =
   QCheck.make
     ~print:(fun spec -> Format.asprintf "%a" Crcore.Spec.pp spec)
     QCheck.Gen.(int_bound 1_000_000 >|= fun seed -> random_spec (Random.State.make [| seed |]))
+
+(* ---- the reference the engine is tested against ---- *)
+
+(* A user who answers with the true tuple the enumerator finds, or never
+   answers when it finds none. A pure closure: safe on any domain. *)
+let reference_user spec =
+  match Crcore.Reference.analyze spec with
+  | Some { Crcore.Reference.valid = true; true_tuple = Some t; _ } ->
+      Crcore.Framework.oracle (Tuple.of_array (Crcore.Spec.schema spec) t)
+  | _ -> Crcore.Framework.silent
+
+(* An engine result answers as a Framework.resolve outcome: the same
+   resolved values, validity, rounds and per-round counts. *)
+let same_answer (o : Crcore.Framework.outcome) (r : Crcore.Engine.result) =
+  o.Crcore.Framework.resolved = r.Crcore.Engine.resolved
+  && o.Crcore.Framework.valid = r.Crcore.Engine.valid
+  && o.Crcore.Framework.rounds = r.Crcore.Engine.rounds
+  && o.Crcore.Framework.per_round_known = r.Crcore.Engine.per_round_known
+
+(* Every item of a batch answers as Framework.resolve on that item; a
+   captured error never does. *)
+let batch_matches_framework (items : Crcore.Engine.item list)
+    (results : Crcore.Engine.item_result list) =
+  List.length items = List.length results
+  && List.for_all2
+       (fun (it : Crcore.Engine.item) (ir : Crcore.Engine.item_result) ->
+         match ir.Crcore.Engine.outcome with
+         | Ok r ->
+             same_answer
+               (Crcore.Framework.resolve ~user:it.Crcore.Engine.user it.Crcore.Engine.spec)
+               r
+         | Error _ -> false)
+       items results

@@ -214,13 +214,9 @@ let test_engine_lint_rejected () =
   Alcotest.(check bool) "rejected by lint" true st.E.lint_rejected;
   Alcotest.(check int) "no solver built" 0 st.E.solvers_built;
   Alcotest.(check bool) "invalid" false r.E.valid;
-  let r', st' =
-    E.resolve ~config:{ E.default_config with lint = false } ~user:F.silent (spec ())
-  in
-  Alcotest.(check bool) "lint off solves" true (st'.E.solvers_built >= 1);
-  Alcotest.(check bool) "identical outcome either way" true
-    (r.E.resolved = r'.E.resolved && r.E.valid = r'.E.valid && r.E.rounds = r'.E.rounds
-   && r.E.per_round_known = r'.E.per_round_known)
+  (* the solver-only reference reaches the same answer through Unsat *)
+  Alcotest.(check bool) "same answer as the framework" true
+    (Fixtures.same_answer (F.resolve ~user:F.silent (spec ())) r)
 
 let test_engine_lint_clean_passthrough () =
   let r, st = E.resolve ~user:F.silent (Fixtures.edith_spec ()) in
@@ -248,14 +244,12 @@ let test_engine_closure_rejected () =
       Alcotest.(check bool) "rejected" true st.E.lint_rejected;
       Alcotest.(check int) "no solver built" 0 st.E.solvers_built;
       Alcotest.(check bool) "encoded and saturated" true (st.E.static_facts > 0);
-      let off, st_off = E.resolve ~config:{ config with lint = false } ~user:F.silent spec in
-      Alcotest.(check bool) "lint off solves" true (st_off.E.solvers_built >= 1);
       Alcotest.(check bool) "invalid" false r.E.valid;
-      Alcotest.(check bool) "same record as the solver's Unsat" true (r = off))
-    [ Crcore.Encode.Paper; Crcore.Encode.Exact ];
-  (* without a closure only the cheap checks reject: the solver decides *)
-  let _, st = E.resolve ~config:{ E.default_config with saturate = false } ~user:F.silent spec in
-  Alcotest.(check bool) "saturate off: not rejected" false st.E.lint_rejected
+      Alcotest.(check bool) "no budget trace" true
+        (r.E.level = E.Exact && r.E.degrade_reason = None && r.E.conflicts_spent = 0);
+      Alcotest.(check bool) "same answer as the framework's Unsat" true
+        (Fixtures.same_answer (F.resolve ~mode ~user:F.silent spec) r))
+    [ Crcore.Encode.Paper; Crcore.Encode.Exact ]
 
 (* A closure-rejected stream session whose arrivals cure the veto (a
    tuple bringing the RHS constant) is rebuilt at the next resolve and
@@ -297,18 +291,12 @@ let prop_errors_only_agrees =
       && List.length keys = List.length (List.sort_uniq compare keys))
 
 let prop_lint_never_changes_results =
-  (* clean specs are never rejected for lint-covered reasons: switching
-     the pre-phase on cannot change what a batch resolves *)
+  (* clean specs are never rejected for lint-covered reasons: the engine,
+     lint pre-phase included, answers as the solver-only framework does *)
   QCheck.Test.make ~count:250 ~name:"engine lint pre-phase never changes resolution results"
     Fixtures.qcheck_spec (fun spec ->
-      let on, st = E.resolve ~config:E.default_config ~user:F.silent spec in
-      let off, _ =
-        E.resolve ~config:{ E.default_config with lint = false } ~user:F.silent spec
-      in
-      on.E.resolved = off.E.resolved
-      && on.E.valid = off.E.valid
-      && on.E.rounds = off.E.rounds
-      && on.E.per_round_known = off.E.per_round_known
+      let on, st = E.resolve ~user:F.silent spec in
+      Fixtures.same_answer (F.resolve ~user:F.silent spec) on
       && ((not st.E.lint_rejected) || not on.E.valid))
 
 (* Both halves of the engine's rejection test together reject exactly

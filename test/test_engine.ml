@@ -1,15 +1,10 @@
-(* The batch resolution engine: equivalence with the per-entity framework,
-   incremental-session vs naive-rebuild configs, and the shape-template
-   cache (including that it never holds on to the specs it served). *)
+(* The batch resolution engine: equivalence with the per-entity framework
+   (Framework.resolve, the naive loop that rebuilds everything every
+   phase), and the shape-template cache (including that it never holds on
+   to the specs it served). *)
 
 module F = Crcore.Framework
 module E = Crcore.Engine
-
-let same_outcome (o : F.outcome) (r : E.result) =
-  o.F.resolved = r.E.resolved
-  && o.F.valid = r.E.valid
-  && o.F.rounds = r.E.rounds
-  && o.F.per_round_known = r.E.per_round_known
 
 let the_ok (ir : E.item_result) =
   match ir.E.outcome with
@@ -228,12 +223,9 @@ let check_nan_spec msg spec =
     match Crcore.Reference.analyze spec with Some r -> r | None -> Alcotest.fail "too large"
   in
   let expect_b = if r.Crcore.Reference.valid then r.Crcore.Reference.agreed.(1) else None in
-  List.iter
-    (fun (name, config) ->
-      let e, _ = E.resolve ~config ~user:F.silent spec in
-      Alcotest.(check bool) (msg ^ ": " ^ name ^ " valid") r.Crcore.Reference.valid e.E.valid;
-      Alcotest.(check bool) (msg ^ ": " ^ name ^ " b") true (e.E.resolved.(1) = expect_b))
-    [ ("default", E.default_config); ("naive", E.naive_config) ];
+  let e, _ = E.resolve ~user:F.silent spec in
+  Alcotest.(check bool) (msg ^ ": engine valid") r.Crcore.Reference.valid e.E.valid;
+  Alcotest.(check bool) (msg ^ ": engine b") true (e.E.resolved.(1) = expect_b);
   let o = F.resolve ~user:F.silent spec in
   Alcotest.(check bool) (msg ^ ": framework b") true (o.F.resolved.(1) = expect_b)
 
@@ -252,24 +244,13 @@ let test_nan_rhs_constant () =
   Alcotest.(check bool) "RHS NaN: invalid" false r.E.valid
 
 let prop_incremental_equals_naive =
-  (* the whole point: config {incremental; cache} must never change what is
-     resolved, only how much work it takes *)
+  (* the whole point: the engine's session, cache, lint and saturation
+     must never change what is resolved, only how much work it takes *)
   QCheck.Test.make ~count:60 ~name:"incremental session == naive rebuild on random specs"
     Fixtures.qcheck_spec (fun spec ->
-      let user =
-        match Crcore.Reference.analyze spec with
-        | Some r when r.Crcore.Reference.valid -> (
-            match r.Crcore.Reference.true_tuple with
-            | Some t -> F.oracle (Tuple.of_array (Crcore.Spec.schema spec) t)
-            | None -> F.silent)
-        | _ -> F.silent
-      in
-      let ri, _ = E.resolve ~config:E.default_config ~user spec in
-      let rn, _ = E.resolve ~config:E.naive_config ~user spec in
-      ri.E.resolved = rn.E.resolved
-      && ri.E.valid = rn.E.valid
-      && ri.E.rounds = rn.E.rounds
-      && ri.E.per_round_known = rn.E.per_round_known)
+      let user = Fixtures.reference_user spec in
+      let r, _ = E.resolve ~user spec in
+      Fixtures.same_answer (F.resolve ~user spec) r)
 
 let prop_engine_equals_framework_on_datasets =
   QCheck.Test.make ~count:6 ~name:"batch engine == per-entity framework on generator data"
@@ -293,26 +274,22 @@ let prop_engine_equals_framework_on_datasets =
              let o =
                F.resolve ~user:(F.oracle c.Datagen.Types.truth) (Datagen.Types.spec_of ds c)
              in
-             same_outcome o (the_ok ir))
+             Fixtures.same_answer o (the_ok ir))
            ds.Datagen.Types.cases results)
 
 let prop_exact_mode_configs_agree =
-  QCheck.Test.make ~count:25 ~name:"exact-mode incremental == exact-mode naive"
+  QCheck.Test.make ~count:25 ~name:"exact-mode incremental == exact-mode framework"
     Fixtures.qcheck_spec (fun spec ->
-      let ri, _ =
-        E.resolve ~config:{ E.default_config with mode = Crcore.Encode.Exact } ~user:F.silent spec
-      in
-      let rn, _ =
-        E.resolve ~config:{ E.naive_config with mode = Crcore.Encode.Exact } ~user:F.silent spec
-      in
-      ri.E.resolved = rn.E.resolved && ri.E.valid = rn.E.valid)
+      let mode = Crcore.Encode.Exact in
+      let r, _ = E.resolve ~config:{ E.default_config with mode } ~user:F.silent spec in
+      Fixtures.same_answer (F.resolve ~mode ~user:F.silent spec) r)
 
 (* One Person entity with a 2000-tuple, linearly growing history: the
    wide-domain Exact-mode regime, where each attribute's active domain
    (and with it the CNF) is far larger than on the generator's small
-   entities. The default config (template instantiation, saturation,
-   incremental sessions) must resolve it exactly as the naive
-   rebuild-everything config does. *)
+   entities. The engine (template instantiation, saturation, incremental
+   sessions) must resolve it exactly as the naive rebuild-everything
+   Framework.resolve does. *)
 let test_exact_large_domain_matches_naive () =
   let size = 2000 in
   let ds =
@@ -329,16 +306,9 @@ let test_exact_large_domain_matches_naive () =
   let c = List.hd ds.Datagen.Types.cases in
   let spec = Datagen.Types.spec_of ds c in
   Alcotest.(check int) "tuples" size (List.length (Entity.tuples spec.Crcore.Spec.entity));
-  let run config =
-    fst
-      (E.resolve
-         ~config:{ config with E.mode = Crcore.Encode.Exact }
-         ~user:(F.oracle ~max_answers:1 c.Datagen.Types.truth)
-         spec)
-  in
-  let d = run E.default_config and n = run E.naive_config in
-  Alcotest.(check bool) "valid" n.E.valid d.E.valid;
-  Alcotest.(check bool) "resolved" true (d.E.resolved = n.E.resolved)
+  let mode = Crcore.Encode.Exact and user = F.oracle ~max_answers:1 c.Datagen.Types.truth in
+  let r, _ = E.resolve ~config:{ E.default_config with mode } ~user spec in
+  check_same_outcome "wide domain" (F.resolve ~mode ~user spec) r
 
 let () =
   Alcotest.run "engine"

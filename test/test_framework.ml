@@ -142,6 +142,24 @@ let prop_per_round_monotone =
           | None -> true)
       | _ -> true)
 
+(* Framework.resolve is the root oracle every engine path is compared
+   against, so it answers to the enumerator directly. In Exact mode the
+   encoding is the completion semantics itself: validity is the
+   enumerator's verdict, and every value resolved without a user is the
+   one all valid completions agree on. (Paper mode's heuristic reduction
+   can differ from the enumerator by design.) *)
+let prop_exact_agrees_with_enumerator =
+  QCheck.Test.make ~count:300 ~name:"exact mode: valid and resolved values match the enumerator"
+    Fixtures.qcheck_spec (fun spec ->
+      match Crcore.Reference.analyze spec with
+      | None -> QCheck.assume_fail ()
+      | Some r ->
+          let o = F.resolve ~mode:Crcore.Encode.Exact ~user:F.silent spec in
+          o.F.valid = r.Crcore.Reference.valid
+          && Array.for_all2
+               (fun v agreed -> v = None || v = agreed)
+               o.F.resolved r.Crcore.Reference.agreed)
+
 let () =
   Alcotest.run "framework"
     [
@@ -166,5 +184,6 @@ let () =
             prop_oracle_resolves_correctly;
             prop_walksat_repair_resolves_datasets;
             prop_per_round_monotone;
+            prop_exact_agrees_with_enumerator;
           ] );
     ]

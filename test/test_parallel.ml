@@ -125,15 +125,7 @@ let batch_of_seed seed =
       let spec =
         if i mod 5 = 4 then broken_spec () else Fixtures.random_spec st
       in
-      let user =
-        match Crcore.Reference.analyze spec with
-        | Some r when r.Crcore.Reference.valid -> (
-            match r.Crcore.Reference.true_tuple with
-            | Some t -> F.oracle (Tuple.of_array (Crcore.Spec.schema spec) t)
-            | None -> F.silent)
-        | _ -> F.silent
-      in
-      { E.label = string_of_int i; spec; user })
+      { E.label = string_of_int i; spec; user = Fixtures.reference_user spec })
 
 let same_item_results (a : E.item_result list) (b : E.item_result list) =
   List.length a = List.length b
@@ -211,72 +203,23 @@ let test_parallel_stats_invariants () =
     && st.E.times.E.suggest_ms >= 0.)
 
 (* Cross-phase solver reuse (one session serving validity, backbone
-   deduction and the MaxSAT repair layer) must be invisible in results:
-   the reusing default config and the rebuild-everything naive config
-   agree on every spec, at jobs = 1 and jobs = 4 alike. Lint is off on
-   both sides so the comparison is solver-path against solver-path. *)
+   deduction and the MaxSAT repair layer) and template instantiation must
+   be invisible in results. Two checks: whole item results, conflict
+   counts included, are equal at jobs = 1 and jobs = 4 (one path, so
+   [conflicts_spent] is deterministic); and every answer equals
+   Framework.resolve, the naive loop that rebuilds everything per phase.
+   Conflict counts are never compared against that reference: how many
+   conflicts a run burns depends on the path taken. *)
 let prop_solver_reuse_identical_under_jobs =
   QCheck.Test.make ~count:15 ~name:"solver reuse: incremental == naive at jobs in {1,4}"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let items = batch_of_seed seed in
-      let base_results, _ =
-        E.run_batch ~config:{ E.naive_config with jobs = 1 } items
+      let run jobs =
+        fst (E.run_batch ~config:{ E.default_config with jobs; clamp_jobs = false } items)
       in
-      List.for_all
-        (fun jobs ->
-          let r, _ =
-            E.run_batch
-              ~config:
-                { E.default_config with lint = false; jobs; clamp_jobs = false }
-              items
-          in
-          same_item_results base_results r)
-        [ 1; 4 ])
-
-(* The engine's cached path instantiates every encoding from a shared
-   template; the naive config compiles each directly. The two must agree
-   on every spec whatever the domain count or the saturate pre-phase —
-   the batch-level restatement of test_encode's bit-identity property. *)
-(* Answers only: [conflicts_spent] legitimately differs between solver
-   strategies (how many conflicts a run burns is an accounting detail of
-   the path taken, not part of the resolution), so unlike
-   [same_item_results] this ignores it. *)
-let same_answers (a : E.item_result list) (b : E.item_result list) =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (x : E.item_result) (y : E.item_result) ->
-         x.E.label = y.E.label
-         &&
-         match (x.E.outcome, y.E.outcome) with
-         | Ok rx, Ok ry ->
-             rx.E.resolved = ry.E.resolved
-             && rx.E.valid = ry.E.valid
-             && rx.E.level = ry.E.level
-         | Error _, Error _ -> true
-         | _ -> false)
-       a b
-
-let prop_template_path_identical =
-  QCheck.Test.make ~count:10
-    ~name:"template-instantiated engine == naive at jobs in {1,4}, saturate on/off"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let items = batch_of_seed seed in
-      let base_results, _ = E.run_batch ~config:E.naive_config items in
-      List.for_all
-        (fun jobs ->
-          List.for_all
-            (fun saturate ->
-              let r, _ =
-                E.run_batch
-                  ~config:
-                    { E.default_config with jobs; clamp_jobs = false; saturate }
-                  items
-              in
-              same_answers base_results r)
-            [ true; false ])
-        [ 1; 4 ])
+      let seq = run 1 in
+      same_item_results seq (run 4) && Fixtures.batch_matches_framework items seq)
 
 (* By default the engine caps the batch width at the machine's core
    count: over-subscribing domains is a pure slowdown (jobs=4 ran 3x
@@ -335,6 +278,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           (prop_parallel_equals_sequential
            :: prop_solver_reuse_identical_under_jobs
-           :: prop_template_path_identical
            :: env_jobs_tests) );
     ]

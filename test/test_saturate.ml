@@ -193,14 +193,8 @@ let test_engine_prephase_stats () =
   Alcotest.(check bool) "static facts counted" true (st.En.static_facts > 0);
   Alcotest.(check bool) "probes avoided" true (st.En.probes_avoided > 0);
   Alcotest.(check bool) "saturate phase timed" true (st.En.times.En.saturate_ms >= 0.);
-  let r', st' =
-    En.resolve ~config:{ En.default_config with saturate = false } ~user:F.silent
-      (Fixtures.edith_spec ())
-  in
-  Alcotest.(check int) "off: no static facts" 0 st'.En.static_facts;
-  Alcotest.(check int) "off: no probes avoided" 0 st'.En.probes_avoided;
-  Alcotest.(check bool) "identical results" true
-    (r.En.resolved = r'.En.resolved && r.En.valid = r'.En.valid && r.En.rounds = r'.En.rounds)
+  Alcotest.(check bool) "same answer as the framework" true
+    (Fixtures.same_answer (F.resolve ~user:F.silent (Fixtures.edith_spec ())) r)
 
 let test_template_memo () =
   (* edith and george share the same physical Σ list: the second
@@ -277,66 +271,14 @@ let prop_exact_closure_sound =
       refutation_sound && certified
       && (if valid then closure_subset_of cl (D.backbone enc) else true))
 
-let same_result (a : En.result) (b : En.result) =
-  a.En.resolved = b.En.resolved
-  && a.En.valid = b.En.valid
-  && a.En.rounds = b.En.rounds
-  && a.En.per_round_known = b.En.per_round_known
-
 let prop_engine_results_identical =
+  (* the framework never saturates: the engine's pre-phase, seeded
+     units and probe-free adoption must answer exactly as it does *)
   QCheck.Test.make ~count:300 ~name:"engine saturate pre-phase never changes results"
     Fixtures.qcheck_spec (fun spec ->
-      let user =
-        match Crcore.Reference.analyze spec with
-        | Some r when r.Crcore.Reference.valid -> (
-            match r.Crcore.Reference.true_tuple with
-            | Some t -> F.oracle (Tuple.of_array (Crcore.Spec.schema spec) t)
-            | None -> F.silent)
-        | _ -> F.silent
-      in
-      let on, _ = En.resolve ~config:En.default_config ~user spec in
-      let off, _ =
-        En.resolve ~config:{ En.default_config with saturate = false } ~user spec
-      in
-      same_result on off)
-
-let prop_batch_identical_across_jobs =
-  (* bit-identical batches with the pre-phase on and off, sequential and
-     on 4 domains *)
-  QCheck.Test.make ~count:6 ~name:"run_batch: saturate on/off identical at jobs 1 and 4"
-    QCheck.(int_range 0 100)
-    (fun seed ->
-      let ds = Datagen.Person.quick ~seed ~n_entities:4 ~size:7 () in
-      let items () =
-        List.map
-          (fun (c : Datagen.Types.case) ->
-            {
-              En.label = string_of_int c.Datagen.Types.id;
-              spec = Datagen.Types.spec_of ds c;
-              user = F.oracle c.Datagen.Types.truth;
-            })
-          ds.Datagen.Types.cases
-      in
-      let run saturate jobs =
-        let results, stats =
-          En.run_batch ~config:{ En.default_config with saturate; jobs } (items ())
-        in
-        (results, stats)
-      in
-      let base, base_stats = run true 1 in
-      let outcomes (rs : En.item_result list) =
-        List.map
-          (fun (ir : En.item_result) ->
-            match ir.En.outcome with
-            | Ok r -> (ir.En.label, r.En.resolved, r.En.valid, r.En.rounds)
-            | Error e -> Alcotest.failf "entity %s raised: %s" ir.En.label e.En.exn)
-          rs
-      in
-      let same rs = outcomes rs = outcomes base in
-      base_stats.En.static_facts >= 0
-      && List.for_all
-           (fun (saturate, jobs) -> same (fst (run saturate jobs)))
-           [ (false, 1); (true, 4); (false, 4) ])
+      let user = Fixtures.reference_user spec in
+      let on, _ = En.resolve ~user spec in
+      Fixtures.same_answer (F.resolve ~user spec) on)
 
 let () =
   Alcotest.run "saturate"
@@ -364,6 +306,5 @@ let () =
             prop_closure_sound_complete_and_certified;
             prop_exact_closure_sound;
             prop_engine_results_identical;
-            prop_batch_identical_across_jobs;
           ] );
     ]

@@ -19,7 +19,7 @@ let values_equal a b =
 (* of the accumulated specification.                                    *)
 (* ------------------------------------------------------------------ *)
 
-let replay_parity ?(vs_naive = false) ~seed ~n_entities ~size () =
+let replay_parity ?(vs_framework = false) ~seed ~n_entities ~size () =
   let ds = Datagen.Person.quick ~seed ~n_entities ~size () in
   let sigma = ds.Datagen.Types.sigma and gamma = ds.Datagen.Types.gamma in
   let log =
@@ -27,10 +27,18 @@ let replay_parity ?(vs_naive = false) ~seed ~n_entities ~size () =
       ~params:{ Datagen.Update_log.default_params with seed = seed + 1000 }
       ds
   in
-  (* the hot side always runs the default config; with [vs_naive] the cold
-     side is the naive config (fresh solvers per phase, no saturation),
-     pitting the incremental sessions against the reference path *)
-  let cold_config = if vs_naive then E.naive_config else E.default_config in
+  (* the hot side always runs the default config; the cold side is a fresh
+     engine session or, with [vs_framework], Framework.resolve (fresh
+     solvers per phase, no saturation): the incremental sessions against
+     the reference loop *)
+  let cold spec =
+    if vs_framework then
+      let o = Cr.Framework.resolve ~user:Cr.Framework.silent spec in
+      (o.Cr.Framework.resolved, o.Cr.Framework.valid)
+    else
+      let r, _ = E.resolve ~user:Cr.Framework.silent spec in
+      (r.E.resolved, r.E.valid)
+  in
   let store = S.Store.create ~config:Cr.Config.default () in
   let pending = Hashtbl.create 16 in
   let ok = ref true in
@@ -65,13 +73,9 @@ let replay_parity ?(vs_naive = false) ~seed ~n_entities ~size () =
           let r, _ = S.resolve h in
           (* cold side: re-resolve the session's accumulated spec from
              scratch — S.spec flushes any coalesced pending extension *)
-          let cold, _ =
-            E.resolve ~config:cold_config ~user:Cr.Framework.silent (S.spec h)
-          in
-          if
-            not
-              (values_equal r.E.resolved cold.E.resolved && r.E.valid = cold.E.valid)
-          then ok := false)
+          let cold_resolved, cold_valid = cold (S.spec h) in
+          if not (values_equal r.E.resolved cold_resolved && r.E.valid = cold_valid) then
+            ok := false)
     log.Datagen.Update_log.events;
   S.Store.clear store;
   !ok
@@ -81,14 +85,14 @@ let prop_interleaved_parity =
     QCheck.(int_range 0 1000)
     (fun seed -> replay_parity ~seed ~n_entities:3 ~size:5 ())
 
-(* Random interleaved schedules again, but the cold reference is the naive
-   config: backbone probes, group-MaxSAT selector assumptions and session
+(* Random interleaved schedules again, but the cold reference is
+   Framework.resolve: backbone probes, group-MaxSAT selector assumptions and session
    delta extensions all land on one long-lived, saturation-seeded solver,
    and every resolve point must still agree with fresh per-phase solvers. *)
 let prop_default_session_parity =
-  QCheck.Test.make ~count:20 ~name:"default sessions == naive cold re-resolve"
+  QCheck.Test.make ~count:20 ~name:"default sessions == framework cold re-resolve"
     QCheck.(int_range 0 1000)
-    (fun seed -> replay_parity ~vs_naive:true ~seed ~n_entities:3 ~size:5 ())
+    (fun seed -> replay_parity ~vs_framework:true ~seed ~n_entities:3 ~size:5 ())
 
 (* ------------------------------------------------------------------ *)
 (* Session mechanics                                                    *)
