@@ -133,7 +133,6 @@ module Config = struct
     }
 
   let with_mode mode t = { t with engine = { t.engine with Crcore.Engine.mode } }
-  let with_repair repair t = { t with engine = { t.engine with Crcore.Engine.repair } }
 
   let with_max_rounds max_rounds t =
     { t with engine = { t.engine with Crcore.Engine.max_rounds } }

@@ -142,7 +142,6 @@ module Config : sig
   val default : t
 
   val with_mode : Encode.mode -> t -> t
-  val with_repair : Rules.repair -> t -> t
   val with_max_rounds : int -> t -> t
   val with_jobs : int -> t -> t
   val with_clamp_jobs : bool -> t -> t
@@ -213,8 +212,8 @@ module Session : sig
   type handle = Crcore.Session.handle
 
   (** [create ?config ?cache ?label spec] opens a session on the entity's
-      initial specification — lint, encoding, saturation and (unless
-      lint rejected the spec) the solver load happen here. *)
+      initial specification — lint, encoding and (unless a cheap check
+      rejected the spec) the solver load happen here. *)
   val create : ?config:Config.t -> ?cache:Engine.cache -> ?label:string -> Spec.t -> handle
 
   val label : handle -> string

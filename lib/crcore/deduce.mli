@@ -31,8 +31,8 @@ type stats = {
   seeded : int;  (** facts adopted without a probe (the solver's level-0
                      facts or a caller-supplied static closure) *)
   probes_avoided : int;
-      (** of [seeded], facts adopted from the [static] closure — work the
-          static saturation pre-phase saved this call *)
+      (** of [seeded], facts adopted from the [static] closure; 0 without
+          [static] *)
   reused_solver : bool;  (** the caller's session solver served the calls *)
   built_solver : bool;  (** a private solver was created (one CNF load) *)
   complete : bool;
@@ -113,7 +113,9 @@ val naive_deduce :
     with [stats.probes_avoided] counting them — and the level-0 read is
     skipped. The caller must only pass a {e complete} closure
     ({!Saturate.complete}); the deduced set is then identical to the
-    level-0 path's. *)
+    level-0 path's. No program path passes [static] (the engine reads the
+    level-0 trail); kept for the benchmark replay, deleted by the next
+    [benchmark] PR. *)
 val backbone :
   ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> t
 

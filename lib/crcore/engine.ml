@@ -9,12 +9,11 @@ let level_to_string = function
   | PartialDeduce -> "partial"
   | PickFallback -> "pick"
 
-type phase = Lint_p | Encode_p | Saturate_p | Validity_p | Deduce_p | Suggest_p
+type phase = Lint_p | Encode_p | Validity_p | Deduce_p | Suggest_p
 
 let phase_to_string = function
   | Lint_p -> "lint"
   | Encode_p -> "encode"
-  | Saturate_p -> "saturate"
   | Validity_p -> "validity"
   | Deduce_p -> "deduce"
   | Suggest_p -> "suggest"
@@ -30,7 +29,6 @@ let reason_to_string r =
 
 type config = {
   mode : Encode.mode;
-  repair : Rules.repair;
   max_rounds : int;
   jobs : int;
   clamp_jobs : bool;
@@ -44,7 +42,6 @@ type config = {
 let default_config =
   {
     mode = Encode.Paper;
-    repair = Rules.Exact_maxsat;
     max_rounds = 5;
     jobs = 1;
     clamp_jobs = true;
@@ -83,7 +80,6 @@ type entity_stats = {
   deduce_probes : int;
   deduce_model_prunes : int;
   deduce_seeded : int;
-  static_facts : int;
   probes_avoided : int;
   template_hits : int;
   template_misses : int;
@@ -117,7 +113,6 @@ let zero_entity_stats () =
     deduce_probes = 0;
     deduce_model_prunes = 0;
     deduce_seeded = 0;
-    static_facts = 0;
     probes_avoided = 0;
     template_hits = 0;
     template_misses = 0;
@@ -218,10 +213,6 @@ type session = {
          moves it so long-lived sessions get a full budget per request *)
   mutable spec : Spec.t;
   mutable enc : Encode.t option;  (* [None] iff a cheap lint check rejected the spec *)
-  mutable closure : Saturate.t option;
-      (* the static closure of the current encoding (saturate pre-phase) *)
-  mutable static_facts : int;
-  mutable probes_avoided : int;
   mutable solver : Sat.Solver.t option;
       (* the incremental session; [None] iff lint rejected the spec *)
   mutable retired : Sat.Solver.stats;    (* stats of replaced solvers *)
@@ -240,8 +231,9 @@ type session = {
   mutable rebuilds_renumbered : int;
   mutable rebuilds_impure : int;
   mutable lint_rejected : bool;
-      (* statically unsat: a cheap check rejected it before encoding, or
-         its closure is refuted; either way no solver is built *)
+      (* provably unsat: a cheap check rejected it before encoding, or
+         loading its CNF refuted it at level 0; either way no solver is
+         kept *)
 }
 
 (* elapsed time, not [Sys.time]: process CPU time charges one domain's
@@ -255,7 +247,6 @@ let timed_t times slot f =
   (match slot with
   | Lint_p -> times.lint_ms <- times.lint_ms +. dt
   | Encode_p -> times.encode_ms <- times.encode_ms +. dt
-  | Saturate_p -> times.saturate_ms <- times.saturate_ms +. dt
   | Validity_p -> times.validity_ms <- times.validity_ms +. dt
   | Deduce_p -> times.deduce_ms <- times.deduce_ms +. dt
   | Suggest_p -> times.suggest_ms <- times.suggest_ms +. dt);
@@ -298,27 +289,8 @@ let encode_spec sess spec =
 let fresh_solver sess enc =
   let s = Sat.Solver.create () in
   Sat.Solver.add_cnf s enc.Encode.cnf;
-  (* seed the static closure as unit clauses. Each fact is already level-0
-     implied by Φ(Se) — every saturation rule is the unit-propagation
-     reflection of a clause family of Φ — so seeding cannot change any
-     answer. It makes the level-0 trail, which backbone deduction reads
-     before probing, hold every static fact by construction rather than
-     through that invariant. *)
-  (match sess.closure with
-  | Some cl -> Sat.Solver.add_units s (Saturate.unit_lits cl)
-  | None -> ());
   sess.solvers_built <- sess.solvers_built + 1;
   s
-
-(* the saturate pre-phase: (re)compute the static closure of the session's
-   current encoding — polynomial, no solver *)
-let saturate_session sess =
-  match sess.enc with
-  | Some enc ->
-      let cl = timed sess Saturate_p (fun () -> Saturate.of_encode enc) in
-      sess.closure <- Some cl;
-      sess.static_facts <- sess.static_facts + Saturate.n_facts cl
-  | None -> ()
 
 let retire sess s = sess.retired <- Sat.Solver.add_stats sess.retired (Sat.Solver.stats s)
 
@@ -394,9 +366,6 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
       spent_base = 0;
       spec;
       enc = None;
-      closure = None;
-      static_facts = 0;
-      probes_avoided = 0;
       solver = None;
       retired = Sat.Solver.zero_stats;
       burnt = 0;
@@ -422,14 +391,17 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
   end;
   (* the wall budget runs from the encoded session *)
   sess.deadline <- Option.map (fun ms -> Clock.now_ms () +. ms) config.budget_ms;
-  saturate_session sess;
-  (* second half: a refuted closure (lint's E002/E005, read from the
-     closure the solver would be seeded with) skips the solver *)
-  (match sess.closure with
-  | Some cl when Saturate.refutation cl <> None -> sess.lint_rejected <- true
-  | _ -> ());
-  if not sess.lint_rejected then
-    sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess (the_enc sess)));
+  (* second half: loading propagates every unit at level 0, so a solver
+     that is no longer [ok] holds a level-0 refutation of Φ(Se) (every
+     closure refutation, lint's E002/E005, among them); it is dropped *)
+  if not lint_rejected then begin
+    let s = timed sess Validity_p (fun () -> fresh_solver sess (the_enc sess)) in
+    if Sat.Solver.ok s then sess.solver <- Some s
+    else begin
+      retire sess s;
+      sess.lint_rejected <- true
+    end
+  end;
   sess
 
 let create_session ?config ?cache ?label spec =
@@ -447,7 +419,7 @@ let with_solver sess f =
 let check_validity sess = with_solver sess (fun s -> Sat.Solver.solve_limited s)
 
 let suggest_on sess d ~known =
-  with_solver sess (fun s -> Rules.suggest ~repair:sess.config.repair ~solver:s d ~known)
+  with_solver sess (fun s -> Rules.suggest ~solver:s d ~known)
 
 (* backbone deduction on the session solver: probes run under
    assumptions and start from the validity check's saved model. The
@@ -455,21 +427,12 @@ let suggest_on sess d ~known =
 let deduce_on sess enc =
   let solver = the_solver sess in
   arm_budget sess solver;
-  (* hand the static closure to the deducer only when it is provably the
-     whole positive backbone ({!Saturate.complete}): the deducer then
-     adopts it outright and skips its level-0 read *)
-  let static =
-    match sess.closure with
-    | Some cl when Saturate.complete cl -> Some (Saturate.fact_vars cl)
-    | _ -> None
-  in
-  let d = Deduce.backbone ~solver ?budget:(conflicts_remaining sess) ?static enc in
+  let d = Deduce.backbone ~solver ?budget:(conflicts_remaining sess) enc in
   let st = d.Deduce.stats in
   sess.deduce_sat_calls <- sess.deduce_sat_calls + st.Deduce.sat_calls;
   sess.deduce_probes <- sess.deduce_probes + st.Deduce.probes;
   sess.deduce_model_prunes <- sess.deduce_model_prunes + st.Deduce.model_prunes;
   sess.deduce_seeded <- sess.deduce_seeded + st.Deduce.seeded;
-  sess.probes_avoided <- sess.probes_avoided + st.Deduce.probes_avoided;
   sess.solvers_reused <- sess.solvers_reused + 1;
   d
 
@@ -481,21 +444,13 @@ let apply_extension sess spec' =
   | Some (Encode.Delta (enc', delta)) ->
       sess.enc <- Some enc';
       sess.delta_extensions <- sess.delta_extensions + 1;
-      (* re-close over the extended encoding before touching the solver,
-         so the fresh closure rides in with the delta clauses *)
-      saturate_session sess;
       let s = the_solver sess in
-      timed sess Validity_p (fun () ->
-          List.iter (Sat.Solver.add_clause_a s) delta;
-          match sess.closure with
-          | Some cl -> Sat.Solver.add_units s (Saturate.unit_lits cl)
-          | None -> ())
+      timed sess Validity_p (fun () -> List.iter (Sat.Solver.add_clause_a s) delta)
   | Some (Encode.Renumbered enc') ->
       (* a value universe grew: the Σ instances were still reused, but
          variable numbers shifted, so the solver session restarts *)
       sess.rebuilds_renumbered <- sess.rebuilds_renumbered + 1;
       sess.enc <- Some enc';
-      saturate_session sess;
       retire sess (the_solver sess);
       sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
   | None ->
@@ -504,7 +459,6 @@ let apply_extension sess spec' =
       retire sess (the_solver sess);
       let enc' = timed sess Encode_p (fun () -> encode_spec sess spec') in
       sess.enc <- Some enc';
-      saturate_session sess;
       sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
 
 let snapshot_stats sess =
@@ -522,8 +476,7 @@ let snapshot_stats sess =
     deduce_probes = sess.deduce_probes;
     deduce_model_prunes = sess.deduce_model_prunes;
     deduce_seeded = sess.deduce_seeded;
-    static_facts = sess.static_facts;
-    probes_avoided = sess.probes_avoided;
+    probes_avoided = 0;
     template_hits = sess.template_hits;
     template_misses = sess.template_misses;
     encode_alloc_words = sess.encode_alloc_words;
@@ -549,7 +502,7 @@ let refresh_budget sess =
 
 let ingest_session sess ?(orders = []) ?(tuples = []) () =
   if sess.lint_rejected then
-    invalid_arg "Engine.ingest_session: session was rejected as statically unsat";
+    invalid_arg "Engine.ingest_session: session was rejected as unsat";
   if orders <> [] || tuples <> [] then
     (* tuples appended, order edges prepended: exactly the pure-extension
        shape {!Encode.extend} serves with a Delta or Renumbered encoding *)
@@ -798,8 +751,6 @@ type stats = {
   deduce_probes : int;
   deduce_model_prunes : int;
   deduce_seeded : int;
-  static_facts : int;
-  probes_avoided : int;
   template_hits : int;
   template_misses : int;
   template_hit_ratio : float;
@@ -821,12 +772,11 @@ let pp_stats ppf st =
   Format.fprintf ppf
     "@[<v>entities: %d (%d valid), %d interaction round(s), %d/%d attrs resolved@ \
      robustness: %d error(s); degraded: %d partial, %d pick; %d budget-exhausted@ \
-     phases (ms, summed over %d job(s)%s): lint %.1f | encode %.1f | saturate %.1f | \
-     validity %.1f | deduce %.1f | suggest %.1f@ \
-     lint: %d spec(s) rejected as statically unsat (no solver built)@ \
+     phases (ms, summed over %d job(s)%s): lint %.1f | encode %.1f | validity %.1f | \
+     deduce %.1f | suggest %.1f@ \
+     lint: %d spec(s) rejected as unsat before solving (no solver kept)@ \
      solver: %a; %d CNF load(s), %d phase(s) on live sessions@ \
      deduce: %d SAT call(s) (%d probe(s), %d model-prune(s), %d seeded)@ \
-     saturate: %d static fact(s) derived, %d probe(s) avoided@ \
      encode templates: %d hit(s) / %d miss(es) (%.0f%%)@ \
      encode alloc: %.0f minor words; %d delta extension(s), \
      %d rebuild(s) (%d renumbered, %d impure)@ \
@@ -837,11 +787,11 @@ let pp_stats ppf st =
     (if st.jobs_requested <> st.jobs then
        Printf.sprintf ", %d requested" st.jobs_requested
      else "")
-    st.times.lint_ms st.times.encode_ms st.times.saturate_ms st.times.validity_ms
+    st.times.lint_ms st.times.encode_ms st.times.validity_ms
     st.times.deduce_ms st.times.suggest_ms st.lint_rejected Sat.Solver.pp_stats
     st.solver st.solvers_built
     st.solvers_reused st.deduce_sat_calls st.deduce_probes st.deduce_model_prunes
-    st.deduce_seeded st.static_facts st.probes_avoided st.template_hits
+    st.deduce_seeded st.template_hits
     st.template_misses
     (100. *. st.template_hit_ratio)
     st.encode_alloc_words
@@ -875,7 +825,6 @@ let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
     (fun { stats = { times = t; _ }; _ } ->
       times.lint_ms <- times.lint_ms +. t.lint_ms;
       times.encode_ms <- times.encode_ms +. t.encode_ms;
-      times.saturate_ms <- times.saturate_ms +. t.saturate_ms;
       times.validity_ms <- times.validity_ms +. t.validity_ms;
       times.deduce_ms <- times.deduce_ms +. t.deduce_ms;
       times.suggest_ms <- times.suggest_ms +. t.suggest_ms)
@@ -906,8 +855,6 @@ let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
     deduce_probes = sum (fun s -> s.deduce_probes);
     deduce_model_prunes = sum (fun s -> s.deduce_model_prunes);
     deduce_seeded = sum (fun s -> s.deduce_seeded);
-    static_facts = sum (fun s -> s.static_facts);
-    probes_avoided = sum (fun s -> s.probes_avoided);
     template_hits;
     template_misses;
     template_hit_ratio =

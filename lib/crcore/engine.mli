@@ -21,11 +21,10 @@
       template ({!Encode.template} / {!Encode.instantiate}); the cache
       holds templates only, so it grows with the number of shapes, not
       with the number of entities resolved;
-    - {b lint and saturation}: provably unsatisfiable specs are reported
-      invalid without a solver ({!Analyze.cheap_errors} before encoding,
-      a refuted {!Saturate} closure after it), and the static closure is
-      seeded into the solver and, when complete, adopted by deduction
-      without probes;
+    - {b rejection before solving}: provably unsatisfiable specs are
+      reported invalid without a solve ({!Analyze.cheap_errors} before
+      encoding; after loading, a solver that unit propagation already
+      refuted at level 0, which is then dropped);
     - {b structured observability}: per-entity and aggregate phase timings,
       solver conflict/decision/propagation counters, template hit rates
       and incremental-path counters in {!entity_stats} / {!stats}. *)
@@ -62,7 +61,7 @@ val level_to_string : degrade_level -> string
 
 (** Engine phases, used to attribute budget exhaustion and captured
     exceptions. *)
-type phase = Lint_p | Encode_p | Saturate_p | Validity_p | Deduce_p | Suggest_p
+type phase = Lint_p | Encode_p | Validity_p | Deduce_p | Suggest_p
 
 val phase_to_string : phase -> string
 
@@ -78,7 +77,6 @@ val reason_to_string : degrade_reason -> string
 
 type config = {
   mode : Encode.mode;
-  repair : Rules.repair;  (** how [Suggest] repairs a conflicting clique *)
   max_rounds : int;  (** interaction rounds per entity before stopping *)
   jobs : int;
       (** domains {!run_batch} resolves entities on (clamped to at least
@@ -121,8 +119,7 @@ type config = {
           of being captured as an [Error] outcome. Default [false]. *)
 }
 
-(** [mode = Paper], [repair = Exact_maxsat], [max_rounds = 5], [jobs = 1],
-    [clamp_jobs = true]. Budgets off ([budget_conflicts = None],
+(** [mode = Paper], [max_rounds = 5], [jobs = 1], [clamp_jobs = true]. Budgets off ([budget_conflicts = None],
     [budget_ms = None]), full ladder allowed
     ([max_degrade = PickFallback]), [fail_fast = false]. *)
 val default_config : config
@@ -138,6 +135,8 @@ type phase_times = {
   mutable lint_ms : float;
   mutable encode_ms : float;
   mutable saturate_ms : float;
+      (** always 0: the engine has no saturate phase. Kept for the
+          benchmark replay; deleted by the next [benchmark] PR. *)
   mutable validity_ms : float;
   mutable deduce_ms : float;
   mutable suggest_ms : float;
@@ -148,7 +147,9 @@ type entity_stats = {
   solver : Sat.Solver.stats;  (** summed over every solver the entity used *)
   solvers_built : int;
       (** CNF loads: 1 = a single session survived and served every
-          phase, 0 = lint rejected the spec *)
+          phase, 0 = a cheap check rejected the spec before encoding. A
+          solver that loading refuted at level 0 is counted, then
+          dropped ([lint_rejected]) *)
   solvers_reused : int;
       (** solver phases (validity checks, deductions, suggestions) served
           by the live session instead of a fresh CNF load *)
@@ -157,14 +158,10 @@ type entity_stats = {
   deduce_model_prunes : int;
       (** candidates {!Deduce.backbone} eliminated by model intersection *)
   deduce_seeded : int;
-      (** facts adopted without a probe: the solver's level-0 facts or the
-          static closure *)
-  static_facts : int;
-      (** facts the saturate pre-phase derived statically (summed over
-          re-saturations after extensions) *)
+      (** facts adopted without a probe: the solver's level-0 facts *)
   probes_avoided : int;
-      (** of [deduce_seeded], facts adopted from the static closure — the
-          deduction work the saturate pre-phase saved *)
+      (** always 0: the engine hands deduction no static closure. Kept for
+          the benchmark replay; deleted by the next [benchmark] PR. *)
   template_hits : int;
       (** encodings instantiated from an already-compiled shape template
           (keyed on mode + interned Σ/Γ ids + schema) *)
@@ -182,9 +179,9 @@ type entity_stats = {
       (** the extension was not pure (Σ/Γ changed, tuples not appended):
           full re-encode from scratch *)
   lint_rejected : bool;
-      (** lint proved the spec unsatisfiable and no solver was
-          built: a cheap check before encoding, or a refuted closure
-          after it *)
+      (** the spec was proven unsatisfiable before any solve and no
+          solver was kept: a cheap check before encoding, or a level-0
+          refutation found while loading the CNF *)
 }
 
 (** Per-entity result; same content as {!Framework.outcome} minus timings
@@ -227,7 +224,9 @@ val create_cache : unit -> cache
 type session
 
 (** [create_session ?config ?cache ?label spec] lints and encodes [spec]
-    and, unless lint rejected it, loads the solver session. [cache] defaults to a
+    and, unless a cheap check rejected it, loads the solver session; a
+    solver the load refutes at level 0 is dropped and the session is
+    rejected. [cache] defaults to a
     private one. [label] identifies the entity to the {!Faults} injection
     plan (and is set automatically by {!run_batch}); it has no effect
     otherwise. The wall budget, when configured, starts here. *)
@@ -257,8 +256,8 @@ val resolve :
 (** The session's current (accumulated) specification. *)
 val session_spec : session -> Spec.t
 
-(** [true] when lint rejected the spec at creation: the session
-    holds no solver and {!ingest_session} refuses it — rebuild from the
+(** [true] when the spec was rejected at creation (a cheap check or a
+    level-0 refutation on load): the session holds no solver and {!ingest_session} refuses it — rebuild from the
     accumulated spec instead. *)
 val session_rejected : session -> bool
 
@@ -324,8 +323,6 @@ type stats = {
   deduce_probes : int;
   deduce_model_prunes : int;
   deduce_seeded : int;
-  static_facts : int;  (** statically derived facts, batch-wide *)
-  probes_avoided : int;  (** probes the saturate pre-phase saved, batch-wide *)
   template_hits : int;  (** shape-template hits, batch-wide *)
   template_misses : int;  (** shape compilations, batch-wide *)
   template_hit_ratio : float;
@@ -336,7 +333,7 @@ type stats = {
   rebuilds : int;  (** [rebuilds_renumbered + rebuilds_impure] *)
   rebuilds_renumbered : int;
   rebuilds_impure : int;
-  lint_rejected : int;  (** entities rejected as statically unsat *)
+  lint_rejected : int;  (** entities rejected as unsat before solving *)
   jobs : int;  (** domains the batch ran on (after any clamping) *)
   jobs_requested : int;  (** [config.jobs] as given *)
   wall_ms : float;

@@ -23,7 +23,7 @@ let count_known known = Array.fold_left (fun n v -> if v = None then n else n + 
 (* The Fig. 4 loop with nothing shared between phases or rounds: every
    round encodes the (extended) specification afresh, checks it on a new
    solver and deduces and suggests from scratch. It stays independent of
-   the engine, whose sessions, caches, lint and saturation are tested
+   the engine, whose sessions, caches and lint are tested
    against it. Encoding counts inside IsValid, as in the paper. *)
 let resolve ?(mode = Encode.Paper) ?(deduce = Deduce.backbone)
     ?(repair = Rules.Exact_maxsat) ?(max_rounds = 5) ~user spec =

@@ -38,7 +38,7 @@ type outcome = {
     on one entity with nothing shared between phases or rounds: each round
     encodes the (extended) specification with {!Encode.encode}, checks it
     with {!Validity.check}, runs [deduce] and {!Rules.suggest} on solvers
-    of their own. It shares no session, cache, lint or saturation code
+    of their own. It shares no session, cache or lint code
     with {!Engine} (which depends on this module, not the reverse), and is
     the reference the engine's answers are tested against. [deduce]
     defaults to {!Deduce.backbone}, the engine's deducer, and is called

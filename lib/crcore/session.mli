@@ -31,8 +31,8 @@
 type handle
 
 (** [create ?config ?cache ?label spec] opens a session on the entity's
-    initial specification — lint, encoding, saturation and (in incremental
-    mode) the solver load happen here. [cache] is the shared encoding
+    initial specification — lint, encoding and the solver load happen
+    here. [cache] is the shared encoding
     cache ({!Engine.create_cache}); sessions of a {!Store} share the
     store's. *)
 val create :

@@ -41,9 +41,9 @@ val add_clause_a : t -> Lit.t array -> unit
 (** [add_cnf s f] allocates variables for [f] and adds all its clauses. *)
 val add_cnf : t -> Cnf.t -> unit
 
-(** [add_units s lits] adds each literal as a unit clause — the entry
-    point for seeding externally-proven facts (e.g. a static saturation's
-    closure) into a session. Units are enqueued and propagated at level 0
+(** [add_units s lits] adds each literal as a unit clause. Only tests and
+    the benchmark replay call it; kept for the benchmark replay, deleted
+    by the next [benchmark] PR. Units are enqueued and propagated at level 0
     immediately, so a literal the clause set already implies is a no-op
     on the solver state, and clauses added afterwards drop the literals
     the units falsify. *)

@@ -2,8 +2,8 @@
    diagnostic code, SAT cross-checks that every E-level construction is
    indeed unsatisfiable, and qcheck properties tying the analysis to the
    solver-backed semantics (soundness: an E-level diagnostic implies the
-   encoding is unsatisfiable; the engine pre-phase never changes what a
-   batch resolves). *)
+   encoding is unsatisfiable; the engine's rejection before solving
+   never changes what a batch resolves). *)
 
 module A = Crcore.Analyze
 module E = Crcore.Engine
@@ -202,7 +202,7 @@ let test_errors_only_unit () =
   Alcotest.(check (list string)) "clean spec" []
     (List.map (fun (d : A.diagnostic) -> d.A.code) (A.analyze ~errors_only:true (mk ())))
 
-(* ---- engine pre-phase ---- *)
+(* ---- engine rejection ---- *)
 
 let test_engine_lint_rejected () =
   let spec () =
@@ -223,10 +223,11 @@ let test_engine_lint_clean_passthrough () =
   Alcotest.(check bool) "not rejected" false st.E.lint_rejected;
   Alcotest.(check bool) "solved normally" true (st.E.solvers_built >= 1 && r.E.valid)
 
-(* The closure half of the engine's rejection test: a spec with an E002
+(* The second half of the engine's rejection test: a spec with an E002
    (a fired veto: Σ makes "deceased" the certain current status, whose
    CFD demands a city the entity never takes) and no cheap error is
-   encoded and saturated, then rejected before any solver is built. *)
+   encoded and loaded; unit propagation refutes it at level 0, so the
+   solver is dropped before any solve. *)
 let veto_spec ?(entity = Fixtures.edith_entity) () =
   Crcore.Spec.make entity ~orders:[] ~sigma:Fixtures.sigma
     ~gamma:[ mk_cfd [ ("status", "deceased") ] ("city", "Paris") ]
@@ -242,8 +243,8 @@ let test_engine_closure_rejected () =
       let config = { E.default_config with mode } in
       let r, st = E.resolve ~config ~user:F.silent spec in
       Alcotest.(check bool) "rejected" true st.E.lint_rejected;
-      Alcotest.(check int) "no solver built" 0 st.E.solvers_built;
-      Alcotest.(check bool) "encoded and saturated" true (st.E.static_facts > 0);
+      Alcotest.(check int) "one solver loaded, then dropped" 1 st.E.solvers_built;
+      Alcotest.(check int) "never solved" 0 st.E.solvers_reused;
       Alcotest.(check bool) "invalid" false r.E.valid;
       Alcotest.(check bool) "no budget trace" true
         (r.E.level = E.Exact && r.E.degrade_reason = None && r.E.conflicts_spent = 0);
@@ -299,23 +300,32 @@ let prop_lint_never_changes_results =
       Fixtures.same_answer (F.resolve ~user:F.silent spec) on
       && ((not st.E.lint_rejected) || not on.E.valid))
 
-(* Both halves of the engine's rejection test together reject exactly
-   what lint's errors_only pass reports, in Paper and in Exact mode: on
-   a real encoding a singleton veto premise is null ≺ v or v ≺ null,
-   and the null-lowest axioms already decide both, so the Exact closure's
-   totality step never adds a fact and refutes nothing Paper's misses.
-   The cheap half alone is lint's errors_only report whenever it fires. *)
-let prop_engine_rejects_exactly_lint_errors =
-  QCheck.Test.make ~count:500 ~name:"engine rejection == errors_only lint, both modes"
+let rejected_in mode spec =
+  E.session_rejected (E.create_session ~config:{ E.default_config with mode } spec)
+
+let both_modes = [ Crcore.Encode.Paper; Crcore.Encode.Exact ]
+
+(* The engine rejects at least what lint's errors_only pass reports, in
+   Paper and in Exact mode: every closure refutation is a level-0 unit
+   propagation conflict of the loaded CNF. The cheap half alone is lint's
+   errors_only report whenever it fires. *)
+let prop_lint_errors_imply_rejection =
+  QCheck.Test.make ~count:500 ~name:"lint errors imply engine rejection in both modes"
     Fixtures.qcheck_spec (fun spec ->
       let eo = A.analyze ~errors_only:true spec in
       let cheap = A.cheap_errors spec in
       (cheap = [] || cheap = eo)
-      && List.for_all
-           (fun mode ->
-             E.session_rejected (E.create_session ~config:{ E.default_config with mode } spec)
-             = A.has_errors eo)
-           [ Crcore.Encode.Paper; Crcore.Encode.Exact ])
+      && ((not (A.has_errors eo)) || List.for_all (fun mode -> rejected_in mode spec) both_modes))
+
+(* ... and rejects nothing valid: in Exact mode it also rejects invalid
+   specs lint's Paper-mode closure misses, so the converse is soundness
+   against an independent encoding, not equality with lint. *)
+let prop_rejection_implies_invalid =
+  QCheck.Test.make ~count:500 ~name:"engine rejection implies invalid in both modes"
+    Fixtures.qcheck_spec (fun spec ->
+      List.for_all
+        (fun mode -> (not (rejected_in mode spec)) || not (Crcore.Validity.is_valid ~mode spec))
+        both_modes)
 
 let () =
   Alcotest.run "analyze"
@@ -365,6 +375,7 @@ let () =
             prop_errors_sound;
             prop_errors_only_agrees;
             prop_lint_never_changes_results;
-            prop_engine_rejects_exactly_lint_errors;
+            prop_lint_errors_imply_rejection;
+            prop_rejection_implies_invalid;
           ] );
     ]

@@ -251,11 +251,11 @@ let test_backbone_on_paper_examples () =
         (b.D.stats.D.sat_calls < n.D.stats.D.sat_calls))
     [ Fixtures.edith_spec (); Fixtures.george_spec () ]
 
-(* a session solver set up the way the engine sets one up: Φ(Se), the
-   static closure as unit clauses (so the level-0 trail already holds the
-   static facts), then the validity solve whose model the deducer starts
-   from *)
-let engine_session enc cl =
+(* a session solver with the static closure seeded as unit clauses (so the
+   level-0 trail already holds the static facts), then the validity solve
+   whose model the deducer starts from: the set-up [Deduce.backbone
+   ?static] documents, kept for callers that saturate first *)
+let seeded_session enc cl =
   let s = Sat.Solver.create () in
   Sat.Solver.add_cnf s enc.E.cnf;
   Sat.Solver.add_units s (Crcore.Saturate.unit_lits cl);
@@ -263,7 +263,7 @@ let engine_session enc cl =
   (s, sat)
 
 (* the headline property (both encoding modes, with a reused session
-   solver, and with an engine-shaped one): backbone computes exactly
+   solver, and with a closure-seeded one): backbone computes exactly
    NaiveDeduce's positive backbone *)
 let prop_backbone_equals_naive =
   QCheck.Test.make ~count:300 ~name:"backbone == naive_deduce (both modes, fresh + reused solver)"
@@ -281,13 +281,13 @@ let prop_backbone_equals_naive =
             let sat = Sat.Solver.solve s = Sat.Solver.Sat in
             let br = D.backbone ~solver:s enc in
             let cl = Crcore.Saturate.of_encode enc in
-            let se, sat_e = engine_session enc cl in
+            let se, sat_e = seeded_session enc cl in
             let be = D.backbone ~solver:se enc in
-            (* the engine hands a complete closure over as [static] *)
+            (* a complete closure handed over as [static] *)
             let static_ok =
               (not (Crcore.Saturate.complete cl))
               ||
-              let ss, sat_s = engine_session enc cl in
+              let ss, sat_s = seeded_session enc cl in
               let bs = D.backbone ~solver:ss ~static:(Crcore.Saturate.fact_vars cl) enc in
               sat_s && same_orders bs n
             in
@@ -317,11 +317,10 @@ let test_backbone_probe_count () =
       }
   in
   let enc = E.encode ~mode:E.Exact (Datagen.Types.spec_of ds (List.hd ds.Datagen.Types.cases)) in
-  let cl = Crcore.Saturate.of_encode enc in
-  let s, sat = engine_session enc cl in
-  Alcotest.(check bool) "valid" true sat;
-  let static = if Crcore.Saturate.complete cl then Some (Crcore.Saturate.fact_vars cl) else None in
-  let b = D.backbone ~solver:s ?static enc in
+  let s = Sat.Solver.create () in
+  Sat.Solver.add_cnf s enc.E.cnf;
+  Alcotest.(check bool) "valid" true (Sat.Solver.solve s = Sat.Solver.Sat);
+  let b = D.backbone ~solver:s enc in
   Alcotest.(check bool) "backbone od == naive od" true (same_orders b (D.naive_deduce enc));
   let probes = b.D.stats.D.probes in
   if probes > 4 then Alcotest.failf "%d probes, bound 4" probes

@@ -244,8 +244,9 @@ let test_nan_rhs_constant () =
   Alcotest.(check bool) "RHS NaN: invalid" false r.E.valid
 
 let prop_incremental_equals_naive =
-  (* the whole point: the engine's session, cache, lint and saturation
-     must never change what is resolved, only how much work it takes *)
+  (* the whole point: the engine's session, cache and rejection before
+     solving must never change what is resolved, only how much work it
+     takes *)
   QCheck.Test.make ~count:60 ~name:"incremental session == naive rebuild on random specs"
     Fixtures.qcheck_spec (fun spec ->
       let user = Fixtures.reference_user spec in
@@ -287,8 +288,8 @@ let prop_exact_mode_configs_agree =
 (* One Person entity with a 2000-tuple, linearly growing history: the
    wide-domain Exact-mode regime, where each attribute's active domain
    (and with it the CNF) is far larger than on the generator's small
-   entities. The engine (template instantiation, saturation, incremental
-   sessions) must resolve it exactly as the naive rebuild-everything
+   entities. The engine (template instantiation, incremental sessions)
+   must resolve it exactly as the naive rebuild-everything
    Framework.resolve does. *)
 let test_exact_large_domain_matches_naive () =
   let size = 2000 in

@@ -1,8 +1,8 @@
 (* The static saturation engine (Saturate): soundness of the closure
    against the SAT backbone, completeness in Paper mode, certificate
    verification by the independent checker, JSON round-trips with a
-   tamper rejection, and the engine pre-phase's bit-identical-results
-   guarantee at jobs 1 and 4. *)
+   tamper rejection, the per-template plan memo, and the engine's
+   answers against the framework's. *)
 
 module E = Crcore.Encode
 module S = Crcore.Saturate
@@ -185,16 +185,7 @@ let test_tamper_rejected () =
   Alcotest.(check bool) "Assumed steps rejected" true
     (match S.verify spec assumed with Error _ -> true | Ok () -> false)
 
-(* ---- the engine pre-phase ---- *)
-
-let test_engine_prephase_stats () =
-  let r, st = En.resolve ~user:F.silent (Fixtures.edith_spec ()) in
-  Alcotest.(check bool) "resolved" true r.En.valid;
-  Alcotest.(check bool) "static facts counted" true (st.En.static_facts > 0);
-  Alcotest.(check bool) "probes avoided" true (st.En.probes_avoided > 0);
-  Alcotest.(check bool) "saturate phase timed" true (st.En.times.En.saturate_ms >= 0.);
-  Alcotest.(check bool) "same answer as the framework" true
-    (Fixtures.same_answer (F.resolve ~user:F.silent (Fixtures.edith_spec ())) r)
+(* ---- plan memo ---- *)
 
 let test_template_memo () =
   (* edith and george share the same physical Σ list: the second
@@ -272,8 +263,10 @@ let prop_exact_closure_sound =
       && (if valid then closure_subset_of cl (D.backbone enc) else true))
 
 let prop_engine_results_identical =
-  (* the framework never saturates: the engine's pre-phase, seeded
-     units and probe-free adoption must answer exactly as it does *)
+  (* the engine no longer saturates either; the name is kept from when it
+     ran a saturate pre-phase. Neither the engine's sessions nor its
+     rejection on the loaded solver's level-0 refutation may answer
+     differently from the framework, which never saturates *)
   QCheck.Test.make ~count:300 ~name:"engine saturate pre-phase never changes results"
     Fixtures.qcheck_spec (fun spec ->
       let user = Fixtures.reference_user spec in
@@ -296,10 +289,7 @@ let () =
           Alcotest.test_case "tampered certificates rejected" `Quick test_tamper_rejected;
         ] );
       ( "engine",
-        [
-          Alcotest.test_case "pre-phase stats" `Quick test_engine_prephase_stats;
-          Alcotest.test_case "template plan memo" `Quick test_template_memo;
-        ] );
+        [ Alcotest.test_case "template plan memo" `Quick test_template_memo ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [

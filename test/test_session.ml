@@ -29,7 +29,7 @@ let replay_parity ?(vs_framework = false) ~seed ~n_entities ~size () =
   in
   (* the hot side always runs the default config; the cold side is a fresh
      engine session or, with [vs_framework], Framework.resolve (fresh
-     solvers per phase, no saturation): the incremental sessions against
+     solvers per phase): the incremental sessions against
      the reference loop *)
   let cold spec =
     if vs_framework then
@@ -87,7 +87,7 @@ let prop_interleaved_parity =
 
 (* Random interleaved schedules again, but the cold reference is
    Framework.resolve: backbone probes, group-MaxSAT selector assumptions and session
-   delta extensions all land on one long-lived, saturation-seeded solver,
+   delta extensions all land on one long-lived solver,
    and every resolve point must still agree with fresh per-phase solvers. *)
 let prop_default_session_parity =
   QCheck.Test.make ~count:20 ~name:"default sessions == framework cold re-resolve"
