@@ -545,10 +545,9 @@ let satcore_sized ~sizes ~out =
         let sv = st1.Crcore.Engine.solver in
         Printf.printf
           "  size %5d: %8.1f ms wall, solve+deduce %8.1f ms, %d conflict(s), %d \
-           propagation(s), %d probe(s), lbd %.2f, kept %d / deleted %d, %d binarie(s)\n"
+           propagation(s), %d probe(s), %d binarie(s)\n"
           size ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
-          st1.Crcore.Engine.deduce_probes (Sat.Solver.lbd_avg sv)
-          sv.Sat.Solver.learnts_kept sv.Sat.Solver.learnts_deleted sv.Sat.Solver.binaries;
+          st1.Crcore.Engine.deduce_probes sv.Sat.Solver.binaries;
         Printf.printf "  size %5d same final resolutions as Framework.resolve: %b\n%!" size identical;
         claim (Printf.sprintf "satcore: identical resolutions at size %d" size) identical;
         (size, ms, sd, st1, identical))
@@ -559,11 +558,9 @@ let satcore_sized ~sizes ~out =
       (fun (size, ms, sd, (st : Crcore.Engine.stats), identical) ->
         let sv = st.Crcore.Engine.solver in
         Printf.sprintf
-          {|    { "size": %d, "identical_results": %b, "timed_runs": 2, "wall_ms": %.3f, "solve_deduce_ms": %.3f, "conflicts": %d, "propagations": %d, "probes": %d, "lbd_avg": %.3f, "learnts_kept": %d, "learnts_deleted": %d, "binaries": %d }|}
+          {|    { "size": %d, "identical_results": %b, "timed_runs": 2, "wall_ms": %.3f, "solve_deduce_ms": %.3f, "conflicts": %d, "propagations": %d, "probes": %d, "binaries": %d }|}
           size identical ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
-          st.Crcore.Engine.deduce_probes (Sat.Solver.lbd_avg sv)
-          sv.Sat.Solver.learnts_kept sv.Sat.Solver.learnts_deleted
-          sv.Sat.Solver.binaries)
+          st.Crcore.Engine.deduce_probes sv.Sat.Solver.binaries)
       rows
   in
   let oc = open_out out in

@@ -159,9 +159,11 @@ let create_cache () =
     locks = Array.init n_shards (fun _ -> Mutex.create ());
   }
 
-(* the last template this domain served, keyed by fingerprint: a batch of
-   same-shape entities takes the lock once per domain, not per entity *)
-let tmemo : (TKey.t * Encode.template) option ref Domain.DLS.key =
+(* the last template this domain served, keyed by its cache (physical
+   identity) and fingerprint: a batch of same-shape entities takes the
+   lock once per domain, not per entity, and a fresh cache never sees
+   another cache's template *)
+let tmemo : (cache * TKey.t * Encode.template) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 (* [true] iff the template already existed (a template hit) *)
@@ -171,7 +173,7 @@ let template_for ~(config : config) ~cache spec =
   in
   let slot = Domain.DLS.get tmemo in
   match !slot with
-  | Some (k, tpl) when TKey.equal k key -> (tpl, true)
+  | Some (c, k, tpl) when c == cache && TKey.equal k key -> (tpl, true)
   | _ ->
       let i = TKey.hash key land (n_shards - 1) in
       let lock = cache.locks.(i) in
@@ -196,7 +198,7 @@ let template_for ~(config : config) ~cache spec =
             Mutex.unlock lock;
             (tpl, false)
       in
-      slot := Some (key, tpl);
+      slot := Some (cache, key, tpl);
       (tpl, hit)
 
 (* ---- sessions ---- *)

@@ -154,9 +154,8 @@ module Store : sig
             (see {!Encode.template}) *)
     template_misses : int;  (** lookups that compiled the template first *)
     sat : Sat.Solver.stats;
-        (** solver counters summed the same way — conflicts and
-            propagations, plus the clause-database management counters
-            (learnt clauses kept/deleted, average LBD, binary-layer size) *)
+        (** solver counters summed the same way — conflicts,
+            propagations, clauses learnt and the binary-layer size *)
   }
 
   val stats : t -> stats

@@ -5,20 +5,16 @@
    Clause-database layout: unit facts live on the level-0 trail, binary
    clauses live in a dedicated implication layer ([bin], flat per-literal
    vectors of the implied literal), and only clauses of three or more
-   literals enter the general watch lists. Learnt clauses carry an LBD
-   ("glue") score and are periodically halved by [reduce_db]. The search
-   runs on the clause database as loaded: there is no pre/inprocessing. *)
+   literals enter the general watch lists. A clause is just its literals:
+   learnt clauses are kept for the solver's whole life (no database
+   reduction), so they need no activity, score or deletion mark. The
+   search runs on the clause database as loaded: there is no
+   pre/inprocessing. *)
 
-type clause = {
-  lits : Lit.t array; (* lits.(0) and lits.(1) are the watched pair *)
-  learnt : bool;
-  mutable activity : float;
-  mutable lbd : int; (* distinct decision levels at learn time; <= 2 = glue *)
-  mutable deleted : bool;
-}
+(* in a watch list, c.(0) and c.(1) are the watched pair *)
+type clause = Lit.t array
 
-let dummy_clause =
-  { lits = [||]; learnt = false; activity = 0.; lbd = 0; deleted = false }
+let dummy_clause : clause = [||]
 
 type result = Sat | Unsat
 
@@ -33,8 +29,6 @@ type t = {
   mutable activity : float array;
   mutable polarity : bool array;        (* saved phase *)
   mutable seen : bool array;            (* scratch for analyze *)
-  mutable lbd_seen : int array;         (* scratch, indexed by decision level *)
-  mutable lbd_ctr : int;
   mutable add_buf : Lit.t array;        (* scratch: the clause being loaded *)
   (* per-literal state *)
   mutable watches : clause Vec.t array; (* indexed by literal; clauses len >= 3 *)
@@ -45,28 +39,21 @@ type t = {
   trail_lim : int Vec.t;
   mutable qhead : int;
   (* clause database *)
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
+  clauses : clause Vec.t;               (* original long clauses *)
+  mutable n_learnts : int;              (* learnt long clauses *)
   (* heuristics *)
   mutable order : Idx_heap.t;
   mutable var_inc : float;
-  mutable cla_inc : float;
   mutable nvars : int;
   mutable ok : bool;
   mutable model_valid : bool;
   mutable saved_model : bool array;
-  (* learnt-DB reduction schedule *)
-  mutable reduce_interval : int;        (* conflicts between reductions *)
-  mutable next_reduce : int;            (* absolute conflict-count target *)
   (* statistics *)
   mutable conflicts : int;
   mutable decisions : int;
   mutable propagations : int;
   mutable restarts : int;
   mutable learned : int;                (* clauses ever learnt (incl. binaries) *)
-  mutable lbd_sum : float;              (* sum of learn-time LBDs *)
-  mutable learnts_kept : int;           (* survivors of the last reduce_db *)
-  mutable learnts_deleted : int;
   mutable n_binaries : int;             (* live pairs in the binary layer *)
   (* resource budgets: absolute counter targets, -1 = no limit. Only
      [solve_limited] consults them; [solve] always runs to completion. *)
@@ -75,9 +62,7 @@ type t = {
 }
 
 let var_decay = 1.0 /. 0.95
-let clause_decay = 1.0 /. 0.999
 let restart_base = 100
-let default_reduce_interval = 2000
 
 let create () =
   let s =
@@ -89,8 +74,6 @@ let create () =
       activity = [||];
       polarity = [||];
       seen = [||];
-      lbd_seen = [||];
-      lbd_ctr = 0;
       add_buf = [||];
       watches = [||];
       bin = [||];
@@ -98,24 +81,18 @@ let create () =
       trail_lim = Vec.create ~dummy:0;
       qhead = 0;
       clauses = Vec.create ~dummy:dummy_clause;
-      learnts = Vec.create ~dummy:dummy_clause;
+      n_learnts = 0;
       order = Idx_heap.create ~score:(fun _ -> 0.);
       var_inc = 1.0;
-      cla_inc = 1.0;
       nvars = 0;
       ok = true;
       model_valid = false;
       saved_model = [||];
-      reduce_interval = default_reduce_interval;
-      next_reduce = default_reduce_interval;
       conflicts = 0;
       decisions = 0;
       propagations = 0;
       restarts = 0;
       learned = 0;
-      lbd_sum = 0.;
-      learnts_kept = 0;
-      learnts_deleted = 0;
       n_binaries = 0;
       conflict_limit = -1;
       propagation_limit = -1;
@@ -142,10 +119,6 @@ let grow_arrays s n =
     s.activity <- grow s.activity 0.;
     s.polarity <- grow s.polarity false;
     s.seen <- grow s.seen false;
-    (* indexed by decision level, which can reach nvars *)
-    let lbd' = Array.make (cap + 1) 0 in
-    Array.blit s.lbd_seen 0 lbd' 0 (Array.length s.lbd_seen);
-    s.lbd_seen <- lbd';
     let oldw = Array.length s.watches in
     let w' = Array.make (2 * cap) (Vec.create ~dummy:dummy_clause) in
     Array.blit s.watches 0 w' 0 oldw;
@@ -210,37 +183,6 @@ let var_bump s v =
 
 let var_decay_activity s = s.var_inc <- s.var_inc *. var_decay
 
-let clause_bump s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    Vec.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) s.learnts;
-    s.cla_inc <- s.cla_inc *. 1e-20
-  end
-
-let clause_decay_activity s = s.cla_inc <- s.cla_inc *. clause_decay
-
-(* ---- LBD ---- *)
-
-let compute_lbd s lits =
-  s.lbd_ctr <- s.lbd_ctr + 1;
-  let ctr = s.lbd_ctr in
-  let n = ref 0 in
-  Array.iter
-    (fun l ->
-      let lv = s.level.(Lit.var l) in
-      if lv > 0 && s.lbd_seen.(lv) <> ctr then begin
-        s.lbd_seen.(lv) <- ctr;
-        incr n
-      end)
-    lits;
-  !n
-
-(* re-score a learnt clause when it takes part in conflict analysis; LBD
-   only ever improves (Glucose's dynamic glue update) *)
-let maybe_update_lbd s (c : clause) =
-  let lbd = compute_lbd s c.lits in
-  if lbd < c.lbd then c.lbd <- lbd
-
 (* ---- assignment ---- *)
 
 let enqueue s l reason =
@@ -281,10 +223,10 @@ let cancel_until s lvl =
 
 (* ---- watches / binary layer ---- *)
 
-let attach_clause s c =
-  assert (Array.length c.lits >= 2);
-  Vec.push s.watches.(Lit.negate c.lits.(0)) c;
-  Vec.push s.watches.(Lit.negate c.lits.(1)) c
+let attach_clause s (c : clause) =
+  assert (Array.length c >= 2);
+  Vec.push s.watches.(Lit.negate c.(0)) c;
+  Vec.push s.watches.(Lit.negate c.(1)) c
 
 (* record the binary clause (a \/ b) in the implication layer: enqueueing
    the negation of either literal implies the other *)
@@ -314,15 +256,7 @@ let propagate s =
       | _ ->
           (* both literals of (negate p \/ o) are false: materialise the
              pair as a throwaway clause to seed conflict analysis *)
-          confl :=
-            Some
-              {
-                lits = [| o; Lit.negate p |];
-                learnt = false;
-                activity = 0.;
-                lbd = 2;
-                deleted = false;
-              };
+          confl := Some [| o; Lit.negate p |];
           s.qhead <- Vec.size s.trail);
       incr j
     done;
@@ -331,40 +265,37 @@ let propagate s =
       let i = ref 0 in
       while !i < Vec.size ws do
         let c = Vec.get ws !i in
-        if c.deleted then Vec.swap_remove ws !i
+        let false_lit = Lit.negate p in
+        (* make sure the false literal is at position 1 *)
+        if c.(0) = false_lit then begin
+          c.(0) <- c.(1);
+          c.(1) <- false_lit
+        end;
+        if value_lit s c.(0) = 1 then incr i (* clause already satisfied *)
         else begin
-          let false_lit = Lit.negate p in
-          (* make sure the false literal is at position 1 *)
-          if c.lits.(0) = false_lit then begin
-            c.lits.(0) <- c.lits.(1);
-            c.lits.(1) <- false_lit
-          end;
-          if value_lit s c.lits.(0) = 1 then incr i (* clause already satisfied *)
+          (* look for a new literal to watch *)
+          let n = Array.length c in
+          let k = ref 2 in
+          while !k < n && value_lit s c.(!k) = -1 do
+            incr k
+          done;
+          if !k < n then begin
+            (* found: move it to position 1 and update watch lists *)
+            c.(1) <- c.(!k);
+            c.(!k) <- false_lit;
+            Vec.push s.watches.(Lit.negate c.(1)) c;
+            Vec.swap_remove ws !i
+          end
+          else if value_lit s c.(0) = -1 then begin
+            (* conflict *)
+            confl := Some c;
+            s.qhead <- Vec.size s.trail;
+            incr i
+          end
           else begin
-            (* look for a new literal to watch *)
-            let n = Array.length c.lits in
-            let k = ref 2 in
-            while !k < n && value_lit s c.lits.(!k) = -1 do
-              incr k
-            done;
-            if !k < n then begin
-              (* found: move it to position 1 and update watch lists *)
-              c.lits.(1) <- c.lits.(!k);
-              c.lits.(!k) <- false_lit;
-              Vec.push s.watches.(Lit.negate c.lits.(1)) c;
-              Vec.swap_remove ws !i
-            end
-            else if value_lit s c.lits.(0) = -1 then begin
-              (* conflict *)
-              confl := Some c;
-              s.qhead <- Vec.size s.trail;
-              incr i
-            end
-            else begin
-              (* unit clause: propagate c.lits.(0) *)
-              enqueue s c.lits.(0) c;
-              incr i
-            end
+            (* unit clause: propagate c.(0) *)
+            enqueue s c.(0) c;
+            incr i
           end
         end
       done
@@ -464,9 +395,7 @@ let add_clause_a s lits =
         (match propagate s with Some _ -> s.ok <- false | None -> ())
     | 2 -> add_binary s buf.(1) buf.(0)
     | n ->
-        let c =
-          { lits = Array.sub buf 0 n; learnt = false; activity = 0.; lbd = 0; deleted = false }
-        in
+        let c = Array.sub buf 0 n in
         Vec.push s.clauses c;
         attach_clause s c
   end
@@ -497,11 +426,7 @@ let analyze s confl =
     end
   in
   (* seed with the conflict clause, then walk the trail expanding reasons *)
-  if confl.learnt then begin
-    clause_bump s confl;
-    maybe_update_lbd s confl
-  end;
-  Array.iter visit confl.lits;
+  Array.iter visit confl;
   let continue_loop = ref true in
   while !continue_loop do
     (* select next literal to expand *)
@@ -517,12 +442,8 @@ let analyze s confl =
       if s.binreason.(v) >= 0 then visit s.binreason.(v)
       else begin
         let c = s.reason.(v) in
-        if c.learnt then begin
-          clause_bump s c;
-          maybe_update_lbd s c
-        end;
-        for j = 1 to Array.length c.lits - 1 do
-          visit c.lits.(j)
+        for j = 1 to Array.length c - 1 do
+          visit c.(j)
         done
       end
     end
@@ -544,7 +465,7 @@ let analyze s confl =
           (fun l ->
             let w = Lit.var l in
             w <> v && (not s.seen.(w)) && s.level.(w) > 0)
-          r.lits
+          r
   in
   let minimized = Vec.create ~dummy:0 in
   Vec.push minimized (Vec.get learnt 0);
@@ -568,48 +489,6 @@ let analyze s confl =
   (* clear seen flags *)
   Vec.iter (fun q -> s.seen.(Lit.var q) <- false) learnt;
   (Array.of_list (Vec.to_list minimized), !bt_level)
-
-(* ---- learnt clause database reduction ---- *)
-
-let locked s c =
-  Array.length c.lits > 0
-  && s.reason.(Lit.var c.lits.(0)) == c
-  && value_lit s c.lits.(0) = 1
-
-(* Halve the learnt database: glue clauses (LBD <= 2) and clauses locked as
-   reasons survive unconditionally; the rest go worst-first by LBD, ties
-   broken by lower activity. Binary learnts never appear here — they live
-   in the binary layer and are kept forever. Deleted clauses leave their
-   watch lists lazily during propagation. *)
-let reduce_db s =
-  let cand = ref [] and ncand = ref 0 in
-  Vec.iter
-    (fun (c : clause) ->
-      if (not c.deleted) && c.lbd > 2 && not (locked s c) then begin
-        cand := c :: !cand;
-        incr ncand
-      end)
-    s.learnts;
-  let arr = Array.of_list !cand in
-  Array.sort
-    (fun (a : clause) (b : clause) ->
-      if a.lbd <> b.lbd then compare b.lbd a.lbd else compare a.activity b.activity)
-    arr;
-  let to_delete = !ncand / 2 in
-  for i = 0 to to_delete - 1 do
-    arr.(i).deleted <- true
-  done;
-  Vec.filter_in_place (fun (c : clause) -> not c.deleted) s.learnts;
-  s.learnts_deleted <- s.learnts_deleted + to_delete;
-  s.learnts_kept <- Vec.size s.learnts;
-  (* geometric schedule: each reduction buys a 20%-longer reprieve *)
-  s.reduce_interval <- s.reduce_interval + (s.reduce_interval / 5);
-  s.next_reduce <- s.conflicts + s.reduce_interval
-
-let set_reduce_interval s n =
-  if n < 1 then invalid_arg "Solver.set_reduce_interval";
-  s.reduce_interval <- n;
-  s.next_reduce <- s.conflicts + n
 
 (* ---- search ---- *)
 
@@ -664,22 +543,16 @@ let record_learnt s lits =
   let n = Array.length lits in
   if n = 1 then enqueue s lits.(0) dummy_clause
   else if n = 2 then begin
-    (* learnt binaries go straight to the implication layer and are never
-       reduction candidates *)
+    (* learnt binaries go straight to the implication layer *)
     add_binary s lits.(0) lits.(1);
     s.learned <- s.learned + 1;
-    s.lbd_sum <- s.lbd_sum +. 2.;
     enqueue_bin s lits.(0) lits.(1)
   end
   else begin
-    let lbd = compute_lbd s lits in
-    let c = { lits; learnt = true; activity = 0.; lbd; deleted = false } in
     s.learned <- s.learned + 1;
-    s.lbd_sum <- s.lbd_sum +. float_of_int lbd;
-    Vec.push s.learnts c;
-    attach_clause s c;
-    clause_bump s c;
-    enqueue s lits.(0) c
+    s.n_learnts <- s.n_learnts + 1;
+    attach_clause s lits;
+    enqueue s lits.(0) lits
   end
 
 let search s ~respect_budget ~nof_conflicts ~assumptions =
@@ -699,8 +572,7 @@ let search s ~respect_budget ~nof_conflicts ~assumptions =
           let learnt, bt = analyze s confl in
           cancel_until s bt;
           record_learnt s learnt;
-          var_decay_activity s;
-          clause_decay_activity s
+          var_decay_activity s
         end
     | None ->
         if respect_budget && not (within_budget s) then begin
@@ -713,7 +585,6 @@ let search s ~respect_budget ~nof_conflicts ~assumptions =
           outcome := Some S_restart
         end
         else begin
-          if s.conflicts >= s.next_reduce then reduce_db s;
           (* place assumptions first, one decision level each *)
           let next = ref (-1) in
           let dl = decision_level s in
@@ -829,7 +700,7 @@ let export_cnf s =
         Vec.iter (fun o -> if a < o then cls := [| a; o |] :: !cls) bs)
       s.bin;
     (* original long clauses (learnts are implied; skipped) *)
-    Vec.iter (fun (c : clause) -> cls := Array.copy c.lits :: !cls) s.clauses;
+    Vec.iter (fun (c : clause) -> cls := Array.copy c :: !cls) s.clauses;
     Cnf.unsafe_make ~nvars:s.nvars !cls
   end
 
@@ -842,9 +713,6 @@ type stats = {
   restarts : int;
   learnts : int;
   learned : int;
-  lbd_sum : float;
-  learnts_kept : int;
-  learnts_deleted : int;
   binaries : int;
   subsumed : int;
   vars_substituted : int;
@@ -861,9 +729,6 @@ let zero_stats =
     restarts = 0;
     learnts = 0;
     learned = 0;
-    lbd_sum = 0.;
-    learnts_kept = 0;
-    learnts_deleted = 0;
     binaries = 0;
     subsumed = 0;
     vars_substituted = 0;
@@ -877,15 +742,10 @@ let stats (s : t) =
     decisions = s.decisions;
     propagations = s.propagations;
     restarts = s.restarts;
-    learnts = Vec.size s.learnts;
+    learnts = s.n_learnts;
     learned = s.learned;
-    lbd_sum = s.lbd_sum;
-    learnts_kept = s.learnts_kept;
-    learnts_deleted = s.learnts_deleted;
     binaries = s.n_binaries;
   }
-
-let lbd_avg st = if st.learned = 0 then 0. else st.lbd_sum /. float_of_int st.learned
 
 let add_stats a b =
   {
@@ -896,9 +756,6 @@ let add_stats a b =
     restarts = a.restarts + b.restarts;
     learnts = b.learnts;
     learned = a.learned + b.learned;
-    lbd_sum = a.lbd_sum +. b.lbd_sum;
-    learnts_kept = b.learnts_kept;
-    learnts_deleted = a.learnts_deleted + b.learnts_deleted;
     binaries = b.binaries;
   }
 
@@ -911,15 +768,10 @@ let diff_stats a b =
     restarts = a.restarts - b.restarts;
     learnts = a.learnts;
     learned = a.learned - b.learned;
-    lbd_sum = a.lbd_sum -. b.lbd_sum;
-    learnts_kept = a.learnts_kept;
-    learnts_deleted = a.learnts_deleted - b.learnts_deleted;
     binaries = a.binaries;
   }
 
 let pp_stats ppf st =
   Format.fprintf ppf
-    "conflicts=%d decisions=%d propagations=%d restarts=%d learnts=%d \
-     learnts_kept=%d learnts_deleted=%d lbd_avg=%.2f binaries=%d"
-    st.conflicts st.decisions st.propagations st.restarts st.learnts st.learnts_kept
-    st.learnts_deleted (lbd_avg st) st.binaries
+    "conflicts=%d decisions=%d propagations=%d restarts=%d learnts=%d binaries=%d"
+    st.conflicts st.decisions st.propagations st.restarts st.learnts st.binaries

@@ -2,15 +2,16 @@
 
     Features: two-watched-literal propagation with a dedicated binary-clause
     implication layer, first-UIP conflict analysis with clause learning,
-    LBD ("glue") scoring with periodic learnt-database reduction, VSIDS
-    variable activities with an indexed heap, phase saving, Luby-sequence
-    restarts and incremental solving under assumptions. Like MiniSat used
-    as a black box, it searches the clause database as loaded: there is no
-    pre/inprocessing pass.
+    VSIDS variable activities with an indexed heap, phase saving,
+    Luby-sequence restarts and incremental solving under assumptions. Like
+    MiniSat used as a black box, it searches the clause database as loaded:
+    there is no pre/inprocessing pass.
 
     This is the substrate standing in for MiniSat in the paper's [IsValid],
     [NaiveDeduce] and suggestion-repair steps. Clauses may be added between
-    [solve] calls; the solver keeps learnt clauses across calls. *)
+    [solve] calls. Learnt clauses are kept for the solver's whole life:
+    there is no learnt-database reduction, so their number is bounded by
+    the conflicts the solver spends. *)
 
 type t
 
@@ -57,12 +58,6 @@ val freeze_all : t -> unit
     Kept only so existing callers still build. *)
 val simplify : t -> unit
 
-(** [set_reduce_interval s n] sets the number of conflicts before the next
-    database reduction to [n] (default 2000); each reduction then grows the
-    interval geometrically. Exposed for tests and benchmarks that need to
-    force reductions on small instances. *)
-val set_reduce_interval : t -> int -> unit
-
 (** [solve ?assumptions s] decides satisfiability of the clause set under
     the given assumption literals (default none). Budgets set with
     {!set_budget} are ignored: [solve] always runs to completion (use
@@ -81,8 +76,7 @@ end
     [Unknown]. Omitted budgets are left unchanged; a budget of [0] makes
     the next [solve_limited] return [Unknown] immediately unless the
     clause set is already known unsatisfiable. Budgets persist across
-    calls until re-armed or cleared with {!clear_budget}, and they survive
-    learnt-database reductions unchanged. *)
+    calls until re-armed or cleared with {!clear_budget}. *)
 val set_budget : ?conflicts:int -> ?propagations:int -> t -> unit
 
 (** [clear_budget s] removes all budgets. *)
@@ -98,8 +92,7 @@ val budget_exhausted : t -> bool
     wall-clock signals involved, so results are reproducible across
     schedules and domains). On [Unknown] the trail is cancelled back to
     level 0 and the solver stays fully usable: clauses learnt before the
-    interrupt are kept (modulo database reduction, which only discards
-    non-reason clauses), and a later call with a larger budget can finish
+    interrupt are kept, and a later call with a larger budget can finish
     the job. The saved model is invalidated on every call and only valid
     again after [Limited.Sat]. *)
 val solve_limited : ?assumptions:Lit.t list -> t -> Limited.t
@@ -141,12 +134,11 @@ val ok : t -> bool
     exactly the models of everything ever added, over all variables. *)
 val export_cnf : t -> Cnf.t
 
-(** Cumulative statistics since [create], in one snapshot. Mixed gauges and
-    counters: [learnts] (current learnt-clause count), [learnts_kept]
-    (survivors of the most recent reduction) and [binaries] (live pairs in
-    the binary layer) are gauges; everything else accumulates. [learned]
-    counts clauses ever learnt and [lbd_sum] their learn-time LBDs, so
-    {!lbd_avg} is exact under [add_stats]/[diff_stats]. [subsumed],
+(** Cumulative statistics since [create], in one snapshot. [learnts] (the
+    learnt clauses of three or more literals this solver holds; none is
+    ever deleted) and [binaries] (live pairs in the binary layer) describe
+    one solver's database; everything else accumulates. [learned] counts
+    clauses ever learnt, binaries included. [subsumed],
     [vars_substituted] and [simplify_ms] are always 0: they counted the
     deleted pre/inprocessing pass and stay only so existing readers still
     build. [Crcore.Engine] aggregates these per entity and per batch. *)
@@ -157,9 +149,6 @@ type stats = {
   restarts : int;
   learnts : int;
   learned : int;
-  lbd_sum : float;
-  learnts_kept : int;
-  learnts_deleted : int;
   binaries : int;
   subsumed : int;
   vars_substituted : int;
@@ -170,13 +159,9 @@ val stats : t -> stats
 
 val zero_stats : stats
 
-(** [lbd_avg st] is the average learn-time LBD over all clauses learnt in
-    the snapshot's window ([0.] when none were). *)
-val lbd_avg : stats -> float
-
 (** [add_stats a b] / [diff_stats a b] combine snapshots field-wise
-    (the gauges [learnts], [learnts_kept] and [binaries] keep the later
-    snapshot's value; all other fields add/subtract). *)
+    ([learnts] and [binaries] keep the later snapshot's value; all other
+    fields add/subtract). *)
 val add_stats : stats -> stats -> stats
 
 val diff_stats : stats -> stats -> stats

@@ -63,17 +63,6 @@ let grow_to v n x =
     v.sz <- n
   end
 
-let filter_in_place p v =
-  let j = ref 0 in
-  for i = 0 to v.sz - 1 do
-    let x = Array.unsafe_get v.data i in
-    if p x then begin
-      Array.unsafe_set v.data !j x;
-      incr j
-    end
-  done;
-  shrink v !j
-
 let swap_remove v i =
   check v i;
   v.sz <- v.sz - 1;

@@ -36,13 +36,6 @@ val clear : 'a t -> unit
     least [n]. *)
 val grow_to : 'a t -> int -> 'a -> unit
 
-(** [filter_in_place p v] keeps exactly the elements satisfying [p],
-    preserving their relative order, without allocating a fresh vector.
-    Freed trailing slots are reset to the dummy so no element is kept
-    alive through them. The clause-database reduction and watch-list
-    cleanup paths in {!Solver} rely on this. *)
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-
 (** [swap_remove v i] removes element [i] by swapping the last element into
     its place; O(1), does not preserve order. *)
 val swap_remove : 'a t -> int -> unit

@@ -472,14 +472,9 @@ let stats_json t =
       ("solvers_built", Protocol.jint s.Session.Store.solvers_built);
       ("template_hits", Protocol.jint s.Session.Store.template_hits);
       ("template_misses", Protocol.jint s.Session.Store.template_misses);
-      (* clause-database management counters, summed over live and
-         already-evicted sessions like the rest *)
+      (* solver counters, summed over live and already-evicted sessions
+         like the rest *)
       ("sat_conflicts", Protocol.jint s.Session.Store.sat.Sat.Solver.conflicts);
-      ("sat_learnts_kept", Protocol.jint s.Session.Store.sat.Sat.Solver.learnts_kept);
-      ( "sat_learnts_deleted",
-        Protocol.jint s.Session.Store.sat.Sat.Solver.learnts_deleted );
-      ( "sat_lbd_avg",
-        Printf.sprintf "%.3f" (Sat.Solver.lbd_avg s.Session.Store.sat) );
       ("sat_binaries", Protocol.jint s.Session.Store.sat.Sat.Solver.binaries);
       ("requests", Protocol.jint t.n_requests);
       ("resolve_requests", Protocol.jint t.n_resolves);

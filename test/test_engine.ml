@@ -50,9 +50,9 @@ let test_invalid_spec_matches_framework () =
 
 let test_cache_hit_identical () =
   (* three identical George specs in one batch: the first compiles the
-     shape, the other two instantiate the shared template. The batch runs
-     on a fresh domain so the domain-local template memo starts empty,
-     whatever earlier tests resolved. *)
+     shape, the other two instantiate the shared template. run_batch
+     builds a fresh cache, so whatever earlier tests resolved on this
+     domain does not count. *)
   let items =
     List.init 3 (fun i ->
         {
@@ -61,7 +61,7 @@ let test_cache_hit_identical () =
           user = F.oracle Fixtures.george_truth;
         })
   in
-  let results, stats = Domain.join (Domain.spawn (fun () -> E.run_batch items)) in
+  let results, stats = E.run_batch items in
   (match List.map the_ok results with
   | r1 :: rest ->
       List.iter
@@ -77,8 +77,7 @@ let test_cache_hit_identical () =
 (* The template ratchet: n distinct entities of one shape (one schema, one
    Σ/Γ) compile the shape once and instantiate it n-1 times, so a batch
    of them scores a template hit ratio of (n-1)/n. run_batch builds a
-   fresh cache, and a fresh domain again keeps the domain-local memo out
-   of the count. *)
+   fresh cache, so earlier shapes stay out of the count. *)
 let test_template_shared_across_entities () =
   let n = 20 in
   let ds = Datagen.Person.quick ~seed:3 ~n_entities:n ~size:6 () in
@@ -96,10 +95,22 @@ let test_template_shared_across_entities () =
     List.map (fun (it : E.item) -> Entity.tuples it.E.spec.Crcore.Spec.entity) items
   in
   Alcotest.(check int) "distinct entities" n (List.length (List.sort_uniq compare entities));
-  let _, stats = Domain.join (Domain.spawn (fun () -> E.run_batch items)) in
+  let _, stats = E.run_batch items in
   Alcotest.(check int) "entities" n stats.E.entities;
   Alcotest.(check int) "shape compiled once" 1 stats.E.template_misses;
   Alcotest.(check int) "every other entity instantiates it" (n - 1) stats.E.template_hits
+
+(* A template belongs to the cache that compiled it: a session on a fresh
+   cache compiles its shape even when the previous session on this domain
+   had the same shape on another cache. *)
+let test_fresh_cache_compiles () =
+  let hits_misses () =
+    let sess = E.create_session ~cache:(E.create_cache ()) (Fixtures.george_spec ()) in
+    let st = E.session_stats sess in
+    (st.E.template_hits, st.E.template_misses)
+  in
+  Alcotest.(check (pair int int)) "first cache compiles" (0, 1) (hits_misses ());
+  Alcotest.(check (pair int int)) "second cache compiles too" (0, 1) (hits_misses ())
 
 (* The cache holds compiled shapes, never a per-entity encoding, so a spec
    it served is garbage once its caller drops it — even while the cache
@@ -327,6 +338,7 @@ let () =
           Alcotest.test_case "cache hit is identical" `Quick test_cache_hit_identical;
           Alcotest.test_case "template shared by 20 entities" `Quick
             test_template_shared_across_entities;
+          Alcotest.test_case "fresh cache compiles its shape" `Quick test_fresh_cache_compiles;
           Alcotest.test_case "cache releases specs" `Quick test_cache_releases_specs;
           Alcotest.test_case "store releases removed specs" `Quick
             test_store_releases_removed_specs;

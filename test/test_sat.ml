@@ -182,15 +182,14 @@ let prop_incremental_sound =
       | Sat.Solver.Sat ->
           expect = Sat.Solver.Sat && Sat.Cnf.eval (Sat.Solver.model s) both)
 
-let prop_budget_resume_across_reduce =
-  QCheck.Test.make ~count:150 ~name:"budget resume across reduce_db" qcheck_cnf (fun f ->
+let prop_budget_resume_slices =
+  QCheck.Test.make ~count:150 ~name:"budget resume in one-conflict slices" qcheck_cnf (fun f ->
       let expect = if Sat.Brute.solve f <> None then Sat.Solver.Sat else Sat.Solver.Unsat in
       let s = Sat.Solver.create () in
       Sat.Solver.add_cnf s f;
-      (* force a database reduction at (nearly) every conflict, then solve in
-         tiny budget slices: interrupted runs resumed across reductions must
-         reach the same answer as an uninterrupted solve *)
-      Sat.Solver.set_reduce_interval s 1;
+      (* solve in tiny, growing budget slices: interrupted runs resumed on
+         the same solver must reach the same answer as an uninterrupted
+         solve *)
       let rec go budget rounds =
         if rounds > 5_000 then None
         else begin
@@ -366,7 +365,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_incremental_sound;
-            prop_budget_resume_across_reduce;
+            prop_budget_resume_slices;
             prop_export_roundtrip;
             prop_export_equivalent;
           ] );

@@ -28,24 +28,25 @@ let test_random_3sat_phase_transition () =
     | Sat.Solver.Unsat -> ()
   done
 
+(* PHP(pigeons, holes): every pigeon in some hole, no two in one *)
+let php pigeons holes =
+  let var p h = (p * holes) + h in
+  let clauses = ref [] in
+  for p = 0 to pigeons - 1 do
+    clauses := Array.init holes (fun h -> lit (var p h) true) :: !clauses
+  done;
+  for h = 0 to holes - 1 do
+    for p1 = 0 to pigeons - 1 do
+      for p2 = p1 + 1 to pigeons - 1 do
+        clauses := [| lit (var p1 h) false; lit (var p2 h) false |] :: !clauses
+      done
+    done
+  done;
+  Sat.Cnf.make ~nvars:(pigeons * holes) !clauses
+
 let test_php_scaling () =
   (* pigeonhole instances force deep conflict analysis; PHP(6,5) has
      thousands of conflicts *)
-  let php pigeons holes =
-    let var p h = (p * holes) + h in
-    let clauses = ref [] in
-    for p = 0 to pigeons - 1 do
-      clauses := Array.init holes (fun h -> lit (var p h) true) :: !clauses
-    done;
-    for h = 0 to holes - 1 do
-      for p1 = 0 to pigeons - 1 do
-        for p2 = p1 + 1 to pigeons - 1 do
-          clauses := [| lit (var p1 h) false; lit (var p2 h) false |] :: !clauses
-        done
-      done
-    done;
-    Sat.Cnf.make ~nvars:(pigeons * holes) !clauses
-  in
   let s = Sat.Solver.create () in
   Sat.Solver.add_cnf s (php 6 5);
   Alcotest.(check bool) "php(6,5) unsat" true (Sat.Solver.solve s = Sat.Solver.Unsat);
@@ -55,6 +56,84 @@ let test_php_scaling () =
   let s2 = Sat.Solver.create () in
   Sat.Solver.add_cnf s2 (php 5 5);
   Alcotest.(check bool) "php(5,5) sat" true (Sat.Solver.solve s2 = Sat.Solver.Sat)
+
+(* The solver keeps every learnt clause for its whole life. These two
+   tests drive single solvers well past 2000 conflicts, the point where
+   a learnt-database reduction would traditionally first fire, and check
+   every answer. *)
+let long_run = 2000
+
+let test_php_long_run () =
+  let s = Sat.Solver.create () in
+  Sat.Solver.add_cnf s (php 8 7);
+  Alcotest.(check bool) "php(8,7) unsat" true (Sat.Solver.solve s = Sat.Solver.Unsat);
+  Alcotest.(check bool) "past the long-run mark" true
+    ((Sat.Solver.stats s).Sat.Solver.conflicts > long_run)
+
+(* A satisfiable random 3-CNF (a planted assignment satisfies every
+   clause) queried on one solver by alternating budgeted [solve_limited]
+   slices and assumption solves until the solver has spent [long_run]
+   conflicts. Every model must satisfy the CNF and the assumptions;
+   every assumption [Unsat] must agree with a fresh solver loaded with
+   the CNF plus the assumptions as units. The run must see both answers
+   and at least one interrupted slice. *)
+let test_sat_long_run () =
+  let st = Random.State.make [| 2000 |] in
+  let nvars = 150 in
+  let planted = Array.init nvars (fun _ -> Random.State.bool st) in
+  let rec clause () =
+    let vs = List.init 3 (fun _ -> Random.State.int st nvars) in
+    let c = List.map (fun v -> lit v (Random.State.bool st)) vs in
+    if List.exists (fun l -> Sat.Lit.sign l = planted.(Sat.Lit.var l)) c then Array.of_list c
+    else clause ()
+  in
+  let f = Sat.Cnf.make ~nvars (List.init 640 (fun _ -> clause ())) in
+  let s = Sat.Solver.create () in
+  Sat.Solver.add_cnf s f;
+  let n_sat = ref 0 and n_unsat = ref 0 and n_resumed = ref 0 in
+  let check_answer assumptions = function
+    | Sat.Solver.Sat ->
+        incr n_sat;
+        let m = Sat.Solver.model s in
+        Alcotest.(check bool) "model satisfies the CNF" true (Sat.Cnf.eval m f);
+        Alcotest.(check bool) "model satisfies the assumptions" true
+          (List.for_all (fun l -> m.(Sat.Lit.var l) = Sat.Lit.sign l) assumptions)
+    | Sat.Solver.Unsat ->
+        incr n_unsat;
+        let fresh = Sat.Solver.create () in
+        Sat.Solver.add_cnf fresh f;
+        Sat.Solver.add_units fresh assumptions;
+        Alcotest.(check bool) "assumption Unsat confirmed" true
+          (Sat.Solver.solve fresh = Sat.Solver.Unsat)
+  in
+  let rec sliced assumptions =
+    Sat.Solver.set_budget ~conflicts:25 s;
+    match Sat.Solver.solve_limited ~assumptions s with
+    | Sat.Solver.Limited.Unknown ->
+        incr n_resumed;
+        sliced assumptions
+    | Sat.Solver.Limited.Sat -> Sat.Solver.Sat
+    | Sat.Solver.Limited.Unsat -> Sat.Solver.Unsat
+  in
+  let conflicts () = (Sat.Solver.stats s).Sat.Solver.conflicts in
+  let round = ref 0 in
+  while conflicts () <= long_run && !round < 10_000 do
+    let assumptions =
+      List.init (4 + Random.State.int st 8) (fun _ ->
+          lit (Random.State.int st nvars) (Random.State.bool st))
+    in
+    let r =
+      if !round mod 2 = 0 then sliced assumptions
+      else Sat.Solver.solve ~assumptions s
+    in
+    check_answer assumptions r;
+    incr round
+  done;
+  Alcotest.(check bool) "past the long-run mark" true (conflicts () > long_run);
+  Alcotest.(check bool) "both answers and a resumed slice" true
+    (!n_sat > 0 && !n_unsat > 0 && !n_resumed > 0);
+  Alcotest.(check bool) "still satisfiable" true (Sat.Solver.solve s = Sat.Solver.Sat);
+  check_answer [] Sat.Solver.Sat
 
 let test_clause_pathologies () =
   let s = Sat.Solver.create () in
@@ -161,6 +240,8 @@ let () =
         [
           Alcotest.test_case "random 3-SAT near threshold" `Quick test_random_3sat_phase_transition;
           Alcotest.test_case "pigeonhole scaling" `Quick test_php_scaling;
+          Alcotest.test_case "php(8,7) past 2000 conflicts" `Quick test_php_long_run;
+          Alcotest.test_case "sat queries past 2000 conflicts" `Quick test_sat_long_run;
           Alcotest.test_case "clause pathologies" `Quick test_clause_pathologies;
           Alcotest.test_case "incremental session" `Quick test_incremental_session;
           Alcotest.test_case "stats monotone over solves" `Quick test_many_solves_stats_monotone;

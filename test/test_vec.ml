@@ -42,33 +42,6 @@ let test_bounds () =
       let v = Sat.Vec.create ~dummy:0 in
       ignore (Sat.Vec.pop v))
 
-let test_filter_in_place () =
-  let v = Sat.Vec.of_list [ 1; 2; 3; 4; 5; 6 ] ~dummy:0 in
-  Sat.Vec.filter_in_place (fun x -> x mod 2 = 0) v;
-  Alcotest.(check (list int)) "keeps order" [ 2; 4; 6 ] (Sat.Vec.to_list v);
-  Sat.Vec.filter_in_place (fun _ -> true) v;
-  Alcotest.(check (list int)) "keep all" [ 2; 4; 6 ] (Sat.Vec.to_list v);
-  Sat.Vec.filter_in_place (fun _ -> false) v;
-  check_bool "drop all" true (Sat.Vec.is_empty v);
-  (* freed slots are reset to the dummy so filtered-out elements are not
-     retained (matters when elements are heap-allocated clauses) *)
-  let v = Sat.Vec.of_list [ "a"; "b"; "c" ] ~dummy:"" in
-  Sat.Vec.filter_in_place (fun x -> x = "b") v;
-  Sat.Vec.push v "d";
-  Sat.Vec.push v "e";
-  Alcotest.(check (list string)) "reusable after filter" [ "b"; "d"; "e" ] (Sat.Vec.to_list v)
-
-let test_filter_in_place_random () =
-  let st = Random.State.make [| 23 |] in
-  for _ = 1 to 100 do
-    let n = Random.State.int st 60 in
-    let xs = List.init n (fun _ -> Random.State.int st 50) in
-    let v = Sat.Vec.of_list xs ~dummy:(-1) in
-    let p x = x mod 3 <> 0 in
-    Sat.Vec.filter_in_place p v;
-    Alcotest.(check (list int)) "matches List.filter" (List.filter p xs) (Sat.Vec.to_list v)
-  done
-
 let test_fold_iter () =
   let v = Sat.Vec.of_list [ 1; 2; 3 ] ~dummy:0 in
   check_int "fold sum" 6 (Sat.Vec.fold ( + ) 0 v);
@@ -130,8 +103,6 @@ let () =
           Alcotest.test_case "swap_remove" `Quick test_swap_remove;
           Alcotest.test_case "grow_to" `Quick test_grow_to;
           Alcotest.test_case "bounds" `Quick test_bounds;
-          Alcotest.test_case "filter_in_place" `Quick test_filter_in_place;
-          Alcotest.test_case "filter_in_place random" `Quick test_filter_in_place_random;
           Alcotest.test_case "fold/iter/exists" `Quick test_fold_iter;
         ] );
       ( "idx_heap",
