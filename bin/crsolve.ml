@@ -775,8 +775,9 @@ let batch_cmd =
       & info [ "dump-dimacs" ] ~docv:"PATH" ~docs:Manpage.s_none
           ~doc:
             "Debug: on an entity failure, write that entity's loaded clause database \
-             (level-0 units, binary layer, long clauses) as DIMACS CNF to $(docv); \
-             further failures go to $(docv).1, $(docv).2, ...")
+             (level-0 units, binary layer, long clauses, and in Exact mode the order \
+             axioms its solver enforces by propagation, listed as clauses) as DIMACS CNF \
+             to $(docv); further failures go to $(docv).1, $(docv).2, ...")
   in
   Cmd.v
     (Cmd.info "batch"

@@ -13,6 +13,7 @@ type t = {
   adom_sizes : int array;
   ids : int VMap.t array;
   offsets : int array; (* variable offset of each attribute *)
+  blocks : Sat.Cnf.block array; (* each attribute's pairs as a tournament block *)
   nvars : int;
 }
 
@@ -69,7 +70,12 @@ let lower ?(mode = Paper) entity gamma =
     let d = Array.length universes.(a) in
     total := !total + pairs mode d
   done;
-  ({ mode; schema; universes; adom_sizes; ids; offsets; nvars = !total }, cells)
+  (* Exact mode lays each attribute's pairs out as a tournament block
+     starting at the attribute's offset ({!Sat.Cnf.pair_var}) *)
+  let blocks =
+    Array.init arity (fun a -> { Sat.Cnf.first = offsets.(a); d = Array.length universes.(a) })
+  in
+  ({ mode; schema; universes; adom_sizes; ids; offsets; blocks; nvars = !total }, cells)
 
 let build ?mode entity gamma = fst (lower ?mode entity gamma)
 
@@ -96,10 +102,7 @@ let value c a id = c.universes.(a).(id)
 
 let nvars c = c.nvars
 
-(* Exact mode numbers the unordered pair [u < v] as its rank in the
-   row-major order of the upper triangle: row [u] starts at
-   [u·(2d - u - 1)/2] *)
-let row_start d u = u * ((2 * d) - u - 1) / 2
+let block c a = c.blocks.(a)
 
 let lit_of c ~attr lo hi =
   let d = Array.length c.universes.(attr) in
@@ -107,29 +110,30 @@ let lit_of c ~attr lo hi =
     invalid_arg "Coding.lit_of: bad value pair";
   match c.mode with
   | Paper -> Sat.Lit.pos (c.offsets.(attr) + (lo * (d - 1)) + if hi < lo then hi else hi - 1)
-  | Exact ->
-      let u = min lo hi and v = max lo hi in
-      Sat.Lit.make (c.offsets.(attr) + row_start d u + (v - u - 1)) (lo < hi)
+  | Exact -> Sat.Cnf.pair_lit (block c attr) lo hi
+
+(* the attribute whose variables hold [var]: the last of [lo .. hi] whose
+   offset is at most [var] (binary search; offsets ascend) *)
+let rec attr_of offsets var lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi + 1) / 2 in
+    if offsets.(mid) <= var then attr_of offsets var mid hi else attr_of offsets var lo (mid - 1)
 
 (* the [(attr, lo, hi)] the positive literal of [var] stands for *)
 let decode c var =
-  let arity = Array.length c.universes in
   if var < 0 || var >= c.nvars then invalid_arg "Coding.fact_of_lit: variable out of range";
-  let rec find a =
-    if a + 1 < arity && var >= c.offsets.(a + 1) then find (a + 1) else a
-  in
-  let a = find 0 in
-  let d = Array.length c.universes.(a) in
-  let local = var - c.offsets.(a) in
+  let a = attr_of c.offsets var 0 (Array.length c.offsets - 1) in
   match c.mode with
   | Paper ->
+      let d = Array.length c.universes.(a) in
+      let local = var - c.offsets.(a) in
       let lo = local / (d - 1) in
       let r = local mod (d - 1) in
       (a, lo, if r >= lo then r + 1 else r)
   | Exact ->
-      let rec row u = if local >= row_start d (u + 1) then row (u + 1) else u in
-      let u = row 0 in
-      (a, u, u + 1 + (local - row_start d u))
+      let u, v = Sat.Cnf.block_pair (block c a) var in
+      (a, u, v)
 
 let fact_of_lit c lit =
   let ((a, lo, hi) as f) = decode c (Sat.Lit.var lit) in

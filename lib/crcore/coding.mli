@@ -73,9 +73,14 @@ val value : t -> int -> int -> Value.t
 (** [offset c a] is the first variable of attribute [a]: the sum of the
     earlier attributes' variable counts. The numbering of [a]'s variables
     ({!lit_of}) is a pure function of the mode, [a]'s universe size and
-    this offset, which is what lets structural clause blocks be shared
-    per attribute across codings (see [Encode.template]). *)
+    this offset, which is what lets Paper's structural clause blocks be
+    shared per attribute across codings (see [Encode.template]). *)
 val offset : t -> int -> int
+
+(** [block c a] is attribute [a]'s pairs as a tournament block: [first]
+    is [offset c a], [d] its universe size. In [Exact] mode it is the
+    numbering {!lit_of} uses ({!Sat.Cnf.pair_lit}). *)
+val block : t -> int -> Sat.Cnf.block
 
 (** Total number of Boolean variables: [Σ_a d_a·(d_a - 1)] in [Paper]
     mode, [Σ_a d_a·(d_a - 1)/2] in [Exact] mode. *)

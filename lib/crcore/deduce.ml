@@ -30,19 +30,17 @@ let empty_od enc =
 
 let add_fact od { Encode.attr; lo; hi } = ignore (Porder.Strict_order.add od.(attr) lo hi)
 
-(* the facts of an encoding's literals, indexed by literal: [None] for a
-   negative Paper-mode literal, which is not a fact *)
-let lit_facts enc =
-  Array.init (2 * enc.Encode.cnf.Sat.Cnf.nvars) (Encode.fact_of_lit enc)
-
 (* ---- unit propagation over Φ(Se), shared by the solver-free deducers ---- *)
 
 (* Propagates to fixpoint and returns the assignment array ([1] true,
-   [-1] false, [0] undecided) plus a conflict flag. Literals are deduped
-   per clause first: occurrence counting decrements [n_active] once per
-   occurrence of ¬l, so a duplicated literal would otherwise drive the
-   count negative (or fire a bogus unit) on non-deduped input CNF. *)
+   [-1] false, [0] undecided) plus a conflict flag. Exact mode's order
+   axioms are read from their clause rendering ([Sat.Cnf.expand]).
+   Literals are deduped per clause first: occurrence counting decrements
+   [n_active] once per occurrence of ¬l, so a duplicated literal would
+   otherwise drive the count negative (or fire a bogus unit) on
+   non-deduped input CNF. *)
 let unit_propagate cnf =
+  let cnf = Sat.Cnf.expand cnf in
   let nvars = cnf.Sat.Cnf.nvars in
   let clauses =
     List.map (fun c -> Array.to_list c |> List.sort_uniq compare |> Array.of_list)
@@ -152,7 +150,7 @@ let naive_deduce ?solver ?budget ?static:_ enc =
   let s, reused = deduction_solver solver enc in
   (match budget with Some b -> Sat.Solver.set_budget ~conflicts:b s | None -> ());
   let od = empty_od enc in
-  let facts = lit_facts enc in
+  let facts = Encode.fact_table enc in
   let sat_calls = ref 0 in
   let complete = ref true in
   let l = ref 0 in
@@ -222,7 +220,7 @@ let backbone ?solver ?budget ?static enc =
   in
   match initial with
   | Sat.Solver.Limited.Sat ->
-      let facts = lit_facts enc in
+      let facts = Encode.fact_table enc in
       let nlits = Array.length facts in
       let model_true l = Sat.Solver.model_value s (Sat.Lit.var l) = Sat.Lit.sign l in
       (* candidates are the fact literals the current model satisfies: at

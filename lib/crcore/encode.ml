@@ -87,9 +87,10 @@ type gamma_c = {
 
    Everything about an encoding that does not depend on the concrete
    entity: the compiled Σ/Γ with their constant indexes (a function of
-   the schema and the interned constraint lists) and the structural-axiom
-   clause blocks. An attribute's block is a pure function of (mode, its
-   universe size d, its variable offset) — the numbering is offset
+   the schema and the interned constraint lists) and, in Paper mode, the
+   structural-axiom clause blocks (Exact mode lists no axioms: see
+   [order_axioms]). An attribute's block is a pure function of its
+   universe size d and its variable offset — the numbering is offset
    arithmetic — so the store is keyed per attribute by (d, offset):
    entities (and Renumbered re-encodes) agreeing on an attribute's size
    and offset share its cubic transitivity block outright, even when
@@ -705,16 +706,10 @@ let instance_clauses coding (units, implications, vetoes) =
     vetoes;
   !clauses
 
-(* Φ's structural axioms for attribute [a], in reverse push order. A pure
-   function of (mode, d, variable offset) — the part [extend] reuses
-   verbatim across [Se ⊕ Ot] steps.
-
-   Paper mode: transitivity over every ordered triple plus asymmetry,
-   d(d-1)(d-2) + d(d-1)/2 clauses. Exact mode: the literal polarity
-   already makes every pair ordered one way or the other, and a
-   tournament is transitive iff it has no 3-cycle, so each unordered
-   triple i < j < k forbids its two cyclic orientations — d(d-1)(d-2)/3
-   clauses. *)
+(* Paper mode's structural axioms for attribute [a], in reverse push
+   order: transitivity over every ordered triple plus asymmetry,
+   d(d-1)(d-2) + d(d-1)/2 clauses. A pure function of (d, variable
+   offset) — the part [extend] reuses verbatim across [Se ⊕ Ot] steps. *)
 let attr_block coding a =
   let clauses = ref [] in
   let count = ref 0 in
@@ -724,33 +719,21 @@ let attr_block coding a =
   in
   let d = Array.length (Coding.universe coding a) in
   let nl lo hi = Sat.Lit.negate (Coding.lit_of coding ~attr:a lo hi) in
-  (match Coding.mode coding with
-  | Paper ->
-      (* transitivity *)
-      for i = 0 to d - 1 do
-        for j = 0 to d - 1 do
-          if j <> i then
-            for k = 0 to d - 1 do
-              if k <> i && k <> j then
-                push [| nl i j; nl j k; Coding.lit_of coding ~attr:a i k |]
-            done
+  (* transitivity *)
+  for i = 0 to d - 1 do
+    for j = 0 to d - 1 do
+      if j <> i then
+        for k = 0 to d - 1 do
+          if k <> i && k <> j then push [| nl i j; nl j k; Coding.lit_of coding ~attr:a i k |]
         done
-      done;
-      (* asymmetry *)
-      for i = 0 to d - 1 do
-        for j = i + 1 to d - 1 do
-          push [| nl i j; nl j i |]
-        done
-      done
-  | Exact ->
-      for i = 0 to d - 1 do
-        for j = i + 1 to d - 1 do
-          for k = j + 1 to d - 1 do
-            push [| nl i j; nl j k; nl k i |];
-            push [| nl i k; nl k j; nl j i |]
-          done
-        done
-      done);
+    done
+  done;
+  (* asymmetry *)
+  for i = 0 to d - 1 do
+    for j = i + 1 to d - 1 do
+      push [| nl i j; nl j i |]
+    done
+  done;
   { sb_clauses = !clauses; sb_count = !count }
 
 (* block(arity-1) @ … @ block(0), the order of one push pass over the
@@ -837,6 +820,25 @@ let structural_for tpl coding =
   end;
   concat_blocks blocks
 
+(* Φ's order axioms as (structural clauses, their count, tournament
+   blocks). Paper mode lists them as clauses, from the template's store
+   when there is one. Exact mode's literal polarity already orders every
+   pair one way or the other, and a tournament is transitive iff it has
+   no 3-cycle: each attribute's pairs are one [Sat.Cnf.block], whose
+   d(d-1)(d-2)/3 3-cycle exclusions the solver enforces by propagation
+   and nobody lists. *)
+let order_axioms template coding =
+  match Coding.mode coding with
+  | Exact ->
+      ([], 0, List.init (Schema.arity (Coding.schema coding)) (Coding.block coding))
+  | Paper ->
+      let structural, n =
+        match template with
+        | Some tpl -> structural_for tpl coding
+        | None -> structural_clauses coding
+      in
+      (structural, n, [])
+
 let build_t ~mode ~sigma_c ~gamma_c ~template spec =
   let coding, cells = Coding.lower ~mode spec.Spec.entity [] in
   let sigma_insts = instantiate_sigma sigma_c coding cells in
@@ -845,16 +847,12 @@ let build_t ~mode ~sigma_c ~gamma_c ~template spec =
     assemble_parts spec coding ~sigma_insts ~gamma_imps ~vetoes:gvetoes
   in
   let inst = instance_clauses coding parts in
-  let structural, n_structural =
-    match template with
-    | Some tpl -> structural_for tpl coding
-    | None -> structural_clauses coding
-  in
+  let structural, n_structural, blocks = order_axioms template coding in
   (* all literals are in range by construction: facts are coded over the
      very universes the variable space is built from. Instance clauses
      first: the structural block is then a shared physical tail — a
      template-served batch allocates no cons cells for it per entity. *)
-  let cnf = Sat.Cnf.unsafe_make ~nvars:(Coding.nvars coding) (inst @ structural) in
+  let cnf = Sat.Cnf.unsafe_make ~blocks ~nvars:(Coding.nvars coding) (inst @ structural) in
   {
     spec;
     coding;
@@ -1024,7 +1022,10 @@ let extend base spec =
            instances) plus the new Σ implications. Γ's part is a function
            of the unchanged universes and is identical on both sides, and
            pure extensions only add clauses, so the session stays sound. *)
-        let cnf = Sat.Cnf.unsafe_make ~nvars:(Coding.nvars coding) (base.structural @ inst) in
+        let cnf =
+          Sat.Cnf.unsafe_make ~blocks:base.cnf.Sat.Cnf.blocks ~nvars:(Coding.nvars coding)
+            (base.structural @ inst)
+        in
         let base_unit_facts = Hashtbl.create 64 in
         List.iter (fun (f, _) -> Hashtbl.replace base_unit_facts f ()) base.units;
         let delta_units =
@@ -1063,15 +1064,11 @@ let extend base spec =
         (* a universe grew (e.g. the fresh tuple carries a value, or a
            null, the entity never took): variable numbers shift globally,
            so solvers must reload — but the Σ instances still carried
-           over; the structural axioms come from the template's
+           over; Paper's structural axioms come from the template's
            per-attribute store when there is one (only the attributes
            whose size or offset changed can miss), else are regenerated *)
-        let structural, n_structural =
-          match base.template with
-          | Some tpl -> structural_for tpl coding
-          | None -> structural_clauses coding
-        in
-        let cnf = Sat.Cnf.unsafe_make ~nvars:(Coding.nvars coding) (inst @ structural) in
+        let structural, n_structural, blocks = order_axioms base.template coding in
+        let cnf = Sat.Cnf.unsafe_make ~blocks ~nvars:(Coding.nvars coding) (inst @ structural) in
         Some
           (Renumbered
              {
@@ -1097,6 +1094,21 @@ let lit_of_fact e f = lit_of_fact_c e.coding f
 
 let fact_of_lit e l =
   Option.map (fun (attr, lo, hi) -> { attr; lo; hi }) (Coding.fact_of_lit e.coding l)
+
+(* one pass over each attribute's ordered pairs, each literal written
+   once: no per-literal search for its attribute and row *)
+let fact_table e =
+  let coding = e.coding in
+  let facts = Array.make (2 * e.cnf.Sat.Cnf.nvars) None in
+  for attr = 0 to Schema.arity (Coding.schema coding) - 1 do
+    let d = Array.length (Coding.universe coding attr) in
+    for lo = 0 to d - 1 do
+      for hi = 0 to d - 1 do
+        if lo <> hi then facts.(Coding.lit_of coding ~attr lo hi) <- Some { attr; lo; hi }
+      done
+    done
+  done;
+  facts
 
 let pp_fact e ppf f =
   Format.fprintf ppf "%s: %a < %a"

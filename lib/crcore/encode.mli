@@ -20,8 +20,12 @@
     orders — the sound-and-complete variant of the paper's heuristic
     Lemma 5 reduction (ablated in the benches). It numbers one variable
     per unordered value pair ({!Coding}): [v ≺ u] is the literal
-    [¬x_uv], so totality and asymmetry hold by construction and the
-    structural block is just two 3-cycle exclusions per value triple. *)
+    [¬x_uv], so totality and asymmetry hold by construction and what is
+    left of the order axioms is two 3-cycle exclusions per value triple.
+    Exact mode does not list those: each attribute's pairs are one
+    tournament block of the CNF ({!Sat.Cnf.block}), which the solver
+    enforces by propagation and {!Sat.Cnf.expand} renders as clauses for
+    code that reads them. Paper mode lists its axioms as clauses. *)
 
 type mode = Coding.mode = Paper | Exact
 
@@ -87,12 +91,13 @@ val relevant_cfds : gamma_c -> Coding.t -> (cgamma * (int * int) list) list
 (** A compiled spec {e shape}: everything about an encoding that does not
     depend on the concrete entity. Holds the compiled Σ/Γ with their
     constant indexes (a function of the schema and the interned
-    constraint lists) and a store of per-attribute structural-axiom
-    clause blocks keyed by (universe size, variable offset) — an
-    attribute's block is a pure function of those and the mode, so the
+    constraint lists) and, in [Paper] mode, a store of per-attribute
+    structural-axiom clause blocks keyed by (universe size, variable
+    offset) — an attribute's block is a pure function of those, so the
     cubic transitivity block of an attribute is shared across every
     entity (and {!extend} renumbering) that agrees on it, whatever the
-    other attributes' sizes. One template serves a whole batch of
+    other attributes' sizes. [Exact] mode lists no axiom clauses, so its
+    store stays empty. One template serves a whole batch of
     same-shape specs, from any domain (the store is mutex-guarded; blocks
     are built outside the lock, first-in wins). *)
 type template
@@ -133,16 +138,21 @@ type t = {
       (** conjunctions of facts that cannot all hold: a CFD whose RHS
           pattern constant never occurs in the entity can never fire, so
           its "LHS pattern is most current" premise is forbidden *)
-  cnf : Sat.Cnf.t;                   (** Φ(Se), structural axioms included *)
+  cnf : Sat.Cnf.t;
+      (** Φ(Se), order axioms included: [Paper] lists them among the
+          clauses; [Exact] carries one tournament block per attribute
+          ({!Coding.block}, in attribute order) and lists none *)
   n_structural : int;
-      (** structural-axiom clauses: [Paper] transitivity + asymmetry,
-          d(d-1)(d-2) + d(d-1)/2 per attribute; [Exact] two 3-cycle
-          exclusions per value triple, d(d-1)(d-2)/3 per attribute *)
+      (** structural-axiom clauses listed in [cnf]: [Paper] transitivity
+          + asymmetry, d(d-1)(d-2) + d(d-1)/2 per attribute; [0] in
+          [Exact] mode, whose d(d-1)(d-2)/3 3-cycle exclusions per
+          attribute stay in its blocks *)
   structural : Sat.Lit.t array list;
       (** the structural-axiom clauses themselves (also inside [cnf]);
           kept separately so {!extend} can reuse them without regenerating
           the cubic transitivity block. Per-attribute blocks, last
-          attribute first: attribute 0's block is the physical tail *)
+          attribute first: attribute 0's block is the physical tail.
+          Empty in [Exact] mode *)
 }
 
 (** The ground-instance part of Ω(Se) without any clause rendering — what
@@ -161,8 +171,7 @@ type parts = {
 
 (** [parts ?mode ?sigma_c ?gamma_c spec] instantiates Ω(Se) without
     building any clauses: same units/implications/vetoes a full {!encode}
-    would carry, at a fraction of the cost (no cubic structural block, no
-    CNF). [mode] (default [Paper]) only selects [p_coding]'s numbering. *)
+    would carry, at a fraction of the cost (no order axioms, no CNF). [mode] (default [Paper]) only selects [p_coding]'s numbering. *)
 val parts : ?mode:mode -> ?sigma_c:sigma_c -> ?gamma_c:gamma_c -> Spec.t -> parts
 
 (** [parts_of_t enc] views an existing encoding as {!parts} for free.
@@ -253,5 +262,10 @@ val lit_of_fact : t -> fact -> Sat.Lit.t
 (** [fact_of_lit e l] decodes a literal back to its fact; [None] for a
     negative [Paper]-mode literal ({!Coding.fact_of_lit}). *)
 val fact_of_lit : t -> Sat.Lit.t -> fact option
+
+(** [fact_table e] is every literal's fact, indexed by literal: equal,
+    element for element, to [Array.init (2 * e.cnf.nvars) (fact_of_lit
+    e)], but built in one pass over each attribute's value pairs. *)
+val fact_table : t -> fact option array
 
 val pp_fact : t -> Format.formatter -> fact -> unit

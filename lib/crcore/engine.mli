@@ -12,8 +12,9 @@
       Φ(Se), solving under assumption literals instead of re-instantiating
       the CNF per phase — learnt clauses carry across phases and rounds;
     - {b encoding reuse across [Se ⊕ Ot] steps}: user-input extensions are
-      re-encoded with {!Encode.extend}, which keeps the structural-axiom
-      clauses (the cubic part of [ConvertToCNF]) and feeds only the delta
+      re-encoded with {!Encode.extend}, which keeps the order axioms
+      (the cubic part of [ConvertToCNF]: Paper's structural clauses,
+      Exact's tournament blocks) and feeds only the delta
       clauses to the live solver whenever the value universes are
       unchanged;
     - {b a shape-template cache}: entities sharing a shape (mode, Σ, Γ,

@@ -250,6 +250,17 @@ module Store = struct
     e.last_used <- Clock.now_s ();
     Queue.push (e.h.label, e.gen) t.lru
 
+  (* Across sessions every solver counter adds up, the gauges included:
+     [Sat.Solver.add_stats] keeps the later snapshot's [learnts] and
+     [binaries], which is right for one session's successive solvers but
+     would report a single session's database size for the whole store. *)
+  let sum_sat a b =
+    {
+      (Sat.Solver.add_stats a b) with
+      Sat.Solver.learnts = a.Sat.Solver.learnts + b.Sat.Solver.learnts;
+      binaries = a.Sat.Solver.binaries + b.Sat.Solver.binaries;
+    }
+
   (* store lock held; takes the handle lock (never the reverse order) *)
   let retire t e =
     let c = locked e.h (fun () -> counters_unlocked e.h) in
@@ -261,7 +272,7 @@ module Store = struct
     t.retired_thits <- t.retired_thits + c.c_thits;
     t.retired_tmisses <- t.retired_tmisses + c.c_tmisses;
     t.retired_resolves <- t.retired_resolves + c.c_resolves;
-    t.retired_sat <- Sat.Solver.add_stats t.retired_sat c.c_sat
+    t.retired_sat <- sum_sat t.retired_sat c.c_sat
 
   let evict_lru t =
     let rec pop () =
@@ -372,7 +383,7 @@ module Store = struct
             th := !th + c.c_thits;
             tm := !tm + c.c_tmisses;
             rv := !rv + c.c_resolves;
-            sa := Sat.Solver.add_stats !sa c.c_sat)
+            sa := sum_sat !sa c.c_sat)
           t.tbl;
         {
           live = Hashtbl.length t.tbl;

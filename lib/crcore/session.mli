@@ -155,7 +155,9 @@ module Store : sig
     template_misses : int;  (** lookups that compiled the template first *)
     sat : Sat.Solver.stats;
         (** solver counters summed the same way — conflicts,
-            propagations, clauses learnt and the binary-layer size *)
+            propagations, clauses learnt, and the gauges [learnts] and
+            [binaries] too: each session contributes its current
+            solver's database size *)
   }
 
   val stats : t -> stats

@@ -168,7 +168,9 @@ let solve_groups ~(hard : Sat.Cnf.t) ~(groups : Sat.Cnf.clause list list) =
            List.map (fun c -> Array.append c [| Sat.Lit.negate (sel i) |]) cls)
          groups)
   in
-  let hard' = Sat.Cnf.make ~nvars (hard.Sat.Cnf.clauses @ hard_clauses) in
+  let hard' =
+    Sat.Cnf.make ~blocks:hard.Sat.Cnf.blocks ~nvars (hard.Sat.Cnf.clauses @ hard_clauses)
+  in
   let soft = List.init ngroups (fun i -> [| sel i |]) in
   match solve ~hard:hard' ~soft with
   | None -> None

@@ -9,11 +9,13 @@ val parse_string : string -> Cnf.t
 (** [parse_file path] reads and parses the file at [path]. *)
 val parse_file : string -> Cnf.t
 
-(** [to_string f] renders [f] in DIMACS format. *)
+(** [to_string f] renders [f] in DIMACS format, its tournament blocks'
+    axioms listed as clauses ({!Cnf.expand}). *)
 val to_string : Cnf.t -> string
 
 (** [of_solver s] renders the solver's loaded clause database — level-0
-    facts, the binary implication layer and the original long clauses,
-    i.e. {!Solver.export_cnf} — in DIMACS format: what a failing instance
-    dumped for external debugging should contain. *)
+    facts, the binary implication layer, the original long clauses and
+    the tournament blocks' axioms, i.e. {!Solver.export_cnf} expanded —
+    in DIMACS format: what a failing instance dumped for external
+    debugging should contain. *)
 val of_solver : Solver.t -> string

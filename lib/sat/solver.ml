@@ -9,7 +9,11 @@
    learnt clauses are kept for the solver's whole life (no database
    reduction), so they need no activity, score or deletion mark. The
    search runs on the clause database as loaded: there is no
-   pre/inprocessing. *)
+   pre/inprocessing.
+
+   Tournament blocks ([Cnf.block]) are not clauses: their order axioms
+   are enforced by a stateless pass in [propagate] that reads only
+   [assigns] (see [theory_pass]). *)
 
 (* in a watch list, c.(0) and c.(1) are the watched pair *)
 type clause = Lit.t array
@@ -17,6 +21,10 @@ type clause = Lit.t array
 let dummy_clause : clause = [||]
 
 type result = Sat | Unsat
+
+(* a registered tournament block; [base.(u) + v] is the variable of the
+   pair u < v *)
+type tblock = { blk : Cnf.block; base : int array }
 
 type t = {
   (* per-variable state *)
@@ -30,6 +38,12 @@ type t = {
   mutable polarity : bool array;        (* saved phase *)
   mutable seen : bool array;            (* scratch for analyze *)
   mutable add_buf : Lit.t array;        (* scratch: the clause being loaded *)
+  mutable pair_blk : int array;         (* index into [blocks] of the block
+                                           numbering the var; -1 = none.
+                                           These three stay empty until a
+                                           block is registered. *)
+  mutable pair_u : int array;           (* the var's pair u < v in its block *)
+  mutable pair_v : int array;
   (* per-literal state *)
   mutable watches : clause Vec.t array; (* indexed by literal; clauses len >= 3 *)
   mutable bin : Lit.t Vec.t array;      (* bin.(p) = implied literals o of the
@@ -40,6 +54,7 @@ type t = {
   mutable qhead : int;
   (* clause database *)
   clauses : clause Vec.t;               (* original long clauses *)
+  blocks : tblock Vec.t;                (* tournament blocks, d >= 3 *)
   mutable n_learnts : int;              (* learnt long clauses *)
   (* heuristics *)
   mutable order : Idx_heap.t;
@@ -75,12 +90,16 @@ let create () =
       polarity = [||];
       seen = [||];
       add_buf = [||];
+      pair_blk = [||];
+      pair_u = [||];
+      pair_v = [||];
       watches = [||];
       bin = [||];
       trail = Vec.create ~dummy:0;
       trail_lim = Vec.create ~dummy:0;
       qhead = 0;
       clauses = Vec.create ~dummy:dummy_clause;
+      blocks = Vec.create ~dummy:{ blk = { Cnf.first = 0; d = 0 }; base = [||] };
       n_learnts = 0;
       order = Idx_heap.create ~score:(fun _ -> 0.);
       var_inc = 1.0;
@@ -119,6 +138,11 @@ let grow_arrays s n =
     s.activity <- grow s.activity 0.;
     s.polarity <- grow s.polarity false;
     s.seen <- grow s.seen false;
+    if Array.length s.pair_blk > 0 then begin
+      s.pair_blk <- grow s.pair_blk (-1);
+      s.pair_u <- grow s.pair_u 0;
+      s.pair_v <- grow s.pair_v 0
+    end;
     let oldw = Array.length s.watches in
     let w' = Array.make (2 * cap) (Vec.create ~dummy:dummy_clause) in
     Array.blit s.watches 0 w' 0 oldw;
@@ -235,9 +259,70 @@ let add_binary s a b =
   Vec.push s.bin.(Lit.negate b) a;
   s.n_binaries <- s.n_binaries + 1
 
+(* ---- tournament blocks ----
+
+   A block's axioms are the 3-cycle exclusions ¬(a≺b) ∨ ¬(b≺k) ∨ ¬(k≺a)
+   over its values. Unit propagation on them is exactly: when a≺b is
+   true, b≺k forces a≺k and k≺a forces k≺b. [theory_pass] applies that
+   to one dequeued literal a≺b against every third value k, reading only
+   [assigns]. An implied literal is enqueued with its 3-cycle clause as
+   the reason (the implied literal first, as [analyze] expects), and a
+   clause whose third literal is already false is the conflict. The pass
+   keeps no state, so backtracking has nothing to undo; and since every
+   reason is built when its literal is enqueued, conflict analysis never
+   asks the pass to explain anything. Each triple is checked when the
+   later of its two true edges is dequeued, so the pass derives what the
+   clauses would. *)
+
+(* the literal and the value of x ≺ y in a block with row bases [base];
+   indices are in range by construction (x, y < d, registered vars) *)
+let[@inline] order_lit base x y =
+  if x < y then Lit.pos (Array.unsafe_get base x + y) else Lit.neg_of (Array.unsafe_get base y + x)
+
+let[@inline] order_value assigns base x y =
+  if x < y then Array.unsafe_get assigns (Array.unsafe_get base x + y)
+  else - Array.unsafe_get assigns (Array.unsafe_get base y + x)
+
+(* the dequeued [p] is a ≺ c; [x ≺ y] is implied by the 3-cycle clause
+   x≺y ∨ ¬p ∨ ¬(w≺z): enqueue it, or return that clause when x ≺ y is
+   false. Literals are built only on this path. *)
+let theory_imply s base p x y w z =
+  let c = [| order_lit base x y; Lit.negate p; order_lit base z w |] in
+  if order_value s.assigns base x y = 0 then begin
+    enqueue s c.(0) c;
+    None
+  end
+  else Some c
+
+let theory_pass s p =
+  let v = Lit.var p in
+  let tb = Vec.get s.blocks s.pair_blk.(v) in
+  let base = tb.base and d = tb.blk.Cnf.d and assigns = s.assigns in
+  let a = if Lit.sign p then s.pair_u.(v) else s.pair_v.(v) in
+  let c = if Lit.sign p then s.pair_v.(v) else s.pair_u.(v) in
+  let confl = ref None in
+  let k = ref 0 in
+  while !k < d do
+    let z = !k in
+    if z <> a && z <> c then begin
+      (* c ≺ z gives a ≺ z: ¬(a≺c) ∨ ¬(c≺z) ∨ a≺z *)
+      if order_value assigns base c z = 1 && order_value assigns base a z <> 1 then
+        confl := theory_imply s base p a z c z;
+      (* z ≺ a gives z ≺ c: ¬(a≺c) ∨ ¬(z≺a) ∨ z≺c *)
+      match !confl with
+      | None ->
+          if order_value assigns base z a = 1 && order_value assigns base z c <> 1 then
+            confl := theory_imply s base p z c z a
+      | Some _ -> ()
+    end;
+    match !confl with None -> incr k | Some _ -> k := d
+  done;
+  !confl
+
 (* Propagate all enqueued facts; returns the conflicting clause if any.
    For each dequeued literal the binary layer fires first — a flat scan of
-   implied literals, no clause records touched — then the long clauses. *)
+   implied literals, no clause records touched — then the long clauses,
+   then, for a block's pair literal, the block's [theory_pass]. *)
 let propagate s =
   let confl = ref None in
   while !confl = None && s.qhead < Vec.size s.trail do
@@ -299,7 +384,15 @@ let propagate s =
           end
         end
       done
-    end
+    end;
+    match !confl with
+    | None when Vec.size s.blocks > 0 && s.pair_blk.(Lit.var p) >= 0 -> (
+        match theory_pass s p with
+        | Some _ as c ->
+            confl := c;
+            s.qhead <- Vec.size s.trail
+        | None -> ())
+    | _ -> ()
   done;
   !confl
 
@@ -402,8 +495,45 @@ let add_clause_a s lits =
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
 
+(* Register a block's pair variables with [theory_pass]. A block of
+   fewer than three values has no axioms and is not kept; registering one
+   twice is a no-op. When the level-0 trail is not empty, it is propagated
+   again from its start, so the block's consequences of facts already
+   there are drawn (or their conflict makes the solver unsat). *)
+let add_block s (b : Cnf.block) =
+  if b.Cnf.first < 0 || b.Cnf.d < 0 || b.Cnf.first + Cnf.block_nvars b.Cnf.d > s.nvars then
+    invalid_arg "Solver.add_cnf: block over unallocated variables";
+  if s.ok && b.Cnf.d >= 3 && not (Vec.exists (fun tb -> tb.blk = b) s.blocks) then begin
+    assert (decision_level s = 0);
+    if Array.length s.pair_blk = 0 then begin
+      let cap = Array.length s.assigns in
+      s.pair_blk <- Array.make cap (-1);
+      s.pair_u <- Array.make cap 0;
+      s.pair_v <- Array.make cap 0
+    end;
+    let idx = Vec.size s.blocks in
+    let base = Array.init b.Cnf.d (fun u -> Cnf.pair_var b u (u + 1) - (u + 1)) in
+    for x = b.Cnf.first to b.Cnf.first + Cnf.block_nvars b.Cnf.d - 1 do
+      if s.pair_blk.(x) >= 0 then invalid_arg "Solver.add_cnf: overlapping blocks"
+    done;
+    for u = 0 to b.Cnf.d - 1 do
+      for v = u + 1 to b.Cnf.d - 1 do
+        let x = Cnf.pair_var b u v in
+        s.pair_blk.(x) <- idx;
+        s.pair_u.(x) <- u;
+        s.pair_v.(x) <- v
+      done
+    done;
+    Vec.push s.blocks { blk = b; base };
+    if Vec.size s.trail > 0 then begin
+      s.qhead <- 0;
+      match propagate s with Some _ -> s.ok <- false | None -> ()
+    end
+  end
+
 let add_cnf s (f : Cnf.t) =
   ensure_nvars s f.Cnf.nvars;
+  List.iter (add_block s) f.Cnf.blocks;
   List.iter (fun c -> add_clause_a s c) f.Cnf.clauses
 
 let add_units s lits = List.iter (fun l -> add_clause s [ l ]) lits
@@ -701,7 +831,7 @@ let export_cnf s =
       s.bin;
     (* original long clauses (learnts are implied; skipped) *)
     Vec.iter (fun (c : clause) -> cls := Array.copy c :: !cls) s.clauses;
-    Cnf.unsafe_make ~nvars:s.nvars !cls
+    Cnf.unsafe_make ~blocks:(List.map (fun tb -> tb.blk) (Vec.to_list s.blocks)) ~nvars:s.nvars !cls
   end
 
 (* ---- statistics ---- *)

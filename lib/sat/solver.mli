@@ -7,6 +7,14 @@
     MiniSat used as a black box, it searches the clause database as loaded:
     there is no pre/inprocessing pass.
 
+    Tournament blocks ({!Cnf.block}) are enforced without their clauses:
+    after the watch pass, a dequeued pair literal [a ≺ c] of a block is
+    checked against every third value [k] of the block ([c ≺ k] forces
+    [a ≺ k], [k ≺ a] forces [k ≺ c]), with the 3-cycle clause as the
+    implied literal's reason or as the conflict. The pass reads only the
+    assignment, so it has nothing to undo on backtrack, and every reason
+    exists before conflict analysis needs it.
+
     This is the substrate standing in for MiniSat in the paper's [IsValid],
     [NaiveDeduce] and suggestion-repair steps. Clauses may be added between
     [solve] calls. Learnt clauses are kept for the solver's whole life:
@@ -39,7 +47,12 @@ val add_clause : t -> Lit.t list -> unit
     never modified: callers share clause arrays (template blocks). *)
 val add_clause_a : t -> Lit.t array -> unit
 
-(** [add_cnf s f] allocates variables for [f] and adds all its clauses. *)
+(** [add_cnf s f] allocates variables for [f], registers its tournament
+    blocks and adds all its clauses. A block of fewer than three values
+    has no axioms and is ignored; one already registered is a no-op; one
+    sharing a variable with another raises [Invalid_argument]. Registering
+    a block on a solver whose level-0 trail is not empty propagates that
+    trail through it again, so a level-0 refutation shows in {!ok}. *)
 val add_cnf : t -> Cnf.t -> unit
 
 (** [add_units s lits] adds each literal as a unit clause. Only tests and
@@ -128,10 +141,12 @@ val set_phase : t -> Lit.t -> unit
 val ok : t -> bool
 
 (** [export_cnf s] is the loaded clause database as a [Cnf.t]: the level-0
-    facts as unit clauses, the binary implication layer, and the original
-    long clauses (learnt clauses are implied and skipped). On an unsat
-    solver it is a formula holding just the empty clause. The result has
-    exactly the models of everything ever added, over all variables. *)
+    facts as unit clauses, the binary implication layer, the original
+    long clauses (learnt clauses are implied and skipped) and the
+    registered tournament blocks ({!Cnf.expand} lists their axioms). On
+    an unsat solver it is a formula holding just the empty clause. The
+    result has exactly the models of everything ever added, over all
+    variables. *)
 val export_cnf : t -> Cnf.t
 
 (** Cumulative statistics since [create], in one snapshot. [learnts] (the

@@ -350,13 +350,37 @@ let prop_duplicate_literals_harmless =
         {
           enc with
           E.cnf =
-            Sat.Cnf.unsafe_make ~nvars:enc.E.cnf.Sat.Cnf.nvars
+            Sat.Cnf.unsafe_make ~blocks:enc.E.cnf.Sat.Cnf.blocks ~nvars:enc.E.cnf.Sat.Cnf.nvars
               (List.map
                  (fun c -> Array.append c c)
                  enc.E.cnf.Sat.Cnf.clauses);
         }
       in
       same_orders (D.deduce_order enc) (D.deduce_order dup))
+
+(* [crsolve batch --dump-dimacs]'s path on an Exact encoding: the solver's
+   DIMACS dump lists the order axioms its tournament blocks stand for, so
+   a fresh solver loaded from the parsed dump agrees on validity and on
+   the backbone *)
+let prop_exact_dimacs_dump =
+  QCheck.Test.make ~count:150 ~name:"Exact DIMACS dump: same validity and backbone"
+    Fixtures.qcheck_spec (fun spec ->
+      let enc = E.encode ~mode:E.Exact spec in
+      let s = Sat.Solver.create () in
+      Sat.Solver.add_cnf s enc.E.cnf;
+      let dumped = Sat.Dimacs.parse_string (Sat.Dimacs.of_solver s) in
+      let fresh = Sat.Solver.create () in
+      Sat.Solver.add_cnf fresh dumped;
+      let valid = Crcore.Validity.check enc in
+      let axioms =
+        List.fold_left
+          (fun n b -> n + List.length (Sat.Cnf.block_clauses b))
+          0 enc.E.cnf.Sat.Cnf.blocks
+      in
+      valid = (Sat.Solver.solve fresh = Sat.Solver.Sat)
+      && dumped.Sat.Cnf.blocks = []
+      && ((not valid) || Sat.Cnf.nclauses dumped >= axioms)
+      && ((not valid) || same_orders (D.backbone enc) (D.backbone ~solver:fresh enc)))
 
 let () =
   Alcotest.run "deduce"
@@ -383,5 +407,6 @@ let () =
             prop_backbone_equals_naive;
             prop_deduce_order_subset_of_complete;
             prop_duplicate_literals_harmless;
+            prop_exact_dimacs_dump;
           ] );
     ]

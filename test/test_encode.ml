@@ -190,8 +190,9 @@ let test_relevant_gamma () =
 
 let test_structural_axioms_counts () =
   (* for universe sizes d, Paper: transitivity d(d-1)(d-2) plus asymmetry
-     d(d-1)/2 over d(d-1) variables; Exact: two 3-cycle exclusions per
-     triple, d(d-1)(d-2)/3, over d(d-1)/2 variables — here d = 4: three
+     d(d-1)/2 clauses over d(d-1) variables; Exact: no clause, one
+     tournament block over d(d-1)/2 variables, whose expansion is two
+     3-cycle exclusions per triple, d(d-1)(d-2)/3 — here d = 4: three
      values plus the reserved null *)
   let schema = Schema.make [ "x" ] in
   let mk v = Tuple.make schema [ Value.Str v ] in
@@ -200,7 +201,12 @@ let test_structural_axioms_counts () =
   let paper = E.encode ~mode:E.Paper spec in
   let exact = E.encode ~mode:E.Exact spec in
   Alcotest.(check int) "paper structural" ((4 * 3 * 2) + 6) paper.E.n_structural;
-  Alcotest.(check int) "exact structural" (4 * 3 * 2 / 3) exact.E.n_structural;
+  Alcotest.(check int) "exact structural clauses" 0 exact.E.n_structural;
+  Alcotest.(check bool) "exact blocks" true
+    (exact.E.cnf.Sat.Cnf.blocks = [ { Sat.Cnf.first = 0; d = 4 } ]);
+  Alcotest.(check int) "exact expansion d(d-1)(d-2)/3"
+    (Sat.Cnf.nclauses exact.E.cnf + (4 * 3 * 2 / 3))
+    (Sat.Cnf.nclauses (Sat.Cnf.expand exact.E.cnf));
   Alcotest.(check int) "paper nvars d(d-1)" 12 paper.E.cnf.Sat.Cnf.nvars;
   Alcotest.(check int) "exact nvars d(d-1)/2" 6 exact.E.cnf.Sat.Cnf.nvars
 
@@ -256,6 +262,15 @@ let test_var_fact_roundtrip () =
         enc.E.units)
     [ E.Paper; E.Exact ]
 
+let prop_fact_table =
+  QCheck.Test.make ~count:200 ~name:"fact_table == fact_of_lit per literal (both modes)"
+    Fixtures.qcheck_spec (fun spec ->
+      List.for_all
+        (fun mode ->
+          let enc = E.encode ~mode spec in
+          E.fact_table enc = Array.init (2 * enc.E.cnf.Sat.Cnf.nvars) (E.fact_of_lit enc))
+        [ E.Paper; E.Exact ])
+
 let prop_cnf_well_formed =
   QCheck.Test.make ~count:200 ~name:"encoded CNF is well-formed in both modes" Fixtures.qcheck_spec
     (fun spec ->
@@ -266,7 +281,10 @@ let prop_cnf_well_formed =
           n = Crcore.Coding.nvars enc.E.coding
           && List.for_all
                (fun c -> Array.for_all (fun l -> Sat.Lit.var l < n) c)
-               enc.E.cnf.Sat.Cnf.clauses)
+               enc.E.cnf.Sat.Cnf.clauses
+          && List.for_all
+               (fun b -> b.Sat.Cnf.first + Sat.Cnf.block_nvars b.Sat.Cnf.d <= n)
+               enc.E.cnf.Sat.Cnf.blocks)
         [ E.Paper; E.Exact ])
 
 (* The template contract: the two-stage pipeline (compile the spec's
@@ -277,6 +295,7 @@ let prop_cnf_well_formed =
 let same_encoding (a : E.t) (b : E.t) =
   a.E.cnf.Sat.Cnf.nvars = b.E.cnf.Sat.Cnf.nvars
   && a.E.cnf.Sat.Cnf.clauses = b.E.cnf.Sat.Cnf.clauses
+  && a.E.cnf.Sat.Cnf.blocks = b.E.cnf.Sat.Cnf.blocks
   && a.E.units = b.E.units
   && a.E.implications = b.E.implications
   && a.E.sigma_insts = b.E.sigma_insts
@@ -325,7 +344,12 @@ let prop_exact_equals_paper_plus_totality =
         done
       done;
       let old =
-        { p with E.cnf = Sat.Cnf.make ~nvars:p.E.cnf.Sat.Cnf.nvars (p.E.cnf.Sat.Cnf.clauses @ !totality) }
+        {
+          p with
+          E.cnf =
+            Sat.Cnf.make ~blocks:p.E.cnf.Sat.Cnf.blocks ~nvars:p.E.cnf.Sat.Cnf.nvars
+              (p.E.cnf.Sat.Cnf.clauses @ !totality);
+        }
       in
       let e = E.encode ~mode:E.Exact spec in
       let valid = Crcore.Validity.check e in
@@ -656,9 +680,11 @@ let prop_index_equals_scan =
       List.sort by_key !scan = enc.E.sigma_insts
       && relevant = List.map fst (E.relevant_gamma spec.Crcore.Spec.entity spec.Crcore.Spec.gamma))
 
-(* The per-attribute structural store: two entities whose size vectors
-   differ only in the last attribute share every other attribute's
-   clause arrays, physically. *)
+(* The per-attribute structural store: in Paper mode two entities whose
+   size vectors differ only in the last attribute share every other
+   attribute's clause arrays, physically. Exact mode lists no structural
+   clause: each attribute is one tournament block, equal across the two
+   entities except for the last attribute's size. *)
 let test_blocks_shared_per_attribute () =
   let schema = Schema.make [ "x"; "y"; "z" ] in
   let entity zs =
@@ -674,15 +700,27 @@ let test_blocks_shared_per_attribute () =
       let s1 = spec [ "u"; "v" ] and s2 = spec [ "u"; "v"; "w" ] in
       let tpl = E.template ~mode s1 in
       let e1 = E.instantiate tpl s1 and e2 = E.instantiate tpl s2 in
-      let block d =
-        match mode with E.Paper -> (d * (d - 1) * (d - 2)) + (d * (d - 1) / 2) | E.Exact -> d * (d - 1) * (d - 2) / 3
-      in
-      (* z's universe: its values plus the reserved null *)
-      let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
-      let rest1 = drop (block 3) e1.E.structural and rest2 = drop (block 4) e2.E.structural in
-      Alcotest.(check bool) "x and y blocks non-empty" true (rest1 <> []);
-      Alcotest.(check int) "same length" (List.length rest1) (List.length rest2);
-      Alcotest.(check bool) "x and y clause arrays shared" true (List.for_all2 ( == ) rest1 rest2);
+      (match mode with
+      | E.Paper ->
+          let block d = (d * (d - 1) * (d - 2)) + (d * (d - 1) / 2) in
+          (* z's universe: its values plus the reserved null *)
+          let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+          let rest1 = drop (block 3) e1.E.structural and rest2 = drop (block 4) e2.E.structural in
+          Alcotest.(check bool) "x and y blocks non-empty" true (rest1 <> []);
+          Alcotest.(check int) "same length" (List.length rest1) (List.length rest2);
+          Alcotest.(check bool) "x and y clause arrays shared" true
+            (List.for_all2 ( == ) rest1 rest2)
+      | E.Exact ->
+          (* x: a, b, null (3 pairs); y: p, null (1 pair); z: its values
+             plus null *)
+          let blocks dz = List.map (fun (first, d) -> { Sat.Cnf.first; d }) [ (0, 3); (3, 2); (4, dz) ] in
+          Alcotest.(check bool) "no structural clause" true
+            (e1.E.structural = [] && e2.E.structural = [] && e2.E.n_structural = 0);
+          Alcotest.(check bool) "block lists" true
+            (e1.E.cnf.Sat.Cnf.blocks = blocks 3 && e2.E.cnf.Sat.Cnf.blocks = blocks 4);
+          Alcotest.(check int) "expansion d(d-1)(d-2)/3 per block"
+            (Sat.Cnf.nclauses e2.E.cnf + 2 + 0 + 8)
+            (Sat.Cnf.nclauses (Sat.Cnf.expand e2.E.cnf)));
       Alcotest.(check bool) "same as a direct encode" true
         (same_encoding e2 (E.encode ~mode s2)))
     [ E.Paper; E.Exact ]
@@ -715,6 +753,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_cnf_well_formed;
+            prop_fact_table;
             prop_exact_equals_paper_plus_totality;
             prop_template_instantiate_bit_identical;
             prop_lowering_matches_vid;

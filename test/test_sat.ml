@@ -335,6 +335,104 @@ let prop_set_phase_sound =
       let second = round () in
       first && second && round ())
 
+(* ---- tournament blocks ---- *)
+
+let test_block_layout () =
+  List.iter
+    (fun d ->
+      let b = { Sat.Cnf.first = 5; d } in
+      let next = ref 5 in
+      for u = 0 to d - 1 do
+        for v = u + 1 to d - 1 do
+          Alcotest.(check int) "row-major" !next (Sat.Cnf.pair_var b u v);
+          Alcotest.(check (pair int int)) "inverse" (u, v) (Sat.Cnf.block_pair b !next);
+          Alcotest.(check int) "positive is u<v" (Sat.Lit.pos !next) (Sat.Cnf.pair_lit b u v);
+          Alcotest.(check int) "negative is v<u" (Sat.Lit.neg_of !next) (Sat.Cnf.pair_lit b v u);
+          incr next
+        done
+      done;
+      Alcotest.(check int) "block_nvars" (!next - 5) (Sat.Cnf.block_nvars d);
+      Alcotest.(check int) "d(d-1)(d-2)/3 axioms" (d * (d - 1) * (d - 2) / 3)
+        (List.length (Sat.Cnf.block_clauses b)))
+    [ 0; 1; 2; 3; 4; 7; 40 ]
+
+(* a 3-cycle over one block: Cnf.eval rejects it, the solver refutes it
+   at load whether the units come before or after the block *)
+let test_block_cyclic_units () =
+  let b = { Sat.Cnf.first = 0; d = 3 } in
+  let units = [ [| Sat.Cnf.pair_lit b 0 1 |]; [| Sat.Cnf.pair_lit b 1 2 |]; [| Sat.Cnf.pair_lit b 2 0 |] ] in
+  let f = Sat.Cnf.make ~blocks:[ b ] ~nvars:3 units in
+  let order = Sat.Cnf.make ~blocks:[ b ] ~nvars:3 [] in
+  (* variables x01, x02, x12: 0<1, 1<2 and 2<0 is the cycle *)
+  Alcotest.(check bool) "eval rejects a 3-cycle" false (Sat.Cnf.eval [| true; false; true |] order);
+  Alcotest.(check bool) "eval accepts an order" true (Sat.Cnf.eval [| true; true; true |] order);
+  let s = Sat.Solver.create () in
+  Sat.Solver.add_cnf s f;
+  Alcotest.(check bool) "units then block: ok = false" false (Sat.Solver.ok s);
+  let late = Sat.Solver.create () in
+  Sat.Solver.add_cnf late (Sat.Cnf.make ~nvars:3 units);
+  Alcotest.(check bool) "units alone: ok" true (Sat.Solver.ok late);
+  Sat.Solver.add_cnf late (Sat.Cnf.make ~blocks:[ b ] ~nvars:3 []);
+  Alcotest.(check bool) "block after the units: ok = false" false (Sat.Solver.ok late)
+
+(* one or two blocks of 3–6 values (with a free variable between them),
+   random clauses of 1–3 literals over every variable, and up to three
+   assumptions *)
+let qcheck_blocks =
+  QCheck.make
+    ~print:(fun (f, assumptions) ->
+      Format.asprintf "blocks %s@.assumptions %s@.%a"
+        (String.concat " "
+           (List.map (fun b -> Printf.sprintf "(%d,%d)" b.Sat.Cnf.first b.Sat.Cnf.d) f.Sat.Cnf.blocks))
+        (String.concat " " (List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) assumptions))
+        Sat.Cnf.pp { f with Sat.Cnf.blocks = [] })
+    QCheck.Gen.(
+      int_range 1 2 >>= fun nblocks ->
+      int_range 3 6 >>= fun d1 ->
+      int_range 3 6 >>= fun d2 ->
+      int_range 0 25 >>= fun ncl ->
+      int_range 0 3 >>= fun nassum ->
+      int_bound 1_000_000 >|= fun seed ->
+      let st = Random.State.make [| seed |] in
+      let b1 = { Sat.Cnf.first = 0; d = d1 } in
+      let blocks, nvars =
+        if nblocks = 1 then ([ b1 ], Sat.Cnf.block_nvars d1 + 1)
+        else
+          let first = Sat.Cnf.block_nvars d1 + 1 in
+          ([ b1; { Sat.Cnf.first; d = d2 } ], first + Sat.Cnf.block_nvars d2)
+      in
+      let rlit () = lit (Random.State.int st nvars) (Random.State.bool st) in
+      let clauses = List.init ncl (fun _ -> Array.init (1 + Random.State.int st 3) (fun _ -> rlit ())) in
+      (Sat.Cnf.make ~blocks ~nvars clauses, List.init nassum (fun _ -> rlit ())))
+
+let level0 s = List.init (Sat.Solver.nvars s) (Sat.Solver.value_level0 s)
+
+let prop_blocks_match_clauses =
+  QCheck.Test.make ~count:500 ~name:"block propagator == its 3-cycle clauses" qcheck_blocks
+    (fun (f, assumptions) ->
+      let expanded = Sat.Cnf.expand f in
+      let load f =
+        let s = Sat.Solver.create () in
+        Sat.Solver.add_cnf s f;
+        s
+      in
+      let sb = load f and sc = load expanded in
+      (* the blocks registered after the clauses: the level-0 trail is
+         propagated through them again *)
+      let sl = load { f with Sat.Cnf.blocks = [] } in
+      Sat.Solver.add_cnf sl { f with Sat.Cnf.clauses = [] };
+      let model_ok s = Sat.Cnf.eval (Sat.Solver.model s) f && Sat.Cnf.eval (Sat.Solver.model s) expanded in
+      Sat.Solver.ok sb = Sat.Solver.ok sc
+      && Sat.Solver.ok sl = Sat.Solver.ok sc
+      && ((not (Sat.Solver.ok sc)) || (level0 sb = level0 sc && level0 sl = level0 sc))
+      && List.for_all
+           (fun assumptions ->
+             let rb = Sat.Solver.solve ~assumptions sb and rc = Sat.Solver.solve ~assumptions sc in
+             let rl = Sat.Solver.solve ~assumptions sl in
+             rb = rc && rl = rc
+             && (rb <> Sat.Solver.Sat || (model_ok sb && model_ok sl)))
+           [ []; assumptions ])
+
 let () =
   Alcotest.run "sat"
     [
@@ -351,6 +449,8 @@ let () =
           Alcotest.test_case "dimacs errors" `Quick test_dimacs_errors;
           Alcotest.test_case "binary layer: contradictory equivalence" `Quick
             test_binary_contradiction;
+          Alcotest.test_case "block layout" `Quick test_block_layout;
+          Alcotest.test_case "block: cyclic units refuted at load" `Quick test_block_cyclic_units;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
@@ -360,6 +460,7 @@ let () =
             prop_model_count_positive;
             prop_set_phase_sound;
             prop_loader_matches_reference;
+            prop_blocks_match_clauses;
           ] );
       ( "simplify",
         List.map QCheck_alcotest.to_alcotest

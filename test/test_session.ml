@@ -187,6 +187,29 @@ let test_store_lru_eviction () =
   Alcotest.(check int) "clear empties" 0 (S.Store.live store);
   Alcotest.(check bool) "cleared handles closed" true (S.is_closed h1)
 
+(* the store's solver gauges add up across sessions, live and retired:
+   STATS' sat_binaries is the sum of every session's binary layer, not
+   the last session's *)
+let test_store_sums_solver_gauges () =
+  let store = S.Store.create ~config:Cr.Config.default () in
+  let ha, _ = S.Store.get_or_create store "a" ~spec:spec_thunk in
+  let hb, _ =
+    S.Store.get_or_create store "b" ~spec:(fun () ->
+        spec_of_tuples (List.filteri (fun i _ -> i < 2) (george_tuples ())))
+  in
+  ignore (S.resolve ha);
+  ignore (S.resolve hb);
+  let own h = (S.stats h).E.solver in
+  let ba = (own ha).Sat.Solver.binaries and bb = (own hb).Sat.Solver.binaries in
+  let la = (own ha).Sat.Solver.learnts and lb = (own hb).Sat.Solver.learnts in
+  Alcotest.(check bool) "each session has binaries" true (ba > 0 && bb > 0);
+  let sat () = (S.Store.stats store).S.Store.sat in
+  Alcotest.(check int) "binaries summed over live sessions" (ba + bb) (sat ()).Sat.Solver.binaries;
+  Alcotest.(check int) "learnts summed over live sessions" (la + lb) (sat ()).Sat.Solver.learnts;
+  Alcotest.(check bool) "a removed" true (S.Store.remove store "a");
+  Alcotest.(check int) "binaries summed over retired + live" (ba + bb)
+    (sat ()).Sat.Solver.binaries
+
 let test_store_ttl_sweep () =
   let store =
     S.Store.create ~config:Cr.Config.(default |> with_session_ttl (Some 0.02)) ()
@@ -374,6 +397,7 @@ let () =
         [
           Alcotest.test_case "LRU eviction" `Quick test_store_lru_eviction;
           Alcotest.test_case "TTL sweep" `Quick test_store_ttl_sweep;
+          Alcotest.test_case "solver gauges summed" `Quick test_store_sums_solver_gauges;
         ] );
       ( "budgets",
         [ Alcotest.test_case "exhaustion mid-stream" `Quick test_budget_exhaustion_mid_stream ] );
