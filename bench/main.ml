@@ -496,8 +496,8 @@ let satcore_sized ~sizes ~out =
     (Printf.sprintf "SAT core: Exact-mode engine, Person size(s) %s"
        (String.concat "/" (List.map string_of_int sizes)));
   let solve_deduce (st : Crcore.Engine.stats) =
-    st.Crcore.Engine.times.Crcore.Engine.validity_ms
-    +. st.Crcore.Engine.times.Crcore.Engine.deduce_ms
+    let t = st.Crcore.Engine.totals.Crcore.Engine.times in
+    t.Crcore.Engine.validity_ms +. t.Crcore.Engine.deduce_ms
   in
   let rows =
     List.map
@@ -542,12 +542,12 @@ let satcore_sized ~sizes ~out =
               && (ir_result a).Crcore.Engine.valid = o.Crcore.Framework.valid)
             results items
         in
-        let sv = st1.Crcore.Engine.solver in
+        let sv = st1.Crcore.Engine.totals.Crcore.Engine.solver in
         Printf.printf
           "  size %5d: %8.1f ms wall, solve+deduce %8.1f ms, %d conflict(s), %d \
            propagation(s), %d probe(s), %d binarie(s)\n"
           size ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
-          st1.Crcore.Engine.deduce_probes sv.Sat.Solver.binaries;
+          st1.Crcore.Engine.totals.Crcore.Engine.deduce_probes sv.Sat.Solver.binaries;
         Printf.printf "  size %5d same final resolutions as Framework.resolve: %b\n%!" size identical;
         claim (Printf.sprintf "satcore: identical resolutions at size %d" size) identical;
         (size, ms, sd, st1, identical))
@@ -556,11 +556,11 @@ let satcore_sized ~sizes ~out =
   let size_rows =
     List.map
       (fun (size, ms, sd, (st : Crcore.Engine.stats), identical) ->
-        let sv = st.Crcore.Engine.solver in
+        let sv = st.Crcore.Engine.totals.Crcore.Engine.solver in
         Printf.sprintf
           {|    { "size": %d, "identical_results": %b, "timed_runs": 2, "wall_ms": %.3f, "solve_deduce_ms": %.3f, "conflicts": %d, "propagations": %d, "probes": %d, "binaries": %d }|}
           size identical ms sd sv.Sat.Solver.conflicts sv.Sat.Solver.propagations
-          st.Crcore.Engine.deduce_probes sv.Sat.Solver.binaries)
+          st.Crcore.Engine.totals.Crcore.Engine.deduce_probes sv.Sat.Solver.binaries)
       rows
   in
   let oc = open_out out in

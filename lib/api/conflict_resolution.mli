@@ -88,7 +88,7 @@ module Rules = Crcore.Rules
     the engine's answers are tested against. *)
 module Framework = Crcore.Framework
 
-(** Batch resolution: incremental solver sessions, a sharded shape-template
+(** Batch resolution: incremental solver sessions, a shared shape-template
     cache, and structured statistics over collections of specifications.
     Set [config.jobs > 1] to resolve entities on that many domains in
     parallel — results are identical to the sequential run and arrive in

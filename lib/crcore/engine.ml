@@ -124,6 +124,41 @@ let zero_entity_stats () =
     lint_rejected = false;
   }
 
+let add_stats a b =
+  let ta = a.times and tb = b.times in
+  {
+    times =
+      {
+        lint_ms = ta.lint_ms +. tb.lint_ms;
+        encode_ms = ta.encode_ms +. tb.encode_ms;
+        saturate_ms = ta.saturate_ms +. tb.saturate_ms;
+        validity_ms = ta.validity_ms +. tb.validity_ms;
+        deduce_ms = ta.deduce_ms +. tb.deduce_ms;
+        suggest_ms = ta.suggest_ms +. tb.suggest_ms;
+      };
+    solver =
+      {
+        (Sat.Solver.add_stats a.solver b.solver) with
+        Sat.Solver.learnts = a.solver.Sat.Solver.learnts + b.solver.Sat.Solver.learnts;
+        binaries = a.solver.Sat.Solver.binaries + b.solver.Sat.Solver.binaries;
+      };
+    solvers_built = a.solvers_built + b.solvers_built;
+    solvers_reused = a.solvers_reused + b.solvers_reused;
+    deduce_sat_calls = a.deduce_sat_calls + b.deduce_sat_calls;
+    deduce_probes = a.deduce_probes + b.deduce_probes;
+    deduce_model_prunes = a.deduce_model_prunes + b.deduce_model_prunes;
+    deduce_seeded = a.deduce_seeded + b.deduce_seeded;
+    probes_avoided = a.probes_avoided + b.probes_avoided;
+    template_hits = a.template_hits + b.template_hits;
+    template_misses = a.template_misses + b.template_misses;
+    encode_alloc_words = a.encode_alloc_words +. b.encode_alloc_words;
+    delta_extensions = a.delta_extensions + b.delta_extensions;
+    rebuilds = a.rebuilds + b.rebuilds;
+    rebuilds_renumbered = a.rebuilds_renumbered + b.rebuilds_renumbered;
+    rebuilds_impure = a.rebuilds_impure + b.rebuilds_impure;
+    lint_rejected = a.lint_rejected || b.lint_rejected;
+  }
+
 (* ---- template cache ---- *)
 
 (* The template fingerprint: the spec with the entity, the constants and
@@ -143,70 +178,37 @@ end
 
 module TTbl = Hashtbl.Make (TKey)
 
-(* Sharded for domain-parallel batches: a lookup locks only the shard its
-   key hashes to, and compilation on a miss runs outside any lock, so
-   domains compiling distinct shapes never serialise on the cache. *)
-let n_shards = 16
+(* One table behind one lock, held only for a find or an insert:
+   compilation on a miss runs outside it. *)
+type cache = { templates : Encode.template TTbl.t; lock : Mutex.t }
 
-type cache = {
-  tshards : Encode.template TTbl.t array;
-  locks : Mutex.t array;
-}
-
-let create_cache () =
-  {
-    tshards = Array.init n_shards (fun _ -> TTbl.create 4);
-    locks = Array.init n_shards (fun _ -> Mutex.create ());
-  }
-
-(* the last template this domain served, keyed by its cache (physical
-   identity) and fingerprint: a batch of same-shape entities takes the
-   lock once per domain, not per entity, and a fresh cache never sees
-   another cache's template *)
-let tmemo : (cache * TKey.t * Encode.template) option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let create_cache () = { templates = TTbl.create 4; lock = Mutex.create () }
 
 (* [true] iff the template already existed (a template hit) *)
 let template_for ~(config : config) ~cache spec =
   let key =
     (config.mode, Spec.sigma_id spec, Spec.gamma_id spec, Spec.schema spec)
   in
-  let slot = Domain.DLS.get tmemo in
-  match !slot with
-  | Some (c, k, tpl) when c == cache && TKey.equal k key -> (tpl, true)
-  | _ ->
-      let i = TKey.hash key land (n_shards - 1) in
-      let lock = cache.locks.(i) in
-      Mutex.lock lock;
-      let found = TTbl.find_opt cache.tshards.(i) key in
-      Mutex.unlock lock;
-      let tpl, hit =
-        match found with
-        | Some tpl -> (tpl, true)
-        | None ->
-            (* compile outside the lock; racing domains compile twice and
-               first-in wins *)
-            let tpl = Encode.template ~mode:config.mode spec in
-            Mutex.lock lock;
-            let tpl =
-              match TTbl.find_opt cache.tshards.(i) key with
-              | Some existing -> existing
-              | None ->
-                  TTbl.replace cache.tshards.(i) key tpl;
-                  tpl
-            in
-            Mutex.unlock lock;
-            (tpl, false)
+  match Mutex.protect cache.lock (fun () -> TTbl.find_opt cache.templates key) with
+  | Some tpl -> (tpl, true)
+  | None ->
+      (* racing domains compile twice and first-in wins *)
+      let tpl = Encode.template ~mode:config.mode spec in
+      let tpl =
+        Mutex.protect cache.lock (fun () ->
+            match TTbl.find_opt cache.templates key with
+            | Some existing -> existing
+            | None ->
+                TTbl.replace cache.templates key tpl;
+                tpl)
       in
-      slot := Some (cache, key, tpl);
-      (tpl, hit)
+      (tpl, false)
 
 (* ---- sessions ---- *)
 
 type session = {
   config : config;
   cache : cache;
-  times : phase_times;
   track : phase ref;  (* last phase entered; attributes exceptions and faults *)
   faults : Faults.ctx;
   mutable deadline : float option;  (* absolute [Clock.now_ms] bound from [budget_ms] *)
@@ -217,25 +219,14 @@ type session = {
   mutable enc : Encode.t option;  (* [None] iff a cheap lint check rejected the spec *)
   mutable solver : Sat.Solver.t option;
       (* the incremental session; [None] iff lint rejected the spec *)
-  mutable retired : Sat.Solver.stats;    (* stats of replaced solvers *)
   mutable burnt : int;           (* injected conflict-budget consumption *)
   mutable forced_exhaust : bool; (* a pending injected budget-[Unknown] *)
-  mutable solvers_built : int;
-  mutable solvers_reused : int;
-  mutable deduce_sat_calls : int;
-  mutable deduce_probes : int;
-  mutable deduce_model_prunes : int;
-  mutable deduce_seeded : int;
-  mutable template_hits : int;
-  mutable template_misses : int;
-  mutable encode_alloc_words : float;
-  mutable delta_extensions : int;
-  mutable rebuilds_renumbered : int;
-  mutable rebuilds_impure : int;
-  mutable lint_rejected : bool;
-      (* provably unsat: a cheap check rejected it before encoding, or
-         loading its CNF refuted it at level 0; either way no solver is
-         kept *)
+  mutable st : entity_stats;
+      (* the counters so far; [st.solver] sums the replaced solvers only
+         (the live one is added by [snapshot_stats]), and
+         [st.lint_rejected] marks a provably unsat spec: a cheap check
+         rejected it before encoding, or loading its CNF refuted it at
+         level 0; either way no solver is kept *)
 }
 
 (* elapsed time, not [Sys.time]: process CPU time charges one domain's
@@ -263,10 +254,11 @@ let timed sess slot f =
          work's own words — the per-domain allocation signal of a
          parallel batch *)
       let w0 = Gc.minor_words () in
-      let r = timed_t sess.times slot f in
-      sess.encode_alloc_words <- sess.encode_alloc_words +. (Gc.minor_words () -. w0);
+      let r = timed_t sess.st.times slot f in
+      let words = Gc.minor_words () -. w0 and st = sess.st in
+      sess.st <- { st with encode_alloc_words = st.encode_alloc_words +. words };
       r
-  | _ -> timed_t sess.times slot f
+  | _ -> timed_t sess.st.times slot f
 
 let the_enc sess =
   match sess.enc with
@@ -284,17 +276,20 @@ let the_solver sess =
 let encode_spec sess spec =
   let tpl, hit = template_for ~config:sess.config ~cache:sess.cache spec in
   let enc = Encode.instantiate tpl spec in
-  if hit then sess.template_hits <- sess.template_hits + 1
-  else sess.template_misses <- sess.template_misses + 1;
+  let st = sess.st in
+  sess.st <-
+    (if hit then { st with template_hits = st.template_hits + 1 }
+     else { st with template_misses = st.template_misses + 1 });
   enc
 
 let fresh_solver sess enc =
   let s = Sat.Solver.create () in
   Sat.Solver.add_cnf s enc.Encode.cnf;
-  sess.solvers_built <- sess.solvers_built + 1;
+  sess.st <- { sess.st with solvers_built = sess.st.solvers_built + 1 };
   s
 
-let retire sess s = sess.retired <- Sat.Solver.add_stats sess.retired (Sat.Solver.stats s)
+let retire sess s =
+  sess.st <- { sess.st with solver = Sat.Solver.add_stats sess.st.solver (Sat.Solver.stats s) }
 
 (* ---- per-entity conflict/wall budgets ----
 
@@ -311,7 +306,7 @@ let live_conflicts sess =
 
 (* total conflicts the session ever accrued, baseline included *)
 let conflicts_accrued sess =
-  sess.retired.Sat.Solver.conflicts + live_conflicts sess + sess.burnt
+  sess.st.solver.Sat.Solver.conflicts + live_conflicts sess + sess.burnt
 
 (* conflicts charged against the current request's budget *)
 let conflicts_spent sess = conflicts_accrued sess - sess.spent_base
@@ -346,22 +341,42 @@ let fire sess point ph =
   | Some (Faults.Burn n) -> sess.burnt <- sess.burnt + max 0 n
   | Some Faults.Exhaust -> sess.forced_exhaust <- true
 
+(* The rejection test, first half: the checks that need no ground
+   instance (E001/E003/E004) skip Instantiation/ConvertToCNF entirely.
+   Sound: every E-level diagnostic implies Φ(Se) unsatisfiable
+   (property-tested in test_analyze). *)
+let admit sess spec =
+  sess.spec <- spec;
+  sess.track := Lint_p;
+  let rejected =
+    timed_t sess.st.times Lint_p (fun () -> Analyze.has_errors (Analyze.cheap_errors spec))
+  in
+  sess.enc <- None;
+  if not rejected then begin
+    fire sess Faults.Encode Encode_p;
+    sess.enc <- Some (timed sess Encode_p (fun () -> encode_spec sess spec))
+  end;
+  sess.st <- { sess.st with lint_rejected = rejected }
+
+(* Second half: loading propagates every unit at level 0, so a solver
+   that is no longer [ok] holds a level-0 refutation of Φ(Se) (every
+   closure refutation, lint's E002/E005, among them); it is dropped. *)
+let load sess =
+  if not sess.st.lint_rejected then begin
+    let s = timed sess Validity_p (fun () -> fresh_solver sess (the_enc sess)) in
+    if Sat.Solver.ok s then sess.solver <- Some s
+    else begin
+      retire sess s;
+      sess.st <- { sess.st with lint_rejected = true }
+    end
+  end
+
 let make_session ?(config = default_config) ?cache ?label ~track spec =
   let cache = match cache with Some c -> c | None -> create_cache () in
-  let times = zero_times () in
-  (* the rejection test, first half: the checks that need no ground
-     instance (E001/E003/E004) skip Instantiation/ConvertToCNF entirely.
-     Sound: every E-level diagnostic implies Φ(Se) unsatisfiable
-     (property-tested in test_analyze). *)
-  track := Lint_p;
-  let lint_rejected =
-    timed_t times Lint_p (fun () -> Analyze.has_errors (Analyze.cheap_errors spec))
-  in
   let sess =
     {
       config;
       cache;
-      times;
       track;
       faults = Faults.make ~label;
       deadline = None;
@@ -369,41 +384,15 @@ let make_session ?(config = default_config) ?cache ?label ~track spec =
       spec;
       enc = None;
       solver = None;
-      retired = Sat.Solver.zero_stats;
       burnt = 0;
       forced_exhaust = false;
-      solvers_built = 0;
-      solvers_reused = 0;
-      deduce_sat_calls = 0;
-      deduce_probes = 0;
-      deduce_model_prunes = 0;
-      deduce_seeded = 0;
-      template_hits = 0;
-      template_misses = 0;
-      encode_alloc_words = 0.;
-      delta_extensions = 0;
-      rebuilds_renumbered = 0;
-      rebuilds_impure = 0;
-      lint_rejected;
+      st = zero_entity_stats ();
     }
   in
-  if not lint_rejected then begin
-    fire sess Faults.Encode Encode_p;
-    sess.enc <- Some (timed sess Encode_p (fun () -> encode_spec sess spec))
-  end;
+  admit sess spec;
   (* the wall budget runs from the encoded session *)
   sess.deadline <- Option.map (fun ms -> Clock.now_ms () +. ms) config.budget_ms;
-  (* second half: loading propagates every unit at level 0, so a solver
-     that is no longer [ok] holds a level-0 refutation of Φ(Se) (every
-     closure refutation, lint's E002/E005, among them); it is dropped *)
-  if not lint_rejected then begin
-    let s = timed sess Validity_p (fun () -> fresh_solver sess (the_enc sess)) in
-    if Sat.Solver.ok s then sess.solver <- Some s
-    else begin
-      retire sess s;
-      sess.lint_rejected <- true
-    end
-  end;
+  load sess;
   sess
 
 let create_session ?config ?cache ?label spec =
@@ -412,7 +401,7 @@ let create_session ?config ?cache ?label spec =
 (* [f] on the live session solver (learnt clauses intact), budget armed *)
 let with_solver sess f =
   let s = the_solver sess in
-  sess.solvers_reused <- sess.solvers_reused + 1;
+  sess.st <- { sess.st with solvers_reused = sess.st.solvers_reused + 1 };
   arm_budget sess s;
   f s
 
@@ -430,13 +419,21 @@ let deduce_on sess enc =
   let solver = the_solver sess in
   arm_budget sess solver;
   let d = Deduce.backbone ~solver ?budget:(conflicts_remaining sess) enc in
-  let st = d.Deduce.stats in
-  sess.deduce_sat_calls <- sess.deduce_sat_calls + st.Deduce.sat_calls;
-  sess.deduce_probes <- sess.deduce_probes + st.Deduce.probes;
-  sess.deduce_model_prunes <- sess.deduce_model_prunes + st.Deduce.model_prunes;
-  sess.deduce_seeded <- sess.deduce_seeded + st.Deduce.seeded;
-  sess.solvers_reused <- sess.solvers_reused + 1;
+  let ds = d.Deduce.stats and st = sess.st in
+  sess.st <-
+    {
+      st with
+      deduce_sat_calls = st.deduce_sat_calls + ds.Deduce.sat_calls;
+      deduce_probes = st.deduce_probes + ds.Deduce.probes;
+      deduce_model_prunes = st.deduce_model_prunes + ds.Deduce.model_prunes;
+      deduce_seeded = st.deduce_seeded + ds.Deduce.seeded;
+      solvers_reused = st.solvers_reused + 1;
+    };
   d
+
+let count_impure sess =
+  let st = sess.st in
+  sess.st <- { st with rebuilds = st.rebuilds + 1; rebuilds_impure = st.rebuilds_impure + 1 }
 
 (* Se ⊕ Ot: move the session to the extended specification. *)
 let apply_extension sess spec' =
@@ -445,48 +442,36 @@ let apply_extension sess spec' =
   match timed sess Encode_p (fun () -> Encode.extend (the_enc sess) spec') with
   | Some (Encode.Delta (enc', delta)) ->
       sess.enc <- Some enc';
-      sess.delta_extensions <- sess.delta_extensions + 1;
+      sess.st <- { sess.st with delta_extensions = sess.st.delta_extensions + 1 };
       let s = the_solver sess in
       timed sess Validity_p (fun () -> List.iter (Sat.Solver.add_clause_a s) delta)
   | Some (Encode.Renumbered enc') ->
       (* a value universe grew: the Σ instances were still reused, but
          variable numbers shifted, so the solver session restarts *)
-      sess.rebuilds_renumbered <- sess.rebuilds_renumbered + 1;
+      let st = sess.st in
+      sess.st <-
+        { st with rebuilds = st.rebuilds + 1; rebuilds_renumbered = st.rebuilds_renumbered + 1 };
       sess.enc <- Some enc';
       retire sess (the_solver sess);
       sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
   | None ->
       (* not a pure extension: full re-encode and a fresh session *)
-      sess.rebuilds_impure <- sess.rebuilds_impure + 1;
+      count_impure sess;
       retire sess (the_solver sess);
       let enc' = timed sess Encode_p (fun () -> encode_spec sess spec') in
       sess.enc <- Some enc';
       sess.solver <- Some (timed sess Validity_p (fun () -> fresh_solver sess enc'))
 
+(* a copy: the session keeps adding to its own [times] *)
 let snapshot_stats sess =
-  let solver =
-    match sess.solver with
-    | Some s -> Sat.Solver.add_stats sess.retired (Sat.Solver.stats s)
-    | None -> sess.retired
-  in
+  let st = sess.st in
   {
-    times = sess.times;
-    solver;
-    solvers_built = sess.solvers_built;
-    solvers_reused = sess.solvers_reused;
-    deduce_sat_calls = sess.deduce_sat_calls;
-    deduce_probes = sess.deduce_probes;
-    deduce_model_prunes = sess.deduce_model_prunes;
-    deduce_seeded = sess.deduce_seeded;
-    probes_avoided = 0;
-    template_hits = sess.template_hits;
-    template_misses = sess.template_misses;
-    encode_alloc_words = sess.encode_alloc_words;
-    delta_extensions = sess.delta_extensions;
-    rebuilds = sess.rebuilds_renumbered + sess.rebuilds_impure;
-    rebuilds_renumbered = sess.rebuilds_renumbered;
-    rebuilds_impure = sess.rebuilds_impure;
-    lint_rejected = sess.lint_rejected;
+    st with
+    times = { st.times with lint_ms = st.times.lint_ms };
+    solver =
+      (match sess.solver with
+      | Some s -> Sat.Solver.add_stats st.solver (Sat.Solver.stats s)
+      | None -> st.solver);
   }
 
 (* ---- streaming hooks: the long-lived session layer (Crcore.Session /
@@ -494,7 +479,7 @@ let snapshot_stats sess =
 
 let session_spec sess = sess.spec
 
-let session_rejected sess = sess.lint_rejected
+let session_rejected sess = sess.st.lint_rejected
 
 let session_stats = snapshot_stats
 
@@ -503,12 +488,20 @@ let refresh_budget sess =
   sess.spent_base <- conflicts_accrued sess
 
 let ingest_session sess ?(orders = []) ?(tuples = []) () =
-  if sess.lint_rejected then
-    invalid_arg "Engine.ingest_session: session was rejected as unsat";
-  if orders <> [] || tuples <> [] then
+  if orders <> [] || tuples <> [] then begin
     (* tuples appended, order edges prepended: exactly the pure-extension
        shape {!Encode.extend} serves with a Delta or Renumbered encoding *)
-    apply_extension sess (Spec.extend sess.spec ~tuples ~orders)
+    let spec' = Spec.extend sess.spec ~tuples ~orders in
+    if sess.st.lint_rejected then begin
+      (* no solver to extend: re-run the rejection test on the extended
+         spec, which the extension may cure (e.g. a tuple bringing a
+         vetoed CFD's RHS constant); if not, it is rejected again *)
+      count_impure sess;
+      admit sess spec';
+      load sess
+    end
+    else apply_extension sess spec'
+  end
 
 let count_known known = Array.fold_left (fun n v -> if v = None then n else n + 1) 0 known
 
@@ -596,7 +589,7 @@ let resolve_session sess ~user =
   let outcome =
     (* a rejected spec is provably unsatisfiable: report the same
        outcome IsValid would, without ever building a solver *)
-    if sess.lint_rejected then invalid_result ~rounds:0 ~per_round:[]
+    if sess.st.lint_rejected then invalid_result ~rounds:0 ~per_round:[]
     else begin
       (* one analyse step: validity then deduction, budget-aware *)
       let analyse ~rounds ~per_round =
@@ -745,22 +738,8 @@ type stats = {
   total_rounds : int;
   attrs_total : int;
   attrs_resolved : int;
-  times : phase_times;
-  solver : Sat.Solver.stats;
-  solvers_built : int;
-  solvers_reused : int;
-  deduce_sat_calls : int;
-  deduce_probes : int;
-  deduce_model_prunes : int;
-  deduce_seeded : int;
-  template_hits : int;
-  template_misses : int;
+  totals : entity_stats;
   template_hit_ratio : float;
-  encode_alloc_words : float;
-  delta_extensions : int;
-  rebuilds : int;
-  rebuilds_renumbered : int;
-  rebuilds_impure : int;
   lint_rejected : int;
   jobs : int;
   jobs_requested : int;
@@ -771,6 +750,7 @@ let throughput st =
   if st.wall_ms <= 0. then 0. else 1000. *. float_of_int st.entities /. st.wall_ms
 
 let pp_stats ppf st =
+  let t = st.totals in
   Format.fprintf ppf
     "@[<v>entities: %d (%d valid), %d interaction round(s), %d/%d attrs resolved@ \
      robustness: %d error(s); degraded: %d partial, %d pick; %d budget-exhausted@ \
@@ -789,15 +769,15 @@ let pp_stats ppf st =
     (if st.jobs_requested <> st.jobs then
        Printf.sprintf ", %d requested" st.jobs_requested
      else "")
-    st.times.lint_ms st.times.encode_ms st.times.validity_ms
-    st.times.deduce_ms st.times.suggest_ms st.lint_rejected Sat.Solver.pp_stats
-    st.solver st.solvers_built
-    st.solvers_reused st.deduce_sat_calls st.deduce_probes st.deduce_model_prunes
-    st.deduce_seeded st.template_hits
-    st.template_misses
+    t.times.lint_ms t.times.encode_ms t.times.validity_ms
+    t.times.deduce_ms t.times.suggest_ms st.lint_rejected Sat.Solver.pp_stats
+    t.solver t.solvers_built
+    t.solvers_reused t.deduce_sat_calls t.deduce_probes t.deduce_model_prunes
+    t.deduce_seeded t.template_hits
+    t.template_misses
     (100. *. st.template_hit_ratio)
-    st.encode_alloc_words
-    st.delta_extensions st.rebuilds st.rebuilds_renumbered st.rebuilds_impure st.wall_ms
+    t.encode_alloc_words
+    t.delta_extensions t.rebuilds t.rebuilds_renumbered t.rebuilds_impure st.wall_ms
     (throughput st)
 
 (* Constraint-list interning now happens at spec construction
@@ -817,25 +797,14 @@ let intern_constraint_lists items =
     items
 
 let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
-  let sum f = Array.fold_left (fun n r -> n + f r.stats) 0 results in
   let sum_ok f =
     Array.fold_left (fun n r -> match r.outcome with Ok o -> n + f o | Error _ -> n) 0 results
   in
   let count_ok p = sum_ok (fun o -> if p o then 1 else 0) in
-  let times = zero_times () in
-  Array.iter
-    (fun { stats = { times = t; _ }; _ } ->
-      times.lint_ms <- times.lint_ms +. t.lint_ms;
-      times.encode_ms <- times.encode_ms +. t.encode_ms;
-      times.validity_ms <- times.validity_ms +. t.validity_ms;
-      times.deduce_ms <- times.deduce_ms +. t.deduce_ms;
-      times.suggest_ms <- times.suggest_ms +. t.suggest_ms)
-    results;
-  let template_hits = sum (fun s -> s.template_hits)
-  and template_misses = sum (fun s -> s.template_misses)
-  and rebuilds_renumbered = sum (fun s -> s.rebuilds_renumbered)
-  and rebuilds_impure = sum (fun s -> s.rebuilds_impure) in
-  let tlookups = template_hits + template_misses in
+  let totals =
+    Array.fold_left (fun acc r -> add_stats acc r.stats) (zero_entity_stats ()) results
+  in
+  let tlookups = totals.template_hits + totals.template_misses in
   {
     entities = Array.length results;
     valid_entities = count_ok (fun o -> o.valid);
@@ -846,29 +815,12 @@ let aggregate ~jobs ~jobs_requested ~wall_ms (results : item_result array) =
     total_rounds = sum_ok (fun o -> o.rounds);
     attrs_total = sum_ok (fun o -> Array.length o.resolved);
     attrs_resolved = sum_ok (fun o -> count_known o.resolved);
-    times;
-    solver =
-      Array.fold_left
-        (fun acc r -> Sat.Solver.add_stats acc r.stats.solver)
-        Sat.Solver.zero_stats results;
-    solvers_built = sum (fun s -> s.solvers_built);
-    solvers_reused = sum (fun s -> s.solvers_reused);
-    deduce_sat_calls = sum (fun s -> s.deduce_sat_calls);
-    deduce_probes = sum (fun s -> s.deduce_probes);
-    deduce_model_prunes = sum (fun s -> s.deduce_model_prunes);
-    deduce_seeded = sum (fun s -> s.deduce_seeded);
-    template_hits;
-    template_misses;
+    totals;
     template_hit_ratio =
       (if tlookups = 0 then 0.
-       else float_of_int template_hits /. float_of_int tlookups);
-    encode_alloc_words =
-      Array.fold_left (fun acc r -> acc +. r.stats.encode_alloc_words) 0. results;
-    delta_extensions = sum (fun s -> s.delta_extensions);
-    rebuilds = rebuilds_renumbered + rebuilds_impure;
-    rebuilds_renumbered;
-    rebuilds_impure;
-    lint_rejected = sum (fun s -> Bool.to_int s.lint_rejected);
+       else float_of_int totals.template_hits /. float_of_int tlookups);
+    lint_rejected =
+      Array.fold_left (fun n r -> n + Bool.to_int r.stats.lint_rejected) 0 results;
     jobs;
     jobs_requested;
     wall_ms;

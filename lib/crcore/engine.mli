@@ -83,9 +83,12 @@ type config = {
       (** domains {!run_batch} resolves entities on (clamped to at least
           1). Results and aggregate counters are identical to [jobs = 1] —
           property-tested — and [on_result] still streams in input order;
-          only the schedule changes. Item [user] callbacks must be safe to
-          call from another domain. Sessions created directly are
-          unaffected. *)
+          only the schedule changes. The exceptions are measurements and
+          the cache's race: phase [times], [encode_alloc_words] and
+          [wall_ms], and [template_hits]/[template_misses], which depend
+          on which domain compiles a shape first. Item [user] callbacks
+          must be safe to call from another domain. Sessions created
+          directly are unaffected. *)
   clamp_jobs : bool;
       (** cap the effective batch width at
           [Parallel.Pool.recommended_jobs ()] (the machine's core count):
@@ -185,6 +188,17 @@ type entity_stats = {
           refutation found while loading the CNF *)
 }
 
+(** [add_stats a b] sums two records field by field: every counter and
+    phase time adds, the solver gauges [learnts] and [binaries] included
+    (the databases of distinct solvers add up), and [lint_rejected] is
+    [a.lint_rejected || b.lint_rejected]. The only code that sums
+    counters: a batch's {!stats.totals} and the session store's totals are
+    folds of it. *)
+val add_stats : entity_stats -> entity_stats -> entity_stats
+
+(** All zero, [lint_rejected = false]: the unit of {!add_stats}. *)
+val zero_entity_stats : unit -> entity_stats
+
 (** Per-entity result; same content as {!Framework.outcome} minus timings
     (those live in {!entity_stats}), plus the degradation record. *)
 type result = {
@@ -212,10 +226,10 @@ type result = {
 type error_info = { exn : string; backtrace : string; phase : phase }
 
 (** A shared shape-template cache, safe to reuse across sessions and
-    batches — including parallel ones: the table is split into
-    hash-addressed, mutex-guarded shards, and compilation on a miss runs
-    outside any lock. It holds one compiled template per shape and no
-    per-entity encoding. *)
+    batches — including parallel ones: one table behind one mutex, held
+    only for a lookup or an insert; compilation on a miss runs outside
+    it. It holds one compiled template per shape and no per-entity
+    encoding. *)
 type cache
 
 val create_cache : unit -> cache
@@ -257,13 +271,14 @@ val resolve :
 (** The session's current (accumulated) specification. *)
 val session_spec : session -> Spec.t
 
-(** [true] when the spec was rejected at creation (a cheap check or a
-    level-0 refutation on load): the session holds no solver and {!ingest_session} refuses it — rebuild from the
-    accumulated spec instead. *)
+(** [true] when the current spec was rejected (a cheap check or a
+    level-0 refutation on load): the session holds no solver, and
+    {!ingest_session} re-runs the rejection test on the extended spec. *)
 val session_rejected : session -> bool
 
 (** A snapshot of the session's statistics so far; the same record
-    {!resolve_session} returns, readable between resolves. *)
+    {!resolve_session} returns, readable between resolves. A snapshot is
+    a copy: later work on the session does not change it. *)
 val session_stats : session -> entity_stats
 
 (** [refresh_budget s] re-arms the per-request budgets on a long-lived
@@ -280,9 +295,13 @@ val refresh_budget : session -> unit
     prepended to the currency orders. Pure extensions ride
     {!Encode.extend}: unchanged value universes feed only delta clauses
     to the live solver ([delta_extensions]); a grown universe reloads the
-    solver but reuses the Σ instance sweep ([rebuilds_renumbered]).
-    Raises [Invalid_argument] on a rejected session (see
-    {!session_rejected}) and propagates {!Spec.extend} validation errors. *)
+    solver but reuses the Σ instance sweep ([rebuilds_renumbered]). A
+    rejected session (see {!session_rejected}) has no solver to extend:
+    it is rebuilt in place on the extended spec — rejection test,
+    encoding and solver load, as {!create_session} runs them — and counted
+    as one [rebuilds_impure]. The extension may cure it; its statistics,
+    fault-injection context and budget state carry across. Propagates
+    {!Spec.extend} validation errors. *)
 val ingest_session :
   session -> ?orders:Spec.order_edge list -> ?tuples:Tuple.t list -> unit -> unit
 
@@ -299,11 +318,11 @@ type item_result = {
   stats : entity_stats;
 }
 
-(** Aggregate batch statistics. Phase times are wall milliseconds summed
-    over entities — under a parallel batch they exceed [wall_ms] (the
-    batch's elapsed time, orchestration included), because [jobs] domains
-    accumulate them concurrently; [wall_ms] is the honest end-to-end
-    figure, the phase sums show where the work went. *)
+(** Aggregate batch statistics. Phase times ([totals.times]) are wall
+    milliseconds summed over entities — under a parallel batch they
+    exceed [wall_ms] (the batch's elapsed time, orchestration included),
+    because [jobs] domains accumulate them concurrently; [wall_ms] is the
+    honest end-to-end figure, the phase sums show where the work went. *)
 type stats = {
   entities : int;
   valid_entities : int;
@@ -316,24 +335,12 @@ type stats = {
   total_rounds : int;
   attrs_total : int;
   attrs_resolved : int;
-  times : phase_times;
-  solver : Sat.Solver.stats;
-  solvers_built : int;
-  solvers_reused : int;  (** phases served by live sessions, batch-wide *)
-  deduce_sat_calls : int;
-  deduce_probes : int;
-  deduce_model_prunes : int;
-  deduce_seeded : int;
-  template_hits : int;  (** shape-template hits, batch-wide *)
-  template_misses : int;  (** shape compilations, batch-wide *)
+  totals : entity_stats;
+      (** every item's {!entity_stats}, summed with {!add_stats} *)
   template_hit_ratio : float;
-      (** template hits / template lookups, 0 with no lookups. A batch of
-          [n] distinct same-shape entities scores [(n-1)/n] *)
-  encode_alloc_words : float;  (** encode-phase minor words, summed *)
-  delta_extensions : int;
-  rebuilds : int;  (** [rebuilds_renumbered + rebuilds_impure] *)
-  rebuilds_renumbered : int;
-  rebuilds_impure : int;
+      (** template hits / template lookups in [totals], 0 with no
+          lookups. A batch of [n] distinct same-shape entities scores
+          [(n-1)/n] *)
   lint_rejected : int;  (** entities rejected as unsat before solving *)
   jobs : int;  (** domains the batch ran on (after any clamping) *)
   jobs_requested : int;  (** [config.jobs] as given *)

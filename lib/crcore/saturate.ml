@@ -548,246 +548,6 @@ let verify spec (cert : cert) =
   | Bad m -> Error m
   | Not_found -> Error "certificate references a foreign attribute or value"
 
-(* ---- JSON (protocol shape; crcore carries no JSON dependency, so a
-   minimal builder and recursive-descent reader live here) ---- *)
-
-type json = Jobj of (string * json) list | Jarr of json list | Jstr of string | Jint of int
-
-let rec json_buf b = function
-  | Jint i -> Buffer.add_string b (string_of_int i)
-  | Jstr s ->
-      Buffer.add_char b '"';
-      String.iter
-        (fun c ->
-          match c with
-          | '"' -> Buffer.add_string b "\\\""
-          | '\\' -> Buffer.add_string b "\\\\"
-          | '\n' -> Buffer.add_string b "\\n"
-          | c -> Buffer.add_char b c)
-        s;
-      Buffer.add_char b '"'
-  | Jarr l ->
-      Buffer.add_char b '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char b ',';
-          json_buf b x)
-        l;
-      Buffer.add_char b ']'
-  | Jobj l ->
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_char b ',';
-          json_buf b (Jstr k);
-          Buffer.add_char b ':';
-          json_buf b x)
-        l;
-      Buffer.add_char b '}'
-
-let json_string j =
-  let b = Buffer.create 256 in
-  json_buf b j;
-  Buffer.contents b
-
-exception Jerr of string
-
-let parse_json s =
-  let pos = ref 0 in
-  let len = String.length s in
-  let peek () = if !pos < len then Some s.[!pos] else None in
-  let skip_ws () =
-    while !pos < len && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < len && s.[!pos] = c then incr pos
-    else raise (Jerr (Printf.sprintf "expected '%c' at %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= len then raise (Jerr "unterminated string")
-      else
-        match s.[!pos] with
-        | '"' -> incr pos
-        | '\\' ->
-            incr pos;
-            if !pos >= len then raise (Jerr "unterminated escape");
-            (match s.[!pos] with
-            | 'n' -> Buffer.add_char b '\n'
-            | c -> Buffer.add_char b c);
-            incr pos;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Jobj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ((k, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                Jobj (List.rev ((k, v) :: acc))
-            | _ -> raise (Jerr "expected ',' or '}'")
-          in
-          members []
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Jarr []
-        end
-        else
-          let rec elems acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elems (v :: acc)
-            | Some ']' ->
-                incr pos;
-                Jarr (List.rev (v :: acc))
-            | _ -> raise (Jerr "expected ',' or ']'")
-          in
-          elems []
-    | Some '"' -> Jstr (parse_string ())
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        if peek () = Some '-' then incr pos;
-        while !pos < len && match s.[!pos] with '0' .. '9' -> true | _ -> false do
-          incr pos
-        done;
-        if !pos = start then raise (Jerr "bad number");
-        Jint (int_of_string (String.sub s start (!pos - start)))
-    | _ -> raise (Jerr (Printf.sprintf "unexpected input at %d" !pos))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> len then raise (Jerr "trailing input");
-  v
-
-let field name = function
-  | Jobj l -> (
-      match List.assoc_opt name l with
-      | Some v -> v
-      | None -> raise (Jerr ("missing field " ^ name)))
-  | _ -> raise (Jerr ("not an object looking for " ^ name))
-
-let as_int = function Jint i -> i | _ -> raise (Jerr "expected an integer")
-let as_str = function Jstr s -> s | _ -> raise (Jerr "expected a string")
-let as_arr = function Jarr l -> l | _ -> raise (Jerr "expected an array")
-
-let fact_to_json f = Jobj [ ("attr", Jint f.attr); ("lo", Jint f.lo); ("hi", Jint f.hi) ]
-
-let fact_of_json j =
-  { attr = as_int (field "attr" j); lo = as_int (field "lo" j); hi = as_int (field "hi" j) }
-
-let source_fields = function
-  | Encode.From_order -> [ ("src", Jstr "order") ]
-  | Encode.From_constraint k -> [ ("src", Jstr "sigma"); ("idx", Jint k) ]
-  | Encode.From_cfd k -> [ ("src", Jstr "gamma"); ("idx", Jint k) ]
-
-let source_of_json j =
-  match as_str (field "src" j) with
-  | "order" -> Encode.From_order
-  | "sigma" -> Encode.From_constraint (as_int (field "idx" j))
-  | "gamma" -> Encode.From_cfd (as_int (field "idx" j))
-  | s -> raise (Jerr ("unknown source " ^ s))
-
-let rule_to_json = function
-  | Axiom src -> Jobj (("kind", Jstr "axiom") :: source_fields src)
-  | Implication src -> Jobj (("kind", Jstr "mp") :: source_fields src)
-  | Trans -> Jobj [ ("kind", Jstr "trans") ]
-  | Total k -> Jobj [ ("kind", Jstr "total"); ("idx", Jint k) ]
-  | Assumed -> Jobj [ ("kind", Jstr "assumed") ]
-
-let rule_of_json j =
-  match as_str (field "kind" j) with
-  | "axiom" -> Axiom (source_of_json j)
-  | "mp" -> Implication (source_of_json j)
-  | "trans" -> Trans
-  | "total" -> Total (as_int (field "idx" j))
-  | "assumed" -> Assumed
-  | s -> raise (Jerr ("unknown rule kind " ^ s))
-
-let cert_to_json (c : cert) =
-  let goal =
-    match c.goal with
-    | Derived f -> Jobj [ ("kind", Jstr "fact"); ("fact", fact_to_json f) ]
-    | Cycle_goal f -> Jobj [ ("kind", Jstr "cycle"); ("fact", fact_to_json f) ]
-    | Veto_goal k -> Jobj [ ("kind", Jstr "veto"); ("idx", Jint k) ]
-  in
-  let step s =
-    Jobj
-      [
-        ("fact", fact_to_json s.fact);
-        ("rule", rule_to_json s.rule);
-        ("premises", Jarr (List.map (fun p -> Jint p) s.premises));
-      ]
-  in
-  json_string
-    (Jobj
-       [
-         ("mode", Jstr (match c.cmode with Encode.Paper -> "paper" | Encode.Exact -> "exact"));
-         ("goal", goal);
-         ("chain", Jarr (List.map step c.chain));
-       ])
-
-let cert_of_json s =
-  try
-    let j = parse_json s in
-    let cmode =
-      match as_str (field "mode" j) with
-      | "paper" -> Encode.Paper
-      | "exact" -> Encode.Exact
-      | m -> raise (Jerr ("unknown mode " ^ m))
-    in
-    let gj = field "goal" j in
-    let goal =
-      match as_str (field "kind" gj) with
-      | "fact" -> Derived (fact_of_json (field "fact" gj))
-      | "cycle" -> Cycle_goal (fact_of_json (field "fact" gj))
-      | "veto" -> Veto_goal (as_int (field "idx" gj))
-      | k -> raise (Jerr ("unknown goal kind " ^ k))
-    in
-    let step sj =
-      {
-        fact = fact_of_json (field "fact" sj);
-        rule = rule_of_json (field "rule" sj);
-        premises = List.map as_int (as_arr (field "premises" sj));
-      }
-    in
-    Ok { cmode; goal; chain = List.map step (as_arr (field "chain" j)) }
-  with Jerr m -> Error m
-
 (* ---- rendering ---- *)
 
 let pp_cert spec ppf (c : cert) =

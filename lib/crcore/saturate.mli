@@ -154,9 +154,6 @@ val refutation_certificate : t -> cert option
     from the saturation engine. *)
 val verify : Spec.t -> cert -> (unit, string) result
 
-val cert_to_json : cert -> string
-val cert_of_json : string -> (cert, string) result
-
 (** [pp_cert spec ppf cert] renders the chain with attribute names and
     values. *)
 val pp_cert : Spec.t -> Format.formatter -> cert -> unit

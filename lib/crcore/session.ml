@@ -1,9 +1,7 @@
 type handle = {
   label : string;
-  config : Engine.config;
-  cache : Engine.cache;
   m : Mutex.t;
-  mutable eng : Engine.session;
+  eng : Engine.session;
   (* delta coalescing: arrivals buffer here and reach the engine as ONE
      pure extension at the next resolve/baseline/spec — k tuple arrivals
      between two resolves cost one [Encode.extend] (and at most one
@@ -18,29 +16,7 @@ type handle = {
      solver. *)
   mutable memo : (Engine.result * Engine.entity_stats) option;
   mutable resolves : int;
-  (* counters carried over engine-session rebuilds (rejected ingest):
-     the replacement session starts its stats at zero, so the totals of the
-     sessions it replaced live here *)
-  mutable carried_delta : int;
-  mutable carried_renumbered : int;
-  mutable carried_impure : int;
-  mutable carried_solvers : int;
-  mutable carried_thits : int;
-  mutable carried_tmisses : int;
-  mutable carried_sat : Sat.Solver.stats;
   mutable closed : bool;
-}
-
-(* lifetime totals of a handle, engine-session rebuilds included *)
-type counters = {
-  c_delta : int;
-  c_renumbered : int;
-  c_impure : int;
-  c_solvers : int;
-  c_thits : int;
-  c_tmisses : int;
-  c_resolves : int;
-  c_sat : Sat.Solver.stats;
 }
 
 let locked h f =
@@ -49,26 +25,16 @@ let locked h f =
 
 let check_open h op = if h.closed then invalid_arg ("Session." ^ op ^ ": closed handle")
 
-let create ?(config = Engine.default_config) ?cache ?(label = "session") spec =
-  let cache = match cache with Some c -> c | None -> Engine.create_cache () in
+let create ?config ?cache ?(label = "session") spec =
   {
     label;
-    config;
-    cache;
     m = Mutex.create ();
-    eng = Engine.create_session ~config ~cache ~label spec;
+    eng = Engine.create_session ?config ?cache ~label spec;
     pending_tuples = [];
     pending_orders = [];
     last = None;
     memo = None;
     resolves = 0;
-    carried_delta = 0;
-    carried_renumbered = 0;
-    carried_impure = 0;
-    carried_solvers = 0;
-    carried_thits = 0;
-    carried_tmisses = 0;
-    carried_sat = Sat.Solver.zero_stats;
     closed = false;
   }
 
@@ -81,25 +47,7 @@ let flush h =
     h.pending_tuples <- [];
     h.pending_orders <- [];
     h.memo <- None;
-    if Engine.session_rejected h.eng then begin
-      (* the rejected session holds no solver to extend (nor an
-         encoding, if a cheap check rejected it); a rebuild from the
-         accumulated spec re-runs the rejection test — the extension may
-         well cure it (e.g. a tuple bringing a vetoed CFD's RHS constant),
-         and if not the fresh session is rejected again, harmlessly *)
-      let old = h.eng in
-      let spec' = Spec.extend (Engine.session_spec old) ~tuples ~orders in
-      let st = Engine.session_stats old in
-      h.carried_delta <- h.carried_delta + st.Engine.delta_extensions;
-      h.carried_renumbered <- h.carried_renumbered + st.Engine.rebuilds_renumbered;
-      h.carried_impure <- h.carried_impure + st.Engine.rebuilds_impure + 1;
-      h.carried_solvers <- h.carried_solvers + st.Engine.solvers_built;
-      h.carried_thits <- h.carried_thits + st.Engine.template_hits;
-      h.carried_tmisses <- h.carried_tmisses + st.Engine.template_misses;
-      h.carried_sat <- Sat.Solver.add_stats h.carried_sat st.Engine.solver;
-      h.eng <- Engine.create_session ~config:h.config ~cache:h.cache ~label:h.label spec'
-    end
-    else Engine.ingest_session h.eng ~orders ~tuples ()
+    Engine.ingest_session h.eng ~orders ~tuples ()
   end
 
 let spec h =
@@ -146,20 +94,8 @@ let resolves h = locked h (fun () -> h.resolves)
 let close h = locked h (fun () -> h.closed <- true)
 let is_closed h = locked h (fun () -> h.closed)
 
-(* totals including engine sessions replaced by rejected-ingest rebuilds;
-   used (under the handle lock) by Store accounting *)
-let counters_unlocked h =
-  let st = Engine.session_stats h.eng in
-  {
-    c_delta = h.carried_delta + st.Engine.delta_extensions;
-    c_renumbered = h.carried_renumbered + st.Engine.rebuilds_renumbered;
-    c_impure = h.carried_impure + st.Engine.rebuilds_impure;
-    c_solvers = h.carried_solvers + st.Engine.solvers_built;
-    c_thits = h.carried_thits + st.Engine.template_hits;
-    c_tmisses = h.carried_tmisses + st.Engine.template_misses;
-    c_resolves = h.resolves;
-    c_sat = Sat.Solver.add_stats h.carried_sat st.Engine.solver;
-  }
+(* a handle's statistics and resolve count, read under one lock *)
+let totals h = locked h (fun () -> (Engine.session_stats h.eng, h.resolves))
 
 let create_handle = create
 
@@ -185,14 +121,8 @@ module Store = struct
     mutable evicted_ttl : int;
     mutable removed : int;
     (* counters of sessions no longer live *)
+    mutable retired : Engine.entity_stats;
     mutable retired_resolves : int;
-    mutable retired_delta : int;
-    mutable retired_renumbered : int;
-    mutable retired_impure : int;
-    mutable retired_solvers : int;
-    mutable retired_thits : int;
-    mutable retired_tmisses : int;
-    mutable retired_sat : Sat.Solver.stats;
   }
 
   type stats = {
@@ -228,14 +158,8 @@ module Store = struct
       evicted_lru = 0;
       evicted_ttl = 0;
       removed = 0;
+      retired = Engine.zero_entity_stats ();
       retired_resolves = 0;
-      retired_delta = 0;
-      retired_renumbered = 0;
-      retired_impure = 0;
-      retired_solvers = 0;
-      retired_thits = 0;
-      retired_tmisses = 0;
-      retired_sat = Sat.Solver.zero_stats;
     }
 
   let config t = t.config
@@ -250,29 +174,12 @@ module Store = struct
     e.last_used <- Clock.now_s ();
     Queue.push (e.h.label, e.gen) t.lru
 
-  (* Across sessions every solver counter adds up, the gauges included:
-     [Sat.Solver.add_stats] keeps the later snapshot's [learnts] and
-     [binaries], which is right for one session's successive solvers but
-     would report a single session's database size for the whole store. *)
-  let sum_sat a b =
-    {
-      (Sat.Solver.add_stats a b) with
-      Sat.Solver.learnts = a.Sat.Solver.learnts + b.Sat.Solver.learnts;
-      binaries = a.Sat.Solver.binaries + b.Sat.Solver.binaries;
-    }
-
   (* store lock held; takes the handle lock (never the reverse order) *)
   let retire t e =
-    let c = locked e.h (fun () -> counters_unlocked e.h) in
+    let st, resolves = totals e.h in
     close e.h;
-    t.retired_delta <- t.retired_delta + c.c_delta;
-    t.retired_renumbered <- t.retired_renumbered + c.c_renumbered;
-    t.retired_impure <- t.retired_impure + c.c_impure;
-    t.retired_solvers <- t.retired_solvers + c.c_solvers;
-    t.retired_thits <- t.retired_thits + c.c_thits;
-    t.retired_tmisses <- t.retired_tmisses + c.c_tmisses;
-    t.retired_resolves <- t.retired_resolves + c.c_resolves;
-    t.retired_sat <- sum_sat t.retired_sat c.c_sat
+    t.retired <- Engine.add_stats t.retired st;
+    t.retired_resolves <- t.retired_resolves + resolves
 
   let evict_lru t =
     let rec pop () =
@@ -365,26 +272,13 @@ module Store = struct
 
   let stats t =
     with_lock t (fun () ->
-        let d = ref t.retired_delta
-        and rn = ref t.retired_renumbered
-        and ri = ref t.retired_impure
-        and s = ref t.retired_solvers
-        and th = ref t.retired_thits
-        and tm = ref t.retired_tmisses
-        and rv = ref t.retired_resolves
-        and sa = ref t.retired_sat in
-        Hashtbl.iter
-          (fun _ e ->
-            let c = locked e.h (fun () -> counters_unlocked e.h) in
-            d := !d + c.c_delta;
-            rn := !rn + c.c_renumbered;
-            ri := !ri + c.c_impure;
-            s := !s + c.c_solvers;
-            th := !th + c.c_thits;
-            tm := !tm + c.c_tmisses;
-            rv := !rv + c.c_resolves;
-            sa := sum_sat !sa c.c_sat)
-          t.tbl;
+        let st, resolves =
+          Hashtbl.fold
+            (fun _ e (st, n) ->
+              let st', n' = totals e.h in
+              (Engine.add_stats st st', n + n'))
+            t.tbl (t.retired, t.retired_resolves)
+        in
         {
           live = Hashtbl.length t.tbl;
           created = t.created;
@@ -392,14 +286,14 @@ module Store = struct
           evicted_lru = t.evicted_lru;
           evicted_ttl = t.evicted_ttl;
           removed = t.removed;
-          resolves = !rv;
-          delta_extensions = !d;
-          rebuilds_renumbered = !rn;
-          rebuilds_impure = !ri;
-          solvers_built = !s;
-          template_hits = !th;
-          template_misses = !tm;
-          sat = !sa;
+          resolves;
+          delta_extensions = st.Engine.delta_extensions;
+          rebuilds_renumbered = st.Engine.rebuilds_renumbered;
+          rebuilds_impure = st.Engine.rebuilds_impure;
+          solvers_built = st.Engine.solvers_built;
+          template_hits = st.Engine.template_hits;
+          template_misses = st.Engine.template_misses;
+          sat = st.Engine.solver;
         })
 
   let pp_stats ppf s =

@@ -49,11 +49,12 @@ val spec : handle -> Spec.t
     edges (indices into the accumulated entity). The buffer is applied to
     the engine session lazily, at the next {!resolve}/{!baseline}/{!spec}
     — so bursts of arrivals between resolve points coalesce into a single
-    extension. A session whose accumulated spec the engine's lint had
-    rejected is rebuilt from scratch on the extended spec at that point
-    (re-checked — soundly, whatever the extension). Raises
-    [Invalid_argument] on a closed handle; a spec validation error in the
-    buffered extension surfaces at the applying call. *)
+    extension. A session whose accumulated spec the engine had rejected
+    is rebuilt in place on the extended spec at that point
+    ({!Engine.ingest_session}: re-checked — soundly, whatever the
+    extension). Raises [Invalid_argument] on a closed handle; a spec
+    validation error in the buffered extension surfaces at the applying
+    call. *)
 val ingest : handle -> ?orders:Spec.order_edge list -> ?tuples:Tuple.t list -> unit -> unit
 
 (** [resolve ?user h] re-resolves the accumulated specification on the

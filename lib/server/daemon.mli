@@ -1,7 +1,7 @@
 (** The [crsolved] server: resolution-as-a-service on a Unix socket.
 
     A daemon holds one {!Conflict_resolution.Session.Store} — engine
-    configuration, the shared sharded template cache and every live
+    configuration, the shared template cache and every live
     per-entity solver session — plus the Σ/Γ constraint sets, loaded once
     at startup and shared by all entities. Clients speak {!Protocol} over
     a Unix-domain stream socket; each connection gets its own thread, and

@@ -252,19 +252,32 @@ let test_engine_closure_rejected () =
         (Fixtures.same_answer (F.resolve ~mode ~user:F.silent spec) r))
     [ Crcore.Encode.Paper; Crcore.Encode.Exact ]
 
-(* A closure-rejected stream session whose arrivals cure the veto (a
-   tuple bringing the RHS constant) is rebuilt at the next resolve and
-   answers exactly as a cold session on the accumulated spec. *)
+(* A closure-rejected stream session is rebuilt in place at the next
+   resolve after an ingest: rejected again while the veto holds, cured
+   once a tuple brings the RHS constant, and then answering exactly as a
+   cold session on the accumulated spec. *)
 let test_session_cured_by_ingest () =
   let h = Crcore.Session.create (veto_spec ()) in
   Alcotest.(check bool) "rejected at open" true (Crcore.Session.stats h).E.lint_rejected;
+  let still_vetoed =
+    Fixtures.tup [ "Edith Shain"; "deceased"; "n/a"; "3"; "Rome"; "213"; "90058"; "Vermont" ]
+  in
+  Crcore.Session.ingest h ~tuples:[ still_vetoed ] ();
+  let _, st = Crcore.Session.resolve h in
+  Alcotest.(check bool) "rejected again" true st.E.lint_rejected;
   let cure =
     Fixtures.tup [ "Edith Shain"; "deceased"; "n/a"; "3"; "Paris"; "213"; "90058"; "Vermont" ]
   in
   Crcore.Session.ingest h ~tuples:[ cure ] ();
   let hot, st = Crcore.Session.resolve h in
   Alcotest.(check bool) "cured" false st.E.lint_rejected;
-  let entity = Entity.make Fixtures.schema (Entity.tuples Fixtures.edith_entity @ [ cure ]) in
+  (* the engine rebuilt the session in place each time: its counters keep
+     the work done before the cure *)
+  Alcotest.(check int) "each rebuild is impure" 2 st.E.rebuilds_impure;
+  Alcotest.(check int) "three solvers loaded" 3 st.E.solvers_built;
+  let entity =
+    Entity.make Fixtures.schema (Entity.tuples Fixtures.edith_entity @ [ still_vetoed; cure ])
+  in
   let cold, _ = E.resolve ~user:F.silent (veto_spec ~entity ()) in
   Alcotest.(check bool) "valid once cured" true cold.E.valid;
   Alcotest.(check bool) "hot == cold" true (without_conflicts hot = without_conflicts cold)

@@ -71,8 +71,8 @@ let test_cache_hit_identical () =
            && r1.E.rounds = r.E.rounds))
         rest
   | [] -> Alcotest.fail "no results");
-  Alcotest.(check int) "shape compiled once" 1 stats.E.template_misses;
-  Alcotest.(check int) "repeats instantiate the template" 2 stats.E.template_hits
+  Alcotest.(check int) "shape compiled once" 1 stats.E.totals.E.template_misses;
+  Alcotest.(check int) "repeats instantiate the template" 2 stats.E.totals.E.template_hits
 
 (* The template ratchet: n distinct entities of one shape (one schema, one
    Σ/Γ) compile the shape once and instantiate it n-1 times, so a batch
@@ -97,8 +97,8 @@ let test_template_shared_across_entities () =
   Alcotest.(check int) "distinct entities" n (List.length (List.sort_uniq compare entities));
   let _, stats = E.run_batch items in
   Alcotest.(check int) "entities" n stats.E.entities;
-  Alcotest.(check int) "shape compiled once" 1 stats.E.template_misses;
-  Alcotest.(check int) "every other entity instantiates it" (n - 1) stats.E.template_hits
+  Alcotest.(check int) "shape compiled once" 1 stats.E.totals.E.template_misses;
+  Alcotest.(check int) "every other entity instantiates it" (n - 1) stats.E.totals.E.template_hits
 
 (* A template belongs to the cache that compiled it: a session on a fresh
    cache compiles its shape even when the previous session on this domain
@@ -196,12 +196,44 @@ let test_stats_aggregation () =
   let rate = stats.E.template_hit_ratio in
   Alcotest.(check bool) "template hit rate in [0,1]" true (rate >= 0. && rate <= 1.);
   Alcotest.(check bool) "times non-negative" true
-    (stats.E.times.E.encode_ms >= 0.
-    && stats.E.times.E.validity_ms >= 0.
-    && stats.E.times.E.deduce_ms >= 0.
-    && stats.E.times.E.suggest_ms >= 0.);
+    (stats.E.totals.E.times.E.encode_ms >= 0.
+    && stats.E.totals.E.times.E.validity_ms >= 0.
+    && stats.E.totals.E.times.E.deduce_ms >= 0.
+    && stats.E.totals.E.times.E.suggest_ms >= 0.);
   Alcotest.(check bool) "pp_stats renders" true
     (String.length (Format.asprintf "%a" E.pp_stats stats) > 0)
+
+(* A batch's totals add every counter over its items, the solver gauges
+   [learnts] and [binaries] included: the batch's clause database is the
+   sum of its entities', not the last entity's. *)
+let test_totals_sum_items () =
+  let ds = Datagen.Person.quick ~seed:5 ~n_entities:12 ~size:8 () in
+  let items =
+    List.map
+      (fun (c : Datagen.Types.case) ->
+        {
+          E.label = string_of_int c.Datagen.Types.id;
+          spec = Datagen.Types.spec_of ds c;
+          user = F.silent;
+        })
+      ds.Datagen.Types.cases
+  in
+  let config = { E.default_config with mode = Crcore.Encode.Exact } in
+  let results, stats = E.run_batch ~config items in
+  let sum f = List.fold_left (fun n (ir : E.item_result) -> n + f ir.E.stats) 0 results in
+  let sat f = sum (fun s -> f s.E.solver) and t = stats.E.totals in
+  Alcotest.(check bool) "several entities hold binaries" true
+    (List.length
+       (List.filter
+          (fun (ir : E.item_result) -> ir.E.stats.E.solver.Sat.Solver.binaries > 0)
+          results)
+    > 1);
+  let module S = Sat.Solver in
+  Alcotest.(check int) "binaries" (sat (fun s -> s.S.binaries)) t.E.solver.S.binaries;
+  Alcotest.(check int) "learnts" (sat (fun s -> s.S.learnts)) t.E.solver.S.learnts;
+  Alcotest.(check int) "conflicts" (sat (fun s -> s.S.conflicts)) t.E.solver.S.conflicts;
+  Alcotest.(check int) "solvers built" (sum (fun s -> s.E.solvers_built)) t.E.solvers_built;
+  Alcotest.(check int) "deduce probes" (sum (fun s -> s.E.deduce_probes)) t.E.deduce_probes
 
 let test_facade_surface () =
   (* the stable facade re-exports the whole pipeline under one name *)
@@ -345,6 +377,7 @@ let () =
           Alcotest.test_case "batch == per-entity" `Quick test_run_batch_matches_per_entity;
           Alcotest.test_case "streaming order" `Quick test_batch_streaming_order;
           Alcotest.test_case "stats aggregation" `Quick test_stats_aggregation;
+          Alcotest.test_case "batch totals sum the items" `Quick test_totals_sum_items;
           Alcotest.test_case "facade surface" `Quick test_facade_surface;
           Alcotest.test_case "NaN LHS pattern constant" `Quick test_nan_lhs_constant;
           Alcotest.test_case "NaN RHS pattern constant" `Quick test_nan_rhs_constant;

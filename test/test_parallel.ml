@@ -134,10 +134,37 @@ let same_item_results (a : E.item_result list) (b : E.item_result list) =
          x.E.label = y.E.label && x.E.outcome = y.E.outcome)
        a b
 
+(* The aggregate with what a schedule may change masked: phase times and
+   encode allocation are measurements, and which domain compiles a shape
+   first decides the template hit/miss split (and so the ratio). The
+   batch width and the wall time differ by construction. *)
+let schedule_free (st : E.stats) =
+  let t = st.E.totals in
+  let times =
+    {
+      E.lint_ms = 0.;
+      encode_ms = 0.;
+      saturate_ms = 0.;
+      validity_ms = 0.;
+      deduce_ms = 0.;
+      suggest_ms = 0.;
+    }
+  in
+  {
+    st with
+    E.totals =
+      { t with E.times; encode_alloc_words = 0.; template_hits = 0; template_misses = 0 };
+    template_hit_ratio = 0.;
+    jobs = 0;
+    jobs_requested = 0;
+    wall_ms = 0.;
+  }
+
 (* The headline property: 25 batches x 20 specs = 500 random specs, each
    batch resolved sequentially and with jobs in {2, 4, 8}; every parallel
-   run must return exactly the sequential results. Lint stays on, so the
-   rejected specs exercise the mixed lint/solve path under parallelism. *)
+   run must return exactly the sequential results and aggregate counters.
+   Lint stays on, so the rejected specs exercise the mixed lint/solve path
+   under parallelism. *)
 let prop_parallel_equals_sequential =
   QCheck.Test.make ~count:25 ~name:"run_batch jobs>1 == jobs=1 on random spec batches"
     QCheck.(int_bound 1_000_000)
@@ -152,10 +179,7 @@ let prop_parallel_equals_sequential =
             E.run_batch ~config:{ E.default_config with jobs; clamp_jobs = false } items
           in
           same_item_results seq_results par_results
-          && par_stats.E.entities = seq_stats.E.entities
-          && par_stats.E.valid_entities = seq_stats.E.valid_entities
-          && par_stats.E.lint_rejected = seq_stats.E.lint_rejected
-          && par_stats.E.total_rounds = seq_stats.E.total_rounds)
+          && schedule_free par_stats = schedule_free seq_stats)
         [ 2; 4; 8 ])
 
 let test_parallel_streaming_order () =
@@ -180,27 +204,27 @@ let test_parallel_stats_invariants () =
   Alcotest.(check int) "jobs recorded" 4 st.E.jobs;
   Alcotest.(check int) "jobs_requested recorded" 4 st.E.jobs_requested;
   Alcotest.(check bool) "deduce counters non-negative" true
-    (st.E.deduce_sat_calls >= 0 && st.E.deduce_probes >= 0
-    && st.E.deduce_model_prunes >= 0 && st.E.deduce_seeded >= 0);
-  Alcotest.(check bool) "live sessions served phases" true (st.E.solvers_reused > 0);
+    (st.E.totals.E.deduce_sat_calls >= 0 && st.E.totals.E.deduce_probes >= 0
+    && st.E.totals.E.deduce_model_prunes >= 0 && st.E.totals.E.deduce_seeded >= 0);
+  Alcotest.(check bool) "live sessions served phases" true (st.E.totals.E.solvers_reused > 0);
   Alcotest.(check int) "entities" (List.length items) st.E.entities;
-  Alcotest.(check int) "rebuild breakdown sums" st.E.rebuilds
-    (st.E.rebuilds_renumbered + st.E.rebuilds_impure);
+  Alcotest.(check int) "rebuild breakdown sums" st.E.totals.E.rebuilds
+    (st.E.totals.E.rebuilds_renumbered + st.E.totals.E.rebuilds_impure);
   Alcotest.(check bool) "template_hit_ratio in [0,1]" true
     (st.E.template_hit_ratio >= 0. && st.E.template_hit_ratio <= 1.);
   Alcotest.(check bool) "template_hit_ratio consistent" true
-    (st.E.template_hits + st.E.template_misses = 0
+    (st.E.totals.E.template_hits + st.E.totals.E.template_misses = 0
     || abs_float
          (st.E.template_hit_ratio
-         -. (float_of_int st.E.template_hits
-            /. float_of_int (st.E.template_hits + st.E.template_misses)))
+         -. (float_of_int st.E.totals.E.template_hits
+            /. float_of_int (st.E.totals.E.template_hits + st.E.totals.E.template_misses)))
        < 1e-9);
   Alcotest.(check bool) "phase times non-negative" true
-    (st.E.times.E.lint_ms >= 0.
-    && st.E.times.E.encode_ms >= 0.
-    && st.E.times.E.validity_ms >= 0.
-    && st.E.times.E.deduce_ms >= 0.
-    && st.E.times.E.suggest_ms >= 0.)
+    (st.E.totals.E.times.E.lint_ms >= 0.
+    && st.E.totals.E.times.E.encode_ms >= 0.
+    && st.E.totals.E.times.E.validity_ms >= 0.
+    && st.E.totals.E.times.E.deduce_ms >= 0.
+    && st.E.totals.E.times.E.suggest_ms >= 0.)
 
 (* Cross-phase solver reuse (one session serving validity, backbone
    deduction and the MaxSAT repair layer) and template instantiation must
@@ -247,11 +271,12 @@ let env_jobs_tests =
           QCheck.(int_bound 1_000_000)
           (fun seed ->
             let items = batch_of_seed seed in
-            let seq_results, _ = E.run_batch items in
-            let par_results, _ =
+            let seq_results, seq_stats = E.run_batch items in
+            let par_results, par_stats =
               E.run_batch ~config:{ E.default_config with jobs; clamp_jobs = false } items
             in
-            same_item_results seq_results par_results);
+            same_item_results seq_results par_results
+            && schedule_free par_stats = schedule_free seq_stats);
       ]
   | _ -> []
 

@@ -1,8 +1,8 @@
 (* The static saturation engine (Saturate): soundness of the closure
    against the SAT backbone, completeness in Paper mode, certificate
-   verification by the independent checker, JSON round-trips with a
-   tamper rejection, the per-template plan memo, and the engine's
-   answers against the framework's. *)
+   verification by the independent checker with a tamper rejection, the
+   per-template plan memo, and the engine's answers against the
+   framework's. *)
 
 module E = Crcore.Encode
 module S = Crcore.Saturate
@@ -126,7 +126,7 @@ let test_exact_total_rule () =
   Alcotest.(check bool) "Total step rejected when the CFD is not vetoed" true
     (match S.verify live (total_cert E.Exact 0) with Error _ -> true | Ok () -> false)
 
-(* ---- certificates: JSON round-trip and tampering ---- *)
+(* ---- certificates: tampering ---- *)
 
 let mp_cert () =
   let spec = Fixtures.edith_spec () in
@@ -135,45 +135,24 @@ let mp_cert () =
   | Some c -> (spec, c)
   | None -> Alcotest.fail "expected a certificate for job: nurse < n/a"
 
-let test_json_roundtrip () =
-  let spec, cert = mp_cert () in
-  let json = S.cert_to_json cert in
-  match S.cert_of_json json with
-  | Error m -> Alcotest.failf "round-trip decode failed: %s" m
-  | Ok cert' ->
-      Alcotest.(check bool) "structurally equal" true (cert = cert');
-      Alcotest.(check bool) "decoded certificate verifies" true (S.verify spec cert' = Ok ());
-      (* refutation certificates round-trip too *)
-      let rspec = mk ~sigma:[ phi; phi_mirror ] () in
-      (match S.refutation_certificate (S.of_spec rspec) with
-      | None -> Alcotest.fail "expected a refutation certificate"
-      | Some rc ->
-          Alcotest.(check bool) "refutation round-trip" true
-            (S.cert_of_json (S.cert_to_json rc) = Ok rc));
-      Alcotest.(check bool) "garbage rejected" true
-        (match S.cert_of_json "{\"mode\":" with Error _ -> true | Ok _ -> false)
-
-(* replace the first occurrence of [old_s] in [s] *)
-let replace_first s old_s new_s =
-  let n = String.length s and m = String.length old_s in
-  let rec find i = if i + m > n then None else if String.sub s i m = old_s then Some i else find (i + 1) in
-  match find 0 with
-  | None -> None
-  | Some i -> Some (String.sub s 0 i ^ new_s ^ String.sub s (i + m) (n - i - m))
-
 let test_tamper_rejected () =
   let spec, cert = mp_cert () in
   (* the MP step cites sigma[4] (prec(status) -> prec(job)); pointing it
      at sigma[3] (the kids comparison) must fail independent checking *)
-  let json = S.cert_to_json cert in
-  (match replace_first json "\"src\":\"sigma\",\"idx\":4" "\"src\":\"sigma\",\"idx\":3" with
-  | None -> Alcotest.fail "expected the certificate to cite sigma[4]"
-  | Some tampered -> (
-      match S.cert_of_json tampered with
-      | Error m -> Alcotest.failf "tampered JSON should still parse: %s" m
-      | Ok c ->
-          Alcotest.(check bool) "swapped constraint id rejected" true
-            (match S.verify spec c with Error _ -> true | Ok () -> false)));
+  let swapped = ref false in
+  let chain =
+    List.map
+      (fun s ->
+        match s.S.rule with
+        | S.Implication (E.From_constraint 4) when not !swapped ->
+            swapped := true;
+            { s with S.rule = S.Implication (E.From_constraint 3) }
+        | _ -> s)
+      cert.S.chain
+  in
+  Alcotest.(check bool) "the certificate cites sigma[4]" true !swapped;
+  Alcotest.(check bool) "swapped constraint id rejected" true
+    (match S.verify spec { cert with S.chain } with Error _ -> true | Ok () -> false);
   (* and an in-memory tamper: claim a fact the chain never derives *)
   let bogus = { cert with S.goal = S.Derived { E.attr = 0; lo = 0; hi = 0 } } in
   Alcotest.(check bool) "forged goal rejected" true
@@ -285,7 +264,6 @@ let () =
         ] );
       ( "certificates",
         [
-          Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "tampered certificates rejected" `Quick test_tamper_rejected;
         ] );
       ( "engine",

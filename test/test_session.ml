@@ -151,6 +151,30 @@ let test_order_ingest_is_delta () =
   Alcotest.(check int) "order assertion takes the Delta path" (before + 1)
     (S.stats h).E.delta_extensions
 
+(* A returned stats record is a snapshot: later ingests and resolves on
+   the session do not change it, whether it came fresh from the engine or
+   from the memo. *)
+let test_stats_are_snapshots () =
+  match george_tuples () with
+  | t0 :: rest ->
+      let h = S.create (spec_of_tuples [ t0 ]) in
+      let _, st1 = S.resolve h in
+      let _, memo = S.resolve h in
+      let copy (st : E.entity_stats) =
+        { st with E.times = { st.E.times with E.lint_ms = st.E.times.E.lint_ms } }
+      in
+      let st1' = copy st1 and memo' = copy memo in
+      List.iter
+        (fun t ->
+          S.ingest h ~tuples:[ t ] ();
+          ignore (S.resolve h))
+        rest;
+      Alcotest.(check bool) "later work was timed" true
+        ((S.stats h).E.times.E.encode_ms > st1'.E.times.E.encode_ms);
+      Alcotest.(check bool) "first record unchanged" true (st1 = st1');
+      Alcotest.(check bool) "memoized record unchanged" true (memo = memo')
+  | [] -> assert false
+
 let test_closed_handle () =
   let h = S.create (spec_of_tuples (george_tuples ())) in
   S.close h;
@@ -391,6 +415,7 @@ let () =
           Alcotest.test_case "coalesced ingest" `Quick test_coalesced_ingest;
           Alcotest.test_case "memoized reads" `Quick test_memoized_reads;
           Alcotest.test_case "order ingest is delta" `Quick test_order_ingest_is_delta;
+          Alcotest.test_case "stats are snapshots" `Quick test_stats_are_snapshots;
           Alcotest.test_case "closed handle" `Quick test_closed_handle;
         ] );
       ( "store",
