@@ -76,15 +76,15 @@ let group_by key n item =
    E004 and, unless [errors_only], the Γ warnings sharing their loops —
    pushed onto [diags]. Returns the per-attribute E001 flags and the set
    of CFDs already reported as errors, which the closure checks filter
-   on. *)
-let cheap_checks ~errors_only ~diags spec =
+   on. Active domains are scanned over the entity's distinct [rows]. *)
+let cheap_checks ~errors_only ~diags ~rows spec =
   let emit = emit_to diags in
   let schema = Spec.schema spec in
   let entity = spec.Spec.entity in
   let arity = Schema.arity schema in
   (* only the attributes the Γ index probes, a candidate CFD or an
      explicit edge mentions need their active domain *)
-  let adom = Array.init arity (fun a -> lazy (fst (Entity.active_domain_ids entity a))) in
+  let adom = Array.init arity (fun a -> lazy (fst (Entity.active_domain_ids ~rows entity a))) in
   let in_adom a v = Array.exists (Value.equal v) (Lazy.force adom.(a)) in
 
   (* E001: a cyclic explicit order admits no completion — every completion
@@ -258,7 +258,8 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
   let diags = ref [] in
   let emit = emit_to diags in
   let span_of k = if k < Array.length sigma_spans then sigma_spans.(k) else None in
-  let e001, gamma_error = cheap_checks ~errors_only ~diags spec in
+  let rows = Entity.distinct_rows spec.Spec.entity in
+  let e001, gamma_error = cheap_checks ~errors_only ~diags ~rows spec in
   let gamma_a = Array.of_list spec.Spec.gamma in
   (* I002: subsumed CFDs (duplicates included); only CFDs with the exact
      same RHS pattern qualify, so pair up within RHS-pattern groups. *)
@@ -303,7 +304,7 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
        {!Encode.encode} would (same projection-representative sweep, same
        null handling), so every diagnostic below reasons about the very
        instances Φ(Se) is built from. *)
-    let parts = Encode.parts spec in
+    let parts = Encode.parts ~rows spec in
     let coding = parts.Encode.p_coding in
 
     (* ---- explicit order edges, at the value level ---- *)
@@ -569,7 +570,8 @@ let analyze ?(errors_only = false) ?(sigma_spans = [||]) spec =
 
   report ~errors_only (List.rev !diags)
 
-let cheap_errors spec =
+let cheap_errors ?rows spec =
+  let rows = match rows with Some r -> r | None -> Entity.distinct_rows spec.Spec.entity in
   let diags = ref [] in
-  ignore (cheap_checks ~errors_only:true ~diags spec);
+  ignore (cheap_checks ~errors_only:true ~diags ~rows spec);
   report ~errors_only:true (List.rev !diags)

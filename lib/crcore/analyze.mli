@@ -109,13 +109,15 @@ val analyze :
   Spec.t ->
   diagnostic list
 
-(** [cheap_errors spec] runs only the checks that need no ground
+(** [cheap_errors ?rows spec] runs only the checks that need no ground
     instance (E001, E003, E004), deduplicated and sorted as [analyze
     ~errors_only:true] reports them. It builds no {!Coding.t} and scans
-    only the active domains Γ or an explicit edge needs, once each. When
-    non-empty it equals [analyze ~errors_only:true spec], which stops at
-    these checks. *)
-val cheap_errors : Spec.t -> diagnostic list
+    only the active domains Γ or an explicit edge needs, once each, over
+    the entity's distinct [rows] (default [Entity.distinct_rows]; the
+    engine passes the rows it then encodes over). When non-empty it
+    equals [analyze ~errors_only:true spec], which stops at these
+    checks. *)
+val cheap_errors : ?rows:int array -> Spec.t -> diagnostic list
 
 val errors : diagnostic list -> diagnostic list
 val warnings : diagnostic list -> diagnostic list

@@ -21,7 +21,7 @@ type t = {
    Paper mode, one per unordered pair in Exact mode *)
 let pairs mode d = match mode with Paper -> d * (d - 1) | Exact -> d * (d - 1) / 2
 
-let lower ?(mode = Paper) entity gamma =
+let lower ?(mode = Paper) ~rows entity gamma =
   let schema = Entity.schema entity in
   let arity = Schema.arity schema in
   let universes = Array.make arity [||] in
@@ -29,7 +29,7 @@ let lower ?(mode = Paper) entity gamma =
   let ids = Array.make arity VMap.empty in
   let cells = Array.make arity [||] in
   for a = 0 to arity - 1 do
-    let adom_a, col = Entity.active_domain_ids entity a in
+    let adom_a, col = Entity.active_domain_ids ~rows entity a in
     let adom = Array.to_list adom_a in
     (* Null is pre-reserved in every universe: when no tuple takes it yet
        it sits right after the active-domain values — exactly where the
@@ -55,7 +55,9 @@ let lower ?(mode = Paper) entity gamma =
        its [vid] — with one exception: NaN equals nothing under
        [Value.equal], so every NaN occurrence took an entry of its own,
        but [Value.total_compare] equates NaNs and the map keeps the last
-       of equal keys, so [vid] answers the universe's last NaN *)
+       of equal keys, so [vid] answers the universe's last NaN. A NaN
+       row never merges ({!Entity.distinct_rows}), so every occurrence
+       is still scanned *)
     if Array.exists Value.is_nan adom_a then begin
       let last = ref 0 in
       Array.iteri (fun i v -> if Value.is_nan v then last := i) univ;
@@ -77,7 +79,7 @@ let lower ?(mode = Paper) entity gamma =
   in
   ({ mode; schema; universes; adom_sizes; ids; offsets; blocks; nvars = !total }, cells)
 
-let build ?mode entity gamma = fst (lower ?mode entity gamma)
+let build ?mode entity gamma = fst (lower ?mode ~rows:(Entity.distinct_rows entity) entity gamma)
 
 let mode c = c.mode
 

@@ -24,12 +24,17 @@ type t
     (default [Paper]). *)
 val build : ?mode:mode -> Entity.t -> Cfd.Constant_cfd.t list -> t
 
-(** [lower ?mode entity gamma] is [(build ?mode entity gamma, cells)]
-    from one scan of the entity: [cells.(a).(i)] is the id of tuple [i]'s
-    value at attribute [a], equal to [vid c a (Tuple.get t a)] cell for
-    cell (a NaN cell included). The columns are the caller's to drop:
-    they are not kept in [t], which can outlive the entity's encoding. *)
-val lower : ?mode:mode -> Entity.t -> Cfd.Constant_cfd.t list -> t * int array array
+(** [lower ?mode ~rows entity gamma] is [(build ?mode entity gamma,
+    cells)] from one scan of the tuples [rows]: [rows] must hold, in
+    ascending order, the first occurrence of every class of equal tuples
+    — {!Entity.distinct_rows}, or every tuple index. [cells.(a).(k)] is
+    the id of row [k]'s value at attribute [a] (the value of tuple
+    [rows.(k)]), equal to [vid c a (Tuple.get t a)] for that tuple and for
+    every tuple equal to it (a NaN cell included). The columns are the
+    caller's to drop: they are not kept in [t], which can outlive the
+    entity's encoding. *)
+val lower :
+  ?mode:mode -> rows:int array -> Entity.t -> Cfd.Constant_cfd.t list -> t * int array array
 
 val mode : t -> mode
 

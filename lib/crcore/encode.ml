@@ -123,6 +123,7 @@ type t = {
   sigma_c : sigma_c;
   gamma_c : gamma_c;
   template : template option;
+  n_rows : int;
   sigma_insts : iconstraint list;
   gamma_imps : iconstraint list;
   units : (fact * source) list;
@@ -308,8 +309,13 @@ let sort_insts l = List.sort compare_insts l
 (* ---- the per-entity instantiation stage ----
 
    [Coding.lower] gives every cell its universe id in the same scan that
-   builds the active domains: [cells.(a).(i)] is the id of tuple [i]'s
-   value at attribute [a], read column by column. Everything after that
+   builds the active domains, over the entity's distinct rows
+   ({!Entity.distinct_rows}): [cells.(a).(k)] is the id of row [k]'s
+   value at attribute [a], read column by column. Tuples equal cell by
+   cell ground every constraint identically, so a history that repeats
+   its records is instantiated once per distinct record; rows keep the
+   tuples' order, so representatives, instance order and [fired] flags
+   are those of a scan over every tuple. Everything after the lowering
    is integer compares and array reads. This rests on two facts: value
    ids are assigned by [Value.total_compare], which identifies two values
    exactly when [Value.equal] does (numerically equal Int/Float
@@ -336,11 +342,11 @@ end)
    grown bucket array, so steady-state instantiation allocates no fresh
    tables. Never live across calls — membership only, no escape. The
    class table is sized to the entity: one far larger than this entity
-   has tuples is replaced, so a small stream entity does not clear
-   buckets grown for a 4000-tuple one. *)
+   has rows is replaced, so a small stream entity does not clear
+   buckets grown for a 4000-row one. *)
 type scratch = {
   sc_dedup : (int list, unit) Hashtbl.t;  (* packed instance keys *)
-  mutable sc_cls : int array;  (* projection class of each tuple *)
+  mutable sc_cls : int array;  (* projection class of each row *)
   mutable sc_keys : int Int_tbl.t;  (* (class, id) key -> refined class *)
   mutable sc_keys_cap : int;  (* [sc_keys]'s size: created for, or most keys held *)
 }
@@ -360,7 +366,7 @@ let null_ids coding =
   Array.init arity (fun a -> Coding.vid coding a Value.Null)
 
 (* Split the classes [sc_cls.(0..n-1)] by the id column [col] (ids below
-   [d]): two tuples stay together iff they shared a class and agree on
+   [d]): two rows stay together iff they shared a class and agree on
    [col]. The key [class·d + id] is exact (ids are below [d]) and small
    (classes are below [n] or a universe size). New classes are numbered
    densely in first-occurrence order; returns their count. *)
@@ -380,13 +386,13 @@ let refine sc n col d =
   if !next > sc.sc_keys_cap then sc.sc_keys_cap <- !next;
   !next
 
-(* first-occurrence representative tuple indices of the distinct
+(* first-occurrence representative row positions of the distinct
    projections onto [positions], in ascending order: the first position's
    ids are the initial classes, each further position refines them, and
-   a class is represented by its first tuple *)
+   a class is represented by its first row *)
 let projection_reps coding cells positions =
   match positions with
-  | [] -> [ 0 ] (* every tuple projects to (); entities are non-empty *)
+  | [] -> [ 0 ] (* every row projects to (); entities are non-empty *)
   | p :: rest ->
       let n = Array.length cells.(p) in
       let size a = Array.length (Coding.universe coding a) in
@@ -472,7 +478,7 @@ let inst_compiled coding nulls cc cells t1 t2 =
       in
       Some (key, { premise; concl; source = From_constraint cc.c_idx })
 
-(* [cells] are [coding]'s id columns ({!Coding.lower}) *)
+(* [cells] are [coding]'s id columns over the entity's rows ({!Coding.lower}) *)
 let instantiate_sigma ?fired sigma_c coding cells =
   let nulls = null_ids coding in
   let reps_of = reps_by_positions sigma_c coding cells in
@@ -513,9 +519,9 @@ let instantiate_sigma ?fired sigma_c coding cells =
   sort_insts !insts
 
 (* The Σ instances an extension adds: with the value universes unchanged,
-   instances over pairs of pre-existing tuples are exactly [base_insts],
+   instances over pairs of pre-existing rows are exactly [base_insts],
    so only pairs touching a projection representative introduced by a
-   tuple at index ≥ [n_base] can contribute anything new. On the
+   row at position ≥ [n_base] can contribute anything new. On the
    framework's one-fresh-tuple extensions this is O(reps) instantiation
    calls per constraint instead of O(reps²). *)
 let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
@@ -760,11 +766,15 @@ type parts = {
   p_sigma_fired : bool array;
 }
 
-let parts ?mode ?sigma_c ?gamma_c spec =
+let rows_of spec = function
+  | Some rows -> rows
+  | None -> Entity.distinct_rows spec.Spec.entity
+
+let parts ?mode ?sigma_c ?gamma_c ?rows spec =
   let schema = Spec.schema spec in
   let sigma_c = sigma_c_for schema spec.Spec.sigma sigma_c in
   let gamma_c = gamma_c_for schema spec.Spec.gamma gamma_c in
-  let coding, cells = Coding.lower ?mode spec.Spec.entity [] in
+  let coding, cells = Coding.lower ?mode ~rows:(rows_of spec rows) spec.Spec.entity [] in
   let fired = Array.make (List.length spec.Spec.sigma) false in
   let sigma_insts = instantiate_sigma ~fired sigma_c coding cells in
   let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
@@ -839,8 +849,8 @@ let order_axioms template coding =
       in
       (structural, n, [])
 
-let build_t ~mode ~sigma_c ~gamma_c ~template spec =
-  let coding, cells = Coding.lower ~mode spec.Spec.entity [] in
+let build_t ~mode ~sigma_c ~gamma_c ~template ~rows spec =
+  let coding, cells = Coding.lower ~mode ~rows spec.Spec.entity [] in
   let sigma_insts = instantiate_sigma sigma_c coding cells in
   let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
   let ((units, implications, vetoes) as parts) =
@@ -860,6 +870,7 @@ let build_t ~mode ~sigma_c ~gamma_c ~template spec =
     sigma_c;
     gamma_c;
     template;
+    n_rows = Array.length rows;
     sigma_insts;
     gamma_imps;
     units;
@@ -874,7 +885,7 @@ let encode ?(mode = Paper) ?sigma_c ?gamma_c spec =
   let schema = Spec.schema spec in
   let sigma_c = sigma_c_for schema spec.Spec.sigma sigma_c in
   let gamma_c = gamma_c_for schema spec.Spec.gamma gamma_c in
-  build_t ~mode ~sigma_c ~gamma_c ~template:None spec
+  build_t ~mode ~sigma_c ~gamma_c ~template:None ~rows:(Entity.distinct_rows spec.Spec.entity) spec
 
 let template ?(mode = Paper) spec =
   let schema = Spec.schema spec in
@@ -901,10 +912,10 @@ let template_matches tpl spec =
   && fst (Spec.intern_sigma spec.Spec.sigma) == tpl.t_sigma_c.s_src
   && fst (Spec.intern_gamma spec.Spec.gamma) == tpl.t_gamma_c.g_src
 
-let instantiate tpl spec =
+let instantiate ?rows tpl spec =
   if template_matches tpl spec then
     build_t ~mode:tpl.t_mode ~sigma_c:tpl.t_sigma_c ~gamma_c:tpl.t_gamma_c
-      ~template:(Some tpl) spec
+      ~template:(Some tpl) ~rows:(rows_of spec rows) spec
   else
     (* a template for some other shape: fall back to direct compilation
        rather than produce a wrong encoding *)
@@ -990,7 +1001,8 @@ type extension = Delta of t * Sat.Lit.t array list | Renumbered of t
 let extend base spec =
   if not (pure_extension base.spec spec) then None
   else
-    let coding', cells = Coding.lower ~mode:base.mode spec.Spec.entity [] in
+    let rows = Entity.distinct_rows spec.Spec.entity in
+    let coding', cells = Coding.lower ~mode:base.mode ~rows spec.Spec.entity [] in
     if not (universes_prefix base.coding coding') then None
     else begin
       (* old values keep their per-attribute ids, so the Σ instances of
@@ -1001,7 +1013,11 @@ let extend base spec =
       (* Σ/Γ are unchanged on a pure extension, so the compiled forms
          carry over (they depend only on the schema and the lists) *)
       let sigma_c = base.sigma_c and gamma_c = base.gamma_c in
-      let n_base = List.length (Entity.tuples base.spec.Spec.entity) in
+      (* the rows of the base's tuples come first: tuples were appended,
+         and a class's first occurrence among them is its first overall.
+         A tuple equal to an earlier one adds no row, and so no delta *)
+      let n_old = Entity.size base.spec.Spec.entity in
+      let n_base = Array.fold_left (fun k r -> if r < n_old then k + 1 else k) 0 rows in
       let delta_insts =
         instantiate_sigma_delta sigma_c coding cells ~base_insts:base.sigma_insts ~n_base
       in
@@ -1049,6 +1065,7 @@ let extend base spec =
                  sigma_c;
                  gamma_c;
                  template = base.template;
+                 n_rows = Array.length rows;
                  sigma_insts;
                  gamma_imps;
                  units;
@@ -1078,6 +1095,7 @@ let extend base spec =
                sigma_c;
                gamma_c;
                template = base.template;
+               n_rows = Array.length rows;
                sigma_insts;
                gamma_imps;
                units;

@@ -124,6 +124,10 @@ type t = {
           from {!instantiate}; lets {!extend}'s [Renumbered] path fetch
           the new coding's per-attribute structural blocks from the
           shared store *)
+  n_rows : int;
+      (** the entity's distinct rows the encoding was lowered over
+          ({!Entity.distinct_rows}; {!Coding.lower}): its tuples with
+          every repeat of an earlier tuple dropped *)
   sigma_insts : iconstraint list;
       (** the instances of Σ alone, in a canonical order independent of
           which tuple pairs produced them — the part {!extend} updates
@@ -169,10 +173,13 @@ type parts = {
           depend on which one won the dedup) *)
 }
 
-(** [parts ?mode ?sigma_c ?gamma_c spec] instantiates Ω(Se) without
-    building any clauses: same units/implications/vetoes a full {!encode}
-    would carry, at a fraction of the cost (no order axioms, no CNF). [mode] (default [Paper]) only selects [p_coding]'s numbering. *)
-val parts : ?mode:mode -> ?sigma_c:sigma_c -> ?gamma_c:gamma_c -> Spec.t -> parts
+(** [parts ?mode ?sigma_c ?gamma_c ?rows spec] instantiates Ω(Se)
+    without building any clauses: same units/implications/vetoes a full
+    {!encode} would carry, at a fraction of the cost (no order axioms, no
+    CNF). [mode] (default [Paper]) only selects [p_coding]'s numbering.
+    [rows] are the entity's rows as {!instantiate} takes them. *)
+val parts :
+  ?mode:mode -> ?sigma_c:sigma_c -> ?gamma_c:gamma_c -> ?rows:int array -> Spec.t -> parts
 
 (** [parts_of_t enc] views an existing encoding as {!parts} for free.
     [p_sigma_fired] is {e not} recovered (it is empty) — the encoding
@@ -187,15 +194,22 @@ val parts_of_t : t -> parts
     passing a stale one is safe. *)
 val encode : ?mode:mode -> ?sigma_c:sigma_c -> ?gamma_c:gamma_c -> Spec.t -> t
 
-(** [instantiate tpl spec] is the thin per-entity stage: stamp the
+(** [instantiate ?rows tpl spec] is the thin per-entity stage: stamp the
     concrete entity into the precompiled shape without re-walking the
     constraint AST. Produces a result bit-identical to
     [encode ~mode:(template_mode tpl) spec] — same clauses in the same
     order, same numbering, same universes (property-tested in
     test_encode) — reusing [tpl]'s compiled Σ/Γ and structural blocks.
     Falls back to direct compilation when [not (template_matches tpl
-    spec)], so a stale template is safe, merely useless. *)
-val instantiate : template -> Spec.t -> t
+    spec)], so a stale template is safe, merely useless.
+
+    The entity is lowered over [rows] ({!Coding.lower}), by default
+    [Entity.distinct_rows spec.entity]; a caller that already has them
+    (the engine computes them once for its rejection test) passes them.
+    Any ascending index array holding the first occurrence of every
+    class of equal tuples gives the same encoding — every tuple index
+    is the tuple-level lowering. *)
+val instantiate : ?rows:int array -> template -> Spec.t -> t
 
 (** How an incremental re-encode relates to its base. *)
 type extension =
@@ -222,9 +236,11 @@ type extension =
     Old values keep their per-attribute ids (universes are built in
     first-occurrence order; a reserved trailing null may float to a later
     id, which is safe because Σ instances never mention null ids), so the
-    base's Σ instances carry over verbatim and only tuple pairs touching
-    the appended tuples are instantiated — O(reps) [instantiate] calls
-    per constraint instead of the full O(reps²) sweep. Returns [None]
+    base's Σ instances carry over verbatim and only row pairs touching
+    the appended tuples' new distinct rows are instantiated — O(reps)
+    [instantiate] calls per constraint instead of the full O(reps²)
+    sweep. An appended tuple equal to an earlier one adds no row and no
+    Σ instance. Returns [None]
     when [spec] is not a pure extension of [base.spec] (different Σ/Γ,
     tuples not appended, order edges not prepended); callers then fall
     back to a full {!encode}. *)
@@ -242,14 +258,14 @@ val extend : t -> Spec.t -> extension option
 val relevant_gamma : Entity.t -> Cfd.Constant_cfd.t list -> (int * Cfd.Constant_cfd.t) list
 
 (** [projection_reps coding cells positions] is, in ascending order, the
-    index of the first tuple of each distinct projection of the entity's
-    tuples onto [positions], where [cells] are [coding]'s id columns
-    ({!Coding.lower}). Σ-instances depend only on the two tuples' values
-    at the attributes a constraint mentions, so instantiating over pairs
-    of these representatives yields exactly the instances of all tuple
-    pairs, usually over far fewer pairs. Two tuples project alike iff
-    their ids agree at every position, so this is keyed on integers, not
-    values. *)
+    position of the first row of each distinct projection of the entity's
+    rows onto [positions], where [cells] are [coding]'s id columns, one
+    entry per row ({!Coding.lower}). Σ-instances depend only on the two
+    tuples' values at the attributes a constraint mentions, so
+    instantiating over pairs of these representatives yields exactly the
+    instances of all tuple pairs, usually over far fewer pairs. Two rows
+    project alike iff their ids agree at every position, so this is keyed
+    on integers, not values. *)
 val projection_reps : Coding.t -> int array array -> int list -> int list
 
 (** The int-keyed table {!projection_reps} refines classes through (keys

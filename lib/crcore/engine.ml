@@ -84,6 +84,8 @@ type entity_stats = {
   template_hits : int;
   template_misses : int;
   encode_alloc_words : float;
+  encode_tuples : int;
+  encode_rows : int;
   delta_extensions : int;
   rebuilds : int;
   rebuilds_renumbered : int;
@@ -117,6 +119,8 @@ let zero_entity_stats () =
     template_hits = 0;
     template_misses = 0;
     encode_alloc_words = 0.;
+    encode_tuples = 0;
+    encode_rows = 0;
     delta_extensions = 0;
     rebuilds = 0;
     rebuilds_renumbered = 0;
@@ -152,6 +156,8 @@ let add_stats a b =
     template_hits = a.template_hits + b.template_hits;
     template_misses = a.template_misses + b.template_misses;
     encode_alloc_words = a.encode_alloc_words +. b.encode_alloc_words;
+    encode_tuples = a.encode_tuples + b.encode_tuples;
+    encode_rows = a.encode_rows + b.encode_rows;
     delta_extensions = a.delta_extensions + b.delta_extensions;
     rebuilds = a.rebuilds + b.rebuilds;
     rebuilds_renumbered = a.rebuilds_renumbered + b.rebuilds_renumbered;
@@ -270,13 +276,21 @@ let the_solver sess =
   | Some s -> s
   | None -> invalid_arg "Engine: session was rejected before solving"
 
+(* the tuples and distinct rows an encoding was lowered over *)
+let count_rows st enc =
+  {
+    st with
+    encode_tuples = st.encode_tuples + Entity.size enc.Encode.spec.Spec.entity;
+    encode_rows = st.encode_rows + enc.Encode.n_rows;
+  }
+
 (* The shape compiles once and each entity is stamped into it by the thin
    instantiation stage, outside any lock; a lookup counts as a hit when
    the shape was already compiled. *)
-let encode_spec sess spec =
+let encode_spec sess ?rows spec =
   let tpl, hit = template_for ~config:sess.config ~cache:sess.cache spec in
-  let enc = Encode.instantiate tpl spec in
-  let st = sess.st in
+  let enc = Encode.instantiate ?rows tpl spec in
+  let st = count_rows sess.st enc in
   sess.st <-
     (if hit then { st with template_hits = st.template_hits + 1 }
      else { st with template_misses = st.template_misses + 1 });
@@ -344,17 +358,21 @@ let fire sess point ph =
 (* The rejection test, first half: the checks that need no ground
    instance (E001/E003/E004) skip Instantiation/ConvertToCNF entirely.
    Sound: every E-level diagnostic implies Φ(Se) unsatisfiable
-   (property-tested in test_analyze). *)
+   (property-tested in test_analyze). The entity's distinct rows are
+   hashed once, here, and serve both the check's active domains and the
+   encoding's lowering; they live as long as this call. *)
 let admit sess spec =
   sess.spec <- spec;
   sess.track := Lint_p;
-  let rejected =
-    timed_t sess.st.times Lint_p (fun () -> Analyze.has_errors (Analyze.cheap_errors spec))
+  let rows, rejected =
+    timed_t sess.st.times Lint_p (fun () ->
+        let rows = Entity.distinct_rows spec.Spec.entity in
+        (rows, Analyze.has_errors (Analyze.cheap_errors ~rows spec)))
   in
   sess.enc <- None;
   if not rejected then begin
     fire sess Faults.Encode Encode_p;
-    sess.enc <- Some (timed sess Encode_p (fun () -> encode_spec sess spec))
+    sess.enc <- Some (timed sess Encode_p (fun () -> encode_spec sess ~rows spec))
   end;
   sess.st <- { sess.st with lint_rejected = rejected }
 
@@ -442,13 +460,14 @@ let apply_extension sess spec' =
   match timed sess Encode_p (fun () -> Encode.extend (the_enc sess) spec') with
   | Some (Encode.Delta (enc', delta)) ->
       sess.enc <- Some enc';
-      sess.st <- { sess.st with delta_extensions = sess.st.delta_extensions + 1 };
+      let st = count_rows sess.st enc' in
+      sess.st <- { st with delta_extensions = st.delta_extensions + 1 };
       let s = the_solver sess in
       timed sess Validity_p (fun () -> List.iter (Sat.Solver.add_clause_a s) delta)
   | Some (Encode.Renumbered enc') ->
       (* a value universe grew: the Σ instances were still reused, but
          variable numbers shifted, so the solver session restarts *)
-      let st = sess.st in
+      let st = count_rows sess.st enc' in
       sess.st <-
         { st with rebuilds = st.rebuilds + 1; rebuilds_renumbered = st.rebuilds_renumbered + 1 };
       sess.enc <- Some enc';
@@ -646,8 +665,13 @@ let resolve_session sess ~user =
           mk ~resolved:!known ~valid:true ~rounds:!rounds ~per_round:!per_round
             ~level:Exact ~reason:None
         in
-        if count_known !known = arity || !rounds >= sess.config.max_rounds then
-          finished := Some (exact_here ())
+        if
+          count_known !known = arity
+          || !rounds >= sess.config.max_rounds
+          (* a silent user answers every suggestion with [] and so ends
+             the loop here: do not build one for nobody to read *)
+          || user == Framework.silent
+        then finished := Some (exact_here ())
         else if wall_tripped sess then
           finished :=
             Some (degrade_partial Wall Suggest_p !known ~rounds:!rounds ~per_round:!per_round)
@@ -760,8 +784,8 @@ let pp_stats ppf st =
      solver: %a; %d CNF load(s), %d phase(s) on live sessions@ \
      deduce: %d SAT call(s) (%d probe(s), %d model-prune(s), %d seeded)@ \
      encode templates: %d hit(s) / %d miss(es) (%.0f%%)@ \
-     encode alloc: %.0f minor words; %d delta extension(s), \
-     %d rebuild(s) (%d renumbered, %d impure)@ \
+     encode alloc: %.0f minor words; %d tuple(s) lowered as %d distinct row(s); \
+     %d delta extension(s), %d rebuild(s) (%d renumbered, %d impure)@ \
      wall: %.1f ms (%.1f entities/s)@]"
     st.entities st.valid_entities st.total_rounds st.attrs_resolved st.attrs_total
     st.errors st.degraded_partial st.degraded_pick st.budget_exhausted
@@ -776,7 +800,7 @@ let pp_stats ppf st =
     t.deduce_seeded t.template_hits
     t.template_misses
     (100. *. st.template_hit_ratio)
-    t.encode_alloc_words
+    t.encode_alloc_words t.encode_tuples t.encode_rows
     t.delta_extensions t.rebuilds t.rebuilds_renumbered t.rebuilds_impure st.wall_ms
     (throughput st)
 

@@ -26,6 +26,19 @@
       reported invalid without a solve ({!Analyze.cheap_errors} before
       encoding; after loading, a solver that unit propagation already
       refuted at level 0, which is then dropped);
+    - {b one row pass per encoding}: the entity's distinct rows
+      ({!Entity.distinct_rows}) are hashed once per encode and serve both
+      the rejection test and the lowering, so a history that repeats its
+      records is scanned once per distinct record;
+    - {b no suggestion for a silent user}: a [user] that is
+      {!Framework.silent} (physically) would answer every suggestion
+      with [[]], so the loop ends where that answer would end it, before
+      [Suggest] runs. The answer is the one the suggestion would have
+      led to, but the MaxSAT layer never touches the session solver:
+      [conflicts_spent], the solver's learnt-clause counts and
+      [suggest_ms] exclude it, the [Maxsat] fault point is not reached,
+      and a budgeted run whose budget would have run out at or inside
+      the suggestion ends [Exact] instead of [PartialDeduce];
     - {b structured observability}: per-entity and aggregate phase timings,
       solver conflict/decision/propagation counters, template hit rates
       and incremental-path counters in {!entity_stats} / {!stats}. *)
@@ -173,6 +186,13 @@ type entity_stats = {
   encode_alloc_words : float;
       (** minor-heap words the encode phase allocated on this entity's
           domain — the per-domain allocation signal of a parallel batch *)
+  encode_tuples : int;
+      (** tuples of every encoding built or extended, summed: an
+          encoding lowers its entity's distinct rows, not its tuples *)
+  encode_rows : int;
+      (** distinct rows ({!Entity.distinct_rows}) of those encodings:
+          what the lowering and the Σ projection scans walked. Below
+          [encode_tuples] by the repeated records *)
   delta_extensions : int;  (** [Se ⊕ Ot] rounds served by {!Encode.extend} *)
   rebuilds : int;  (** rounds the solver session could not survive:
                        [rebuilds_renumbered + rebuilds_impure] *)

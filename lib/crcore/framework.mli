@@ -17,7 +17,14 @@ type user = Rules.suggestion -> schema:Schema.t -> (string * Value.t) list
 val oracle : ?max_answers:int -> Tuple.t -> user
 
 (** A user that never answers; the framework then reports whatever is
-    derivable automatically (the 0-interaction rows of Fig. 8(e,i,m)). *)
+    derivable automatically (the 0-interaction rows of Fig. 8(e,i,m)).
+    {!resolve} still builds the suggestion it is shown. {!Engine}
+    recognises this very value (by physical equality) and builds none:
+    same answers, but no MaxSAT work on its solver, so its
+    [conflicts_spent] and learnt counts drop, a budget that would have
+    run out inside the suggestion leaves the answer [Exact], and the
+    [Maxsat] fault point is not reached. A user that merely behaves
+    like it ([fun _ ~schema:_ -> []]) is shown the suggestion. *)
 val silent : user
 
 (** Cumulative wall-clock split across the framework's phases, for the

@@ -21,20 +21,73 @@ let tuples e = Array.to_list e.tuples
 
 let value e i a = Tuple.get (tuple e i) a
 
-let active_domain_ids e a =
-  let n = Array.length e.tuples in
+(* A cell that may never merge its row: NaN equals nothing, and beyond
+   2^53 [Value.equal] is not transitive across [Int]/[Float] (two [Int]s
+   can equal one [Float] but not each other), so a value scan there
+   depends on which equal value it met first. Every other value's
+   [Value.equal] class is one clique, which is what lets a duplicate row
+   share its first occurrence's ids. *)
+let unmergeable = function
+  | Value.Float f -> Float.is_nan f || Float.abs f >= 0x1p53
+  | Value.Int i -> i >= 1 lsl 53 || i <= -(1 lsl 53)
+  | _ -> false
+
+let distinct_rows e =
+  let n = Array.length e.tuples and arity = Schema.arity e.schema in
+  (* [Hashtbl.hash] on the value array would stop after ten meaningful
+     words: combine [Value.hash] per cell instead. -1 marks a row that
+     never merges. Loops, not closures: this runs on every tuple of
+     every encoded entity. *)
+  let hashes = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let t = e.tuples.(i) in
+    let h = ref 0 and a = ref 0 in
+    while !a < arity && !h >= 0 do
+      let v = Tuple.get t !a in
+      h := if unmergeable v then -1 else ((!h * 31) + Value.hash v) land max_int;
+      incr a
+    done;
+    hashes.(i) <- !h
+  done;
+  let module Rows = Hashtbl.Make (struct
+    type t = int
+
+    let equal i j =
+      let ti = e.tuples.(i) and tj = e.tuples.(j) in
+      let a = ref 0 in
+      while !a < arity && Value.equal (Tuple.get ti !a) (Tuple.get tj !a) do
+        incr a
+      done;
+      !a = arity
+
+    let hash i = hashes.(i)
+  end) in
+  let seen = Rows.create 16 in
+  let rows = ref [] in
+  for i = 0 to n - 1 do
+    if hashes.(i) < 0 then rows := i :: !rows
+    else if not (Rows.mem seen i) then begin
+      Rows.add seen i ();
+      rows := i :: !rows
+    end
+  done;
+  Array.of_list (List.rev !rows)
+
+let active_domain_ids ?rows e a =
+  let rows = match rows with Some r -> r | None -> Array.init (Array.length e.tuples) Fun.id in
+  let n = Array.length rows in
   (* NaN, equal to nothing, is never found, so each occurrence stays
      distinct exactly as under a list scan *)
   let seen = Value.Tbl.create 16 in
   let ids = Array.make n 0 in
   let adom = ref [] and next = ref 0 in
-  for i = 0 to n - 1 do
-    let v = Tuple.get e.tuples.(i) a in
+  for k = 0 to n - 1 do
+    let v = Tuple.get e.tuples.(rows.(k)) a in
     match Value.Tbl.find seen v with
-    | id -> ids.(i) <- id
+    | id -> ids.(k) <- id
     | exception Not_found ->
         Value.Tbl.add seen v !next;
-        ids.(i) <- !next;
+        ids.(k) <- !next;
         adom := v :: !adom;
         incr next
   done;

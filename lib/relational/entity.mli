@@ -24,12 +24,24 @@ val value : t -> int -> int -> Value.t
     ([adom(Ie.Ai)] of the paper). *)
 val active_domain : t -> int -> Value.t list
 
-(** [active_domain_ids e a] is [(adom, ids)]: [adom] is {!active_domain}
-    as an array, and [ids.(i)] is the index in [adom] of tuple [i]'s
-    value at [a] — the same scan, so each cell is hashed once. A NaN
-    equals nothing, so each NaN occurrence has an [adom] entry of its
-    own. *)
-val active_domain_ids : t -> int -> Value.t array * int array
+(** [distinct_rows e] is, ascending, the index of the first tuple of
+    every class of tuples equal cell by cell under [Value.equal]: one
+    hash per tuple, combining [Value.hash] over its cells. A tuple with
+    a NaN cell (NaN equals nothing) or a number of magnitude at least
+    2^53 (where [Value.equal] stops being transitive across [Int] and
+    [Float]) is a row of its own. Every value's first occurrence in a
+    column is therefore in a returned row, so a column scan over these
+    rows meets the values in the order a scan over every tuple does. *)
+val distinct_rows : t -> int array
+
+(** [active_domain_ids ?rows e a] is [(adom, ids)] from one scan of the
+    tuples [rows] (ascending indices; default every tuple): [adom] is the
+    distinct values those tuples take at [a], in first-occurrence order,
+    and [ids.(k)] is the index in [adom] of tuple [rows.(k)]'s value —
+    each scanned cell is hashed once. Over {!distinct_rows} [adom] is
+    {!active_domain} as an array. A NaN equals nothing, so each NaN
+    occurrence has an [adom] entry of its own. *)
+val active_domain_ids : ?rows:int array -> t -> int -> Value.t array * int array
 
 (** [has_conflict e a] is [true] when attribute [a] holds more than one
     distinct value across the tuples. *)

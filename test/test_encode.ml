@@ -291,7 +291,8 @@ let prop_cnf_well_formed =
    shape once, stamp the entity in) yields exactly the encoding the
    one-stage [encode] builds — same universes, numbering, clauses and
    instance lists, in the same order — so the engine may serve any
-   same-shape entity from a template without changing a single answer. *)
+   same-shape entity from a template without changing a single answer.
+   Universes compare with [compare], under which a NaN equals itself. *)
 let same_encoding (a : E.t) (b : E.t) =
   a.E.cnf.Sat.Cnf.nvars = b.E.cnf.Sat.Cnf.nvars
   && a.E.cnf.Sat.Cnf.clauses = b.E.cnf.Sat.Cnf.clauses
@@ -306,7 +307,7 @@ let same_encoding (a : E.t) (b : E.t) =
   let arity = Schema.arity (Crcore.Coding.schema a.E.coding) in
   List.for_all
     (fun at ->
-      Crcore.Coding.universe a.E.coding at = Crcore.Coding.universe b.E.coding at)
+      compare (Crcore.Coding.universe a.E.coding at) (Crcore.Coding.universe b.E.coding at) = 0)
     (List.init arity Fun.id)
 
 let prop_template_instantiate_bit_identical =
@@ -410,21 +411,26 @@ let qcheck_awkward_entity =
       Format.asprintf "%a@.%d CFDs" Entity.pp e (List.length gamma))
     gen
 
-(* Every cell id of [Coding.lower] is the map lookup [Coding.vid] makes —
-   NaN cells included, which the map sends to the universe's last NaN —
-   and the numbering is unchanged: one universe entry per NaN occurrence.
-   The integer-keyed representatives equal those keyed on id lists. *)
+(* Every cell id of [Coding.lower] is the map lookup [Coding.vid] makes
+   on its row's first tuple — NaN cells included, which the map sends to
+   the universe's last NaN — and the numbering is unchanged: one universe
+   entry per NaN occurrence. The integer-keyed representatives equal
+   those keyed on id lists, both over the distinct rows. *)
 let prop_lowering_matches_vid =
   QCheck.Test.make ~count:1000 ~name:"lowered cell ids == Coding.vid; int-keyed reps == list-keyed"
     qcheck_awkward_entity (fun (entity, gamma, mode, position_sets) ->
-      let coding, cells = Crcore.Coding.lower ~mode entity gamma in
+      let rows = Entity.distinct_rows entity in
+      let coding, cells = Crcore.Coding.lower ~mode ~rows entity gamma in
       let tuples = Entity.tuples entity in
+      let row_tuples = Array.to_list (Array.map (Entity.tuple entity) rows) in
       let arity = Schema.arity (Entity.schema entity) in
       let attrs = List.init arity Fun.id in
       let vid t a = Crcore.Coding.vid coding a (Tuple.get t a) in
       let ids_ok =
         List.for_all
-          (fun a -> List.for_all Fun.id (List.mapi (fun i t -> cells.(a).(i) = vid t a) tuples))
+          (fun a ->
+            Array.length cells.(a) = Array.length rows
+            && List.for_all Fun.id (List.mapi (fun k t -> cells.(a).(k) = vid t a) row_tuples))
           attrs
       in
       let nans_kept =
@@ -446,14 +452,14 @@ let prop_lowering_matches_vid =
         let seen = Hashtbl.create 16 in
         List.concat
           (List.mapi
-             (fun i t ->
+             (fun k t ->
                let key = List.map (vid t) positions in
                if Hashtbl.mem seen key then []
                else begin
                  Hashtbl.add seen key ();
-                 [ i ]
+                 [ k ]
                end)
-             tuples)
+             row_tuples)
       in
       let reps_ok =
         List.for_all (fun ps -> E.projection_reps coding cells ps = reference ps) position_sets
@@ -475,7 +481,9 @@ let test_refine_keys_spread () =
       [ Value.Str ("k" ^ string_of_int i); Value.Str "c"; Value.Int (if i < 1023 then i else 0) ]
   in
   let entity = Entity.make schema (List.init n row) in
-  let coding, cells = Crcore.Coding.lower ~mode:E.Exact entity [] in
+  let rows = Entity.distinct_rows entity in
+  Alcotest.(check int) "every tuple is a row" n (Array.length rows);
+  let coding, cells = Crcore.Coding.lower ~mode:E.Exact ~rows entity [] in
   let size a = Array.length (Crcore.Coding.universe coding a) in
   Alcotest.(check (list int)) "universe sizes" [ n + 1; 2; 1024 ] [ size 0; size 1; size 2 ];
   List.iter
@@ -633,52 +641,236 @@ let qcheck_mixed_spec =
   in
   QCheck.make ~print:(fun (spec, _) -> Format.asprintf "%a" Crcore.Spec.pp spec) gen
 
-(* The index against a full scan: the Σ instances are those of
-   [Constraint_ast.instantiate] over every ordered tuple pair and every
-   constraint, the lowest index keeping an instance several produce; the
-   relevant CFDs are {!E.relevant_gamma}'s. Facts are read as cell ids,
-   and all NaN cells share one id ({!Coding.lower}), so a pair of NaN
-   cells relates equal ids, which the encoding reads as equal values. *)
+(* The Σ instances of [Constraint_ast.instantiate] over every ordered
+   tuple pair and every constraint, the lowest index keeping an instance
+   several produce, in the encoding's canonical order. Facts are read as
+   cell ids, and all NaN cells share one id ({!Coding.lower}), so a pair
+   of NaN cells relates equal ids, which the encoding reads as equal
+   values. *)
+let scan_sigma_insts spec coding =
+  let schema = Crcore.Spec.schema spec in
+  let fact (name, v1, v2) =
+    let attr = Schema.index schema name in
+    { E.attr; lo = Crcore.Coding.vid coding attr v1; hi = Crcore.Coding.vid coding attr v2 }
+  in
+  let tuples = Entity.tuples spec.Crcore.Spec.entity in
+  let seen = Hashtbl.create 16 in
+  let scan = ref [] in
+  List.iteri
+    (fun k c ->
+      List.iter
+        (fun s1 ->
+          List.iter
+            (fun s2 ->
+              if s1 != s2 then
+                match Currency.Constraint_ast.instantiate c s1 s2 with
+                | None -> ()
+                | Some i ->
+                    let premise = List.sort_uniq compare (List.map fact i.Currency.Constraint_ast.prec_premises) in
+                    let concl = fact i.Currency.Constraint_ast.conclusion in
+                    let degenerate f = f.E.lo = f.E.hi in
+                    if not (degenerate concl || List.exists degenerate premise || Hashtbl.mem seen (concl, premise))
+                    then begin
+                      Hashtbl.add seen (concl, premise) ();
+                      scan := { E.premise; concl; source = E.From_constraint k } :: !scan
+                    end)
+            tuples)
+        tuples)
+    spec.Crcore.Spec.sigma;
+  let by_key a b =
+    match compare a.E.premise b.E.premise with 0 -> compare a.E.concl b.E.concl | c -> c
+  in
+  List.sort by_key !scan
+
+(* The index against a full scan: the Σ instances are
+   {!scan_sigma_insts}'; the relevant CFDs are {!E.relevant_gamma}'s. *)
 let prop_index_equals_scan =
   QCheck.Test.make ~count:1000 ~name:"indexed instantiation == full scan (mixed kinds, NaN)"
     qcheck_mixed_spec (fun (spec, mode) ->
       let enc = E.encode ~mode spec in
       let coding = enc.E.coding in
-      let schema = Crcore.Spec.schema spec in
-      let fact (name, v1, v2) =
-        let attr = Schema.index schema name in
-        { E.attr; lo = Crcore.Coding.vid coding attr v1; hi = Crcore.Coding.vid coding attr v2 }
-      in
-      let tuples = Entity.tuples spec.Crcore.Spec.entity in
-      let seen = Hashtbl.create 16 in
-      let scan = ref [] in
-      List.iteri
-        (fun k c ->
-          List.iter
-            (fun s1 ->
-              List.iter
-                (fun s2 ->
-                  if s1 != s2 then
-                    match Currency.Constraint_ast.instantiate c s1 s2 with
-                    | None -> ()
-                    | Some i ->
-                        let premise = List.sort_uniq compare (List.map fact i.Currency.Constraint_ast.prec_premises) in
-                        let concl = fact i.Currency.Constraint_ast.conclusion in
-                        let degenerate f = f.E.lo = f.E.hi in
-                        if not (degenerate concl || List.exists degenerate premise || Hashtbl.mem seen (concl, premise))
-                        then begin
-                          Hashtbl.add seen (concl, premise) ();
-                          scan := { E.premise; concl; source = E.From_constraint k } :: !scan
-                        end)
-                tuples)
-            tuples)
-        spec.Crcore.Spec.sigma;
-      let by_key a b =
-        match compare a.E.premise b.E.premise with 0 -> compare a.E.concl b.E.concl | c -> c
-      in
       let relevant = List.map (fun ((g : E.cgamma), _) -> g.E.g_idx) (E.relevant_cfds (E.compiled_gamma spec) coding) in
-      List.sort by_key !scan = enc.E.sigma_insts
+      scan_sigma_insts spec coding = enc.E.sigma_insts
       && relevant = List.map fst (E.relevant_gamma spec.Crcore.Spec.entity spec.Crcore.Spec.gamma))
+
+(* ---- distinct rows ---- *)
+
+(* A value [Value.equal] to [v] under another representation: [Int]s
+   and integral [Float]s swap kinds, the two zeros swap signs; a NaN
+   (equal to nothing) and the rest stay as they are. *)
+let twin = function
+  | Value.Int i -> Value.Float (float_of_int i)
+  | Value.Float f when f = 0. -> Value.Float (-.f)
+  | Value.Float f when Float.is_integer f -> Value.Int (int_of_float f)
+  | v -> v
+
+(* [qcheck_mixed_spec] with repeated records: copies of random tuples,
+   each cell possibly replaced by its {!twin}, inserted at random
+   positions after their original *)
+let qcheck_repeated_spec =
+  let open QCheck.Gen in
+  let gen =
+    QCheck.gen qcheck_mixed_spec >>= fun (spec, mode) ->
+    let entity = spec.Crcore.Spec.entity in
+    let schema = Entity.schema entity in
+    let n = Entity.size entity in
+    list_size (int_range 1 8)
+      (triple (int_bound (n - 1)) (list_repeat (Schema.arity schema) bool) (int_bound 1000))
+    >|= fun copies ->
+    let tuples =
+      List.fold_left
+        (fun tuples (src, twins, at) ->
+          let copy =
+            Tuple.make schema
+              (List.mapi
+                 (fun a v -> if List.nth twins a then twin v else v)
+                 (Tuple.values (List.nth tuples src)))
+          in
+          let at = src + 1 + (at mod (List.length tuples - src)) in
+          List.filteri (fun i _ -> i < at) tuples @ (copy :: List.filteri (fun i _ -> i >= at) tuples))
+        (Entity.tuples entity) copies
+    in
+    ({ spec with Crcore.Spec.entity = Entity.make schema tuples }, mode)
+  in
+  QCheck.make ~print:(fun (spec, _) -> Format.asprintf "%a" Crcore.Spec.pp spec) gen
+
+(* The rows are the first occurrences, ascending: every tuple outside
+   them equals an earlier row cell by cell, and no two mergeable rows are
+   equal. *)
+let rows_are_first_occurrences entity rows =
+  let same i j =
+    List.for_all2 Value.equal
+      (Tuple.values (Entity.tuple entity i))
+      (Tuple.values (Entity.tuple entity j))
+  in
+  let rows_l = Array.to_list rows in
+  List.sort_uniq compare rows_l = rows_l
+  && List.for_all
+       (fun i -> List.mem i rows_l || List.exists (fun r -> r < i && same r i) rows_l)
+       (List.init (Entity.size entity) Fun.id)
+  && List.for_all (fun r -> not (List.exists (fun r' -> r' < r && same r' r) rows_l)) rows_l
+
+(* Universes by the lowering a scan over every tuple makes: the values of
+   each column in first-occurrence order (a NaN occurrence each), then
+   the reserved null. The encoder lowers with no CFD constants. *)
+let tuple_level_universes entity =
+  Array.init (Schema.arity (Entity.schema entity)) (fun a ->
+      let adom =
+        List.fold_left
+          (fun adom t ->
+            let v = Tuple.get t a in
+            if List.exists (Value.equal v) adom then adom else adom @ [ v ])
+          [] (Entity.tuples entity)
+      in
+      Array.of_list (if List.exists Value.is_null adom then adom else adom @ [ Value.Null ]))
+
+(* Lowering each distinct row once changes no output: against the
+   tuple-level lowering (every tuple a row, as [~rows] permits) and the
+   references above, the CNF (clauses and blocks), universes, Σ instances
+   and [fired] flags are the same, in both modes, on entities repeating
+   records under twin representations. *)
+let prop_rows_equal_tuple_level =
+  QCheck.Test.make ~count:500 ~name:"distinct-row encoding == tuple-level reference"
+    qcheck_repeated_spec (fun (spec, _) ->
+      let entity = spec.Crcore.Spec.entity in
+      let rows = Entity.distinct_rows entity in
+      let every = Array.init (Entity.size entity) Fun.id in
+      rows_are_first_occurrences entity rows
+      && List.for_all
+           (fun mode ->
+             let tpl = E.template ~mode spec in
+             let enc = E.instantiate tpl spec in
+             let ref_enc = E.instantiate ~rows:every tpl spec in
+             let universes = tuple_level_universes entity in
+             enc.E.n_rows = Array.length rows
+             && same_encoding enc ref_enc
+             && Array.for_all Fun.id
+                  (Array.mapi
+                     (fun a u -> compare u (Crcore.Coding.universe enc.E.coding a) = 0)
+                     universes)
+             && scan_sigma_insts spec enc.E.coding = enc.E.sigma_insts
+             && (E.parts ~mode spec).E.p_sigma_fired
+                = (E.parts ~mode ~rows:every spec).E.p_sigma_fired)
+           [ E.Paper; E.Exact ])
+
+(* Beyond 2^53 [Value.equal] is not transitive across kinds: [Float 2^60]
+   equals both [Int (2^60 + 1)] and [Int 2^60], which differ. A scan over
+   every tuple gives tuple 1's and tuple 3's equal [Float 2^60] cells
+   different ids (each takes the newest equal value met so far), so
+   tuple 3 is no repeat of tuple 1 to the encoding, and its rows stay
+   apart. Merging them would drop the instance tuple 3 grounds with
+   tuple 0. *)
+let test_big_numbers_keep_rows () =
+  let schema = Schema.make [ "a"; "b" ] in
+  let big = 1 lsl 60 in
+  let row a b = Tuple.make schema [ a; Value.Str b ] in
+  let entity =
+    Entity.make schema
+      [
+        row (Value.Int (big + 1)) "p";
+        row (Value.Float (float_of_int big)) "q";
+        row (Value.Int big) "r";
+        row (Value.Float (float_of_int big)) "q";
+      ]
+  in
+  let sigma = [ Currency.Parser.parse_exn "prec(a) -> prec(b)" ] in
+  let spec = Crcore.Spec.make entity ~orders:[] ~sigma ~gamma:[] in
+  Alcotest.(check (list int)) "every tuple a row" [ 0; 1; 2; 3 ]
+    (Array.to_list (Entity.distinct_rows entity));
+  let tpl = E.template spec in
+  Alcotest.(check bool) "the tuple-level encoding" true
+    (same_encoding (E.instantiate tpl spec) (E.instantiate ~rows:[| 0; 1; 2; 3 |] tpl spec))
+
+(* An appended record equal to an earlier one adds no row: the extension
+   is a [Delta] with nothing to add to a live solver. *)
+let test_extend_repeats_is_empty_delta () =
+  let spec = Fixtures.edith_spec () in
+  let base = E.encode spec in
+  let t0 = Entity.tuple spec.Crcore.Spec.entity 0 and t2 = Entity.tuple spec.Crcore.Spec.entity 2 in
+  (* t0's kids cell as the float twin of its int *)
+  let t0' = Tuple.set t0 (Schema.index Fixtures.schema "kids") (Value.Float 0.) in
+  let spec' = Crcore.Spec.extend spec ~tuples:[ t2; t0' ] ~orders:[] in
+  match E.extend base spec' with
+  | Some (E.Delta (enc, delta)) ->
+      Alcotest.(check int) "no delta clause" 0 (List.length delta);
+      Alcotest.(check int) "no new row" base.E.n_rows enc.E.n_rows;
+      Alcotest.(check bool) "same Σ instances" true (enc.E.sigma_insts = base.E.sigma_insts)
+  | Some (E.Renumbered _) -> Alcotest.fail "repeated records renumbered"
+  | None -> Alcotest.fail "repeated records rejected"
+
+(* Two deltas in a row over an entity that already repeats a record (4
+   tuples, 3 rows): each appended record is a new row of known values
+   with Σ instances of its own, and the second delta must take the first
+   one's rows as old — the row count of the encoding it extends, not its
+   tuple count nor the first base's. The result is a fresh encode's. *)
+let test_extend_twice_equals_fresh () =
+  let open Fixtures in
+  let spec0 = edith_spec () in
+  let spec = Crcore.Spec.extend spec0 ~tuples:[ Entity.tuple spec0.Crcore.Spec.entity 0 ] ~orders:[] in
+  let r1 = tup [ "Edith Shain"; "retired"; "nurse"; "3"; "SFC"; "415"; "94924"; "Dogtown" ] in
+  let r2 = tup [ "Edith Shain"; "deceased"; "nurse"; "null"; "LA"; "213"; "90058"; "Vermont" ] in
+  List.iter
+    (fun mode ->
+      let delta enc spec =
+        match E.extend enc spec with
+        | Some (E.Delta (enc', clauses)) ->
+            Alcotest.(check bool) "Σ delta" true (clauses <> []);
+            enc'
+        | _ -> Alcotest.fail "a record of known values must extend by a delta"
+      in
+      let base = E.encode ~mode spec in
+      Alcotest.(check int) "base rows" 3 base.E.n_rows;
+      let spec1 = Crcore.Spec.extend spec ~tuples:[ r1 ] ~orders:[] in
+      let spec2 = Crcore.Spec.extend spec1 ~tuples:[ r2 ] ~orders:[] in
+      let enc2 = delta (delta base spec1) spec2 in
+      let fresh = E.encode ~mode spec2 in
+      Alcotest.(check int) "rows" 5 enc2.E.n_rows;
+      Alcotest.(check bool) "Σ instances" true (enc2.E.sigma_insts = fresh.E.sigma_insts);
+      Alcotest.(check bool) "same encoding up to clause order" true
+        (same_encoding
+           { enc2 with E.cnf = { enc2.E.cnf with Sat.Cnf.clauses = List.sort compare enc2.E.cnf.Sat.Cnf.clauses } }
+           { fresh with E.cnf = { fresh.E.cnf with Sat.Cnf.clauses = List.sort compare fresh.E.cnf.Sat.Cnf.clauses } }))
+    [ E.Paper; E.Exact ]
 
 (* The per-attribute structural store: in Paper mode two entities whose
    size vectors differ only in the last attribute share every other
@@ -745,6 +937,10 @@ let () =
           Alcotest.test_case "relevant_gamma" `Quick test_relevant_gamma;
           Alcotest.test_case "structural axiom counts" `Quick test_structural_axioms_counts;
           Alcotest.test_case "null extension stays delta" `Quick test_extend_null_is_delta;
+          Alcotest.test_case "repeated records extend by an empty delta" `Quick
+            test_extend_repeats_is_empty_delta;
+          Alcotest.test_case "two deltas == fresh encode" `Quick test_extend_twice_equals_fresh;
+          Alcotest.test_case "numbers beyond 2^53 keep their rows" `Quick test_big_numbers_keep_rows;
           Alcotest.test_case "fact/var round trip" `Quick test_var_fact_roundtrip;
           Alcotest.test_case "structural blocks shared per attribute" `Quick
             test_blocks_shared_per_attribute;
@@ -759,5 +955,6 @@ let () =
             prop_lowering_matches_vid;
             prop_index_padding_invisible;
             prop_index_equals_scan;
+            prop_rows_equal_tuple_level;
           ] );
     ]

@@ -354,6 +354,64 @@ let test_exact_large_domain_matches_naive () =
   let r, _ = E.resolve ~config:{ E.default_config with mode } ~user spec in
   check_same_outcome "wide domain" (F.resolve ~mode ~user spec) r
 
+(* ---- the silent user ---- *)
+
+(* A user that answers [] like {!F.silent} but is not it: it is shown
+   every suggestion *)
+let mute _ ~schema:_ = []
+
+(* George keeps open attributes after deduction, so his loop reaches the
+   suggestion step. A silent user ends it there, before [Suggest] runs,
+   with the answer the framework (which still suggests) reaches. *)
+let test_silent_skips_suggest () =
+  let spec = Fixtures.george_spec () in
+  let r, st = E.resolve ~user:F.silent spec in
+  check_same_outcome "george/silent" (F.resolve ~user:F.silent spec) r;
+  Alcotest.(check bool) "open attributes left" true (Array.exists Option.is_none r.E.resolved);
+  Alcotest.(check (float 0.)) "no suggest time" 0. st.E.times.E.suggest_ms
+
+(* A user answering [] that is not [F.silent] still gets a suggestion
+   built: the same answer, one more phase on the live solver, and the
+   suggestion's fault point and budget check are reached — an Exhaust
+   there degrades it, while the silent user never gets that far. *)
+let test_mute_user_runs_suggest () =
+  let spec = Fixtures.george_spec () in
+  let silent, st_silent = E.resolve ~user:F.silent spec in
+  let r, st = E.resolve ~user:mute spec in
+  Alcotest.(check bool) "same answer" true
+    (r = { silent with E.conflicts_spent = r.E.conflicts_spent });
+  Alcotest.(check int) "the suggestion ran on the live solver" (st_silent.E.solvers_reused + 1)
+    st.E.solvers_reused;
+  Alcotest.(check bool) "suggest timed" true (st.E.times.E.suggest_ms > 0.);
+  Crcore.Faults.arm
+    [
+      { Crcore.Faults.label = Some "g"; point = Crcore.Faults.Maxsat; nth = 1; action = Crcore.Faults.Exhaust };
+    ];
+  Fun.protect ~finally:Crcore.Faults.disarm (fun () ->
+      let cut, _ = E.resolve ~label:"g" ~user:mute spec in
+      Alcotest.(check bool) "mute: degraded at the suggestion" true
+        (cut.E.level = E.PartialDeduce
+        && cut.E.degrade_reason = Some { E.cause = E.Conflicts; phase = E.Suggest_p });
+      let quiet, _ = E.resolve ~label:"g" ~user:F.silent spec in
+      Alcotest.(check bool) "silent: exact, fault point not reached" true (quiet = silent))
+
+(* Row counters on a history that repeats its records: Edith's three
+   tuples four times over lower as three rows, with the unpadded
+   entity's answer. *)
+let test_row_counters () =
+  let padded =
+    Entity.make Fixtures.schema (List.concat (List.init 4 (fun _ -> Entity.tuples Fixtures.edith_entity)))
+  in
+  let spec = Crcore.Spec.make padded ~orders:[] ~sigma:Fixtures.sigma ~gamma:Fixtures.gamma in
+  let r, st = E.resolve ~user:F.silent spec in
+  check_same_outcome "padded edith" (F.resolve ~user:F.silent spec) r;
+  let plain, _ = E.resolve ~user:F.silent (Fixtures.edith_spec ()) in
+  Alcotest.(check bool) "the unpadded answer" true (r.E.resolved = plain.E.resolved);
+  Alcotest.(check int) "tuples" (Entity.size padded) st.E.encode_tuples;
+  Alcotest.(check int) "rows" (Array.length (Entity.distinct_rows padded)) st.E.encode_rows;
+  Alcotest.(check bool) "rows < tuples" true (st.E.encode_rows < st.E.encode_tuples);
+  Alcotest.(check int) "one row per record" 3 st.E.encode_rows
+
 let () =
   Alcotest.run "engine"
     [
@@ -381,6 +439,12 @@ let () =
           Alcotest.test_case "facade surface" `Quick test_facade_surface;
           Alcotest.test_case "NaN LHS pattern constant" `Quick test_nan_lhs_constant;
           Alcotest.test_case "NaN RHS pattern constant" `Quick test_nan_rhs_constant;
+          Alcotest.test_case "row counters on repeated records" `Quick test_row_counters;
+        ] );
+      ( "silent_user",
+        [
+          Alcotest.test_case "silent resolve builds no suggestion" `Quick test_silent_skips_suggest;
+          Alcotest.test_case "mute user still runs suggest" `Quick test_mute_user_runs_suggest;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
