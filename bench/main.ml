@@ -550,6 +550,30 @@ let satcore_sized ~sizes ~out =
           st1.Crcore.Engine.totals.Crcore.Engine.deduce_probes sv.Sat.Solver.binaries;
         Printf.printf "  size %5d same final resolutions as Framework.resolve: %b\n%!" size identical;
         claim (Printf.sprintf "satcore: identical resolutions at size %d" size) identical;
+        (* the same entities with nobody answering: true values decided
+           without the backbone, over the same wide domains *)
+        let silent =
+          List.map (fun it -> { it with Crcore.Engine.user = Crcore.Framework.silent }) items
+        in
+        let silent_results, silent_st = Crcore.Engine.run_batch ~config silent in
+        let silent_identical =
+          List.for_all2
+            (fun (a : Crcore.Engine.item_result) (it : Crcore.Engine.item) ->
+              let o =
+                Crcore.Framework.resolve ~mode:Crcore.Encode.Exact ~user:Crcore.Framework.silent
+                  it.Crcore.Engine.spec
+              in
+              (ir_result a).Crcore.Engine.resolved = o.Crcore.Framework.resolved
+              && (ir_result a).Crcore.Engine.valid = o.Crcore.Framework.valid)
+            silent_results silent
+        in
+        let t = silent_st.Crcore.Engine.totals in
+        Printf.printf
+          "  size %5d silent: %d true-value solve(s), %d backbone probe(s); same final \
+           resolutions as Framework.resolve: %b\n%!"
+          size t.Crcore.Engine.true_value_solves t.Crcore.Engine.deduce_probes silent_identical;
+        claim (Printf.sprintf "satcore: identical silent resolutions at size %d" size)
+          silent_identical;
         (size, ms, sd, st1, identical))
       sizes
   in

@@ -21,7 +21,7 @@ type t = {
    Paper mode, one per unordered pair in Exact mode *)
 let pairs mode d = match mode with Paper -> d * (d - 1) | Exact -> d * (d - 1) / 2
 
-let lower ?(mode = Paper) ~rows entity gamma =
+let lower ?(mode = Paper) ~rows entity =
   let schema = Entity.schema entity in
   let arity = Schema.arity schema in
   let universes = Array.make arity [||] in
@@ -41,14 +41,7 @@ let lower ?(mode = Paper) ~rows entity gamma =
       if List.exists Value.is_null adom then adom else adom @ [ Value.Null ]
     in
     adom_sizes.(a) <- List.length adom;
-    let name = Schema.name schema a in
-    let extra =
-      List.concat_map (fun c -> Cfd.Constant_cfd.constants_for c name) gamma
-      |> List.filter (fun v ->
-             not (List.exists (Value.equal v) adom))
-      |> List.sort_uniq Value.total_compare
-    in
-    let univ = Array.of_list (adom @ extra) in
+    let univ = Array.of_list adom in
     universes.(a) <- univ;
     ids.(a) <- Array.to_list univ |> List.mapi (fun i v -> (v, i)) |> List.to_seq |> VMap.of_seq;
     (* a cell's id is the scan's index into the active domain, which is
@@ -79,7 +72,7 @@ let lower ?(mode = Paper) ~rows entity gamma =
   in
   ({ mode; schema; universes; adom_sizes; ids; offsets; blocks; nvars = !total }, cells)
 
-let build ?mode entity gamma = fst (lower ?mode ~rows:(Entity.distinct_rows entity) entity gamma)
+let build ?mode entity = fst (lower ?mode ~rows:(Entity.distinct_rows entity) entity)
 
 let mode c = c.mode
 

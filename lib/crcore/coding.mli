@@ -1,10 +1,12 @@
 (** The value universes and Boolean variable numbering behind the SAT
     encoding of Section V-A.
 
-    For each attribute [Ai], the universe is [adom(Ie.Ai)] extended with
-    the constants appearing in position [Ai] of CFDs in Γ; the Boolean
-    variable [x^{Ai}_{a1,a2}] stands for the value-currency fact
-    [a1 ≺v_{Ai} a2] over that universe.
+    For each attribute [Ai], the universe is [adom(Ie.Ai)], the values
+    the entity takes, plus a reserved null; the Boolean variable
+    [x^{Ai}_{a1,a2}] stands for the value-currency fact [a1 ≺v_{Ai} a2]
+    over that universe. A CFD pattern constant outside the active
+    domain gets no value id: completions order the values the entity
+    takes (see {!Encode}).
 
     Facts map to {e literals}, not variables ({!lit_of}/{!fact_of_lit}).
     In [Paper] mode every ordered pair has its own variable and a fact is
@@ -20,12 +22,12 @@ type mode = Paper | Exact
 
 type t
 
-(** [build ?mode entity gamma] computes universes and variable numbering
+(** [build ?mode entity] computes universes and variable numbering
     (default [Paper]). *)
-val build : ?mode:mode -> Entity.t -> Cfd.Constant_cfd.t list -> t
+val build : ?mode:mode -> Entity.t -> t
 
-(** [lower ?mode ~rows entity gamma] is [(build ?mode entity gamma,
-    cells)] from one scan of the tuples [rows]: [rows] must hold, in
+(** [lower ?mode ~rows entity] is [(build ?mode entity, cells)] from one
+    scan of the tuples [rows]: [rows] must hold, in
     ascending order, the first occurrence of every class of equal tuples
     — {!Entity.distinct_rows}, or every tuple index. [cells.(a).(k)] is
     the id of row [k]'s value at attribute [a] (the value of tuple
@@ -33,16 +35,15 @@ val build : ?mode:mode -> Entity.t -> Cfd.Constant_cfd.t list -> t
     every tuple equal to it (a NaN cell included). The columns are the
     caller's to drop: they are not kept in [t], which can outlive the
     entity's encoding. *)
-val lower :
-  ?mode:mode -> rows:int array -> Entity.t -> Cfd.Constant_cfd.t list -> t * int array array
+val lower : ?mode:mode -> rows:int array -> Entity.t -> t * int array array
 
 val mode : t -> mode
 
 val schema : t -> Schema.t
 
-(** [universe c a] is the value universe of attribute position [a];
-    active-domain values first (in first-occurrence order), then CFD
-    constants.
+(** [universe c a] is the value universe of attribute position [a]: its
+    active-domain values in first-occurrence order, so its length is
+    {!adom_size}.
 
     [Value.Null] is always a universe member: when no tuple takes it, it
     is reserved right after the active-domain values — the slot a

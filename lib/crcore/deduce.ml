@@ -130,8 +130,7 @@ let deduce_units enc =
   let od = empty_od enc in
   List.iter (fun l -> Option.iter (add_fact od) (Encode.fact_of_lit enc l)) (unit_lits enc);
   (* complete = false: the positive units are a strict subset of the
-     backbone in general, so consumers must stick to certain-value
-     claims (true_value_id routes there on incomplete deductions) *)
+     backbone in general *)
   { enc; od; stats = { no_stats with complete = false } }
 
 (* ---- shared solver plumbing for the SAT-based deducers ---- *)
@@ -324,6 +323,106 @@ let backbone ?solver ?budget ?static enc =
                   built_solver = not reused };
       }
 
+(* ---- true values without the backbone ---- *)
+
+type decided = { values : Value.t option array; solves : int; complete : bool }
+
+(* [true_values (backbone enc)] asks, per attribute, whether every model
+   puts one value above all others. Only the value the current model
+   puts there can qualify (universe = active domain + reserved null), so
+   each attribute has at most one candidate, decided as follows:
+
+   - a candidate whose literals all sit on the level-0 trail is proven
+     without a solve;
+   - one solve with every open candidate literal's phase set against it
+     refutes the candidates whose literal it falsifies;
+   - the survivors get one query: selector [d_i] with [d_i ∨ ¬l] over
+     candidate i's literals, and [¬q ∨ ¬d_1 ∨ …] under the assumption
+     [q]. [Unsat] proves them all; a [Sat] model refutes at least one,
+     and the query repeats on the rest with fresh selectors.
+
+   Selectors are the solver's only new variables, made only in the last
+   step: the first [new_var] on a loaded solver grows its arrays. The
+   added clauses are satisfiable extensions (every [d_i] true, [q]
+   false), so later solves on the session answer as before. *)
+let decide_true_values ?solver ?budget enc =
+  let s, _ = deduction_solver solver enc in
+  (match budget with Some b -> Sat.Solver.set_budget ~conflicts:b s | None -> ());
+  let coding = enc.Encode.coding in
+  let values = Array.make (Schema.arity (Coding.schema coding)) None in
+  let solves = ref 0 in
+  let solve ?assumptions () =
+    incr solves;
+    Sat.Solver.solve_limited ?assumptions s
+  in
+  let initial = if Sat.Solver.has_model s then Sat.Solver.Limited.Sat else solve () in
+  let complete =
+    match initial with
+    | Sat.Solver.Limited.Unknown -> false
+    | Sat.Solver.Limited.Unsat -> true (* invalid spec: callers check validity first *)
+    | Sat.Solver.Limited.Sat ->
+        let model_true l = Sat.Solver.model_value s (Sat.Lit.var l) = Sat.Lit.sign l in
+        let level0 l = Sat.Solver.value_level0 s (Sat.Lit.var l) = Some (Sat.Lit.sign l) in
+        let prove (a, v, _) = values.(a) <- Some (Coding.value coding a v) in
+        let refuted (_, _, lits) = not (Array.for_all model_true lits) in
+        let guide (_, _, lits) =
+          Array.iter (fun l -> Sat.Solver.set_phase s (Sat.Lit.negate l)) lits
+        in
+        (* candidates, the model's maximum per attribute: a tournament
+           scan, then the check that it is above every other value *)
+        let open_cands = ref [] in
+        Array.iteri
+          (fun a _ ->
+            let n = Coding.adom_size coding a in
+            let lit u v = Coding.lit_of coding ~attr:a u v in
+            let best = ref 0 in
+            for u = 1 to n - 1 do
+              if model_true (lit !best u) then best := u
+            done;
+            let v = !best in
+            let lits = Array.init (n - 1) (fun i -> lit (if i < v then i else i + 1) v) in
+            let c = (a, v, lits) in
+            if not (refuted c) then
+              if Array.for_all level0 lits then prove c else open_cands := c :: !open_cands)
+          values;
+        (* one solve against every open candidate: [Unsat] proves them
+           all, [Sat] refutes those its model falsifies, and the rest go
+           to a selector query, with selectors made for that query *)
+        let rec settle ~query cands =
+          let assumptions =
+            if not query then []
+            else begin
+              let q = Sat.Solver.new_var s in
+              let sels =
+                List.map
+                  (fun (_, _, lits) ->
+                    let d = Sat.Solver.new_var s in
+                    Sat.Solver.add_clause s
+                      (Sat.Lit.pos d :: Array.to_list (Array.map Sat.Lit.negate lits));
+                    Sat.Solver.set_phase s (Sat.Lit.neg_of d);
+                    Sat.Lit.neg_of d)
+                  cands
+              in
+              Sat.Solver.add_clause s (Sat.Lit.neg_of q :: sels);
+              [ Sat.Lit.pos q ]
+            end
+          in
+          List.iter guide cands;
+          match solve ~assumptions () with
+          | Sat.Solver.Limited.Unknown -> false
+          | Sat.Solver.Limited.Unsat ->
+              List.iter prove cands;
+              true
+          | Sat.Solver.Limited.Sat -> (
+              match List.filter (fun c -> not (refuted c)) cands with
+              | [] -> true
+              | rest -> settle ~query:true rest)
+        in
+        let cands = List.rev !open_cands in
+        cands = [] || settle ~query:false cands
+  in
+  { values; solves = !solves; complete }
+
 let lt d ~attr lo hi = Porder.Strict_order.lt d.od.(attr) lo hi
 
 let n_facts d = Array.fold_left (fun acc o -> acc + Porder.Strict_order.n_pairs o) 0 d.od
@@ -335,14 +434,12 @@ let candidates d a =
   let nadom = Coding.adom_size d.enc.Encode.coding a in
   List.filter (fun v -> v < nadom) (universe_maximal d a)
 
-(* [v] is proven above EVERY other universe value — a claim that survives
-   any extension of the fact set (at most one value can qualify in a
-   strict order), unlike active-domain domination, where a fact missing
-   from an interrupted deduction can hide a second incomparable maximal
-   (a CFD repair constant) that a completed run would surface. *)
-let certain_value_id d a =
-  let coding = d.enc.Encode.coding in
-  let n = Array.length (Coding.universe coding a) in
+(* [v] is proven above every other value of the universe, which is the
+   active domain plus the reserved null ({!Coding.universe}): at most one
+   value qualifies in a strict order, and the claim is monotone in the
+   fact set, so it is sound for an interrupted deduction too *)
+let true_value_id d a =
+  let n = Array.length (Coding.universe d.enc.Encode.coding a) in
   let dominating v =
     let ok = ref true in
     for u = 0 to n - 1 do
@@ -354,37 +451,11 @@ let certain_value_id d a =
   | [ v ] -> Some v
   | _ -> None
 
-let true_value_id d a =
-  if not d.stats.complete then
-    (* interrupted deduction: only universe-certain claims are sound *)
-    certain_value_id d a
-  else
-    let coding = d.enc.Encode.coding in
-    let nadom = Coding.adom_size coding a in
-    let dominating v =
-      let ok = ref true in
-      for u = 0 to nadom - 1 do
-        if u <> v && not (lt d ~attr:a u v) then ok := false
-      done;
-      !ok
-    in
-    (* the true value may be a repair constant outside the active domain,
-       so search all universe-maximal values, not just V(A) *)
-    match List.filter dominating (universe_maximal d a) with
-    | [ v ] -> Some v
-    | _ -> None
-
 let true_values d =
   let coding = d.enc.Encode.coding in
   let arity = Schema.arity (Coding.schema coding) in
   Array.init arity (fun a ->
       Option.map (fun id -> Coding.value coding a id) (true_value_id d a))
-
-let certain_values d =
-  let coding = d.enc.Encode.coding in
-  let arity = Schema.arity (Coding.schema coding) in
-  Array.init arity (fun a ->
-      Option.map (fun id -> Coding.value coding a id) (certain_value_id d a))
 
 let known_attrs d =
   let tv = true_values d in

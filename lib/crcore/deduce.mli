@@ -68,9 +68,7 @@ val deduce_order :
     that must stay inside the exact engine's fact set. (The reversed
     reading of negative [Paper]-mode units, while sound under total-order
     completion semantics, can claim facts the backbone never contains.)
-    The result
-    carries [stats.complete = false], routing {!true_value_id} to the
-    monotone {!certain_value_id}. *)
+    The result carries [stats.complete = false]. *)
 val deduce_units : Encode.t -> t
 
 (** [naive_deduce enc] is [NaiveDeduce]: one SAT call per fact literal
@@ -119,6 +117,36 @@ val naive_deduce :
 val backbone :
   ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> t
 
+(** The outcome of {!decide_true_values}. *)
+type decided = {
+  values : Value.t option array;  (** per attribute position *)
+  solves : int;  (** solver calls issued *)
+  complete : bool;
+      (** [false] when a conflict budget interrupted a solve: [values]
+          then holds only the values proven before the interrupt (from
+          the level-0 trail or an [Unsat] query), a sound subset of the
+          unbudgeted answer *)
+}
+
+(** [decide_true_values enc] is [true_values (backbone enc)] on a valid
+    specification, decided without computing the backbone. The true
+    value of [A] is the value every model puts above all others, so the
+    current model (the session's saved validity model when [solver]
+    holds one) names each attribute's only possible candidate. A
+    candidate whose literals sit on the level-0 trail is proven without
+    a solve. The rest get one solve with their literals' phases set
+    against them; a candidate that model refutes has no true value. The
+    survivors get selector queries: one assumption solve asks for a
+    model refuting any of them; [Unsat] proves them all, [Sat] refutes
+    at least one and the query repeats. Selector variables and their
+    clauses are added to the solver only then; they are satisfiable
+    extensions, which never change answers about Φ(Se).
+
+    [budget] (or a budget already armed on [solver]) bounds the solves as
+    in {!backbone}. On an unsatisfiable Φ(Se) nothing is decided
+    (callers check validity first). *)
+val decide_true_values : ?solver:Sat.Solver.t -> ?budget:int -> Encode.t -> decided
+
 (** [lt d ~attr lo hi] is [true] when [Od] orders value [lo] before [hi]. *)
 val lt : t -> attr:int -> int -> int -> bool
 
@@ -131,27 +159,16 @@ val n_facts : t -> int
 val candidates : t -> int -> int list
 
 (** [true_value_id d a] is the id of the true value of attribute [a] when
-    [Od] determines one: the unique candidate that dominates every other
-    active-domain value. When the deduction was interrupted
-    ([stats.complete = false]) this falls back to {!certain_value_id} —
-    active-domain domination is not monotone in the fact set (a missing
-    fact can hide a second incomparable maximal, typically a CFD repair
-    constant), so only universe-certain claims are sound there. *)
+    [Od] determines one: the value [Od] puts above every other universe
+    value, that is every other active-domain value and the reserved null
+    ({!Coding.universe}). At most one value qualifies, and the claim is
+    monotone in the fact set, so it is sound for any partial deduction
+    too (a budget-interrupted backbone, plain unit propagation). *)
 val true_value_id : t -> int -> int option
 
-(** [certain_value_id d a] is the id of the value proven above {e every}
-    other universe value of [a] — a claim monotone in the fact set, hence
-    sound for any partial deduction regardless of how it was produced
-    (budget-interrupted backbone, plain unit propagation). At most one
-    value can qualify. *)
-val certain_value_id : t -> int -> int option
-
-(** [true_values d] is the per-attribute true values determined so far. *)
+(** [true_values d] is {!true_value_id} per attribute: the true values
+    determined so far. *)
 val true_values : t -> Value.t option array
-
-(** [certain_values d] is {!certain_value_id} per attribute — what a
-    degraded engine answer may soundly report. *)
-val certain_values : t -> Value.t option array
 
 (** [known_attrs d] is the positions whose true value is determined. *)
 val known_attrs : t -> int list

@@ -774,7 +774,7 @@ let parts ?mode ?sigma_c ?gamma_c ?rows spec =
   let schema = Spec.schema spec in
   let sigma_c = sigma_c_for schema spec.Spec.sigma sigma_c in
   let gamma_c = gamma_c_for schema spec.Spec.gamma gamma_c in
-  let coding, cells = Coding.lower ?mode ~rows:(rows_of spec rows) spec.Spec.entity [] in
+  let coding, cells = Coding.lower ?mode ~rows:(rows_of spec rows) spec.Spec.entity in
   let fired = Array.make (List.length spec.Spec.sigma) false in
   let sigma_insts = instantiate_sigma ~fired sigma_c coding cells in
   let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
@@ -850,7 +850,7 @@ let order_axioms template coding =
       (structural, n, [])
 
 let build_t ~mode ~sigma_c ~gamma_c ~template ~rows spec =
-  let coding, cells = Coding.lower ~mode ~rows spec.Spec.entity [] in
+  let coding, cells = Coding.lower ~mode ~rows spec.Spec.entity in
   let sigma_insts = instantiate_sigma sigma_c coding cells in
   let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
   let ((units, implications, vetoes) as parts) =
@@ -1002,7 +1002,7 @@ let extend base spec =
   if not (pure_extension base.spec spec) then None
   else
     let rows = Entity.distinct_rows spec.Spec.entity in
-    let coding', cells = Coding.lower ~mode:base.mode ~rows spec.Spec.entity [] in
+    let coding', cells = Coding.lower ~mode:base.mode ~rows spec.Spec.entity in
     if not (universes_prefix base.coding coding') then None
     else begin
       (* old values keep their per-attribute ids, so the Σ instances of

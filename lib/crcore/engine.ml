@@ -76,6 +76,7 @@ type entity_stats = {
   solver : Sat.Solver.stats;
   solvers_built : int;
   solvers_reused : int;
+  true_value_solves : int;
   deduce_sat_calls : int;
   deduce_probes : int;
   deduce_model_prunes : int;
@@ -111,6 +112,7 @@ let zero_entity_stats () =
     solver = Sat.Solver.zero_stats;
     solvers_built = 0;
     solvers_reused = 0;
+    true_value_solves = 0;
     deduce_sat_calls = 0;
     deduce_probes = 0;
     deduce_model_prunes = 0;
@@ -148,6 +150,7 @@ let add_stats a b =
       };
     solvers_built = a.solvers_built + b.solvers_built;
     solvers_reused = a.solvers_reused + b.solvers_reused;
+    true_value_solves = a.true_value_solves + b.true_value_solves;
     deduce_sat_calls = a.deduce_sat_calls + b.deduce_sat_calls;
     deduce_probes = a.deduce_probes + b.deduce_probes;
     deduce_model_prunes = a.deduce_model_prunes + b.deduce_model_prunes;
@@ -427,27 +430,38 @@ let with_solver sess f =
    runs out mid-solve *)
 let check_validity sess = with_solver sess (fun s -> Sat.Solver.solve_limited s)
 
-let suggest_on sess d ~known =
-  with_solver sess (fun s -> Rules.suggest ~solver:s d ~known)
-
-(* backbone deduction on the session solver: probes run under
-   assumptions and start from the validity check's saved model. The
-   remaining conflict budget is armed on the solver and passed down. *)
+(* true values on the session solver, from the validity check's saved
+   model. The remaining conflict budget is armed on the solver and
+   passed down. *)
 let deduce_on sess enc =
-  let solver = the_solver sess in
-  arm_budget sess solver;
-  let d = Deduce.backbone ~solver ?budget:(conflicts_remaining sess) enc in
-  let ds = d.Deduce.stats and st = sess.st in
-  sess.st <-
-    {
-      st with
-      deduce_sat_calls = st.deduce_sat_calls + ds.Deduce.sat_calls;
-      deduce_probes = st.deduce_probes + ds.Deduce.probes;
-      deduce_model_prunes = st.deduce_model_prunes + ds.Deduce.model_prunes;
-      deduce_seeded = st.deduce_seeded + ds.Deduce.seeded;
-      solvers_reused = st.solvers_reused + 1;
-    };
-  d
+  let tv =
+    with_solver sess (fun solver ->
+        Deduce.decide_true_values ~solver ?budget:(conflicts_remaining sess) enc)
+  in
+  sess.st <- { sess.st with true_value_solves = sess.st.true_value_solves + tv.Deduce.solves };
+  tv
+
+(* The suggestion, one phase on the session solver: the backbone it is
+   derived from (timed as deduction), then [Suggest]. [None] when the
+   budget ran out inside the backbone. *)
+let suggest_on sess ~known =
+  with_solver sess (fun solver ->
+      let d =
+        timed sess Deduce_p (fun () ->
+            Deduce.backbone ~solver ?budget:(conflicts_remaining sess) (the_enc sess))
+      in
+      let ds = d.Deduce.stats and st = sess.st in
+      sess.st <-
+        {
+          st with
+          deduce_sat_calls = st.deduce_sat_calls + ds.Deduce.sat_calls;
+          deduce_probes = st.deduce_probes + ds.Deduce.probes;
+          deduce_model_prunes = st.deduce_model_prunes + ds.Deduce.model_prunes;
+          deduce_seeded = st.deduce_seeded + ds.Deduce.seeded;
+        };
+      if ds.Deduce.complete then
+        Some (timed sess Suggest_p (fun () -> Rules.suggest ~solver d ~known))
+      else None)
 
 let count_impure sess =
   let st = sess.st in
@@ -586,9 +600,9 @@ let resolve_session sess ~user =
           invalid_result ~rounds ~per_round
         else
           (* the degraded answer must stay inside the exact engine's fact
-             set: positive units only, universe-certain values only *)
+             set: positive units only *)
           let d = Deduce.deduce_units enc in
-          let resolved = Deduce.certain_values d in
+          let resolved = Deduce.true_values d in
           mk ~resolved ~valid:true ~rounds
             ~per_round:(count_known resolved :: per_round)
             ~level:PartialDeduce ~reason
@@ -629,41 +643,43 @@ let resolve_session sess ~user =
                      still affordable — SAT probing is not *)
                   let d = Deduce.deduce_units (the_enc sess) in
                   `Stop
-                    (degrade_partial Wall Deduce_p (Deduce.certain_values d) ~rounds
+                    (degrade_partial Wall Deduce_p (Deduce.true_values d) ~rounds
                        ~per_round)
                 else begin
                   fire sess Faults.Deduce Deduce_p;
                   if exhausted_now sess then
                     let d = Deduce.deduce_units (the_enc sess) in
                     `Stop
-                      (degrade_partial Conflicts Deduce_p (Deduce.certain_values d)
+                      (degrade_partial Conflicts Deduce_p (Deduce.true_values d)
                          ~rounds ~per_round)
                   else
-                    let d = timed sess Deduce_p (fun () -> deduce_on sess (the_enc sess)) in
-                    if d.Deduce.stats.Deduce.complete then `Go (d, Deduce.true_values d)
+                    let tv = timed sess Deduce_p (fun () -> deduce_on sess (the_enc sess)) in
+                    if tv.Deduce.complete then `Go tv.Deduce.values
                     else
                       `Stop
-                        (degrade_partial Conflicts Deduce_p (Deduce.true_values d)
-                           ~rounds ~per_round)
+                        (degrade_partial Conflicts Deduce_p tv.Deduce.values ~rounds
+                           ~per_round)
                 end
         end
       in
       let finished = ref None in
-      let d = ref None in
       let known = ref (Array.make arity None) in
       let per_round = ref [] in
       let rounds = ref 0 in
       (match analyse ~rounds:0 ~per_round:[] with
       | `Invalid -> finished := Some (invalid_result ~rounds:0 ~per_round:[])
       | `Stop r -> finished := Some r
-      | `Go (d0, known0) ->
-          d := Some d0;
+      | `Go known0 ->
           known := known0;
           per_round := [ count_known known0 ]);
       while !finished = None do
         let exact_here () =
           mk ~resolved:!known ~valid:true ~rounds:!rounds ~per_round:!per_round
             ~level:Exact ~reason:None
+        in
+        let degrade_here cause phase =
+          finished :=
+            Some (degrade_partial cause phase !known ~rounds:!rounds ~per_round:!per_round)
         in
         if
           count_known !known = arity
@@ -672,66 +688,54 @@ let resolve_session sess ~user =
              the loop here: do not build one for nobody to read *)
           || user == Framework.silent
         then finished := Some (exact_here ())
-        else if wall_tripped sess then
-          finished :=
-            Some (degrade_partial Wall Suggest_p !known ~rounds:!rounds ~per_round:!per_round)
+        else if wall_tripped sess then degrade_here Wall Suggest_p
         else begin
           fire sess Faults.Maxsat Suggest_p;
-          if exhausted_now sess then
-            finished :=
-              Some
-                (degrade_partial Conflicts Suggest_p !known ~rounds:!rounds
-                   ~per_round:!per_round)
-          else begin
-            let d0 = match !d with Some d -> d | None -> assert false in
-            let suggestion =
-              timed sess Suggest_p (fun () -> suggest_on sess d0 ~known:!known)
-            in
-            if exhausted_now sess then
-              (* the budget ran out inside the suggestion's MaxSAT layer;
-                 its content is a truncated guess — stop the interaction
-                 instead of asking the user about it *)
-              finished :=
-                Some
-                  (degrade_partial Conflicts Suggest_p !known ~rounds:!rounds
-                     ~per_round:!per_round)
-            else begin
-              let answer = user suggestion ~schema in
-              if answer = [] then finished := Some (exact_here ())
-              else begin
-                incr rounds;
-                (* the fresh tuple t_o of the paper's Remark (1): provided
-                   values, plus the already-established ones, null elsewhere *)
-                let values =
-                  Array.init arity (fun a ->
-                      let name = Schema.name schema a in
-                      match List.assoc_opt name answer with
-                      | Some v -> v
-                      | None -> ( match !known.(a) with Some v -> v | None -> Value.Null))
-                in
-                let tup = Tuple.of_array schema values in
-                let current_attrs =
-                  List.filter_map
-                    (fun a ->
-                      if Value.is_null values.(a) then None
-                      else Some (Schema.name schema a))
-                    (List.init arity Fun.id)
-                in
-                apply_extension sess (Spec.extend_with_tuple sess.spec tup ~current_attrs);
-                match analyse ~rounds:!rounds ~per_round:!per_round with
-                | `Invalid ->
-                    finished :=
-                      Some
-                        (mk ~resolved:!known ~valid:false ~rounds:!rounds
-                           ~per_round:!per_round ~level:Exact ~reason:None)
-                | `Stop r -> finished := Some r
-                | `Go (d', known') ->
-                    d := Some d';
-                    known := known';
-                    per_round := count_known known' :: !per_round
-              end
-            end
-          end
+          if exhausted_now sess then degrade_here Conflicts Suggest_p
+          else
+            match suggest_on sess ~known:!known with
+            | None ->
+                (* the budget ran out inside the suggestion's backbone *)
+                degrade_here Conflicts Deduce_p
+            | Some _ when exhausted_now sess ->
+                (* the budget ran out inside the suggestion's MaxSAT layer;
+                   its content is a truncated guess — stop the interaction
+                   instead of asking the user about it *)
+                degrade_here Conflicts Suggest_p
+            | Some suggestion ->
+                let answer = user suggestion ~schema in
+                if answer = [] then finished := Some (exact_here ())
+                else begin
+                  incr rounds;
+                  (* the fresh tuple t_o of the paper's Remark (1): provided
+                     values, plus the already-established ones, null elsewhere *)
+                  let values =
+                    Array.init arity (fun a ->
+                        let name = Schema.name schema a in
+                        match List.assoc_opt name answer with
+                        | Some v -> v
+                        | None -> ( match !known.(a) with Some v -> v | None -> Value.Null))
+                  in
+                  let tup = Tuple.of_array schema values in
+                  let current_attrs =
+                    List.filter_map
+                      (fun a ->
+                        if Value.is_null values.(a) then None
+                        else Some (Schema.name schema a))
+                      (List.init arity Fun.id)
+                  in
+                  apply_extension sess (Spec.extend_with_tuple sess.spec tup ~current_attrs);
+                  match analyse ~rounds:!rounds ~per_round:!per_round with
+                  | `Invalid ->
+                      finished :=
+                        Some
+                          (mk ~resolved:!known ~valid:false ~rounds:!rounds
+                             ~per_round:!per_round ~level:Exact ~reason:None)
+                  | `Stop r -> finished := Some r
+                  | `Go known' ->
+                      known := known';
+                      per_round := count_known known' :: !per_round
+                end
         end
       done;
       match !finished with Some r -> r | None -> assert false
@@ -782,7 +786,8 @@ let pp_stats ppf st =
      deduce %.1f | suggest %.1f@ \
      lint: %d spec(s) rejected as unsat before solving (no solver kept)@ \
      solver: %a; %d CNF load(s), %d phase(s) on live sessions@ \
-     deduce: %d SAT call(s) (%d probe(s), %d model-prune(s), %d seeded)@ \
+     deduce: %d true-value solve(s); backbone %d SAT call(s) (%d probe(s), \
+     %d model-prune(s), %d seeded)@ \
      encode templates: %d hit(s) / %d miss(es) (%.0f%%)@ \
      encode alloc: %.0f minor words; %d tuple(s) lowered as %d distinct row(s); \
      %d delta extension(s), %d rebuild(s) (%d renumbered, %d impure)@ \
@@ -796,7 +801,7 @@ let pp_stats ppf st =
     t.times.lint_ms t.times.encode_ms t.times.validity_ms
     t.times.deduce_ms t.times.suggest_ms st.lint_rejected Sat.Solver.pp_stats
     t.solver t.solvers_built
-    t.solvers_reused t.deduce_sat_calls t.deduce_probes t.deduce_model_prunes
+    t.solvers_reused t.true_value_solves t.deduce_sat_calls t.deduce_probes t.deduce_model_prunes
     t.deduce_seeded t.template_hits
     t.template_misses
     (100. *. st.template_hit_ratio)

@@ -7,10 +7,25 @@
     the same entity across interaction rounds. It has one path:
 
     - {b one incremental solver session per entity}: the validity check
-      ([IsValid]), backbone deduction and the clique-consistency check
-      inside [Suggest] all run on a single {!Sat.Solver} session holding
-      Φ(Se), solving under assumption literals instead of re-instantiating
-      the CNF per phase — learnt clauses carry across phases and rounds;
+      ([IsValid]), true-value deduction, the backbone and the
+      clique-consistency check inside [Suggest] all run on a single
+      {!Sat.Solver} session holding Φ(Se), solving under assumption
+      literals instead of re-instantiating the CNF per phase — learnt
+      clauses carry across phases and rounds;
+    - {b true values without the backbone}: each round's true values come
+      from {!Deduce.decide_true_values}, which proves or refutes the one
+      candidate per attribute that the validity model names, mostly off
+      the level-0 trail and with one guided solve for the rest. The full
+      backbone ({!Deduce.backbone}), which [Suggest] derives its rules
+      from, runs only when a suggestion is built: for a user that is not
+      {!Framework.silent}, in a round that does not end the loop. The
+      answers are those of {!Framework.resolve}, which still reads them
+      off the backbone. Under a conflict budget the solves differ from
+      the backbone's, so a run lands where its own solves run out: an
+      interrupted true-value query reports the values proven so far at
+      [PartialDeduce] with reason [conflicts@deduce], and so does an
+      interrupted backbone before a suggestion, with that round's
+      complete values;
     - {b encoding reuse across [Se ⊕ Ot] steps}: user-input extensions are
       re-encoded with {!Encode.extend}, which keeps the order axioms
       (the cubic part of [ConvertToCNF]: Paper's structural clauses,
@@ -57,8 +72,8 @@ type user = Framework.user
     {- {!Exact}: the full pipeline ran to completion (the default when no
        budget interferes).}
     {- {!PartialDeduce}: validity was established, but completion was cut
-       short — the answer contains only facts proven before the
-       interruption (level-0 seeds and confirmed probes, a sound
+       short — the answer contains only values proven before the
+       interruption (on the level-0 trail or by an [Unsat] query, a sound
        subset of the full deduction — property-tested).}
     {- {!PickFallback}: not even validity could be established in budget;
        the answer is the paper's [Pick] baseline (deterministic currency
@@ -156,6 +171,8 @@ type phase_times = {
           benchmark replay; deleted by the next [benchmark] PR. *)
   mutable validity_ms : float;
   mutable deduce_ms : float;
+      (** true-value deduction, plus the backbone each suggestion is
+          derived from *)
   mutable suggest_ms : float;
 }
 
@@ -168,14 +185,23 @@ type entity_stats = {
           solver that loading refuted at level 0 is counted, then
           dropped ([lint_rejected]) *)
   solvers_reused : int;
-      (** solver phases (validity checks, deductions, suggestions) served
+      (** solver phases (validity checks, true-value deductions,
+          suggestions, each with the backbone it is derived from) served
           by the live session instead of a fresh CNF load *)
-  deduce_sat_calls : int;  (** solver calls issued by the deduction phase *)
-  deduce_probes : int;  (** single-literal refutation probes *)
+  true_value_solves : int;
+      (** solver calls {!Deduce.decide_true_values} issued: the guided
+          refutation solve and the selector queries. 0 when every true
+          value was decided on the level-0 trail or no attribute had a
+          candidate *)
+  deduce_sat_calls : int;
+      (** solver calls {!Deduce.backbone} issued; it runs only before a
+          suggestion is built *)
+  deduce_probes : int;  (** the backbone's single-literal refutation probes *)
   deduce_model_prunes : int;
       (** candidates {!Deduce.backbone} eliminated by model intersection *)
   deduce_seeded : int;
-      (** facts adopted without a probe: the solver's level-0 facts *)
+      (** backbone facts adopted without a probe: the solver's level-0
+          facts *)
   probes_avoided : int;
       (** always 0: the engine hands deduction no static closure. Kept for
           the benchmark replay; deleted by the next [benchmark] PR. *)

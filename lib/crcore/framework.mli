@@ -20,11 +20,13 @@ val oracle : ?max_answers:int -> Tuple.t -> user
     derivable automatically (the 0-interaction rows of Fig. 8(e,i,m)).
     {!resolve} still builds the suggestion it is shown. {!Engine}
     recognises this very value (by physical equality) and builds none:
-    same answers, but no MaxSAT work on its solver, so its
-    [conflicts_spent] and learnt counts drop, a budget that would have
-    run out inside the suggestion leaves the answer [Exact], and the
-    [Maxsat] fault point is not reached. A user that merely behaves
-    like it ([fun _ ~schema:_ -> []]) is shown the suggestion. *)
+    same answers, but no MaxSAT work and no backbone on its solver (its
+    true values come from {!Deduce.decide_true_values}, and the backbone
+    only feeds suggestions), so its [conflicts_spent], learnt counts and
+    [deduce_probes] drop, a budget that would have run out inside the
+    suggestion or its backbone leaves the answer [Exact], and the
+    [Maxsat] fault point is not reached. A user that merely behaves like
+    it ([fun _ ~schema:_ -> []]) is shown the suggestion. *)
 val silent : user
 
 (** Cumulative wall-clock split across the framework's phases, for the
@@ -48,8 +50,9 @@ type outcome = {
     of their own. It shares no session, cache or lint code
     with {!Engine} (which depends on this module, not the reverse), and is
     the reference the engine's answers are tested against. [deduce]
-    defaults to {!Deduce.backbone}, the engine's deducer, and is called
-    with no solver; [max_rounds] defaults to 5. Timings are wall-clock
+    defaults to {!Deduce.backbone}, called with no solver: true values
+    are read off it, the reference the engine's
+    {!Deduce.decide_true_values} is checked against; [max_rounds] defaults to 5. Timings are wall-clock
     seconds, encoding counted inside [validity]. *)
 val resolve :
   ?mode:Encode.mode ->

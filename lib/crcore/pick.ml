@@ -28,7 +28,7 @@ let comparison_only (c : Currency.Constraint_ast.t) =
 let favoured_order spec =
   let schema = Spec.schema spec in
   let entity = spec.Spec.entity in
-  let coding = Coding.build entity [] in
+  let coding = Coding.build entity in
   let orders =
     Array.init (Schema.arity schema) (fun a ->
         Porder.Strict_order.create (Array.length (Coding.universe coding a)))

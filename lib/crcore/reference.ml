@@ -114,7 +114,7 @@ let completion_is_valid spec coding ranks =
   end
 
 let analyze ?(limit = 2_000_000) spec =
-  let coding = Coding.build spec.Spec.entity [] in
+  let coding = Coding.build spec.Spec.entity in
   let arity = Schema.arity (Spec.schema spec) in
   let n_valid = ref 0 in
   let agreed = ref None in
@@ -147,7 +147,7 @@ let analyze ?(limit = 2_000_000) spec =
       Some { valid = !n_valid > 0; n_valid = !n_valid; agreed; true_tuple }
 
 let implied ?(limit = 2_000_000) spec ~attr v1 v2 =
-  let coding = Coding.build spec.Spec.entity [] in
+  let coding = Coding.build spec.Spec.entity in
   let schema = Spec.schema spec in
   let a = Schema.index schema attr in
   match (Coding.vid_opt coding a v1, Coding.vid_opt coding a v2) with

@@ -382,7 +382,7 @@ let verify spec (cert : cert) =
   let bad fmt = Format.kasprintf (fun s -> raise (Bad s)) fmt in
   let entity = spec.Spec.entity in
   let schema = Spec.schema spec in
-  let coding = Coding.build entity [] in
+  let coding = Coding.build entity in
   let arity = Schema.arity schema in
   let chain = Array.of_list cert.chain in
   let n = Array.length chain in
@@ -553,7 +553,7 @@ let verify spec (cert : cert) =
 let pp_cert spec ppf (c : cert) =
   (* the chain's value ids are over the coding a fresh build yields (the
      saturation and the verifier both use it) *)
-  let coding = Coding.build spec.Spec.entity [] in
+  let coding = Coding.build spec.Spec.entity in
   let schema = Spec.schema spec in
   let pp_f ppf f =
     Format.fprintf ppf "%s: %s < %s"

@@ -122,46 +122,49 @@ let create () =
 
 let nvars s = s.nvars
 
+(* The watch and binary lists of literals beyond [nvars]: one shared
+   empty list that nothing pushes to ([alloc_lists] gives a variable its
+   own lists when it is allocated). Being old, it also spares [grow]'s
+   [Array.make] the minor collection a young initial value forces. *)
+let no_watches : clause Vec.t = Vec.create ~dummy:dummy_clause
+let no_bins : Lit.t Vec.t = Vec.create ~dummy:0
+
+(* Capacity doubles; growing copies the arrays and makes no list.
+   [Array.append] initialises the copy, where a blit into a major-heap
+   array would pay a write barrier per element. *)
 let grow_arrays s n =
   let old = Array.length s.assigns in
   if n > old then begin
     let cap = max n (max 16 (2 * old)) in
-    let grow a dflt =
-      let a' = Array.make cap dflt in
-      Array.blit a 0 a' 0 old;
-      a'
-    in
-    s.assigns <- grow s.assigns 0;
-    s.level <- grow s.level (-1);
-    s.reason <- grow s.reason dummy_clause;
-    s.binreason <- grow s.binreason (-1);
-    s.activity <- grow s.activity 0.;
-    s.polarity <- grow s.polarity false;
-    s.seen <- grow s.seen false;
+    let grow len a dflt = Array.append a (Array.make (len - Array.length a) dflt) in
+    s.assigns <- grow cap s.assigns 0;
+    s.level <- grow cap s.level (-1);
+    s.reason <- grow cap s.reason dummy_clause;
+    s.binreason <- grow cap s.binreason (-1);
+    s.activity <- grow cap s.activity 0.;
+    s.polarity <- grow cap s.polarity false;
+    s.seen <- grow cap s.seen false;
     if Array.length s.pair_blk > 0 then begin
-      s.pair_blk <- grow s.pair_blk (-1);
-      s.pair_u <- grow s.pair_u 0;
-      s.pair_v <- grow s.pair_v 0
+      s.pair_blk <- grow cap s.pair_blk (-1);
+      s.pair_u <- grow cap s.pair_u 0;
+      s.pair_v <- grow cap s.pair_v 0
     end;
-    let oldw = Array.length s.watches in
-    let w' = Array.make (2 * cap) (Vec.create ~dummy:dummy_clause) in
-    Array.blit s.watches 0 w' 0 oldw;
-    for i = oldw to (2 * cap) - 1 do
-      w'.(i) <- Vec.create ~dummy:dummy_clause
-    done;
-    s.watches <- w';
-    let oldb = Array.length s.bin in
-    let b' = Array.make (2 * cap) (Vec.create ~dummy:0) in
-    Array.blit s.bin 0 b' 0 oldb;
-    for i = oldb to (2 * cap) - 1 do
-      b'.(i) <- Vec.create ~dummy:0
-    done;
-    s.bin <- b'
+    s.watches <- grow (2 * cap) s.watches no_watches;
+    s.bin <- grow (2 * cap) s.bin no_bins
   end
+
+(* fresh watch and binary lists for the literals of variables
+   [s.nvars .. n - 1] *)
+let alloc_lists s n =
+  for l = 2 * s.nvars to (2 * n) - 1 do
+    s.watches.(l) <- Vec.create ~dummy:dummy_clause;
+    s.bin.(l) <- Vec.create ~dummy:0
+  done
 
 let new_var s =
   let v = s.nvars in
   grow_arrays s (v + 1);
+  alloc_lists s (v + 1);
   s.nvars <- v + 1;
   Idx_heap.insert s.order v;
   v
@@ -171,6 +174,7 @@ let new_var s =
 let ensure_nvars s n =
   if n > s.nvars then begin
     grow_arrays s n;
+    alloc_lists s n;
     for v = s.nvars to n - 1 do
       Idx_heap.insert s.order v
     done;

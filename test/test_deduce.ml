@@ -325,6 +325,78 @@ let test_backbone_probe_count () =
   let probes = b.D.stats.D.probes in
   if probes > 4 then Alcotest.failf "%d probes, bound 4" probes
 
+(* ---- true values decided without the backbone ---- *)
+
+(* a session: Φ(Se) loaded, validity solved (model saved) *)
+let session enc =
+  let s = Sat.Solver.create () in
+  Sat.Solver.add_cnf s enc.E.cnf;
+  (s, Sat.Solver.solve s = Sat.Solver.Sat)
+
+(* an Se ⊕ Ot step on a live session: the entity's first tuple appended
+   again, asserted current on the spec's first attribute; the session
+   takes the delta clauses when the extension rides [Encode.extend]'s
+   Delta path, and reloads otherwise *)
+let extended_session enc s =
+  let spec = enc.E.spec in
+  let schema = Crcore.Spec.schema spec in
+  let t0 = List.hd (Entity.tuples spec.Crcore.Spec.entity) in
+  let spec' = Crcore.Spec.extend_with_tuple spec t0 ~current_attrs:[ Schema.name schema 0 ] in
+  match E.extend enc spec' with
+  | Some (E.Delta (enc', delta)) ->
+      List.iter (Sat.Solver.add_clause_a s) delta;
+      (enc', s)
+  | Some (E.Renumbered enc') -> (enc', fst (session enc'))
+  | None ->
+      let enc' = E.encode ~mode:enc.E.mode spec' in
+      (enc', fst (session enc'))
+
+let decided_equals_backbone ?solver enc =
+  let tv = D.decide_true_values ?solver enc in
+  tv.D.complete && tv.D.values = D.true_values (D.backbone enc)
+
+(* the deducer's answer is the backbone's: on a fresh solver, on a
+   validity-solved session, on a session after a delta extension, and on
+   one carrying a suggestion's MaxSAT layer; in both modes *)
+let prop_decided_equals_backbone =
+  QCheck.Test.make ~count:500 ~name:"decide_true_values == true_values (backbone) (both modes)"
+    Fixtures.qcheck_spec (fun spec ->
+      List.for_all
+        (fun mode ->
+          let enc = E.encode ~mode spec in
+          (not (Crcore.Validity.check enc))
+          || decided_equals_backbone enc
+             && (let s, sat = session enc in
+                 sat && decided_equals_backbone ~solver:s enc)
+             && (let s, _ = session enc in
+                 let enc', s' = extended_session enc s in
+                 (not (Crcore.Validity.check enc'))
+                 || (Sat.Solver.solve s' = Sat.Solver.Sat
+                    && decided_equals_backbone ~solver:s' enc'))
+             &&
+             let s, _ = session enc in
+             let d = D.backbone ~solver:s enc in
+             ignore (Crcore.Rules.suggest ~solver:s d ~known:(D.true_values d));
+             decided_equals_backbone ~solver:s enc)
+        [ E.Paper; E.Exact ])
+
+(* under a conflict budget every value reported is the unbudgeted one,
+   and an uninterrupted run reports them all *)
+let prop_budgeted_decided_subset =
+  QCheck.Test.make ~count:300 ~name:"budgeted decide_true_values ⊆ unbudgeted (both modes)"
+    QCheck.(pair Fixtures.qcheck_spec (int_bound 20))
+    (fun (spec, budget) ->
+      List.for_all
+        (fun mode ->
+          let enc = E.encode ~mode spec in
+          (not (Crcore.Validity.check enc))
+          ||
+          let full = D.decide_true_values enc in
+          let cut = D.decide_true_values ~budget enc in
+          Array.for_all2 (fun c f -> c = None || c = f) cut.D.values full.D.values
+          && ((not cut.D.complete) || cut.D.values = full.D.values))
+        [ E.Paper; E.Exact ])
+
 (* deduce_order reads negative units as reversed pairs, which is sound
    under the total-order completion semantics the Exact mode encodes — so
    the subset relation against the complete deducers holds there *)
@@ -405,6 +477,8 @@ let () =
             prop_naive_facts_implied;
             prop_backbone_equals_reference;
             prop_backbone_equals_naive;
+            prop_decided_equals_backbone;
+            prop_budgeted_decided_subset;
             prop_deduce_order_subset_of_complete;
             prop_duplicate_literals_harmless;
             prop_exact_dimacs_dump;

@@ -271,6 +271,23 @@ let prop_fact_table =
           E.fact_table enc = Array.init (2 * enc.E.cnf.Sat.Cnf.nvars) (E.fact_of_lit enc))
         [ E.Paper; E.Exact ])
 
+(* the universe is the active domain plus the reserved null, whatever
+   constants Γ mentions: the candidate rule of
+   [Deduce.decide_true_values] ranges over it *)
+let prop_universe_is_adom =
+  QCheck.Test.make ~count:200 ~name:"universe length == adom_size on every attribute (both modes)"
+    Fixtures.qcheck_spec (fun spec ->
+      List.for_all
+        (fun mode ->
+          let coding = (E.encode ~mode spec).E.coding in
+          List.for_all
+            (fun a ->
+              let univ = Crcore.Coding.universe coding a in
+              Array.length univ = Crcore.Coding.adom_size coding a
+              && Array.exists Value.is_null univ)
+            (List.init (Schema.arity (Crcore.Spec.schema spec)) Fun.id))
+        [ E.Paper; E.Exact ])
+
 let prop_cnf_well_formed =
   QCheck.Test.make ~count:200 ~name:"encoded CNF is well-formed in both modes" Fixtures.qcheck_spec
     (fun spec ->
@@ -373,25 +390,16 @@ let awkward_values =
     Value.Null;
   |]
 
-(* an entity over [a0..a(k-1)], CFDs whose constants (NaN included) come
-   from the same pool, a mode, and a list of position sets to project on *)
+(* an entity over [a0..a(k-1)], a mode, and a list of position sets to
+   project on *)
 let qcheck_awkward_entity =
   let open QCheck.Gen in
   let value = map (fun i -> awkward_values.(i)) (int_bound (Array.length awkward_values - 1)) in
-  let const = map (fun i -> awkward_values.(i)) (int_bound (Array.length awkward_values - 2)) in
   let gen =
     int_range 1 4 >>= fun arity ->
     let name a = "a" ^ string_of_int a in
     let schema = Schema.make (List.init arity name) in
     list_size (int_range 1 30) (list_repeat arity value) >>= fun rows ->
-    (if arity < 2 then return []
-     else
-       list_size (int_bound 3)
-         (int_bound (arity - 1) >>= fun l ->
-          int_bound (arity - 2) >>= fun r ->
-          let r = if r >= l then r + 1 else r in
-          map2 (fun cl cr -> Cfd.Constant_cfd.make [ (name l, cl) ] (name r, cr)) const const))
-    >>= fun gamma ->
     let subset =
       map
         (fun bits -> List.filter (fun a -> bits land (1 lsl a) <> 0) (List.init arity Fun.id))
@@ -401,26 +409,23 @@ let qcheck_awkward_entity =
     map
       (fun exact ->
         ( Entity.make schema (List.map (Tuple.make schema) rows),
-          gamma,
           (if exact then E.Exact else E.Paper),
           List.init arity Fun.id :: subsets ))
       bool
   in
-  QCheck.make
-    ~print:(fun (e, gamma, _, _) ->
-      Format.asprintf "%a@.%d CFDs" Entity.pp e (List.length gamma))
-    gen
+  QCheck.make ~print:(fun (e, _, _) -> Format.asprintf "%a" Entity.pp e) gen
 
 (* Every cell id of [Coding.lower] is the map lookup [Coding.vid] makes
    on its row's first tuple — NaN cells included, which the map sends to
    the universe's last NaN — and the numbering is unchanged: one universe
-   entry per NaN occurrence. The integer-keyed representatives equal
-   those keyed on id lists, both over the distinct rows. *)
+   entry per NaN occurrence, and the universe is the active domain. The
+   integer-keyed representatives equal those keyed on id lists, both
+   over the distinct rows. *)
 let prop_lowering_matches_vid =
   QCheck.Test.make ~count:1000 ~name:"lowered cell ids == Coding.vid; int-keyed reps == list-keyed"
-    qcheck_awkward_entity (fun (entity, gamma, mode, position_sets) ->
+    qcheck_awkward_entity (fun (entity, mode, position_sets) ->
       let rows = Entity.distinct_rows entity in
-      let coding, cells = Crcore.Coding.lower ~mode ~rows entity gamma in
+      let coding, cells = Crcore.Coding.lower ~mode ~rows entity in
       let tuples = Entity.tuples entity in
       let row_tuples = Array.to_list (Array.map (Entity.tuple entity) rows) in
       let arity = Schema.arity (Entity.schema entity) in
@@ -436,9 +441,9 @@ let prop_lowering_matches_vid =
       let nans_kept =
         List.for_all
           (fun a ->
-            let univ = Crcore.Coding.universe coding a in
-            let adom = Array.sub univ 0 (Crcore.Coding.adom_size coding a) in
-            List.length (List.filter (fun t -> Value.is_nan (Tuple.get t a)) tuples)
+            let adom = Crcore.Coding.universe coding a in
+            Array.length adom = Crcore.Coding.adom_size coding a
+            && List.length (List.filter (fun t -> Value.is_nan (Tuple.get t a)) tuples)
             = Array.fold_left (fun n v -> if Value.is_nan v then n + 1 else n) 0 adom)
           attrs
       in
@@ -446,7 +451,7 @@ let prop_lowering_matches_vid =
       let nvars_ok =
         Crcore.Coding.nvars coding
         = List.fold_left (fun acc a -> acc + pairs (Array.length (Crcore.Coding.universe coding a))) 0 attrs
-        && Crcore.Coding.nvars coding = Crcore.Coding.nvars (Crcore.Coding.build ~mode entity gamma)
+        && Crcore.Coding.nvars coding = Crcore.Coding.nvars (Crcore.Coding.build ~mode entity)
       in
       let reference positions =
         let seen = Hashtbl.create 16 in
@@ -483,7 +488,7 @@ let test_refine_keys_spread () =
   let entity = Entity.make schema (List.init n row) in
   let rows = Entity.distinct_rows entity in
   Alcotest.(check int) "every tuple is a row" n (Array.length rows);
-  let coding, cells = Crcore.Coding.lower ~mode:E.Exact ~rows entity [] in
+  let coding, cells = Crcore.Coding.lower ~mode:E.Exact ~rows entity in
   let size a = Array.length (Crcore.Coding.universe coding a) in
   Alcotest.(check (list int)) "universe sizes" [ n + 1; 2; 1024 ] [ size 0; size 1; size 2 ];
   List.iter
@@ -950,6 +955,7 @@ let () =
           [
             prop_cnf_well_formed;
             prop_fact_table;
+            prop_universe_is_adom;
             prop_exact_equals_paper_plus_totality;
             prop_template_instantiate_bit_identical;
             prop_lowering_matches_vid;

@@ -233,7 +233,9 @@ let test_totals_sum_items () =
   Alcotest.(check int) "learnts" (sat (fun s -> s.S.learnts)) t.E.solver.S.learnts;
   Alcotest.(check int) "conflicts" (sat (fun s -> s.S.conflicts)) t.E.solver.S.conflicts;
   Alcotest.(check int) "solvers built" (sum (fun s -> s.E.solvers_built)) t.E.solvers_built;
-  Alcotest.(check int) "deduce probes" (sum (fun s -> s.E.deduce_probes)) t.E.deduce_probes
+  Alcotest.(check int) "deduce probes" (sum (fun s -> s.E.deduce_probes)) t.E.deduce_probes;
+  Alcotest.(check int) "true-value solves" (sum (fun s -> s.E.true_value_solves))
+    t.E.true_value_solves
 
 let test_facade_surface () =
   (* the stable facade re-exports the whole pipeline under one name *)
@@ -395,6 +397,45 @@ let test_mute_user_runs_suggest () =
       let quiet, _ = E.resolve ~label:"g" ~user:F.silent spec in
       Alcotest.(check bool) "silent: exact, fault point not reached" true (quiet = silent))
 
+(* One long-history entity in its smoke shape (Exact mode, 300 tuples,
+   10 extra life events): a silent resolve decides its true values
+   without the backbone. *)
+let smoke_history () =
+  let ds =
+    Datagen.Person.generate
+      {
+        Datagen.Person.default_params with
+        n_entities = 1;
+        size_min = 300;
+        size_max = 300;
+        extra_events = 10;
+        seed = 2013;
+      }
+  in
+  Datagen.Types.spec_of ds (List.hd ds.Datagen.Types.cases)
+
+let test_silent_runs_no_backbone () =
+  let spec = smoke_history () in
+  let config = { E.default_config with mode = Crcore.Encode.Exact } in
+  let r, st = E.resolve ~config ~user:F.silent spec in
+  check_same_outcome "history/silent" (F.resolve ~mode:Crcore.Encode.Exact ~user:F.silent spec) r;
+  Alcotest.(check int) "no backbone probe" 0 st.E.deduce_probes;
+  Alcotest.(check int) "no backbone solve" 0 st.E.deduce_sat_calls;
+  Alcotest.(check int) "no backbone seed" 0 st.E.deduce_seeded
+
+(* George needs a round: the oracle is shown a suggestion, derived from
+   the backbone; the silent user is not, and no backbone runs *)
+let test_oracle_builds_backbone () =
+  let spec = Fixtures.george_spec () in
+  let user = F.oracle Fixtures.george_truth in
+  let r, st = E.resolve ~user spec in
+  check_same_outcome "george/oracle" (F.resolve ~user spec) r;
+  Alcotest.(check bool) "a suggestion was answered" true (r.E.rounds > 0);
+  Alcotest.(check bool) "derived from a backbone" true
+    (st.E.deduce_seeded + st.E.deduce_probes > 0);
+  let _, quiet = E.resolve ~user:F.silent spec in
+  Alcotest.(check int) "silent: no backbone" 0 (quiet.E.deduce_seeded + quiet.E.deduce_sat_calls)
+
 (* Row counters on a history that repeats its records: Edith's three
    tuples four times over lower as three rows, with the unpadded
    entity's answer. *)
@@ -445,6 +486,10 @@ let () =
         [
           Alcotest.test_case "silent resolve builds no suggestion" `Quick test_silent_skips_suggest;
           Alcotest.test_case "mute user still runs suggest" `Quick test_mute_user_runs_suggest;
+          Alcotest.test_case "silent Exact resolve runs no backbone probe" `Quick
+            test_silent_runs_no_backbone;
+          Alcotest.test_case "oracle still builds the backbone before suggest" `Quick
+            test_oracle_builds_backbone;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

@@ -161,6 +161,37 @@ let test_binary_contradiction () =
   Alcotest.(check int) "binary layer" 4 (Sat.Solver.stats s).Sat.Solver.binaries;
   Alcotest.(check bool) "unsat" true (Sat.Solver.solve s = Sat.Solver.Unsat)
 
+(* Variables made one at a time after a CNF load, across two capacity
+   growths (20 loaded, 30 new), take binary and long clauses over new and
+   loaded variables, which propagate and solve like loaded ones. *)
+let test_vars_after_load () =
+  let x i = i and n = 20 in
+  let chain = List.init (n - 1) (fun i -> [| lit (x i) false; lit (x (i + 1)) true |]) in
+  let s, r = solve_cnf (Sat.Cnf.make ~nvars:n chain) in
+  Alcotest.(check bool) "loaded sat" true (r = Sat.Solver.Sat);
+  let y = Array.init 30 (fun _ -> Sat.Solver.new_var s) in
+  Alcotest.(check (list int)) "fresh numbering" (List.init 30 (fun j -> n + j)) (Array.to_list y);
+  (* y_j → y_(j+1), y_29 → x_0, and the long clause ¬y_29 ∨ ¬x_19 ∨ ¬y_10 *)
+  for j = 0 to 28 do
+    Sat.Solver.add_clause s [ lit y.(j) false; lit y.(j + 1) true ]
+  done;
+  Sat.Solver.add_clause s [ lit y.(29) false; lit (x 0) true ];
+  Sat.Solver.add_clause s [ lit y.(29) false; lit (x (n - 1)) false; lit y.(10) false ];
+  Alcotest.(check bool) "y_0 refuted through both layers" true
+    (Sat.Solver.solve ~assumptions:[ lit y.(0) true ] s = Sat.Solver.Unsat);
+  Alcotest.(check bool) "y_11 satisfiable" true
+    (Sat.Solver.solve ~assumptions:[ lit y.(11) true ] s = Sat.Solver.Sat);
+  Alcotest.(check bool) "the long clause forced y_10 false" false (Sat.Solver.model_value s y.(10));
+  Alcotest.(check bool) "x_19 reached" true (Sat.Solver.model_value s (x (n - 1)));
+  Sat.Solver.add_clause s [ lit y.(15) true ];
+  List.iter
+    (fun (v, b) ->
+      Alcotest.(check (option bool)) (Printf.sprintf "level 0: var %d" v) (Some b)
+        (Sat.Solver.value_level0 s v))
+    [ (y.(29), true); (x 0, true); (x (n - 1), true); (y.(10), false); (y.(0), false) ];
+  Alcotest.(check bool) "still sat" true (Sat.Solver.solve s = Sat.Solver.Sat);
+  Alcotest.(check int) "variables" (n + 30) (Sat.Solver.nvars s)
+
 let prop_incremental_sound =
   (* f2 arrives after a solve of f1 left learnt clauses, saved phases and
      level-0 facts behind; the answer must match brute force on f1 /\ f2,
@@ -449,6 +480,7 @@ let () =
           Alcotest.test_case "dimacs errors" `Quick test_dimacs_errors;
           Alcotest.test_case "binary layer: contradictory equivalence" `Quick
             test_binary_contradiction;
+          Alcotest.test_case "variables added after a load" `Quick test_vars_after_load;
           Alcotest.test_case "block layout" `Quick test_block_layout;
           Alcotest.test_case "block: cyclic units refuted at load" `Quick test_block_cyclic_units;
         ] );
