@@ -574,6 +574,42 @@ let satcore_sized ~sizes ~out =
           size t.Crcore.Engine.true_value_solves t.Crcore.Engine.deduce_probes silent_identical;
         claim (Printf.sprintf "satcore: identical silent resolutions at size %d" size)
           silent_identical;
+        (* a budget of 0 conflicts: validity stays unknown, and the
+           PartialDeduce rung answers from one load's level-0 trail. Its
+           values must be a subset of the exact round-0 ones *)
+        let degraded_config =
+          {
+            config with
+            Crcore.Engine.budget_conflicts = Some 0;
+            max_degrade = Crcore.Engine.PartialDeduce;
+          }
+        in
+        let degraded_ms, (degraded_results, _) =
+          wall_ms (fun () -> Crcore.Engine.run_batch ~config:degraded_config silent)
+        in
+        let degraded_ok =
+          List.for_all2
+            (fun (d : Crcore.Engine.item_result) (e : Crcore.Engine.item_result) ->
+              let d = ir_result d and e = ir_result e in
+              d.Crcore.Engine.level = Crcore.Engine.PartialDeduce
+              && Array.for_all2
+                   (fun dv ev -> dv = None || dv = ev)
+                   d.Crcore.Engine.resolved e.Crcore.Engine.resolved)
+            degraded_results silent_results
+        in
+        let known rs =
+          List.fold_left
+            (fun n r ->
+              n + Array.fold_left (fun n v -> if v = None then n else n + 1) 0
+                    (ir_result r).Crcore.Engine.resolved)
+            0 rs
+        in
+        Printf.printf
+          "  size %5d budget 0: %.1f ms wall, PartialDeduce resolving %d of the exact %d \
+           value(s), each equal to the exact one: %b\n%!"
+          size degraded_ms (known degraded_results) (known silent_results) degraded_ok;
+        claim (Printf.sprintf "satcore: budget-0 PartialDeduce values equal the exact ones at size %d" size)
+          degraded_ok;
         (size, ms, sd, st1, identical))
       sizes
   in

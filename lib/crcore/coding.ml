@@ -136,13 +136,3 @@ let fact_of_lit c lit =
   | _, true -> Some f
   | Paper, false -> None
   | Exact, false -> Some (a, hi, lo)
-
-let pp_lit c ppf lit =
-  let a, lo, hi = decode c (Sat.Lit.var lit) in
-  let pp_pair ppf (lo, hi) =
-    Format.fprintf ppf "%s: %a < %a" (Schema.name c.schema a) Value.pp
-      c.universes.(a).(lo) Value.pp c.universes.(a).(hi)
-  in
-  match fact_of_lit c lit with
-  | Some (_, lo, hi) -> pp_pair ppf (lo, hi)
-  | None -> Format.fprintf ppf "not (%a)" pp_pair (lo, hi)

@@ -102,7 +102,3 @@ val lit_of : t -> attr:int -> int -> int -> Sat.Lit.t
     which is not a fact. Raises [Invalid_argument] for a variable
     outside the numbering. *)
 val fact_of_lit : t -> Sat.Lit.t -> (int * int * int) option
-
-(** [pp_lit c ppf lit] prints a literal as [attr: v1 < v2] (a non-fact
-    negative literal as [not (attr: v1 < v2)]). *)
-val pp_lit : t -> Format.formatter -> Sat.Lit.t -> unit

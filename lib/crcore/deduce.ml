@@ -30,108 +30,60 @@ let empty_od enc =
 
 let add_fact od { Encode.attr; lo; hi } = ignore (Porder.Strict_order.add od.(attr) lo hi)
 
-(* ---- unit propagation over Φ(Se), shared by the solver-free deducers ---- *)
+(* ---- the level-0 trail: unit propagation over Φ(Se) ---- *)
 
-(* Propagates to fixpoint and returns the assignment array ([1] true,
-   [-1] false, [0] undecided) plus a conflict flag. Exact mode's order
-   axioms are read from their clause rendering ([Sat.Cnf.expand]).
-   Literals are deduped per clause first: occurrence counting decrements
-   [n_active] once per occurrence of ¬l, so a duplicated literal would
-   otherwise drive the count negative (or fire a bogus unit) on
-   non-deduped input CNF. *)
-let unit_propagate cnf =
-  let cnf = Sat.Cnf.expand cnf in
-  let nvars = cnf.Sat.Cnf.nvars in
-  let clauses =
-    List.map (fun c -> Array.to_list c |> List.sort_uniq compare |> Array.of_list)
-      cnf.Sat.Cnf.clauses
-    |> Array.of_list
-  in
-  let nclauses = Array.length clauses in
-  let satisfied = Array.make nclauses false in
-  let n_active = Array.make nclauses 0 in
-  (* occurrence lists indexed by literal *)
-  let occ = Array.make (2 * max nvars 1) [] in
-  Array.iteri
-    (fun ci c ->
-      n_active.(ci) <- Array.length c;
-      Array.iter (fun l -> occ.(l) <- ci :: occ.(l)) c)
-    clauses;
-  let assigns = Array.make (max nvars 1) 0 in
-  let value_lit l =
-    let a = assigns.(Sat.Lit.var l) in
-    if Sat.Lit.sign l then a else -a
-  in
-  let queue = Queue.create () in
-  Array.iter (fun c -> if Array.length c = 1 then Queue.add c.(0) queue) clauses;
-  let conflict = ref false in
-  while (not !conflict) && not (Queue.is_empty queue) do
-    let l = Queue.pop queue in
-    match value_lit l with
-    | 1 -> () (* already known *)
-    | -1 -> conflict := true (* invalid specification; caller checks first *)
-    | _ ->
-        assigns.(Sat.Lit.var l) <- (if Sat.Lit.sign l then 1 else -1);
-        (* clauses containing l are satisfied *)
-        List.iter (fun ci -> satisfied.(ci) <- true) occ.(l);
-        (* clauses containing ¬l lose a literal *)
-        List.iter
-          (fun ci ->
-            if not satisfied.(ci) then begin
-              n_active.(ci) <- n_active.(ci) - 1;
-              if n_active.(ci) = 1 then begin
-                (* find the remaining unassigned literal *)
-                let c = clauses.(ci) in
-                let rest = Array.to_list c |> List.filter (fun l' -> value_lit l' = 0) in
-                match rest with
-                | [ l' ] -> Queue.add l' queue
-                | [] -> conflict := true
-                | _ -> assert false
-              end
-              else if n_active.(ci) = 0 then conflict := true
-            end)
-          occ.(Sat.Lit.negate l)
-  done;
-  (assigns, !conflict)
+(* [l] is true on [s]'s level-0 trail: fixed by unit propagation over the
+   loaded clauses and the tournament blocks' axioms, with no decision *)
+let level0 s l =
+  match Sat.Solver.value_level0 s (Sat.Lit.var l) with
+  | Some b -> b = Sat.Lit.sign l
+  | None -> false
 
-(* ---- DeduceOrder: unit propagation with occurrence lists ---- *)
+(* Φ(Se) loaded into a fresh solver, which propagates every unit at level
+   0 as it is added: [None] when that refutes Φ(Se), otherwise the solver,
+   whose level-0 trail is then the unit-propagation fixpoint *)
+let propagated enc =
+  let s = Sat.Solver.create () in
+  Sat.Solver.add_cnf s enc.Encode.cnf;
+  if Sat.Solver.ok s then Some s else None
 
-let unit_conflict enc =
-  let _assigns, conflict = unit_propagate enc.Encode.cnf in
-  conflict
-
-(* the literals unit propagation assigns true *)
-let unit_lits enc =
-  let assigns, _conflict = unit_propagate enc.Encode.cnf in
-  let lits = ref [] in
-  Array.iteri
-    (fun v a -> if a <> 0 then lits := Sat.Lit.make v (a = 1) :: !lits)
-    assigns;
-  List.rev !lits
-
-let deduce_order ?solver:_ ?budget:_ ?static:_ enc =
+(* the facts of the level-0 literals, in variable order. With [reversed],
+   a negative Paper-mode unit ¬x_uv, which is no fact, is read as the
+   reversed pair v ≺ u: sound when completions are total orders (in Exact
+   mode that reading is the literal's own fact) *)
+let unit_facts ~reversed enc s =
   let od = empty_od enc in
-  List.iter
-    (fun l ->
+  for l = 0 to (2 * enc.Encode.cnf.Sat.Cnf.nvars) - 1 do
+    if level0 s l then
       match Encode.fact_of_lit enc l with
       | Some f -> add_fact od f
       | None ->
-          (* a negative Paper-mode unit ¬x_uv is not a fact; it is read
-             as the reversed pair v ≺ u, which is sound when completions
-             are total orders (in Exact mode that reading is the
-             literal's own fact) *)
-          Option.iter
-            (fun f -> add_fact od { f with Encode.lo = f.Encode.hi; hi = f.Encode.lo })
-            (Encode.fact_of_lit enc (Sat.Lit.negate l)))
-    (unit_lits enc);
-  { enc; od; stats = no_stats }
+          if reversed then
+            Option.iter
+              (fun f -> add_fact od { f with Encode.lo = f.Encode.hi; hi = f.Encode.lo })
+              (Encode.fact_of_lit enc (Sat.Lit.negate l))
+  done;
+  od
 
+let deduce_order enc =
+  let od =
+    match propagated enc with
+    | Some s -> unit_facts ~reversed:true enc s
+    | None -> empty_od enc
+  in
+  { enc; od; stats = { no_stats with built_solver = true } }
+
+(* complete = false: the positive units are a strict subset of the
+   backbone in general *)
 let deduce_units enc =
-  let od = empty_od enc in
-  List.iter (fun l -> Option.iter (add_fact od) (Encode.fact_of_lit enc l)) (unit_lits enc);
-  (* complete = false: the positive units are a strict subset of the
-     backbone in general *)
-  { enc; od; stats = { no_stats with complete = false } }
+  Option.map
+    (fun s ->
+      {
+        enc;
+        od = unit_facts ~reversed:false enc s;
+        stats = { no_stats with built_solver = true; complete = false };
+      })
+    (propagated enc)
 
 (* ---- shared solver plumbing for the SAT-based deducers ---- *)
 
@@ -145,7 +97,7 @@ let deduction_solver solver enc =
 
 (* ---- NaiveDeduce: one SAT call per fact literal ---- *)
 
-let naive_deduce ?solver ?budget ?static:_ enc =
+let naive_deduce ?solver ?budget enc =
   let s, reused = deduction_solver solver enc in
   (match budget with Some b -> Sat.Solver.set_budget ~conflicts:b s | None -> ());
   let od = empty_od enc in
@@ -249,13 +201,11 @@ let backbone ?solver ?budget ?static enc =
              (the session's extension layers are satisfiable extensions of
              Φ(Se)), and it already holds everything unit propagation over
              Φ derives, so reading it replaces a propagation rebuild *)
-          for v = 0 to (nlits / 2) - 1 do
-            match Sat.Solver.value_level0 s v with
-            | Some b ->
-                let l = Sat.Lit.make v b in
-                if facts.(l) <> None then seed l;
-                cand.(Sat.Lit.negate l) <- false
-            | None -> ()
+          for l = 0 to nlits - 1 do
+            if level0 s l then begin
+              if facts.(l) <> None then seed l;
+              cand.(Sat.Lit.negate l) <- false
+            end
           done);
       let probes = ref 0 and model_prunes = ref 0 in
       let complete = ref true in
@@ -362,7 +312,6 @@ let decide_true_values ?solver ?budget enc =
     | Sat.Solver.Limited.Unsat -> true (* invalid spec: callers check validity first *)
     | Sat.Solver.Limited.Sat ->
         let model_true l = Sat.Solver.model_value s (Sat.Lit.var l) = Sat.Lit.sign l in
-        let level0 l = Sat.Solver.value_level0 s (Sat.Lit.var l) = Some (Sat.Lit.sign l) in
         let prove (a, v, _) = values.(a) <- Some (Coding.value coding a v) in
         let refuted (_, _, lits) = not (Array.for_all model_true lits) in
         let guide (_, _, lits) =
@@ -383,7 +332,7 @@ let decide_true_values ?solver ?budget enc =
             let lits = Array.init (n - 1) (fun i -> lit (if i < v then i else i + 1) v) in
             let c = (a, v, lits) in
             if not (refuted c) then
-              if Array.for_all level0 lits then prove c else open_cands := c :: !open_cands)
+              if Array.for_all (level0 s) lits then prove c else open_cands := c :: !open_cands)
           values;
         (* one solve against every open candidate: [Unsat] proves them
            all, [Sat] refutes those its model falsifies, and the rest go
@@ -456,7 +405,3 @@ let true_values d =
   let arity = Schema.arity (Coding.schema coding) in
   Array.init arity (fun a ->
       Option.map (fun id -> Coding.value coding a id) (true_value_id d a))
-
-let known_attrs d =
-  let tv = true_values d in
-  List.filter (fun a -> tv.(a) <> None) (List.init (Array.length tv) Fun.id)

@@ -4,21 +4,25 @@
     positive literal of each ordered pair's variable, in [Exact] mode
     either polarity of each unordered pair's variable.
 
-    [DeduceOrder] runs unit propagation over Φ(Se): every one-literal
-    clause it derives is added to the partial temporal order [Od]
-    (a negative [Paper]-mode literal contributes the reversed pair, sound
-    under the total-order completion semantics). [NaiveDeduce] instead
-    asks the SAT solver, for every fact literal [l], whether Φ(Se) ∧ ¬l
-    is unsatisfiable — the exact but expensive variant the paper compares
-    against. [backbone] computes the same complete answer as
-    [NaiveDeduce] from the backbone of Φ(Se), pruning candidates with the
-    models of failed refutations so most literals never need their own
-    solver call.
+    [DeduceOrder] is unit propagation over Φ(Se). The solver computes
+    that fixpoint as it loads Φ(Se) (Exact mode's tournament blocks
+    included), so {!deduce_order} loads Φ(Se) into a fresh solver and
+    reads its level-0 trail: every literal there is added to the partial
+    temporal order [Od] (a negative [Paper]-mode literal contributes the
+    reversed pair, sound under the total-order completion semantics).
+    The product has no other unit-propagation engine; {!Sat.Unit_prop} is
+    the solver-independent reference the tests compare the trail against.
+    [NaiveDeduce] instead asks the SAT solver, for every fact literal [l],
+    whether Φ(Se) ∧ ¬l is unsatisfiable — the exact but expensive variant
+    the paper compares against. [backbone] computes the same complete
+    answer as [NaiveDeduce] from the backbone of Φ(Se), pruning
+    candidates with the models of failed refutations so most literals
+    never need their own solver call.
 
-    Each deducer takes an optional incremental [solver] already holding
-    Φ(Se) (the engine passes its per-entity session): the SAT-based
-    deducers then probe under assumptions instead of loading the CNF into
-    a fresh solver, and [backbone] additionally starts from the model the
+    The SAT-based deducers take an optional incremental [solver] already
+    holding Φ(Se) (the engine passes its per-entity session): they then
+    probe under assumptions instead of loading the CNF into a fresh
+    solver, and [backbone] additionally starts from the model the
     preceding validity check left on the session. *)
 
 (** Solver-work accounting for one deduction call. *)
@@ -49,27 +53,26 @@ type t = {
   stats : stats;
 }
 
-(** [unit_conflict enc] is [true] when unit propagation alone refutes
-    Φ(Se) — a polynomial-time proof that the specification is invalid,
-    usable when a budget left full validity checking unfinished. *)
-val unit_conflict : Encode.t -> bool
+(** [deduce_order enc] is the paper's [DeduceOrder]: the facts of the
+    literals on the level-0 trail of a fresh solver loaded with Φ(Se),
+    which is the unit-propagation fixpoint. No search runs, so the answer
+    is always complete. The specification must be valid; when unit
+    propagation refutes Φ(Se) the result holds no facts. *)
+val deduce_order : Encode.t -> t
 
-(** [deduce_order enc] is the paper's [DeduceOrder] (linear-time unit
-    propagation). The specification must be valid. [solver], [budget] and
-    [static] are accepted for interface uniformity and ignored — no SAT
-    call is made, so the answer is always complete. *)
-val deduce_order :
-  ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> t
-
-(** [deduce_units enc] is {!deduce_order} restricted to units that are
-    fact literals: every adopted fact is in the backbone of Φ(Se), so
-    the result is a sound subset of what {!backbone}/{!naive_deduce}
-    deduce — the right deducer when a budget forces a degraded answer
-    that must stay inside the exact engine's fact set. (The reversed
-    reading of negative [Paper]-mode units, while sound under total-order
-    completion semantics, can claim facts the backbone never contains.)
-    The result carries [stats.complete = false]. *)
-val deduce_units : Encode.t -> t
+(** [deduce_units enc] is [None] when unit propagation refutes Φ(Se) — a
+    polynomial-time proof that the specification is invalid, usable when
+    a budget left full validity checking unfinished. Otherwise it is
+    {!deduce_order} restricted to level-0 literals that are facts: every
+    adopted fact is in the backbone of Φ(Se), so the result is a sound
+    subset of what {!backbone}/{!naive_deduce} deduce — the right deducer
+    when a budget forces a degraded answer that must stay inside the
+    exact engine's fact set. (The reversed reading of negative
+    [Paper]-mode units, while sound under total-order completion
+    semantics, can claim facts the backbone never contains.) The result
+    carries [stats.complete = false]. Either way it costs one load of
+    Φ(Se) into a private solver. *)
+val deduce_units : Encode.t -> t option
 
 (** [naive_deduce enc] is [NaiveDeduce]: one SAT call per fact literal
     (per variable in [Paper] mode, two per variable in [Exact]). With
@@ -77,9 +80,8 @@ val deduce_units : Encode.t -> t
     [budget] arms a conflict budget on the solver ({!Sat.Solver.set_budget});
     when it runs out the probe loop stops and [stats.complete] is [false].
     A budget already armed on a passed-in [solver] is honoured the same
-    way. [static] is ignored (every fact literal is probed regardless). *)
-val naive_deduce :
-  ?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> t
+    way. *)
+val naive_deduce : ?solver:Sat.Solver.t -> ?budget:int -> Encode.t -> t
 
 (** [backbone enc] deduces exactly the facts of {!naive_deduce} — the
     fact literals in the backbone of Φ(Se) — by model intersection: fact
@@ -169,6 +171,3 @@ val true_value_id : t -> int -> int option
 (** [true_values d] is {!true_value_id} per attribute: the true values
     determined so far. *)
 val true_values : t -> Value.t option array
-
-(** [known_attrs d] is the positions whose true value is determined. *)
-val known_attrs : t -> int list

@@ -30,8 +30,7 @@ type cpred = CPrec of int | CCmp2 of int * Value.op
    every exact test still runs on the candidates.
 
    Keys follow [Value.equal] ({!Value.Tbl}): [Int 3] meets [Float 3.],
-   [0.] meets [-0.], NaN meets nothing. [Value.equal] is not transitive
-   across [Int]/[Float] beyond 2^53, so equal keys are never merged: each
+   [0.] meets [-0.], NaN meets nothing. Equal keys are never merged: each
    constraint is its own binding ([add]) and a probe collects every
    binding equal to it ([find_all]). *)
 type cindex = int Value.Tbl.t array  (* per attribute: constant -> constraint index *)
@@ -905,8 +904,6 @@ let template ?(mode = Paper) spec =
     t_structural = Block_tbl.create 16;
   }
 
-let template_mode tpl = tpl.t_mode
-
 let template_matches tpl spec =
   Schema.equal tpl.t_schema (Spec.schema spec)
   && fst (Spec.intern_sigma spec.Spec.sigma) == tpl.t_sigma_c.s_src
@@ -1127,9 +1124,3 @@ let fact_table e =
     done
   done;
   facts
-
-let pp_fact e ppf f =
-  Format.fprintf ppf "%s: %a < %a"
-    (Schema.name (Coding.schema e.coding) f.attr)
-    Value.pp (Coding.value e.coding f.attr f.lo) Value.pp
-    (Coding.value e.coding f.attr f.hi)

@@ -107,8 +107,6 @@ type template
     mode [Paper]. *)
 val template : ?mode:mode -> Spec.t -> template
 
-val template_mode : template -> mode
-
 (** [template_matches tpl spec] — [spec] has exactly the shape [tpl] was
     compiled from (same schema, same interned Σ/Γ). *)
 val template_matches : template -> Spec.t -> bool
@@ -283,5 +281,3 @@ val fact_of_lit : t -> Sat.Lit.t -> fact option
     element for element, to [Array.init (2 * e.cnf.nvars) (fact_of_lit
     e)], but built in one pass over each attribute's value pairs. *)
 val fact_table : t -> fact option array
-
-val pp_fact : t -> Format.formatter -> fact -> unit

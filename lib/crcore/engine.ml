@@ -544,10 +544,12 @@ let count_known known = Array.fold_left (fun n v -> if v = None then n else n + 
    - validity [Unknown]: nothing is proven, so degrade straight to
      [PickFallback] (the paper's Pick baseline, deterministic) when
      [max_degrade] allows. Capped at [PartialDeduce], unit propagation
-     decides: a UP conflict is an exact invalidity proof, otherwise the
-     UP facts are reported at avowedly lower confidence. Capped at
-     [Exact], a conservative empty answer is returned with the reason
-     recorded.
+     decides, read off the level-0 trail of one fresh load of Φ(Se)
+     ({!Deduce.deduce_units}; that private solver is not counted in
+     [solvers_built]): a UP conflict is an exact invalidity proof,
+     otherwise the positive UP facts are reported at avowedly lower
+     confidence. Capped at [Exact], a conservative empty answer is
+     returned with the reason recorded.
    - deduction interrupted (validity proven): land at [PartialDeduce]
      with the facts proven so far — UP seeds plus confirmed probes, a
      sound subset of the full backbone.
@@ -592,25 +594,31 @@ let resolve_session sess ~user =
         mk ~resolved ~valid:true ~rounds
           ~per_round:(count_known resolved :: per_round)
           ~level:PickFallback ~reason
-    | PartialDeduce ->
-        let enc = the_enc sess in
-        if Deduce.unit_conflict enc then
-          (* unit propagation refutes Φ(Se): an exact invalidity proof,
-             cheaper than the interrupted solve *)
-          invalid_result ~rounds ~per_round
-        else
-          (* the degraded answer must stay inside the exact engine's fact
-             set: positive units only *)
-          let d = Deduce.deduce_units enc in
-          let resolved = Deduce.true_values d in
-          mk ~resolved ~valid:true ~rounds
-            ~per_round:(count_known resolved :: per_round)
-            ~level:PartialDeduce ~reason
+    | PartialDeduce -> (
+        match Deduce.deduce_units (the_enc sess) with
+        | None ->
+            (* unit propagation refutes Φ(Se): an exact invalidity proof,
+               cheaper than the interrupted solve *)
+            invalid_result ~rounds ~per_round
+        | Some d ->
+            (* the degraded answer must stay inside the exact engine's
+               fact set: positive units only *)
+            let resolved = Deduce.true_values d in
+            mk ~resolved ~valid:true ~rounds
+              ~per_round:(count_known resolved :: per_round)
+              ~level:PartialDeduce ~reason)
     | Exact ->
         (* no degradation allowed: conservative unresolved answer, the
            recorded reason distinguishing it from proven invalidity *)
         mk ~resolved:(Array.make arity None) ~valid:false ~rounds
           ~per_round:(0 :: per_round) ~level:Exact ~reason
+  in
+  (* the positive UP facts' true values once validity is proven: a
+     satisfiable Φ(Se) is never refuted by unit propagation *)
+  let unit_values () =
+    match Deduce.deduce_units (the_enc sess) with
+    | Some d -> Deduce.true_values d
+    | None -> Array.make arity None
   in
   (* validity proven, later work interrupted: report the sound facts *)
   let degrade_partial cause phase resolved ~rounds ~per_round =
@@ -641,17 +649,14 @@ let resolve_session sess ~user =
                 if wall_tripped sess then
                   (* validity known; the cheapest sound deduction (UP) is
                      still affordable — SAT probing is not *)
-                  let d = Deduce.deduce_units (the_enc sess) in
                   `Stop
-                    (degrade_partial Wall Deduce_p (Deduce.true_values d) ~rounds
-                       ~per_round)
+                    (degrade_partial Wall Deduce_p (unit_values ()) ~rounds ~per_round)
                 else begin
                   fire sess Faults.Deduce Deduce_p;
                   if exhausted_now sess then
-                    let d = Deduce.deduce_units (the_enc sess) in
                     `Stop
-                      (degrade_partial Conflicts Deduce_p (Deduce.true_values d)
-                         ~rounds ~per_round)
+                      (degrade_partial Conflicts Deduce_p (unit_values ()) ~rounds
+                         ~per_round)
                   else
                     let tv = timed sess Deduce_p (fun () -> deduce_on sess (the_enc sess)) in
                     if tv.Deduce.complete then `Go tv.Deduce.values

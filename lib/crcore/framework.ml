@@ -25,8 +25,8 @@ let count_known known = Array.fold_left (fun n v -> if v = None then n else n + 
    solver and deduces and suggests from scratch. It stays independent of
    the engine, whose sessions, caches and lint are tested
    against it. Encoding counts inside IsValid, as in the paper. *)
-let resolve ?(mode = Encode.Paper) ?(deduce = Deduce.backbone)
-    ?(repair = Rules.Exact_maxsat) ?(max_rounds = 5) ~user spec =
+let resolve ?(mode = Encode.Paper) ?(repair = Rules.Exact_maxsat) ?(max_rounds = 5) ~user
+    spec =
   let timings = { validity = 0.; deduce = 0.; suggest = 0. } in
   let timed slot f =
     let t0 = Clock.now_ms () in
@@ -44,7 +44,7 @@ let resolve ?(mode = Encode.Paper) ?(deduce = Deduce.backbone)
     let enc = timed `Validity (fun () -> Encode.encode ~mode spec) in
     if not (timed `Validity (fun () -> Validity.check enc)) then None
     else
-      let d = timed `Deduce (fun () -> deduce enc) in
+      let d = timed `Deduce (fun () -> Deduce.backbone enc) in
       Some (d, Deduce.true_values d)
   in
   let finish ~resolved ~valid ~rounds ~per_round =

@@ -43,21 +43,19 @@ type outcome = {
   timings : timings;
 }
 
-(** [resolve ?mode ?deduce ?repair ?max_rounds ~user spec] runs the loop
-    on one entity with nothing shared between phases or rounds: each round
+(** [resolve ?mode ?repair ?max_rounds ~user spec] runs the loop on one
+    entity with nothing shared between phases or rounds: each round
     encodes the (extended) specification with {!Encode.encode}, checks it
-    with {!Validity.check}, runs [deduce] and {!Rules.suggest} on solvers
-    of their own. It shares no session, cache or lint code
+    with {!Validity.check}, runs {!Deduce.backbone} and {!Rules.suggest}
+    on solvers of their own. It shares no session, cache or lint code
     with {!Engine} (which depends on this module, not the reverse), and is
-    the reference the engine's answers are tested against. [deduce]
-    defaults to {!Deduce.backbone}, called with no solver: true values
-    are read off it, the reference the engine's
-    {!Deduce.decide_true_values} is checked against; [max_rounds] defaults to 5. Timings are wall-clock
-    seconds, encoding counted inside [validity]. *)
+    the reference the engine's answers are tested against. The true
+    values are read off the backbone, the reference the engine's
+    {!Deduce.decide_true_values} is checked against; [max_rounds]
+    defaults to 5. Timings are wall-clock seconds, encoding counted
+    inside [validity]. *)
 val resolve :
   ?mode:Encode.mode ->
-  ?deduce:
-    (?solver:Sat.Solver.t -> ?budget:int -> ?static:int list -> Encode.t -> Deduce.t) ->
   ?repair:Rules.repair ->
   ?max_rounds:int ->
   user:user ->

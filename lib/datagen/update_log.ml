@@ -162,11 +162,4 @@ let with_seqs log =
       | Resolve _ -> (None, e))
     log.events
 
-let case_for log label =
-  match
-    List.find_opt (fun c -> String.equal (label_of c) label) log.dataset.Types.cases
-  with
-  | Some c -> c
-  | None -> raise Not_found
-
 let labels log = List.map label_of log.dataset.Types.cases

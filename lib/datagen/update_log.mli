@@ -73,8 +73,4 @@ val open_seq : int
     same state — the crash-recovery redelivery contract. *)
 val with_seqs : t -> (int option * event) list
 
-(** [case_for log label] is the generator case behind [label] (for ground
-    truth / accuracy checks). Raises [Not_found] on unknown labels. *)
-val case_for : t -> string -> Types.case
-
 val labels : t -> string list

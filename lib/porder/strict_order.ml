@@ -102,8 +102,3 @@ let maximum o =
 
 let copy o =
   { n = o.n; up = Array.map Bytes.copy o.up; down = Array.map Bytes.copy o.down }
-
-let to_digraph o =
-  let g = Digraph.create o.n in
-  List.iter (fun (a, b) -> Digraph.add_edge g a b) (pairs o);
-  g

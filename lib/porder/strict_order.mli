@@ -36,6 +36,3 @@ val maximum : t -> int option
 
 (** [copy o] is an independent copy. *)
 val copy : t -> t
-
-(** [to_digraph o] is the closure as a {!Digraph.t} (for enumeration). *)
-val to_digraph : t -> Digraph.t

@@ -21,16 +21,10 @@ let tuples e = Array.to_list e.tuples
 
 let value e i a = Tuple.get (tuple e i) a
 
-(* A cell that may never merge its row: NaN equals nothing, and beyond
-   2^53 [Value.equal] is not transitive across [Int]/[Float] (two [Int]s
-   can equal one [Float] but not each other), so a value scan there
-   depends on which equal value it met first. Every other value's
-   [Value.equal] class is one clique, which is what lets a duplicate row
-   share its first occurrence's ids. *)
-let unmergeable = function
-  | Value.Float f -> Float.is_nan f || Float.abs f >= 0x1p53
-  | Value.Int i -> i >= 1 lsl 53 || i <= -(1 lsl 53)
-  | _ -> false
+(* A cell that may never merge its row: NaN equals nothing. Every other
+   value's [Value.equal] class is one clique, which is what lets a
+   duplicate row share its first occurrence's ids. *)
+let unmergeable = function Value.Float f -> Float.is_nan f | _ -> false
 
 let distinct_rows e =
   let n = Array.length e.tuples and arity = Schema.arity e.schema in

@@ -27,11 +27,10 @@ val active_domain : t -> int -> Value.t list
 (** [distinct_rows e] is, ascending, the index of the first tuple of
     every class of tuples equal cell by cell under [Value.equal]: one
     hash per tuple, combining [Value.hash] over its cells. A tuple with
-    a NaN cell (NaN equals nothing) or a number of magnitude at least
-    2^53 (where [Value.equal] stops being transitive across [Int] and
-    [Float]) is a row of its own. Every value's first occurrence in a
-    column is therefore in a returned row, so a column scan over these
-    rows meets the values in the order a scan over every tuple does. *)
+    a NaN cell (NaN equals nothing) is a row of its own. Every value's
+    first occurrence in a column is therefore in a returned row, so a
+    column scan over these rows meets the values in the order a scan over
+    every tuple does. *)
 val distinct_rows : t -> int array
 
 (** [active_domain_ids ?rows e a] is [(adom, ids)] from one scan of the

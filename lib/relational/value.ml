@@ -2,17 +2,33 @@ type t = Null | Int of int | Float of float | Str of string
 
 type op = Eq | Neq | Lt | Leq | Gt | Geq
 
+(* [Int]/[Float] compare exactly: [float_of_int] rounds beyond 2^53, so
+   comparing through it would make [Int (2^60 + 1)] equal [Float 2^60]
+   while [Int 2^60] does too. Every [int] lies in [-2^62, 2^62), where
+   [Float.to_int] of an integral float is exact. *)
+let int_equal_float x y = float_of_int x = y && y < 0x1p62 && Float.to_int y = x
+
+(* the sign of [x - y]; a NaN [y] sorts below every number, as under
+   [compare] on floats *)
+let compare_int_float x y =
+  if Float.is_nan y || y < -0x1p62 then 1
+  else if y >= 0x1p62 then -1
+  else
+    let f = Float.floor y in
+    let c = Int.compare x (Float.to_int f) in
+    if c <> 0 then c else if f = y then 0 else -1
+
 let equal a b =
   match (a, b) with
   | Null, Null -> true
   | Int x, Int y -> x = y
   | Float x, Float y -> x = y
-  | Int x, Float y | Float y, Int x -> float_of_int x = y
+  | Int x, Float y | Float y, Int x -> int_equal_float x y
   | Str x, Str y -> String.equal x y
   | _ -> false
 
-(* an [Int] hashes as the float it equals; [Hashtbl.hash] maps [-0.] and
-   [0.] alike *)
+(* an [Int] hashes as its nearest float, which is the float it equals
+   when there is one; [Hashtbl.hash] maps [-0.] and [0.] alike *)
 let hash = function
   | Int i -> Hashtbl.hash (float_of_int i)
   | Float f -> Hashtbl.hash f
@@ -32,8 +48,8 @@ let compare_opt a b =
   | _, Null -> Some 1
   | Int x, Int y -> Some (compare x y)
   | Float x, Float y -> Some (compare x y)
-  | Int x, Float y -> Some (compare (float_of_int x) y)
-  | Float x, Int y -> Some (compare x (float_of_int y))
+  | Int x, Float y -> Some (compare_int_float x y)
+  | Float x, Int y -> Some (- compare_int_float y x)
   | Str x, Str y -> Some (String.compare x y)
   | _ -> None
 
@@ -90,5 +106,3 @@ let op_to_string = function
   | Leq -> "<="
   | Gt -> ">"
   | Geq -> ">="
-
-let pp_op ppf op = Format.pp_print_string ppf (op_to_string op)

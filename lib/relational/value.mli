@@ -2,7 +2,9 @@
 
     Comparison follows the paper's conventions: [null] is below every
     non-null value (Example 2(b): "assuming null < k for any number k"),
-    numbers compare numerically across [Int]/[Float], and strings compare
+    numbers compare numerically across [Int]/[Float] (exactly: an [Int]
+    equals a [Float] only when the float is that very integer, even
+    beyond 2^53 where [float_of_int] rounds), and strings compare
     lexicographically. Values of incomparable kinds (a string against a
     number) only support [=]/[≠]; ordered comparisons on them are [false]. *)
 
@@ -48,4 +50,3 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val op_of_string : string -> op option
 val op_to_string : op -> string
-val pp_op : Format.formatter -> op -> unit

@@ -893,18 +893,6 @@ let add_stats a b =
     binaries = b.binaries;
   }
 
-let diff_stats a b =
-  {
-    zero_stats with
-    conflicts = a.conflicts - b.conflicts;
-    decisions = a.decisions - b.decisions;
-    propagations = a.propagations - b.propagations;
-    restarts = a.restarts - b.restarts;
-    learnts = a.learnts;
-    learned = a.learned - b.learned;
-    binaries = a.binaries;
-  }
-
 let pp_stats ppf st =
   Format.fprintf ppf
     "conflicts=%d decisions=%d propagations=%d restarts=%d learnts=%d binaries=%d"

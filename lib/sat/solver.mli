@@ -174,11 +174,8 @@ val stats : t -> stats
 
 val zero_stats : stats
 
-(** [add_stats a b] / [diff_stats a b] combine snapshots field-wise
-    ([learnts] and [binaries] keep the later snapshot's value; all other
-    fields add/subtract). *)
+(** [add_stats a b] combines snapshots field-wise ([learnts] and
+    [binaries] keep the later snapshot's value; all other fields add). *)
 val add_stats : stats -> stats -> stats
-
-val diff_stats : stats -> stats -> stats
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -412,8 +412,8 @@ let prop_deduce_order_subset_of_complete =
         subset_orders u b && subset_orders u n
       end)
 
-(* duplicate literals within a clause must not corrupt the occurrence
-   counting (n_active would go negative / fire bogus units) *)
+(* duplicate literals within a clause must not change what loading
+   derives at level 0 *)
 let prop_duplicate_literals_harmless =
   QCheck.Test.make ~count:100 ~name:"deduce_order unchanged under duplicated clause literals"
     Fixtures.qcheck_spec (fun spec ->
@@ -429,6 +429,87 @@ let prop_duplicate_literals_harmless =
         }
       in
       same_orders (D.deduce_order enc) (D.deduce_order dup))
+
+(* ---- the level-0 trail against the list-based reference ---- *)
+
+(* the facts of the reference fixpoint's literals, read as deduce_order
+   ([reversed]: a negative Paper-mode unit gives the reversed pair) and
+   deduce_units (facts only) read the level-0 trail *)
+let reference_pairs ~reversed enc lits =
+  let coding = enc.E.coding in
+  let od =
+    Array.init
+      (Schema.arity (Crcore.Coding.schema coding))
+      (fun a -> Porder.Strict_order.create (Array.length (Crcore.Coding.universe coding a)))
+  in
+  let add { E.attr; lo; hi } = ignore (Porder.Strict_order.add od.(attr) lo hi) in
+  List.iter
+    (fun l ->
+      match E.fact_of_lit enc l with
+      | Some f -> add f
+      | None ->
+          if reversed then
+            Option.iter
+              (fun f -> add { f with E.lo = f.E.hi; hi = f.E.lo })
+              (E.fact_of_lit enc (Sat.Lit.negate l)))
+    lits;
+  Array.map (fun o -> List.sort compare (Porder.Strict_order.pairs o)) od
+
+(* refuted by both or by neither, and the same facts when not refuted *)
+let trail_matches_reference enc =
+  match (Sat.Unit_prop.propagate enc.E.cnf, D.deduce_units enc) with
+  | None, None -> true
+  | Some lits, Some u ->
+      sorted_pairs u = reference_pairs ~reversed:false enc lits
+      && sorted_pairs (D.deduce_order enc) = reference_pairs ~reversed:true enc lits
+  | Some _, None | None, Some _ -> false
+
+(* every clause written twice over: the solver dedupes literals on load,
+   the reference per clause *)
+let duplicated enc =
+  let cnf = enc.E.cnf in
+  {
+    enc with
+    E.cnf =
+      Sat.Cnf.unsafe_make ~blocks:cnf.Sat.Cnf.blocks ~nvars:cnf.Sat.Cnf.nvars
+        (List.map (fun c -> Array.append c c) cnf.Sat.Cnf.clauses);
+  }
+
+(* the spec with tuples 0 and 1 ordered both ways on [a]: refuted by unit
+   propagation whenever the two tuples differ there *)
+let contradicted spec =
+  Crcore.Spec.add_order_edges spec
+    [ { Crcore.Spec.attr = "a"; lo = 0; hi = 1 }; { Crcore.Spec.attr = "a"; lo = 1; hi = 0 } ]
+
+let prop_trail_equals_unit_prop =
+  QCheck.Test.make ~count:500
+    ~name:"deduce_order/deduce_units == list-based unit propagation (both modes)"
+    Fixtures.qcheck_spec (fun spec ->
+      List.for_all
+        (fun mode ->
+          let enc = E.encode ~mode spec in
+          trail_matches_reference enc
+          && trail_matches_reference (duplicated enc)
+          && trail_matches_reference (E.encode ~mode (contradicted spec)))
+        [ E.Paper; E.Exact ])
+
+(* contradictory orders on George: the reference and the trail both
+   refute, so deduce_units answers [None] *)
+let test_unit_refutation () =
+  let spec =
+    Crcore.Spec.add_order_edges (Fixtures.george_spec ())
+      [
+        { Crcore.Spec.attr = "status"; lo = 0; hi = 1 };
+        { Crcore.Spec.attr = "status"; lo = 1; hi = 0 };
+      ]
+  in
+  List.iter
+    (fun mode ->
+      let enc = E.encode ~mode spec in
+      Alcotest.(check bool) "reference refutes" true (Sat.Unit_prop.propagate enc.E.cnf = None);
+      Alcotest.(check bool) "deduce_units refutes" true (D.deduce_units enc = None);
+      Alcotest.(check int) "deduce_order: no facts" 0 (D.n_facts (D.deduce_order enc)))
+    [ E.Paper; E.Exact ]
 
 (* [crsolve batch --dump-dimacs]'s path on an Exact encoding: the solver's
    DIMACS dump lists the order axioms its tournament blocks stand for, so
@@ -468,6 +549,7 @@ let () =
           Alcotest.test_case "monotonicity" `Quick test_n_facts_monotone;
           Alcotest.test_case "backbone on paper examples" `Quick test_backbone_on_paper_examples;
           Alcotest.test_case "backbone probe count, long history" `Quick test_backbone_probe_count;
+          Alcotest.test_case "unit refutation" `Quick test_unit_refutation;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
@@ -481,6 +563,7 @@ let () =
             prop_budgeted_decided_subset;
             prop_deduce_order_subset_of_complete;
             prop_duplicate_literals_harmless;
+            prop_trail_equals_unit_prop;
             prop_exact_dimacs_dump;
           ] );
     ]

@@ -80,12 +80,6 @@ let test_timings_populated () =
   Alcotest.(check bool) "deduce time >= 0" true (o.F.timings.F.deduce >= 0.);
   Alcotest.(check bool) "suggest time >= 0" true (o.F.timings.F.suggest >= 0.)
 
-let test_naive_deducer_plugs_in () =
-  let o =
-    F.resolve ~deduce:Crcore.Deduce.naive_deduce ~user:F.silent (Fixtures.edith_spec ())
-  in
-  Alcotest.(check string) "still resolves Edith" "deceased" (resolved_string o "status")
-
 let test_exact_mode () =
   let o = F.resolve ~mode:Crcore.Encode.Exact ~user:F.silent (Fixtures.edith_spec ()) in
   Alcotest.(check bool) "valid in exact mode" true o.F.valid;
@@ -175,7 +169,6 @@ let () =
           Alcotest.test_case "constraint conflict detected" `Quick test_constraint_conflict_invalid;
           Alcotest.test_case "max_rounds cap" `Quick test_max_rounds_cap;
           Alcotest.test_case "timings populated" `Quick test_timings_populated;
-          Alcotest.test_case "pluggable deducer" `Quick test_naive_deducer_plugs_in;
           Alcotest.test_case "exact encoding mode" `Quick test_exact_mode;
         ] );
       ( "property",

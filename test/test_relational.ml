@@ -151,6 +151,41 @@ let prop_active_domain_list_reference =
       let got = Entity.active_domain e 0 and want = reference vs in
       List.length got = List.length want && List.for_all2 same got want)
 
+(* Numbers where [float_of_int] rounds: ints and floats near ±2^53,
+   ±2^62, [max_int] and [min_int]. [Value.equal] must be an equivalence
+   there (no NaN is drawn: NaN equals nothing), agree with
+   [total_compare = 0] and with [hash], and [total_compare] must order
+   them as one total order. *)
+let prop_numbers_compare_exactly =
+  let ints =
+    List.concat_map
+      (fun b -> List.init 5 (fun k -> b + k - 2))
+      [ 1 lsl 53; -(1 lsl 53); max_int - 2; min_int + 2 ]
+  in
+  let floats =
+    List.concat_map
+      (fun f -> [ Float.pred f; f; Float.succ f ])
+      [ 0x1p53; -0x1p53; 0x1p62; -0x1p62; 0x1p63 ]
+    @ [ 0.; -0.; Float.infinity; Float.neg_infinity ]
+  in
+  let pool =
+    Array.of_list
+      (List.map (fun i -> Value.Int i) ints
+      @ List.map (fun f -> Value.Float f) (floats @ List.map Float.of_int ints))
+  in
+  let value = QCheck.Gen.(map (Array.get pool) (int_bound (Array.length pool - 1))) in
+  QCheck.Test.make ~count:2000 ~name:"Int/Float equality exact beyond 2^53"
+    (QCheck.make
+       ~print:(fun (a, b, c) -> String.concat "," (List.map Value.to_string [ a; b; c ]))
+       QCheck.Gen.(triple value value value))
+    (fun (a, b, c) ->
+      let le x y = Value.total_compare x y <= 0 in
+      ((not (Value.equal a b && Value.equal b c)) || Value.equal a c)
+      && Value.equal a b = (Value.total_compare a b = 0)
+      && ((not (Value.equal a b)) || Value.hash a = Value.hash b)
+      && compare (Value.total_compare a b) 0 = compare 0 (Value.total_compare b a)
+      && ((not (le a b && le b c)) || le a c))
+
 let () =
   Alcotest.run "relational"
     [
@@ -174,5 +209,11 @@ let () =
           Alcotest.test_case "entity loading" `Quick test_csv_entity;
         ] );
       ( "property",
-        List.map QCheck_alcotest.to_alcotest [ prop_value_of_to_string; prop_csv_roundtrip; prop_active_domain_list_reference ] );
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_value_of_to_string;
+            prop_csv_roundtrip;
+            prop_active_domain_list_reference;
+            prop_numbers_compare_exactly;
+          ] );
     ]
