@@ -662,9 +662,32 @@ let micro () =
   let enc = Crcore.Encode.encode spec in
   let d = Crcore.Deduce.deduce_order enc in
   let known = Crcore.Deduce.true_values d in
+  (* a long-history-shaped entity: 4000 tuples of a Person history with
+     30 extra life events, encoded in Exact mode *)
+  let long =
+    let ds =
+      Datagen.Person.generate
+        {
+          Datagen.Person.default_params with
+          n_entities = 1;
+          size_min = 4000;
+          size_max = 4000;
+          extra_events = 30;
+          seed = 11;
+        }
+    in
+    Datagen.Types.spec_of ds (List.hd ds.Datagen.Types.cases)
+  in
+  let long_cnf = (Crcore.Encode.encode ~mode:Crcore.Encode.Exact long).Crcore.Encode.cnf in
   let tests =
     Test.make_grouped ~name:"core"
       [
+        Test.make ~name:"distinct_rows_4000"
+          (Staged.stage (fun () -> ignore (Entity.distinct_rows long.Crcore.Spec.entity)));
+        Test.make ~name:"solver_load_4000"
+          (Staged.stage (fun () ->
+               let s = Sat.Solver.create () in
+               Sat.Solver.add_cnf s long_cnf));
         Test.make ~name:"encode" (Staged.stage (fun () -> ignore (Crcore.Encode.encode spec)));
         Test.make ~name:"isvalid" (Staged.stage (fun () -> ignore (Crcore.Validity.check enc)));
         Test.make ~name:"deduce_order"

@@ -297,11 +297,26 @@ let iter_sigma_candidates sigma_c coding f =
    distinct projections rather than pairs of tuples: same instances,
    usually far fewer pairs. *)
 
+(* Facts and fact lists in polymorphic [compare]'s order (field by
+   field; lexicographic, a shorter prefix first), without its generic
+   traversal. *)
+let compare_fact f g =
+  match Int.compare f.attr g.attr with
+  | 0 -> ( match Int.compare f.lo g.lo with 0 -> Int.compare f.hi g.hi | c -> c)
+  | c -> c
+
+let rec compare_facts l m =
+  match (l, m) with
+  | [], [] -> 0
+  | [], _ -> -1
+  | _, [] -> 1
+  | f :: l', g :: m' -> ( match compare_fact f g with 0 -> compare_facts l' m' | c -> c)
+
 (* Σ instances in a canonical order, independent of which tuple pairs
    produced them: [extend] merges incrementally-found instances into a
    base set and must land on the very list a fresh encode would build. *)
 let compare_insts a b =
-  match compare a.premise b.premise with 0 -> compare a.concl b.concl | c -> c
+  match compare_facts a.premise b.premise with 0 -> compare_fact a.concl b.concl | c -> c
 
 let sort_insts l = List.sort compare_insts l
 
@@ -337,6 +352,15 @@ module Int_tbl = Hashtbl.Make (struct
   let hash k = (k * 0x9E3779B97F4A7C1) lsr 17
 end)
 
+(* packed instance keys (literal lists) under one integer mix per
+   literal *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash l = List.fold_left (fun h x -> (((h * 31) + x) * 0x9E3779B97F4A7C1) lsr 7) 0 l
+end)
+
 (* Per-domain scratch, reused across encodes: [Hashtbl.clear] keeps the
    grown bucket array, so steady-state instantiation allocates no fresh
    tables. Never live across calls — membership only, no escape. The
@@ -344,7 +368,7 @@ end)
    has rows is replaced, so a small stream entity does not clear
    buckets grown for a 4000-row one. *)
 type scratch = {
-  sc_dedup : (int list, unit) Hashtbl.t;  (* packed instance keys *)
+  sc_dedup : unit Key_tbl.t;  (* packed instance keys *)
   mutable sc_cls : int array;  (* projection class of each row *)
   mutable sc_keys : int Int_tbl.t;  (* (class, id) key -> refined class *)
   mutable sc_keys_cap : int;  (* [sc_keys]'s size: created for, or most keys held *)
@@ -353,7 +377,7 @@ type scratch = {
 let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
-        sc_dedup = Hashtbl.create 1024;
+        sc_dedup = Key_tbl.create 1024;
         sc_cls = [||];
         sc_keys = Int_tbl.create 16;
         sc_keys_cap = 16;
@@ -470,7 +494,7 @@ let inst_compiled coding nulls cc cells t1 t2 =
     if i1 = i2 || i1 = nulls.(a) || i2 = nulls.(a) then None
     else
       let concl = { attr = a; lo = i1; hi = i2 } in
-      let premise = List.sort_uniq compare !residual in
+      let premise = List.sort_uniq compare_fact !residual in
       let key =
         lit_of_fact_c coding concl
         :: List.map (fun f -> lit_of_fact_c coding f) premise
@@ -482,7 +506,7 @@ let instantiate_sigma ?fired sigma_c coding cells =
   let nulls = null_ids coding in
   let reps_of = reps_by_positions sigma_c coding cells in
   let out = (Domain.DLS.get scratch_key).sc_dedup in
-  Hashtbl.clear out;
+  Key_tbl.clear out;
   let insts = ref [] in
   iter_sigma_candidates sigma_c coding (fun cc ->
       let reps = reps_of cc in
@@ -508,8 +532,8 @@ let instantiate_sigma ?fired sigma_c coding cells =
                       (match fired with
                       | Some fd -> fd.(cc.c_idx) <- true
                       | None -> ());
-                      if not (Hashtbl.mem out key) then begin
-                        Hashtbl.add out key ();
+                      if not (Key_tbl.mem out key) then begin
+                        Key_tbl.add out key ();
                         insts := inst :: !insts
                       end)
               cand2)
@@ -527,14 +551,14 @@ let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
   let nulls = null_ids coding in
   let reps_of = reps_by_positions sigma_c coding cells in
   let seen = (Domain.DLS.get scratch_key).sc_dedup in
-  Hashtbl.clear seen;
+  Key_tbl.clear seen;
   List.iter
     (fun ic ->
       let key =
         lit_of_fact_c coding ic.concl
         :: List.map (fun f -> lit_of_fact_c coding f) ic.premise
       in
-      Hashtbl.replace seen key ())
+      Key_tbl.replace seen key ())
     base_insts;
   let out = ref [] in
   iter_sigma_candidates sigma_c coding (fun cc ->
@@ -550,8 +574,8 @@ let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
             match inst_compiled coding nulls cc cells i1 i2 with
             | None -> ()
             | Some (key, inst) ->
-                if not (Hashtbl.mem seen key) then begin
-                  Hashtbl.replace seen key ();
+                if not (Key_tbl.mem seen key) then begin
+                  Key_tbl.replace seen key ();
                   out := inst :: !out
                 end
         in

@@ -165,6 +165,10 @@ val default_config : config
     [IsValid] accounting. *)
 type phase_times = {
   mutable lint_ms : float;
+      (** the cheap rejection checks and, before them, the entity's row
+          pass ({!Entity.distinct_rows}, whose rows the encoding reuses):
+          on a long history of few distinct records the row pass is
+          almost all of it *)
   mutable encode_ms : float;
   mutable saturate_ms : float;
       (** always 0: the engine has no saturate phase. Kept for the

@@ -26,13 +26,83 @@ let value e i a = Tuple.get (tuple e i) a
    duplicate row share its first occurrence's ids. *)
 let unmergeable = function Value.Float f -> Float.is_nan f | _ -> false
 
+(* [distinct_rows]' table: open addressing with linear probing, one slot
+   per distinct row (its first index and its hash), kept at most half
+   full. It starts at 16 slots and doubles with the distinct rows, so a
+   long history of few records never sizes anything by its length. *)
+type row_table = {
+  mutable slots : int array;  (* a class's first row index; -1 = free *)
+  mutable slot_hash : int array;  (* that row's hash *)
+  mutable used : int;
+  mutable rows : int array;  (* the distinct rows so far, ascending *)
+  mutable nrows : int;
+}
+
+let same_row tuples arity i j =
+  let ti = tuples.(i) and tj = tuples.(j) in
+  let a = ref 0 in
+  while !a < arity && Value.equal (Tuple.get ti !a) (Tuple.get tj !a) do
+    incr a
+  done;
+  !a = arity
+
+(* the first free slot from [s] on: a rehash meets no duplicate *)
+let rec free_slot slots mask s = if slots.(s) < 0 then s else free_slot slots mask ((s + 1) land mask)
+
+let rehash tbl =
+  let cap = 2 * Array.length tbl.slots in
+  let slots = Array.make cap (-1) and slot_hash = Array.make cap 0 in
+  let mask = cap - 1 in
+  Array.iteri
+    (fun s j ->
+      if j >= 0 then begin
+        let h = tbl.slot_hash.(s) in
+        let s' = free_slot slots mask (h land mask) in
+        slots.(s') <- j;
+        slot_hash.(s') <- h
+      end)
+    tbl.slots;
+  tbl.slots <- slots;
+  tbl.slot_hash <- slot_hash
+
+let push_row tbl i =
+  if tbl.nrows = Array.length tbl.rows then begin
+    let rows = Array.make (2 * tbl.nrows) 0 in
+    Array.blit tbl.rows 0 rows 0 tbl.nrows;
+    tbl.rows <- rows
+  end;
+  tbl.rows.(tbl.nrows) <- i;
+  tbl.nrows <- tbl.nrows + 1
+
+(* row [i] with hash [h], probing from slot [s]: the first row of a new
+   class is recorded, a row equal to a recorded one is dropped *)
+let rec add_row tbl tuples arity i h s =
+  let j = tbl.slots.(s) in
+  if j < 0 then begin
+    tbl.slots.(s) <- i;
+    tbl.slot_hash.(s) <- h;
+    tbl.used <- tbl.used + 1;
+    if 2 * tbl.used > Array.length tbl.slots then rehash tbl;
+    push_row tbl i
+  end
+  else if not (tbl.slot_hash.(s) = h && same_row tuples arity i j) then
+    add_row tbl tuples arity i h ((s + 1) land (Array.length tbl.slots - 1))
+
 let distinct_rows e =
   let n = Array.length e.tuples and arity = Schema.arity e.schema in
+  let tbl =
+    {
+      slots = Array.make 16 (-1);
+      slot_hash = Array.make 16 0;
+      used = 0;
+      rows = Array.make (min n 16) 0;
+      nrows = 0;
+    }
+  in
   (* [Hashtbl.hash] on the value array would stop after ten meaningful
-     words: combine [Value.hash] per cell instead. -1 marks a row that
-     never merges. Loops, not closures: this runs on every tuple of
-     every encoded entity. *)
-  let hashes = Array.make n (-1) in
+     words: combine [Value.hash] per cell instead. A row with a NaN cell
+     never merges and is not hashed further. Loops, not closures: this
+     runs on every tuple of every encoded entity. *)
   for i = 0 to n - 1 do
     let t = e.tuples.(i) in
     let h = ref 0 and a = ref 0 in
@@ -41,31 +111,9 @@ let distinct_rows e =
       h := if unmergeable v then -1 else ((!h * 31) + Value.hash v) land max_int;
       incr a
     done;
-    hashes.(i) <- !h
+    if !h < 0 then push_row tbl i else add_row tbl e.tuples arity i !h (!h land (Array.length tbl.slots - 1))
   done;
-  let module Rows = Hashtbl.Make (struct
-    type t = int
-
-    let equal i j =
-      let ti = e.tuples.(i) and tj = e.tuples.(j) in
-      let a = ref 0 in
-      while !a < arity && Value.equal (Tuple.get ti !a) (Tuple.get tj !a) do
-        incr a
-      done;
-      !a = arity
-
-    let hash i = hashes.(i)
-  end) in
-  let seen = Rows.create 16 in
-  let rows = ref [] in
-  for i = 0 to n - 1 do
-    if hashes.(i) < 0 then rows := i :: !rows
-    else if not (Rows.mem seen i) then begin
-      Rows.add seen i ();
-      rows := i :: !rows
-    end
-  done;
-  Array.of_list (List.rev !rows)
+  Array.sub tbl.rows 0 tbl.nrows
 
 let active_domain_ids ?rows e a =
   let rows = match rows with Some r -> r | None -> Array.init (Array.length e.tuples) Fun.id in

@@ -26,8 +26,11 @@ val active_domain : t -> int -> Value.t list
 
 (** [distinct_rows e] is, ascending, the index of the first tuple of
     every class of tuples equal cell by cell under [Value.equal]: one
-    hash per tuple, combining [Value.hash] over its cells. A tuple with
-    a NaN cell (NaN equals nothing) is a row of its own. Every value's
+    hash per tuple, combining [Value.hash] over its cells, probed in an
+    open-addressing table of row indices that starts small and doubles
+    with the distinct rows, not with the tuple count; a hit is confirmed
+    cell by cell. A tuple with a NaN cell (NaN equals nothing) is a row
+    of its own and is not entered in the table. Every value's
     first occurrence in a column is therefore in a returned row, so a
     column scan over these rows meets the values in the order a scan over
     every tuple does. *)

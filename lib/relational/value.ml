@@ -27,12 +27,22 @@ let equal a b =
   | Str x, Str y -> String.equal x y
   | _ -> false
 
-(* an [Int] hashes as its nearest float, which is the float it equals
-   when there is one; [Hashtbl.hash] maps [-0.] and [0.] alike *)
+(* One integer mix for every integral number: an [Int], and a [Float]
+   that is integral and in [-2^62, 2^62) — exactly the floats an [Int]
+   can equal, [-0.] included — hash by their int, so numerically equal
+   twins hash alike with no float boxed. Other floats (fractions, beyond
+   the int range, infinities, NaN) equal no [Int] and keep
+   [Hashtbl.hash]. The result is non-negative. *)
+let mix_int i =
+  let h = i * 0x9E3779B97F4A7C1 in
+  (h lxor (h lsr 29)) land max_int
+
 let hash = function
-  | Int i -> Hashtbl.hash (float_of_int i)
+  | Int i -> mix_int i
+  | Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> mix_int (Float.to_int f)
   | Float f -> Hashtbl.hash f
-  | v -> Hashtbl.hash v
+  | Str s -> String.hash s
+  | Null -> Hashtbl.hash Null
 
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t

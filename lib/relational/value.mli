@@ -16,7 +16,12 @@ type op = Eq | Neq | Lt | Leq | Gt | Geq
 val equal : t -> t -> bool
 
 (** [hash v] agrees with {!equal}: equal values hash alike ([Int 3] and
-    [Float 3.], [0.] and [-0.]). *)
+    [Float 3.], [0.] and [-0.], [Int min_int] and [Float (-0x1p62)]).
+    An [Int], and a [Float] that is integral and in [\[-2^62, 2^62)],
+    hash by one integer mix of that int (no float is boxed); a string by
+    [String.hash]; other floats and [Null] by [Hashtbl.hash]. The result
+    is non-negative. This is the one hash of values: {!Tbl} and
+    [Entity.distinct_rows] both use it. *)
 val hash : t -> int
 
 (** Hash tables keyed with {!equal} and {!hash}: a NaN key is never

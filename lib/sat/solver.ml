@@ -5,10 +5,12 @@
    Clause-database layout: unit facts live on the level-0 trail, binary
    clauses live in a dedicated implication layer ([bin], flat per-literal
    vectors of the implied literal), and only clauses of three or more
-   literals enter the general watch lists. A clause is just its literals:
-   learnt clauses are kept for the solver's whole life (no database
-   reduction), so they need no activity, score or deletion mark. The
-   search runs on the clause database as loaded: there is no
+   literals enter the general watch lists. A literal's watch and binary
+   lists are made at their first push; until then it reads a shared
+   empty list, so allocating a variable allocates no list. A clause is
+   just its literals: learnt clauses are kept for the solver's whole life
+   (no database reduction), so they need no activity, score or deletion
+   mark. The search runs on the clause database as loaded: there is no
    pre/inprocessing.
 
    Tournament blocks ([Cnf.block]) are not clauses: their order axioms
@@ -122,21 +124,27 @@ let create () =
 
 let nvars s = s.nvars
 
-(* The watch and binary lists of literals beyond [nvars]: one shared
-   empty list that nothing pushes to ([alloc_lists] gives a variable its
-   own lists when it is allocated). Being old, it also spares [grow]'s
-   [Array.make] the minor collection a young initial value forces. *)
+(* The watch and binary lists a literal has before its first push: one
+   shared empty list each, never pushed to ([watch_list]/[bin_list] give
+   the literal its own list at its first push), so a variable that occurs
+   in no long clause and no binary costs no list. Being old, they also
+   spare [grow]'s [Array.make] the minor collection a young initial value
+   forces. *)
 let no_watches : clause Vec.t = Vec.create ~dummy:dummy_clause
 let no_bins : Lit.t Vec.t = Vec.create ~dummy:0
 
-(* Capacity doubles; growing copies the arrays and makes no list.
+(* Capacity doubles; growing copies the arrays and makes no list. An
+   empty array is made once at its size ([Array.make]); otherwise
    [Array.append] initialises the copy, where a blit into a major-heap
    array would pay a write barrier per element. *)
 let grow_arrays s n =
   let old = Array.length s.assigns in
   if n > old then begin
     let cap = max n (max 16 (2 * old)) in
-    let grow len a dflt = Array.append a (Array.make (len - Array.length a) dflt) in
+    let grow len a dflt =
+      if Array.length a = 0 then Array.make len dflt
+      else Array.append a (Array.make (len - Array.length a) dflt)
+    in
     s.assigns <- grow cap s.assigns 0;
     s.level <- grow cap s.level (-1);
     s.reason <- grow cap s.reason dummy_clause;
@@ -153,28 +161,45 @@ let grow_arrays s n =
     s.bin <- grow (2 * cap) s.bin no_bins
   end
 
-(* fresh watch and binary lists for the literals of variables
-   [s.nvars .. n - 1] *)
-let alloc_lists s n =
-  for l = 2 * s.nvars to (2 * n) - 1 do
-    s.watches.(l) <- Vec.create ~dummy:dummy_clause;
-    s.bin.(l) <- Vec.create ~dummy:0
-  done
+(* the watch list of [l] to push onto, made at its first push *)
+let watch_list s l =
+  let ws = s.watches.(l) in
+  if ws != no_watches then ws
+  else begin
+    let ws = Vec.create ~dummy:dummy_clause in
+    s.watches.(l) <- ws;
+    ws
+  end
+
+(* the binary list of [l] to push onto, made at its first push *)
+let bin_list s l =
+  let bs = s.bin.(l) in
+  if bs != no_bins then bs
+  else begin
+    let bs = Vec.create ~dummy:0 in
+    s.bin.(l) <- bs;
+    bs
+  end
 
 let new_var s =
   let v = s.nvars in
   grow_arrays s (v + 1);
-  alloc_lists s (v + 1);
   s.nvars <- v + 1;
   Idx_heap.insert s.order v;
   v
+
+(* Capacity [ensure_nvars] leaves beyond the variables it is asked for:
+   the first selector variables a loaded solver is given (a true-value
+   query's, a small MaxSAT layer's) then grow no array. Growing a loaded
+   solver's arrays cost ~100-150 µs at 677 variables (2-vCPU container),
+   most of it GC work the new major-heap arrays set off. *)
+let spare_vars = 16
 
 (* one reallocation for the whole range, then the heap inserts [new_var]
    would make, in the same order *)
 let ensure_nvars s n =
   if n > s.nvars then begin
-    grow_arrays s n;
-    alloc_lists s n;
+    grow_arrays s (n + spare_vars);
     for v = s.nvars to n - 1 do
       Idx_heap.insert s.order v
     done;
@@ -253,14 +278,14 @@ let cancel_until s lvl =
 
 let attach_clause s (c : clause) =
   assert (Array.length c >= 2);
-  Vec.push s.watches.(Lit.negate c.(0)) c;
-  Vec.push s.watches.(Lit.negate c.(1)) c
+  Vec.push (watch_list s (Lit.negate c.(0))) c;
+  Vec.push (watch_list s (Lit.negate c.(1))) c
 
 (* record the binary clause (a \/ b) in the implication layer: enqueueing
    the negation of either literal implies the other *)
 let add_binary s a b =
-  Vec.push s.bin.(Lit.negate a) b;
-  Vec.push s.bin.(Lit.negate b) a;
+  Vec.push (bin_list s (Lit.negate a)) b;
+  Vec.push (bin_list s (Lit.negate b)) a;
   s.n_binaries <- s.n_binaries + 1
 
 (* ---- tournament blocks ----
@@ -372,7 +397,7 @@ let propagate s =
             (* found: move it to position 1 and update watch lists *)
             c.(1) <- c.(!k);
             c.(!k) <- false_lit;
-            Vec.push s.watches.(Lit.negate c.(1)) c;
+            Vec.push (watch_list s (Lit.negate c.(1))) c;
             Vec.swap_remove ws !i
           end
           else if value_lit s c.(0) = -1 then begin

@@ -698,6 +698,26 @@ let prop_index_equals_scan =
       scan_sigma_insts spec coding = enc.E.sigma_insts
       && relevant = List.map fst (E.relevant_gamma spec.Crcore.Spec.entity spec.Crcore.Spec.gamma))
 
+(* The typed instance order is polymorphic [compare]'s: on the mixed
+   specs, in both modes, [sigma_insts] is strictly ascending under
+   [compare] on [(premise, concl)], and every premise is
+   [List.sort_uniq compare] of itself. A typed comparator that drifts
+   from [compare] fails here before it can change a CNF. *)
+let prop_sigma_order_is_compare =
+  QCheck.Test.make ~count:1000 ~name:"sigma_insts ordered by polymorphic compare (both modes)"
+    qcheck_mixed_spec (fun (spec, _) ->
+      List.for_all
+        (fun mode ->
+          let insts = (E.encode ~mode spec).E.sigma_insts in
+          let key (i : E.iconstraint) = (i.E.premise, i.E.concl) in
+          let rec ascending = function
+            | a :: (b :: _ as rest) -> compare (key a) (key b) < 0 && ascending rest
+            | _ -> true
+          in
+          ascending insts
+          && List.for_all (fun (i : E.iconstraint) -> List.sort_uniq compare i.E.premise = i.E.premise) insts)
+        [ E.Paper; E.Exact ])
+
 (* ---- distinct rows ---- *)
 
 (* A value [Value.equal] to [v] under another representation: [Int]s
@@ -958,6 +978,7 @@ let () =
             prop_lowering_matches_vid;
             prop_index_padding_invisible;
             prop_index_equals_scan;
+            prop_sigma_order_is_compare;
             prop_rows_equal_tuple_level;
           ] );
     ]

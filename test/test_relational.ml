@@ -152,21 +152,27 @@ let prop_active_domain_list_reference =
       List.length got = List.length want && List.for_all2 same got want)
 
 (* Numbers where [float_of_int] rounds: ints and floats near ±2^53,
-   ±2^62, [max_int] and [min_int]. [Value.equal] must be an equivalence
-   there (no NaN is drawn: NaN equals nothing), agree with
+   ±2^62, [max_int] and [min_int], and the edges of [Value.hash]'s
+   integer range [-2^62, 2^62): [-0x1p62] (= [min_int]), the integral
+   floats just inside it with their [Int] twins, [0x1p62] just outside,
+   and fractions next to small ints. [Value.equal] must be an
+   equivalence there (no NaN is drawn: NaN equals nothing), agree with
    [total_compare = 0] and with [hash], and [total_compare] must order
    them as one total order. *)
 let prop_numbers_compare_exactly =
   let ints =
     List.concat_map
       (fun b -> List.init 5 (fun k -> b + k - 2))
-      [ 1 lsl 53; -(1 lsl 53); max_int - 2; min_int + 2 ]
+      [
+        1 lsl 53; -(1 lsl 53); max_int - 2; min_int + 2; 0;
+        Float.to_int (Float.pred 0x1p62); Float.to_int (Float.succ (-0x1p62));
+      ]
   in
   let floats =
     List.concat_map
       (fun f -> [ Float.pred f; f; Float.succ f ])
       [ 0x1p53; -0x1p53; 0x1p62; -0x1p62; 0x1p63 ]
-    @ [ 0.; -0.; Float.infinity; Float.neg_infinity ]
+    @ [ 0.; -0.; 0.5; -0.5; 1.5; Float.infinity; Float.neg_infinity ]
   in
   let pool =
     Array.of_list
@@ -186,6 +192,79 @@ let prop_numbers_compare_exactly =
       && compare (Value.total_compare a b) 0 = compare 0 (Value.total_compare b a)
       && ((not (le a b && le b c)) || le a c))
 
+(* Two distinct ints with one [Value.hash], built by inverting its
+   integer mix (multiply by an odd constant, xor-shift by 29, drop bit
+   62): rows of them must stay apart, which only the row table's
+   cell-by-cell check can tell. The first check guards the construction
+   against a change of mix. *)
+let test_colliding_rows () =
+  let c = 0x9E3779B97F4A7C1 in
+  let rec inverse x k = if k = 0 then x else inverse (x * (2 - (c * x))) (k - 1) in
+  (* the xor-shift maps z to bit 62 alone: z's own shifts cancel *)
+  let z = (1 lsl 62) lxor (1 lsl 33) lxor (1 lsl 4) in
+  let i = 12345 in
+  let j = ((i * c) lxor z) * inverse c 6 in
+  Alcotest.(check bool) "distinct ints, one hash" true
+    (i <> j && Value.hash (Value.Int i) = Value.hash (Value.Int j));
+  let schema = Schema.make [ "x"; "y" ] in
+  let row a b = Tuple.make schema [ Value.Int a; Value.Str b ] in
+  let e = Entity.make schema [ row i "s"; row j "s"; row i "s"; row j "t"; row j "s" ] in
+  Alcotest.(check (array int)) "rows" [| 0; 1; 3 |] (Entity.distinct_rows e)
+
+(* [Entity.distinct_rows] against a quadratic reference: the first
+   index of every [Value.equal] class of rows, and every row with a NaN
+   cell. Entities of 1–600 tuples copy rows of a palette of up to 300,
+   each copied cell possibly swapped for a numerically equal twin, so the
+   row table grows several times and twins must merge. Cells come from
+   NaN, both zeros, Int/Float twins at ±2^53 and ±2^62 ([-0x1p62] is
+   [min_int]; [0x1p62] is out of the int range), [max_int], [min_int],
+   [Null] and short strings. *)
+let prop_distinct_rows_reference =
+  let top = Float.pred 0x1p62 in
+  let pool =
+    [|
+      Value.Float Float.nan; Value.Float 0.; Value.Float (-0.); Value.Int 0;
+      Value.Int (1 lsl 53); Value.Float 0x1p53; Value.Int (-(1 lsl 53)); Value.Float (-0x1p53);
+      Value.Int min_int; Value.Float (-0x1p62); Value.Float 0x1p62; Value.Int max_int;
+      Value.Float top; Value.Int (Float.to_int top); Value.Null; Value.Str "a";
+      Value.Str "b"; Value.Str "ab";
+    |]
+  in
+  (* a [Value.equal] value of the other kind (or sign), if there is one *)
+  let twin v =
+    let t =
+      match v with
+      | Value.Int i -> Value.Float (Float.of_int i)
+      | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 -> Value.Int (Float.to_int f)
+      | Value.Float f -> Value.Float (-.f)
+      | v -> v
+    in
+    if Value.equal t v then t else v
+  in
+  QCheck.Test.make ~count:200 ~name:"distinct_rows == quadratic reference"
+    (QCheck.make
+       ~print:(fun (arity, n, k, seed) -> Printf.sprintf "arity=%d n=%d palette=%d seed=%d" arity n k seed)
+       QCheck.Gen.(quad (int_range 1 3) (int_range 1 600) (int_range 1 300) (int_bound 1_000_000)))
+    (fun (arity, n, k, seed) ->
+      let st = Random.State.make [| seed |] in
+      let schema = Schema.make (List.init arity (fun a -> "a" ^ string_of_int a)) in
+      let cell () = pool.(Random.State.int st (Array.length pool)) in
+      let palette = Array.init k (fun _ -> Array.init arity (fun _ -> cell ())) in
+      let rows =
+        Array.init n (fun _ ->
+            Array.map
+              (fun v -> if Random.State.bool st then twin v else v)
+              palette.(Random.State.int st k))
+      in
+      let e = Entity.make schema (List.map (Tuple.of_array schema) (Array.to_list rows)) in
+      let has_nan i = Array.exists Value.is_nan rows.(i) in
+      let kept = ref [] in
+      for i = 0 to n - 1 do
+        if has_nan i || not (List.exists (fun j -> Array.for_all2 Value.equal rows.(j) rows.(i)) !kept)
+        then kept := i :: !kept
+      done;
+      Entity.distinct_rows e = Array.of_list (List.rev !kept))
+
 let () =
   Alcotest.run "relational"
     [
@@ -201,6 +280,7 @@ let () =
           Alcotest.test_case "schema" `Quick test_schema;
           Alcotest.test_case "tuple" `Quick test_tuple;
           Alcotest.test_case "entity" `Quick test_entity;
+          Alcotest.test_case "colliding row hashes stay apart" `Quick test_colliding_rows;
         ] );
       ( "csv",
         [
@@ -215,5 +295,6 @@ let () =
             prop_csv_roundtrip;
             prop_active_domain_list_reference;
             prop_numbers_compare_exactly;
+            prop_distinct_rows_reference;
           ] );
     ]

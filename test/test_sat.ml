@@ -464,6 +464,62 @@ let prop_blocks_match_clauses =
              && (rb <> Sat.Solver.Sat || (model_ok sb && model_ok sl)))
            [ []; assumptions ])
 
+(* Watch and binary lists are made at a literal's first push. A block
+   (whose pair variables sit in no clause) and a few free variables are
+   loaded with a few clauses of two or three literals, so most literals
+   never get a list; the export right after loading is exactly the
+   clauses loaded. After a solve, units, binaries and long clauses go
+   onto literals no clause watched yet and onto fresh [new_var]
+   variables, and the second solve must still agree with brute force. *)
+let qcheck_first_use =
+  QCheck.make
+    ~print:(fun (d, nfree, nnew, seed) -> Printf.sprintf "d=%d free=%d new=%d seed=%d" d nfree nnew seed)
+    QCheck.Gen.(quad (int_range 3 4) (int_range 2 6) (int_range 1 3) (int_bound 1_000_000))
+
+let sorted_clauses cls = List.sort compare (List.map (fun c -> List.sort compare (Array.to_list c)) cls)
+
+let prop_lists_on_first_use =
+  QCheck.Test.make ~count:300 ~name:"watch and binary lists made on first use" qcheck_first_use
+    (fun (d, nfree, nnew, seed) ->
+      let st = Random.State.make [| seed |] in
+      let b = { Sat.Cnf.first = 0; d } in
+      let nvars = Sat.Cnf.block_nvars d + nfree in
+      (* a clause over [len] distinct variables of [pool] *)
+      let clause pool len =
+        let pool = Array.of_list pool in
+        let n = Array.length pool in
+        let picked = ref [] in
+        while List.length !picked < min len n do
+          let v = pool.(Random.State.int st n) in
+          if not (List.mem v !picked) then picked := v :: !picked
+        done;
+        Array.of_list (List.map (fun v -> lit v (Random.State.bool st)) !picked)
+      in
+      let all = List.init nvars Fun.id in
+      let loaded = List.init (Random.State.int st 4) (fun _ -> clause all (2 + Random.State.int st 2)) in
+      let f = Sat.Cnf.make ~blocks:[ b ] ~nvars loaded in
+      let s = Sat.Solver.create () in
+      Sat.Solver.add_cnf s f;
+      let export = Sat.Solver.export_cnf s in
+      let exported_exactly =
+        sorted_clauses export.Sat.Cnf.clauses = sorted_clauses loaded
+        && export.Sat.Cnf.blocks = [ b ]
+      in
+      let verdict f = if Sat.Brute.solve f <> None then Sat.Solver.Sat else Sat.Solver.Unsat in
+      let agrees f r = r = verdict f && (r <> Sat.Solver.Sat || Sat.Cnf.eval (Sat.Solver.model s) f) in
+      let first = agrees f (Sat.Solver.solve s) in
+      let watched = List.concat_map (fun c -> List.map Sat.Lit.var (Array.to_list c)) loaded in
+      let fresh = List.init nnew (fun _ -> Sat.Solver.new_var s) in
+      let unwatched = List.filter (fun v -> not (List.mem v watched)) all @ fresh in
+      let added =
+        List.init (Random.State.int st 2) (fun _ -> clause unwatched 1)
+        @ List.init (1 + Random.State.int st 3) (fun _ -> clause unwatched 2)
+        @ List.init (Random.State.int st 3) (fun _ -> clause (unwatched @ all) 3)
+      in
+      List.iter (Sat.Solver.add_clause_a s) added;
+      let g = Sat.Cnf.make ~blocks:[ b ] ~nvars:(nvars + nnew) (loaded @ added) in
+      exported_exactly && first && agrees g (Sat.Solver.solve s))
+
 let () =
   Alcotest.run "sat"
     [
@@ -493,6 +549,7 @@ let () =
             prop_set_phase_sound;
             prop_loader_matches_reference;
             prop_blocks_match_clauses;
+            prop_lists_on_first_use;
           ] );
       ( "simplify",
         List.map QCheck_alcotest.to_alcotest
