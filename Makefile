@@ -19,7 +19,8 @@ bench:
 	dune exec bench/main.exe
 
 # SAT-core scaling curve: the default Exact-mode engine on one Person
-# entity per size (2000/5000/10000 tuples, linearly-growing histories);
+# entity per size (2000/5000/10000/20000 tuples, linearly-growing
+# histories; min and median of 3 timed runs each);
 # writes BENCH_satcore.json and exits non-zero unless every size resolves
 # identically to Framework.resolve, the standalone Fig. 4 loop.
 satcore:

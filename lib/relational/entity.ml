@@ -38,10 +38,12 @@ type row_table = {
   mutable nrows : int;
 }
 
+(* Every tuple of an entity has [arity] cells ([make] checks the schema),
+   so [distinct_rows]' cell reads below [arity] are in bounds. *)
 let same_row tuples arity i j =
-  let ti = tuples.(i) and tj = tuples.(j) in
+  let ci = Tuple.cells tuples.(i) and cj = Tuple.cells tuples.(j) in
   let a = ref 0 in
-  while !a < arity && Value.equal (Tuple.get ti !a) (Tuple.get tj !a) do
+  while !a < arity && Value.equal (Array.unsafe_get ci !a) (Array.unsafe_get cj !a) do
     incr a
   done;
   !a = arity
@@ -104,10 +106,10 @@ let distinct_rows e =
      never merges and is not hashed further. Loops, not closures: this
      runs on every tuple of every encoded entity. *)
   for i = 0 to n - 1 do
-    let t = e.tuples.(i) in
+    let cells = Tuple.cells e.tuples.(i) in
     let h = ref 0 and a = ref 0 in
     while !a < arity && !h >= 0 do
-      let v = Tuple.get t !a in
+      let v = Array.unsafe_get cells !a in
       h := if unmergeable v then -1 else ((!h * 31) + Value.hash v) land max_int;
       incr a
     done;

@@ -13,6 +13,8 @@ let get t i =
   if i < 0 || i >= Array.length t.values then invalid_arg "Tuple.get";
   t.values.(i)
 
+let cells t = t.values
+
 let get_by_name t a = t.values.(Schema.index t.schema a)
 
 let set t i v =

@@ -12,6 +12,11 @@ val schema : t -> Schema.t
 (** [get t i] is the value at position [i]. *)
 val get : t -> int -> Value.t
 
+(** [cells t] is [t]'s values, position [i] at index [i]: the tuple's own
+    array, not a copy, so the caller must not modify it. Loops over every
+    cell of many tuples read it instead of calling {!get} per cell. *)
+val cells : t -> Value.t array
+
 (** [get_by_name t a] is the value of attribute [a]. Raises [Not_found]. *)
 val get_by_name : t -> string -> Value.t
 

@@ -1,14 +1,18 @@
+(* Every operation takes the score array [act] it orders by: the solver
+   reallocates its activity array when it grows, so the heap keeps no
+   copy of it. Comparisons read [act] directly (no closure, no boxed
+   float). *)
 type t = {
-  score : int -> float;
-  heap : int Vec.t;           (* heap.(i) = key at heap position i *)
+  mutable heap : int array;   (* heap.(i) = key at heap position i, i < size *)
+  mutable size : int;
   mutable pos : int array;    (* pos.(key) = position in heap, or -1 *)
 }
 
-let create ~score = { score; heap = Vec.create ~dummy:(-1); pos = [||] }
+let create () = { heap = [||]; size = 0; pos = [||] }
 
-let size h = Vec.size h.heap
+let size h = h.size
 
-let is_empty h = size h = 0
+let is_empty h = h.size = 0
 
 let ensure_pos h k =
   let n = Array.length h.pos in
@@ -20,58 +24,62 @@ let ensure_pos h k =
 
 let mem h k = k < Array.length h.pos && h.pos.(k) >= 0
 
+let[@inline] key h i = Array.unsafe_get h.heap i
+
+let[@inline] score (act : float array) h i = Array.unsafe_get act (key h i)
+
 let swap h i j =
-  let ki = Vec.get h.heap i and kj = Vec.get h.heap j in
-  Vec.set h.heap i kj;
-  Vec.set h.heap j ki;
+  let ki = key h i and kj = key h j in
+  Array.unsafe_set h.heap i kj;
+  Array.unsafe_set h.heap j ki;
   h.pos.(ki) <- j;
   h.pos.(kj) <- i
 
-let rec sift_up h i =
+let rec sift_up act h i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if h.score (Vec.get h.heap i) > h.score (Vec.get h.heap parent) then begin
+    if score act h i > score act h parent then begin
       swap h i parent;
-      sift_up h parent
+      sift_up act h parent
     end
   end
 
-let rec sift_down h i =
-  let n = size h in
+let rec sift_down act h i =
+  let n = h.size in
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < n && h.score (Vec.get h.heap l) > h.score (Vec.get h.heap !best) then best := l;
-  if r < n && h.score (Vec.get h.heap r) > h.score (Vec.get h.heap !best) then best := r;
-  if !best <> i then begin
-    swap h i !best;
-    sift_down h !best
+  let best = if l < n && score act h l > score act h i then l else i in
+  let best = if r < n && score act h r > score act h best then r else best in
+  if best <> i then begin
+    swap h i best;
+    sift_down act h best
   end
 
-let insert h k =
+let insert h act k =
   if not (mem h k) then begin
     ensure_pos h k;
-    Vec.push h.heap k;
-    h.pos.(k) <- size h - 1;
-    sift_up h (size h - 1)
+    if h.size = Array.length h.heap then begin
+      let heap' = Array.make (max 4 (2 * h.size)) 0 in
+      Array.blit h.heap 0 heap' 0 h.size;
+      h.heap <- heap'
+    end;
+    Array.unsafe_set h.heap h.size k;
+    h.pos.(k) <- h.size;
+    h.size <- h.size + 1;
+    sift_up act h (h.size - 1)
   end
 
-let pop_max h =
+let pop_max h act =
   if is_empty h then invalid_arg "Idx_heap.pop_max: empty";
-  let top = Vec.get h.heap 0 in
-  let lastpos = size h - 1 in
+  let top = key h 0 in
+  let lastpos = h.size - 1 in
   swap h 0 lastpos;
-  ignore (Vec.pop h.heap);
+  h.size <- lastpos;
   h.pos.(top) <- -1;
-  if not (is_empty h) then sift_down h 0;
+  if not (is_empty h) then sift_down act h 0;
   top
 
-let update h k =
+let update h act k =
   if mem h k then begin
-    sift_up h h.pos.(k);
-    sift_down h h.pos.(k)
+    sift_up act h h.pos.(k);
+    sift_down act h h.pos.(k)
   end
-
-let rebuild h keys =
-  Vec.iter (fun k -> h.pos.(k) <- -1) h.heap;
-  Vec.clear h.heap;
-  List.iter (insert h) keys

@@ -14,19 +14,27 @@
    pre/inprocessing.
 
    Tournament blocks ([Cnf.block]) are not clauses: their order axioms
-   are enforced by a stateless pass in [propagate] that reads only
-   [assigns] (see [theory_pass]). *)
+   are enforced by a pass in [propagate] over per-block successor and
+   predecessor bitsets, which assignment sets and backtracking clears
+   (see [theory_pass]). *)
 
 (* in a watch list, c.(0) and c.(1) are the watched pair *)
 type clause = Lit.t array
 
+(* no clause: the reason of a decision or unit, and what [propagate]
+   returns when there is no conflict (compared with [==]) *)
 let dummy_clause : clause = [||]
 
 type result = Sat | Unsat
 
-(* a registered tournament block; [base.(u) + v] is the variable of the
-   pair u < v *)
-type tblock = { blk : Cnf.block; base : int array }
+(* A registered tournament block; [base.(u) + v] is the variable of the
+   pair u < v. [succ] and [pred] hold one bitset of [nw] words per value
+   x, row x at [x * nw]: bit z of succ's row x is set iff x ≺ z is
+   currently true, bit z of pred's row x iff z ≺ x is. Value z is bit
+   [z mod word_bits] of word [z / word_bits], so any d fits. *)
+type tblock = { blk : Cnf.block; base : int array; nw : int; succ : int array; pred : int array }
+
+let word_bits = Sys.int_size
 
 type t = {
   (* per-variable state *)
@@ -39,6 +47,9 @@ type t = {
   mutable activity : float array;
   mutable polarity : bool array;        (* saved phase *)
   mutable seen : bool array;            (* scratch for analyze *)
+  mutable learnt : Lit.t array;         (* scratch: the clause [analyze]
+                                           learns, asserting literal first *)
+  mutable learnt_n : int;               (* its length *)
   mutable add_buf : Lit.t array;        (* scratch: the clause being loaded *)
   mutable pair_blk : int array;         (* index into [blocks] of the block
                                            numbering the var; -1 = none.
@@ -59,7 +70,7 @@ type t = {
   blocks : tblock Vec.t;                (* tournament blocks, d >= 3 *)
   mutable n_learnts : int;              (* learnt long clauses *)
   (* heuristics *)
-  mutable order : Idx_heap.t;
+  order : Idx_heap.t;                   (* VSIDS heap over [activity] *)
   mutable var_inc : float;
   mutable nvars : int;
   mutable ok : bool;
@@ -82,45 +93,44 @@ let var_decay = 1.0 /. 0.95
 let restart_base = 100
 
 let create () =
-  let s =
-    {
-      assigns = [||];
-      level = [||];
-      reason = [||];
-      binreason = [||];
-      activity = [||];
-      polarity = [||];
-      seen = [||];
-      add_buf = [||];
-      pair_blk = [||];
-      pair_u = [||];
-      pair_v = [||];
-      watches = [||];
-      bin = [||];
-      trail = Vec.create ~dummy:0;
-      trail_lim = Vec.create ~dummy:0;
-      qhead = 0;
-      clauses = Vec.create ~dummy:dummy_clause;
-      blocks = Vec.create ~dummy:{ blk = { Cnf.first = 0; d = 0 }; base = [||] };
-      n_learnts = 0;
-      order = Idx_heap.create ~score:(fun _ -> 0.);
-      var_inc = 1.0;
-      nvars = 0;
-      ok = true;
-      model_valid = false;
-      saved_model = [||];
-      conflicts = 0;
-      decisions = 0;
-      propagations = 0;
-      restarts = 0;
-      learned = 0;
-      n_binaries = 0;
-      conflict_limit = -1;
-      propagation_limit = -1;
-    }
-  in
-  s.order <- Idx_heap.create ~score:(fun v -> s.activity.(v));
-  s
+  {
+    assigns = [||];
+    level = [||];
+    reason = [||];
+    binreason = [||];
+    activity = [||];
+    polarity = [||];
+    seen = [||];
+    learnt = [||];
+    learnt_n = 0;
+    add_buf = [||];
+    pair_blk = [||];
+    pair_u = [||];
+    pair_v = [||];
+    watches = [||];
+    bin = [||];
+    trail = Vec.create ~dummy:0;
+    trail_lim = Vec.create ~dummy:0;
+    qhead = 0;
+    clauses = Vec.create ~dummy:dummy_clause;
+    blocks =
+      Vec.create ~dummy:{ blk = { Cnf.first = 0; d = 0 }; base = [||]; nw = 0; succ = [||]; pred = [||] };
+    n_learnts = 0;
+    order = Idx_heap.create ();
+    var_inc = 1.0;
+    nvars = 0;
+    ok = true;
+    model_valid = false;
+    saved_model = [||];
+    conflicts = 0;
+    decisions = 0;
+    propagations = 0;
+    restarts = 0;
+    learned = 0;
+    n_binaries = 0;
+    conflict_limit = -1;
+    propagation_limit = -1;
+  }
 
 let nvars s = s.nvars
 
@@ -185,7 +195,7 @@ let new_var s =
   let v = s.nvars in
   grow_arrays s (v + 1);
   s.nvars <- v + 1;
-  Idx_heap.insert s.order v;
+  Idx_heap.insert s.order s.activity v;
   v
 
 (* Capacity [ensure_nvars] leaves beyond the variables it is asked for:
@@ -201,7 +211,7 @@ let ensure_nvars s n =
   if n > s.nvars then begin
     grow_arrays s (n + spare_vars);
     for v = s.nvars to n - 1 do
-      Idx_heap.insert s.order v
+      Idx_heap.insert s.order s.activity v
     done;
     s.nvars <- n
   end
@@ -232,9 +242,33 @@ let var_bump s v =
     done;
     s.var_inc <- s.var_inc *. 1e-100
   end;
-  Idx_heap.update s.order v
+  Idx_heap.update s.order s.activity v
 
 let var_decay_activity s = s.var_inc <- s.var_inc *. var_decay
+
+(* ---- block bitsets ---- *)
+
+(* set or clear bit z of row [row] of a block's bitsets [bits] *)
+let[@inline] set_bit (bits : int array) nw row z set =
+  let i = (row * nw) + (z / word_bits) in
+  let b = 1 lsl (z mod word_bits) in
+  bits.(i) <- (if set then bits.(i) lor b else bits.(i) land lnot b)
+
+(* [set] the bits the true pair literal [l] of block [tb] stands for, or
+   clear them: l = x ≺ y puts y in succ(x) and x in pred(y) *)
+let pair_bits s tb l set =
+  let v = Lit.var l in
+  let x = if Lit.sign l then s.pair_u.(v) else s.pair_v.(v) in
+  let y = if Lit.sign l then s.pair_v.(v) else s.pair_u.(v) in
+  set_bit tb.succ tb.nw x y set;
+  set_bit tb.pred tb.nw y x set
+
+(* [pair_bits] for any assigned literal: a no-op off the blocks *)
+let[@inline] track_pair s l set =
+  if Array.length s.pair_blk > 0 then begin
+    let b = s.pair_blk.(Lit.var l) in
+    if b >= 0 then pair_bits s (Vec.get s.blocks b) l set
+  end
 
 (* ---- assignment ---- *)
 
@@ -245,6 +279,7 @@ let enqueue s l reason =
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   s.binreason.(v) <- -1;
+  track_pair s l true;
   Vec.push s.trail l
 
 (* [l] is implied by the binary clause (l \/ other) with [other] false *)
@@ -255,6 +290,7 @@ let enqueue_bin s l other =
   s.level.(v) <- decision_level s;
   s.reason.(v) <- dummy_clause;
   s.binreason.(v) <- other;
+  track_pair s l true;
   Vec.push s.trail l
 
 let cancel_until s lvl =
@@ -267,7 +303,8 @@ let cancel_until s lvl =
       s.polarity.(v) <- Lit.sign l;
       s.reason.(v) <- dummy_clause;
       s.binreason.(v) <- -1;
-      Idx_heap.insert s.order v
+      track_pair s l false;
+      Idx_heap.insert s.order s.activity v
     done;
     Vec.shrink s.trail bound;
     Vec.shrink s.trail_lim lvl;
@@ -293,15 +330,18 @@ let add_binary s a b =
    A block's axioms are the 3-cycle exclusions ¬(a≺b) ∨ ¬(b≺k) ∨ ¬(k≺a)
    over its values. Unit propagation on them is exactly: when a≺b is
    true, b≺k forces a≺k and k≺a forces k≺b. [theory_pass] applies that
-   to one dequeued literal a≺b against every third value k, reading only
-   [assigns]. An implied literal is enqueued with its 3-cycle clause as
-   the reason (the implied literal first, as [analyze] expects), and a
-   clause whose third literal is already false is the conflict. The pass
-   keeps no state, so backtracking has nothing to undo; and since every
-   reason is built when its literal is enqueued, conflict analysis never
-   asks the pass to explain anything. Each triple is checked when the
-   later of its two true edges is dequeued, so the pass derives what the
-   clauses would. *)
+   to one dequeued literal a≺b: the values k of the first rule are the
+   set bits of succ(b) ∧ ¬succ(a), those of the second the set bits of
+   pred(a) ∧ ¬pred(b), visited in ascending k, the first rule before the
+   second at one k. The bitsets mirror the assignment: [enqueue] and
+   [enqueue_bin] set a pair literal's bits, [cancel_until] clears them
+   and [add_block] seeds them from the level-0 trail. An implied literal
+   is enqueued with its 3-cycle clause as the reason (the implied literal
+   first, as [analyze] expects), and a clause whose third literal is
+   already false is the conflict. Since every reason is built when its
+   literal is enqueued, conflict analysis never asks the pass to explain
+   anything. Each triple is checked when the later of its two true edges
+   is dequeued, so the pass derives what the clauses would. *)
 
 (* the literal and the value of x ≺ y in a block with row bases [base];
    indices are in range by construction (x, y < d, registered vars) *)
@@ -312,49 +352,65 @@ let[@inline] order_value assigns base x y =
   if x < y then Array.unsafe_get assigns (Array.unsafe_get base x + y)
   else - Array.unsafe_get assigns (Array.unsafe_get base y + x)
 
+(* the index of the one set bit of [b] *)
+let ctz_bit b =
+  let k = ref 0 and b = ref b in
+  if !b land 0xFFFF_FFFF = 0 then begin b := !b lsr 32; k := 32 end;
+  if !b land 0xFFFF = 0 then begin b := !b lsr 16; k := !k + 16 end;
+  if !b land 0xFF = 0 then begin b := !b lsr 8; k := !k + 8 end;
+  if !b land 0xF = 0 then begin b := !b lsr 4; k := !k + 4 end;
+  if !b land 0x3 = 0 then begin b := !b lsr 2; k := !k + 2 end;
+  if !b land 0x1 = 0 then !k + 1 else !k
+
 (* the dequeued [p] is a ≺ c; [x ≺ y] is implied by the 3-cycle clause
-   x≺y ∨ ¬p ∨ ¬(w≺z): enqueue it, or return that clause when x ≺ y is
-   false. Literals are built only on this path. *)
+   x≺y ∨ ¬p ∨ ¬(w≺z): enqueue it and return [dummy_clause], or return
+   that clause when x ≺ y is false. Literals are built only on this
+   path. *)
 let theory_imply s base p x y w z =
   let c = [| order_lit base x y; Lit.negate p; order_lit base z w |] in
   if order_value s.assigns base x y = 0 then begin
     enqueue s c.(0) c;
-    None
+    dummy_clause
   end
-  else Some c
+  else c
 
+(* the conflict clause, or [dummy_clause] *)
 let theory_pass s p =
   let v = Lit.var p in
   let tb = Vec.get s.blocks s.pair_blk.(v) in
-  let base = tb.base and d = tb.blk.Cnf.d and assigns = s.assigns in
+  let base = tb.base and nw = tb.nw and succ = tb.succ and pred = tb.pred in
   let a = if Lit.sign p then s.pair_u.(v) else s.pair_v.(v) in
   let c = if Lit.sign p then s.pair_v.(v) else s.pair_u.(v) in
-  let confl = ref None in
-  let k = ref 0 in
-  while !k < d do
-    let z = !k in
-    if z <> a && z <> c then begin
+  let ra = a * nw and rc = c * nw in
+  let confl = ref dummy_clause in
+  let w = ref 0 in
+  while !w < nw do
+    (* an implication at z changes only bit z of these rows *)
+    let m1 = succ.(rc + !w) land lnot succ.(ra + !w) in
+    let m2 = pred.(ra + !w) land lnot pred.(rc + !w) in
+    let m = ref (m1 lor m2) in
+    while !m <> 0 do
+      let b = !m land - !m in
+      m := !m lxor b;
+      let z = (!w * word_bits) + ctz_bit b in
       (* c ≺ z gives a ≺ z: ¬(a≺c) ∨ ¬(c≺z) ∨ a≺z *)
-      if order_value assigns base c z = 1 && order_value assigns base a z <> 1 then
-        confl := theory_imply s base p a z c z;
+      if m1 land b <> 0 then confl := theory_imply s base p a z c z;
       (* z ≺ a gives z ≺ c: ¬(a≺c) ∨ ¬(z≺a) ∨ z≺c *)
-      match !confl with
-      | None ->
-          if order_value assigns base z a = 1 && order_value assigns base z c <> 1 then
-            confl := theory_imply s base p z c z a
-      | Some _ -> ()
-    end;
-    match !confl with None -> incr k | Some _ -> k := d
+      if !confl == dummy_clause && m2 land b <> 0 then confl := theory_imply s base p z c z a;
+      if !confl != dummy_clause then m := 0
+    done;
+    if !confl == dummy_clause then incr w else w := nw
   done;
   !confl
 
-(* Propagate all enqueued facts; returns the conflicting clause if any.
-   For each dequeued literal the binary layer fires first — a flat scan of
-   implied literals, no clause records touched — then the long clauses,
-   then, for a block's pair literal, the block's [theory_pass]. *)
+(* Propagate all enqueued facts; returns the conflicting clause, or
+   [dummy_clause] when there is none. For each dequeued literal the
+   binary layer fires first — a flat scan of implied literals, no clause
+   records touched — then the long clauses, then, for a block's pair
+   literal, the block's [theory_pass]. *)
 let propagate s =
-  let confl = ref None in
-  while !confl = None && s.qhead < Vec.size s.trail do
+  let confl = ref dummy_clause in
+  while !confl == dummy_clause && s.qhead < Vec.size s.trail do
     let p = Vec.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
@@ -362,7 +418,7 @@ let propagate s =
     let bs = s.bin.(p) in
     let nb = Vec.size bs in
     let j = ref 0 in
-    while !confl = None && !j < nb do
+    while !confl == dummy_clause && !j < nb do
       let o = Vec.get bs !j in
       (match value_lit s o with
       | 1 -> ()
@@ -370,11 +426,11 @@ let propagate s =
       | _ ->
           (* both literals of (negate p \/ o) are false: materialise the
              pair as a throwaway clause to seed conflict analysis *)
-          confl := Some [| o; Lit.negate p |];
+          confl := [| o; Lit.negate p |];
           s.qhead <- Vec.size s.trail);
       incr j
     done;
-    if !confl = None then begin
+    if !confl == dummy_clause then begin
       let ws = s.watches.(p) in
       let i = ref 0 in
       while !i < Vec.size ws do
@@ -402,7 +458,7 @@ let propagate s =
           end
           else if value_lit s c.(0) = -1 then begin
             (* conflict *)
-            confl := Some c;
+            confl := c;
             s.qhead <- Vec.size s.trail;
             incr i
           end
@@ -414,14 +470,10 @@ let propagate s =
         end
       done
     end;
-    match !confl with
-    | None when Vec.size s.blocks > 0 && s.pair_blk.(Lit.var p) >= 0 -> (
-        match theory_pass s p with
-        | Some _ as c ->
-            confl := c;
-            s.qhead <- Vec.size s.trail
-        | None -> ())
-    | _ -> ()
+    if !confl == dummy_clause && Vec.size s.blocks > 0 && s.pair_blk.(Lit.var p) >= 0 then begin
+      confl := theory_pass s p;
+      if !confl != dummy_clause then s.qhead <- Vec.size s.trail
+    end
   done;
   !confl
 
@@ -514,7 +566,7 @@ let add_clause_a s lits =
     | 0 -> s.ok <- false
     | 1 ->
         enqueue s buf.(0) dummy_clause;
-        (match propagate s with Some _ -> s.ok <- false | None -> ())
+        if propagate s != dummy_clause then s.ok <- false
     | 2 -> add_binary s buf.(1) buf.(0)
     | n ->
         let c = Array.sub buf 0 n in
@@ -526,9 +578,10 @@ let add_clause s lits = add_clause_a s (Array.of_list lits)
 
 (* Register a block's pair variables with [theory_pass]. A block of
    fewer than three values has no axioms and is not kept; registering one
-   twice is a no-op. When the level-0 trail is not empty, it is propagated
-   again from its start, so the block's consequences of facts already
-   there are drawn (or their conflict makes the solver unsat). *)
+   twice is a no-op. When the level-0 trail is not empty, its pair
+   literals of the block seed the bitsets and it is propagated again from
+   its start, so the block's consequences of facts already there are
+   drawn (or their conflict makes the solver unsat). *)
 let add_block s (b : Cnf.block) =
   if b.Cnf.first < 0 || b.Cnf.d < 0 || b.Cnf.first + Cnf.block_nvars b.Cnf.d > s.nvars then
     invalid_arg "Solver.add_cnf: block over unallocated variables";
@@ -553,10 +606,13 @@ let add_block s (b : Cnf.block) =
         s.pair_v.(x) <- v
       done
     done;
-    Vec.push s.blocks { blk = b; base };
+    let nw = (b.Cnf.d + word_bits - 1) / word_bits in
+    let tb = { blk = b; base; nw; succ = Array.make (b.Cnf.d * nw) 0; pred = Array.make (b.Cnf.d * nw) 0 } in
+    Vec.push s.blocks tb;
     if Vec.size s.trail > 0 then begin
+      Vec.iter (fun l -> if s.pair_blk.(Lit.var l) = idx then pair_bits s tb l true) s.trail;
       s.qhead <- 0;
-      match propagate s with Some _ -> s.ok <- false | None -> ()
+      if propagate s != dummy_clause then s.ok <- false
     end
   end
 
@@ -567,25 +623,61 @@ let add_cnf s (f : Cnf.t) =
 
 let add_units s lits = List.iter (fun l -> add_clause s [ l ]) lits
 
-(* ---- conflict analysis (first UIP) ---- *)
+(* ---- conflict analysis (first UIP) ----
+
+   [analyze] writes the learnt clause into the solver's [learnt] buffer
+   (asserting literal first, [learnt_n] literals) and returns its
+   backtrack level; it allocates no list, vector or closure. *)
+
+(* Mark [q] of a reason or of the conflict. Returns [true] for a literal
+   of the current level, which the caller resolves on; a literal of a
+   lower (non-zero) level goes into the learnt clause. *)
+let analyze_mark s q =
+  let v = Lit.var q in
+  if (not s.seen.(v)) && s.level.(v) > 0 then begin
+    var_bump s v;
+    s.seen.(v) <- true;
+    if s.level.(v) >= decision_level s then true
+    else begin
+      s.learnt.(s.learnt_n) <- q;
+      s.learnt_n <- s.learnt_n + 1;
+      false
+    end
+  end
+  else false
+
+(* a literal of reason [r] (other than [v]'s own) that is neither in the
+   learnt clause nor fixed at level 0, from position [j] on *)
+let rec reason_escapes s (r : clause) v j =
+  j < Array.length r
+  && (let w = Lit.var r.(j) in
+      (w <> v && (not s.seen.(w)) && s.level.(w) > 0) || reason_escapes s r v (j + 1))
+
+(* minimisation keeps [q] unless its reason lies within the clause and
+   level 0 *)
+let analyze_keep s q =
+  let v = Lit.var q in
+  let other = s.binreason.(v) in
+  if other >= 0 then begin
+    let w = Lit.var other in
+    (not s.seen.(w)) && s.level.(w) > 0
+  end
+  else
+    let r = s.reason.(v) in
+    r == dummy_clause || reason_escapes s r v 0
 
 let analyze s confl =
-  let learnt = Vec.create ~dummy:0 in
-  Vec.push learnt 0 (* placeholder for the asserting literal *);
+  (* a learnt clause holds distinct variables *)
+  if Array.length s.learnt <= s.nvars then
+    s.learnt <- Array.make (max (s.nvars + 1) (2 * Array.length s.learnt)) 0;
+  s.learnt_n <- 1 (* position 0: the asserting literal *);
   let path_c = ref 0 in
-  let p = ref (-1) (* -1 = undefined *) in
-  let index = ref (Vec.size s.trail - 1) in
-  let visit q =
-    let v = Lit.var q in
-    if (not s.seen.(v)) && s.level.(v) > 0 then begin
-      var_bump s v;
-      s.seen.(v) <- true;
-      if s.level.(v) >= decision_level s then incr path_c
-      else Vec.push learnt q
-    end
-  in
   (* seed with the conflict clause, then walk the trail expanding reasons *)
-  Array.iter visit confl;
+  for j = 0 to Array.length confl - 1 do
+    if analyze_mark s confl.(j) then incr path_c
+  done;
+  let index = ref (Vec.size s.trail - 1) in
+  let p = ref (-1) in
   let continue_loop = ref true in
   while !continue_loop do
     (* select next literal to expand *)
@@ -598,56 +690,52 @@ let analyze s confl =
     s.seen.(v) <- false;
     decr path_c;
     if !path_c > 0 then begin
-      if s.binreason.(v) >= 0 then visit s.binreason.(v)
+      if s.binreason.(v) >= 0 then begin
+        if analyze_mark s s.binreason.(v) then incr path_c
+      end
       else begin
         let c = s.reason.(v) in
         for j = 1 to Array.length c - 1 do
-          visit c.(j)
+          if analyze_mark s c.(j) then incr path_c
         done
       end
     end
     else continue_loop := false
   done;
-  Vec.set learnt 0 (Lit.negate !p);
-  (* clause minimisation: drop literals implied by the rest via their reason *)
-  let keep q =
-    let v = Lit.var q in
-    if s.binreason.(v) >= 0 then begin
-      let w = Lit.var s.binreason.(v) in
-      (not s.seen.(w)) && s.level.(w) > 0
+  let learnt = s.learnt and n = s.learnt_n in
+  learnt.(0) <- Lit.negate !p;
+  (* clause minimisation: drop literals implied by the rest via their
+     reason. Kept literals move to the front in order, dropped ones to
+     [k..n-1], where their seen flags are still cleared below. *)
+  let k = ref 1 in
+  for i = 1 to n - 1 do
+    let q = learnt.(i) in
+    if analyze_keep s q then begin
+      learnt.(i) <- learnt.(!k);
+      learnt.(!k) <- q;
+      incr k
     end
-    else
-      let r = s.reason.(v) in
-      if r == dummy_clause then true
-      else
-        Array.exists
-          (fun l ->
-            let w = Lit.var l in
-            w <> v && (not s.seen.(w)) && s.level.(w) > 0)
-          r
-  in
-  let minimized = Vec.create ~dummy:0 in
-  Vec.push minimized (Vec.get learnt 0);
-  for i = 1 to Vec.size learnt - 1 do
-    let q = Vec.get learnt i in
-    if keep q then Vec.push minimized q
   done;
   (* compute backtrack level; move the max-level literal to position 1 *)
-  let bt_level = ref 0 in
-  if Vec.size minimized > 1 then begin
-    let max_i = ref 1 in
-    for i = 2 to Vec.size minimized - 1 do
-      if s.level.(Lit.var (Vec.get minimized i)) > s.level.(Lit.var (Vec.get minimized !max_i))
-      then max_i := i
-    done;
-    let tmp = Vec.get minimized 1 in
-    Vec.set minimized 1 (Vec.get minimized !max_i);
-    Vec.set minimized !max_i tmp;
-    bt_level := s.level.(Lit.var (Vec.get minimized 1))
-  end;
+  let bt_level =
+    if !k > 1 then begin
+      let max_i = ref 1 in
+      for i = 2 to !k - 1 do
+        if s.level.(Lit.var learnt.(i)) > s.level.(Lit.var learnt.(!max_i)) then max_i := i
+      done;
+      let tmp = learnt.(1) in
+      learnt.(1) <- learnt.(!max_i);
+      learnt.(!max_i) <- tmp;
+      s.level.(Lit.var learnt.(1))
+    end
+    else 0
+  in
   (* clear seen flags *)
-  Vec.iter (fun q -> s.seen.(Lit.var q) <- false) learnt;
-  (Array.of_list (Vec.to_list minimized), !bt_level)
+  for i = 0 to n - 1 do
+    s.seen.(Lit.var learnt.(i)) <- false
+  done;
+  s.learnt_n <- !k;
+  bt_level
 
 (* ---- search ---- *)
 
@@ -671,7 +759,7 @@ let pick_branch_var s =
   let rec go () =
     if Idx_heap.is_empty s.order then -1
     else
-      let v = Idx_heap.pop_max s.order in
+      let v = Idx_heap.pop_max s.order s.activity in
       if value_var s v = 0 then v else go ()
   in
   go ()
@@ -698,8 +786,10 @@ let budget_exhausted s = not (within_budget s)
 
 type search_outcome = S_sat | S_unsat_global | S_unsat_assump | S_restart | S_unknown
 
-let record_learnt s lits =
-  let n = Array.length lits in
+(* record the clause [analyze] left in [learnt] and assert its first
+   literal *)
+let record_learnt s =
+  let lits = s.learnt and n = s.learnt_n in
   if n = 1 then enqueue s lits.(0) dummy_clause
   else if n = 2 then begin
     (* learnt binaries go straight to the implication layer *)
@@ -708,68 +798,71 @@ let record_learnt s lits =
     enqueue_bin s lits.(0) lits.(1)
   end
   else begin
+    let c = Array.sub lits 0 n in
     s.learned <- s.learned + 1;
     s.n_learnts <- s.n_learnts + 1;
-    attach_clause s lits;
-    enqueue s lits.(0) lits
+    attach_clause s c;
+    enqueue s c.(0) c
   end
 
 let search s ~respect_budget ~nof_conflicts ~assumptions =
   let conflict_c = ref 0 in
   let outcome = ref None in
-  while !outcome = None do
-    match propagate s with
-    | Some confl ->
-        s.conflicts <- s.conflicts + 1;
-        incr conflict_c;
-        if decision_level s = 0 then outcome := Some S_unsat_global
-        else if respect_budget && not (within_budget s) then
-          (* budget spent mid-search: the conflict is left unresolved; the
-             caller cancels to level 0, keeping the solver reusable *)
-          outcome := Some S_unknown
+  while Option.is_none !outcome do
+    let confl = propagate s in
+    if confl != dummy_clause then begin
+      s.conflicts <- s.conflicts + 1;
+      incr conflict_c;
+      if decision_level s = 0 then outcome := Some S_unsat_global
+      else if respect_budget && not (within_budget s) then
+        (* budget spent mid-search: the conflict is left unresolved; the
+           caller cancels to level 0, keeping the solver reusable *)
+        outcome := Some S_unknown
+      else begin
+        let bt = analyze s confl in
+        cancel_until s bt;
+        record_learnt s;
+        var_decay_activity s
+      end
+    end
+    else begin
+      if respect_budget && not (within_budget s) then begin
+        cancel_until s 0;
+        outcome := Some S_unknown
+      end
+      else if !conflict_c >= nof_conflicts then begin
+        cancel_until s 0;
+        s.restarts <- s.restarts + 1;
+        outcome := Some S_restart
+      end
+      else begin
+        (* place assumptions first, one decision level each *)
+        let next = ref (-1) in
+        let dl = decision_level s in
+        if dl < Array.length assumptions then begin
+          let p = assumptions.(dl) in
+          match value_lit s p with
+          | 1 ->
+              (* already satisfied: open a dummy level *)
+              Vec.push s.trail_lim (Vec.size s.trail)
+          | -1 -> outcome := Some S_unsat_assump
+          | _ -> next := p
+        end
         else begin
-          let learnt, bt = analyze s confl in
-          cancel_until s bt;
-          record_learnt s learnt;
-          var_decay_activity s
-        end
-    | None ->
-        if respect_budget && not (within_budget s) then begin
-          cancel_until s 0;
-          outcome := Some S_unknown
-        end
-        else if !conflict_c >= nof_conflicts then begin
-          cancel_until s 0;
-          s.restarts <- s.restarts + 1;
-          outcome := Some S_restart
-        end
-        else begin
-          (* place assumptions first, one decision level each *)
-          let next = ref (-1) in
-          let dl = decision_level s in
-          if dl < Array.length assumptions then begin
-            let p = assumptions.(dl) in
-            match value_lit s p with
-            | 1 ->
-                (* already satisfied: open a dummy level *)
-                Vec.push s.trail_lim (Vec.size s.trail)
-            | -1 -> outcome := Some S_unsat_assump
-            | _ -> next := p
-          end
+          let v = pick_branch_var s in
+          if v = -1 then outcome := Some S_sat
           else begin
-            let v = pick_branch_var s in
-            if v = -1 then outcome := Some S_sat
-            else begin
-              s.decisions <- s.decisions + 1;
-              next := Lit.make v s.polarity.(v)
-            end
-          end;
-          (match (!outcome, !next) with
-          | None, p when p >= 0 ->
-              Vec.push s.trail_lim (Vec.size s.trail);
-              enqueue s p dummy_clause
-          | _ -> ())
-        end
+            s.decisions <- s.decisions + 1;
+            next := Lit.make v s.polarity.(v)
+          end
+        end;
+        (match (!outcome, !next) with
+        | None, p when p >= 0 ->
+            Vec.push s.trail_lim (Vec.size s.trail);
+            enqueue s p dummy_clause
+        | _ -> ())
+      end
+    end
   done;
   match !outcome with Some o -> o | None -> assert false
 

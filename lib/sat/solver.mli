@@ -8,12 +8,15 @@
     there is no pre/inprocessing pass.
 
     Tournament blocks ({!Cnf.block}) are enforced without their clauses:
-    after the watch pass, a dequeued pair literal [a ≺ c] of a block is
-    checked against every third value [k] of the block ([c ≺ k] forces
-    [a ≺ k], [k ≺ a] forces [k ≺ c]), with the 3-cycle clause as the
-    implied literal's reason or as the conflict. The pass reads only the
-    assignment, so it has nothing to undo on backtrack, and every reason
-    exists before conflict analysis needs it.
+    after the watch pass, a dequeued pair literal [a ≺ c] of a block
+    yields every third value [k] with [c ≺ k] ([a ≺ k] is forced) or
+    [k ≺ a] ([k ≺ c] is forced), with the 3-cycle clause as the implied
+    literal's reason or as the conflict. It finds them in per-value
+    successor and predecessor bitsets of the block (any number of
+    values), which assigning a pair literal sets and backtracking clears;
+    every reason exists before conflict analysis needs it. The VSIDS heap
+    and conflict analysis allocate nothing per comparison or conflict
+    beyond the learnt clause itself.
 
     This is the substrate standing in for MiniSat in the paper's [IsValid],
     [NaiveDeduce] and suggestion-repair steps. Clauses may be added between

@@ -406,41 +406,81 @@ let test_block_cyclic_units () =
   Sat.Solver.add_cnf late (Sat.Cnf.make ~blocks:[ b ] ~nvars:3 []);
   Alcotest.(check bool) "block after the units: ok = false" false (Sat.Solver.ok late)
 
-(* one or two blocks of 3–6 values (with a free variable between them),
-   random clauses of 1–3 literals over every variable, and up to three
-   assumptions *)
+(* One of three shapes, each with random clauses of 1–3 literals and
+   three lists of up to four assumptions:
+   - one or two blocks of 3–6 values (with a free variable between
+     them), the clauses over every variable;
+   - one block of 61–66 values, around the 63 bits of one bitset word
+     (its top bit is the sign bit; from 64 values a row takes two);
+   - rarely, one block of 128–131 values, whose rows take three words.
+   A wide block's clauses and assumptions are order literals between
+   values on both sides of each word boundary (and a free variable): a
+   random literal over all its pairs would hardly ever meet another. *)
 let qcheck_blocks =
   QCheck.make
     ~print:(fun (f, assumptions) ->
       Format.asprintf "blocks %s@.assumptions %s@.%a"
         (String.concat " "
            (List.map (fun b -> Printf.sprintf "(%d,%d)" b.Sat.Cnf.first b.Sat.Cnf.d) f.Sat.Cnf.blocks))
-        (String.concat " " (List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) assumptions))
+        (String.concat " | "
+           (List.map
+              (fun a -> String.concat " " (List.map (fun l -> string_of_int (Sat.Lit.to_dimacs l)) a))
+              assumptions))
         Sat.Cnf.pp { f with Sat.Cnf.blocks = [] })
     QCheck.Gen.(
+      frequency [ (191, return `Narrow); (8, return `Word); (1, return `Wide) ] >>= fun shape ->
       int_range 1 2 >>= fun nblocks ->
       int_range 3 6 >>= fun d1 ->
       int_range 3 6 >>= fun d2 ->
+      int_range 61 66 >>= fun d_word ->
+      int_range 128 131 >>= fun d_wide ->
       int_range 0 25 >>= fun ncl ->
-      int_range 0 3 >>= fun nassum ->
       int_bound 1_000_000 >|= fun seed ->
       let st = Random.State.make [| seed |] in
-      let b1 = { Sat.Cnf.first = 0; d = d1 } in
-      let blocks, nvars =
-        if nblocks = 1 then ([ b1 ], Sat.Cnf.block_nvars d1 + 1)
-        else
-          let first = Sat.Cnf.block_nvars d1 + 1 in
-          ([ b1; { Sat.Cnf.first; d = d2 } ], first + Sat.Cnf.block_nvars d2)
+      let blocks, nvars, rlit =
+        match shape with
+        | `Narrow ->
+            let b1 = { Sat.Cnf.first = 0; d = d1 } in
+            let blocks, nvars =
+              if nblocks = 1 then ([ b1 ], Sat.Cnf.block_nvars d1 + 1)
+              else
+                let first = Sat.Cnf.block_nvars d1 + 1 in
+                ([ b1; { Sat.Cnf.first; d = d2 } ], first + Sat.Cnf.block_nvars d2)
+            in
+            (blocks, nvars, fun () -> lit (Random.State.int st nvars) (Random.State.bool st))
+        | (`Word | `Wide) as w ->
+            let d = if w = `Word then d_word else d_wide in
+            let b = { Sat.Cnf.first = 0; d } in
+            let nvars = Sat.Cnf.block_nvars d + 1 in
+            let wb = Sys.int_size in
+            let hot =
+              Array.of_list
+                (List.filter
+                   (fun z -> z < d)
+                   [ 0; 1; wb - 2; wb - 1; wb; wb + 1; (2 * wb) - 1; 2 * wb; d - 2; d - 1 ])
+            in
+            let pick () = hot.(Random.State.int st (Array.length hot)) in
+            let rec pair () =
+              let x = pick () and y = pick () in
+              if x = y then pair () else Sat.Cnf.pair_lit b x y
+            in
+            ( [ b ],
+              nvars,
+              fun () ->
+                if Random.State.int st 8 = 0 then lit (nvars - 1) (Random.State.bool st) else pair () )
       in
-      let rlit () = lit (Random.State.int st nvars) (Random.State.bool st) in
       let clauses = List.init ncl (fun _ -> Array.init (1 + Random.State.int st 3) (fun _ -> rlit ())) in
-      (Sat.Cnf.make ~blocks ~nvars clauses, List.init nassum (fun _ -> rlit ())))
+      let assumptions = List.init 3 (fun _ -> List.init (Random.State.int st 5) (fun _ -> rlit ())) in
+      (Sat.Cnf.make ~blocks ~nvars clauses, assumptions))
 
 let level0 s = List.init (Sat.Solver.nvars s) (Sat.Solver.value_level0 s)
 
+(* Each solver answers the empty and the three assumption lists in turn,
+   then the empty list again: bits a backtrack left set would show as a
+   wrong answer or model in a later solve. *)
 let prop_blocks_match_clauses =
   QCheck.Test.make ~count:500 ~name:"block propagator == its 3-cycle clauses" qcheck_blocks
-    (fun (f, assumptions) ->
+    (fun (f, assumption_lists) ->
       let expanded = Sat.Cnf.expand f in
       let load f =
         let s = Sat.Solver.create () in
@@ -452,7 +492,8 @@ let prop_blocks_match_clauses =
          propagated through them again *)
       let sl = load { f with Sat.Cnf.blocks = [] } in
       Sat.Solver.add_cnf sl { f with Sat.Cnf.clauses = [] };
-      let model_ok s = Sat.Cnf.eval (Sat.Solver.model s) f && Sat.Cnf.eval (Sat.Solver.model s) expanded in
+      (* [expanded] lists [f]'s clauses and its blocks' axioms *)
+      let model_ok s = Sat.Cnf.eval (Sat.Solver.model s) expanded in
       Sat.Solver.ok sb = Sat.Solver.ok sc
       && Sat.Solver.ok sl = Sat.Solver.ok sc
       && ((not (Sat.Solver.ok sc)) || (level0 sb = level0 sc && level0 sl = level0 sc))
@@ -462,7 +503,7 @@ let prop_blocks_match_clauses =
              let rl = Sat.Solver.solve ~assumptions sl in
              rb = rc && rl = rc
              && (rb <> Sat.Solver.Sat || (model_ok sb && model_ok sl)))
-           [ []; assumptions ])
+           (([] :: assumption_lists) @ [ [] ]))
 
 (* Watch and binary lists are made at a literal's first push. A block
    (whose pair variables sit in no clause) and a few free variables are

@@ -53,29 +53,30 @@ let test_fold_iter () =
 
 let test_heap_order () =
   let score = [| 5.; 1.; 9.; 3.; 7. |] in
-  let h = Sat.Idx_heap.create ~score:(fun k -> score.(k)) in
-  List.iter (Sat.Idx_heap.insert h) [ 0; 1; 2; 3; 4 ];
-  let order = List.init 5 (fun _ -> Sat.Idx_heap.pop_max h) in
+  let h = Sat.Idx_heap.create () in
+  List.iter (Sat.Idx_heap.insert h score) [ 0; 1; 2; 3; 4 ];
+  let order = List.init 5 (fun _ -> Sat.Idx_heap.pop_max h score) in
   Alcotest.(check (list int)) "descending score" [ 2; 4; 0; 3; 1 ] order;
   check_bool "emptied" true (Sat.Idx_heap.is_empty h)
 
 let test_heap_update () =
   let score = [| 5.; 1.; 9. |] in
-  let h = Sat.Idx_heap.create ~score:(fun k -> score.(k)) in
-  List.iter (Sat.Idx_heap.insert h) [ 0; 1; 2 ];
+  let h = Sat.Idx_heap.create () in
+  List.iter (Sat.Idx_heap.insert h score) [ 0; 1; 2 ];
   score.(1) <- 100.;
-  Sat.Idx_heap.update h 1;
-  check_int "bumped key pops first" 1 (Sat.Idx_heap.pop_max h)
+  Sat.Idx_heap.update h score 1;
+  check_int "bumped key pops first" 1 (Sat.Idx_heap.pop_max h score)
 
 let test_heap_mem_reinsert () =
-  let h = Sat.Idx_heap.create ~score:(fun k -> float_of_int k) in
-  Sat.Idx_heap.insert h 3;
-  Sat.Idx_heap.insert h 3;
+  let score = Array.init 4 float_of_int in
+  let h = Sat.Idx_heap.create () in
+  Sat.Idx_heap.insert h score 3;
+  Sat.Idx_heap.insert h score 3;
   check_int "no duplicate" 1 (Sat.Idx_heap.size h);
   check_bool "mem" true (Sat.Idx_heap.mem h 3);
-  ignore (Sat.Idx_heap.pop_max h);
+  ignore (Sat.Idx_heap.pop_max h score);
   check_bool "gone" false (Sat.Idx_heap.mem h 3);
-  Sat.Idx_heap.insert h 3;
+  Sat.Idx_heap.insert h score 3;
   check_bool "reinsertable" true (Sat.Idx_heap.mem h 3)
 
 let test_heap_random () =
@@ -84,9 +85,9 @@ let test_heap_random () =
   for _ = 1 to 50 do
     let n = 1 + Random.State.int st 40 in
     let score = Array.init n (fun _ -> Random.State.float st 100.) in
-    let h = Sat.Idx_heap.create ~score:(fun k -> score.(k)) in
-    List.iter (Sat.Idx_heap.insert h) (List.init n Fun.id);
-    let popped = List.init n (fun _ -> Sat.Idx_heap.pop_max h) in
+    let h = Sat.Idx_heap.create () in
+    List.iter (Sat.Idx_heap.insert h score) (List.init n Fun.id);
+    let popped = List.init n (fun _ -> Sat.Idx_heap.pop_max h score) in
     let sorted =
       List.sort (fun a b -> compare score.(b) score.(a)) (List.init n Fun.id)
     in
