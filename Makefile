@@ -1,4 +1,4 @@
-.PHONY: all build test check bench satcore lint compare fmt clean
+.PHONY: all build test check bench micro satcore lint compare fmt clean
 
 all: build
 
@@ -17,6 +17,11 @@ check: build
 
 bench:
 	dune exec bench/main.exe
+
+# Bechamel micro-benchmarks of the core operations (ns per run, OLS
+# estimate), with the minor words one encode_4000 run allocates
+micro:
+	dune exec bench/main.exe -- micro
 
 # SAT-core scaling curve: the default Exact-mode engine on one Person
 # entity per size (2000/5000/10000/20000 tuples, linearly-growing

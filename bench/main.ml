@@ -699,11 +699,17 @@ let micro () =
     Datagen.Types.spec_of ds (List.hd ds.Datagen.Types.cases)
   in
   let long_cnf = (Crcore.Encode.encode ~mode:Crcore.Encode.Exact long).Crcore.Encode.cnf in
+  (* the engine's encode step on that entity: a template instantiation
+     over rows computed beforehand *)
+  let long_tpl = Crcore.Encode.template ~mode:Crcore.Encode.Exact long in
+  let long_rows = Entity.distinct_rows long.Crcore.Spec.entity in
+  let encode_long () = ignore (Crcore.Encode.instantiate ~rows:long_rows long_tpl long) in
   let tests =
     Test.make_grouped ~name:"core"
       [
         Test.make ~name:"distinct_rows_4000"
           (Staged.stage (fun () -> ignore (Entity.distinct_rows long.Crcore.Spec.entity)));
+        Test.make ~name:"encode_4000" (Staged.stage encode_long);
         Test.make ~name:"solver_load_4000"
           (Staged.stage (fun () ->
                let s = Sat.Solver.create () in
@@ -733,7 +739,16 @@ let micro () =
       match Analyze.OLS.estimates ols with
       | Some (est :: _) -> Printf.printf "  %-24s %12.0f ns/run\n" name est
       | _ -> Printf.printf "  %-24s (no estimate)\n" name)
-    results
+    results;
+  (* allocation of encode_4000, the part of the engine's
+     encode_alloc_words a long-history entity pays *)
+  let runs = 20 in
+  encode_long ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    encode_long ()
+  done;
+  Printf.printf "  %-24s %12.0f minor words/run\n" "encode_4000" ((Gc.minor_words () -. w0) /. float_of_int runs)
 
 (* ---------------------------------------------------------------- *)
 (* driver                                                           *)

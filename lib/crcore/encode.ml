@@ -61,6 +61,7 @@ type cconstraint = {
   c_t1 : (int * Value.op * Value.t) list;  (* constant predicates on t1 *)
   c_t2 : (int * Value.op * Value.t) list;  (* constant predicates on t2 *)
   c_pair : cpred list;  (* pair predicates, original premise order *)
+  c_nprec : int;  (* how many of [c_pair] are [CPrec]: a bound on premise facts *)
   c_concl : int;
 }
 
@@ -82,22 +83,61 @@ type gamma_c = {
   g_index : cindex;  (* every CFD that can be relevant, under its first LHS atom *)
 }
 
+(* ---- packed facts and instances ----
+
+   Σ and Γ ground into int arenas, not records. A fact packs into one
+   int, [(attr·2^21 + lo)·2^21 + hi], whose integer order is fact order
+   (attribute, then lo, then hi: polymorphic [compare] on [fact]); value
+   ids stay below 2^21 and attributes below 2^20 ({!check_packable}), so
+   packed facts are non-negative. A Σ or Γ source packs as [2k] or
+   [2k + 1]. *)
+
+let fact_bits = 21
+
+let fact_mask = (1 lsl fact_bits) - 1
+
+let pack_fact attr lo hi = (((attr lsl fact_bits) lor lo) lsl fact_bits) lor hi
+
+let fact_attr p = p lsr (2 * fact_bits)
+
+let fact_lo p = (p lsr fact_bits) land fact_mask
+
+let fact_hi p = p land fact_mask
+
+let unpack_fact p = { attr = fact_attr p; lo = fact_lo p; hi = fact_hi p }
+
+let constraint_source k = 2 * k
+
+let cfd_source k = (2 * k) + 1
+
+let unpack_source s = if s land 1 = 0 then From_constraint (s lsr 1) else From_cfd (s lsr 1)
+
+(* Instance [i] is the slice [data.(starts.(i)) .. data.(starts.(i+1) -
+   1)]: its packed source, its packed conclusion ([no_fact] for a veto),
+   then its premise facts. [starts] has one entry more than there are
+   instances. Never mutated once built. *)
+type insts = { data : int array; starts : int array }
+
+let no_fact = -1
+
+let n_insts ps = Array.length ps.starts - 1
+
+let n_premise ps i = ps.starts.(i + 1) - ps.starts.(i) - 2
+
 (* ---- per-shape templates ----
 
    Everything about an encoding that does not depend on the concrete
    entity: the compiled Σ/Γ with their constant indexes (a function of
    the schema and the interned constraint lists) and, in Paper mode, the
-   structural-axiom clause blocks (Exact mode lists no axioms: see
-   [order_axioms]). An attribute's block is a pure function of its
+   structural-axiom clause arenas (Exact mode lists no axioms: see
+   [order_axioms]). An attribute's arena is a pure function of its
    universe size d and its variable offset — the numbering is offset
    arithmetic — so the store is keyed per attribute by (d, offset):
    entities (and Renumbered re-encodes) agreeing on an attribute's size
-   and offset share its cubic transitivity block outright, even when
-   their size vectors differ elsewhere. Sharing the clause arrays is
-   safe: [Sat.Solver.add_clause_a] copies before sorting, and
-   [Sat.Cnf.t] is immutable. *)
-
-type structural_block = { sb_clauses : Sat.Lit.t array list; sb_count : int }
+   and offset share its cubic transitivity arena outright, even when
+   their size vectors differ elsewhere. Sharing is safe: a
+   [Sat.Cnf.arena] is never mutated, and [Sat.Solver.add_cnf] copies each
+   clause before sorting it. *)
 
 module Block_tbl = Hashtbl.Make (struct
   type t = int * int  (* (d, offset) *)
@@ -112,7 +152,7 @@ type template = {
   t_sigma_c : sigma_c;
   t_gamma_c : gamma_c;
   t_lock : Mutex.t;  (* guards [t_structural]; build happens outside it *)
-  t_structural : structural_block Block_tbl.t;
+  t_structural : Sat.Cnf.arena Block_tbl.t;
 }
 
 type t = {
@@ -123,14 +163,13 @@ type t = {
   gamma_c : gamma_c;
   template : template option;
   n_rows : int;
-  sigma_insts : iconstraint list;
-  gamma_imps : iconstraint list;
-  units : (fact * source) list;
-  implications : iconstraint list;
-  vetoes : (fact list * source) list;
+  sigma_ground : insts;
+  gamma_ground : insts;
+  veto_ground : insts;
+  order_facts : int array;
   cnf : Sat.Cnf.t;
   n_structural : int;
-  structural : Sat.Lit.t array list;
+  structural : Sat.Cnf.arena list;
 }
 
 let lit_of_fact_c coding f = Coding.lit_of coding ~attr:f.attr f.lo f.hi
@@ -189,6 +228,7 @@ let compile_sigma schema sigma =
           c_t1 = List.rev !t1;
           c_t2 = List.rev !t2;
           c_pair = List.rev !pair;
+          c_nprec = List.length (List.filter (function CPrec _ -> true | CCmp2 _ -> false) !pair);
           c_concl = Schema.index schema c.Currency.Constraint_ast.concl;
         })
       sigma
@@ -297,28 +337,23 @@ let iter_sigma_candidates sigma_c coding f =
    distinct projections rather than pairs of tuples: same instances,
    usually far fewer pairs. *)
 
-(* Facts and fact lists in polymorphic [compare]'s order (field by
-   field; lexicographic, a shorter prefix first), without its generic
-   traversal. *)
-let compare_fact f g =
-  match Int.compare f.attr g.attr with
-  | 0 -> ( match Int.compare f.lo g.lo with 0 -> Int.compare f.hi g.hi | c -> c)
-  | c -> c
-
-let rec compare_facts l m =
-  match (l, m) with
-  | [], [] -> 0
-  | [], _ -> -1
-  | _, [] -> 1
-  | f :: l', g :: m' -> ( match compare_fact f g with 0 -> compare_facts l' m' | c -> c)
-
 (* Σ instances in a canonical order, independent of which tuple pairs
    produced them: [extend] merges incrementally-found instances into a
-   base set and must land on the very list a fresh encode would build. *)
-let compare_insts a b =
-  match compare_facts a.premise b.premise with 0 -> compare_fact a.concl b.concl | c -> c
+   base set and must land on the very sequence a fresh encode would
+   build. Premise lists compare lexicographically (a shorter prefix
+   first), then conclusions — polymorphic [compare] on [(premise,
+   concl)]. [compare_at d1 s1 i d2 s2 j] compares instance [i] of the
+   slices [(d1, s1)] with instance [j] of [(d2, s2)]. *)
+let rec compare_premises d1 e1 c1 d2 e2 c2 a b =
+  if a = e1 then if b = e2 then Int.compare d1.(c1) d2.(c2) else -1
+  else if b = e2 then 1
+  else
+    match Int.compare d1.(a) d2.(b) with
+    | 0 -> compare_premises d1 e1 c1 d2 e2 c2 (a + 1) (b + 1)
+    | c -> c
 
-let sort_insts l = List.sort compare_insts l
+let compare_at d1 s1 i d2 s2 j =
+  compare_premises d1 s1.(i + 1) (s1.(i) + 1) d2 s2.(j + 1) (s2.(j) + 1) (s1.(i) + 2) (s2.(j) + 2)
 
 (* ---- the per-entity instantiation stage ----
 
@@ -352,23 +387,174 @@ module Int_tbl = Hashtbl.Make (struct
   let hash k = (k * 0x9E3779B97F4A7C1) lsr 17
 end)
 
-(* packed instance keys (literal lists) under one integer mix per
-   literal *)
-module Key_tbl = Hashtbl.Make (struct
-  type t = int list
+(* one multiplicative round, its high bits folded down: every input bit
+   reaches the low bits a table slot is taken from *)
+let mix x =
+  let x = x * 0x9E3779B97F4A7C1 in
+  x lxor (x lsr 29)
 
-  let equal = List.equal Int.equal
-  let hash l = List.fold_left (fun h x -> (((h * 31) + x) * 0x9E3779B97F4A7C1) lsr 7) 0 l
-end)
+(* A growable slice arena: the instances being ground, packed as in
+   [insts]. Slice [i < b_n] is [b_data.(b_starts.(i)) ..
+   b_data.(b_starts.(i+1) - 1)]; the slice being written runs from
+   [b_starts.(b_n)] to [b_len]. *)
+type builder = {
+  mutable b_data : int array;
+  mutable b_len : int;
+  mutable b_starts : int array;
+  mutable b_n : int;
+}
 
-(* Per-domain scratch, reused across encodes: [Hashtbl.clear] keeps the
-   grown bucket array, so steady-state instantiation allocates no fresh
-   tables. Never live across calls — membership only, no escape. The
-   class table is sized to the entity: one far larger than this entity
-   has rows is replaced, so a small stream entity does not clear
-   buckets grown for a 4000-row one. *)
+let builder_reset b =
+  b.b_len <- 0;
+  b.b_n <- 0
+
+(* room for [k] more ints in the open slice *)
+let reserve b k =
+  let cap = Array.length b.b_data in
+  if b.b_len + k > cap then begin
+    let data = Array.make (max (b.b_len + k) (2 * cap)) 0 in
+    Array.blit b.b_data 0 data 0 b.b_len;
+    b.b_data <- data
+  end
+
+let push b x =
+  reserve b 1;
+  b.b_data.(b.b_len) <- x;
+  b.b_len <- b.b_len + 1
+
+(* close the open slice as slice [b_n] *)
+let commit b =
+  if b.b_n + 2 > Array.length b.b_starts then
+    b.b_starts <- Array.append b.b_starts (Array.make (Array.length b.b_starts + 2) 0);
+  b.b_n <- b.b_n + 1;
+  b.b_starts.(b.b_n) <- b.b_len
+
+(* the open slice is dropped *)
+let rollback b = b.b_len <- b.b_starts.(b.b_n)
+
+(* [Array.blit] for the few ints of one slice: a loop, not a C call *)
+let copy_ints src spos dst dpos len =
+  for i = 0 to len - 1 do
+    dst.(dpos + i) <- src.(spos + i)
+  done
+
+(* Open-addressing tables of ints with linear probing, reused across
+   calls: a slot is live iff its stamp is the current generation, so
+   clearing is one increment, whatever the table grew to. Each live slot
+   keeps its value's hash, to regrow without knowing what the values
+   stand for. *)
+type otable = {
+  mutable o_stamp : int array;
+  mutable o_vals : int array;
+  mutable o_hash : int array;
+  mutable o_gen : int;
+  mutable o_count : int;
+}
+
+let otable_create cap =
+  { o_stamp = Array.make cap 0; o_vals = Array.make cap 0; o_hash = Array.make cap 0; o_gen = 1; o_count = 0 }
+
+let otable_clear t =
+  t.o_gen <- t.o_gen + 1;
+  t.o_count <- 0
+
+let rec free_slot t mask j = if t.o_stamp.(j) <> t.o_gen then j else free_slot t mask ((j + 1) land mask)
+
+let otable_set t j v h =
+  t.o_stamp.(j) <- t.o_gen;
+  t.o_vals.(j) <- v;
+  t.o_hash.(j) <- h
+
+(* keep the table at most half full: double it when one more value
+   would pass that *)
+let otable_reserve t =
+  if 2 * (t.o_count + 1) > Array.length t.o_stamp then begin
+    let old_stamp = t.o_stamp and old_vals = t.o_vals and old_hash = t.o_hash in
+    let cap = 2 * Array.length old_stamp in
+    t.o_stamp <- Array.make cap 0;
+    t.o_vals <- Array.make cap 0;
+    t.o_hash <- Array.make cap 0;
+    let mask = cap - 1 in
+    for j = 0 to Array.length old_stamp - 1 do
+      if old_stamp.(j) = t.o_gen then
+        otable_set t (free_slot t mask (old_hash.(j) land mask)) old_vals.(j) old_hash.(j)
+    done
+  end
+
+(* the slot of the packed fact [f], or the free slot it would take *)
+let rec probe_fact t mask j f =
+  if t.o_stamp.(j) <> t.o_gen || t.o_vals.(j) = f then j else probe_fact t mask ((j + 1) land mask) f
+
+(* [fset_add t f] adds the packed fact [f]; [true] iff it was absent *)
+let fset_add t f =
+  otable_reserve t;
+  let h = mix f in
+  let j = probe_fact t (Array.length t.o_stamp - 1) (h land (Array.length t.o_stamp - 1)) f in
+  t.o_stamp.(j) <> t.o_gen
+  && begin
+       otable_set t j f h;
+       t.o_count <- t.o_count + 1;
+       true
+     end
+
+let fset_mem t f =
+  let mask = Array.length t.o_stamp - 1 in
+  t.o_stamp.(probe_fact t mask (mix f land mask) f) = t.o_gen
+
+(* the dedup key of an instance: its conclusion and premises, not its
+   source (the first instance grounded keeps its source) *)
+let key_hash data lo hi =
+  let h = ref 0 in
+  for i = lo to hi - 1 do
+    h := mix (!h lxor data.(i))
+  done;
+  !h
+
+let rec keys_equal data a b stop = a = stop || (data.(a) = data.(b) && keys_equal data (a + 1) (b + 1) stop)
+
+(* the slot of the slice of [b] whose key is that of [b]'s open slice
+   ([lo], [len], hash [h]), or the free slot it would take *)
+let rec probe_slice t mask j b h lo len =
+  if t.o_stamp.(j) <> t.o_gen then j
+  else if
+    t.o_hash.(j) = h
+    &&
+    let s = b.b_starts.(t.o_vals.(j)) in
+    b.b_starts.(t.o_vals.(j) + 1) - s = len && keys_equal b.b_data (s + 1) (lo + 1) (s + len)
+  then j
+  else probe_slice t mask ((j + 1) land mask) b h lo len
+
+(* Commit the open slice of [b] unless an earlier slice has its key
+   (then it is dropped). [true] iff committed. *)
+let add_unique b t =
+  let lo = b.b_starts.(b.b_n) in
+  let h = key_hash b.b_data (lo + 1) b.b_len in
+  otable_reserve t;
+  let mask = Array.length t.o_stamp - 1 in
+  let j = probe_slice t mask (h land mask) b h lo (b.b_len - lo) in
+  if t.o_stamp.(j) = t.o_gen then begin
+    rollback b;
+    false
+  end
+  else begin
+    otable_set t j b.b_n h;
+    t.o_count <- t.o_count + 1;
+    commit b;
+    true
+  end
+
+(* Per-domain scratch, reused across encodes: the class table keeps its
+   grown buckets ([Hashtbl.clear]), the builder and the open-addressing
+   tables their arrays, so steady-state instantiation allocates no fresh
+   tables. Never live across calls — no escape. The class table is sized
+   to the entity: one far larger than this entity has rows is replaced,
+   so a small stream entity does not clear buckets grown for a 4000-row
+   one. *)
 type scratch = {
-  sc_dedup : unit Key_tbl.t;  (* packed instance keys *)
+  sc_build : builder;  (* instances being ground *)
+  sc_keys_seen : otable;  (* slice indices of [sc_build], by key *)
+  sc_facts : otable;  (* packed facts *)
+  mutable sc_order : int array array;  (* [sort_slices]' index, merge and key arrays *)
   mutable sc_cls : int array;  (* projection class of each row *)
   mutable sc_keys : int Int_tbl.t;  (* (class, id) key -> refined class *)
   mutable sc_keys_cap : int;  (* [sc_keys]'s size: created for, or most keys held *)
@@ -377,16 +563,109 @@ type scratch = {
 let scratch_key : scratch Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
-        sc_dedup = Key_tbl.create 1024;
+        sc_build =
+          { b_data = Array.make 1024 0; b_len = 0; b_starts = Array.make 256 0; b_n = 0 };
+        sc_keys_seen = otable_create 256;
+        sc_facts = otable_create 64;
+        sc_order = [| [||]; [||]; [||] |];
         sc_cls = [||];
         sc_keys = Int_tbl.create 16;
         sc_keys_cap = 16;
       })
 
+(* Copy slices [idx.(0)], … [idx.(n-1)] of [b], in that order, into a
+   fresh, exactly sized [insts]. *)
+let insts_of b idx n =
+  let starts = Array.make (n + 1) 0 in
+  for k = 0 to n - 1 do
+    starts.(k + 1) <- starts.(k) + b.b_starts.(idx.(k) + 1) - b.b_starts.(idx.(k))
+  done;
+  let data = Array.make starts.(n) 0 in
+  for k = 0 to n - 1 do
+    copy_ints b.b_data b.b_starts.(idx.(k)) data starts.(k) (starts.(k + 1) - starts.(k))
+  done;
+  { data; starts }
+
+(* Sort the slice indices [first .. first + n - 1] of [(d, s)] by
+   [compare_at] into the first [n] entries of the array returned, one of
+   [sc_order]'s: insertion sort on runs of 8, then bottom-up merges
+   between two arrays. Most comparisons are settled by one int compare
+   of the slices' first premise facts ([-1] for none: an empty premise
+   list comes first); only ties read the slices. *)
+let sort_slices sc d s ~first n =
+  let arrays = sc.sc_order in
+  if Array.length arrays.(0) < n then
+    sc.sc_order <- Array.map (fun _ -> Array.make (max n (2 * Array.length arrays.(0))) 0) arrays;
+  let idx = sc.sc_order.(0) and merged = sc.sc_order.(1) and key = sc.sc_order.(2) in
+  for k = 0 to n - 1 do
+    idx.(k) <- first + k;
+    key.(k) <- (if s.(first + k + 1) - s.(first + k) > 2 then d.(s.(first + k) + 2) else -1)
+  done;
+  let cmp i j =
+    let ki = key.(i - first) and kj = key.(j - first) in
+    if ki <> kj then Int.compare ki kj else compare_at d s i d s j
+  in
+  let run = 8 in
+  for lo = 0 to (n - 1) / run do
+    let lo = lo * run in
+    for i = lo + 1 to min n (lo + run) - 1 do
+      let x = idx.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && cmp idx.(!j) x > 0 do
+        idx.(!j + 1) <- idx.(!j);
+        decr j
+      done;
+      idx.(!j + 1) <- x
+    done
+  done;
+  let src = ref idx and dst = ref merged and width = ref run in
+  while !width < n do
+    let a = !src and o = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) and hi = min n (!lo + (2 * !width)) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || cmp a.(!i) a.(!j) <= 0) then begin
+          o.(k) <- a.(!i);
+          incr i
+        end
+        else begin
+          o.(k) <- a.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := o;
+    dst := a;
+    width := 2 * !width
+  done;
+  !src
+
+(* slices [first .. b_n - 1] of [b] in canonical order. The slices are
+   unique after dedup, so every sort gives the same sequence. *)
+let sorted_insts sc first =
+  let b = sc.sc_build in
+  let n = b.b_n - first in
+  insts_of b (sort_slices sc b.b_data b.b_starts ~first n) n
+
+(* slices [0 .. b_n - 1] of [b] in grounding order *)
+let all_insts b = { data = Array.sub b.b_data 0 b.b_len; starts = Array.sub b.b_starts 0 (b.b_n + 1) }
+
 (* the reserved null's id per attribute ({!Coding.build} guarantees one) *)
 let null_ids coding =
   let arity = Schema.arity (Coding.schema coding) in
   Array.init arity (fun a -> Coding.vid coding a Value.Null)
+
+(* value ids and attributes must fit their packed fields *)
+let check_packable coding =
+  let arity = Schema.arity (Coding.schema coding) in
+  if arity > 1 lsl (62 - (2 * fact_bits)) then invalid_arg "Encode: too many attributes";
+  for a = 0 to arity - 1 do
+    if Array.length (Coding.universe coding a) > fact_mask then
+      invalid_arg "Encode: a value universe exceeds 2^21 values"
+  done
 
 (* Split the classes [sc_cls.(0..n-1)] by the id column [col] (ids below
    [d]): two rows stay together iff they shared a class and agree on
@@ -449,118 +728,133 @@ let reps_by_positions sigma_c coding cells =
         memo.(cc.c_pos) <- Some reps;
         reps
 
-let sat_consts coding cells i preds =
-  List.for_all
-    (fun (a, op, cst) -> Value.eval op (Coding.value coding a cells.(a).(i)) cst)
-    preds
+let rec sat_consts coding cells i = function
+  | [] -> true
+  | (a, op, cst) :: rest ->
+      Value.eval op (Coding.value coding a cells.(a).(i)) cst && sat_consts coding cells i rest
 
-(* the [Constraint_ast.instantiate] semantics on a compiled constraint whose
-   single-tuple constant predicates already held for tuples [t1], [t2]:
-   evaluate the pair predicates, collect the residual prec conjuncts as
-   coded facts. Returns the packed dedup key ([concl lit :: sorted premise
-   lits]) and the instance, or [None] when some conjunct is
+(* The pair predicates of a compiled constraint on rows [t1], [t2] (the
+   [Constraint_ast.instantiate] semantics): each residual prec conjunct
+   is written as a packed fact at [data.(pos)], [pos + 1], …; returns
+   the position after the last one, or [-1] when some conjunct is
    vacuous-making. *)
-let inst_compiled coding nulls cc cells t1 t2 =
-  let vacuous = ref false in
-  let residual = ref [] in
-  List.iter
-    (fun p ->
-      if not !vacuous then
-        match p with
-        | CPrec a ->
-            let i1 = cells.(a).(t1) and i2 = cells.(a).(t2) in
-            (* nulls rank lowest: null ≺ v always holds (drop the conjunct),
-               v ≺ null never does (the whole constraint is vacuous) *)
-            if i2 = nulls.(a) then vacuous := true
-            else if i1 = nulls.(a) then ()
-            else if i1 = i2 then vacuous := true
-            else residual := { attr = a; lo = i1; hi = i2 } :: !residual
-        | CCmp2 (a, op) ->
-            if
-              not
-                (Value.eval op
-                   (Coding.value coding a cells.(a).(t1))
-                   (Coding.value coding a cells.(a).(t2)))
-            then vacuous := true)
-    cc.c_pair;
-  if !vacuous then None
-  else
-    let a = cc.c_concl in
-    let i1 = cells.(a).(t1) and i2 = cells.(a).(t2) in
-    (* equal-valued conclusions hold trivially; a null on either side of
-       the conclusion carries no value-level currency information (a null
-       already ranks lowest; a more-current-but-unknown value constrains
-       nothing) *)
-    if i1 = i2 || i1 = nulls.(a) || i2 = nulls.(a) then None
-    else
-      let concl = { attr = a; lo = i1; hi = i2 } in
-      let premise = List.sort_uniq compare_fact !residual in
-      let key =
-        lit_of_fact_c coding concl
-        :: List.map (fun f -> lit_of_fact_c coding f) premise
-      in
-      Some (key, { premise; concl; source = From_constraint cc.c_idx })
+let rec ground_preds data pos coding nulls cells t1 t2 = function
+  | [] -> pos
+  | CPrec a :: rest ->
+      let i1 = cells.(a).(t1) and i2 = cells.(a).(t2) in
+      (* nulls rank lowest: null ≺ v always holds (drop the conjunct),
+         v ≺ null never does (the whole constraint is vacuous) *)
+      if i2 = nulls.(a) || i1 = i2 then -1
+      else if i1 = nulls.(a) then ground_preds data pos coding nulls cells t1 t2 rest
+      else begin
+        data.(pos) <- pack_fact a i1 i2;
+        ground_preds data (pos + 1) coding nulls cells t1 t2 rest
+      end
+  | CCmp2 (a, op) :: rest ->
+      if Value.eval op (Coding.value coding a cells.(a).(t1)) (Coding.value coding a cells.(a).(t2))
+      then ground_preds data pos coding nulls cells t1 t2 rest
+      else -1
+
+(* sort [data.(lo .. hi-1)] ascending and drop repeats; returns the new
+   end *)
+let sort_uniq_slice data lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = data.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && data.(!j) > x do
+      data.(!j + 1) <- data.(!j);
+      decr j
+    done;
+    data.(!j + 1) <- x
+  done;
+  if hi - lo <= 1 then hi
+  else begin
+    let w = ref (lo + 1) in
+    for i = lo + 1 to hi - 1 do
+      if data.(i) <> data.(!w - 1) then begin
+        data.(!w) <- data.(i);
+        incr w
+      end
+    done;
+    !w
+  end
+
+(* Ground compiled constraint [cc], whose single-tuple constant
+   predicates already held, on rows [t1], [t2] into the open slice of
+   [b]: source, conclusion, sorted premise facts. [true] iff it grounds
+   to an instance; otherwise the open slice is left empty. *)
+let ground_pair b coding nulls cc cells t1 t2 =
+  let lo = b.b_starts.(b.b_n) in
+  reserve b (2 + cc.c_nprec);
+  let data = b.b_data in
+  let stop = ground_preds data (lo + 2) coding nulls cells t1 t2 cc.c_pair in
+  let a = cc.c_concl in
+  let i1 = cells.(a).(t1) and i2 = cells.(a).(t2) in
+  (* equal-valued conclusions hold trivially; a null on either side of
+     the conclusion carries no value-level currency information (a null
+     already ranks lowest; a more-current-but-unknown value constrains
+     nothing) *)
+  if stop < 0 || i1 = i2 || i1 = nulls.(a) || i2 = nulls.(a) then false
+  else begin
+    data.(lo) <- constraint_source cc.c_idx;
+    data.(lo + 1) <- pack_fact a i1 i2;
+    b.b_len <- sort_uniq_slice data (lo + 2) stop;
+    true
+  end
 
 (* [cells] are [coding]'s id columns over the entity's rows ({!Coding.lower}) *)
 let instantiate_sigma ?fired sigma_c coding cells =
   let nulls = null_ids coding in
   let reps_of = reps_by_positions sigma_c coding cells in
-  let out = (Domain.DLS.get scratch_key).sc_dedup in
-  Key_tbl.clear out;
-  let insts = ref [] in
+  let sc = Domain.DLS.get scratch_key in
+  let b = sc.sc_build and seen = sc.sc_keys_seen in
+  builder_reset b;
+  otable_clear seen;
   iter_sigma_candidates sigma_c coding (fun cc ->
       let reps = reps_of cc in
       let cand1 =
-        if cc.c_t1 = [] then reps
-        else List.filter (fun i -> sat_consts coding cells i cc.c_t1) reps
+        if cc.c_t1 = [] then reps else List.filter (fun i -> sat_consts coding cells i cc.c_t1) reps
       in
       if cand1 <> [] then begin
         let cand2 =
-          if cc.c_t2 = [] then reps
-          else List.filter (fun i -> sat_consts coding cells i cc.c_t2) reps
+          if cc.c_t2 = [] then reps else List.filter (fun i -> sat_consts coding cells i cc.c_t2) reps
         in
         List.iter
           (fun i1 ->
             List.iter
               (fun i2 ->
-                if i1 <> i2 then
-                  match inst_compiled coding nulls cc cells i1 i2 with
-                  | None -> ()
-                  | Some (key, inst) ->
-                      (* pre-dedup: a constraint "fires" even when another
-                         constraint already produced the same ground instance *)
-                      (match fired with
-                      | Some fd -> fd.(cc.c_idx) <- true
-                      | None -> ());
-                      if not (Key_tbl.mem out key) then begin
-                        Key_tbl.add out key ();
-                        insts := inst :: !insts
-                      end)
+                if i1 <> i2 && ground_pair b coding nulls cc cells i1 i2 then begin
+                  (* pre-dedup: a constraint "fires" even when another
+                     constraint already produced the same ground instance *)
+                  (match fired with Some fd -> fd.(cc.c_idx) <- true | None -> ());
+                  ignore (add_unique b seen)
+                end)
               cand2)
           cand1
       end);
-  sort_insts !insts
+  sorted_insts sc 0
 
 (* The Σ instances an extension adds: with the value universes unchanged,
-   instances over pairs of pre-existing rows are exactly [base_insts],
-   so only pairs touching a projection representative introduced by a
-   row at position ≥ [n_base] can contribute anything new. On the
-   framework's one-fresh-tuple extensions this is O(reps) instantiation
-   calls per constraint instead of O(reps²). *)
-let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
+   instances over pairs of pre-existing rows are exactly [base], so only
+   pairs touching a projection representative introduced by a row at
+   position ≥ [n_base] can contribute anything new. On the framework's
+   one-fresh-tuple extensions this is O(reps) instantiation calls per
+   constraint instead of O(reps²). *)
+let instantiate_sigma_delta sigma_c coding cells ~base ~n_base =
   let nulls = null_ids coding in
   let reps_of = reps_by_positions sigma_c coding cells in
-  let seen = (Domain.DLS.get scratch_key).sc_dedup in
-  Key_tbl.clear seen;
-  List.iter
-    (fun ic ->
-      let key =
-        lit_of_fact_c coding ic.concl
-        :: List.map (fun f -> lit_of_fact_c coding f) ic.premise
-      in
-      Key_tbl.replace seen key ())
-    base_insts;
-  let out = ref [] in
+  let sc = Domain.DLS.get scratch_key in
+  let b = sc.sc_build and seen = sc.sc_keys_seen in
+  builder_reset b;
+  otable_clear seen;
+  for i = 0 to n_insts base - 1 do
+    let lo = base.starts.(i) and len = base.starts.(i + 1) - base.starts.(i) in
+    reserve b len;
+    copy_ints base.data lo b.b_data b.b_len len;
+    b.b_len <- b.b_len + len;
+    ignore (add_unique b seen)
+  done;
+  let n0 = b.b_n in
   iter_sigma_candidates sigma_c coding (fun cc ->
       let reps = reps_of cc in
       let news = List.filter (fun i -> i >= n_base) reps in
@@ -570,14 +864,8 @@ let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
             i1 <> i2
             && sat_consts coding cells i1 cc.c_t1
             && sat_consts coding cells i2 cc.c_t2
-          then
-            match inst_compiled coding nulls cc cells i1 i2 with
-            | None -> ()
-            | Some (key, inst) ->
-                if not (Key_tbl.mem seen key) then begin
-                  Key_tbl.replace seen key ();
-                  out := inst :: !out
-                end
+            && ground_pair b coding nulls cc cells i1 i2
+          then ignore (add_unique b seen)
         in
         let olds = List.filter (fun i -> i < n_base) reps in
         List.iter (fun o -> List.iter (fun n -> try_pair o n) news) olds;
@@ -585,7 +873,31 @@ let instantiate_sigma_delta sigma_c coding cells ~base_insts ~n_base =
       end);
   (* canonical order: the delta clauses a live session receives must not
      depend on hashing or pair-enumeration order *)
-  sort_insts !out
+  sorted_insts sc n0
+
+(* the merge of two canonically ordered instance sets with no key in
+   common: the canonical order of their union *)
+let merge_insts x y =
+  let nx = n_insts x and ny = n_insts y in
+  let starts = Array.make (nx + ny + 1) 0 in
+  let data = Array.make (Array.length x.data + Array.length y.data) 0 in
+  let put k src i =
+    let len = src.starts.(i + 1) - src.starts.(i) in
+    copy_ints src.data src.starts.(i) data starts.(k) len;
+    starts.(k + 1) <- starts.(k) + len
+  in
+  let rec go i j =
+    if i < nx && (j >= ny || compare_at x.data x.starts i y.data y.starts j < 0) then begin
+      put (i + j) x i;
+      go (i + 1) j
+    end
+    else if j < ny then begin
+      put (i + j) y j;
+      go i (j + 1)
+    end
+  in
+  go 0 0;
+  { data; starts }
 
 (* ---- instantiating constant CFDs ---- *)
 
@@ -628,66 +940,76 @@ let gamma_candidates gamma_c adom =
        ~nvals:(fun a -> Array.length (adom a))
        ~value:(fun a i -> (adom a).(i)))
 
+(* ω_X of a CFD's LHS: every other active-domain value sits below the
+   pattern, attribute by attribute in LHS order *)
+let push_omega b coding lhs =
+  List.iter
+    (fun (attr, target) ->
+      for lo = 0 to Coding.adom_size coding attr - 1 do
+        if lo <> target then push b (pack_fact attr lo target)
+      done)
+    lhs
+
 (* Returns the implication instances and, for CFDs whose RHS constant the
-   entity never takes, the vetoed premises (ω_X → ⊥). A CFD whose LHS
-   mentions a value outside the active domain is vacuous on this entity
-   (its pattern can never be the current tuple) and contributes nothing —
-   the compiled-form equivalent of {!relevant_gamma}. Pattern constants
-   match under [Value.equal], as in [Cfd.Constant_cfd]: a NaN LHS
-   constant makes the CFD dead, a NaN RHS constant a veto. *)
+   entity never takes, the vetoed premises (ω_X → ⊥, conclusion
+   [no_fact]). A CFD whose LHS mentions a value outside the active domain
+   is vacuous on this entity (its pattern can never be the current tuple)
+   and contributes nothing — the compiled-form equivalent of
+   {!relevant_gamma}. Pattern constants match under [Value.equal], as in
+   [Cfd.Constant_cfd]: a NaN LHS constant makes the CFD dead, a NaN RHS
+   constant a veto. *)
 let instantiate_gamma gamma_c coding =
-  let out = ref [] in
-  let vetoes = ref [] in
+  let cfds = relevant_cfds gamma_c coding in
+  let b = (Domain.DLS.get scratch_key).sc_build in
+  builder_reset b;
   List.iter
     (fun (gc, lhs) ->
-      let premise =
-        (* ω_X: every other active-domain value sits below the pattern *)
-        List.concat_map
-          (fun (attr, target) ->
-            List.filter_map
-              (fun lo -> if lo <> target then Some { attr; lo; hi = target } else None)
-              (List.init (Coding.adom_size coding attr) Fun.id))
-          lhs
-      in
       let battr, bval = gc.g_rhs in
       match Coding.const_id coding battr bval with
       | Some btarget ->
-          for b = 0 to Coding.adom_size coding battr - 1 do
-            if b <> btarget then
-              out :=
-                {
-                  premise;
-                  concl = { attr = battr; lo = b; hi = btarget };
-                  source = From_cfd gc.g_idx;
-                }
-                :: !out
+          for lo = 0 to Coding.adom_size coding battr - 1 do
+            if lo <> btarget then begin
+              push b (cfd_source gc.g_idx);
+              push b (pack_fact battr lo btarget);
+              push_omega b coding lhs;
+              commit b
+            end
           done
+      | None -> ())
+    cfds;
+  let imps = all_insts b in
+  builder_reset b;
+  List.iter
+    (fun (gc, lhs) ->
+      let battr, bval = gc.g_rhs in
+      match Coding.const_id coding battr bval with
+      | Some _ -> ()
       | None ->
           (* the repair value never occurs: the pattern can never be the
              current tuple, unless the premise is already vacuous *)
-          vetoes := (premise, From_cfd gc.g_idx) :: !vetoes)
-    (relevant_cfds gamma_c coding);
-  (List.rev !out, List.rev !vetoes)
+          push b (cfd_source gc.g_idx);
+          push b no_fact;
+          push_omega b coding lhs;
+          commit b)
+    cfds;
+  (imps, all_insts b)
 
 (* ---- units from the currency orders of It and the null-lowest rule ---- *)
 
+(* the packed order facts, each once, in first-occurrence order *)
 let order_units spec coding =
   let schema = Spec.schema spec in
   let entity = spec.Spec.entity in
-  let seen = Hashtbl.create 64 in
-  let out = ref [] in
-  let push f =
-    if not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      out := (f, From_order) :: !out
-    end
-  in
+  let sc = Domain.DLS.get scratch_key in
+  let b = sc.sc_build and seen = sc.sc_facts in
+  builder_reset b;
+  otable_clear seen;
+  let add f = if fset_add seen f then push b f in
   List.iter
     (fun { Spec.attr; lo; hi } ->
       let a = Schema.index schema attr in
       let v1 = Entity.value entity lo a and v2 = Entity.value entity hi a in
-      if not (Value.equal v1 v2) then
-        push { attr = a; lo = Coding.vid coding a v1; hi = Coding.vid coding a v2 })
+      if not (Value.equal v1 v2) then add (pack_fact a (Coding.vid coding a v1) (Coding.vid coding a v2)))
     spec.Spec.orders;
   (* a null value is ranked lowest in its attribute's currency order *)
   for a = 0 to Schema.arity schema - 1 do
@@ -695,58 +1017,135 @@ let order_units spec coding =
     Array.iteri
       (fun i v ->
         if Value.is_null v then
-          Array.iteri (fun j w -> if j <> i && not (Value.is_null w) then push { attr = a; lo = i; hi = j }) univ)
+          Array.iteri (fun j w -> if j <> i && not (Value.is_null w) then add (pack_fact a i j)) univ)
       univ
   done;
-  List.rev !out
+  Array.sub b.b_data 0 b.b_len
 
-(* Ω(Se) minus the Σ and Γ instantiations: units from the orders of It and
-   the premise-free split. [sigma_insts] is the (canonically sorted) Σ
-   instance list, computed either from scratch ([encode]) or by merging a
-   delta ([extend]); the Γ parts are a function of the value universes
-   alone, so [extend] reuses them verbatim whenever the universes are
-   unchanged. *)
-let assemble_parts spec coding ~sigma_insts ~gamma_imps ~vetoes =
-  let units = order_units spec coding in
-  let implications = sigma_insts @ gamma_imps in
-  (* split premise-free implications into units *)
-  let extra_units, implications =
-    List.partition (fun ic -> ic.premise = []) implications
+(* ---- reading the packed form back as records ---- *)
+
+let decode_premise ps i =
+  List.init (n_premise ps i) (fun j -> unpack_fact ps.data.(ps.starts.(i) + 2 + j))
+
+let decode_inst ps i =
+  {
+    premise = decode_premise ps i;
+    concl = unpack_fact ps.data.(ps.starts.(i) + 1);
+    source = unpack_source ps.data.(ps.starts.(i));
+  }
+
+(* the instances [i] of [ps], in order, that [keep] accepts, through [f] *)
+let decode_filter ps keep f =
+  List.filter_map (fun i -> if keep i then Some (f ps i) else None) (List.init (n_insts ps) Fun.id)
+
+let all_of ps = decode_filter ps (fun _ -> true) decode_inst
+
+let premise_free ps i = n_premise ps i = 0
+
+let with_premise ps i = n_premise ps i > 0
+
+(* Ω(Se) as records: the units (order facts, then the premise-free Σ and
+   Γ instances), the implications (the rest of Σ, then of Γ) and the
+   vetoes. *)
+let decode_units order sigma gamma =
+  let as_unit ps i = (unpack_fact ps.data.(ps.starts.(i) + 1), unpack_source ps.data.(ps.starts.(i))) in
+  List.map (fun f -> (unpack_fact f, From_order)) (Array.to_list order)
+  @ decode_filter sigma (premise_free sigma) as_unit
+  @ decode_filter gamma (premise_free gamma) as_unit
+
+let decode_implications sigma gamma =
+  decode_filter sigma (with_premise sigma) decode_inst
+  @ decode_filter gamma (with_premise gamma) decode_inst
+
+let decode_vetoes vetoes =
+  decode_filter vetoes (fun _ -> true) (fun ps i -> (decode_premise ps i, unpack_source ps.data.(ps.starts.(i))))
+
+let sigma_insts e = all_of e.sigma_ground
+
+let gamma_imps e = all_of e.gamma_ground
+
+let units e = decode_units e.order_facts e.sigma_ground e.gamma_ground
+
+let implications e = decode_implications e.sigma_ground e.gamma_ground
+
+let vetoes e = decode_vetoes e.veto_ground
+
+(* ---- clause rendering ---- *)
+
+let lit_of_packed coding p = Coding.lit_of coding ~attr:(fact_attr p) (fact_lo p) (fact_hi p)
+
+(* Φ's instance clauses as one exactly sized arena, rendered straight
+   from the packed instances. Push order is the units (order facts, then
+   the premise-free Σ and Γ instances), the implications
+   [concl ∨ ¬premise₁ ∨ …] (the rest of Σ, then of Γ) and the vetoes
+   [¬premise₁ ∨ …]; the arena holds them in reverse push order (the
+   clause order test/golden pins, which search counters depend on), so
+   it is filled from its end. *)
+let instance_arena coding ~order ~sigma ~gamma ~vetoes =
+  let nclauses = ref (Array.length order) and nlits = ref (Array.length order) in
+  let count ps ~concl =
+    nclauses := !nclauses + n_insts ps;
+    nlits := !nlits + Array.length ps.data - (if concl then 1 else 2) * n_insts ps
   in
-  let units = units @ List.map (fun ic -> (ic.concl, ic.source)) extra_units in
-  (units, implications, vetoes)
+  count sigma ~concl:true;
+  count gamma ~concl:true;
+  count vetoes ~concl:false;
+  let lits = Array.make !nlits 0 and offs = Array.make (!nclauses + 1) 0 in
+  offs.(!nclauses) <- !nlits;
+  let q = ref !nlits and k = ref !nclauses in
+  let unit f =
+    decr q;
+    decr k;
+    lits.(!q) <- lit_of_packed coding f;
+    offs.(!k) <- !q
+  in
+  (* instance [i] of [ps] as [concl ∨ ¬premise…], or [¬premise…] *)
+  let clause ps i ~concl =
+    let s = ps.starts.(i) and e = ps.starts.(i + 1) in
+    let len = e - s - if concl then 1 else 2 in
+    q := !q - len;
+    decr k;
+    offs.(!k) <- !q;
+    let w = ref !q in
+    if concl then begin
+      lits.(!w) <- lit_of_packed coding ps.data.(s + 1);
+      incr w
+    end;
+    for j = s + 2 to e - 1 do
+      lits.(!w) <- Sat.Lit.negate (lit_of_packed coding ps.data.(j));
+      incr w
+    done
+  in
+  Array.iter unit order;
+  let units ps = for i = 0 to n_insts ps - 1 do if n_premise ps i = 0 then unit ps.data.(ps.starts.(i) + 1) done in
+  let imps ps = for i = 0 to n_insts ps - 1 do if n_premise ps i > 0 then clause ps i ~concl:true done in
+  units sigma;
+  units gamma;
+  imps sigma;
+  imps gamma;
+  for i = 0 to n_insts vetoes - 1 do
+    clause vetoes i ~concl:false
+  done;
+  { Sat.Cnf.lits; offs }
 
-(* an implication instance as a clause: ¬premise₁ ∨ … ∨ conclusion *)
-let implication_clause coding ic =
-  Array.of_list
-    (lit_of_fact_c coding ic.concl
-    :: List.map (fun f -> Sat.Lit.negate (lit_of_fact_c coding f)) ic.premise)
-
-(* The clause rendering of the instance part, in reverse push order (kept
-   stable so [extend] diffs clause-for-clause against a base encoding). *)
-let instance_clauses coding (units, implications, vetoes) =
-  let lit f = lit_of_fact_c coding f in
-  let clauses = ref [] in
-  List.iter (fun (f, _) -> clauses := [| lit f |] :: !clauses) units;
-  List.iter (fun ic -> clauses := implication_clause coding ic :: !clauses) implications;
-  List.iter
-    (fun (premise, _) ->
-      clauses := Array.of_list (List.map (fun f -> Sat.Lit.negate (lit f)) premise) :: !clauses)
-    vetoes;
-  !clauses
-
-(* Paper mode's structural axioms for attribute [a], in reverse push
-   order: transitivity over every ordered triple plus asymmetry,
-   d(d-1)(d-2) + d(d-1)/2 clauses. A pure function of (d, variable
-   offset) — the part [extend] reuses verbatim across [Se ⊕ Ot] steps. *)
+(* Paper mode's structural axioms for attribute [a] as one arena, in
+   reverse push order: transitivity over every ordered triple plus
+   asymmetry, d(d-1)(d-2) + d(d-1)/2 clauses. A pure function of (d,
+   variable offset) — the part [extend] reuses verbatim across [Se ⊕ Ot]
+   steps. *)
 let attr_block coding a =
-  let clauses = ref [] in
-  let count = ref 0 in
-  let push c =
-    clauses := c :: !clauses;
-    incr count
-  in
   let d = Array.length (Coding.universe coding a) in
+  let ntrans = d * (d - 1) * (d - 2) and nasym = d * (d - 1) / 2 in
+  let n = ntrans + nasym in
+  let lits = Array.make ((3 * ntrans) + (2 * nasym)) 0 and offs = Array.make (n + 1) 0 in
+  offs.(n) <- Array.length lits;
+  let q = ref (Array.length lits) and k = ref n in
+  let push c =
+    q := !q - Array.length c;
+    decr k;
+    copy_ints c 0 lits !q (Array.length c);
+    offs.(!k) <- !q
+  in
   let nl lo hi = Sat.Lit.negate (Coding.lit_of coding ~attr:a lo hi) in
   (* transitivity *)
   for i = 0 to d - 1 do
@@ -763,18 +1162,15 @@ let attr_block coding a =
       push [| nl i j; nl j i |]
     done
   done;
-  { sb_clauses = !clauses; sb_count = !count }
+  { Sat.Cnf.lits; offs }
 
-(* block(arity-1) @ … @ block(0), the order of one push pass over the
-   attributes in turn: attribute 0's block is the shared physical tail *)
+(* block(arity-1) … block(0), the order of one push pass over the
+   attributes in turn, with their clause count *)
 let concat_blocks blocks =
-  Array.fold_left
-    (fun (clauses, count) b -> (b.sb_clauses @ clauses, count + b.sb_count))
-    ([], 0) blocks
+  Array.fold_left (fun (arenas, count) b -> (b :: arenas, count + Sat.Cnf.arena_length b)) ([], 0) blocks
 
 let structural_clauses coding =
-  concat_blocks
-    (Array.init (Schema.arity (Coding.schema coding)) (fun a -> attr_block coding a))
+  concat_blocks (Array.init (Schema.arity (Coding.schema coding)) (fun a -> attr_block coding a))
 
 (* The ground-instance part of Φ(Se) without any clause rendering: what a
    purely static analysis (Saturate, Analyze) needs. [p_sigma_fired.(k)]
@@ -798,33 +1194,32 @@ let parts ?mode ?sigma_c ?gamma_c ?rows spec =
   let sigma_c = sigma_c_for schema spec.Spec.sigma sigma_c in
   let gamma_c = gamma_c_for schema spec.Spec.gamma gamma_c in
   let coding, cells = Coding.lower ?mode ~rows:(rows_of spec rows) spec.Spec.entity in
+  check_packable coding;
   let fired = Array.make (List.length spec.Spec.sigma) false in
-  let sigma_insts = instantiate_sigma ~fired sigma_c coding cells in
-  let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
-  let units, implications, vetoes =
-    assemble_parts spec coding ~sigma_insts ~gamma_imps ~vetoes:gvetoes
-  in
+  let sigma = instantiate_sigma ~fired sigma_c coding cells in
+  let gamma, vetoes = instantiate_gamma gamma_c coding in
+  let order = order_units spec coding in
   {
     p_coding = coding;
-    p_units = units;
-    p_implications = implications;
-    p_vetoes = vetoes;
+    p_units = decode_units order sigma gamma;
+    p_implications = decode_implications sigma gamma;
+    p_vetoes = decode_vetoes vetoes;
     p_sigma_fired = fired;
   }
 
 let parts_of_t enc =
   {
     p_coding = enc.coding;
-    p_units = enc.units;
-    p_implications = enc.implications;
-    p_vetoes = enc.vetoes;
+    p_units = units enc;
+    p_implications = implications enc;
+    p_vetoes = vetoes enc;
     p_sigma_fired = [||];
   }
 
 (* [structural_for tpl coding] is the structural axioms for [coding],
-   each attribute's block from the template's (d, offset)-keyed store.
+   each attribute's arena from the template's (d, offset)-keyed store.
    Misses are built outside the lock; first-in wins (racing builders
-   produce equal blocks: a block is a pure function of its key and the
+   produce equal arenas: an arena is a pure function of its key and the
    template's mode). *)
 let structural_for tpl coding =
   let arity = Schema.arity (Coding.schema coding) in
@@ -853,7 +1248,7 @@ let structural_for tpl coding =
   end;
   concat_blocks blocks
 
-(* Φ's order axioms as (structural clauses, their count, tournament
+(* Φ's order axioms as (structural arenas, their clause count, tournament
    blocks). Paper mode lists them as clauses, from the template's store
    when there is one. Exact mode's literal polarity already orders every
    pair one way or the other, and a tournament is transitive iff it has
@@ -874,18 +1269,16 @@ let order_axioms template coding =
 
 let build_t ~mode ~sigma_c ~gamma_c ~template ~rows spec =
   let coding, cells = Coding.lower ~mode ~rows spec.Spec.entity in
-  let sigma_insts = instantiate_sigma sigma_c coding cells in
-  let gamma_imps, gvetoes = instantiate_gamma gamma_c coding in
-  let ((units, implications, vetoes) as parts) =
-    assemble_parts spec coding ~sigma_insts ~gamma_imps ~vetoes:gvetoes
-  in
-  let inst = instance_clauses coding parts in
+  check_packable coding;
+  let sigma = instantiate_sigma sigma_c coding cells in
+  let gamma, vetoes = instantiate_gamma gamma_c coding in
+  let order = order_units spec coding in
+  let inst = instance_arena coding ~order ~sigma ~gamma ~vetoes in
   let structural, n_structural, blocks = order_axioms template coding in
   (* all literals are in range by construction: facts are coded over the
      very universes the variable space is built from. Instance clauses
-     first: the structural block is then a shared physical tail — a
-     template-served batch allocates no cons cells for it per entity. *)
-  let cnf = Sat.Cnf.unsafe_make ~blocks ~nvars:(Coding.nvars coding) (inst @ structural) in
+     first, then the structural arenas, shared with the template *)
+  let cnf = Sat.Cnf.unsafe_of_arenas ~blocks ~nvars:(Coding.nvars coding) (inst :: structural) in
   {
     spec;
     coding;
@@ -894,11 +1287,10 @@ let build_t ~mode ~sigma_c ~gamma_c ~template ~rows spec =
     gamma_c;
     template;
     n_rows = Array.length rows;
-    sigma_insts;
-    gamma_imps;
-    units;
-    implications;
-    vetoes;
+    sigma_ground = sigma;
+    gamma_ground = gamma;
+    veto_ground = vetoes;
+    order_facts = order;
     cnf;
     n_structural;
     structural;
@@ -941,7 +1333,6 @@ let instantiate ?rows tpl spec =
     (* a template for some other shape: fall back to direct compilation
        rather than produce a wrong encoding *)
     encode ~mode:tpl.t_mode spec
-
 (* ---- incremental re-encoding for Se ⊕ Ot extensions ---- *)
 
 let same_universes c1 c2 =
@@ -1026,6 +1417,7 @@ let extend base spec =
     let coding', cells = Coding.lower ~mode:base.mode ~rows spec.Spec.entity in
     if not (universes_prefix base.coding coding') then None
     else begin
+      check_packable coding';
       (* old values keep their per-attribute ids, so the Σ instances of
          the base — the expensive quadratic sweep over projection pairs —
          carry over verbatim; only pairs the new tuples touch are swept *)
@@ -1039,19 +1431,33 @@ let extend base spec =
          A tuple equal to an earlier one adds no row, and so no delta *)
       let n_old = Entity.size base.spec.Spec.entity in
       let n_base = Array.fold_left (fun k r -> if r < n_old then k + 1 else k) 0 rows in
-      let delta_insts =
-        instantiate_sigma_delta sigma_c coding cells ~base_insts:base.sigma_insts ~n_base
-      in
-      let sigma_insts = sort_insts (List.rev_append delta_insts base.sigma_insts) in
+      let delta = instantiate_sigma_delta sigma_c coding cells ~base:base.sigma_ground ~n_base in
+      let sigma = merge_insts base.sigma_ground delta in
       (* the Γ instances are a function of the value universes alone:
-         identical universes reuse the base's parts verbatim *)
-      let gamma_imps, gvetoes =
-        if identical then (base.gamma_imps, base.vetoes) else instantiate_gamma gamma_c coding
+         identical universes reuse the base's verbatim *)
+      let gamma, vetoes =
+        if identical then (base.gamma_ground, base.veto_ground) else instantiate_gamma gamma_c coding
       in
-      let ((units, implications, vetoes) as parts) =
-        assemble_parts spec coding ~sigma_insts ~gamma_imps ~vetoes:gvetoes
+      let order = order_units spec coding in
+      let inst = instance_arena coding ~order ~sigma ~gamma ~vetoes in
+      let enc ~cnf ~n_structural ~structural =
+        {
+          spec;
+          coding;
+          mode = base.mode;
+          sigma_c;
+          gamma_c;
+          template = base.template;
+          n_rows = Array.length rows;
+          sigma_ground = sigma;
+          gamma_ground = gamma;
+          veto_ground = vetoes;
+          order_facts = order;
+          cnf;
+          n_structural;
+          structural;
+        }
       in
-      let inst = instance_clauses coding parts in
       if identical then begin
         (* variable numbering unchanged: the structural axioms carry over
            and a live solver only needs the delta clauses — unit clauses
@@ -1060,43 +1466,41 @@ let extend base spec =
            of the unchanged universes and is identical on both sides, and
            pure extensions only add clauses, so the session stays sound. *)
         let cnf =
-          Sat.Cnf.unsafe_make ~blocks:base.cnf.Sat.Cnf.blocks ~nvars:(Coding.nvars coding)
-            (base.structural @ inst)
+          Sat.Cnf.unsafe_of_arenas ~blocks:base.cnf.Sat.Cnf.blocks ~nvars:(Coding.nvars coding)
+            (base.structural @ [ inst ])
         in
-        let base_unit_facts = Hashtbl.create 64 in
-        List.iter (fun (f, _) -> Hashtbl.replace base_unit_facts f ()) base.units;
-        let delta_units =
-          List.filter_map
-            (fun (f, _) ->
-              if Hashtbl.mem base_unit_facts f then None
-              else Some [| lit_of_fact_c coding f |])
-            units
+        let base_units = (Domain.DLS.get scratch_key).sc_facts in
+        otable_clear base_units;
+        let unit_facts order sigma gamma f =
+          Array.iter f order;
+          let premise_free ps =
+            for i = 0 to n_insts ps - 1 do
+              if n_premise ps i = 0 then f ps.data.(ps.starts.(i) + 1)
+            done
+          in
+          premise_free sigma;
+          premise_free gamma
         in
-        let delta_imps =
-          List.filter_map
-            (fun ic -> if ic.premise = [] then None else Some (implication_clause coding ic))
-            delta_insts
-        in
+        unit_facts base.order_facts base.sigma_ground base.gamma_ground (fun f ->
+            ignore (fset_add base_units f));
+        let delta_units = ref [] in
+        unit_facts order sigma gamma (fun f ->
+            if not (fset_mem base_units f) then delta_units := [| lit_of_packed coding f |] :: !delta_units);
+        let delta_imps = ref [] in
+        for i = n_insts delta - 1 downto 0 do
+          if n_premise delta i > 0 then begin
+            let s = delta.starts.(i) and e = delta.starts.(i + 1) in
+            delta_imps :=
+              Array.init (e - s - 1) (fun j ->
+                  if j = 0 then lit_of_packed coding delta.data.(s + 1)
+                  else Sat.Lit.negate (lit_of_packed coding delta.data.(s + 1 + j)))
+              :: !delta_imps
+          end
+        done;
         Some
           (Delta
-             ( {
-                 spec;
-                 coding;
-                 mode = base.mode;
-                 sigma_c;
-                 gamma_c;
-                 template = base.template;
-                 n_rows = Array.length rows;
-                 sigma_insts;
-                 gamma_imps;
-                 units;
-                 implications;
-                 vetoes;
-                 cnf;
-                 n_structural = base.n_structural;
-                 structural = base.structural;
-               },
-               delta_units @ delta_imps ))
+             ( enc ~cnf ~n_structural:base.n_structural ~structural:base.structural,
+               List.rev_append !delta_units !delta_imps ))
       end
       else begin
         (* a universe grew (e.g. the fresh tuple carries a value, or a
@@ -1106,26 +1510,8 @@ let extend base spec =
            per-attribute store when there is one (only the attributes
            whose size or offset changed can miss), else are regenerated *)
         let structural, n_structural, blocks = order_axioms base.template coding in
-        let cnf = Sat.Cnf.unsafe_make ~blocks ~nvars:(Coding.nvars coding) (inst @ structural) in
-        Some
-          (Renumbered
-             {
-               spec;
-               coding;
-               mode = base.mode;
-               sigma_c;
-               gamma_c;
-               template = base.template;
-               n_rows = Array.length rows;
-               sigma_insts;
-               gamma_imps;
-               units;
-               implications;
-               vetoes;
-               cnf;
-               n_structural;
-               structural;
-             })
+        let cnf = Sat.Cnf.unsafe_of_arenas ~blocks ~nvars:(Coding.nvars coding) (inst :: structural) in
+        Some (Renumbered (enc ~cnf ~n_structural ~structural))
       end
     end
 

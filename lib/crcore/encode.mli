@@ -92,14 +92,15 @@ val relevant_cfds : gamma_c -> Coding.t -> (cgamma * (int * int) list) list
     depend on the concrete entity. Holds the compiled Σ/Γ with their
     constant indexes (a function of the schema and the interned
     constraint lists) and, in [Paper] mode, a store of per-attribute
-    structural-axiom clause blocks keyed by (universe size, variable
-    offset) — an attribute's block is a pure function of those, so the
-    cubic transitivity block of an attribute is shared across every
-    entity (and {!extend} renumbering) that agrees on it, whatever the
-    other attributes' sizes. [Exact] mode lists no axiom clauses, so its
-    store stays empty. One template serves a whole batch of
-    same-shape specs, from any domain (the store is mutex-guarded; blocks
-    are built outside the lock, first-in wins). *)
+    structural-axiom clause arenas ({!Sat.Cnf.arena}) keyed by (universe
+    size, variable offset) — an attribute's arena is a pure function of
+    those, so the cubic transitivity block of an attribute is built once
+    and shared, never copied, by every entity (and {!extend}
+    renumbering) that agrees on it, whatever the other attributes'
+    sizes. [Exact] mode lists no axiom clauses, so its store stays
+    empty. One template serves a whole batch of same-shape specs, from
+    any domain (the store is mutex-guarded; arenas are built outside the
+    lock, first-in wins). *)
 type template
 
 (** [template ?mode spec] compiles [spec]'s shape: its schema and its
@@ -111,6 +112,13 @@ val template : ?mode:mode -> Spec.t -> template
     compiled from (same schema, same interned Σ/Γ). *)
 val template_matches : template -> Spec.t -> bool
 
+(** Ground instances, packed: one int array holding each instance's
+    source, conclusion and premise facts, one int per fact, with an
+    offset per instance — no record or list per instance or fact. Read
+    them as records through {!sigma_insts}, {!units}, {!implications},
+    {!vetoes} or {!parts_of_t}. *)
+type insts
+
 type t = {
   spec : Spec.t;
   coding : Coding.t;
@@ -120,42 +128,67 @@ type t = {
   template : template option;
       (** the template this encoding was instantiated from, when it came
           from {!instantiate}; lets {!extend}'s [Renumbered] path fetch
-          the new coding's per-attribute structural blocks from the
+          the new coding's per-attribute structural arenas from the
           shared store *)
   n_rows : int;
       (** the entity's distinct rows the encoding was lowered over
           ({!Entity.distinct_rows}; {!Coding.lower}): its tuples with
           every repeat of an earlier tuple dropped *)
-  sigma_insts : iconstraint list;
-      (** the instances of Σ alone, in a canonical order independent of
-          which tuple pairs produced them — the part {!extend} updates
-          incrementally (premise-free ones also appear in [units]) *)
-  gamma_imps : iconstraint list;
-      (** the implication instances of Γ alone; a pure function of the
-          value universes, reused verbatim by {!extend} when the
-          universes are unchanged (also folded into [implications]) *)
-  units : (fact * source) list;      (** premise-free part of Ω(Se) *)
-  implications : iconstraint list;   (** the rest of Ω(Se) *)
-  vetoes : (fact list * source) list;
-      (** conjunctions of facts that cannot all hold: a CFD whose RHS
-          pattern constant never occurs in the entity can never fire, so
-          its "LHS pattern is most current" premise is forbidden *)
+  sigma_ground : insts;
+      (** the instances of Σ ({!sigma_insts}), in a canonical order
+          independent of which tuple pairs produced them — the part
+          {!extend} updates incrementally *)
+  gamma_ground : insts;
+      (** the implication instances of Γ ({!gamma_imps}); a pure function
+          of the value universes, reused verbatim by {!extend} when the
+          universes are unchanged *)
+  veto_ground : insts;  (** the vetoes of Γ ({!vetoes}) *)
+  order_facts : int array;
+      (** the facts of the currency orders of [It] and of null-lowest,
+          packed, each once, in first-occurrence order: the [From_order]
+          units *)
   cnf : Sat.Cnf.t;
-      (** Φ(Se), order axioms included: [Paper] lists them among the
-          clauses; [Exact] carries one tournament block per attribute
-          ({!Coding.block}, in attribute order) and lists none *)
+      (** Φ(Se), order axioms included. One arena holds the instance
+          clauses, rendered straight from the packed instances, last
+          first: the units (order facts, then premise-free Σ, then
+          premise-free Γ), the implications (Σ, then Γ), the vetoes.
+          [Paper] lists the structural arenas ([structural]) after it (a
+          [Delta] extension before it); [Exact] carries one tournament
+          block per attribute ({!Coding.block}, in attribute order) and
+          lists no axiom *)
   n_structural : int;
       (** structural-axiom clauses listed in [cnf]: [Paper] transitivity
           + asymmetry, d(d-1)(d-2) + d(d-1)/2 per attribute; [0] in
           [Exact] mode, whose d(d-1)(d-2)/3 3-cycle exclusions per
           attribute stay in its blocks *)
-  structural : Sat.Lit.t array list;
-      (** the structural-axiom clauses themselves (also inside [cnf]);
-          kept separately so {!extend} can reuse them without regenerating
-          the cubic transitivity block. Per-attribute blocks, last
-          attribute first: attribute 0's block is the physical tail.
-          Empty in [Exact] mode *)
+  structural : Sat.Cnf.arena list;
+      (** the structural-axiom arenas (also inside [cnf]), one per
+          attribute, last attribute first, shared with the template's
+          store and across {!extend} steps. Empty in [Exact] mode *)
 }
+
+(** [sigma_insts e] is [e]'s Σ instances as records, in their canonical
+    order: premise lists lexicographically, then conclusions, as
+    polymorphic [compare] orders [(premise, concl)]; each premise list
+    ascending and duplicate-free. Premise-free ones are units. *)
+val sigma_insts : t -> iconstraint list
+
+(** [gamma_imps e] is [e]'s Γ implication instances, in ascending Γ
+    index, each CFD's by ascending conclusion [lo]. *)
+val gamma_imps : t -> iconstraint list
+
+(** [units e] is the premise-free part of Ω(Se): the order facts, then
+    the premise-free Σ instances, then the premise-free Γ ones. *)
+val units : t -> (fact * source) list
+
+(** [implications e] is the rest of Ω(Se): the Σ instances with a
+    premise, then the Γ ones. *)
+val implications : t -> iconstraint list
+
+(** [vetoes e] is the conjunctions of facts that cannot all hold: a CFD
+    whose RHS pattern constant never occurs in the entity can never fire,
+    so its "LHS pattern is most current" premise is forbidden. *)
+val vetoes : t -> (fact list * source) list
 
 (** The ground-instance part of Ω(Se) without any clause rendering — what
     a purely static analysis ({!Saturate}, {!Analyze}) consumes. *)
@@ -173,13 +206,15 @@ type parts = {
 
 (** [parts ?mode ?sigma_c ?gamma_c ?rows spec] instantiates Ω(Se)
     without building any clauses: same units/implications/vetoes a full
-    {!encode} would carry, at a fraction of the cost (no order axioms, no
-    CNF). [mode] (default [Paper]) only selects [p_coding]'s numbering.
+    {!encode} would carry, decoded to records from the same packed
+    grounding, at a fraction of the cost (no order axioms, no CNF).
+    [mode] (default [Paper]) only selects [p_coding]'s numbering.
     [rows] are the entity's rows as {!instantiate} takes them. *)
 val parts :
   ?mode:mode -> ?sigma_c:sigma_c -> ?gamma_c:gamma_c -> ?rows:int array -> Spec.t -> parts
 
-(** [parts_of_t enc] views an existing encoding as {!parts} for free.
+(** [parts_of_t enc] views an existing encoding as {!parts}, decoding
+    its packed instances.
     [p_sigma_fired] is {e not} recovered (it is empty) — the encoding
     deduplicated globally; use {!parts} when firing flags matter. *)
 val parts_of_t : t -> parts

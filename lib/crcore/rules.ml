@@ -68,7 +68,7 @@ let rules_from_constraints d ~known candidates =
           let key = (f.Encode.attr, f.Encode.lo, f.Encode.hi) in
           Hashtbl.add pool key ic
       | _ -> ())
-    enc.Encode.implications;
+    (Encode.implications enc);
   let rules = ref [] in
   for b = 0 to arity - 1 do
     if known.(b) = None then

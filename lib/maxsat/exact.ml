@@ -169,7 +169,7 @@ let solve_groups ~(hard : Sat.Cnf.t) ~(groups : Sat.Cnf.clause list list) =
          groups)
   in
   let hard' =
-    Sat.Cnf.make ~blocks:hard.Sat.Cnf.blocks ~nvars (hard.Sat.Cnf.clauses @ hard_clauses)
+    Sat.Cnf.make ~blocks:hard.Sat.Cnf.blocks ~nvars (Sat.Cnf.clauses hard @ hard_clauses)
   in
   let soft = List.init ngroups (fun i -> [| sel i |]) in
   match solve ~hard:hard' ~soft with

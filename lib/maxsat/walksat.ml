@@ -33,7 +33,7 @@ let solve ?(seed = 0x5eed) ?(max_flips = 20_000) ?(noise = 0.3)
       let clauses =
         Array.of_list
           (List.map (fun c -> { lits = c; hard = true; n_true = 0; unsat_pos = -1 })
-             (Sat.Cnf.expand hard).Sat.Cnf.clauses
+             (Sat.Cnf.clauses (Sat.Cnf.expand hard))
           @ List.map (fun c -> { lits = c; hard = false; n_true = 0; unsat_pos = -1 })
               soft)
       in

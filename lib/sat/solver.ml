@@ -548,15 +548,17 @@ let rec compact s (buf : int array) len i n prev =
           Array.unsafe_set buf n l;
           compact s buf len (i + 1) (n + 1) l
 
-let add_clause_a s lits =
+(* Add the clause [lits.(off) .. lits.(off + len - 1)]: it is copied into
+   [add_buf] before sorting, so [lits] is only read and no array is made
+   for it unless it is stored as a long clause. *)
+let add_clause_slice s lits off len =
   if s.ok then begin
     assert (decision_level s = 0);
-    let len = Array.length lits in
     if Array.length s.add_buf < len then
       s.add_buf <- Array.make (max len (2 * Array.length s.add_buf)) 0;
     let buf = s.add_buf in
     for i = 0 to len - 1 do
-      let l = Array.unsafe_get lits i in
+      let l = lits.(off + i) in
       if Lit.var l >= s.nvars then invalid_arg "Solver.add_clause: unallocated variable";
       Array.unsafe_set buf i l
     done;
@@ -573,6 +575,8 @@ let add_clause_a s lits =
         Vec.push s.clauses c;
         attach_clause s c
   end
+
+let add_clause_a s lits = add_clause_slice s lits 0 (Array.length lits)
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
 
@@ -619,7 +623,7 @@ let add_block s (b : Cnf.block) =
 let add_cnf s (f : Cnf.t) =
   ensure_nvars s f.Cnf.nvars;
   List.iter (add_block s) f.Cnf.blocks;
-  List.iter (fun c -> add_clause_a s c) f.Cnf.clauses
+  Cnf.iter_packed (add_clause_slice s) f
 
 let add_units s lits = List.iter (fun l -> add_clause s [ l ]) lits
 

@@ -47,11 +47,12 @@ val nvars : t -> int
 val add_clause : t -> Lit.t list -> unit
 
 (** [add_clause_a s c] is [add_clause] on an array. [c] is only read,
-    never modified: callers share clause arrays (template blocks). *)
+    never modified. *)
 val add_clause_a : t -> Lit.t array -> unit
 
 (** [add_cnf s f] allocates variables for [f], registers its tournament
-    blocks and adds all its clauses. A block of fewer than three values
+    blocks and adds all its clauses, read in place from [f]'s arenas
+    (which are shared: template structural blocks), never modified. A block of fewer than three values
     has no axioms and is ignored; one already registered is a no-op; one
     sharing a variable with another raises [Invalid_argument]. Registering
     a block on a solver whose level-0 trail is not empty propagates that

@@ -9,7 +9,7 @@ let propagate (f : Cnf.t) =
   let clauses =
     List.map
       (fun c -> Array.to_list c |> List.sort_uniq Int.compare |> Array.of_list)
-      f.Cnf.clauses
+      (Cnf.clauses f)
     |> Array.of_list
   in
   let nclauses = Array.length clauses in

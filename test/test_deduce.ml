@@ -425,7 +425,7 @@ let prop_duplicate_literals_harmless =
             Sat.Cnf.unsafe_make ~blocks:enc.E.cnf.Sat.Cnf.blocks ~nvars:enc.E.cnf.Sat.Cnf.nvars
               (List.map
                  (fun c -> Array.append c c)
-                 enc.E.cnf.Sat.Cnf.clauses);
+                 (Sat.Cnf.clauses enc.E.cnf));
         }
       in
       same_orders (D.deduce_order enc) (D.deduce_order dup))
@@ -472,7 +472,7 @@ let duplicated enc =
     enc with
     E.cnf =
       Sat.Cnf.unsafe_make ~blocks:cnf.Sat.Cnf.blocks ~nvars:cnf.Sat.Cnf.nvars
-        (List.map (fun c -> Array.append c c) cnf.Sat.Cnf.clauses);
+        (List.map (fun c -> Array.append c c) (Sat.Cnf.clauses cnf));
   }
 
 (* the spec with tuples 0 and 1 ordered both ways on [a]: refuted by unit

@@ -86,10 +86,10 @@ let test_coding_foreign_constant () =
   let enc = E.encode spec in
   let univ_y = Crcore.Coding.universe enc.E.coding 1 in
   Alcotest.(check int) "y universe = adom + reserved null" 3 (Array.length univ_y);
-  Alcotest.(check int) "one veto" 1 (List.length enc.E.vetoes);
+  Alcotest.(check int) "one veto" 1 (List.length (E.vetoes enc));
   (* the veto forbids a being most current in x: its premise holds the
      facts "b < a" and "null < a" *)
-  (match enc.E.vetoes with
+  (match E.vetoes enc with
   | [ (([ _; _ ] as fs), E.From_cfd 0) ] ->
       List.iter (fun f -> Alcotest.(check int) "veto attr" 0 f.E.attr) fs
   | _ -> Alcotest.fail "unexpected veto shape");
@@ -105,7 +105,7 @@ let test_units_from_orders () =
   let spec = Fixtures.george_spec () in
   let spec = Crcore.Spec.add_order_edges spec [ { Crcore.Spec.attr = "status"; lo = 2; hi = 1 } ] in
   let enc = E.encode spec in
-  let from_order = List.filter (fun (_, s) -> s = E.From_order) enc.E.units in
+  let from_order = List.filter (fun (_, s) -> s = E.From_order) (E.units enc) in
   Alcotest.(check bool) "order unit present" true
     (List.exists
        (fun (f, _) ->
@@ -125,7 +125,7 @@ let test_null_lowest_units () =
       (fun (f, s) ->
         s = E.From_order && f.E.attr = a_kids
         && Value.is_null (Crcore.Coding.value enc.E.coding a_kids f.E.lo))
-      enc.E.units
+      (E.units enc)
   in
   Alcotest.(check int) "null below both kid values" 2 (List.length null_units)
 
@@ -141,7 +141,7 @@ let test_premise_free_instances_are_units () =
          && f.E.attr = a
          && Value.to_string (Crcore.Coding.value enc.E.coding a f.E.lo) = "working"
          && Value.to_string (Crcore.Coding.value enc.E.coding a f.E.hi) = "retired")
-       enc.E.units)
+       (E.units enc))
 
 let test_implications_shape () =
   let spec = Fixtures.george_spec () in
@@ -153,7 +153,7 @@ let test_implications_shape () =
         match ic.E.source with
         | E.From_constraint k -> k = 4 (* index of prec(status)->prec(job) *)
         | _ -> false)
-      enc.E.implications
+      (E.implications enc)
   in
   Alcotest.(check bool) "phi5 instantiated" true (List.length phi5_instances > 0);
   List.iter
@@ -164,7 +164,7 @@ let test_cfd_encoding () =
   let spec = Fixtures.edith_spec () in
   let enc = E.encode spec in
   let cfd_imps =
-    List.filter (fun ic -> match ic.E.source with E.From_cfd _ -> true | _ -> false) enc.E.implications
+    List.filter (fun ic -> match ic.E.source with E.From_cfd _ -> true | _ -> false) (E.implications enc)
   in
   (* each CFD: one implication per other adom-prefix city value — the two
      other cities plus the reserved null (3 each) *)
@@ -259,7 +259,7 @@ let test_var_fact_roundtrip () =
         (fun (f, _) ->
           let l = E.lit_of_fact enc f in
           Alcotest.(check bool) "fact round trip" true (E.fact_of_lit enc l = Some f))
-        enc.E.units)
+        (E.units enc))
     [ E.Paper; E.Exact ]
 
 let prop_fact_table =
@@ -298,7 +298,7 @@ let prop_cnf_well_formed =
           n = Crcore.Coding.nvars enc.E.coding
           && List.for_all
                (fun c -> Array.for_all (fun l -> Sat.Lit.var l < n) c)
-               enc.E.cnf.Sat.Cnf.clauses
+               (Sat.Cnf.clauses enc.E.cnf)
           && List.for_all
                (fun b -> b.Sat.Cnf.first + Sat.Cnf.block_nvars b.Sat.Cnf.d <= n)
                enc.E.cnf.Sat.Cnf.blocks)
@@ -312,13 +312,13 @@ let prop_cnf_well_formed =
    Universes compare with [compare], under which a NaN equals itself. *)
 let same_encoding (a : E.t) (b : E.t) =
   a.E.cnf.Sat.Cnf.nvars = b.E.cnf.Sat.Cnf.nvars
-  && a.E.cnf.Sat.Cnf.clauses = b.E.cnf.Sat.Cnf.clauses
+  && Sat.Cnf.clauses a.E.cnf = Sat.Cnf.clauses b.E.cnf
   && a.E.cnf.Sat.Cnf.blocks = b.E.cnf.Sat.Cnf.blocks
-  && a.E.units = b.E.units
-  && a.E.implications = b.E.implications
-  && a.E.sigma_insts = b.E.sigma_insts
-  && a.E.gamma_imps = b.E.gamma_imps
-  && a.E.vetoes = b.E.vetoes
+  && E.units a = E.units b
+  && E.implications a = E.implications b
+  && E.sigma_insts a = E.sigma_insts b
+  && E.gamma_imps a = E.gamma_imps b
+  && E.vetoes a = E.vetoes b
   && a.E.n_structural = b.E.n_structural
   &&
   let arity = Schema.arity (Crcore.Coding.schema a.E.coding) in
@@ -366,7 +366,7 @@ let prop_exact_equals_paper_plus_totality =
           p with
           E.cnf =
             Sat.Cnf.make ~blocks:p.E.cnf.Sat.Cnf.blocks ~nvars:p.E.cnf.Sat.Cnf.nvars
-              (p.E.cnf.Sat.Cnf.clauses @ !totality);
+              (Sat.Cnf.clauses p.E.cnf @ !totality);
         }
       in
       let e = E.encode ~mode:E.Exact spec in
@@ -695,7 +695,7 @@ let prop_index_equals_scan =
       let enc = E.encode ~mode spec in
       let coding = enc.E.coding in
       let relevant = List.map (fun ((g : E.cgamma), _) -> g.E.g_idx) (E.relevant_cfds (E.compiled_gamma spec) coding) in
-      scan_sigma_insts spec coding = enc.E.sigma_insts
+      scan_sigma_insts spec coding = E.sigma_insts enc
       && relevant = List.map fst (E.relevant_gamma spec.Crcore.Spec.entity spec.Crcore.Spec.gamma))
 
 (* The typed instance order is polymorphic [compare]'s: on the mixed
@@ -708,7 +708,7 @@ let prop_sigma_order_is_compare =
     qcheck_mixed_spec (fun (spec, _) ->
       List.for_all
         (fun mode ->
-          let insts = (E.encode ~mode spec).E.sigma_insts in
+          let insts = E.sigma_insts (E.encode ~mode spec) in
           let key (i : E.iconstraint) = (i.E.premise, i.E.concl) in
           let rec ascending = function
             | a :: (b :: _ as rest) -> compare (key a) (key b) < 0 && ascending rest
@@ -717,6 +717,87 @@ let prop_sigma_order_is_compare =
           ascending insts
           && List.for_all (fun (i : E.iconstraint) -> List.sort_uniq compare i.E.premise = i.E.premise) insts)
         [ E.Paper; E.Exact ])
+
+(* ---- the packed encoder against the record-based reference ---- *)
+
+(* Ω(Se) read back from the packed form is the reference's, record for
+   record and in order *)
+let same_omega (e : E.t) (o : Encode_ref.omega) =
+  E.sigma_insts e = o.Encode_ref.sigma
+  && E.gamma_imps e = o.Encode_ref.gamma
+  && E.units e = o.Encode_ref.units
+  && E.implications e = o.Encode_ref.implications
+  && E.vetoes e = o.Encode_ref.vetoes
+  && (E.parts_of_t e).E.p_units = o.Encode_ref.units
+
+(* Packed grounding against {!Encode_ref}, both modes: the same instance
+   sequence (facts and sources), the same [fired] flags and the same
+   clause sequence, on the mixed specs and the paper-style ones. *)
+let prop_packed_equals_reference =
+  QCheck.Test.make ~count:1000 ~name:"packed encode == record-based reference (both modes)"
+    (QCheck.pair qcheck_mixed_spec Fixtures.qcheck_spec) (fun ((mixed, _), small) ->
+      List.for_all
+        (fun spec ->
+          List.for_all
+            (fun mode ->
+              let enc = E.encode ~mode spec in
+              let o, fired, clauses = Encode_ref.encode ~mode spec in
+              same_omega enc o
+              && (E.parts ~mode spec).E.p_sigma_fired = fired
+              && Sat.Cnf.clauses enc.E.cnf = clauses)
+            [ E.Paper; E.Exact ])
+        [ mixed; small ])
+
+(* A mixed spec, its mode and two extension steps: each appends a tuple
+   whose cells are copied from existing tuples (or null), so most steps
+   keep the universes, with an optional order edge onto it. *)
+let qcheck_extension =
+  let open QCheck.Gen in
+  let step spec =
+    let entity = spec.Crcore.Spec.entity in
+    let schema = Entity.schema entity and n = Entity.size entity in
+    list_repeat (Schema.arity schema) (int_bound n) >>= fun picks ->
+    opt (pair (int_bound (Schema.arity schema - 1)) (int_bound (n - 1))) >|= fun edge ->
+    let t =
+      Tuple.make schema
+        (List.mapi (fun a k -> if k = n then Value.Null else Entity.value entity k a) picks)
+    in
+    let orders =
+      match edge with
+      | None -> []
+      | Some (a, lo) -> [ { Crcore.Spec.attr = Schema.name schema a; lo; hi = n } ]
+    in
+    Crcore.Spec.extend spec ~tuples:[ t ] ~orders
+  in
+  let gen =
+    QCheck.gen qcheck_mixed_spec >>= fun (spec, mode) ->
+    step spec >>= fun s1 ->
+    step s1 >|= fun s2 -> (spec, mode, [ s1; s2 ])
+  in
+  QCheck.make
+    ~print:(fun (_, _, steps) -> Format.asprintf "%a" Crcore.Spec.pp (List.nth steps 1))
+    gen
+
+(* [Encode.extend] against the reference's incremental path, step by
+   step: the same kind of extension, the same Ω(Se), the same clause
+   sequence of the extended Φ and, for a [Delta], the same delta clauses
+   in the same order (the merged Σ instances included). *)
+let prop_extend_packed_equals_reference =
+  QCheck.Test.make ~count:1000 ~name:"packed extend == record-based reference (Delta and Renumbered)"
+    qcheck_extension (fun (spec, mode, steps) ->
+      let rec go enc o = function
+        | [] -> true
+        | s :: rest -> (
+            match (E.extend enc s, lazy (Encode_ref.extend o enc s)) with
+            | None, _ -> true
+            | Some (E.Delta (e, delta)), (lazy (`Delta (o', clauses, delta'))) ->
+                same_omega e o' && Sat.Cnf.clauses e.E.cnf = clauses && delta = delta' && go e o' rest
+            | Some (E.Renumbered e), (lazy (`Renumbered (o', clauses))) ->
+                same_omega e o' && Sat.Cnf.clauses e.E.cnf = clauses && go e o' rest
+            | Some _, _ -> false)
+      in
+      let o, _, _ = Encode_ref.encode ~mode spec in
+      go (E.encode ~mode spec) o steps)
 
 (* ---- distinct rows ---- *)
 
@@ -813,7 +894,7 @@ let prop_rows_equal_tuple_level =
                   (Array.mapi
                      (fun a u -> compare u (Crcore.Coding.universe enc.E.coding a) = 0)
                      universes)
-             && scan_sigma_insts spec enc.E.coding = enc.E.sigma_insts
+             && scan_sigma_insts spec enc.E.coding = E.sigma_insts enc
              && (E.parts ~mode spec).E.p_sigma_fired
                 = (E.parts ~mode ~rows:every spec).E.p_sigma_fired)
            [ E.Paper; E.Exact ])
@@ -856,7 +937,7 @@ let test_extend_repeats_is_empty_delta () =
   | Some (E.Delta (enc, delta)) ->
       Alcotest.(check int) "no delta clause" 0 (List.length delta);
       Alcotest.(check int) "no new row" base.E.n_rows enc.E.n_rows;
-      Alcotest.(check bool) "same Σ instances" true (enc.E.sigma_insts = base.E.sigma_insts)
+      Alcotest.(check bool) "same Σ instances" true (E.sigma_insts enc = E.sigma_insts base)
   | Some (E.Renumbered _) -> Alcotest.fail "repeated records renumbered"
   | None -> Alcotest.fail "repeated records rejected"
 
@@ -887,16 +968,23 @@ let test_extend_twice_equals_fresh () =
       let enc2 = delta (delta base spec1) spec2 in
       let fresh = E.encode ~mode spec2 in
       Alcotest.(check int) "rows" 5 enc2.E.n_rows;
-      Alcotest.(check bool) "Σ instances" true (enc2.E.sigma_insts = fresh.E.sigma_insts);
+      Alcotest.(check bool) "Σ instances" true (E.sigma_insts enc2 = E.sigma_insts fresh);
       Alcotest.(check bool) "same encoding up to clause order" true
-        (same_encoding
-           { enc2 with E.cnf = { enc2.E.cnf with Sat.Cnf.clauses = List.sort compare enc2.E.cnf.Sat.Cnf.clauses } }
-           { fresh with E.cnf = { fresh.E.cnf with Sat.Cnf.clauses = List.sort compare fresh.E.cnf.Sat.Cnf.clauses } }))
+        (let sorted (e : E.t) =
+           let cnf = e.E.cnf in
+           {
+             e with
+             E.cnf =
+               Sat.Cnf.make ~blocks:cnf.Sat.Cnf.blocks ~nvars:cnf.Sat.Cnf.nvars
+                 (List.sort compare (Sat.Cnf.clauses cnf));
+           }
+         in
+         same_encoding (sorted enc2) (sorted fresh)))
     [ E.Paper; E.Exact ]
 
 (* The per-attribute structural store: in Paper mode two entities whose
    size vectors differ only in the last attribute share every other
-   attribute's clause arrays, physically. Exact mode lists no structural
+   attribute's clause arena, physically. Exact mode lists no structural
    clause: each attribute is one tournament block, equal across the two
    entities except for the last attribute's size. *)
 let test_blocks_shared_per_attribute () =
@@ -918,12 +1006,16 @@ let test_blocks_shared_per_attribute () =
       | E.Paper ->
           let block d = (d * (d - 1) * (d - 2)) + (d * (d - 1) / 2) in
           (* z's universe: its values plus the reserved null *)
-          let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
-          let rest1 = drop (block 3) e1.E.structural and rest2 = drop (block 4) e2.E.structural in
-          Alcotest.(check bool) "x and y blocks non-empty" true (rest1 <> []);
-          Alcotest.(check int) "same length" (List.length rest1) (List.length rest2);
-          Alcotest.(check bool) "x and y clause arrays shared" true
-            (List.for_all2 ( == ) rest1 rest2)
+          (match (e1.E.structural, e2.E.structural) with
+          | z1 :: rest1, z2 :: rest2 ->
+              Alcotest.(check int) "z block, 3 values" (block 3) (Sat.Cnf.arena_length z1);
+              Alcotest.(check int) "z block, 4 values" (block 4) (Sat.Cnf.arena_length z2);
+              Alcotest.(check bool) "x and y blocks non-empty" true
+                (rest1 <> [] && List.for_all (fun a -> Sat.Cnf.arena_length a > 0) rest1);
+              Alcotest.(check int) "same length" (List.length rest1) (List.length rest2);
+              Alcotest.(check bool) "x and y clause arenas shared" true
+                (List.for_all2 ( == ) rest1 rest2)
+          | _ -> Alcotest.fail "no structural arena")
       | E.Exact ->
           (* x: a, b, null (3 pairs); y: p, null (1 pair); z: its values
              plus null *)
@@ -980,5 +1072,7 @@ let () =
             prop_index_equals_scan;
             prop_sigma_order_is_compare;
             prop_rows_equal_tuple_level;
+            prop_packed_equals_reference;
+            prop_extend_packed_equals_reference;
           ] );
     ]

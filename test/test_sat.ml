@@ -204,7 +204,7 @@ let prop_incremental_sound =
       Sat.Solver.add_cnf s f1;
       ignore (Sat.Solver.solve s);
       Sat.Solver.add_cnf s f2;
-      let both = Sat.Cnf.make ~nvars:nv (f1.Sat.Cnf.clauses @ f2.Sat.Cnf.clauses) in
+      let both = Sat.Cnf.make ~nvars:nv (Sat.Cnf.clauses f1 @ Sat.Cnf.clauses f2) in
       let expect =
         if Sat.Brute.solve both <> None then Sat.Solver.Sat else Sat.Solver.Unsat
       in
@@ -332,7 +332,7 @@ let prop_loader_matches_reference =
             &&
             match expect with
             | Some (_ :: _ :: _ :: _ as ls) -> (
-                match (Sat.Solver.export_cnf a).Sat.Cnf.clauses with
+                match Sat.Cnf.clauses (Sat.Solver.export_cnf a) with
                 | newest :: _ -> newest = Array.of_list ls
                 | [] -> false)
             | _ -> true)
@@ -405,6 +405,93 @@ let test_block_cyclic_units () =
   Alcotest.(check bool) "units alone: ok" true (Sat.Solver.ok late);
   Sat.Solver.add_cnf late (Sat.Cnf.make ~blocks:[ b ] ~nvars:3 []);
   Alcotest.(check bool) "block after the units: ok = false" false (Sat.Solver.ok late)
+
+(* [Cnf.eval] checks a block's transitivity by its out-degrees; the
+   reference is [eval] on the expansion, every 3-cycle clause listed. One
+   block at a random offset of d ∈ {0–5, 61–66, 128–131} values, a few
+   random clauses over its variables, and a model that is a random
+   assignment, a random strict order, or such an order with one pair
+   flipped. A wide block's expansion takes a tenth of a second, so they
+   are drawn rarely. *)
+let qcheck_eval_blocks =
+  QCheck.make
+    ~print:(fun (f, m) ->
+      Format.asprintf "block %s, model %s"
+        (String.concat " "
+           (List.map (fun b -> Printf.sprintf "(%d,%d)" b.Sat.Cnf.first b.Sat.Cnf.d) f.Sat.Cnf.blocks))
+        (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") m))))
+    QCheck.Gen.(
+      frequency [ (6, int_range 0 5); (3, int_range 61 66); (1, int_range 128 131) ] >>= fun d ->
+      int_bound 3 >>= fun first ->
+      int_bound 3 >>= fun ncl ->
+      int_bound 2 >>= fun kind ->
+      int_bound 1_000_000 >|= fun seed ->
+      let st = Random.State.make [| seed |] in
+      let b = { Sat.Cnf.first; d } in
+      let nvars = first + Sat.Cnf.block_nvars d + 1 in
+      let clauses =
+        List.init ncl (fun _ ->
+            Array.init (1 + Random.State.int st 3) (fun _ ->
+                lit (Random.State.int st nvars) (Random.State.bool st)))
+      in
+      let m = Array.init nvars (fun _ -> Random.State.bool st) in
+      if kind > 0 && d >= 2 then begin
+        (* rank.(u) is u's position in a random order *)
+        let rank = Array.init d Fun.id in
+        for i = d - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let t = rank.(i) in
+          rank.(i) <- rank.(j);
+          rank.(j) <- t
+        done;
+        for u = 0 to d - 1 do
+          for v = u + 1 to d - 1 do
+            m.(Sat.Cnf.pair_var b u v) <- rank.(u) < rank.(v)
+          done
+        done;
+        if kind = 2 then begin
+          let x = first + Random.State.int st (Sat.Cnf.block_nvars d) in
+          m.(x) <- not m.(x)
+        end
+      end;
+      (Sat.Cnf.make ~blocks:[ b ] ~nvars clauses, m))
+
+let prop_eval_is_expanded_eval =
+  QCheck.Test.make ~count:150 ~name:"Cnf.eval == eval of the expansion (d up to 131)" qcheck_eval_blocks
+    (fun (f, m) -> Sat.Cnf.eval m f = Sat.Cnf.eval m (Sat.Cnf.expand f))
+
+(* Packing is invisible to readers: [make] (one arena) and
+   [unsafe_of_arenas] (the list cut into arenas anywhere, empty ones
+   too) give back the very clause list through [clauses], [iter],
+   [fold] and [iter_packed], and [nclauses]/[nlits] count it. *)
+let prop_cnf_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"Cnf make/iter round trip"
+    QCheck.(pair qcheck_cnf (small_list small_nat))
+    (fun (f0, cuts) ->
+      let cls = Sat.Cnf.clauses f0 @ [ [||] ] in
+      let rec chunks acc l = function
+        | [] -> List.rev (l :: acc)
+        | k :: ks ->
+            let k = k mod (List.length l + 1) in
+            chunks (List.filteri (fun i _ -> i < k) l :: acc) (List.filteri (fun i _ -> i >= k) l) ks
+      in
+      let f = Sat.Cnf.make ~nvars:f0.Sat.Cnf.nvars cls in
+      let g =
+        Sat.Cnf.unsafe_of_arenas ~nvars:f0.Sat.Cnf.nvars
+          (List.map Sat.Cnf.arena_of_clauses (chunks [] cls cuts))
+      in
+      let listed h =
+        let it = ref [] and packed = ref [] in
+        Sat.Cnf.iter (fun c -> it := c :: !it) h;
+        Sat.Cnf.iter_packed (fun lits off len -> packed := Array.sub lits off len :: !packed) h;
+        [ Sat.Cnf.clauses h; List.rev !it; List.rev !packed; List.rev (Sat.Cnf.fold (fun acc c -> c :: acc) [] h) ]
+      in
+      List.for_all (fun h -> List.for_all (( = ) cls) (listed h)) [ f; g ]
+      && List.for_all
+           (fun h ->
+             Sat.Cnf.nclauses h = List.length cls
+             && Sat.Cnf.nlits h = List.fold_left (fun n c -> n + Array.length c) 0 cls)
+           [ f; g ])
 
 (* One of three shapes, each with random clauses of 1–3 literals and
    three lists of up to four assumptions:
@@ -491,7 +578,7 @@ let prop_blocks_match_clauses =
       (* the blocks registered after the clauses: the level-0 trail is
          propagated through them again *)
       let sl = load { f with Sat.Cnf.blocks = [] } in
-      Sat.Solver.add_cnf sl { f with Sat.Cnf.clauses = [] };
+      Sat.Solver.add_cnf sl { f with Sat.Cnf.arenas = [] };
       (* [expanded] lists [f]'s clauses and its blocks' axioms *)
       let model_ok s = Sat.Cnf.eval (Sat.Solver.model s) expanded in
       Sat.Solver.ok sb = Sat.Solver.ok sc
@@ -543,7 +630,7 @@ let prop_lists_on_first_use =
       Sat.Solver.add_cnf s f;
       let export = Sat.Solver.export_cnf s in
       let exported_exactly =
-        sorted_clauses export.Sat.Cnf.clauses = sorted_clauses loaded
+        sorted_clauses (Sat.Cnf.clauses export) = sorted_clauses loaded
         && export.Sat.Cnf.blocks = [ b ]
       in
       let verdict f = if Sat.Brute.solve f <> None then Sat.Solver.Sat else Sat.Solver.Unsat in
@@ -586,6 +673,8 @@ let () =
           [
             prop_agrees_with_brute;
             prop_assumptions_sound;
+            prop_eval_is_expanded_eval;
+            prop_cnf_roundtrip;
             prop_model_count_positive;
             prop_set_phase_sound;
             prop_loader_matches_reference;
